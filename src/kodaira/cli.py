@@ -364,7 +364,8 @@ def cmd_fibration(body, options):
                 raise ValidationError("check simple needs a toric instance")
             v = verify_stride(inst.fibration.total, inst.total_divisor(),
                               inst.metric, degree_bound=inst.degree_bound,
-                              instance_id=inst.instance_id)
+                              instance_id=inst.instance_id,
+                              base=inst.evaluation.kappa_sigma)
         elif check == "addti":
             twist = _int(body.get("twist_degree", 1), "twist_degree")
             if isinstance(inst, CurveProductInstance):

@@ -9,8 +9,10 @@ general fiber" never needs sampling: restriction is exact.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .curve import (
     CurveDivisorClass,
@@ -25,6 +27,7 @@ from .semigroup import DegreeBoundError
 from .toric import (
     CrossCheckError,
     DEFAULT_DEGREE_BOUND,
+    KappaValues,
     SectionSystem,
     ToricDivisorData,
     ToricVariety,
@@ -112,8 +115,15 @@ def hirzebruch_fibration(a):
 # instances
 # ---------------------------------------------------------------------------
 
+class _Evaluated:
+    @cached_property
+    def evaluation(self):
+        """This instance's InstanceEvaluation, created on first use."""
+        return InstanceEvaluation(self)
+
+
 @dataclass
-class ToricFibrationInstance:
+class ToricFibrationInstance(_Evaluated):
     """Fibration with torus-invariant data: either log divisors (reduced
     boundary subsets with f* D_Y inside D_X) or a metric, never both."""
 
@@ -152,7 +162,7 @@ class ToricFibrationInstance:
 
 
 @dataclass
-class CurveProductInstance:
+class CurveProductInstance(_Evaluated):
     """X = Y x F for a curve Y and a toric fiber F, projected to Y.
 
     base_class is the curve part of K_X + L (so K_Y + L_Y); the metric splits
@@ -260,20 +270,17 @@ def curve_product_kappa_sigma(inst, horizontal_only=False):
 
     Full perturbation fattens both factors (ample on Y times ample on F);
     horizontal_only fattens just the curve side (pullback perturbations)."""
-    base_part = _curve_part_sigma(inst)
-    if horizontal_only:
-        fiber_part = kappa_report(inst.fiber_system()).kappa
-    else:
-        fiber_part = kappa_sigma(inst.fiber_variety, inst.fiber_divisor,
-                                 inst.fiber_metric,
-                                 degree_bound=inst.degree_bound)
-    exact = _neg_inf_sum(base_part, fiber_part)
+    p = 2 * inst.curve.genus + 1
+    base_part = _curve_growth([inst.base_count(k, extra_degree=p)
+                               for k in range(1, inst.degree_bound + 1)])
+    fiber_k, fiber_sigma = inst.evaluation.fiber
+    exact = _neg_inf_sum(base_part, fiber_k if horizontal_only else fiber_sigma)
 
     amp = standard_ample(inst.fiber_variety)
     estimates = []
     for m in (1, 2, 3):
         counts = inst.product_counts(
-            base_extra=m * (2 * inst.curve.genus + 1),
+            base_extra=m * p,
             fiber_aux=None if horizontal_only else amp.scale(m))
         est = growth_order_estimate(counts, offset_search=12)
         if est is not None:
@@ -286,13 +293,6 @@ def curve_product_kappa_sigma(inst, horizontal_only=False):
     elif exact != NEG_INF:
         raise CrossCheckError("perturbed product growth not estimable")
     return exact
-
-
-def _curve_part_sigma(inst):
-    """Perturbed growth order of the curve factor with its marked metric."""
-    p = 2 * inst.curve.genus + 1
-    return _curve_growth([inst.base_count(k, extra_degree=p)
-                          for k in range(1, inst.degree_bound + 1)])
 
 
 @dataclass
@@ -316,49 +316,90 @@ class KappaReport:
         return self.kappa1
 
 
+class InstanceEvaluation:
+    """The growth invariants of one fiber-space instance.  Each part is
+    computed on first use and kept, so all verdicts on the instance share it.
+
+    Parts and readers: system, the total-space SectionSystem of a toric
+    instance (verify_iitaka); report, its kappa triple (instance_kappa_values,
+    verify_iitaka, verify_dio_equality, kappa_summary); kappa_sigma and
+    kappa_sigma_hor (instance_kappa_values, kappa_summary, and kappa_sigma
+    as the stride-1 value of verify_stride); fiber and base, their (kappa,
+    kappa_sigma) pairs (verify_subadditivity, verify_upper_bound,
+    curve_product_kappa_sigma, kappa_summary).  Verdicts read parts in the
+    order they used to compute them, so parts are computed and errors raised
+    in the same order as without the record.  Do not change an instance
+    after its first evaluation.
+    """
+
+    def __init__(self, inst):
+        # weak, so that no reference cycle keeps the instance and its cached
+        # section systems alive after the caller drops the instance
+        self._inst = weakref.ref(inst)
+        self.toric = isinstance(inst, ToricFibrationInstance)
+
+    @property
+    def inst(self):
+        return self._inst()
+
+    def _total(self):
+        inst = self.inst
+        return inst.fibration.total, inst.total_divisor(), inst.metric
+
+    @cached_property
+    def system(self):
+        variety, divisor, metric = self._total()
+        return SectionSystem(variety, divisor, metric=metric,
+                             degree_bound=self.inst.degree_bound)
+
+    @cached_property
+    def report(self):
+        if self.toric:
+            return kappa_report(self.system)
+        k = curve_product_kappa(self.inst)
+        return KappaValues(k, k, k, None, self.inst.degree_bound)
+
+    @cached_property
+    def kappa_sigma(self):
+        if self.toric:
+            return kappa_sigma(*self._total(),
+                               degree_bound=self.inst.degree_bound)
+        return curve_product_kappa_sigma(self.inst)
+
+    @cached_property
+    def kappa_sigma_hor(self):
+        if self.toric:
+            return kappa_sigma_hor(*self._total(), self.inst.fibration,
+                                   degree_bound=self.inst.degree_bound)
+        return curve_product_kappa_sigma(self.inst, horizontal_only=True)
+
+    @cached_property
+    def fiber(self):
+        return fiber_kappa_values(self.inst)
+
+    @cached_property
+    def base(self):
+        return base_kappa_values(self.inst)
+
+
 def kappa_summary(inst):
     """KappaReport of an instance; the three total-space invariants are
     asserted equal along the way (toric instances compute them separately,
     curve products equate the two independent routes)."""
-    if isinstance(inst, ToricFibrationInstance):
-        fib = inst.fibration
-        sys = SectionSystem(fib.total, inst.total_divisor(),
-                            metric=inst.metric, degree_bound=inst.degree_bound)
-        rep = kappa_report(sys)
-        three = (rep.kappa1, rep.kappa2, rep.kappa3)
-        witness = rep.witness_degree
-        _, ks, kh = instance_kappa_values(inst)
-    else:
-        k, ks, kh = instance_kappa_values(inst)
-        three = (k, k, k)
-        witness = None
-    fiber_k, fiber_s = fiber_kappa_values(inst)
-    base_k, base_s = base_kappa_values(inst)
+    ev = inst.evaluation
+    rep = ev.report
     return KappaReport(
-        kappa1=three[0], kappa2=three[1], kappa3=three[2],
-        kappa_sigma=ks, kappa_sigma_hor=kh,
-        fiber_kappa=fiber_k, fiber_kappa_sigma=fiber_s,
-        base_kappa=base_k, base_kappa_sigma=base_s,
-        degree_bound=inst.degree_bound, witness_degree=witness)
+        kappa1=rep.kappa1, kappa2=rep.kappa2, kappa3=rep.kappa3,
+        kappa_sigma=ev.kappa_sigma, kappa_sigma_hor=ev.kappa_sigma_hor,
+        fiber_kappa=ev.fiber[0], fiber_kappa_sigma=ev.fiber[1],
+        base_kappa=ev.base[0], base_kappa_sigma=ev.base[1],
+        degree_bound=inst.degree_bound, witness_degree=rep.witness_degree)
 
 
 def instance_kappa_values(inst):
     """(kappa, kappa_sigma, kappa_sigma_hor) of the total space."""
-    if isinstance(inst, ToricFibrationInstance):
-        fib = inst.fibration
-        m = inst.total_divisor()
-        sys = SectionSystem(fib.total, m, metric=inst.metric,
-                            degree_bound=inst.degree_bound)
-        k = kappa_report(sys).kappa
-        ks = kappa_sigma(fib.total, m, inst.metric, degree_bound=inst.degree_bound)
-        kh = kappa_sigma_hor(fib.total, m, inst.metric, fib,
-                             degree_bound=inst.degree_bound)
-        return k, ks, kh
-    if isinstance(inst, CurveProductInstance):
-        return (curve_product_kappa(inst),
-                curve_product_kappa_sigma(inst),
-                curve_product_kappa_sigma(inst, horizontal_only=True))
-    raise TypeError("not a fiber-space instance")
+    ev = inst.evaluation
+    return ev.report.kappa, ev.kappa_sigma, ev.kappa_sigma_hor
 
 
 def fiber_kappa_values(inst):
@@ -433,8 +474,8 @@ def verify_subadditivity(inst, which):
         raise ValueError(f"unknown check {which!r}")
 
     _, lhs_sigma, _ = instance_kappa_values(inst)
-    fiber_k, fiber_sigma = fiber_kappa_values(inst)
-    base_k, base_sigma = base_kappa_values(inst)
+    fiber_k, fiber_sigma = inst.evaluation.fiber
+    base_k, base_sigma = inst.evaluation.base
 
     if which in ("spc", "112"):
         terms = [("kappa_sigma(fiber)", fiber_sigma), ("kappa(base)", base_k)]
@@ -456,7 +497,7 @@ def verify_chain(inst):
 def verify_upper_bound(inst):
     """kappa(X) <= kappa(F) + dim Y."""
     k, _, _ = instance_kappa_values(inst)
-    fiber_k, _ = fiber_kappa_values(inst)
+    fiber_k, _ = inst.evaluation.fiber
     if isinstance(inst, CurveProductInstance):
         dim_base = 1
     else:
@@ -475,7 +516,7 @@ def verify_dio_equality(inst):
         raise ValueError("dio equality needs a curve times toric instance")
     if inst.curve.genus < 2:
         raise ValueError("dio equality needs a general-type base (genus >= 2)")
-    lhs = curve_product_kappa(inst)
+    lhs = inst.evaluation.report.kappa
     fiber_k = kappa_report(inst.fiber_system()).kappa
     return _verdict("dio_equality", inst, lhs,
                     [("kappa(fiber)", fiber_k), ("dim(base)", 1)],
@@ -513,9 +554,11 @@ def verify_addti(inst, base_twist, k=1):
 
 
 def verify_stride(variety, divisor, metric, strides=(2, 3, 5),
-                  degree_bound=DEFAULT_DEGREE_BOUND, instance_id=""):
-    """kappa_sigma computed on degree multiples of a equals the full value."""
-    base = kappa_sigma(variety, divisor, metric, degree_bound=degree_bound)
+                  degree_bound=DEFAULT_DEGREE_BOUND, instance_id="", base=None):
+    """kappa_sigma computed on degree multiples of a equals the full value
+    (base: the stride-1 value when the caller already has it)."""
+    if base is None:
+        base = kappa_sigma(variety, divisor, metric, degree_bound=degree_bound)
     results = []
     ok = True
     for a in strides:
@@ -533,9 +576,8 @@ def verify_iitaka(inst):
     equals the growth order and every degree contracts to the fiber point."""
     if not isinstance(inst, ToricFibrationInstance):
         raise ValueError("iitaka verdict needs a toric instance")
-    sys = SectionSystem(inst.fibration.total, inst.total_divisor(),
-                        metric=inst.metric, degree_bound=inst.degree_bound)
-    total = kappa_report(sys).kappa
+    sys = inst.evaluation.system
+    total = inst.evaluation.report.kappa
     if not sys.support():
         return InequalityVerdict(
             check_id="iitaka_fibration", instance_id=inst.instance_id,

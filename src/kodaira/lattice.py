@@ -275,7 +275,7 @@ class IntLattice:
                 for jj in range(piv, self.n):
                     v[jj] -= q * row[jj]
             else:
-                g, x, y = _xgcd_int(a, b)
+                g, x, y = xgcd(a, b)
                 new_row = [x * r + y * w for r, w in zip(row, v)]
                 factor_r, factor_v = a // g, b // g
                 v = [factor_r * w - factor_v * r for r, w in zip(row, v)]
@@ -307,7 +307,8 @@ class IntLattice:
         return [tuple(r) for r in self.rows]
 
 
-def _xgcd_int(a, b):
+def xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and a x + b y = g."""
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
         q, a, b = a // b, b, a % b
@@ -367,45 +368,41 @@ def subgroup_rank_index(generators, ambient=None):
 # rational linear algebra
 # ---------------------------------------------------------------------------
 
+def _rref(rows, ncols):
+    """Reduced row echelon form of a rational matrix, pivoting only in the
+    first ncols columns: (rows as lists of Fractions, pivot columns)."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
 def solve_rational(a_rows, b):
     """Solve A x = b exactly (A square, rows of rationals); None if singular."""
     n = len(a_rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    work, pivots = _rref([list(r) + [b[i]] for i, r in enumerate(a_rows)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(row[n] for row in work)
 
 
 def rat_rank(rows):
     """Rank of a matrix of rationals (Gaussian elimination)."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def solve_linear_system(a_rows, b):
@@ -413,30 +410,12 @@ def solve_linear_system(a_rows, b):
     system, or None if inconsistent."""
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in a_rows[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    work, pivots = _rref([list(a_rows[i]) + [b[i]] for i in range(m)], n)
+    if any(row[n] != 0 for row in work[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
+    for row, col in zip(work, pivots):
+        x[col] = row[n]
     return tuple(x)
 
 
@@ -509,7 +488,7 @@ class Polytope:
     instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, ambient_dim, constraints, int_box=None):
+    def __init__(self, ambient_dim, constraints):
         self.ambient_dim = int(ambient_dim)
         cons = []
         for v, c in constraints:
@@ -522,11 +501,6 @@ class Polytope:
         self._empty = None
         self._bounded = None
         self._affine_dim = None
-        # a caller-supplied enclosing integer box certifies boundedness and
-        # lets lattice scans skip feasibility preprocessing
-        self._box = list(int_box) if int_box is not None else None
-        if int_box is not None:
-            self._bounded = True
 
     def __repr__(self):
         return f"Polytope(dim={self.ambient_dim}, constraints={len(self.constraints)})"
@@ -645,79 +619,85 @@ class Polytope:
         if n == 0:
             ok = not self.is_empty()
             return ([()] if ok else []) if collect else int(ok)
-        if self._box is not None:
-            box = self._box
-            if any(lo > hi for lo, hi in box):
-                return [] if collect else 0
-        else:
-            if self.is_empty():
-                return [] if collect else 0
-            if not self.is_bounded():
-                raise UnboundedPolytopeError("unbounded")
-            box = self._int_box()
+        if self.is_empty():
+            return [] if collect else 0
+        if not self.is_bounded():
+            raise UnboundedPolytopeError("unbounded")
         # integer points see each bound only through its ceiling
-        normals = []
-        residuals = []
-        lasts = []
-        for v, c in self.constraints:
-            last = max((j for j, x in enumerate(v) if x != 0), default=-1)
-            if last < 0:
-                if c > 0:
-                    return [] if collect else 0
-                continue
-            normals.append(v)
-            residuals.append(math.ceil(c))
-            lasts.append(last)
-        m = len(normals)
-        touching = [[] for _ in range(n)]  # residual updates at this depth
-        bounding = [[] for _ in range(n)]  # becomes a 1-var bound here
-        for i in range(m):
-            bounding[lasts[i]].append(i)
-            for d in range(lasts[i]):
-                if normals[i][d] != 0:
-                    touching[d].append(i)
+        return scan_int_points(
+            self._int_box(),
+            [(v, math.ceil(c)) for v, c in self.constraints], collect)
 
-        out = [] if collect else None
-        counter = [0]
-        prefix = [0] * n
 
-        def rec(depth):
-            lo, hi = box[depth]
-            for i in bounding[depth]:
-                a = normals[i][depth]
-                c = residuals[i]
-                if a > 0:
-                    b = -(-c // a)
-                    if b > lo:
-                        lo = b
-                else:
-                    b = c // a  # floor division with negative a rounds down
-                    if b < hi:
-                        hi = b
-            if lo > hi:
-                return
-            if depth == n - 1:
-                if collect:
-                    head = tuple(prefix[: n - 1])
-                    for x in range(lo, hi + 1):
-                        out.append(head + (x,))
-                else:
-                    counter[0] += hi - lo + 1
-                return
-            touch = touching[depth]
-            saved = [residuals[i] for i in touch]
-            coeffs = [normals[i][depth] for i in touch]
-            for i, a, c in zip(touch, coeffs, saved):
-                residuals[i] = c - a * lo
-            for x in range(lo, hi + 1):
-                prefix[depth] = x
-                rec(depth + 1)
-                for i, a in zip(touch, coeffs):
-                    residuals[i] -= a
-            for i, c in zip(touch, saved):
-                residuals[i] = c
-        rec(0)
-        return out if collect else counter[0]
+def scan_int_points(box, constraints, collect=False):
+    """Integer points u of the box [(lo, hi), ...] with <u, v> >= c for all
+    integer (v, c) in constraints, in lexicographic order (collect) or their
+    number (the last coordinate counted by interval)."""
+    n = len(box)
+    if any(lo > hi for lo, hi in box):
+        return [] if collect else 0
+    normals = []
+    residuals = []
+    lasts = []
+    for v, c in constraints:
+        last = max((j for j, x in enumerate(v) if x != 0), default=-1)
+        if last < 0:
+            if c > 0:
+                return [] if collect else 0
+            continue
+        normals.append(v)
+        residuals.append(c)
+        lasts.append(last)
+    m = len(normals)
+    touching = [[] for _ in range(n)]  # residual updates at this depth
+    bounding = [[] for _ in range(n)]  # becomes a 1-var bound here
+    for i in range(m):
+        bounding[lasts[i]].append(i)
+        for d in range(lasts[i]):
+            if normals[i][d] != 0:
+                touching[d].append(i)
+
+    out = [] if collect else None
+    counter = [0]
+    prefix = [0] * n
+
+    def rec(depth):
+        lo, hi = box[depth]
+        for i in bounding[depth]:
+            a = normals[i][depth]
+            c = residuals[i]
+            if a > 0:
+                b = -(-c // a)
+                if b > lo:
+                    lo = b
+            else:
+                b = c // a  # floor division with negative a rounds down
+                if b < hi:
+                    hi = b
+        if lo > hi:
+            return
+        if depth == n - 1:
+            if collect:
+                head = tuple(prefix[: n - 1])
+                for x in range(lo, hi + 1):
+                    out.append(head + (x,))
+            else:
+                counter[0] += hi - lo + 1
+            return
+        touch = touching[depth]
+        saved = [residuals[i] for i in touch]
+        coeffs = [normals[i][depth] for i in touch]
+        for i, a, c in zip(touch, coeffs, saved):
+            residuals[i] = c - a * lo
+        for x in range(lo, hi + 1):
+            prefix[depth] = x
+            rec(depth + 1)
+            for i, a in zip(touch, coeffs):
+                residuals[i] -= a
+        for i, c in zip(touch, saved):
+            residuals[i] = c
+    rec(0)
+    return out if collect else counter[0]
 
 
 def lattice_points(poly):
@@ -810,7 +790,9 @@ def convex_hull(points, ambient_dim=None):
         raise GeometryError("points of mixed dimension")
     p0 = pts[0]
     diffs = [vsub(p, p0) for p in pts[1:]]
-    d = rat_rank(diffs) if diffs else 0
+    # d coordinates on which the difference matrix has full rank
+    proj_cols = _rref(diffs, n)[1]
+    d = len(proj_cols)
 
     constraints = []
     # affine-hull equalities from an integer basis of the orthogonal complement
@@ -832,25 +814,6 @@ def convex_hull(points, ambient_dim=None):
         poly._empty = False
         poly._affine_dim = 0
         return poly
-
-    # pick d coordinates on which the difference matrix has full rank
-    proj_cols = []
-    work = [list(v) for v in diffs]
-    for col in range(n):
-        if len(proj_cols) == d:
-            break
-        piv = next((i for i in range(len(proj_cols), len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[len(proj_cols)], work[piv] = work[piv], work[len(proj_cols)]
-        pv = work[len(proj_cols)][col]
-        r0 = [x / pv for x in work[len(proj_cols)]]
-        work[len(proj_cols)] = r0
-        for i in range(len(work)):
-            if i != len(proj_cols) and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], r0)]
-        proj_cols.append(col)
 
     proj = [tuple(p[c] for c in proj_cols) for p in pts]
 

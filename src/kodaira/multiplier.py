@@ -10,7 +10,6 @@ section spaces).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,7 +61,7 @@ def multiplier_coeff(mu, k, clamp=True):
     k = int(k)
     if k < 1:
         raise ValueError("level must be >= 1")
-    value = math.floor(k * mu) - k + 1
+    value = k * mu.numerator // mu.denominator - k + 1
     if clamp:
         return max(value, 0)
     return value

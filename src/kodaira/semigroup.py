@@ -25,6 +25,7 @@ from .lattice import (
     lattice_volume,
     rat_rank,
     vadd,
+    xgcd,
 )
 
 
@@ -325,12 +326,9 @@ def _group_point_at_level(reg, n, k):
             cur_comb = [0] * len(basis)
             cur_comb[i] = 1 if lv > 0 else -1
         else:
-            gg, x, y = _xgcd(cur_g, lv)
+            cur_g, x, y = xgcd(cur_g, lv)
             cur_comb = [x * c for c in cur_comb]
             cur_comb[i] += y
-            cur_g = gg
-            if cur_g < 0:
-                cur_g, cur_comb = -cur_g, [-c for c in cur_comb]
     if cur_g == 0 or k % cur_g != 0:
         return None
     t = k // cur_g
@@ -340,15 +338,6 @@ def _group_point_at_level(reg, n, k):
             for j in range(n + 1):
                 point[j] += t * c * row[j]
     return tuple(point)
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .lattice import (
     int_points_rank,
     is_zero,
     primitive,
+    scan_int_points,
     solve_rational,
     vsub,
 )
@@ -60,6 +61,7 @@ class ToricVariety:
         self.max_cones = tuple(sorted(frozenset(c) for c in max_cones))
         self.name = name or f"toric{self.lattice_rank}d"
         self._dir_mults = None
+        self._ample = None
         self._validate()
 
     def _validate(self):
@@ -92,12 +94,13 @@ class ToricVariety:
         return f"ToricVariety({self.name}, rank={self.lattice_rank}, rays={len(self.rays)})"
 
     def direction_multipliers(self):
-        """For each of the 2n directions +-e_i, nonnegative rational ray
+        """For each of the 2n directions +-e_i, nonnegative integer ray
         multipliers expressing the direction inside some maximal cone.
 
         Yields exact coordinate bounds for every divisor polytope: from
         <u, v_rho> >= c_rho one gets <u, d> >= sum lambda_rho c_rho whenever
-        d = sum lambda_rho v_rho with lambda >= 0.  Cached per variety.
+        d = sum lambda_rho v_rho with lambda >= 0.  The multipliers are
+        integers because every maximal cone is unimodular.  Cached per variety.
         """
         if self._dir_mults is not None:
             return self._dir_mults
@@ -112,7 +115,7 @@ class ToricVariety:
                     mat = [[self.rays[r][j] for r in idx] for j in range(n)]
                     lam = solve_rational(mat, d)
                     if lam is not None and all(x >= 0 for x in lam):
-                        found = {r: x for r, x in zip(idx, lam) if x != 0}
+                        found = {r: int(x) for r, x in zip(idx, lam) if x != 0}
                         break
                 if found is None:
                     raise GeometryError("fan is not complete")
@@ -228,17 +231,20 @@ def standard_ample(variety):
     """A canned ample divisor with every coefficient >= 1.
 
     All-ones works for projective spaces and their products; Hirzebruch
-    surfaces need the twisted coefficient on the (-1, a) ray.
+    surfaces need the twisted coefficient on the (-1, a) ray.  Validated once
+    and cached per variety.
     """
-    coeffs = [1] * len(variety.rays)
-    for i, ray in enumerate(variety.rays):
-        if variety.lattice_rank == 2 and len(variety.rays) == 4:
-            if ray[0] == -1 and ray[1] > 1:
-                coeffs[i] = ray[1]
-    amp = ToricDivisorData(tuple(coeffs))
-    if not is_ample(variety, amp):
-        raise GeometryError(f"no canned ample for {variety.name}")
-    return amp
+    if variety._ample is None:
+        coeffs = [1] * len(variety.rays)
+        for i, ray in enumerate(variety.rays):
+            if variety.lattice_rank == 2 and len(variety.rays) == 4:
+                if ray[0] == -1 and ray[1] > 1:
+                    coeffs[i] = ray[1]
+        amp = ToricDivisorData(tuple(coeffs))
+        if not is_ample(variety, amp):
+            raise GeometryError(f"no canned ample for {variety.name}")
+        variety._ample = amp
+    return variety._ample
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +254,14 @@ def standard_ample(variety):
 class SectionSystem:
     """Degreewise exponent sets of (k k0 M + E) twisted by the k k0-th
     multiplier ideal of a torus-invariant metric.
+
+    The degree-k piece is {u : <u, v_rho> >= -k k0 b_rho - e_rho + c_rho}
+    with c_rho the multiplier coefficient at level k k0.  Every bound is an
+    integer (k k0 clears the denominators of the b_rho, E is integral,
+    multiplier coefficients are integers), and so is the enclosing box,
+    since every cone is unimodular (ToricVariety.direction_multipliers).  So
+    the integers k0 b_rho and e_rho are fixed once, and each degree only
+    shifts integer bounds and the box for one integer lattice scan.
 
     Exponent sets and counts are cached per degree; E is a fixed auxiliary
     integral divisor (not scaled with k).
@@ -264,46 +278,40 @@ class SectionSystem:
         self.degree_bound = int(degree_bound)
         self.clamp = clamp
         self.k0 = divisor.k0
+        # degree-k bound of ray i: k * slope + offset + multiplier coefficient
+        self._slopes = [int(-self.k0 * c) for c in divisor.coefficients]
+        self._offsets = ([-int(c) for c in aux.coefficients] if aux is not None
+                         else [0] * len(variety.rays))
+        self._weights = [(i, self.metric.weight(i)) for i in
+                         range(len(variety.rays)) if self.metric.weight(i)]
         self._points = {}
         self._counts = {}
 
-    def degree_polytope(self, k):
-        """Constraint polytope of the degree-k piece (multiplier level k*k0)."""
+    def _scan(self, k, collect):
+        """Integer scan of the degree-k piece (multiplier level k*k0)."""
         t = k * self.k0
-        cons = []
-        for i, ray in enumerate(self.variety.rays):
-            bound = -(t * self.divisor.coefficients[i])
-            if self.aux is not None:
-                bound -= self.aux.coefficients[i]
-            mu = self.metric.weight(i)
-            if mu:
-                bound += multiplier_coeff(mu, t, clamp=self.clamp)
-            cons.append((ray, bound))
-        # exact enclosing box from the complete fan, avoiding per-degree
-        # vertex enumeration in the lattice scans
-        n = self.variety.lattice_rank
-        box = [[None, None] for _ in range(n)]
+        bounds = [k * a + b for a, b in zip(self._slopes, self._offsets)]
+        for i, mu in self._weights:
+            bounds[i] += multiplier_coeff(mu, t, clamp=self.clamp)
+        box = [[None, None] for _ in range(self.variety.lattice_rank)]
         for (i, sign), mults in self.variety.direction_multipliers():
-            val = sum(lam * cons[r][1] for r, lam in mults.items())
+            val = sum(lam * bounds[r] for r, lam in mults.items())
             if sign > 0:
-                box[i][0] = math.ceil(val)
+                box[i][0] = val
             else:
-                box[i][1] = math.floor(-val)
-        return Polytope(n, cons, int_box=[tuple(b) for b in box])
+                box[i][1] = -val
+        return scan_int_points(box, zip(self.variety.rays, bounds), collect)
 
     def exponents(self, k):
         if k not in self._points:
-            pts = tuple(self.degree_polytope(k).lattice_points())
+            pts = tuple(self._scan(k, collect=True))
             self._points[k] = pts
             self._counts[k] = len(pts)
         return self._points[k]
 
     def count(self, k):
         if k not in self._counts:
-            if k in self._points:
-                self._counts[k] = len(self._points[k])
-            else:
-                self._counts[k] = self.degree_polytope(k).count_lattice_points()
+            self._counts[k] = self._scan(k, collect=False)
         return self._counts[k]
 
     def support(self, bound=None):
@@ -562,29 +570,26 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
     return best
 
 
-def kappa_sigma(variety, divisor, metric=None, ample=None,
-                degree_bound=DEFAULT_DEGREE_BOUND, stride=1, clamp=True,
-                perturbation_range=(1, 2, 3)):
-    """Perturbed section growth order (numerical dimension flavor).
+def _perturbed_growth(variety, divisor, metric, perturbation, degree_bound,
+                      stride, clamp, perturbation_range, route):
+    """Growth order of the counts of k*D + m*P for the perturbation P.
 
-    Exact value from the limit polytope; empirical value as the maximum over
-    small multiples of the ample perturbation of the count growth order.  The
-    routes must agree or CrossCheckError is raised.
+    Exact value from the limit polytope with the support of P fattened;
+    empirical value as the maximum over m in perturbation_range of the count
+    growth order (on multiples of the stride).  The routes must agree or
+    CrossCheckError naming the route is raised.
     """
-    if ample is None:
-        ample = standard_ample(variety)
-    if not is_ample(variety, ample):
-        raise ValueError("perturbation divisor is not ample")
-    fattened = {i for i, c in enumerate(ample.coefficients) if c > 0}
+    fattened = {i for i, c in enumerate(perturbation.coefficients) if c > 0}
     exact = _limit_growth_exact(variety, divisor, metric, fattened)
 
     n = variety.lattice_rank
-    search = int(3 * max(perturbation_range) * max(ample.coefficients)) + 3
+    search = int(3 * max(perturbation_range)
+                 * max(max(perturbation.coefficients), 1)) + 3
     empirical = NEG_INF
     estimable = False
     for m in perturbation_range:
-        aux = ample.scale(m)
-        sys = SectionSystem(variety, divisor, metric=metric, aux=aux,
+        sys = SectionSystem(variety, divisor, metric=metric,
+                            aux=perturbation.scale(m),
                             degree_bound=degree_bound * stride, clamp=clamp)
         counts = {k // stride: sys.count(k)
                   for k in range(stride, degree_bound * stride + 1, stride)}
@@ -599,8 +604,25 @@ def kappa_sigma(variety, divisor, metric=None, ample=None,
         raise CrossCheckError("perturbed growth order could not be estimated")
     if estimable and empirical != exact:
         raise CrossCheckError(
-            f"numerical growth mismatch: exact {exact}, empirical {empirical}")
+            f"{route} growth mismatch: exact {exact}, empirical {empirical}")
     return exact
+
+
+def kappa_sigma(variety, divisor, metric=None, ample=None,
+                degree_bound=DEFAULT_DEGREE_BOUND, stride=1, clamp=True,
+                perturbation_range=(1, 2, 3)):
+    """Perturbed section growth order (numerical dimension flavor).
+
+    Exact value from the limit polytope; empirical value as the maximum over
+    small multiples of the ample perturbation of the count growth order.  The
+    routes must agree or CrossCheckError is raised.
+    """
+    if ample is None:
+        ample = standard_ample(variety)
+    elif not is_ample(variety, ample):
+        raise ValueError("perturbation divisor is not ample")
+    return _perturbed_growth(variety, divisor, metric, ample, degree_bound,
+                             stride, clamp, perturbation_range, "numerical")
 
 
 def kappa_sigma_hor(variety, divisor, metric, fibration,
@@ -612,30 +634,6 @@ def kappa_sigma_hor(variety, divisor, metric, fibration,
     pulled-back rays are fattened, so metric rays in the fiber direction stay
     limit-strict and the value can drop below kappa_sigma.
     """
-    base_ample = fibration.base_ample()
-    pulled = fibration.pullback_divisor(base_ample)
-    fattened = {i for i, c in enumerate(pulled.coefficients) if c > 0}
-    exact = _limit_growth_exact(variety, divisor, metric, fattened)
-
-    n = variety.lattice_rank
-    search = int(3 * max(perturbation_range)
-                 * max(max(pulled.coefficients), 1)) + 3
-    empirical = NEG_INF
-    estimable = False
-    for m in perturbation_range:
-        aux = pulled.scale(m)
-        sys = SectionSystem(variety, divisor, metric=metric, aux=aux,
-                            degree_bound=degree_bound, clamp=clamp)
-        est = growth_order_estimate(sys.counts(), offset_search=search)
-        if est is None:
-            continue
-        estimable = True
-        est = min(est, n)
-        if est > empirical:
-            empirical = est
-    if not estimable and exact != NEG_INF:
-        raise CrossCheckError("perturbed growth order could not be estimated")
-    if estimable and empirical != exact:
-        raise CrossCheckError(
-            f"horizontal growth mismatch: exact {exact}, empirical {empirical}")
-    return exact
+    pulled = fibration.pullback_divisor(fibration.base_ample())
+    return _perturbed_growth(variety, divisor, metric, pulled, degree_bound,
+                             1, clamp, perturbation_range, "horizontal")

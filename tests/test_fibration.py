@@ -348,3 +348,26 @@ def test_hor_empty_everything():
     fib = product_fibration(P1, P1)
     m = ToricDivisorData((0, -1, 0, 0))
     assert kappa_sigma_hor(fib.total, m, None, fib, degree_bound=12) == NEG_INF
+
+
+def test_fibration_run_evaluates_each_perturbed_growth_once(monkeypatch, capsys):
+    # the four default checks and the summary share one evaluation record:
+    # one perturbed-growth run each for the total space (full and
+    # horizontal), the fiber and the base
+    import kodaira.toric
+    from pathlib import Path
+
+    from kodaira.cli import main
+
+    routes = []
+    inner = kodaira.toric._perturbed_growth
+
+    def counted(*args):
+        routes.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(kodaira.toric, "_perturbed_growth", counted)
+    path = Path(__file__).parent.parent / "corpus" / "fibration_hirzebruch_log.json"
+    assert main(["fibration", str(path), "--format", "json"]) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    assert sorted(routes) == ["horizontal", "numerical", "numerical", "numerical"]

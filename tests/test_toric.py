@@ -212,6 +212,24 @@ def test_standard_amples():
         assert all(c >= 1 for c in amp.coefficients)
 
 
+def test_standard_ample_checked_once_per_variety(monkeypatch):
+    import kodaira.toric
+
+    calls = []
+    inner = kodaira.toric.is_ample
+
+    def counted(variety, divisor):
+        calls.append(variety)
+        return inner(variety, divisor)
+
+    monkeypatch.setattr(kodaira.toric, "is_ample", counted)
+    f2 = ToricVariety.hirzebruch(2)
+    for _ in range(2):
+        assert kappa_sigma(f2, ToricDivisorData((1, 1, 1, 1)),
+                           degree_bound=8) == 2
+    assert calls == [f2]
+
+
 def test_not_ample():
     assert not is_ample(P1, ToricDivisorData((0, 0)))
     assert not is_ample(P1xP1, ToricDivisorData((1, 1, 0, 0)))  # vertical only
