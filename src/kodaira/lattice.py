@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 Rat = Fraction
 
@@ -42,10 +42,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
 def is_zero(u):
     return all(a == 0 for a in u)
 
@@ -58,15 +54,6 @@ def primitive(v):
     if g <= 1:
         return tuple(int(a) for a in v)
     return tuple(int(a) // g for a in v)
-
-
-def clear_denominators(v):
-    """Scale a rational vector to a primitive integer vector, keep direction."""
-    fracs = [Fraction(a) for a in v]
-    lcm = 1
-    for a in fracs:
-        lcm = lcm * a.denominator // math.gcd(lcm, a.denominator)
-    return primitive(tuple(int(a * lcm) for a in fracs))
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +123,20 @@ def hnf_basis(rows):
     """Nonzero rows of the HNF: a canonical basis of the generated lattice.
 
     Reduces incrementally first, so huge generating sets cost O(rows * n^2)
-    without building the transform.
+    without building the transform, and stops once the rows generate Z^n
+    (full rank, every pivot 1), whose HNF is the identity.
     """
     rows = [tuple(r) for r in rows]
     if not rows:
         return []
-    lat = IntLattice(len(rows[0]))
+    n = len(rows[0])
+    lat = IntLattice(n)
     for r in rows:
         lat.add(r)
+        if lat.rank == n and all(row[p] == 1 for row, p in zip(lat.rows, lat.pivots)):
+            return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     h, _ = hnf(lat.basis())
     return [r for r in h if not is_zero(r)]
-
-
-def int_rank(rows):
-    return len(hnf_basis(rows))
 
 
 def in_row_lattice(vec, basis):
@@ -705,11 +692,8 @@ def lattice_points(poly):
 
 
 # ---------------------------------------------------------------------------
-# convex hull (exact, dims 0..3 intrinsic)
+# convex hull (exact integer arithmetic, dims 0..3 intrinsic)
 # ---------------------------------------------------------------------------
-
-_HULL3_MAX_POINTS = 160
-
 
 def _hull_2d(points):
     """Andrew monotone chain.  Returns hull vertices in ccw order."""
@@ -733,51 +717,92 @@ def _hull_2d(points):
     return lower[:-1] + upper[:-1]
 
 
-def _facets_3d(points):
-    """Facet constraints of a full-dimensional 3D hull by triple enumeration.
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
-    Quadratic-cubed scan; guarded so it only runs on small inputs.
+
+def _hull_3d(pts):
+    """Facets {(primitive outward normal w, h)}, with <p, w> <= h on the
+    hull, of sorted distinct integer points spanning R^3, and the corners of
+    the final triangulation (a superset of the hull's vertices).
+
+    Beneath-beyond with conflict lists: each point waits on one triangle it
+    is strictly beyond, a triangle's farthest waiting point is added next,
+    and a point that no new triangle sees lies in the closed hull and is
+    dropped.  Orientation tests are integer dot products with a triangle's
+    primitive cross-product normal, so coplanar triangles merge as equal
+    (normal, offset) pairs.
     """
-    pts = sorted(set(points))
-    if len(pts) > _HULL3_MAX_POINTS:
-        raise GeometryError(
-            f"3D hull limited to {_HULL3_MAX_POINTS} points ({len(pts)} given)")
-    facets = {}
-    m = len(pts)
-    for i, j, k in combinations(range(m), 3):
-        a, b, c = pts[i], pts[j], pts[k]
-        u, v = vsub(b, a), vsub(c, a)
-        nrm = (u[1] * v[2] - u[2] * v[1],
-               u[2] * v[0] - u[0] * v[2],
-               u[0] * v[1] - u[1] * v[0])
-        if is_zero(nrm):
+    a, b = pts[0], pts[-1]
+    ab = vsub(b, a)
+    c = max(pts, key=lambda p: sum(x * x for x in _cross(ab, vsub(p, a))))
+    nrm = _cross(ab, vsub(c, a))
+    d = max(pts, key=lambda p: abs(dot(nrm, vsub(p, a))))
+    if dot(nrm, vsub(d, a)) < 0:
+        c, d = d, c  # positively oriented, so the faces below point outward
+    faces, edges, waiting = {}, {}, {}
+    ids = count()
+
+    def make(p, q, r):
+        w = primitive(_cross(vsub(q, p), vsub(r, p)))
+        f = next(ids)
+        faces[f] = (p, q, r, w, dot(w, p))
+        edges[p, q] = edges[q, r] = edges[r, p] = f
+        waiting[f] = []
+        return f
+
+    def assign(points, new):
+        for x in points:
+            for f in new:
+                w, h = faces[f][3:]
+                if w[0] * x[0] + w[1] * x[1] + w[2] * x[2] > h:
+                    waiting[f].append(x)
+                    break
+
+    todo = [make(b, c, d), make(a, d, c), make(a, b, d), make(a, c, b)]
+    assign([p for p in pts if p not in (a, b, c, d)], todo)
+    while todo:
+        f = todo.pop()
+        if f not in faces or not waiting[f]:
             continue
-        nrm = clear_denominators(nrm)
-        pos = neg = False
-        for p in pts:
-            s = dot(vsub(p, a), nrm)
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            if pos and neg:
-                break
-        if pos and neg:
-            continue
-        inward = nrm if pos else tuple(-x for x in nrm)
-        bound = dot(a, inward)
-        facets[(inward, bound)] = True
-    return [(_normalize_constraint(v, Fraction(c))) for v, c in facets]
+        w = faces[f][3]
+        apex = max(waiting[f], key=lambda x: dot(w, x))
+        seen = {g for g, face in faces.items() if dot(face[3], apex) > face[4]}
+        horizon, orphans = [], []
+        for g in seen:
+            p, q, r = faces.pop(g)[:3]
+            horizon += [(s, t) for s, t in ((p, q), (q, r), (r, p))
+                        if edges[t, s] not in seen]
+            orphans += waiting.pop(g)
+        new = [make(p, q, apex) for p, q in horizon]
+        assign([x for x in orphans if x != apex], new)
+        todo += new
+    return ({face[3:] for face in faces.values()},
+            {p for face in faces.values() for p in face[:3]})
 
 
 def convex_hull(points, ambient_dim=None):
-    """Exact convex hull of rational points as a Polytope.
+    """Exact convex hull of rational points (ints or Fractions) as a Polytope.
+
+    The points are scaled once by their common denominator; everything after
+    that is integer arithmetic.  The affine rank and the coordinates to
+    project on come from an IntLattice that stops at full rank; the 2-D hull
+    is a monotone chain and the 3-D hull an incremental beneath-beyond hull
+    (`_hull_3d`), with no cap on the number of points; facet bounds are read
+    off the vertices.  Only the output vertices and bounds are divided back
+    into Fractions.  Since conv(A ∪ B) = conv(vert conv A ∪ vert conv B) for
+    any point sets, a caller may first cut each part of a large input down
+    to the vertices of its own hull (`regularize` does so per level).
 
     The returned polytope caches the minimal vertex set (lexicographically
     sorted) and its affine dimension; lower-dimensional hulls get explicit
     affine-hull equality constraints.  Empty input yields an empty polytope.
     """
-    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    rows = [tuple(p) for p in points]
+    den = math.lcm(1, *(x.denominator for p in rows for x in p))
+    pts = sorted({tuple(x.numerator * (den // x.denominator) for x in p)
+                  for p in rows})
     if not pts:
         n = 0 if ambient_dim is None else ambient_dim
         p = Polytope(n, [(tuple([0] * n), Fraction(1))])
@@ -789,77 +814,54 @@ def convex_hull(points, ambient_dim=None):
     if any(len(p) != n for p in pts):
         raise GeometryError("points of mixed dimension")
     p0 = pts[0]
-    diffs = [vsub(p, p0) for p in pts[1:]]
-    # d coordinates on which the difference matrix has full rank
-    proj_cols = _rref(diffs, n)[1]
-    d = len(proj_cols)
+    lat = IntLattice(n)
+    for p in pts[1:]:
+        if lat.rank == n:
+            break
+        lat.add(vsub(p, p0))
+    cols = lat.pivots  # d coordinates on which the differences have full rank
+    d = len(cols)
+    if d > 3:
+        raise GeometryError("convex hull only implemented through dimension 3")
+
+    def embed(w):
+        e = [0] * n
+        for c, x in zip(cols, w):
+            e[c] = x
+        return tuple(e)
 
     constraints = []
     # affine-hull equalities from an integer basis of the orthogonal complement
     if d < n:
-        diff_int = [clear_denominators(v) for v in diffs if not is_zero(v)]
-        cols = [tuple(r[i] for r in diff_int) for i in range(n)] if diff_int else []
-        if diff_int:
-            perp = int_kernel(cols)
-        else:
-            perp = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-        for w in perp:
-            b = dot(p0, w)
+        for w in int_kernel([tuple(r[i] for r in lat.rows) for i in range(n)]):
+            b = Fraction(dot(p0, w), den)
             constraints.append((w, b))
             constraints.append((tuple(-x for x in w), -b))
-
+    proj = [tuple(p[c] for c in cols) for p in pts]
+    back = dict(zip(proj, pts))
     if d == 0:
-        poly = Polytope(n, constraints)
-        poly._vertices = (p0,)
-        poly._empty = False
-        poly._affine_dim = 0
-        return poly
-
-    proj = [tuple(p[c] for c in proj_cols) for p in pts]
-
-    def embed(v_small):
-        w = [Fraction(0)] * n
-        for c, val in zip(proj_cols, v_small):
-            w[c] = Fraction(val)
-        return clear_denominators(w)
-
-    if d == 1:
-        order = sorted(range(len(pts)), key=lambda i: proj[i][0])
-        vmin, vmax = pts[order[0]], pts[order[-1]]
-        e = embed((1,))
-        constraints.append((e, dot(vmin, e)))
-        ne = tuple(-x for x in e)
-        constraints.append((ne, dot(vmax, ne)))
-        verts = tuple(sorted({vmin, vmax}))
+        verts = [p0]
+    elif d == 1:
+        # lexicographic order runs along the line
+        verts = [p0, pts[-1]]
+        constraints.append((embed((1,)), Fraction(proj[0][0], den)))
+        constraints.append((embed((-1,)), Fraction(-proj[-1][0], den)))
     elif d == 2:
         hull = _hull_2d(proj)
-        back = {q: [] for q in hull}
-        for i, q in enumerate(proj):
-            if q in back:
-                back[q].append(pts[i])
-        verts = tuple(sorted(back[q][0] for q in hull))
-        k = len(hull)
-        for i in range(k):
-            a, b = hull[i], hull[(i + 1) % k]
-            edge = vsub(b, a)
-            inward = (-edge[1], edge[0])  # ccw order: interior on the left
-            e = embed(inward)
-            constraints.append((e, min(dot(p, e) for p in verts)))
-    else:  # d == 3
-        facet_cons = _facets_3d(proj)
-        for v_small, c_small in facet_cons:
-            e = embed(v_small)
-            constraints.append((e, min(dot(p, e) for p in pts)))
+        verts = [back[q] for q in hull]
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            w = primitive((a[1] - b[1], b[0] - a[0]))  # ccw: interior on the left
+            constraints.append((embed(w), Fraction(dot(a, w), den)))
+    else:
+        facets, corners = _hull_3d(proj)
+        for w, h in sorted(facets):
+            constraints.append((embed(tuple(-x for x in w)), Fraction(-h, den)))
         # a hull point is a vertex iff its tight facet normals span 3 dims
-        verts = []
-        for i, q in enumerate(proj):
-            tight = [v for v, c in facet_cons if dot(q, v) == c]
-            if len(tight) >= 3 and rat_rank(tight) == 3:
-                verts.append(pts[i])
-        verts = tuple(sorted(set(verts)))
+        verts = [back[q] for q in corners if int_points_rank(
+            [(0, 0, 0)] + [w for w, h in facets if dot(q, w) == h]) == 3]
 
     poly = Polytope(n, constraints)
-    poly._vertices = verts
+    poly._vertices = tuple(sorted(tuple(Fraction(x, den) for x in v) for v in verts))
     poly._empty = False
     poly._bounded = True
     poly._affine_dim = d
@@ -870,22 +872,13 @@ def convex_hull(points, ambient_dim=None):
 # lattice-normalized volume
 # ---------------------------------------------------------------------------
 
-def _polygon_area(coords):
-    hull = _hull_2d(coords)
-    s = Fraction(0)
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        s += x1 * y2 - x2 * y1
-    return abs(s) / 2
-
-
 def lattice_volume(poly, basis):
     """Volume of a bounded polytope in coordinates of a direction lattice.
 
     `basis` must span the direction space of the polytope's affine hull; the
     result is invariant under unimodular change of that basis.  Dimension 0
-    returns 1.  Computed exactly by triangulating the vertex hull.
+    returns 1.  Computed exactly by triangulating the vertex hull; in
+    dimension 3 the facets are read off the polytope's own constraints.
     """
     verts = poly.vertices()
     if not verts:
@@ -910,32 +903,29 @@ def lattice_volume(poly, basis):
         vals = [c[0] for c in coords]
         return max(vals) - min(vals)
     if q == 2:
-        return _polygon_area(coords)
+        hull = _hull_2d(coords)
+        return Fraction(abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
+                                in zip(hull, hull[1:] + hull[:1]))), 2)
     if q == 3:
-        hull3 = convex_hull(coords)
-        origin = hull3.vertices()[0]
+        # a facet is the vertex set tight on some constraint, when that holds
+        # at least three but not all vertices; fan out from vertex 0 (at the
+        # origin of `coords`) over the facets that miss it
+        rings = {frozenset(i for i, v in enumerate(verts) if dot(v, w) == c)
+                 for w, c in poly.constraints}
         total = Fraction(0)
-        seen = set()
-        for v, c in hull3.constraints:
-            if (v, c) in seen:
-                continue
-            seen.add((v, c))
-            ring = [p for p in hull3.vertices() if dot(p, v) == c]
-            if len(ring) < 3 or dot(origin, v) == c:
-                continue
-            flat = _order_facet_cycle(ring, v)
-            for i in range(1, len(flat) - 1):
-                mat = [vsub(flat[0], origin), vsub(flat[i], origin), vsub(flat[i + 1], origin)]
-                det = (mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-                       - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-                       + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0]))
-                total += abs(det)
+        for ring in rings:
+            if 3 <= len(ring) < len(verts) and 0 not in ring:
+                a, *rest = _order_facet_cycle([coords[i] for i in ring])
+                for b, c in zip(rest, rest[1:]):
+                    total += abs(dot(a, _cross(b, c)))
         return total / 6
     raise GeometryError("volume only implemented through dimension 3")
 
 
-def _order_facet_cycle(ring, normal):
-    """Order coplanar points into a convex cycle (project out the normal)."""
+def _order_facet_cycle(ring):
+    """Order coplanar points in convex position into a convex cycle (project
+    out the largest coordinate of their plane's normal)."""
+    normal = _cross(vsub(ring[1], ring[0]), vsub(ring[2], ring[0]))
     i = max(range(3), key=lambda j: abs(normal[j]))
     keep = [j for j in range(3) if j != i]
     flat = [(p[keep[0]], p[keep[1]]) for p in ring]

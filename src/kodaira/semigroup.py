@@ -117,11 +117,13 @@ class GradedSemigroup:
                 ak = sorted(ak)[:: max(1, len(ak) // 14)]
                 al = sorted(al)[:: max(1, len(al) // 14)]
             budget -= len(ak) * len(al)
+            cols = list(zip(*al))
             for a in ak:
-                for b in al:
-                    if vadd(a, b) not in target:
-                        raise ValueError(
-                            f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
+                # a + A_l summed column by column (A_l itself in rank 0)
+                sums = zip(*[map(x.__add__, c) for x, c in zip(a, cols)]) if cols else al
+                if not target.issuperset(sums):
+                    raise ValueError(
+                        f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
             if budget <= 0:
                 break
 
@@ -238,8 +240,14 @@ def regularize(sg, build_body=True):
     # cone over the generators equals the cone over the level-1 hull because
     # every graded point sits at a positive level
     if build_body:
-        slice_pts = sorted({tuple(Fraction(x, p[-1]) for x in p[:-1]) for p in pts})
-        hull = convex_hull(slice_pts)
+        # conv(∪ A_k / k) = conv(∪ vert(conv A_k) / k): each level is cut to
+        # the vertices of its own integer hull before it is divided by k
+        levels = {}
+        for p in pts:
+            levels.setdefault(p[-1], []).append(p[:-1])
+        hull = convex_hull([tuple(Fraction(x, k) for x in v)
+                            for k, a_k in levels.items()
+                            for v in convex_hull(a_k).vertices()])
         if hull.affine_dim() != body_dim:
             raise GeometryError("okounkov dimension disagrees with group rank")
         lifted = [(v + (0,), c) for v, c in hull.constraints]

@@ -5,10 +5,12 @@ path it checks (enumeration, interpolation, Caratheodory decomposition), so
 expected values are computed rather than copied.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
-from kodaira.lattice import dot, solve_linear_system
+from kodaira.lattice import dot, solve_linear_system, vsub
 
 
 def in_hull(point, points):
@@ -104,11 +106,19 @@ def semigroup_level_points(generators, level):
 
 
 def grid_lattice_points(constraints, box):
-    """Filter an integer box through H-constraints directly."""
+    """Filter an integer box through H-constraints directly.  An integer
+    point sees <u, v> >= c only through an integer multiple of v and the
+    ceiling of the matching bound, so each constraint is folded to that
+    form once."""
+    folded = []
+    for v, c in constraints:
+        scale = math.lcm(1, *(Fraction(x).denominator for x in v))
+        folded.append((tuple(int(x * scale) for x in v),
+                       math.ceil(Fraction(c) * scale)))
     out = []
     ranges = [range(lo, hi + 1) for lo, hi in box]
     for pt in product(*ranges):
-        if all(dot(pt, v) >= c for v, c in constraints):
+        if all(sum(map(mul, pt, v)) >= c for v, c in folded):
             out.append(pt)
     return sorted(out)
 
@@ -118,3 +128,72 @@ def hull_vertex_set(points):
     hull of the remaining points."""
     pts = sorted(set(points))
     return {p for p in pts if not in_hull(p, [q for q in pts if q != p])}
+
+
+def affine_dimension(points):
+    """Dimension of the affine hull by plain Fraction elimination of the
+    difference vectors (-inf for no points)."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    if not pts:
+        return float("-inf")
+    rows = [vsub(p, pts[0]) for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0])):
+        piv = next((r for r in rows if r[col] != 0), None)
+        if piv is None:
+            continue
+        rows = [vsub(r, tuple(r[col] / piv[col] * x for x in piv))
+                for r in rows if r is not piv]
+        rank += 1
+    return rank
+
+
+def _primitive_normal(v):
+    scale = math.lcm(1, *(Fraction(x).denominator for x in v))
+    w = [int(Fraction(x) * scale) for x in v]
+    g = math.gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def facet_scan(points):
+    """Facets of conv(points), a full-dimensional set in R^2 or R^3, by
+    enumerating every line or plane through two or three of the points, a
+    quartic scan independent of the library's incremental hull: those with
+    all points on one side, as (primitive inward normal, Fraction bound)."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    n = len(pts[0])
+    facets = set()
+    for sub in combinations(pts, n):
+        a = sub[0]
+        u = [vsub(p, a) for p in sub[1:]]
+        if n == 2:
+            nrm = (-u[0][1], u[0][0])
+        else:
+            nrm = (u[0][1] * u[1][2] - u[0][2] * u[1][1],
+                   u[0][2] * u[1][0] - u[0][0] * u[1][2],
+                   u[0][0] * u[1][1] - u[0][1] * u[1][0])
+        if all(x == 0 for x in nrm):
+            continue
+        nrm = _primitive_normal(nrm)
+        sides = {dot(vsub(p, a), nrm) > 0 for p in pts if dot(vsub(p, a), nrm) != 0}
+        if len(sides) == 1:
+            inward = nrm if sides == {True} else tuple(-x for x in nrm)
+            facets.add((inward, dot(a, inward)))
+    return facets
+
+
+def pyramid_volume(points):
+    """Euclidean volume of conv(points), a full-dimensional set in R^1..R^3:
+    the pyramids from one point over the facets of `facet_scan`, each facet
+    measured through its projection to a coordinate hyperplane (which scales
+    its area by |w_i| / |w|, so no square root appears)."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    d = len(pts[0])
+    if d == 1:
+        return pts[-1][0] - pts[0][0]
+    total = Fraction(0)
+    for w, h in facet_scan(pts):
+        i = next(j for j, x in enumerate(w) if x != 0)
+        face = [p[:i] + p[i + 1:] for p in pts if dot(p, w) == h]
+        total += (dot(pts[0], w) - h) * pyramid_volume(face) / abs(w[i])
+    return total / d

@@ -1,0 +1,180 @@
+"""Differential tests of the integer convex hull and the 3-D Okounkov bodies.
+
+`convex_hull` scales rational points to integers and builds 3-D hulls
+incrementally; these tests check it against the independent facet scan,
+Caratheodory vertex test and pyramid volume of `_oracles`, on small
+coordinates with duplicate, collinear, coplanar and embedded inputs.  They
+also pin the rank-3 corpus bodies, whose slices hold hundreds of points.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from kodaira.cli import main
+from kodaira.corpus import corpus_section_systems
+from kodaira.lattice import (
+    GeometryError,
+    Polytope,
+    convex_hull,
+    dot,
+    hnf,
+    hnf_basis,
+    lattice_volume,
+)
+from kodaira.semigroup import growth_law_check, regularize
+from kodaira.toric import kappa2
+
+from _oracles import (
+    affine_dimension,
+    facet_scan,
+    hull_vertex_set,
+    pyramid_volume,
+)
+
+# |x| <= 3 with denominators 1..3
+coord = st.integers(1, 3).flatmap(
+    lambda q: st.builds(Fraction, st.integers(-3 * q, 3 * q), st.just(q)))
+small_int = st.integers(-2, 2)
+
+
+def with_duplicates(points):
+    return st.lists(st.sampled_from(points), max_size=2).map(
+        lambda extra: points + extra)
+
+
+def free_sets(n, min_size=1, max_size=7):
+    return st.lists(st.tuples(*[coord] * n), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def embedded_sets(draw, n):
+    """Points base + sum x_i u_i: collinear, coplanar or lower-dimensional
+    sets when the small integer directions u_i are few or dependent."""
+    q = draw(st.integers(1, n - 1))
+    base = draw(st.tuples(*[coord] * n))
+    dirs = draw(st.lists(st.tuples(*[small_int] * n), min_size=q, max_size=q))
+    params = draw(free_sets(q))
+    return [tuple(b + sum(x * u[i] for x, u in zip(xs, dirs))
+                  for i, b in enumerate(base)) for xs in params]
+
+
+point_sets = st.one_of(
+    free_sets(2, 3, 9), free_sets(3, 4), embedded_sets(2), embedded_sets(3),
+).flatmap(with_duplicates)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(point_sets)
+def test_convex_hull_matches_oracles(pts):
+    n = len(pts[0])
+    hull = convex_hull(pts)
+    dim = affine_dimension(pts)
+    assert hull.affine_dim() == dim
+    assert set(hull.vertices()) == hull_vertex_set(pts)
+    assert list(hull.vertices()) == sorted(hull.vertices())
+    assert all(hull.contains(p) for p in pts)
+    if dim == n:
+        assert sorted(hull.constraints) == sorted(facet_scan(pts))
+    else:
+        # the equalities and embedded facets cut out exactly the hull
+        assert Polytope(n, hull.constraints).vertices() == hull.vertices()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[small_int] * 3), min_size=8, max_size=13))
+def test_convex_hull_of_crowded_integer_sets(pts):
+    # crowded sets leave triangulation corners on hull edges and facets;
+    # in a 3-polytope exactly the vertices lie on three or more facets
+    assume(affine_dimension(pts) == 3)
+    facets = facet_scan(pts)
+    hull = convex_hull(pts)
+    assert sorted(hull.constraints) == sorted(facets)
+    assert set(hull.vertices()) == {
+        p for p in set(pts) if sum(dot(p, w) == h for w, h in facets) >= 3}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(free_sets(2, 3, 9), free_sets(3, 4)).flatmap(with_duplicates))
+def test_lattice_volume_matches_pyramid_oracle(pts):
+    n = len(pts[0])
+    assume(affine_dimension(pts) == n)
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert lattice_volume(convex_hull(pts), basis) == pyramid_volume(pts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(lambda q: st.tuples(
+    free_sets(q, q + 1), st.tuples(*[small_int] * (q + 1)),
+    st.lists(st.tuples(*[small_int] * (q + 1)), min_size=q, max_size=q))))
+def test_lattice_volume_in_an_embedded_direction_lattice(case):
+    # a q-dimensional body one dimension up: volume in the basis of its
+    # direction lattice equals the oracle volume of its parameters
+    params, base, basis = case
+    q = len(basis)
+    assume(affine_dimension(params) == q)
+    assume(affine_dimension([(0,) * (q + 1)] + basis) == q)
+    pts = [tuple(b + sum(x * u[i] for x, u in zip(xs, basis))
+                 for i, b in enumerate(base)) for xs in params]
+    assert lattice_volume(convex_hull(pts), basis) == pyramid_volume(params)
+
+
+def test_convex_hull_rejects_four_dimensional_sets():
+    simplex = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    with pytest.raises(GeometryError, match="through dimension 3"):
+        convex_hull(simplex)
+    # a 3-simplex inside R^4 is still in range
+    assert convex_hull(simplex[:4]).affine_dim() == 3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=8)))
+def test_hnf_basis_equals_full_hnf(rows):
+    # the early exit at Z^n must not change the canonical basis
+    h, _ = hnf(rows)
+    assert hnf_basis(rows) == [r for r in h if any(r)]
+
+
+RANK3_VOLUMES = {"p3_unit": Fraction(1, 6), "p1xp1xp1_diag": 1,
+                 "p1xp2_mixed": Fraction(1, 2)}
+
+
+def test_rank3_corpus_bodies_regularize():
+    systems = [(name, s) for name, s in corpus_section_systems(degree_bound=8)
+               if s.variety.lattice_rank == 3 and s.support()]
+    assert len(systems) == 9
+    for name, s in systems:
+        reg = regularize(s.to_semigroup())
+        assert reg.okounkov_dim == kappa2(s), name
+        if name in RANK3_VOLUMES:
+            body = reg.okounkov_body
+            assert lattice_volume(body, list(reg.boundary_lattice)) == RANK3_VOLUMES[name]
+        if reg.okounkov_dim == 3:
+            sg = s.to_semigroup()
+            gaps = [growth_law_check(sg, k_max=k, reg=reg).relative_gap
+                    for k in (20, 80)]
+            assert gaps[1] < gaps[0], name
+
+
+def test_semigroup_cli_rank3_beyond_160_slice_points(tmp_path, capsys):
+    bound = 8
+    levels = {str(k): [[x, y, z] for x in range(k + 1) for y in range(k + 1)
+                       for z in range(k + 1)] for k in range(1, bound + 1)}
+    slice_pts = {tuple(Fraction(x, int(k)) for x in p)
+                 for k, pts in levels.items() for p in pts}
+    assert len(slice_pts) > 160
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({
+        "schema_version": "1", "kind": "semigroup",
+        "body": {"ambient_rank": 3, "levels": levels},
+        "options": {"max_degree": bound}}))
+    assert main(["semigroup", str(path), "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["regularization"]["okounkov_dim"] == 3
+    assert rep["regularization"]["okounkov_vertices"] == [
+        [str(x), str(y), str(z), "1"] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert rep["growth_law"]["predicted"] == "1"
