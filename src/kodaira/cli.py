@@ -96,9 +96,11 @@ def _rat(value, where="number"):
     raise ValidationError(f"{where}: expected integer or 'p/q' string, got {value!r}")
 
 
-def _int(value, where="number"):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}: expected integer, got {value!r}")
+def _int(value, where="number", positive=False):
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or positive and value < 1):
+        kind = "positive integer" if positive else "integer"
+        raise ValidationError(f"{where}: expected {kind}, got {value!r}")
     return value
 
 
@@ -243,7 +245,7 @@ def cmd_kappa(body, options):
     for a in strides or ():
         stride_values[str(a)] = _kappa_json(
             kappa_sigma(variety, divisor, metric, ample=ample,
-                        degree_bound=max_degree, stride=_int(a, "stride")))
+                        degree_bound=max_degree, stride=a))
     report = {
         "kind": "toric_kappa",
         "max_degree": max_degree,
@@ -548,6 +550,13 @@ def run_instance(doc, path="<instance>", overrides=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             options[key] = value
+    for key in ("max_degree", "growth_k_max"):
+        if key in options:
+            _int(options[key], key, positive=True)
+    if not isinstance(options.get("strides", []), list):
+        raise ValidationError("strides must be a list")
+    for a in options.get("strides", []):
+        _int(a, "stride", positive=True)
     if kind == "semigroup":
         return cmd_semigroup(body, options)
     if kind == "toric_kappa":

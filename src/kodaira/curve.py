@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import NEG_INF
+from .toric import certified_growth
 
 
 class AmbiguousDivisorError(ValueError):
@@ -117,15 +117,11 @@ def h0(curve, cls):
 
 
 def kappa_curve(curve, cls, degree_bound=24):
-    """Section growth order of multiples of the class: NEG_INF when every
-    multiple is sectionless, 0 for eventually constant counts, 1 for linear
-    growth (curves admit nothing faster)."""
-    counts = [h0(curve, cls.times(k)) for k in range(1, degree_bound + 1)]
-    if all(c == 0 for c in counts):
-        return NEG_INF
-    if all(c <= 1 for c in counts):
-        return 0
-    return 1
+    """Section growth order of multiples of the class: the growth degree of
+    the counts (period 1: the degree of k*cls is linear in k), so NEG_INF when
+    they die out, 0 for a plateau at any height, 1 for linear growth."""
+    return certified_growth(
+        [h0(curve, cls.times(k)) for k in range(1, degree_bound + 1)], 1)
 
 
 def kappa_sigma_curve(curve, cls, degree_bound=24):
@@ -136,13 +132,6 @@ def kappa_sigma_curve(curve, cls, degree_bound=24):
     alive: the numerical dimension of a curve class.
     """
     p = 2 * curve.genus + 1
-    counts = []
-    for k in range(1, degree_bound + 1):
-        perturbed = CurveDivisorClass.general(cls.times(k).degree + p)
-        counts.append(h0(curve, perturbed))
-    if all(c == 0 for c in counts):
-        return NEG_INF
-    # bounded counts mean order zero; on a curve the only alternative is linear
-    if counts[-1] > counts[len(counts) // 2]:
-        return 1
-    return 0
+    return certified_growth(
+        [h0(curve, CurveDivisorClass.general(cls.times(k).degree + p))
+         for k in range(1, degree_bound + 1)], 1)

@@ -13,6 +13,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .curve import (
     CurveDivisorClass,
@@ -27,12 +28,15 @@ from .semigroup import DegreeBoundError
 from .toric import (
     CrossCheckError,
     DEFAULT_DEGREE_BOUND,
+    PERTURBATION_MULTIPLES,
     KappaValues,
     SectionSystem,
     ToricDivisorData,
     ToricVariety,
+    certified_growth,
+    check_perturbed,
     divisor_polytope,
-    growth_order_estimate,
+    growth_degree,
     kappa_report,
     kappa_sigma,
     kappa_sigma_hor,
@@ -196,6 +200,20 @@ class CurveProductInstance(_Evaluated):
     def base_count(self, k, extra_degree=0):
         return curve_h0(self.curve, self.base_class_at(k, extra_degree))
 
+    def base_growth(self, extra_degree=0):
+        """Growth degree of the curve-side counts; the metric ideal has the
+        period of floor(k mu), the denominator of mu."""
+        return certified_growth(
+            [self.base_count(k, extra_degree)
+             for k in range(1, self.degree_bound + 1)], self.base_period())
+
+    def base_period(self):
+        return lcm(1, *(mu.denominator for _, mu in self.base_metric))
+
+    def product_period(self):
+        """The lcm of the curve-side and fiber periods."""
+        return lcm(self.base_period(), self.fiber_system().period())
+
     def fiber_system(self, aux=None):
         return SectionSystem(self.fiber_variety, self.fiber_divisor,
                              metric=self.fiber_metric, aux=aux,
@@ -203,8 +221,8 @@ class CurveProductInstance(_Evaluated):
 
     def product_counts(self, base_extra=0, fiber_aux=None):
         sys = self.fiber_system(aux=fiber_aux)
-        return {k: self.base_count(k, base_extra) * sys.count(k)
-                for k in range(1, self.degree_bound + 1)}
+        return [self.base_count(k, base_extra) * sys.count(k)
+                for k in range(1, self.degree_bound + 1)]
 
 
 FiberSpaceInstance = (ToricFibrationInstance, CurveProductInstance)
@@ -226,39 +244,21 @@ def general_fiber_data(inst):
 # kappa values on instances
 # ---------------------------------------------------------------------------
 
-def _curve_growth(counts):
-    """Growth order of a curve-side count sequence: -inf, 0 or 1.
-
-    Riemann-Roch counts are eventually monotone, so comparing the tail with
-    the midpoint separates linear growth from a bounded plateau; positives
-    that die out before the tail are a dead family.
-    """
-    if all(c == 0 for c in counts):
-        return NEG_INF
-    mid = len(counts) // 2
-    if counts[-1] > counts[mid]:
-        return 1
-    if counts[-1] > 0:
-        return 0
-    return NEG_INF
-
-
 def curve_product_kappa(inst):
     """Growth order of the split section counts, via two routes that must
-    agree: sum of factor orders, and the slope of the product counts."""
+    agree: sum of factor orders, and the growth degree of the product
+    counts."""
     counts = inst.product_counts()
-    support = [k for k, c in counts.items() if c > 0]
+    support = [c for c in counts if c > 0]
     if not support:
         return NEG_INF
-    base_part = _curve_growth(
-        [inst.base_count(k) for k in range(1, inst.degree_bound + 1)])
-    fiber_part = kappa_report(inst.fiber_system()).kappa
-    exact = _neg_inf_sum(base_part, fiber_part)
-    empirical = growth_order_estimate(counts, offset_search=8)
+    base_part = inst.base_growth()
+    exact = _neg_inf_sum(base_part, kappa_report(inst.fiber_system()).kappa)
+    empirical = growth_degree(counts, inst.product_period())
     if empirical is None:
         if len(support) > 1:
             raise CrossCheckError("product growth not estimable")
-        empirical = exact  # a single populated degree carries no slope
+        empirical = exact  # a single populated degree fixes no degree
     if empirical != exact:
         raise CrossCheckError(
             f"product growth mismatch: sum route {exact}, slope route {empirical}")
@@ -269,30 +269,23 @@ def curve_product_kappa_sigma(inst, horizontal_only=False):
     """Perturbed growth of the product counts.
 
     Full perturbation fattens both factors (ample on Y times ample on F);
-    horizontal_only fattens just the curve side (pullback perturbations)."""
+    horizontal_only fattens just the curve side (pullback perturbations).
+    Every determinable multiple of the perturbation must give the sum of the
+    factor orders."""
     p = 2 * inst.curve.genus + 1
-    base_part = _curve_growth([inst.base_count(k, extra_degree=p)
-                               for k in range(1, inst.degree_bound + 1)])
+    base_part = inst.base_growth(extra_degree=p)
     fiber_k, fiber_sigma = inst.evaluation.fiber
     exact = _neg_inf_sum(base_part, fiber_k if horizontal_only else fiber_sigma)
-
     amp = standard_ample(inst.fiber_variety)
-    estimates = []
-    for m in (1, 2, 3):
-        counts = inst.product_counts(
+    period = inst.product_period()
+    return check_perturbed(
+        exact,
+        [growth_degree(inst.product_counts(
             base_extra=m * p,
-            fiber_aux=None if horizontal_only else amp.scale(m))
-        est = growth_order_estimate(counts, offset_search=12)
-        if est is not None:
-            estimates.append(min(est, 1 + inst.fiber_variety.lattice_rank))
-    if estimates:
-        empirical = max(estimates)
-        if empirical != exact:
-            raise CrossCheckError(
-                f"product perturbed growth mismatch: {exact} vs {empirical}")
-    elif exact != NEG_INF:
-        raise CrossCheckError("perturbed product growth not estimable")
-    return exact
+            fiber_aux=None if horizontal_only else amp.scale(m)), period)
+         for m in PERTURBATION_MULTIPLES],
+        "product perturbed growth mismatch: {exact} vs {empirical}",
+        "perturbed product growth not estimable")
 
 
 @dataclass

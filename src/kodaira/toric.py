@@ -4,16 +4,17 @@ Torus-invariant linear systems have monomial bases, so a space of sections is
 an exponent set: the lattice points of a divisor polytope, shifted by the
 multiplier-ideal coefficients of a torus-invariant singular metric.  All
 growth invariants are computed twice, once exactly from limit polytopes or
-hull dimensions and once empirically from counts, and the two routes must
-agree.
+hull dimensions and once empirically, as the growth degree of the counts read
+off integer finite differences along residue classes of a period computed up
+front (growth_degree); the two routes must agree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .lattice import (
     NEG_INF,
@@ -61,6 +62,8 @@ class ToricVariety:
         self.max_cones = tuple(sorted(frozenset(c) for c in max_cones))
         self.name = name or f"toric{self.lattice_rank}d"
         self._dir_mults = None
+        self._subsets = None
+        self._limits = {}
         self._ample = None
         self._validate()
 
@@ -123,6 +126,17 @@ class ToricVariety:
         self._dir_mults = tuple(out)
         return self._dir_mults
 
+    def nonsingular_subsets(self):
+        """(ray index tuple, |det|) for every n-subset of rays with nonzero
+        determinant: every vertex of a polytope {u : <u, v_rho> >= c_rho}
+        solves one of them.  Cached per variety."""
+        if self._subsets is None:
+            self._subsets = tuple(
+                (sub, abs(det)) for sub in
+                combinations(range(len(self.rays)), self.lattice_rank)
+                if (det := det_int([self.rays[i] for i in sub])))
+        return self._subsets
+
     # -- presets -------------------------------------------------------------
 
     @classmethod
@@ -169,10 +183,7 @@ class ToricDivisorData:
     @property
     def k0(self):
         """Smallest positive integer making every coefficient integral."""
-        lcm = 1
-        for c in self.coefficients:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        return lcm
+        return lcm(1, *(c.denominator for c in self.coefficients))
 
     def is_integral(self):
         return self.k0 == 1
@@ -318,9 +329,36 @@ class SectionSystem:
         bound = self.degree_bound if bound is None else bound
         return [k for k in range(1, bound + 1) if self.count(k) > 0]
 
-    def counts(self, bound=None):
-        bound = self.degree_bound if bound is None else bound
-        return {k: self.count(k) for k in range(1, bound + 1)}
+    def growth(self, stride=1):
+        """growth_degree of the counts at degrees stride, 2 stride, ... up to
+        the degree bound."""
+        return growth_degree(
+            [self.count(k) for k in range(stride, self.degree_bound + 1, stride)],
+            self.period(stride))
+
+    def period(self, stride=1):
+        """A period of the counts at degrees stride, 2 stride, ... for large
+        degrees.  Only rays whose constraint touches the limit polytope Q
+        bound the degree piece for large k; the others are slack by a margin
+        growing with k (all rays count when Q is empty or the clamp is off).
+        A vertex cut out by rays B moves with a period dividing |det B| times
+        the periods of their multiplier coefficients (the denominators of
+        k0 stride mu), and the lcm of the vertex periods is a period of the
+        counts."""
+        touching = set(range(len(self.variety.rays)))
+        q = limit_polytope(self.variety, self.divisor, self.metric)
+        if self.clamp and not q.is_empty():  # Q is the clamped limit
+            verts = q.vertices()
+            touching = {i for i, (ray, c) in enumerate(q.constraints)
+                        if any(dot(v, ray) == c for v in verts)}
+        mu_period = {i: (mu * self.k0 * stride).denominator
+                     for i, mu in self._weights}
+        period = 1
+        for sub, det in self.variety.nonsingular_subsets():
+            if touching.issuperset(sub):
+                period = lcm(period, det * lcm(
+                    *(mu_period.get(i, 1) for i in sub)))
+        return period
 
     def to_semigroup(self):
         """The exponent sets as a degreewise graded semigroup (closed under
@@ -340,84 +378,47 @@ def sections_of(variety, divisor, metric=None, k=1, aux=None, clamp=True):
 
 
 # ---------------------------------------------------------------------------
-# growth estimation shared by the empirical routes
+# exact growth degree shared by the empirical routes
 # ---------------------------------------------------------------------------
 
-def growth_order_estimate(counts, offset_search=0):
-    """Least-squares slope of log(count) against log(degree), rounded.
+def growth_degree(counts, period):
+    """Exact growth degree of the counts at degrees 1..K, or None.
 
-    Fits over support degrees in the upper half window [K/2, K].  An empty
-    window with nonempty support means the counts vanish in the tail, which
-    is NEG_INF growth (perturbed families are not multiplicative, so they can
-    die out).  A single-sample window is widened to the whole support; if the
-    support itself is a single degree the only safe estimate is 0 for a count
-    of one, otherwise None (no slope can be fitted).
-
-    With offset_search > 0 the fit is log(count) ~ q * log(k + b) over offsets
-    b in [0, offset_search], keeping the minimal-residual q; additionally the
-    fit is tried on residue classes of small candidate periods, anchored at
-    the top degree, because quasi-polynomial counts (fractional weights) are
-    honestly polynomial only along their period.  Perturbed count sequences
-    behave like (k + b)^q with b of the order of the perturbation
-    coefficients, and the uncorrected slope underestimates q for b comparable
-    to the window.
+    Section counts are eventually quasi-polynomial in k with a period that
+    divides `period`, and along each residue class they never decrease once
+    stable.  So along each residue class mod the period: a class whose last
+    two samples are 0 is dead; one that decreases in its last three samples
+    has not stabilised; otherwise its degree is the least d for which the
+    last d+2 samples lie on one degree-d polynomial (vanishing (d+1)-st
+    difference) with a positive last d-th difference.  NEG_INF when every
+    class is dead, None when some class is not determinable from its
+    samples, else the largest class degree.
     """
-    support = sorted(k for k, c in counts.items() if c > 0)
-    if not support:
-        return NEG_INF
-    top = max(counts)
-    if len(support) == 1:
-        k = support[0]
-        if top > 2 * k:
-            return NEG_INF  # room for a second appearance, none came
-        return 0 if counts[k] == 1 else None
-    # counts that stop strictly before the top degree, by more than their own
-    # internal period, have died out: the growth order is NEG_INF
-    internal_gap = max(b - a for a, b in zip(support, support[1:]))
-    if top - support[-1] > internal_gap:
-        return NEG_INF
-    window = [k for k in support if 2 * k >= top]
-    if not window:
-        return NEG_INF
-    if len(window) < 2:
-        window = support
-
-    def fit(points, search):
-        ys = [math.log(counts[k]) for k in points]
-        best = None
-        for b in range(0, search + 1):
-            xs = [math.log(k + b) for k in points]
-            xbar = sum(xs) / len(xs)
-            ybar = sum(ys) / len(ys)
-            denom = sum((x - xbar) ** 2 for x in xs)
-            if denom == 0:
-                continue
-            slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
-            mse = sum((y - ybar - slope * (x - xbar)) ** 2
-                      for x, y in zip(xs, ys)) / len(points)
-            if best is None or mse < best[0]:
-                best = (mse, slope)
-        return best
-
-    if offset_search == 0:
-        best = fit(window, 0)
-        return round(best[1]) if best else None
-
-    anchor = window[-1]
-    best = None
-    for period in range(1, 9):
-        cls = [k for k in window if (anchor - k) % period == 0]
-        if len(cls) < (2 if period == 1 else 4):
+    best = NEG_INF
+    for end in range(max(len(counts) - period, 0), len(counts)):
+        diffs = list(counts[end::-period])[::-1]
+        if diffs[-2:] == [0, 0]:
             continue
-        res = fit(cls, offset_search)
-        if res is not None and (best is None or res[0] < best[0]):
-            best = res
-    if best is None:
-        return None
-    order = round(best[1])
-    # integer counts with a genuinely negative trend are on their way to
-    # zero: decay means the family dies, not a negative growth order
-    return NEG_INF if order < 0 else order
+        tail = diffs[-3:]
+        if any(a > b for a, b in zip(tail, tail[1:])):
+            return None
+        for d in range(len(diffs) - 1):
+            nxt = [b - a for a, b in zip(diffs, diffs[1:])]
+            if nxt[-1] == 0 and diffs[-1] > 0:
+                best = max(best, d)
+                break
+            diffs = nxt
+        else:
+            return None
+    return best
+
+
+def certified_growth(counts, period):
+    """growth_degree of the counts; DegreeBoundError when not determinable."""
+    degree = growth_degree(counts, period)
+    if degree is None:
+        raise DegreeBoundError("degree bound too small")
+    return degree
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +461,17 @@ def kappa2(sys, with_witness=False):
 
 def kappa3(sys):
     """Count growth order: hull dimension at the top nonempty degree, cross
-    checked against the log-log slope of the counts.  Disagreement raises
+    checked against the growth degree of the counts.  Disagreement, or a
+    growth degree the bound cannot determine for a positive dimension, raises
     DegreeBoundError("degree bound too small")."""
     support = sys.support()
     if not support:
         return NEG_INF
     k_star = support[-1]
     exact = int_points_rank(sys.exponents(k_star))
-    empirical = growth_order_estimate(sys.counts())
-    if empirical is None:
-        if exact == 0:
-            return exact
-        raise DegreeBoundError("degree bound too small")
+    empirical = sys.growth()
+    if empirical is None and exact == 0:
+        return exact
     if empirical != exact:
         raise DegreeBoundError("degree bound too small")
     return exact
@@ -508,13 +508,17 @@ def kappa_report(sys):
 
 def limit_polytope(variety, divisor, metric=None):
     """Normalized limit of the degreewise constraint polytopes:
-    {u : <u, v_rho> >= -b_rho + max(mu_rho - 1, 0)}."""
+    {u : <u, v_rho> >= -b_rho + max(mu_rho - 1, 0)}, constraints parallel to
+    the rays.  Cached per variety, so its vertices are enumerated once."""
     metric = metric if metric is not None else EMPTY_METRIC
-    cons = []
-    for i, ray in enumerate(variety.rays):
-        gamma = coeff_limit(metric.weight(i)) if metric.weight(i) else Fraction(0)
-        cons.append((ray, -divisor.coefficients[i] + gamma))
-    return Polytope(variety.lattice_rank, cons)
+    key = (divisor, metric)
+    if key not in variety._limits:
+        cons = []
+        for i, ray in enumerate(variety.rays):
+            gamma = coeff_limit(metric.weight(i)) if metric.weight(i) else Fraction(0)
+            cons.append((ray, -divisor.coefficients[i] + gamma))
+        variety._limits[key] = Polytope(variety.lattice_rank, cons)
+    return variety._limits[key]
 
 
 def _limit_growth_exact(variety, divisor, metric, fattened_rays):
@@ -570,51 +574,52 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
     return best
 
 
+PERTURBATION_MULTIPLES = (1, 2, 3)
+
+
+def check_perturbed(exact, estimates, mismatch, unestimable):
+    """exact, once every determinable estimate (not None) equals it and, unless
+    it is NEG_INF, some estimate is determinable; else CrossCheckError."""
+    determined = [e for e in estimates if e is not None]
+    for empirical in determined:
+        if empirical != exact:
+            raise CrossCheckError(
+                mismatch.format(exact=exact, empirical=empirical))
+    if not determined and exact != NEG_INF:
+        raise CrossCheckError(unestimable)
+    return exact
+
+
 def _perturbed_growth(variety, divisor, metric, perturbation, degree_bound,
-                      stride, clamp, perturbation_range, route):
+                      stride, clamp, route):
     """Growth order of the counts of k*D + m*P for the perturbation P.
 
-    Exact value from the limit polytope with the support of P fattened;
-    empirical value as the maximum over m in perturbation_range of the count
-    growth order (on multiples of the stride).  The routes must agree or
-    CrossCheckError naming the route is raised.
+    Exact value from the limit polytope with the support of P fattened, which
+    is the same for every m >= 1.  Empirical values: the growth degree of the
+    counts (on multiples of the stride) for each m in PERTURBATION_MULTIPLES.
+    Every determinable one must equal the exact value, or CrossCheckError
+    naming the route is raised.
     """
     fattened = {i for i, c in enumerate(perturbation.coefficients) if c > 0}
     exact = _limit_growth_exact(variety, divisor, metric, fattened)
 
-    n = variety.lattice_rank
-    search = int(3 * max(perturbation_range)
-                 * max(max(perturbation.coefficients), 1)) + 3
-    empirical = NEG_INF
-    estimable = False
-    for m in perturbation_range:
-        sys = SectionSystem(variety, divisor, metric=metric,
-                            aux=perturbation.scale(m),
-                            degree_bound=degree_bound * stride, clamp=clamp)
-        counts = {k // stride: sys.count(k)
-                  for k in range(stride, degree_bound * stride + 1, stride)}
-        est = growth_order_estimate(counts, offset_search=search)
-        if est is None:
-            continue
-        estimable = True
-        est = min(est, n)  # counts cannot outgrow the lattice rank
-        if est > empirical:
-            empirical = est
-    if not estimable and exact != NEG_INF:
-        raise CrossCheckError("perturbed growth order could not be estimated")
-    if estimable and empirical != exact:
-        raise CrossCheckError(
-            f"{route} growth mismatch: exact {exact}, empirical {empirical}")
-    return exact
+    estimates = [
+        SectionSystem(variety, divisor, metric=metric,
+                      aux=perturbation.scale(m), degree_bound=degree_bound * stride,
+                      clamp=clamp).growth(stride)
+        for m in PERTURBATION_MULTIPLES]
+    return check_perturbed(
+        exact, estimates,
+        route + " growth mismatch: exact {exact}, empirical {empirical}",
+        "perturbed growth order could not be estimated")
 
 
 def kappa_sigma(variety, divisor, metric=None, ample=None,
-                degree_bound=DEFAULT_DEGREE_BOUND, stride=1, clamp=True,
-                perturbation_range=(1, 2, 3)):
+                degree_bound=DEFAULT_DEGREE_BOUND, stride=1, clamp=True):
     """Perturbed section growth order (numerical dimension flavor).
 
-    Exact value from the limit polytope; empirical value as the maximum over
-    small multiples of the ample perturbation of the count growth order.  The
+    Exact value from the limit polytope; empirical values as the growth
+    degree of the counts for small multiples of the ample perturbation.  The
     routes must agree or CrossCheckError is raised.
     """
     if ample is None:
@@ -622,12 +627,11 @@ def kappa_sigma(variety, divisor, metric=None, ample=None,
     elif not is_ample(variety, ample):
         raise ValueError("perturbation divisor is not ample")
     return _perturbed_growth(variety, divisor, metric, ample, degree_bound,
-                             stride, clamp, perturbation_range, "numerical")
+                             stride, clamp, "numerical")
 
 
 def kappa_sigma_hor(variety, divisor, metric, fibration,
-                    degree_bound=DEFAULT_DEGREE_BOUND, clamp=True,
-                    perturbation_range=(1, 2, 3)):
+                    degree_bound=DEFAULT_DEGREE_BOUND, clamp=True):
     """Perturbed growth order along divisors pulled back from the base.
 
     Same as kappa_sigma, but the perturbation is m * f^*(ample on base): only
@@ -636,4 +640,4 @@ def kappa_sigma_hor(variety, divisor, metric, fibration,
     """
     pulled = fibration.pullback_divisor(fibration.base_ample())
     return _perturbed_growth(variety, divisor, metric, pulled, degree_bound,
-                             1, clamp, perturbation_range, "horizontal")
+                             1, clamp, "horizontal")

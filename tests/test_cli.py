@@ -218,3 +218,43 @@ def test_underresolved_bound_exit4(tmp_path):
         "options": {"max_degree": 2},
     }
     assert main(["kappa", write_instance(tmp_path, doc)]) == 4
+
+
+def ample_doc(**options):
+    doc = json.loads((CORPUS / "kappa_p2_ample.json").read_text())
+    doc["options"] = options
+    return doc
+
+
+def test_non_integer_max_degree_is_input_error(tmp_path, capsys):
+    path = write_instance(tmp_path, ample_doc(max_degree="5"))
+    assert main(["kappa", path]) == 2
+    assert "max_degree: expected positive integer" in capsys.readouterr().err
+
+
+def test_zero_max_degree_is_input_error(tmp_path, capsys):
+    assert main(["kappa", write_instance(tmp_path, ample_doc(max_degree=0))]) == 2
+    path = write_instance(tmp_path, ample_doc(), name="ok.json")
+    assert main(["kappa", path, "--max-degree", "0"]) == 2
+    assert "max_degree: expected positive integer" in capsys.readouterr().err
+
+
+def test_zero_stride_is_input_error(tmp_path, capsys):
+    assert main(["kappa", write_instance(tmp_path, ample_doc(strides=[0]))]) == 2
+    path = write_instance(tmp_path, ample_doc(), name="ok.json")
+    assert main(["kappa", path, "--stride", "0"]) == 2
+    assert "stride: expected positive integer" in capsys.readouterr().err
+    assert main(["kappa", write_instance(tmp_path, ample_doc(strides=2))]) == 2
+
+
+def test_zero_growth_k_max_is_input_error(tmp_path, capsys):
+    doc = staircase_doc(max_degree=8, growth_k_max=0)
+    assert main(["semigroup", write_instance(tmp_path, doc)]) == 2
+    assert "growth_k_max: expected positive integer" in capsys.readouterr().err
+
+
+def test_verify_suite_reports_bad_option_as_input_error(tmp_path, capsys):
+    write_instance(tmp_path, ample_doc(max_degree="5"), name="bad.json")
+    assert main(["verify-suite", str(tmp_path), "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"] == [{"file": "bad.json", "kind": "error", "exit": 2}]
