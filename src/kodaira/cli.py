@@ -17,6 +17,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .curve import AmbiguousDivisorError, CurveDivisorClass, CurveModel
@@ -63,6 +64,10 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_CROSSCHECK = 4
+ERROR_PREFIX = {EXIT_INPUT: "input error", EXIT_DEGENERATE: "degenerate instance",
+                EXIT_CROSSCHECK: "cross-check mismatch"}
+COMMAND_KINDS = {"semigroup": "semigroup", "kappa": "toric_kappa",
+                 "fibration": "fibration"}
 
 
 class ValidationError(ValueError):
@@ -367,7 +372,7 @@ def cmd_fibration(body, options):
             v = verify_stride(inst.fibration.total, inst.total_divisor(),
                               inst.metric, degree_bound=inst.degree_bound,
                               instance_id=inst.instance_id,
-                              base=inst.evaluation.kappa_sigma)
+                              base=inst.kappa_sigma)
         elif check == "addti":
             twist = _int(body.get("twist_degree", 1), "twist_degree")
             if isinstance(inst, CurveProductInstance):
@@ -543,9 +548,12 @@ def export_polytope(poly, path):
 # driver
 # ---------------------------------------------------------------------------
 
-def run_instance(doc, path="<instance>", overrides=None):
-    """(exit_code, report, exportable polytope or None) for a parsed file."""
+def run_instance(doc, path="<instance>", overrides=None, command=None):
+    """(exit_code, report, exportable polytope or None) for a parsed file;
+    command, when given, is the CLI command that must match the file's kind."""
     kind, body, options = parse_instance(doc, path)
+    if command is not None and kind != COMMAND_KINDS[command]:
+        raise ValidationError(f"command {command} cannot run kind {kind!r}")
     options = dict(options)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -566,22 +574,26 @@ def run_instance(doc, path="<instance>", overrides=None):
     return cmd_multiplier_scan(body, options)
 
 
-def _run_file(path, overrides):
-    """Worker-safe wrapper: returns (exit_code, report_dict)."""
+def _run_file(path, overrides, command=None):
+    """(exit_code, report, exportable polytope or None) for one instance
+    file; an error comes back as an error report with its exit code."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return EXIT_INPUT, {"kind": "error", "error": str(exc)}
-    try:
-        code, report, _ = run_instance(doc, str(path), overrides)
-        return code, report
+        return run_instance(doc, str(path), overrides, command)
     except EmptySemigroupError as exc:
-        return EXIT_DEGENERATE, {"kind": "error", "error": str(exc)}
+        code, error = EXIT_DEGENERATE, str(exc)
     except (CrossCheckError, DegreeBoundError) as exc:
-        return EXIT_CROSSCHECK, {"kind": "error", "error": str(exc)}
-    except (ValidationError, AmbiguousDivisorError, GeometryError,
+        code, error = EXIT_CROSSCHECK, str(exc)
+    except (OSError, ValidationError, AmbiguousDivisorError, GeometryError,
             ValueError) as exc:
-        return EXIT_INPUT, {"kind": "error", "error": str(exc)}
+        code, error = EXIT_INPUT, str(exc)
+    return code, {"kind": "error", "error": error}, None
+
+
+def _suite_row(path, overrides):
+    """Worker-safe: (exit_code, report kind) of one file."""
+    code, report, _ = _run_file(path, overrides)
+    return code, report["kind"]
 
 
 def cmd_verify_suite(directory, overrides, jobs=1):
@@ -593,14 +605,13 @@ def cmd_verify_suite(directory, overrides, jobs=1):
     results = []
     if jobs > 1 and len(files) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(_run_file, [str(p) for p in files],
-                                  [overrides] * len(files)))
+            rows = list(pool.map(_suite_row, [str(p) for p in files],
+                                 [overrides] * len(files)))
     else:
-        codes = [_run_file(str(p), overrides) for p in files]
+        rows = [_suite_row(str(p), overrides) for p in files]
     failed = 0
-    for path, (code, report) in zip(files, codes):
-        results.append({"file": path.name, "kind": report.get("kind", "error"),
-                        "exit": code})
+    for path, (code, kind) in zip(files, rows):
+        results.append({"file": path.name, "kind": kind, "exit": code})
         if code != EXIT_OK:
             failed += 1
     report = {"kind": "suite", "ran": len(files), "failed": failed,
@@ -610,7 +621,9 @@ def cmd_verify_suite(directory, overrides, jobs=1):
     return (EXIT_OK if failed == 0 else EXIT_VERDICT), report
 
 
+@cache
 def build_parser():
+    """The CLI parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-degree", type=int, default=None,
                         help=f"degree bound (default {DEFAULT_DEGREE_BOUND})")
@@ -647,33 +660,10 @@ def main(argv=None):
         _emit(report, args)
         return code
 
-    path = Path(args.file)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    expected = {"semigroup": "semigroup", "kappa": "toric_kappa",
-                "fibration": "fibration"}
-    try:
-        kind, _, _ = parse_instance(doc, str(path))
-        if kind != expected[args.command]:
-            raise ValidationError(
-                f"command {args.command} cannot run kind {kind!r}")
-        code, report, poly = run_instance(doc, str(path), overrides)
-    except EmptySemigroupError as exc:
-        print(f"degenerate instance: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ValidationError, AmbiguousDivisorError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CrossCheckError, DegreeBoundError) as exc:
-        print(f"cross-check mismatch: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
-    except (GeometryError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    code, report, poly = _run_file(args.file, overrides, args.command)
+    if report["kind"] == "error":
+        print(f"{ERROR_PREFIX[code]}: {report['error']}", file=sys.stderr)
+        return code
 
     if args.export_polytope:
         if poly is None:

@@ -9,7 +9,6 @@ general fiber" never needs sampling: restriction is exact.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -118,16 +117,30 @@ def hirzebruch_fibration(a):
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------
+#
+# Each instance computes each growth invariant on first read and keeps it
+# (cached_property) for all verdicts: report (the total-space kappa triple),
+# kappa_sigma, kappa_sigma_hor and the (kappa, kappa_sigma) pairs fiber and
+# base.  Verdicts read them in a fixed order, which fixes the order of the
+# computations and so the first error raised; a part that raises is not
+# kept.  Nothing kept refers back to the instance, so dropping it frees it.
+# Do not change an instance after its first read.
 
-class _Evaluated:
-    @cached_property
-    def evaluation(self):
-        """This instance's InstanceEvaluation, created on first use."""
-        return InstanceEvaluation(self)
+def general_fiber_data(inst):
+    """(fiber model, restricted divisor, restricted metric): torus-invariant
+    and split data restrict identically to every fiber over the open orbit."""
+    return inst.fiber_data()
+
+
+def fiber_kappa_values(inst):
+    """(kappa, kappa_sigma) of the general fiber."""
+    fiber, divisor, metric = general_fiber_data(inst)
+    return (inst.fiber_report.kappa,
+            kappa_sigma(fiber, divisor, metric, degree_bound=inst.degree_bound))
 
 
 @dataclass
-class ToricFibrationInstance(_Evaluated):
+class ToricFibrationInstance:
     """Fibration with torus-invariant data: either log divisors (reduced
     boundary subsets with f* D_Y inside D_X) or a metric, never both."""
 
@@ -164,9 +177,68 @@ class ToricFibrationInstance(_Evaluated):
                 self.fibration.base, self.dy_rays))
         return ky
 
+    @property
+    def dim_base(self):
+        return self.fibration.base.lattice_rank
+
+    def fiber_data(self):
+        fib = self.fibration
+        return (fib.fiber, fib.restrict_divisor(self.total_divisor()),
+                fib.restrict_metric(self.metric))
+
+    @cached_property
+    def system(self):
+        """The total-space SectionSystem."""
+        return SectionSystem(self.fibration.total, self.total_divisor(),
+                             metric=self.metric, degree_bound=self.degree_bound)
+
+    @cached_property
+    def report(self):
+        return kappa_report(self.system)
+
+    @cached_property
+    def kappa_sigma(self):
+        return kappa_sigma(self.fibration.total, self.total_divisor(),
+                           self.metric, degree_bound=self.degree_bound)
+
+    @cached_property
+    def kappa_sigma_hor(self):
+        return kappa_sigma_hor(self.fibration.total, self.total_divisor(),
+                               self.metric, self.fibration,
+                               degree_bound=self.degree_bound)
+
+    @cached_property
+    def fiber_report(self):
+        return kappa_report(SectionSystem(*self.fiber_data(),
+                                          degree_bound=self.degree_bound))
+
+    @cached_property
+    def fiber(self):
+        return fiber_kappa_values(self)
+
+    @cached_property
+    def base(self):
+        """(kappa, kappa_sigma) of the base with its log or canonical divisor."""
+        base, m = self.fibration.base, self.base_divisor()
+        sys = SectionSystem(base, m, degree_bound=self.degree_bound)
+        return (kappa_report(sys).kappa,
+                kappa_sigma(base, m, None, degree_bound=self.degree_bound))
+
+    def addti_counts(self, base_twist, k):
+        """(h^0 of the degree-k system twisted by f^* base_twist, h^0 of the
+        base twist, fiber section count at degree k)."""
+        fib = self.fibration
+        bound = max(k, 1)
+        lhs = SectionSystem(fib.total, self.total_divisor(), metric=self.metric,
+                            aux=fib.pullback_divisor(base_twist),
+                            degree_bound=bound).count(k)
+        base_h0 = divisor_polytope(fib.base, base_twist, 1).count_lattice_points()
+        rank = SectionSystem(*self.fiber_data(), degree_bound=bound).count(k)
+        return lhs, base_h0, rank
+
 
 @dataclass
-class CurveProductInstance(_Evaluated):
+class CurveProductInstance:
     """X = Y x F for a curve Y and a toric fiber F, projected to Y.
 
     base_class is the curve part of K_X + L (so K_Y + L_Y); the metric splits
@@ -180,6 +252,8 @@ class CurveProductInstance(_Evaluated):
     fiber_metric: SingularMetricData = EMPTY_METRIC
     degree_bound: int = DEFAULT_DEGREE_BOUND
     instance_id: str = ""
+
+    dim_base = 1
 
     def __post_init__(self):
         self.base_metric = tuple((pid, Fraction(mu)) for pid, mu in self.base_metric)
@@ -210,34 +284,68 @@ class CurveProductInstance(_Evaluated):
     def base_period(self):
         return lcm(1, *(mu.denominator for _, mu in self.base_metric))
 
+    # -- fiber side and products --------------------------------------------
+
+    def fiber_data(self):
+        return self.fiber_variety, self.fiber_divisor, self.fiber_metric
+
+    @cached_property
+    def _plain_fiber_system(self):
+        return SectionSystem(*self.fiber_data(), degree_bound=self.degree_bound)
+
+    def fiber_system(self, aux=None):
+        """The fiber SectionSystem twisted by the integral divisor aux; the
+        aux-free one is built once, so its counts are shared."""
+        if aux is None:
+            return self._plain_fiber_system
+        return SectionSystem(*self.fiber_data(), aux=aux,
+                             degree_bound=self.degree_bound)
+
+    @cached_property
+    def fiber_report(self):
+        return kappa_report(self.fiber_system())
+
     def product_period(self):
         """The lcm of the curve-side and fiber periods."""
         return lcm(self.base_period(), self.fiber_system().period())
-
-    def fiber_system(self, aux=None):
-        return SectionSystem(self.fiber_variety, self.fiber_divisor,
-                             metric=self.fiber_metric, aux=aux,
-                             degree_bound=self.degree_bound)
 
     def product_counts(self, base_extra=0, fiber_aux=None):
         sys = self.fiber_system(aux=fiber_aux)
         return [self.base_count(k, base_extra) * sys.count(k)
                 for k in range(1, self.degree_bound + 1)]
 
+    # -- invariants ---------------------------------------------------------
 
-FiberSpaceInstance = (ToricFibrationInstance, CurveProductInstance)
+    @cached_property
+    def report(self):
+        k = curve_product_kappa(self)
+        return KappaValues(k, k, k, None, self.degree_bound)
 
+    @cached_property
+    def kappa_sigma(self):
+        return curve_product_kappa_sigma(self)
 
-def general_fiber_data(inst):
-    """(fiber model, restricted divisor, restricted metric): torus-invariant
-    and split data restrict identically to every fiber over the open orbit."""
-    if isinstance(inst, ToricFibrationInstance):
-        fib = inst.fibration
-        return (fib.fiber, fib.restrict_divisor(inst.total_divisor()),
-                fib.restrict_metric(inst.metric))
-    if isinstance(inst, CurveProductInstance):
-        return (inst.fiber_variety, inst.fiber_divisor, inst.fiber_metric)
-    raise TypeError("not a fiber-space instance")
+    @cached_property
+    def kappa_sigma_hor(self):
+        return curve_product_kappa_sigma(self, horizontal_only=True)
+
+    @cached_property
+    def fiber(self):
+        return fiber_kappa_values(self)
+
+    @cached_property
+    def base(self):
+        """(kappa, kappa_sigma) of the curve with its canonical divisor."""
+        ky = CurveDivisorClass.canonical_multiple(self.curve, 1)
+        return (kappa_curve(self.curve, ky, self.degree_bound),
+                kappa_sigma_curve(self.curve, ky, self.degree_bound))
+
+    def addti_counts(self, base_twist, k):
+        """(h^0 of the degree-k product twisted by base_twist on the curve,
+        h^0 of the base twist, fiber section count at degree k)."""
+        base = self.base_count(k, extra_degree=base_twist.degree)
+        rank = self.fiber_system().count(k)
+        return base * rank, curve_h0(self.curve, base_twist), rank
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +361,7 @@ def curve_product_kappa(inst):
     if not support:
         return NEG_INF
     base_part = inst.base_growth()
-    exact = _neg_inf_sum(base_part, kappa_report(inst.fiber_system()).kappa)
+    exact = _neg_inf_sum(base_part, inst.fiber_report.kappa)
     empirical = growth_degree(counts, inst.product_period())
     if empirical is None:
         if len(support) > 1:
@@ -274,7 +382,7 @@ def curve_product_kappa_sigma(inst, horizontal_only=False):
     factor orders."""
     p = 2 * inst.curve.genus + 1
     base_part = inst.base_growth(extra_degree=p)
-    fiber_k, fiber_sigma = inst.evaluation.fiber
+    fiber_k, fiber_sigma = inst.fiber
     exact = _neg_inf_sum(base_part, fiber_k if horizontal_only else fiber_sigma)
     amp = standard_ample(inst.fiber_variety)
     period = inst.product_period()
@@ -309,114 +417,27 @@ class KappaReport:
         return self.kappa1
 
 
-class InstanceEvaluation:
-    """The growth invariants of one fiber-space instance.  Each part is
-    computed on first use and kept, so all verdicts on the instance share it.
-
-    Parts and readers: system, the total-space SectionSystem of a toric
-    instance (verify_iitaka); report, its kappa triple (instance_kappa_values,
-    verify_iitaka, verify_dio_equality, kappa_summary); kappa_sigma and
-    kappa_sigma_hor (instance_kappa_values, kappa_summary, and kappa_sigma
-    as the stride-1 value of verify_stride); fiber and base, their (kappa,
-    kappa_sigma) pairs (verify_subadditivity, verify_upper_bound,
-    curve_product_kappa_sigma, kappa_summary).  Verdicts read parts in the
-    order they used to compute them, so parts are computed and errors raised
-    in the same order as without the record.  Do not change an instance
-    after its first evaluation.
-    """
-
-    def __init__(self, inst):
-        # weak, so that no reference cycle keeps the instance and its cached
-        # section systems alive after the caller drops the instance
-        self._inst = weakref.ref(inst)
-        self.toric = isinstance(inst, ToricFibrationInstance)
-
-    @property
-    def inst(self):
-        return self._inst()
-
-    def _total(self):
-        inst = self.inst
-        return inst.fibration.total, inst.total_divisor(), inst.metric
-
-    @cached_property
-    def system(self):
-        variety, divisor, metric = self._total()
-        return SectionSystem(variety, divisor, metric=metric,
-                             degree_bound=self.inst.degree_bound)
-
-    @cached_property
-    def report(self):
-        if self.toric:
-            return kappa_report(self.system)
-        k = curve_product_kappa(self.inst)
-        return KappaValues(k, k, k, None, self.inst.degree_bound)
-
-    @cached_property
-    def kappa_sigma(self):
-        if self.toric:
-            return kappa_sigma(*self._total(),
-                               degree_bound=self.inst.degree_bound)
-        return curve_product_kappa_sigma(self.inst)
-
-    @cached_property
-    def kappa_sigma_hor(self):
-        if self.toric:
-            return kappa_sigma_hor(*self._total(), self.inst.fibration,
-                                   degree_bound=self.inst.degree_bound)
-        return curve_product_kappa_sigma(self.inst, horizontal_only=True)
-
-    @cached_property
-    def fiber(self):
-        return fiber_kappa_values(self.inst)
-
-    @cached_property
-    def base(self):
-        return base_kappa_values(self.inst)
-
-
 def kappa_summary(inst):
     """KappaReport of an instance; the three total-space invariants are
     asserted equal along the way (toric instances compute them separately,
     curve products equate the two independent routes)."""
-    ev = inst.evaluation
-    rep = ev.report
+    rep = inst.report
     return KappaReport(
         kappa1=rep.kappa1, kappa2=rep.kappa2, kappa3=rep.kappa3,
-        kappa_sigma=ev.kappa_sigma, kappa_sigma_hor=ev.kappa_sigma_hor,
-        fiber_kappa=ev.fiber[0], fiber_kappa_sigma=ev.fiber[1],
-        base_kappa=ev.base[0], base_kappa_sigma=ev.base[1],
+        kappa_sigma=inst.kappa_sigma, kappa_sigma_hor=inst.kappa_sigma_hor,
+        fiber_kappa=inst.fiber[0], fiber_kappa_sigma=inst.fiber[1],
+        base_kappa=inst.base[0], base_kappa_sigma=inst.base[1],
         degree_bound=inst.degree_bound, witness_degree=rep.witness_degree)
 
 
 def instance_kappa_values(inst):
     """(kappa, kappa_sigma, kappa_sigma_hor) of the total space."""
-    ev = inst.evaluation
-    return ev.report.kappa, ev.kappa_sigma, ev.kappa_sigma_hor
-
-
-def fiber_kappa_values(inst):
-    """(kappa, kappa_sigma) of the general fiber."""
-    fiber, divisor, metric = general_fiber_data(inst)
-    sys = SectionSystem(fiber, divisor, metric=metric,
-                        degree_bound=inst.degree_bound)
-    return (kappa_report(sys).kappa,
-            kappa_sigma(fiber, divisor, metric, degree_bound=inst.degree_bound))
+    return inst.report.kappa, inst.kappa_sigma, inst.kappa_sigma_hor
 
 
 def base_kappa_values(inst):
     """(kappa, kappa_sigma) of the base with its log or canonical divisor."""
-    if isinstance(inst, ToricFibrationInstance):
-        base = inst.fibration.base
-        m = inst.base_divisor()
-        sys = SectionSystem(base, m, degree_bound=inst.degree_bound)
-        return (kappa_report(sys).kappa,
-                kappa_sigma(base, m, None, degree_bound=inst.degree_bound))
-    if isinstance(inst, CurveProductInstance):
-        ky = CurveDivisorClass.canonical_multiple(inst.curve, 1)
-        return (kappa_curve(inst.curve, ky, inst.degree_bound),
-                kappa_sigma_curve(inst.curve, ky, inst.degree_bound))
-    raise TypeError("not a fiber-space instance")
+    return inst.base
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +488,8 @@ def verify_subadditivity(inst, which):
         raise ValueError(f"unknown check {which!r}")
 
     _, lhs_sigma, _ = instance_kappa_values(inst)
-    fiber_k, fiber_sigma = inst.evaluation.fiber
-    base_k, base_sigma = inst.evaluation.base
+    fiber_k, fiber_sigma = inst.fiber
+    base_k, base_sigma = inst.base
 
     if which in ("spc", "112"):
         terms = [("kappa_sigma(fiber)", fiber_sigma), ("kappa(base)", base_k)]
@@ -490,11 +511,8 @@ def verify_chain(inst):
 def verify_upper_bound(inst):
     """kappa(X) <= kappa(F) + dim Y."""
     k, _, _ = instance_kappa_values(inst)
-    fiber_k, _ = inst.evaluation.fiber
-    if isinstance(inst, CurveProductInstance):
-        dim_base = 1
-    else:
-        dim_base = inst.fibration.base.lattice_rank
+    fiber_k, _ = inst.fiber
+    dim_base = inst.dim_base
     rhs = _neg_inf_sum(fiber_k, dim_base) if fiber_k != NEG_INF else NEG_INF
     holds = k <= rhs or k == NEG_INF
     return InequalityVerdict(
@@ -509,8 +527,8 @@ def verify_dio_equality(inst):
         raise ValueError("dio equality needs a curve times toric instance")
     if inst.curve.genus < 2:
         raise ValueError("dio equality needs a general-type base (genus >= 2)")
-    lhs = inst.evaluation.report.kappa
-    fiber_k = kappa_report(inst.fiber_system()).kappa
+    lhs = inst.report.kappa
+    fiber_k = inst.fiber_report.kappa
     return _verdict("dio_equality", inst, lhs,
                     [("kappa(fiber)", fiber_k), ("dim(base)", 1)],
                     equality=True)
@@ -519,25 +537,7 @@ def verify_dio_equality(inst):
 def verify_addti(inst, base_twist, k=1):
     """h^0(degree-k system twisted by f^* D_Y) >= h^0(Y, D_Y) * rank, where
     the rank is the fiber section count at degree k."""
-    if isinstance(inst, ToricFibrationInstance):
-        fib = inst.fibration
-        m = inst.total_divisor()
-        pulled = fib.pullback_divisor(base_twist)
-        sys = SectionSystem(fib.total, m, metric=inst.metric, aux=pulled,
-                            degree_bound=max(k, 1))
-        lhs = sys.count(k)
-        base_h0 = divisor_polytope(fib.base, base_twist, 1).count_lattice_points()
-        fiber_sys = SectionSystem(fib.fiber, fib.restrict_divisor(m),
-                                  metric=fib.restrict_metric(inst.metric),
-                                  degree_bound=max(k, 1))
-        rank = fiber_sys.count(k)
-    elif isinstance(inst, CurveProductInstance):
-        lhs = inst.base_count(k, extra_degree=base_twist.degree) \
-            * inst.fiber_system().count(k)
-        base_h0 = curve_h0(inst.curve, base_twist)
-        rank = inst.fiber_system().count(k)
-    else:
-        raise TypeError("not a fiber-space instance")
+    lhs, base_h0, rank = inst.addti_counts(base_twist, k)
     return InequalityVerdict(
         check_id="addti", instance_id=inst.instance_id, lhs=lhs,
         rhs_terms=(("h0(base twist)", base_h0), ("rank", rank)),
@@ -569,8 +569,8 @@ def verify_iitaka(inst):
     equals the growth order and every degree contracts to the fiber point."""
     if not isinstance(inst, ToricFibrationInstance):
         raise ValueError("iitaka verdict needs a toric instance")
-    sys = inst.evaluation.system
-    total = inst.evaluation.report.kappa
+    sys = inst.system
+    total = inst.report.kappa
     if not sys.support():
         return InequalityVerdict(
             check_id="iitaka_fibration", instance_id=inst.instance_id,

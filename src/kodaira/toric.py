@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import lcm
+from operator import and_
 
 from .lattice import (
     NEG_INF,
@@ -224,16 +226,17 @@ def divisor_polytope(variety, divisor, k=1):
 
 
 def is_ample(variety, divisor):
-    """Ample test used for perturbation divisors: the degree-1 polytope is
-    full-dimensional and every ray constraint is achieved with equality."""
+    """Ampleness on a smooth complete fan: D is integral and, for every
+    maximal cone sigma, the point m_sigma with <m_sigma, v_rho> = -b_rho on
+    sigma's rays satisfies <m_sigma, v_rho> > -b_rho on every other ray."""
     if not divisor.is_integral():
         return False
-    poly = divisor_polytope(variety, divisor, 1)
-    if poly.is_empty() or poly.affine_dim() != variety.lattice_rank:
-        return False
-    verts = poly.vertices()
-    for ray, c in zip(variety.rays, divisor.coefficients):
-        if all(dot(v, ray) != -c for v in verts):
+    b = divisor.coefficients
+    for cone in variety.max_cones:
+        idx = sorted(cone)
+        m = solve_rational([variety.rays[i] for i in idx], [-b[i] for i in idx])
+        if any(dot(m, ray) <= -c for i, (ray, c) in enumerate(zip(variety.rays, b))
+               if i not in cone):
             return False
     return True
 
@@ -535,42 +538,24 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
     if q.is_empty():
         return NEG_INF
     verts = q.vertices()
-    n = variety.lattice_rank
-
-    kinds = []
-    for i in range(len(variety.rays)):
-        if i in fattened_rays:
-            kinds.append("fat")
-        elif metric.weight(i) >= 1:
-            kinds.append("strict")
-        else:
-            kinds.append("neutral")
-
     cons = q.constraints  # parallel to rays by construction
-    faces = {}
-    ray_count = len(cons)
-    for mask in range(1 << ray_count):
-        tight = [i for i in range(ray_count) if mask & (1 << i)]
-        vset = tuple(v for v in verts
-                     if all(dot(v, cons[i][0]) == cons[i][1] for i in tight))
-        if vset and vset not in faces:
-            faces[vset] = True
+    # bit i of tight[j]: vertex j lies on the constraint of ray i
+    tight = [sum(1 << i for i, (ray, c) in enumerate(cons) if dot(v, ray) == c)
+             for v in verts]
+    faces = set()
+    for mask in range(1 << len(cons)):
+        vset = tuple(j for j, t in enumerate(tight) if t & mask == mask)
+        if vset:
+            faces.add(vset)
 
     best = NEG_INF
     for vset in faces:
-        full_tight = [i for i in range(ray_count)
-                      if all(dot(v, cons[i][0]) == cons[i][1] for v in vset)]
-        disp = []
-        for i in full_tight:
-            if kinds[i] == "strict":
-                disp.append((cons[i][0], Fraction(1)))
-            elif kinds[i] == "neutral":
-                disp.append((cons[i][0], Fraction(0)))
-        feasible = not Polytope(n, disp).is_empty() if disp else True
-        if feasible:
-            dim = affine_rank(vset)
-            if dim > best:
-                best = dim
+        full_tight = reduce(and_, (tight[j] for j in vset))
+        disp = [(cons[i][0], 1 if metric.weight(i) >= 1 else 0)
+                for i in range(len(cons))
+                if full_tight >> i & 1 and i not in fattened_rays]
+        if not disp or not Polytope(variety.lattice_rank, disp).is_empty():
+            best = max(best, affine_rank([verts[j] for j in vset]))
     return best
 
 

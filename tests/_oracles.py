@@ -197,3 +197,23 @@ def pyramid_volume(points):
         face = [p[:i] + p[i + 1:] for p in pts if dot(p, w) == h]
         total += (dot(pts[0], w) - h) * pyramid_volume(face) / abs(w[i])
     return total / d
+
+
+def ample_by_vertices(variety, divisor):
+    """Ampleness read off the Fraction divisor polytope: D is ample iff it is
+    integral and the vertices of P_D are exactly the points m_sigma cut out by
+    the maximal cones (<m, v_rho> = -b_rho on the cone's rays), pairwise
+    distinct, so that the normal fan of P_D is the fan itself."""
+    from kodaira.toric import divisor_polytope
+
+    if not divisor.is_integral():
+        return False
+    b = divisor.coefficients
+    cone_points = [
+        solve_linear_system([variety.rays[i] for i in sorted(cone)],
+                            [-b[i] for i in sorted(cone)])
+        for cone in variety.max_cones]
+    poly = divisor_polytope(variety, divisor, 1)
+    verts = set() if poly.is_empty() else set(poly.vertices())
+    return (len(set(cone_points)) == len(cone_points)
+            and set(cone_points) == verts)

@@ -258,3 +258,26 @@ def test_verify_suite_reports_bad_option_as_input_error(tmp_path, capsys):
     assert main(["verify-suite", str(tmp_path), "--format", "json"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"] == [{"file": "bad.json", "kind": "error", "exit": 2}]
+
+
+def test_nef_but_not_ample_perturbation_is_input_error(tmp_path, capsys):
+    # on F1, (-1, -1, 0, 2) is nef: its polytope is a triangle, not a
+    # polygon with one vertex per maximal cone
+    doc = {
+        "schema_version": "1", "kind": "toric_kappa",
+        "body": {"variety": {"preset": "hirzebruch", "a": 1},
+                 "coefficients": [1, 1, 1, 1], "ample": [-1, -1, 0, 2]},
+        "options": {"max_degree": 12},
+    }
+    assert main(["kappa", write_instance(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: perturbation divisor is not ample\n")
+
+
+def test_undecodable_file_is_input_error(tmp_path, capsys):
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+    assert main(["kappa", str(tmp_path / "bad.json")]) == 2
+    assert capsys.readouterr().err.startswith("input error: 'utf-8' codec")
+    assert main(["verify-suite", str(tmp_path), "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"] == [{"file": "bad.json", "kind": "error", "exit": 2}]

@@ -371,3 +371,54 @@ def test_fibration_run_evaluates_each_perturbed_growth_once(monkeypatch, capsys)
     assert main(["fibration", str(path), "--format", "json"]) == 0
     assert '"failed": 0' in capsys.readouterr().out
     assert sorted(routes) == ["horizontal", "numerical", "numerical", "numerical"]
+
+
+def test_curve_product_run_builds_one_plain_fiber_system(monkeypatch, capsys):
+    # product counts and period, both kappa routes, the fiber pair, dio and
+    # addti all read the one aux-free fiber system of the instance
+    import kodaira.toric
+    from pathlib import Path
+
+    from kodaira.cli import main
+
+    plain = []
+    inner = kodaira.toric.SectionSystem.__init__
+
+    def counted(self, variety, divisor, metric=None, aux=None, **kwargs):
+        if aux is None:
+            plain.append(variety.name)
+        inner(self, variety, divisor, metric=metric, aux=aux, **kwargs)
+
+    monkeypatch.setattr(kodaira.toric.SectionSystem, "__init__", counted)
+    path = Path(__file__).parent.parent / "corpus" / "fibration_dio_g2.json"
+    assert main(["fibration", str(path), "--format", "json"]) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    assert plain == ["P1"]
+
+
+def test_evaluated_instances_are_freed_without_gc():
+    # nothing an instance keeps refers back to it, so dropping the last
+    # reference frees it at once, with the cycle collector off
+    import gc
+    import weakref
+
+    from kodaira.fibration import kappa_summary
+
+    def toric_instance():
+        return ToricFibrationInstance(
+            fibration=product_fibration(P1, P1),
+            divisor=ToricDivisorData((0, 0, 0, 2)),
+            metric=SingularMetricData([(0, 1)]), degree_bound=12,
+            instance_id="freed")
+
+    gc.disable()
+    try:
+        for make in (toric_instance, dio_instance):
+            inst = make()
+            kappa_summary(inst)
+            verify_upper_bound(inst)
+            ref = weakref.ref(inst)
+            del inst
+            assert ref() is None, make.__name__
+    finally:
+        gc.enable()

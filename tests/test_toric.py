@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,8 @@ from kodaira.toric import (
     sections_of,
     standard_ample,
 )
+
+from _oracles import ample_by_vertices
 
 P1 = ToricVariety.projective_space(1)
 P2 = ToricVariety.projective_space(2)
@@ -234,6 +237,20 @@ def test_not_ample():
     assert not is_ample(P1, ToricDivisorData((0, 0)))
     assert not is_ample(P1xP1, ToricDivisorData((1, 1, 0, 0)))  # vertical only
     assert not is_ample(P2, ToricDivisorData.canonical(P2))
+    # nef but not ample: the polytope is the triangle (1,1), (1,2), (2,2)
+    assert not is_ample(ToricVariety.hirzebruch(1),
+                        ToricDivisorData((-1, -1, 0, 2)))
+
+
+def test_is_ample_matches_vertex_oracle():
+    varieties = [P1, P2, ToricVariety.projective_space(3), P1xP1]
+    varieties += [ToricVariety.hirzebruch(a) for a in (1, 2, 3)]
+    for x in varieties:
+        for coeffs in product(range(-1, 3), repeat=len(x.rays)):
+            d = ToricDivisorData(coeffs)
+            assert is_ample(x, d) == ample_by_vertices(x, d), (x.name, coeffs)
+        half = ToricDivisorData([Fraction(3, 2)] * len(x.rays))
+        assert not is_ample(x, half) and not ample_by_vertices(x, half)
 
 
 def test_kappa_sigma_separation():
