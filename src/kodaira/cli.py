@@ -141,7 +141,15 @@ def parse_variety(spec, where="variety"):
     raise ValidationError(f"{where}: unknown preset {preset!r}")
 
 
-def parse_metric(entries, where="metric"):
+def _ray(value, ray_count, where):
+    index = _int(value, where)
+    if not 0 <= index < ray_count:
+        raise ValidationError(
+            f"{where}: ray index {index} out of range 0..{ray_count - 1}")
+    return index
+
+
+def parse_metric(entries, ray_count, where="metric"):
     if entries is None:
         return None
     if not isinstance(entries, list):
@@ -149,7 +157,8 @@ def parse_metric(entries, where="metric"):
     pairs = []
     for e in entries:
         _require_keys(e, ["ray", "weight"], (), where)
-        pairs.append((_int(e["ray"], where), _rat(e["weight"], where)))
+        pairs.append((_ray(e["ray"], ray_count, where),
+                      _rat(e["weight"], where)))
     return SingularMetricData(pairs) if pairs else None
 
 
@@ -230,7 +239,7 @@ def cmd_kappa(body, options):
     if len(coeffs) != len(variety.rays):
         raise ValidationError("coefficient count does not match ray count")
     divisor = ToricDivisorData(tuple(coeffs))
-    metric = parse_metric(body.get("metric"))
+    metric = parse_metric(body.get("metric"), len(variety.rays))
     ample = None
     if "ample" in body:
         amp_coeffs = [_rat(c, "ample coefficient") for c in body["ample"]]
@@ -289,14 +298,12 @@ def _parse_curve_instance(body, max_degree):
     fdiv = [_rat(c, "fiber coefficient") for c in body["fiber_divisor"]]
     if len(fdiv) != len(fiber.rays):
         raise ValidationError("fiber coefficient count mismatch")
-    fmetric_pairs = []
-    for e in body.get("fiber_metric", []):
-        _require_keys(e, ["ray", "weight"], (), "fiber_metric")
-        fmetric_pairs.append((_int(e["ray"], "ray"), _rat(e["weight"], "weight")))
+    fmetric = parse_metric(body.get("fiber_metric", []), len(fiber.rays),
+                           "fiber_metric")
     return CurveProductInstance(
         curve=curve, base_class=base_class,
         fiber_variety=fiber, fiber_divisor=ToricDivisorData(tuple(fdiv)),
-        fiber_metric=SingularMetricData(fmetric_pairs),
+        fiber_metric=fmetric or SingularMetricData(()),
         base_metric=tuple(base_points),
         degree_bound=max_degree, instance_id="file_instance")
 
@@ -320,9 +327,11 @@ def _parse_toric_fibration_instance(body, max_degree):
         if len(coeffs) != len(fib.total.rays):
             raise ValidationError("divisor coefficient count mismatch")
         divisor = ToricDivisorData(tuple(coeffs))
-    metric = parse_metric(body.get("metric"))
-    dx = frozenset(_int(i, "dx ray") for i in body.get("dx_rays", []))
-    dy = frozenset(_int(i, "dy ray") for i in body.get("dy_rays", []))
+    rays, base_rays = len(fib.total.rays), len(fib.base.rays)
+    metric = parse_metric(body.get("metric"), rays)
+    dx = frozenset(_ray(i, rays, "dx ray") for i in body.get("dx_rays", []))
+    dy = frozenset(_ray(i, base_rays, "dy ray")  # a ray of the base
+                   for i in body.get("dy_rays", []))
     try:
         return ToricFibrationInstance(
             fibration=fib, divisor=divisor, metric=metric,
@@ -350,6 +359,13 @@ def cmd_fibration(body, options):
             default_checks = ["112", "112k", "chain", "upper"]
     else:
         raise ValidationError(f"unknown variant {variant!r}")
+    least = inst.least_twist_degree
+    twist = max(1, least)
+    if "twist_degree" in body:
+        twist = _int(body["twist_degree"], "twist_degree")
+        if twist < least:
+            raise ValidationError(
+                f"twist_degree: expected at least {least}, got {twist}")
 
     checks = body.get("checks", default_checks)
     verdicts = []
@@ -374,13 +390,7 @@ def cmd_fibration(body, options):
                               instance_id=inst.instance_id,
                               base=inst.kappa_sigma)
         elif check == "addti":
-            twist = _int(body.get("twist_degree", 1), "twist_degree")
-            if isinstance(inst, CurveProductInstance):
-                v = verify_addti(inst, CurveDivisorClass.general(
-                    max(twist, 2 * inst.curve.genus - 1)))
-            else:
-                amp = inst.fibration.base_ample()
-                v = verify_addti(inst, amp.scale(twist))
+            v = verify_addti(inst, inst.base_twist(twist))
         else:
             raise ValidationError(f"unknown check {check!r}")
         verdicts.append(v)

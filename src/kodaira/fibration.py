@@ -224,6 +224,12 @@ class ToricFibrationInstance:
         return (kappa_report(sys).kappa,
                 kappa_sigma(base, m, None, degree_bound=self.degree_bound))
 
+    least_twist_degree = 1
+
+    def base_twist(self, degree):
+        """The addti twist: degree times the base's standard ample."""
+        return self.fibration.base_ample().scale(degree)
+
     def addti_counts(self, base_twist, k):
         """(h^0 of the degree-k system twisted by f^* base_twist, h^0 of the
         base twist, fiber section count at degree k)."""
@@ -339,6 +345,16 @@ class CurveProductInstance:
         ky = CurveDivisorClass.canonical_multiple(self.curve, 1)
         return (kappa_curve(self.curve, ky, self.degree_bound),
                 kappa_sigma_curve(self.curve, ky, self.degree_bound))
+
+    @property
+    def least_twist_degree(self):
+        """2g - 1: from this degree on, h^0 of a curve class is its degree
+        minus g plus 1 (Riemann-Roch without the special term)."""
+        return 2 * self.curve.genus - 1
+
+    def base_twist(self, degree):
+        """The addti twist: a curve class of the given degree."""
+        return CurveDivisorClass.general(degree)
 
     def addti_counts(self, base_twist, k):
         """(h^0 of the degree-k product twisted by base_twist on the curve,

@@ -485,6 +485,7 @@ class Polytope:
             cons.append(_normalize_constraint(vv, Fraction(c)))
         self.constraints = tuple(cons)
         self._vertices = None
+        self._tight = None
         self._empty = None
         self._bounded = None
         self._affine_dim = None
@@ -562,6 +563,15 @@ class Polytope:
                 self._empty = False
         return self._vertices
 
+    def tight_masks(self):
+        """For each vertex, in vertices() order, the bitmask of the
+        constraints it satisfies with equality (bit i: constraint i)."""
+        if self._tight is None:
+            self._tight = tuple(
+                sum(1 << i for i, (v, c) in enumerate(self.constraints)
+                    if dot(p, v) == c) for p in self.vertices())
+        return self._tight
+
     def affine_dim(self):
         """Affine dimension; NEG_INF for the empty polytope.
 
@@ -619,72 +629,181 @@ class Polytope:
 def scan_int_points(box, constraints, collect=False):
     """Integer points u of the box [(lo, hi), ...] with <u, v> >= c for all
     integer (v, c) in constraints, in lexicographic order (collect) or their
-    number (the last coordinate counted by interval)."""
-    n = len(box)
-    if any(lo > hi for lo, hi in box):
-        return [] if collect else 0
-    normals = []
-    residuals = []
-    lasts = []
-    for v, c in constraints:
-        last = max((j for j, x in enumerate(v) if x != 0), default=-1)
-        if last < 0:
-            if c > 0:
-                return [] if collect else 0
-            continue
-        normals.append(v)
-        residuals.append(c)
-        lasts.append(last)
-    m = len(normals)
-    touching = [[] for _ in range(n)]  # residual updates at this depth
-    bounding = [[] for _ in range(n)]  # becomes a 1-var bound here
-    for i in range(m):
-        bounding[lasts[i]].append(i)
-        for d in range(lasts[i]):
-            if normals[i][d] != 0:
-                touching[d].append(i)
+    number.  Collecting scans every coordinate column by column, and so is
+    the oracle for counting, which scans only the outer coordinates and
+    counts the two innermost ones in closed form with integer floor sums
+    (ScanPlan).  Callers that scan many bounds under the same normals build
+    the ScanPlan once."""
+    constraints = list(constraints)
+    plan = ScanPlan(len(box), [v for v, _ in constraints])
+    return plan.scan(box, [c for _, c in constraints], collect)
 
-    out = [] if collect else None
-    counter = [0]
-    prefix = [0] * n
 
-    def rec(depth):
-        lo, hi = box[depth]
-        for i in bounding[depth]:
-            a = normals[i][depth]
-            c = residuals[i]
-            if a > 0:
-                b = -(-c // a)
-                if b > lo:
-                    lo = b
-            else:
-                b = c // a  # floor division with negative a rounds down
-                if b < hi:
-                    hi = b
-        if lo > hi:
+def floor_sum(n, m, a, b):
+    """Sum of floor((a i + b) / m) over i = 0 .. n-1, for m > 0 and integers
+    a, b of any sign: the Euclid-like recursion of the AtCoder Library's
+    floor_sum(n, m, a, b), in O(log m) integer steps."""
+    total = 0
+    while n > 0:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+class ScanPlan:
+    """The part of an integer lattice-point scan fixed by the constraint
+    normals, built once and run for any integer bounds and box.
+
+    Constraint i, <u, v_i> >= c_i, becomes a one-variable bound on the last
+    coordinate where v_i is nonzero once the earlier coordinates are fixed.
+    Counting handles the two innermost coordinates x, y in closed form.
+    Every constraint whose last coordinate is y, and each end of y's box
+    range, is a line: y >= or y <= (p x + q) / m with m > 0.  Between the
+    floors of the pairwise line crossings one upper and one lower line bind
+    (the floor of a minimum is the minimum of the floors), so a piece counts
+    as two sums of floors (floor_sum) and nothing where its upper line lies
+    below its lower one.  An integer crossing is a piece of its own: there
+    the lines meet, and an upper and a lower line that meet at an integer
+    point count 1 where the pieces on either side count 0.
+    """
+
+    def __init__(self, dim, normals):
+        self.dim = dim
+        self.zero = []  # constraints that read no coordinate
+        self.touching = [[] for _ in range(dim)]  # residual updates here
+        self.bounding = [[] for _ in range(dim)]  # a 1-var bound here
+        self.normals = [tuple(v) for v in normals]
+        for i, v in enumerate(self.normals):
+            last = max((j for j, x in enumerate(v) if x != 0), default=-1)
+            if last < 0:
+                self.zero.append(i)
+                continue
+            self.bounding[last].append(i)
+            for d in range(last):
+                if v[d]:
+                    self.touching[d].append(i)
+        if dim < 2:
             return
-        if depth == n - 1:
-            if collect:
-                head = tuple(prefix[: n - 1])
-                for x in range(lo, hi + 1):
-                    out.append(head + (x,))
-            else:
-                counter[0] += hi - lo + 1
-            return
-        touch = touching[depth]
-        saved = [residuals[i] for i in touch]
-        coeffs = [normals[i][depth] for i in touch]
-        for i, a, c in zip(touch, coeffs, saved):
-            residuals[i] = c - a * lo
-        for x in range(lo, hi + 1):
-            prefix[depth] = x
-            rec(depth + 1)
-            for i, a in zip(touch, coeffs):
-                residuals[i] -= a
-        for i, c in zip(touch, saved):
-            residuals[i] = c
-    rec(0)
-    return out if collect else counter[0]
+        # lines y >= or <= (p x + q) / m: one per constraint with last
+        # coordinate y (q is -c for an upper one, c for a lower one), then
+        # the two ends of y's box range (q is the box end)
+        self.sources = []  # (constraint, sign of its bound in q)
+        p, m, upper = [], [], []
+        for i in self.bounding[dim - 1]:
+            a, b = self.normals[i][dim - 2:]
+            self.sources.append((i, -1 if b < 0 else 1))
+            p.append(a if b < 0 else -a)
+            m.append(abs(b))
+            upper.append(b < 0)
+        p += [0, 0]
+        m += [1, 1]
+        upper += [False, True]
+        self.p, self.m = p, m
+        self.upper = [j for j, up in enumerate(upper) if up]
+        self.lower = [j for j, up in enumerate(upper) if not up]
+        # (j, k, d): lines j and k cross where d x = q_k m_j - q_j m_k
+        self.crossings = [(j, k, p[j] * m[k] - p[k] * m[j])
+                          for j in range(len(p)) for k in range(j + 1, len(p))
+                          if p[j] * m[k] != p[k] * m[j]]
+
+    def scan(self, box, bounds, collect=False):
+        """The points of the box with <u, v_i> >= bounds[i] (collect), or
+        their number."""
+        n = self.dim
+        if any(lo > hi for lo, hi in box) or any(bounds[i] > 0
+                                                for i in self.zero):
+            return [] if collect else 0
+        residuals = list(bounds)
+        normals, bounding, touching = (self.normals, self.bounding,
+                                       self.touching)
+        out = [] if collect else None
+        counter = [0]
+        prefix = [0] * n
+        pair_depth = n - 2 if not collect else -1
+
+        def rec(depth):
+            lo, hi = box[depth]
+            for i in bounding[depth]:
+                a = normals[i][depth]
+                c = residuals[i]
+                if a > 0:
+                    b = -(-c // a)
+                    if b > lo:
+                        lo = b
+                else:
+                    b = c // a  # floor division with negative a rounds down
+                    if b < hi:
+                        hi = b
+            if lo > hi:
+                return
+            if depth == pair_depth:
+                counter[0] += self._count_pair(lo, hi, box[n - 1], residuals)
+                return
+            if depth == n - 1:
+                if collect:
+                    head = tuple(prefix[: n - 1])
+                    for x in range(lo, hi + 1):
+                        out.append(head + (x,))
+                else:
+                    counter[0] += hi - lo + 1
+                return
+            touch = touching[depth]
+            saved = [residuals[i] for i in touch]
+            coeffs = [normals[i][depth] for i in touch]
+            for i, a, c in zip(touch, coeffs, saved):
+                residuals[i] = c - a * lo
+            for x in range(lo, hi + 1):
+                prefix[depth] = x
+                rec(depth + 1)
+                for i, a in zip(touch, coeffs):
+                    residuals[i] -= a
+            for i, c in zip(touch, saved):
+                residuals[i] = c
+        rec(0)
+        return out if collect else counter[0]
+
+    def _count_pair(self, xlo, xhi, y_box, residuals):
+        """Points (x, y) of the two innermost coordinates with xlo <= x <=
+        xhi, in closed form."""
+        p, m = self.p, self.m
+        q = [s * residuals[i] for i, s in self.sources]
+        q += y_box
+        ends = {xhi}  # last x of each piece
+        for j, k, d in self.crossings:
+            num = q[k] * m[j] - q[j] * m[k]
+            x = num // d
+            if xlo <= x < xhi:
+                ends.add(x)
+            if x * d == num and xlo < x <= xhi:
+                ends.add(x - 1)
+        total = 0
+        start = xlo
+        for end in sorted(ends):
+            # no two lines cross inside the piece, so the least upper and the
+            # largest lower line at its start (values (p x + q) / m compared
+            # without division) bind on all of it
+            ju = vu = jl = vl = None
+            for j in self.upper:
+                v = p[j] * start + q[j]
+                if ju is None or v * m[ju] < vu * m[j]:
+                    ju, vu = j, v
+            for j in self.lower:
+                v = p[j] * start + q[j]
+                if jl is None or v * m[jl] > vl * m[j]:
+                    jl, vl = j, v
+            # floor(U) - ceil(L) + 1 >= 0 where U >= L, and <= 0 elsewhere
+            if vu * m[jl] >= vl * m[ju]:
+                size = end - start + 1
+                total += (floor_sum(size, m[ju], p[ju], vu)
+                          + floor_sum(size, m[jl], -p[jl], -vl) + size)
+            start = end + 1
+        return total
 
 
 def lattice_points(poly):

@@ -15,21 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm
-from operator import and_
+from math import gcd, lcm
+from operator import and_, or_
 
 from .lattice import (
     NEG_INF,
     GeometryError,
     IntLattice,
     Polytope,
+    ScanPlan,
     affine_rank,
     det_int,
     dot,
     int_points_rank,
     is_zero,
     primitive,
-    scan_int_points,
     solve_rational,
     vsub,
 )
@@ -64,6 +64,7 @@ class ToricVariety:
         self.max_cones = tuple(sorted(frozenset(c) for c in max_cones))
         self.name = name or f"toric{self.lattice_rank}d"
         self._dir_mults = None
+        self._scan_plan = None
         self._subsets = None
         self._limits = {}
         self._ample = None
@@ -105,7 +106,9 @@ class ToricVariety:
         Yields exact coordinate bounds for every divisor polytope: from
         <u, v_rho> >= c_rho one gets <u, d> >= sum lambda_rho c_rho whenever
         d = sum lambda_rho v_rho with lambda >= 0.  The multipliers are
-        integers because every maximal cone is unimodular.  Cached per variety.
+        integers because every maximal cone is unimodular: by Cramer's rule
+        each is a determinant times the cone's determinant, which is +-1.
+        Cached per variety.
         """
         if self._dir_mults is not None:
             return self._dir_mults
@@ -117,16 +120,31 @@ class ToricVariety:
                 found = None
                 for cone in self.max_cones:
                     idx = sorted(cone)
-                    mat = [[self.rays[r][j] for r in idx] for j in range(n)]
-                    lam = solve_rational(mat, d)
-                    if lam is not None and all(x >= 0 for x in lam):
-                        found = {r: int(x) for r, x in zip(idx, lam) if x != 0}
+                    rows = [self.rays[r] for r in idx]
+                    det = det_int(rows)
+                    lam = [det * det_int(rows[:j] + [d] + rows[j + 1:])
+                           for j in range(n)]
+                    if all(x >= 0 for x in lam):
+                        found = {r: x for r, x in zip(idx, lam) if x != 0}
                         break
                 if found is None:
                     raise GeometryError("fan is not complete")
                 out.append(((i, sign), found))
         self._dir_mults = tuple(out)
         return self._dir_mults
+
+    def scan_plan(self):
+        """(ScanPlan of the rays, box rows) for scanning degree pieces.
+        Row i holds the multipliers of +e_i and of -e_i, so coordinate i of
+        every point of {u : <u, v_rho> >= c_rho} lies between sum lam c and
+        -sum lam' c (direction_multipliers).  Cached per variety."""
+        if self._scan_plan is None:
+            mults = {d: tuple(m.items())
+                     for d, m in self.direction_multipliers()}
+            rows = tuple((mults[i, 1], mults[i, -1])
+                         for i in range(self.lattice_rank))
+            self._scan_plan = ScanPlan(self.lattice_rank, self.rays), rows
+        return self._scan_plan
 
     def nonsingular_subsets(self):
         """(ray index tuple, |det|) for every n-subset of rays with nonzero
@@ -275,7 +293,8 @@ class SectionSystem:
     multiplier coefficients are integers), and so is the enclosing box,
     since every cone is unimodular (ToricVariety.direction_multipliers).  So
     the integers k0 b_rho and e_rho are fixed once, and each degree only
-    shifts integer bounds and the box for one integer lattice scan.
+    shifts integer bounds and the box for one integer lattice scan, run on
+    the variety's ScanPlan.
 
     Exponent sets and counts are cached per degree; E is a fixed auxiliary
     integral divisor (not scaled with k).
@@ -307,14 +326,10 @@ class SectionSystem:
         bounds = [k * a + b for a, b in zip(self._slopes, self._offsets)]
         for i, mu in self._weights:
             bounds[i] += multiplier_coeff(mu, t, clamp=self.clamp)
-        box = [[None, None] for _ in range(self.variety.lattice_rank)]
-        for (i, sign), mults in self.variety.direction_multipliers():
-            val = sum(lam * bounds[r] for r, lam in mults.items())
-            if sign > 0:
-                box[i][0] = val
-            else:
-                box[i][1] = -val
-        return scan_int_points(box, zip(self.variety.rays, bounds), collect)
+        plan, rows = self.variety.scan_plan()
+        box = [(sum(lam * bounds[r] for r, lam in lo),
+                -sum(lam * bounds[r] for r, lam in hi)) for lo, hi in rows]
+        return plan.scan(box, bounds, collect)
 
     def exponents(self, k):
         if k not in self._points:
@@ -334,10 +349,12 @@ class SectionSystem:
 
     def growth(self, stride=1):
         """growth_degree of the counts at degrees stride, 2 stride, ... up to
-        the degree bound."""
+        the degree bound.  A degree is counted only when growth_degree reads
+        it: lattice rank + 2 samples per residue class, unless those leave
+        the class undecided."""
         return growth_degree(
-            [self.count(k) for k in range(stride, self.degree_bound + 1, stride)],
-            self.period(stride))
+            _DegreeCounts(self, range(stride, self.degree_bound + 1, stride)),
+            self.period(stride), cap=self.variety.lattice_rank + 2)
 
     def period(self, stride=1):
         """A period of the counts at degrees stride, 2 stride, ... for large
@@ -347,18 +364,18 @@ class SectionSystem:
         A vertex cut out by rays B moves with a period dividing |det B| times
         the periods of their multiplier coefficients (the denominators of
         k0 stride mu), and the lcm of the vertex periods is a period of the
-        counts."""
-        touching = set(range(len(self.variety.rays)))
+        counts.  The touching rays are cached with Q (Polytope.tight_masks),
+        so none of this depends on the auxiliary divisor."""
+        touching = (1 << len(self.variety.rays)) - 1  # bit i: ray i
         q = limit_polytope(self.variety, self.divisor, self.metric)
         if self.clamp and not q.is_empty():  # Q is the clamped limit
-            verts = q.vertices()
-            touching = {i for i, (ray, c) in enumerate(q.constraints)
-                        if any(dot(v, ray) == c for v in verts)}
-        mu_period = {i: (mu * self.k0 * stride).denominator
+            touching = reduce(or_, q.tight_masks())
+        step = self.k0 * stride
+        mu_period = {i: mu.denominator // gcd(mu.denominator, step)
                      for i, mu in self._weights}
         period = 1
         for sub, det in self.variety.nonsingular_subsets():
-            if touching.issuperset(sub):
+            if all(touching >> i & 1 for i in sub):
                 period = lcm(period, det * lcm(
                     *(mu_period.get(i, 1) for i in sub)))
         return period
@@ -373,6 +390,20 @@ class SectionSystem:
             degree_bound=self.degree_bound)
 
 
+class _DegreeCounts:
+    """The counts of a section system at the given degrees, as a sequence
+    that counts a degree when it is first read."""
+
+    def __init__(self, system, degrees):
+        self.count, self.degrees = system.count, degrees
+
+    def __len__(self):
+        return len(self.degrees)
+
+    def __getitem__(self, i):
+        return self.count(self.degrees[i])
+
+
 def sections_of(variety, divisor, metric=None, k=1, aux=None, clamp=True):
     """Exponent set of the degree-k piece (see SectionSystem)."""
     sys = SectionSystem(variety, divisor, metric=metric, aux=aux,
@@ -384,7 +415,7 @@ def sections_of(variety, divisor, metric=None, k=1, aux=None, clamp=True):
 # exact growth degree shared by the empirical routes
 # ---------------------------------------------------------------------------
 
-def growth_degree(counts, period):
+def growth_degree(counts, period, cap=None):
     """Exact growth degree of the counts at degrees 1..K, or None.
 
     Section counts are eventually quasi-polynomial in k with a period that
@@ -396,24 +427,40 @@ def growth_degree(counts, period):
     difference) with a positive last d-th difference.  NEG_INF when every
     class is dead, None when some class is not determinable from its
     samples, else the largest class degree.
+
+    `counts` is any sequence, read by index.  With a sample cap (at least
+    3), each class first reads only its last `cap` samples, and reads the
+    rest only when no degree below cap - 1 fits them.  The answer is the
+    same as without the cap: the step-d test reads only the last d + 2
+    samples, and the dead and falling rules the last 3.
     """
     best = NEG_INF
     for end in range(max(len(counts) - period, 0), len(counts)):
-        diffs = list(counts[end::-period])[::-1]
-        if diffs[-2:] == [0, 0]:
+        places = range(end, -1, -period)  # the class, from the top down
+        samples = [counts[i] for i in places[:cap]][::-1]
+        if samples[-2:] == [0, 0]:
             continue
-        tail = diffs[-3:]
+        tail = samples[-3:]
         if any(a > b for a, b in zip(tail, tail[1:])):
             return None
-        for d in range(len(diffs) - 1):
-            nxt = [b - a for a, b in zip(diffs, diffs[1:])]
-            if nxt[-1] == 0 and diffs[-1] > 0:
-                best = max(best, d)
-                break
-            diffs = nxt
-        else:
+        degree = _fitting_degree(samples)
+        if degree is None and len(samples) < len(places):
+            degree = _fitting_degree([counts[i] for i in places][::-1])
+        if degree is None:
             return None
+        best = max(best, degree)
     return best
+
+
+def _fitting_degree(samples):
+    """Least d whose last d+2 samples have a vanishing (d+1)-st difference
+    and a positive last d-th difference, or None."""
+    for d in range(len(samples) - 1):
+        nxt = [b - a for a, b in zip(samples, samples[1:])]
+        if nxt[-1] == 0 and samples[-1] > 0:
+            return d
+        samples = nxt
+    return None
 
 
 def certified_growth(counts, period):
@@ -450,13 +497,16 @@ def kappa1(sys):
 
 def kappa2(sys, with_witness=False):
     """Maximal image dimension of the monomial maps: max over nonempty
-    degrees of the affine dimension of the exponent hull."""
+    degrees of the affine dimension of the exponent hull, read up to the
+    first degree of full lattice rank."""
     best = NEG_INF
     witness = None
     for k in sys.support():
         d = int_points_rank(sys.exponents(k))
         if d > best:
             best, witness = d, k
+            if d == sys.variety.lattice_rank:  # no degree can exceed it
+                break
     if with_witness:
         return best, witness
     return best
@@ -539,9 +589,7 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
         return NEG_INF
     verts = q.vertices()
     cons = q.constraints  # parallel to rays by construction
-    # bit i of tight[j]: vertex j lies on the constraint of ray i
-    tight = [sum(1 << i for i, (ray, c) in enumerate(cons) if dot(v, ray) == c)
-             for v in verts]
+    tight = q.tight_masks()  # bit i of tight[j]: vertex j is on ray i
     faces = set()
     for mask in range(1 << len(cons)):
         vset = tuple(j for j, t in enumerate(tight) if t & mask == mask)

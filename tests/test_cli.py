@@ -281,3 +281,68 @@ def test_undecodable_file_is_input_error(tmp_path, capsys):
     assert main(["verify-suite", str(tmp_path), "--format", "json"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"] == [{"file": "bad.json", "kind": "error", "exit": 2}]
+
+
+def corpus_doc(name):
+    return json.loads((CORPUS / name).read_text())
+
+
+def p1xp1_fibration_doc(**body):
+    return {
+        "schema_version": "1", "kind": "fibration",
+        "body": {"variant": "toric_product",
+                 "fiber": {"preset": "projective_space", "n": 1},
+                 "base": {"preset": "projective_space", "n": 1}, **body},
+        "options": {"max_degree": 8},
+    }
+
+
+def test_out_of_range_ray_index_is_input_error(tmp_path, capsys):
+    # P1 has rays 0 and 1; P1xP1 has rays 0..3, and dy_rays index the
+    # base P1
+    kappa = separation_doc()
+    kappa["body"]["metric"] = [{"ray": 9, "weight": "1"}]
+    curve = corpus_doc("fibration_dio_g2.json")
+    curve["body"]["fiber_metric"] = [{"ray": 2, "weight": "2"}]
+    cases = [
+        ("kappa", kappa, "metric: ray index 9 out of range 0..1"),
+        ("fibration", curve, "fiber_metric: ray index 2 out of range 0..1"),
+        ("fibration", p1xp1_fibration_doc(dx_rays=[7]),
+         "dx ray: ray index 7 out of range 0..3"),
+        ("fibration", p1xp1_fibration_doc(dy_rays=[0, -1]),
+         "dy ray: ray index -1 out of range 0..1"),
+        ("fibration", p1xp1_fibration_doc(
+            metric=[{"ray": 4, "weight": "3/2"}], dx_rays=[0]),
+         "metric: ray index 4 out of range 0..3"),
+    ]
+    for command, doc, message in cases:
+        assert main([command, write_instance(tmp_path, doc)]) == 2, message
+        assert capsys.readouterr().err == f"input error: {message}\n"
+    # the last index of each variety is accepted
+    kappa["body"]["metric"] = [{"ray": 1, "weight": "1"}]
+    assert main(["kappa", write_instance(tmp_path, kappa)]) == 0
+    assert main(["fibration", write_instance(tmp_path, p1xp1_fibration_doc(
+        dx_rays=[3], dy_rays=[1], checks=["chain"]))]) == 0
+
+
+def test_twist_degree_below_least_accepted_is_input_error(tmp_path, capsys):
+    # genus 2: curve classes are nonspecial from degree 2g - 1 = 3 on
+    curve = corpus_doc("fibration_dio_g2.json")
+    toric = p1xp1_fibration_doc(checks=["addti"])
+    cases = [(curve, -3, 3), (curve, 2, 3), (toric, -3, 1), (toric, 0, 1)]
+    for doc, twist, least in cases:
+        doc["body"]["twist_degree"] = twist
+        assert main(["fibration", write_instance(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: twist_degree: expected at least {least}, "
+            f"got {twist}\n")
+    # the least accepted value itself runs, and so does the default
+    for doc, twist in ((curve, 3), (toric, 1)):
+        doc["body"]["twist_degree"] = twist
+        assert main(["fibration", write_instance(tmp_path, doc),
+                     "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        addti = [v for v in rep["verdicts"] if v["check"] == "addti"]
+        assert addti and addti[0]["holds"]
+    del curve["body"]["twist_degree"]
+    assert main(["fibration", write_instance(tmp_path, curve)]) == 0

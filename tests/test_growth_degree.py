@@ -3,20 +3,25 @@
 growth_degree reads the degree of an eventually quasi-polynomial count
 sequence off integer finite differences along residue classes of a given
 period.  These tests build such sequences from known polynomials and check
-the reading against exact Lagrange interpolation, then pin the routes that
-use it: the perturbation multiples of kappa_sigma, a period that only the
-rays touching the limit polytope make short enough, and the curve-side
-decision for counts that die out or plateau above 1.
+the reading against exact Lagrange interpolation, check that a per-class
+sample cap with its whole-class fallback reads the same degree, then pin
+the routes that use it: the perturbation multiples of kappa_sigma and the
+degrees they count, a period that only the rays touching the limit
+polytope make short enough, and the curve-side decision for counts that
+die out or plateau above 1.
 """
 
+import json
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kodaira import toric
+from kodaira.cli import parse_variety
 from kodaira.curve import (
     CurveDivisorClass,
     CurveModel,
@@ -34,6 +39,7 @@ from kodaira.toric import (
     ToricVariety,
     check_perturbed,
     growth_degree,
+    kappa2,
     kappa_report,
     kappa_sigma,
 )
@@ -41,6 +47,7 @@ from kodaira.toric import (
 from _oracles import interpolate_polynomial
 
 P1 = ToricVariety.projective_space(1)
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def binomial_poly(coeffs):
@@ -98,7 +105,7 @@ def quasi_polynomials(draw):
     return counts, period, stable, degrees
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(quasi_polynomials())
 def test_growth_degree_against_interpolation(case):
     counts, period, stable, degrees = case
@@ -113,7 +120,7 @@ def test_growth_degree_against_interpolation(case):
     assert growth_degree(counts, period) == expected
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(quasi_polynomials(), st.data())
 def test_short_or_decreasing_class_is_not_determinable(case, data):
     counts, period, _, degrees = case
@@ -133,6 +140,52 @@ def test_short_or_decreasing_class_is_not_determinable(case, data):
     top = len(counts) - 1 - r
     dropped[top] = dropped[top - period] - 1
     assert growth_degree(dropped, period) is None
+
+
+class ReadLog(list):
+    """A count list that records which indices growth_degree reads."""
+
+    def __init__(self, counts):
+        super().__init__(counts)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+@settings(max_examples=300)
+@given(quasi_polynomials(), st.integers(3, 6))
+def test_capped_growth_degree_matches_full_read(case, cap):
+    counts, period, _, degrees = case
+    log = ReadLog(counts)
+    assert growth_degree(log, period, cap) == growth_degree(counts, period)
+    # a class whose degree d satisfies d + 2 <= cap is decided by its last
+    # cap samples; one of higher degree falls back to the whole class
+    for r, d in enumerate(degrees):
+        places = range(len(counts) - 1 - r, -1, -period)
+        if (d or 0) + 2 <= cap:
+            assert log.read.isdisjoint(places[cap:])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 9), max_size=30), st.integers(1, 5),
+       st.integers(3, 6))
+def test_capped_growth_degree_matches_full_read_on_any_counts(counts, period,
+                                                              cap):
+    assert (growth_degree(counts, period, cap)
+            == growth_degree(counts, period))
+
+
+def test_capped_read_falls_back_to_the_whole_class():
+    # cubic counts, read with the cap of a rank-1 lattice: the last three
+    # samples fit no degree below 2, so the whole sequence is read
+    counts = ReadLog([comb(j + 3, 3) for j in range(10)])
+    assert growth_degree(counts, 1, cap=3) == 3
+    assert counts.read == set(range(10))
+    linear = ReadLog(range(1, 11))
+    assert growth_degree(linear, 1, cap=3) == 1
+    assert linear.read == {7, 8, 9}
 
 
 def test_dead_and_constant_classes():
@@ -174,8 +227,8 @@ def test_every_perturbation_multiple_certifies_p3_unit_mu32(monkeypatch):
     # (35, 35, 56, 56, ...).  Every multiple must read the exact value 3.
     readings = []
 
-    def record(counts, period):
-        readings.append(growth_degree(counts, period))
+    def record(counts, period, *args, **kwargs):
+        readings.append(growth_degree(counts, period, *args, **kwargs))
         return readings[-1]
 
     monkeypatch.setattr(toric, "growth_degree", record)
@@ -184,6 +237,31 @@ def test_every_perturbation_multiple_certifies_p3_unit_mu32(monkeypatch):
     assert kappa_sigma(p3, ToricDivisorData((0, 0, 0, 1)), metric,
                        degree_bound=24) == 3
     assert readings == [3] * len(PERTURBATION_MULTIPLES)
+
+
+def test_kappa_sigma_counts_only_the_degrees_it_reads(monkeypatch):
+    # each perturbation multiple reads at most lattice rank + 2 degrees per
+    # residue class of the period; the parent counted all 24 degrees
+    doc = json.loads((CORPUS / "kappa_p2_ample.json").read_text())
+    variety = parse_variety(doc["body"]["variety"])
+    divisor = ToricDivisorData(tuple(doc["body"]["coefficients"]))
+    bound = doc["options"]["max_degree"]
+    scanned = []
+    real_scan = SectionSystem._scan
+
+    def scan(sys, k, collect):
+        scanned.append(k)
+        return real_scan(sys, k, collect)
+
+    monkeypatch.setattr(SectionSystem, "_scan", scan)
+    assert kappa_sigma(variety, divisor, degree_bound=bound) == 2
+    period = SectionSystem(variety, divisor, degree_bound=bound).period()
+    n = variety.lattice_rank
+    assert 0 < len(scanned) <= len(PERTURBATION_MULTIPLES) * (n + 2) * period
+    # kappa2 stops at the first degree whose exponents span the lattice
+    sys = SectionSystem(variety, divisor, degree_bound=bound)
+    assert kappa2(sys, with_witness=True) == (2, 1)
+    assert set(sys._points) == {1}
 
 
 def test_period_uses_only_rays_touching_the_limit_polytope():

@@ -67,7 +67,7 @@ point_sets = st.one_of(
 ).flatmap(with_duplicates)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(point_sets)
 def test_convex_hull_matches_oracles(pts):
     n = len(pts[0])
@@ -84,7 +84,7 @@ def test_convex_hull_matches_oracles(pts):
         assert Polytope(n, hull.constraints).vertices() == hull.vertices()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.lists(st.tuples(*[small_int] * 3), min_size=8, max_size=13))
 def test_convex_hull_of_crowded_integer_sets(pts):
     # crowded sets leave triangulation corners on hull edges and facets;
@@ -97,7 +97,7 @@ def test_convex_hull_of_crowded_integer_sets(pts):
         p for p in set(pts) if sum(dot(p, w) == h for w, h in facets) >= 3}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.one_of(free_sets(2, 3, 9), free_sets(3, 4)).flatmap(with_duplicates))
 def test_lattice_volume_matches_pyramid_oracle(pts):
     n = len(pts[0])
@@ -106,7 +106,7 @@ def test_lattice_volume_matches_pyramid_oracle(pts):
     assert lattice_volume(convex_hull(pts), basis) == pyramid_volume(pts)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(2, 3).flatmap(lambda q: st.tuples(
     free_sets(q, q + 1), st.tuples(*[small_int] * (q + 1)),
     st.lists(st.tuples(*[small_int] * (q + 1)), min_size=q, max_size=q))))
@@ -130,7 +130,7 @@ def test_convex_hull_rejects_four_dimensional_sets():
     assert convex_hull(simplex[:4]).affine_dim() == 3
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=8)))
 def test_hnf_basis_equals_full_hnf(rows):
