@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, repeat
+from operator import add, mul, sub
 
 Rat = Fraction
 
@@ -31,7 +32,7 @@ class UnboundedPolytopeError(GeometryError):
 # ---------------------------------------------------------------------------
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -39,7 +40,7 @@ def vadd(u, v):
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def is_zero(u):
@@ -139,49 +140,6 @@ def hnf_basis(rows):
     return [r for r in h if not is_zero(r)]
 
 
-def in_row_lattice(vec, basis):
-    """Membership of an integer vector in the lattice spanned by HNF rows."""
-    v = [int(x) for x in vec]
-    for row in basis:
-        col = next((j for j, x in enumerate(row) if x != 0), None)
-        if col is None:
-            continue
-        if v[col] % row[col] != 0:
-            return False
-        q = v[col] // row[col]
-        if q:
-            for j in range(len(v)):
-                v[j] -= q * row[j]
-    return all(x == 0 for x in v)
-
-
-def solve_in_lattice(target, rows):
-    """Integer coefficients x with x * rows == target, or None."""
-    h, u = hnf(rows)
-    v = [int(x) for x in target]
-    coeff = [0] * len(h)
-    for i, row in enumerate(h):
-        col = next((j for j, x in enumerate(row) if x != 0), None)
-        if col is None:
-            continue
-        if v[col] % row[col] != 0:
-            return None
-        q = v[col] // row[col]
-        coeff[i] = q
-        if q:
-            for j in range(len(v)):
-                v[j] -= q * row[j]
-    if any(x != 0 for x in v):
-        return None
-    m = len(rows)
-    out = [0] * m
-    for i in range(len(h)):
-        if coeff[i]:
-            for j in range(m):
-                out[j] += coeff[i] * u[i][j]
-    return tuple(out)
-
-
 def int_kernel(rows):
     """Basis of the left kernel {x integer : x * rows = 0}."""
     h, u = hnf(rows)
@@ -207,7 +165,7 @@ def det_int(rows):
     n = len(rows)
     if n == 0:
         return 1
-    a = [list(int(x) for x in r) for r in rows]
+    a = [[int(x) for x in r] for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -587,11 +545,6 @@ class Polytope:
                 self._affine_dim = affine_rank(self.vertices())
         return self._affine_dim
 
-    def dilate(self, k):
-        """The dilate k*P (bounds scale, normals do not)."""
-        p = Polytope(self.ambient_dim, [(v, c * k) for v, c in self.constraints])
-        return p
-
     # -- lattice points ------------------------------------------------------
 
     def _int_box(self):
@@ -811,108 +764,121 @@ def lattice_points(poly):
 
 
 # ---------------------------------------------------------------------------
-# convex hull (exact integer arithmetic, dims 0..3 intrinsic)
+# convex hull (exact integer arithmetic, any intrinsic dimension)
 # ---------------------------------------------------------------------------
 
-def _hull_2d(points):
-    """Andrew monotone chain.  Returns hull vertices in ccw order."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _normal(rows):
+    """Integer normal w of d - 1 vectors in Z^d with <w, x> = det(x; rows):
+    the cofactors along the first row."""
+    return tuple((-1) ** i * det_int([r[:i] + r[i + 1:] for r in rows])
+                 for i in range(len(rows) + 1))
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+def _dots(w, points):
+    """<w, p> for each point, summed one coordinate column at a time."""
+    out = repeat(0, len(points))
+    for a, col in zip(w, zip(*points)):
+        if a:
+            out = map(add, out, map(mul, repeat(a), col))
+    return list(out)
 
 
-def _hull_3d(pts):
-    """Facets {(primitive outward normal w, h)}, with <p, w> <= h on the
-    hull, of sorted distinct integer points spanning R^3, and the corners of
-    the final triangulation (a superset of the hull's vertices).
+def _hull(pts):
+    """Boundary simplices (corners, w, h) of the hull of sorted distinct
+    integer points spanning R^d, d >= 2: w is a primitive outward normal,
+    <p, w> <= h on the hull with equality at the d corners.
 
-    Beneath-beyond with conflict lists: each point waits on one triangle it
-    is strictly beyond, a triangle's farthest waiting point is added next,
-    and a point that no new triangle sees lies in the closed hull and is
-    dropped.  Orientation tests are integer dot products with a triangle's
-    primitive cross-product normal, so coplanar triangles merge as equal
-    (normal, offset) pairs.
+    Beneath-beyond with conflict lists (Quickhull): each point waits on one
+    simplex it is strictly beyond, a simplex's farthest waiting point is
+    added next, and a point that no new simplex sees lies in the closed hull
+    and is dropped.  Orientation tests are integer dot products with a
+    simplex's primitive cofactor normal, so the simplices of one facet share
+    one (normal, offset) pair.  Normals point away from the centroid of the
+    first simplex, which stays interior; ridges are keyed by corner sets.
     """
-    a, b = pts[0], pts[-1]
-    ab = vsub(b, a)
-    c = max(pts, key=lambda p: sum(x * x for x in _cross(ab, vsub(p, a))))
-    nrm = _cross(ab, vsub(c, a))
-    d = max(pts, key=lambda p: abs(dot(nrm, vsub(p, a))))
-    if dot(nrm, vsub(d, a)) < 0:
-        c, d = d, c  # positively oriented, so the faces below point outward
-    faces, edges, waiting = {}, {}, {}
+    d = len(pts[0])
+    simplex = [pts[0], pts[-1]]
+    while len(simplex) <= d:
+        # add the point farthest from the simplex's affine span: its squared
+        # distance times the simplex's squared volume is the sum of the
+        # squares of the maximal minors of the edges with it (Cauchy-Binet),
+        # each linear in the point
+        a = simplex[0]
+        rows = [vsub(p, a) for p in simplex[1:]]
+        score = [0] * len(pts)
+        for cols in combinations(range(d), len(simplex)):
+            minor = dict(zip(cols, _normal([[r[j] for j in cols] for r in rows])))
+            w = [minor.get(j, 0) for j in range(d)]
+            c = dot(w, a)
+            score = [s + (x - c) ** 2 for s, x in zip(score, _dots(w, pts))]
+        simplex.append(pts[score.index(max(score))])
+    center = [sum(col) for col in zip(*simplex)]  # d + 1 times the centroid
+    facets, ridges, waiting = {}, {}, {}
     ids = count()
 
-    def make(p, q, r):
-        w = primitive(_cross(vsub(q, p), vsub(r, p)))
+    def make(corners):
+        w = primitive(_normal([vsub(p, corners[0]) for p in corners[1:]]))
+        h = dot(w, corners[0])
+        if dot(w, center) > (d + 1) * h:
+            w, h = tuple(-x for x in w), -h
         f = next(ids)
-        faces[f] = (p, q, r, w, dot(w, p))
-        edges[p, q] = edges[q, r] = edges[r, p] = f
+        facets[f] = (corners, w, h)
+        for i in range(d):
+            ridges.setdefault(frozenset(corners[:i] + corners[i + 1:]),
+                              []).append(f)
         waiting[f] = []
         return f
 
     def assign(points, new):
-        for x in points:
-            for f in new:
-                w, h = faces[f][3:]
-                if w[0] * x[0] + w[1] * x[1] + w[2] * x[2] > h:
-                    waiting[f].append(x)
-                    break
+        # each point waits on the first new simplex it is beyond; corners,
+        # the apex among them, are beyond none
+        for f in new:
+            _, w, h = facets[f]
+            dots = _dots(w, points)
+            waiting[f] = [p for p, x in zip(points, dots) if x > h]
+            points = [p for p, x in zip(points, dots) if x <= h]
 
-    todo = [make(b, c, d), make(a, d, c), make(a, b, d), make(a, c, b)]
-    assign([p for p in pts if p not in (a, b, c, d)], todo)
+    todo = [make(tuple(simplex[:i] + simplex[i + 1:])) for i in range(d + 1)]
+    assign(pts, todo)
     while todo:
         f = todo.pop()
-        if f not in faces or not waiting[f]:
+        if f not in facets or not waiting[f]:
             continue
-        w = faces[f][3]
-        apex = max(waiting[f], key=lambda x: dot(w, x))
-        seen = {g for g, face in faces.items() if dot(face[3], apex) > face[4]}
+        far = _dots(facets[f][1], waiting[f])
+        apex = waiting[f][far.index(max(far))]
+        seen = {g for g, (_, v, c) in facets.items() if dot(v, apex) > c}
         horizon, orphans = [], []
         for g in seen:
-            p, q, r = faces.pop(g)[:3]
-            horizon += [(s, t) for s, t in ((p, q), (q, r), (r, p))
-                        if edges[t, s] not in seen]
+            corners = facets.pop(g)[0]
             orphans += waiting.pop(g)
-        new = [make(p, q, apex) for p, q in horizon]
-        assign([x for x in orphans if x != apex], new)
+            for i in range(d):
+                ridge = frozenset(corners[:i] + corners[i + 1:])
+                pair = ridges[ridge]
+                pair.remove(g)
+                if not pair:
+                    del ridges[ridge]
+                elif pair[0] not in seen:
+                    horizon.append(ridge)
+        new = [make(tuple(ridge) + (apex,)) for ridge in horizon]
+        assign(orphans, new)
         todo += new
-    return ({face[3:] for face in faces.values()},
-            {p for face in faces.values() for p in face[:3]})
+    return list(facets.values())
 
 
 def convex_hull(points, ambient_dim=None):
-    """Exact convex hull of rational points (ints or Fractions) as a Polytope.
+    """Exact convex hull of rational points (ints or Fractions) as a Polytope,
+    in any dimension.
 
     The points are scaled once by their common denominator; everything after
-    that is integer arithmetic.  The affine rank and the coordinates to
-    project on come from an IntLattice that stops at full rank; the 2-D hull
-    is a monotone chain and the 3-D hull an incremental beneath-beyond hull
-    (`_hull_3d`), with no cap on the number of points; facet bounds are read
-    off the vertices.  Only the output vertices and bounds are divided back
-    into Fractions.  Since conv(A ∪ B) = conv(vert conv A ∪ vert conv B) for
-    any point sets, a caller may first cut each part of a large input down
-    to the vertices of its own hull (`regularize` does so per level).
+    that is integer arithmetic.  The affine rank d and the coordinates to
+    project on come from an IntLattice that stops at full rank; for d >= 2
+    the hull is one incremental beneath-beyond hull (`_hull`), with no cap on
+    the number of points or the dimension.  Facet bounds are read off the
+    simplices, and a hull point is a vertex when its tight facet normals span
+    d dimensions.  Only the output vertices and bounds are divided back into
+    Fractions.  Since conv(A ∪ B) = conv(vert conv A ∪ vert conv B) for any
+    point sets, a caller may first cut each part of a large input down to the
+    vertices of its own hull (`regularize` does so per level).
 
     The returned polytope caches the minimal vertex set (lexicographically
     sorted) and its affine dimension; lower-dimensional hulls get explicit
@@ -920,7 +886,7 @@ def convex_hull(points, ambient_dim=None):
     """
     rows = [tuple(p) for p in points]
     den = math.lcm(1, *(x.denominator for p in rows for x in p))
-    pts = sorted({tuple(x.numerator * (den // x.denominator) for x in p)
+    pts = sorted({tuple([x.numerator * (den // x.denominator) for x in p])
                   for p in rows})
     if not pts:
         n = 0 if ambient_dim is None else ambient_dim
@@ -940,8 +906,6 @@ def convex_hull(points, ambient_dim=None):
         lat.add(vsub(p, p0))
     cols = lat.pivots  # d coordinates on which the differences have full rank
     d = len(cols)
-    if d > 3:
-        raise GeometryError("convex hull only implemented through dimension 3")
 
     def embed(w):
         e = [0] * n
@@ -956,7 +920,8 @@ def convex_hull(points, ambient_dim=None):
             b = Fraction(dot(p0, w), den)
             constraints.append((w, b))
             constraints.append((tuple(-x for x in w), -b))
-    proj = [tuple(p[c] for c in cols) for p in pts]
+    columns = list(zip(*pts))
+    proj = list(zip(*[columns[c] for c in cols]))
     back = dict(zip(proj, pts))
     if d == 0:
         verts = [p0]
@@ -965,19 +930,20 @@ def convex_hull(points, ambient_dim=None):
         verts = [p0, pts[-1]]
         constraints.append((embed((1,)), Fraction(proj[0][0], den)))
         constraints.append((embed((-1,)), Fraction(-proj[-1][0], den)))
-    elif d == 2:
-        hull = _hull_2d(proj)
-        verts = [back[q] for q in hull]
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            w = primitive((a[1] - b[1], b[0] - a[0]))  # ccw: interior on the left
-            constraints.append((embed(w), Fraction(dot(a, w), den)))
     else:
-        facets, corners = _hull_3d(proj)
-        for w, h in sorted(facets):
+        simplices = _hull(proj)
+        facets = sorted({(w, h) for _, w, h in simplices})
+        for w, h in facets:
             constraints.append((embed(tuple(-x for x in w)), Fraction(-h, den)))
-        # a hull point is a vertex iff its tight facet normals span 3 dims
-        verts = [back[q] for q in corners if int_points_rank(
-            [(0, 0, 0)] + [w for w, h in facets if dot(q, w) == h]) == 3]
+        # the simplices form a triangulation of the boundary, so a corner
+        # lies on exactly the facets of the simplices it is a corner of; it
+        # is a vertex iff their normals span d dimensions
+        tight = {}
+        for corners, w, _ in simplices:
+            for q in corners:
+                tight.setdefault(q, set()).add(w)
+        verts = [back[q] for q, ws in tight.items()
+                 if any(det_int(sub) for sub in combinations(ws, d))]
 
     poly = Polytope(n, constraints)
     poly._vertices = tuple(sorted(tuple(Fraction(x, den) for x in v) for v in verts))
@@ -992,12 +958,15 @@ def convex_hull(points, ambient_dim=None):
 # ---------------------------------------------------------------------------
 
 def lattice_volume(poly, basis):
-    """Volume of a bounded polytope in coordinates of a direction lattice.
+    """Volume of a bounded polytope in coordinates of a direction lattice,
+    in any dimension.
 
     `basis` must span the direction space of the polytope's affine hull; the
     result is invariant under unimodular change of that basis.  Dimension 0
-    returns 1.  Computed exactly by triangulating the vertex hull; in
-    dimension 3 the facets are read off the polytope's own constraints.
+    returns 1.  Computed exactly by a pulling triangulation from one vertex:
+    the vertex coordinates in the basis, scaled to integers by their common
+    denominator den, are hulled by `_hull`, and the cones from the vertex
+    over its boundary simplices give sum |det| / (q! den^q).
     """
     verts = poly.vertices()
     if not verts:
@@ -1021,35 +990,9 @@ def lattice_volume(poly, basis):
     if q == 1:
         vals = [c[0] for c in coords]
         return max(vals) - min(vals)
-    if q == 2:
-        hull = _hull_2d(coords)
-        return Fraction(abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
-                                in zip(hull, hull[1:] + hull[:1]))), 2)
-    if q == 3:
-        # a facet is the vertex set tight on some constraint, when that holds
-        # at least three but not all vertices; fan out from vertex 0 (at the
-        # origin of `coords`) over the facets that miss it
-        rings = {frozenset(i for i, v in enumerate(verts) if dot(v, w) == c)
-                 for w, c in poly.constraints}
-        total = Fraction(0)
-        for ring in rings:
-            if 3 <= len(ring) < len(verts) and 0 not in ring:
-                a, *rest = _order_facet_cycle([coords[i] for i in ring])
-                for b, c in zip(rest, rest[1:]):
-                    total += abs(dot(a, _cross(b, c)))
-        return total / 6
-    raise GeometryError("volume only implemented through dimension 3")
-
-
-def _order_facet_cycle(ring):
-    """Order coplanar points in convex position into a convex cycle (project
-    out the largest coordinate of their plane's normal)."""
-    normal = _cross(vsub(ring[1], ring[0]), vsub(ring[2], ring[0]))
-    i = max(range(3), key=lambda j: abs(normal[j]))
-    keep = [j for j in range(3) if j != i]
-    flat = [(p[keep[0]], p[keep[1]]) for p in ring]
-    hull = _hull_2d(flat)
-    back = {}
-    for p, f in zip(ring, flat):
-        back.setdefault(f, p)
-    return [back[f] for f in hull]
+    # v0 sits at the origin of `coords`, so each cone's volume is the
+    # determinant of its simplex's corners
+    den = math.lcm(1, *(x.denominator for c in coords for x in c))
+    pts = sorted({tuple(int(x * den) for x in c) for c in coords})
+    total = sum(abs(det_int(corners)) for corners, _, _ in _hull(pts))
+    return Fraction(total, math.factorial(q) * den ** q)

@@ -30,7 +30,6 @@ from .lattice import (
     int_points_rank,
     is_zero,
     primitive,
-    solve_rational,
     vsub,
 )
 from .multiplier import EMPTY_METRIC, coeff_limit, multiplier_coeff
@@ -246,13 +245,17 @@ def divisor_polytope(variety, divisor, k=1):
 def is_ample(variety, divisor):
     """Ampleness on a smooth complete fan: D is integral and, for every
     maximal cone sigma, the point m_sigma with <m_sigma, v_rho> = -b_rho on
-    sigma's rays satisfies <m_sigma, v_rho> > -b_rho on every other ray."""
+    sigma's rays satisfies <m_sigma, v_rho> > -b_rho on every other ray.
+    m_sigma is integral, by Cramer's rule: each coordinate is a determinant
+    times the cone's determinant, which is +-1 (direction_multipliers)."""
     if not divisor.is_integral():
         return False
-    b = divisor.coefficients
+    b = [int(c) for c in divisor.coefficients]
     for cone in variety.max_cones:
-        idx = sorted(cone)
-        m = solve_rational([variety.rays[i] for i in idx], [-b[i] for i in idx])
+        rows = [variety.rays[i] + (-b[i],) for i in sorted(cone)]
+        det = det_int([r[:-1] for r in rows])
+        m = [det * det_int([r[:j] + r[-1:] + r[j + 1:-1] for r in rows])
+             for j in range(variety.lattice_rank)]
         if any(dot(m, ray) <= -c for i, (ray, c) in enumerate(zip(variety.rays, b))
                if i not in cone):
             return False

@@ -1,4 +1,4 @@
-"""Deterministic instance corpora used by the verification suite.
+"""Deterministic instance corpora used by the acceptance and hull tests.
 
 Everything here is enumerated, never sampled: the acceptance checks are
 exact statements about every generated instance.
@@ -9,15 +9,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .curve import CurveDivisorClass, CurveModel
-from .fibration import (
+from kodaira.curve import CurveDivisorClass, CurveModel
+from kodaira.fibration import (
     CurveProductInstance,
     ToricFibrationInstance,
     hirzebruch_fibration,
     product_fibration,
 )
-from .multiplier import SingularMetricData
-from .toric import SectionSystem, ToricDivisorData, ToricVariety
+from kodaira.multiplier import SingularMetricData
+from kodaira.toric import SectionSystem, ToricDivisorData, ToricVariety
 
 P1 = ToricVariety.projective_space(1)
 P2 = ToricVariety.projective_space(2)

@@ -2,7 +2,9 @@
 
 Every oracle here deliberately uses a different algorithm than the library
 path it checks (enumeration, interpolation, Caratheodory decomposition), so
-expected values are computed rather than copied.
+expected values are computed rather than copied.  The module also holds the
+lattice helpers that only tests use (`in_row_lattice`, `solve_in_lattice`,
+`dilate`).
 """
 
 import math
@@ -10,31 +12,31 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from kodaira.lattice import dot, solve_linear_system, vsub
+from kodaira.lattice import Polytope, dot, hnf, solve_linear_system, vsub
 
 
 def in_hull(point, points):
     """Caratheodory membership test: point lies in conv(points) iff it lies in
-    the hull of some subset of size dim+1 (checked by solving barycentric
-    coordinates exactly)."""
+    the hull of some dim + 1 of them, dim the dimension of their affine hull
+    (checked by solving barycentric coordinates exactly)."""
     pts = list(points)
     if not pts:
         return False
     n = len(pts[0])
-    for r in range(1, min(len(pts), n + 1) + 1):
-        for sub in combinations(pts, r):
-            rows = [[Fraction(p[i]) for p in sub] for i in range(n)]
-            rows.append([Fraction(1)] * r)
-            rhs = [Fraction(point[i]) for i in range(n)] + [Fraction(1)]
-            lam = solve_linear_system(rows, rhs)
-            if lam is not None and all(x >= 0 for x in lam):
-                # solve_linear_system returns one solution; verify it
-                ok = all(
-                    sum(lam[j] * sub[j][i] for j in range(r)) == point[i]
-                    for i in range(n)
-                ) and sum(lam) == 1
-                if ok:
-                    return True
+    r = affine_dimension(pts) + 1
+    for sub in combinations(pts, r):
+        rows = [[Fraction(p[i]) for p in sub] for i in range(n)]
+        rows.append([Fraction(1)] * r)
+        rhs = [Fraction(point[i]) for i in range(n)] + [Fraction(1)]
+        lam = solve_linear_system(rows, rhs)
+        if lam is not None and all(x >= 0 for x in lam):
+            # solve_linear_system returns one solution; verify it
+            ok = all(
+                sum(lam[j] * sub[j][i] for j in range(r)) == point[i]
+                for i in range(n)
+            ) and sum(lam) == 1
+            if ok:
+                return True
     return False
 
 
@@ -60,6 +62,54 @@ def _reduce_mod(v, basis):
         for j in range(len(v)):
             v[j] -= q * row[j]
     return tuple(v)
+
+
+def in_row_lattice(vec, basis):
+    """Membership of an integer vector in the lattice spanned by HNF rows."""
+    v = [int(x) for x in vec]
+    for row in basis:
+        col = next((j for j, x in enumerate(row) if x != 0), None)
+        if col is None:
+            continue
+        if v[col] % row[col] != 0:
+            return False
+        q = v[col] // row[col]
+        if q:
+            for j in range(len(v)):
+                v[j] -= q * row[j]
+    return all(x == 0 for x in v)
+
+
+def solve_in_lattice(target, rows):
+    """Integer coefficients x with x * rows == target, or None."""
+    h, u = hnf(rows)
+    v = [int(x) for x in target]
+    coeff = [0] * len(h)
+    for i, row in enumerate(h):
+        col = next((j for j, x in enumerate(row) if x != 0), None)
+        if col is None:
+            continue
+        if v[col] % row[col] != 0:
+            return None
+        q = v[col] // row[col]
+        coeff[i] = q
+        if q:
+            for j in range(len(v)):
+                v[j] -= q * row[j]
+    if any(x != 0 for x in v):
+        return None
+    m = len(rows)
+    out = [0] * m
+    for i in range(len(h)):
+        if coeff[i]:
+            for j in range(m):
+                out[j] += coeff[i] * u[i][j]
+    return tuple(out)
+
+
+def dilate(poly, k):
+    """The dilate k*P of an H-polytope (bounds scale, normals do not)."""
+    return Polytope(poly.ambient_dim, [(v, c * k) for v, c in poly.constraints])
 
 
 def interpolate_polynomial(samples):
@@ -155,23 +205,29 @@ def _primitive_normal(v):
     return tuple(x // g for x in w)
 
 
+def laplace_det(rows):
+    """Determinant by cofactor expansion along the first row (no pivoting,
+    no division), independent of the library's Bareiss `det_int`."""
+    if not rows:
+        return 1
+    return sum((-1) ** i * a * laplace_det([r[:i] + r[i + 1:] for r in rows[1:]])
+               for i, a in enumerate(rows[0]) if a)
+
+
 def facet_scan(points):
-    """Facets of conv(points), a full-dimensional set in R^2 or R^3, by
-    enumerating every line or plane through two or three of the points, a
-    quartic scan independent of the library's incremental hull: those with
-    all points on one side, as (primitive inward normal, Fraction bound)."""
+    """Facets of conv(points), a full-dimensional set in R^n, n >= 2, by
+    enumerating every hyperplane through n of the points, a scan independent
+    of the library's incremental hull: those with all points on one side, as
+    (primitive inward normal, Fraction bound).  A hyperplane's normal is the
+    vector of Laplace cofactors of its n - 1 difference vectors."""
     pts = sorted({tuple(Fraction(x) for x in p) for p in points})
     n = len(pts[0])
     facets = set()
     for sub in combinations(pts, n):
         a = sub[0]
         u = [vsub(p, a) for p in sub[1:]]
-        if n == 2:
-            nrm = (-u[0][1], u[0][0])
-        else:
-            nrm = (u[0][1] * u[1][2] - u[0][2] * u[1][1],
-                   u[0][2] * u[1][0] - u[0][0] * u[1][2],
-                   u[0][0] * u[1][1] - u[0][1] * u[1][0])
+        nrm = tuple((-1) ** i * laplace_det([r[:i] + r[i + 1:] for r in u])
+                    for i in range(n))
         if all(x == 0 for x in nrm):
             continue
         nrm = _primitive_normal(nrm)
@@ -183,7 +239,7 @@ def facet_scan(points):
 
 
 def pyramid_volume(points):
-    """Euclidean volume of conv(points), a full-dimensional set in R^1..R^3:
+    """Euclidean volume of conv(points), a full-dimensional set in R^d, d >= 1:
     the pyramids from one point over the facets of `facet_scan`, each facet
     measured through its projection to a coordinate hyperplane (which scales
     its area by |w_i| / |w|, so no square root appears)."""

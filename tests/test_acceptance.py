@@ -8,13 +8,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from kodaira.corpus import (
-    boundary_subset_instances,
-    corpus_section_systems,
-    curve_product_instances,
-    metric_fibration_instances,
-    toric_kappa_corpus,
-)
 from kodaira.curve import CurveDivisorClass
 from kodaira.fibration import (
     iitaka_analysis,
@@ -38,6 +31,14 @@ from kodaira.toric import (
     kappa_sigma,
 )
 from kodaira.multiplier import SingularMetricData
+
+from _corpus import (
+    boundary_subset_instances,
+    corpus_section_systems,
+    curve_product_instances,
+    metric_fibration_instances,
+    toric_kappa_corpus,
+)
 
 
 @contextmanager

@@ -1,23 +1,23 @@
-"""Differential tests of the integer convex hull and the 3-D Okounkov bodies.
+"""Differential tests of the integer convex hull and the Okounkov bodies of
+rank 3 and 4.
 
-`convex_hull` scales rational points to integers and builds 3-D hulls
-incrementally; these tests check it against the independent facet scan,
-Caratheodory vertex test and pyramid volume of `_oracles`, on small
-coordinates with duplicate, collinear, coplanar and embedded inputs.  They
-also pin the rank-3 corpus bodies, whose slices hold hundreds of points.
+`convex_hull` scales rational points to integers and builds hulls of any
+dimension incrementally; these tests check it and `lattice_volume` against
+the independent facet scan, Caratheodory vertex test and pyramid volume of
+`_oracles`, in dimensions 2 to 4, on small coordinates with duplicate,
+collinear, coplanar and embedded inputs.  They also pin the rank-3 corpus
+bodies, whose slices hold hundreds of points, and rank-4 semigroups.
 """
 
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kodaira.cli import main
-from kodaira.corpus import corpus_section_systems
 from kodaira.lattice import (
-    GeometryError,
     Polytope,
     convex_hull,
     dot,
@@ -28,6 +28,7 @@ from kodaira.lattice import (
 from kodaira.semigroup import growth_law_check, regularize
 from kodaira.toric import kappa2
 
+from _corpus import corpus_section_systems
 from _oracles import (
     affine_dimension,
     facet_scan,
@@ -63,12 +64,17 @@ def embedded_sets(draw, n):
 
 
 point_sets = st.one_of(
-    free_sets(2, 3, 9), free_sets(3, 4), embedded_sets(2), embedded_sets(3),
+    free_sets(2, 3, 9), free_sets(3, 4), free_sets(4, 5, 8),
+    embedded_sets(2), embedded_sets(3), embedded_sets(4),
 ).flatmap(with_duplicates)
 
 
 @settings(max_examples=120)
 @given(point_sets)
+# a triangulation corner inside a hull edge that lies on four facets: it is
+# no vertex, since the facet normals there span only three dimensions
+@example([(-2, 1, 0, 1), (-2, -2, 0, -1), (2, 2, -1, 1), (2, -1, 2, 1),
+          (0, 0, 1, 1), (1, -1, -2, -2), (-2, 2, -2, 1)])
 def test_convex_hull_matches_oracles(pts):
     n = len(pts[0])
     hull = convex_hull(pts)
@@ -98,7 +104,8 @@ def test_convex_hull_of_crowded_integer_sets(pts):
 
 
 @settings(max_examples=60)
-@given(st.one_of(free_sets(2, 3, 9), free_sets(3, 4)).flatmap(with_duplicates))
+@given(st.one_of(free_sets(2, 3, 9), free_sets(3, 4), free_sets(4, 5, 8))
+       .flatmap(with_duplicates))
 def test_lattice_volume_matches_pyramid_oracle(pts):
     n = len(pts[0])
     assume(affine_dimension(pts) == n)
@@ -107,7 +114,7 @@ def test_lattice_volume_matches_pyramid_oracle(pts):
 
 
 @settings(max_examples=40)
-@given(st.integers(2, 3).flatmap(lambda q: st.tuples(
+@given(st.integers(2, 4).flatmap(lambda q: st.tuples(
     free_sets(q, q + 1), st.tuples(*[small_int] * (q + 1)),
     st.lists(st.tuples(*[small_int] * (q + 1)), min_size=q, max_size=q))))
 def test_lattice_volume_in_an_embedded_direction_lattice(case):
@@ -122,11 +129,13 @@ def test_lattice_volume_in_an_embedded_direction_lattice(case):
     assert lattice_volume(convex_hull(pts), basis) == pyramid_volume(params)
 
 
-def test_convex_hull_rejects_four_dimensional_sets():
+def test_convex_hull_of_the_four_simplex():
     simplex = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    with pytest.raises(GeometryError, match="through dimension 3"):
-        convex_hull(simplex)
-    # a 3-simplex inside R^4 is still in range
+    hull = convex_hull(simplex)
+    assert hull.affine_dim() == 4
+    assert len(hull.constraints) == 5
+    assert hull.vertices() == tuple(sorted(simplex))
+    # a 3-simplex inside R^4 keeps its affine dimension
     assert convex_hull(simplex[:4]).affine_dim() == 3
 
 
@@ -178,3 +187,32 @@ def test_semigroup_cli_rank3_beyond_160_slice_points(tmp_path, capsys):
     assert rep["regularization"]["okounkov_vertices"] == [
         [str(x), str(y), str(z), "1"] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     assert rep["growth_law"]["predicted"] == "1"
+
+
+def _unit(i, n):
+    return [int(i == j) for j in range(n)]
+
+
+SIMPLEX_P4 = {"generators": [[0, 0, 0, 0, 1]] + [_unit(i, 4) + [1] for i in range(4)]}
+CUBE_4 = {"levels": {str(k): [[x, y, z, t] for x in range(k + 1) for y in range(k + 1)
+                              for z in range(k + 1) for t in range(k + 1)]
+                     for k in range(1, 5)}}
+
+
+@pytest.mark.parametrize("body, predicted", [(SIMPLEX_P4, "1/24"), (CUBE_4, "1")],
+                         ids=["p4_simplex", "cube4"])
+def test_rank4_semigroups_regularize(tmp_path, capsys, body, predicted):
+    # body dimension 4, and the growth-law gap shrinks from k_max 20 to 80
+    gaps = []
+    for k_max in (20, 80):
+        path = tmp_path / f"rank4_{k_max}.json"
+        path.write_text(json.dumps({
+            "schema_version": "1", "kind": "semigroup",
+            "body": {"ambient_rank": 4, **body},
+            "options": {"max_degree": 4, "growth_k_max": k_max}}))
+        assert main(["semigroup", str(path), "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["regularization"]["okounkov_dim"] == 4
+        assert rep["growth_law"]["predicted"] == predicted
+        gaps.append(Fraction(rep["growth_law"]["relative_gap"]))
+    assert gaps[1] < gaps[0]

@@ -28,7 +28,7 @@ from kodaira.toric import (
     kappa_sigma_hor,
 )
 
-from _oracles import hull_vertex_set, semigroup_level_points
+from _oracles import hull_vertex_set, in_row_lattice, semigroup_level_points
 
 P1 = ToricVariety.projective_space(1)
 
@@ -107,7 +107,7 @@ def test_polytope_sweep_against_grid_oracle():
 
 
 def test_hnf_sweep_canonical_and_unimodular():
-    from kodaira.lattice import det_int, hnf, hnf_basis, in_row_lattice
+    from kodaira.lattice import det_int, hnf, hnf_basis
 
     rng = random.Random(3)
     for _ in range(120):

@@ -12,7 +12,7 @@ from kodaira.semigroup import (
     regularize,
 )
 
-from _oracles import semigroup_level_points
+from _oracles import semigroup_level_points, solve_in_lattice
 
 
 STAIRCASE = GradedSemigroup.from_generators([(0, 1), (1, 1)])
@@ -237,7 +237,7 @@ def test_hilbert_reg_coset_structure():
     # G = Z(1,2) + Z(0,4): level projection has index 2, and the group points
     # at even levels sit on a shifted sublattice of Z x {level};
     # oracle: scan a wide strip and test group membership plus cone membership
-    from kodaira.lattice import dot, solve_in_lattice
+    from kodaira.lattice import dot
 
     sg = GradedSemigroup.from_generators([(1, 2), (0, 4)])
     reg = regularize(sg)
