@@ -290,14 +290,10 @@ def subgroup_rank_index(generators, ambient=None):
     if ambient is not None:
         amb = hnf_basis(ambient)
         ambient_rank = len(amb)
-        cols = [list(col) for col in zip(*amb)]
-        coords = []
-        for g in gens:
-            c = solve_linear_system(cols, g)
-            if c is None or any(x.denominator != 1 for x in c):
-                raise GeometryError("not in ambient lattice")
-            coords.append(tuple(int(x) for x in c))
-        gens = coords
+        coords = basis_coords(amb, gens)
+        if any(x.denominator != 1 for c in coords for x in c):
+            raise GeometryError("not in ambient lattice")
+        gens = [tuple(int(x) for x in c) for c in coords]
     else:
         ambient_rank = len(gens[0]) if gens else 0
     basis = hnf_basis(gens)
@@ -565,10 +561,6 @@ class Polytope:
         return self._lattice_scan(collect=False)
 
     def _lattice_scan(self, collect):
-        n = self.ambient_dim
-        if n == 0:
-            ok = not self.is_empty()
-            return ([()] if ok else []) if collect else int(ok)
         if self.is_empty():
             return [] if collect else 0
         if not self.is_bounded():
@@ -672,6 +664,8 @@ class ScanPlan:
         if any(lo > hi for lo, hi in box) or any(bounds[i] > 0
                                                 for i in self.zero):
             return [] if collect else 0
+        if n == 0:
+            return [()] if collect else 1
         residuals = list(bounds)
         normals, bounding, touching = (self.normals, self.bounding,
                                        self.touching)
@@ -957,6 +951,20 @@ def convex_hull(points, ambient_dim=None):
 # lattice-normalized volume
 # ---------------------------------------------------------------------------
 
+def basis_coords(basis, vectors):
+    """Coordinates of each vector in a basis of independent rows, as tuples
+    of Fractions, from one elimination for all of them.  Raises
+    GeometryError when the rows are dependent or a vector lies outside
+    their span."""
+    q = len(basis)
+    vectors = list(vectors)
+    # column i of the system is basis row i; the vectors are its right sides
+    work, pivots = _rref([list(col) for col in zip(*basis, *vectors)], q)
+    if len(pivots) < q or any(x for row in work[q:] for x in row[q:]):
+        raise GeometryError("basis does not span direction space")
+    return [tuple(row[q + j] for row in work[:q]) for j in range(len(vectors))]
+
+
 def lattice_volume(poly, basis):
     """Volume of a bounded polytope in coordinates of a direction lattice,
     in any dimension.
@@ -964,29 +972,20 @@ def lattice_volume(poly, basis):
     `basis` must span the direction space of the polytope's affine hull; the
     result is invariant under unimodular change of that basis.  Dimension 0
     returns 1.  Computed exactly by a pulling triangulation from one vertex:
-    the vertex coordinates in the basis, scaled to integers by their common
-    denominator den, are hulled by `_hull`, and the cones from the vertex
-    over its boundary simplices give sum |det| / (q! den^q).
+    the vertex coordinates in the basis (`basis_coords`), scaled to integers
+    by their common denominator den, are hulled by `_hull`, and the cones
+    from the vertex over its boundary simplices give sum |det| / (q! den^q).
     """
     verts = poly.vertices()
     if not verts:
         raise GeometryError("volume of empty polytope")
     q = len(basis)
     v0 = verts[0]
-    diffs = [vsub(v, v0) for v in verts[1:]]
-    dim = rat_rank(diffs) if diffs else 0
-    basis_rank = rat_rank(basis) if basis else 0
-    if basis_rank != q or dim != q or (diffs and rat_rank(list(basis) + diffs) != q):
+    coords = basis_coords(basis, [vsub(v, v0) for v in verts])
+    if rat_rank(coords) != q:
         raise GeometryError("basis does not span direction space")
     if q == 0:
         return Fraction(1)
-    bt = [list(col) for col in zip(*basis)]
-    coords = []
-    for v in verts:
-        c = solve_linear_system(bt, vsub(v, v0))
-        if c is None:
-            raise GeometryError("basis does not span direction space")
-        coords.append(tuple(c))
     if q == 1:
         vals = [c[0] for c in coords]
         return max(vals) - min(vals)

@@ -17,13 +17,14 @@ from fractions import Fraction
 from .lattice import (
     GeometryError,
     Polytope,
+    ScanPlan,
+    basis_coords,
     convex_hull,
     det_int,
     dot,
     hnf_basis,
     int_kernel,
     lattice_volume,
-    rat_rank,
     vadd,
     xgcd,
 )
@@ -176,16 +177,25 @@ class GradedSemigroup:
 
 @dataclass
 class Regularization:
-    """Group, cone and Okounkov-body data of a graded semigroup."""
+    """Group and Okounkov-body data of a graded semigroup, and the slice data
+    that counts G ∩ C at any level.
+
+    The cone C over the semigroup is strongly convex by construction: the
+    constraint normals of a nonempty bounded hull span R^n, and the level row
+    (0, ..., 0, 1) adds the last coordinate, so the cone rows have rank n + 1.
+    """
 
     group_basis: tuple
-    cone: Polytope | None    # unbounded H-rep in Z^n x R, apex 0
-    strongly_convex: bool
     m: int                   # index of the level projection of G in Z
     boundary_lattice: tuple  # basis of G ∩ {level = 0}
     ind: int | None          # index of boundary lattice in Z^n x {0}, or None
     okounkov_dim: int
     _body: Polytope | None = field(default=None, repr=False)
+    # G ∩ C at level t m is g0 t + (y · boundary) for the integer y in t times
+    # one rational polytope: (ScanPlan over its integer normals, the bounds of
+    # the t = 1 slice, the (min, max) of each y coordinate over its vertices)
+    _slice: tuple | None = field(default=None, repr=False)
+    strongly_convex: bool = True
 
     @staticmethod
     def level_map(point):
@@ -203,12 +213,13 @@ class Regularization:
 def regularize(sg, build_body=True):
     """Regularization of a graded semigroup.
 
-    Computes the group G generated by the graded points, the convex cone C
-    over them, the level index m, the boundary lattice G ∩ {level 0} with its
-    index in Z^n x {0} (None when rank-deficient), and the Okounkov body
-    Delta = C ∩ {level 1}.  Raises EmptySemigroupError when no level is
-    populated.  With build_body=False the hull is skipped; the body dimension
-    rank(G) - 1 is available regardless.
+    Computes the group G generated by the graded points, the level index m,
+    the boundary lattice G ∩ {level 0} with its index in Z^n x {0} (None when
+    rank-deficient), the Okounkov body Delta = C ∩ {level 1} of the convex
+    cone C over the points, and, once, the slice data `hilbert_reg` scales to
+    each level.  Raises EmptySemigroupError when no level is populated.  With
+    build_body=False the hull and the slice data are skipped; the body
+    dimension rank(G) - 1 is available regardless.
     """
     pts = sg.graded_points()
     if not pts:
@@ -235,7 +246,7 @@ def regularize(sg, build_body=True):
     ind = abs(det_int([row[:-1] for row in boundary])) if len(boundary) == n else None
 
     body = None
-    cone = None
+    slice_data = None
     body_dim = rank - 1
     # cone over the generators equals the cone over the level-1 hull because
     # every graded point sits at a positive level
@@ -259,25 +270,28 @@ def regularize(sg, build_body=True):
         body._bounded = True
         body._affine_dim = body_dim
 
-        cone_cons = []
+        # the level-m slice in boundary coordinates y, around a point g0 of
+        # G at level m: the hull row <x, v> >= num/den on x = g0 + y · B
+        # reads <y, den B v> >= num m - den <g0, v>, and its vertices are the
+        # coordinates of m v - g0 for the vertices v of Delta
+        g0 = _group_point_at_level_m(basis)
+        normals, bounds = [], []
         for v, c in hull.constraints:
-            scale = c.denominator
-            cone_cons.append((tuple(scale * x for x in v) + (-c.numerator,), 0))
-        cone_cons.append((tuple([0] * n) + (1,), 0))
-        cone = Polytope(n + 1, cone_cons)
-        strongly_convex = rat_rank([v for v, _ in cone.constraints]) == n + 1
-    else:
-        strongly_convex = True  # positive-level generators force strong convexity
+            normals.append(tuple(c.denominator * dot(b[:-1], v) for b in boundary))
+            bounds.append(c.numerator * m - c.denominator * dot(g0[:-1], v))
+        coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
+                                         for v in body.vertices()])
+        slice_data = (ScanPlan(len(boundary), normals), tuple(bounds),
+                      tuple((min(c), max(c)) for c in zip(*coords)))
 
     return Regularization(
         group_basis=tuple(basis),
-        cone=cone,
-        strongly_convex=strongly_convex,
         m=m,
         boundary_lattice=tuple(boundary),
         ind=ind,
         okounkov_dim=body_dim,
         _body=body,
+        _slice=slice_data,
     )
 
 
@@ -289,63 +303,37 @@ def hilbert(sg, k):
 def hilbert_reg(sg, k, reg=None):
     """Hilbert function of the regularization: Card(G ∩ C ∩ {level k}).
 
-    Valid for any k >= 0, also beyond a degreewise bound (the regularization
-    is determined once and sliced at any level).
+    Valid for any k >= 0, also beyond a degreewise bound.  G meets level k
+    only when m divides k; the slice at level t m is t times the level-m
+    slice built once by `regularize`, so each level is one integer scan of
+    its scaled box and bounds.
     """
     k = int(k)
+    if k < 0:
+        raise ValueError("negative degree")
     if k == 0:
         return 1
     if reg is None:
         reg = regularize(sg)
-    if reg.cone is None:
-        raise GeometryError("regularization was built without its cone")
-    base = _group_point_at_level(reg, sg.ambient_rank, k)
-    if base is None:
+    if reg._slice is None:
+        raise GeometryError("regularization was built without its body")
+    t, r = divmod(k, reg.m)
+    if r:
         return 0
-    # substitute level = k into the cone constraints
-    cons = [(v[:-1], c - v[-1] * k) for v, c in reg.cone.constraints]
-    b = reg.boundary_lattice
-    if not b:
-        pt = base[:-1]
-        return 1 if all(dot(pt, v) >= c for v, c in cons) else 0
-    # points of G at level k form base + (boundary lattice); count in those
-    # coordinates, where the slice is a bounded rational polytope
-    new_cons = []
-    for v, c in cons:
-        w = tuple(dot(row[:-1], v) for row in b)
-        new_cons.append((w, c - dot(base[:-1], v)))
-    poly = Polytope(len(b), new_cons)
-    if poly.is_empty():
-        return 0
-    return poly.count_lattice_points()
+    plan, bounds, box = reg._slice
+    return plan.scan([(math.ceil(t * lo), math.floor(t * hi)) for lo, hi in box],
+                     [t * b for b in bounds])
 
 
-def _group_point_at_level(reg, n, k):
-    """Some point of the group G at the given level, or None (m does not
-    divide k).  Built from an extended-gcd combination of basis levels."""
-    basis = list(reg.group_basis)
-    cur_g, cur_comb = 0, [0] * len(basis)
-    for i, row in enumerate(basis):
-        lv = row[-1]
-        if lv == 0:
-            continue
-        if cur_g == 0:
-            cur_g = abs(lv)
-            cur_comb = [0] * len(basis)
-            cur_comb[i] = 1 if lv > 0 else -1
-        else:
-            cur_g, x, y = xgcd(cur_g, lv)
-            cur_comb = [x * c for c in cur_comb]
-            cur_comb[i] += y
-    if cur_g == 0 or k % cur_g != 0:
-        return None
-    t = k // cur_g
-    point = [0] * (n + 1)
-    for c, row in zip(cur_comb, basis):
-        if c:
-            for j in range(n + 1):
-                point[j] += t * c * row[j]
-    return tuple(point)
+def _group_point_at_level_m(basis):
+    """A point of the group G at level m, the gcd of the basis levels: an
+    extended-gcd combination of the basis rows."""
+    g, point = 0, (0,) * len(basis[0])
+    for row in basis:
+        if row[-1]:
+            g, x, y = xgcd(g, row[-1])
+            point = tuple(x * a + y * b for a, b in zip(point, row))
+    return point
 
 
 @dataclass
@@ -362,12 +350,11 @@ def growth_law_check(sg, k_max=200, reg=None):
     """Growth coefficient of the regularized Hilbert function vs. the body.
 
     predicted = m^q * Vol(Delta) in boundary-lattice coordinates;
-    empirical = H_reg(m * k_max) / k_max^q.  Requires a strongly convex cone.
+    empirical = H_reg(m * k_max) / k_max^q.  The cone is strongly convex by
+    construction (see Regularization).
     """
     if reg is None:
         reg = regularize(sg)
-    if not reg.strongly_convex:
-        raise GeometryError("growth law requires a strongly convex cone")
     q = reg.okounkov_dim
     m = reg.m
     # boundary lattice rank is exactly rank(G) - 1 = q here

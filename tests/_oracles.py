@@ -4,7 +4,8 @@ Every oracle here deliberately uses a different algorithm than the library
 path it checks (enumeration, interpolation, Caratheodory decomposition), so
 expected values are computed rather than copied.  The module also holds the
 lattice helpers that only tests use (`in_row_lattice`, `solve_in_lattice`,
-`dilate`).
+`dilate`) and the per-level regularized Hilbert function
+(`hilbert_reg_per_level`) that the library's slice scaling replaced.
 """
 
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from kodaira.lattice import Polytope, dot, hnf, solve_linear_system, vsub
+from kodaira.lattice import Polytope, dot, hnf, solve_linear_system, vsub, xgcd
 
 
 def in_hull(point, points):
@@ -273,3 +274,57 @@ def ample_by_vertices(variety, divisor):
     verts = set() if poly.is_empty() else set(poly.vertices())
     return (len(set(cone_points)) == len(cone_points)
             and set(cone_points) == verts)
+
+
+def hilbert_reg_per_level(reg, k):
+    """Card(G ∩ C ∩ {level k}) built from scratch for the one level: a point
+    of G at level k, then a fresh Polytope of the level-k slice in
+    boundary-lattice coordinates around it, tested for emptiness and
+    counted.  (x, k) lies in C iff x lies in k * Delta, read off the
+    constraints of the Okounkov body."""
+    if k == 0:
+        return 1
+    base = _group_point_at_level(reg.group_basis, k)
+    if base is None:
+        return 0
+    cons = [(w[:-1], k * (c - w[-1])) for w, c in reg.okounkov_body.constraints]
+    b = reg.boundary_lattice
+    if not b:
+        pt = base[:-1]
+        return 1 if all(dot(pt, v) >= c for v, c in cons) else 0
+    # points of G at level k form base + (boundary lattice)
+    new_cons = []
+    for v, c in cons:
+        w = tuple(dot(row[:-1], v) for row in b)
+        new_cons.append((w, c - dot(base[:-1], v)))
+    poly = Polytope(len(b), new_cons)
+    if poly.is_empty():
+        return 0
+    return poly.count_lattice_points()
+
+
+def _group_point_at_level(basis, k):
+    """Some point of the group spanned by `basis` at level k (last
+    coordinate), or None when the gcd of the basis levels does not divide k;
+    built from an extended-gcd combination of the basis rows."""
+    cur_g, cur_comb = 0, [0] * len(basis)
+    for i, row in enumerate(basis):
+        lv = row[-1]
+        if lv == 0:
+            continue
+        if cur_g == 0:
+            cur_g = abs(lv)
+            cur_comb = [0] * len(basis)
+            cur_comb[i] = 1 if lv > 0 else -1
+        else:
+            cur_g, x, y = xgcd(cur_g, lv)
+            cur_comb = [x * c for c in cur_comb]
+            cur_comb[i] += y
+    if cur_g == 0 or k % cur_g != 0:
+        return None
+    t = k // cur_g
+    point = [0] * len(basis[0])
+    for c, row in zip(cur_comb, basis):
+        for j, x in enumerate(row):
+            point[j] += t * c * x
+    return tuple(point)

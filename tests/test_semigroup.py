@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kodaira.semigroup import (
     DegreeBoundError,
@@ -12,7 +15,8 @@ from kodaira.semigroup import (
     regularize,
 )
 
-from _oracles import semigroup_level_points, solve_in_lattice
+from _corpus import corpus_section_systems
+from _oracles import hilbert_reg_per_level, semigroup_level_points, solve_in_lattice
 
 
 STAIRCASE = GradedSemigroup.from_generators([(0, 1), (1, 1)])
@@ -236,19 +240,105 @@ def test_level_map_projection():
 def test_hilbert_reg_coset_structure():
     # G = Z(1,2) + Z(0,4): level projection has index 2, and the group points
     # at even levels sit on a shifted sublattice of Z x {level};
-    # oracle: scan a wide strip and test group membership plus cone membership
+    # oracle: scan a wide strip and test group membership plus membership in
+    # level * Delta, read off the constraints of the Okounkov body
     from kodaira.lattice import dot
 
     sg = GradedSemigroup.from_generators([(1, 2), (0, 4)])
     reg = regularize(sg)
     assert reg.m == 2
-    cone = reg.cone
+    body = reg.okounkov_body
     for level in range(0, 13):
         expected = 0
         for u in range(-20, 40):
             point = (u, level)
             if solve_in_lattice(point, list(reg.group_basis)) is None:
                 continue
-            if all(dot(point, v) >= c for v, c in cone.constraints):
+            if all(dot(point, v) >= level * c for v, c in body.constraints):
                 expected += 1
         assert hilbert_reg(sg, level, reg=reg) == expected, level
+
+
+def test_hilbert_reg_rejects_negative_degree():
+    with pytest.raises(ValueError, match="negative degree"):
+        hilbert(STAIRCASE, -1)
+    with pytest.raises(ValueError, match="negative degree"):
+        hilbert_reg(STAIRCASE, -1)
+
+
+# ---------------------------------------------------------------------------
+# slice scaling against the per-level reference
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def corpus_file_semigroups():
+    out = []
+    for path in sorted(CORPUS.glob("semigroup_*.json")):
+        doc = json.loads(path.read_text())
+        body, options = doc["body"], doc.get("options", {})
+        if "generators" in body:
+            sg = GradedSemigroup(body["ambient_rank"], generators=body["generators"])
+        else:
+            sg = GradedSemigroup.from_levels(
+                body["ambient_rank"],
+                {int(k): {tuple(p) for p in pts} for k, pts in body["levels"].items()})
+        out.append(pytest.param(sg, options.get("growth_k_max", 200), id=path.stem))
+    return out
+
+
+def listed_semigroups():
+    gens = [[(0, 1), (3, 1)], [(0, 1), (1, 1), (3, 1)], [(1, 2), (0, 4)],
+            [(2, 3)], [(0, 1)], [(0, 1), (2, 1)], [(1, 2), (0, 3)],
+            [(0, 0, 1), (1, 0, 1), (0, 1, 1)], [(0, 0, 1), (1, 0, 1), (0, 1, 2)],
+            [(0, 0, 1), (2, 0, 1), (0, 2, 1)]]
+    out = [(GradedSemigroup.from_generators(g), str(g)) for g in gens]
+    out += [(STAIRCASE, "staircase"), (DOUBLED, "doubled"), (SYMMETRIC, "symmetric"),
+            (GradedSemigroup.from_levels(2, unit_triangle_levels(8)), "triangle_levels"),
+            (GradedSemigroup.from_levels(1, {1: {(0,), (1,)}, 2: {(0,), (1,), (2,)}}),
+             "stored_levels"),
+            (GradedSemigroup.from_levels(1, {k: {(0,)} for k in range(2, 7)}),
+             "levels_2_to_6")]
+    return [pytest.param(sg, 200, id=name) for sg, name in out]
+
+
+def assert_matches_per_level(sg, k_max, label):
+    reg = regularize(sg)
+    for k in list(range(31)) + [reg.m * k_max]:
+        assert hilbert_reg(sg, k, reg=reg) == hilbert_reg_per_level(reg, k), (label, k)
+
+
+@pytest.mark.parametrize("sg, k_max", corpus_file_semigroups() + listed_semigroups())
+def test_hilbert_reg_matches_per_level_reference(sg, k_max):
+    assert_matches_per_level(sg, k_max, sg.generators)
+
+
+def test_hilbert_reg_matches_per_level_reference_on_corpus_systems():
+    systems = [(name, s) for name, s in corpus_section_systems(degree_bound=8)
+               if s.support()]
+    assert len(systems) == 47
+    for name, s in systems:
+        assert_matches_per_level(s.to_semigroup(), 200, name)
+
+
+@st.composite
+def generator_sets(draw):
+    """Generator lists of ambient rank 1-3; a common level factor gives
+    m > 1, and a single ray (multiples of one generator) a zero-dimensional
+    body."""
+    n = draw(st.integers(1, 3))
+    scale = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * n, st.integers(1, 3))
+    if draw(st.booleans()):
+        gens = draw(st.lists(point, min_size=2, max_size=6, unique=True))
+    else:
+        g = draw(point)
+        gens = [tuple(c * x for x in g) for c in draw(st.sets(st.integers(1, 3), min_size=1))]
+    return [g[:-1] + (scale * g[-1],) for g in gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets())
+def test_hilbert_reg_matches_per_level_reference_on_drawn_generators(gens):
+    assert_matches_per_level(GradedSemigroup.from_generators(gens), 40, gens)
