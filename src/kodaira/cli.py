@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 from .curve import AmbiguousDivisorError, CurveDivisorClass, CurveModel
@@ -109,6 +110,22 @@ def _int(value, where="number", positive=False):
     return value
 
 
+def _int_rows(rows, where):
+    """A JSON list of integer lists, returned as it is.  The entry types are
+    checked in one pass over all entries; only when it fails are the rows
+    walked again, to name the first bad entry."""
+    if not (isinstance(rows, list) and all(map(isinstance, rows, repeat(list)))
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        if not isinstance(rows, list):
+            raise ValidationError(f"{where}: expected a list of integer lists, got {rows!r}")
+        for row in rows:
+            if not isinstance(row, list):
+                raise ValidationError(f"{where}: expected a list of integers, got {row!r}")
+            for x in row:
+                _int(x, f"{where} entry")
+    return rows
+
+
 def _rat_str(x):
     if x == NEG_INF:
         return None
@@ -186,14 +203,20 @@ def cmd_semigroup(body, options):
     n = _int(body["ambient_rank"], "ambient_rank")
     max_degree = options.get("max_degree", DEFAULT_DEGREE_BOUND)
     if "generators" in body:
-        gens = [tuple(_int(x, "generator entry") for x in g)
-                for g in body["generators"]]
+        gens = _int_rows(body["generators"], "generators")
         sg = GradedSemigroup(n, generators=gens, degree_bound=max_degree)
     elif "levels" in body:
+        if not isinstance(body["levels"], dict):
+            raise ValidationError("levels: expected an object from degree to "
+                                  f"point list, got {body['levels']!r}")
         levels = {}
         for key, pts in body["levels"].items():
-            levels[int(key)] = {tuple(_int(x, "point entry") for x in p)
-                                for p in pts}
+            try:
+                k = int(key)
+            except ValueError:
+                raise ValidationError(
+                    f"levels: expected integer degree keys, got {key!r}") from None
+            levels[k] = _int_rows(pts, f"levels[{key}]")
         sg = GradedSemigroup(
             n, levels=levels, degree_bound=max_degree,
             closed_under_addition=body.get("closed_under_addition", True))

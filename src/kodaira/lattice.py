@@ -859,20 +859,52 @@ def _hull(pts):
     return list(facets.values())
 
 
+def int_hull(pts):
+    """(lattice, simplices, vertices) of the hull of sorted distinct integer
+    points, in any dimension: the IntLattice of the differences from pts[0]
+    (stopped at full rank; its d pivots are the coordinates the hull is
+    computed on), `_hull`'s boundary simplices there (none for d < 2), and
+    the vertices, points of `pts`.  A corner is a vertex when its tight facet
+    normals span d dimensions; for d = 1 the vertices are the first and the
+    last point, since lexicographic order runs along the line.
+    """
+    p0 = pts[0]
+    n = len(p0)
+    lat = IntLattice(n)
+    for p in pts[1:]:
+        if lat.rank == n:
+            break
+        lat.add(vsub(p, p0))
+    d = lat.rank
+    if d < 2:
+        return lat, [], [p0, pts[-1]][:d + 1]
+    columns = list(zip(*pts))
+    proj = list(zip(*[columns[c] for c in lat.pivots]))
+    simplices = _hull(proj)
+    # the simplices form a triangulation of the boundary, so a corner lies
+    # on exactly the facets of the simplices it is a corner of
+    tight = {}
+    for corners, w, _ in simplices:
+        for q in corners:
+            tight.setdefault(q, set()).add(w)
+    back = dict(zip(proj, pts))
+    verts = [back[q] for q, ws in tight.items()
+             if any(det_int(sub) for sub in combinations(ws, d))]
+    return lat, simplices, verts
+
+
 def convex_hull(points, ambient_dim=None):
     """Exact convex hull of rational points (ints or Fractions) as a Polytope,
     in any dimension.
 
     The points are scaled once by their common denominator; everything after
-    that is integer arithmetic.  The affine rank d and the coordinates to
-    project on come from an IntLattice that stops at full rank; for d >= 2
-    the hull is one incremental beneath-beyond hull (`_hull`), with no cap on
-    the number of points or the dimension.  Facet bounds are read off the
-    simplices, and a hull point is a vertex when its tight facet normals span
-    d dimensions.  Only the output vertices and bounds are divided back into
-    Fractions.  Since conv(A ∪ B) = conv(vert conv A ∪ vert conv B) for any
-    point sets, a caller may first cut each part of a large input down to the
-    vertices of its own hull (`regularize` does so per level).
+    that is the integer hull `int_hull`, with no cap on the number of points
+    or the dimension.  Facet bounds are read off its simplices, the
+    affine-hull equalities off its lattice, and only the output vertices and
+    bounds are divided back into Fractions.  Since conv(A ∪ B) =
+    conv(vert conv A ∪ vert conv B) for any point sets, a caller may first
+    cut each part of a large input down to the vertices of its own hull
+    (`regularize` does so per level, with `int_hull` alone).
 
     The returned polytope caches the minimal vertex set (lexicographically
     sorted) and its affine dimension; lower-dimensional hulls get explicit
@@ -892,13 +924,8 @@ def convex_hull(points, ambient_dim=None):
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise GeometryError("points of mixed dimension")
-    p0 = pts[0]
-    lat = IntLattice(n)
-    for p in pts[1:]:
-        if lat.rank == n:
-            break
-        lat.add(vsub(p, p0))
-    cols = lat.pivots  # d coordinates on which the differences have full rank
+    lat, simplices, verts = int_hull(pts)
+    cols = lat.pivots
     d = len(cols)
 
     def embed(w):
@@ -911,33 +938,15 @@ def convex_hull(points, ambient_dim=None):
     # affine-hull equalities from an integer basis of the orthogonal complement
     if d < n:
         for w in int_kernel([tuple(r[i] for r in lat.rows) for i in range(n)]):
-            b = Fraction(dot(p0, w), den)
+            b = Fraction(dot(pts[0], w), den)
             constraints.append((w, b))
             constraints.append((tuple(-x for x in w), -b))
-    columns = list(zip(*pts))
-    proj = list(zip(*[columns[c] for c in cols]))
-    back = dict(zip(proj, pts))
-    if d == 0:
-        verts = [p0]
-    elif d == 1:
-        # lexicographic order runs along the line
-        verts = [p0, pts[-1]]
-        constraints.append((embed((1,)), Fraction(proj[0][0], den)))
-        constraints.append((embed((-1,)), Fraction(-proj[-1][0], den)))
-    else:
-        simplices = _hull(proj)
-        facets = sorted({(w, h) for _, w, h in simplices})
-        for w, h in facets:
-            constraints.append((embed(tuple(-x for x in w)), Fraction(-h, den)))
-        # the simplices form a triangulation of the boundary, so a corner
-        # lies on exactly the facets of the simplices it is a corner of; it
-        # is a vertex iff their normals span d dimensions
-        tight = {}
-        for corners, w, _ in simplices:
-            for q in corners:
-                tight.setdefault(q, set()).add(w)
-        verts = [back[q] for q, ws in tight.items()
-                 if any(det_int(sub) for sub in combinations(ws, d))]
+    if d == 1:
+        c = cols[0]
+        constraints.append((embed((1,)), Fraction(verts[0][c], den)))
+        constraints.append((embed((-1,)), Fraction(-verts[-1][c], den)))
+    for w, h in sorted({(w, h) for _, w, h in simplices}):
+        constraints.append((embed(tuple(-x for x in w)), Fraction(-h, den)))
 
     poly = Polytope(n, constraints)
     poly._vertices = tuple(sorted(tuple(Fraction(x, den) for x in v) for v in verts))

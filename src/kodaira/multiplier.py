@@ -94,7 +94,11 @@ def subadditivity_scan(mu_grid, k_max=100):
     checked = 0
     for mu in mu_grid:
         mu = Fraction(mu)
-        coeffs = [0] + [multiplier_coeff(mu, k) for k in range(1, 2 * k_max + 1)]
+        if mu < 0:
+            raise ValueError("mu must be nonnegative")
+        p, q = mu.numerator, mu.denominator
+        # multiplier_coeff(mu, k) for k = 1 .. 2 k_max, checked once per mu
+        coeffs = [0] + [max(k * p // q - k + 1, 0) for k in range(1, 2 * k_max + 1)]
         for k in range(1, k_max + 1):
             ck = coeffs[k]
             for l in range(k, k_max + 1):

@@ -11,18 +11,24 @@ m^q * Vol(Delta) measured in the lattice G ∩ {level 0}.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress, product, repeat, starmap
+from operator import add, index, le, ne
 
 from .lattice import (
+    NEG_INF,
     GeometryError,
     Polytope,
     ScanPlan,
+    _dots,
     basis_coords,
     convex_hull,
     det_int,
     dot,
     hnf_basis,
+    int_hull,
     int_kernel,
     lattice_volume,
     vadd,
@@ -41,6 +47,24 @@ class DegreeBoundError(ValueError):
 _CLOSURE_CHECK_BUDGET = 200_000  # pairwise sums; larger inputs get sampled
 
 
+def _int_points(points, what):
+    """Each point as a tuple of ints; a non-integral entry (a float, a
+    Fraction, a string) raises ValueError instead of being truncated."""
+    try:
+        return [tuple(map(index, p)) for p in points]
+    except TypeError as exc:
+        raise ValueError(f"{what} entries must be integers: {exc}") from None
+
+
+def _runs(codes):
+    """(starts, ends) of the maximal runs of consecutive integers in a sorted
+    list of distinct integers."""
+    tail = codes[1:]
+    breaks = list(map(ne, tail, map(add, codes, repeat(1))))
+    return (codes[:1] + list(compress(tail, breaks)),
+            list(compress(codes, breaks)) + codes[-1:])
+
+
 class GradedSemigroup:
     """Sub-semigroup of Z^n x Z>=0 with zero as the only level-0 element.
 
@@ -57,14 +81,12 @@ class GradedSemigroup:
         if (generators is None) == (levels is None):
             raise ValueError("exactly one of generators/levels must be given")
         if generators is not None:
-            gens = []
-            for g in generators:
-                g = tuple(int(x) for x in g)
+            gens = _int_points(generators, "generator")
+            for g in gens:
                 if len(g) != self.ambient_rank + 1:
                     raise ValueError("generator dimension mismatch")
                 if g[-1] <= 0:
                     raise ValueError("generator level must be positive")
-                gens.append(g)
             self.generators = tuple(sorted(set(gens)))
             self.levels = None
             self.degree_bound = degree_bound
@@ -77,10 +99,9 @@ class GradedSemigroup:
                 k = int(k)
                 if k <= 0:
                     raise ValueError("levels are indexed by positive degrees")
-                lv[k] = {tuple(int(x) for x in p) for p in pts}
-                for p in lv[k]:
-                    if len(p) != self.ambient_rank:
-                        raise ValueError("point dimension mismatch")
+                lv[k] = set(_int_points(pts, "point"))
+                if not set(map(len, lv[k])) <= {self.ambient_rank}:
+                    raise ValueError("point dimension mismatch")
             self.levels = lv
             self.degree_bound = int(degree_bound if degree_bound is not None
                                     else (max(lv) if lv else 0))
@@ -108,23 +129,46 @@ class GradedSemigroup:
     # -- structure -----------------------------------------------------------
 
     def _spot_check_closure(self):
+        """Check A_k + A_l ⊆ A_{k+l} for k <= l, k + l within the bound, in
+        pair order, sampling every len // 14-th point of both sorted sets
+        once |A_k| |A_l| exceeds what is left of the budget.
+
+        Each point p becomes the integer code sum_j p_j R^(n-1-j), R = 4M + 1
+        for M the largest |coordinate|: linear, order-preserving, and
+        injective on vectors with |coordinates| <= 2M, so on the points and
+        their pairwise sums.  The sorted codes of a level split into runs of
+        consecutive integers; a run plus a run is the run of the summed
+        ends, and it lies in C_{k+l} iff it lies in one run of C_{k+l}.
+        """
         pairs = sorted((k, l) for k in self.levels for l in self.levels
                        if k <= l and k + l <= self.degree_bound)
+        n = self.ambient_rank
+        radix = 4 * max(map(abs, chain.from_iterable(
+            chain.from_iterable(self.levels.values()))), default=0) + 1
+        weights = [radix ** (n - 1 - j) for j in range(n)]
+        codes = {k: sorted(_dots(weights, list(pts)))
+                 for k, pts in self.levels.items()}
+        # runs of each target level, with a run (-inf, -inf] in front so the
+        # run before the first start has an end below every sum
+        targets = {}
         budget = _CLOSURE_CHECK_BUDGET
         for k, l in pairs:
-            ak, al = self.levels.get(k, set()), self.levels.get(l, set())
-            target = self.levels.get(k + l, set())
-            if len(ak) * len(al) > budget:
-                ak = sorted(ak)[:: max(1, len(ak) // 14)]
-                al = sorted(al)[:: max(1, len(al) // 14)]
-            budget -= len(ak) * len(al)
-            cols = list(zip(*al))
-            for a in ak:
-                # a + A_l summed column by column (A_l itself in rank 0)
-                sums = zip(*[map(x.__add__, c) for x, c in zip(a, cols)]) if cols else al
-                if not target.issuperset(sums):
-                    raise ValueError(
-                        f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
+            ck, cl = codes[k], codes[l]
+            if len(ck) * len(cl) > budget:
+                ck = ck[:: max(1, len(ck) // 14)]
+                cl = cl[:: max(1, len(cl) // 14)]
+            budget -= len(ck) * len(cl)
+            if k + l not in targets:
+                starts, ends = _runs(codes.get(k + l, []))
+                targets[k + l] = (starts, [NEG_INF] + ends)
+            starts, ends = targets[k + l]
+            (a0, a1), (b0, b1) = _runs(ck), _runs(cl)
+            lows = starmap(add, product(a0, b0))
+            highs = starmap(add, product(a1, b1))
+            within = map(ends.__getitem__, map(bisect_right, repeat(starts), lows))
+            if not all(map(le, highs, within)):
+                raise ValueError(
+                    f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
             if budget <= 0:
                 break
 
@@ -253,12 +297,13 @@ def regularize(sg, build_body=True):
     if build_body:
         # conv(∪ A_k / k) = conv(∪ vert(conv A_k) / k): each level is cut to
         # the vertices of its own integer hull before it is divided by k
+        # (graded points come sorted and distinct, so each level's are too)
         levels = {}
         for p in pts:
             levels.setdefault(p[-1], []).append(p[:-1])
         hull = convex_hull([tuple(Fraction(x, k) for x in v)
                             for k, a_k in levels.items()
-                            for v in convex_hull(a_k).vertices()])
+                            for v in int_hull(a_k)[2]])
         if hull.affine_dim() != body_dim:
             raise GeometryError("okounkov dimension disagrees with group rank")
         lifted = [(v + (0,), c) for v, c in hull.constraints]

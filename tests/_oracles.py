@@ -4,8 +4,10 @@ Every oracle here deliberately uses a different algorithm than the library
 path it checks (enumeration, interpolation, Caratheodory decomposition), so
 expected values are computed rather than copied.  The module also holds the
 lattice helpers that only tests use (`in_row_lattice`, `solve_in_lattice`,
-`dilate`) and the per-level regularized Hilbert function
-(`hilbert_reg_per_level`) that the library's slice scaling replaced.
+`dilate`), the per-level regularized Hilbert function
+(`hilbert_reg_per_level`) that the library's slice scaling replaced, and the
+per-point closure check (`closure_check_per_point`) that the library's run
+check on integer codes replaced.
 """
 
 import math
@@ -328,3 +330,27 @@ def _group_point_at_level(basis, k):
         for j, x in enumerate(row):
             point[j] += t * c * x
     return tuple(point)
+
+
+def closure_check_per_point(levels, degree_bound, budget):
+    """Reference for `GradedSemigroup._spot_check_closure`: for k <= l with
+    k + l <= degree_bound, in pair order, every tuple sum a + b of A_k and
+    A_l must lie in A_{k+l}; once |A_k| |A_l| exceeds what is left of the
+    budget, every len // 14-th point of both sorted sets is checked
+    instead.  Raises the library's ValueError at the first failing pair."""
+    pairs = sorted((k, l) for k in levels for l in levels
+                   if k <= l and k + l <= degree_bound)
+    for k, l in pairs:
+        ak, al = levels[k], levels[l]
+        target = levels.get(k + l, set())
+        if len(ak) * len(al) > budget:
+            ak = sorted(ak)[:: max(1, len(ak) // 14)]
+            al = sorted(al)[:: max(1, len(al) // 14)]
+        budget -= len(ak) * len(al)
+        for a in ak:
+            for b in al:
+                if tuple(x + y for x, y in zip(a, b)) not in target:
+                    raise ValueError(
+                        f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
+        if budget <= 0:
+            break

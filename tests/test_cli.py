@@ -346,3 +346,27 @@ def test_twist_degree_below_least_accepted_is_input_error(tmp_path, capsys):
         assert addti and addti[0]["holds"]
     del curve["body"]["twist_degree"]
     assert main(["fibration", write_instance(tmp_path, curve)]) == 0
+
+
+def test_malformed_semigroup_shape_is_input_error(tmp_path, capsys):
+    # a wrong shape or entry type is an input error naming the field, not a
+    # TypeError, AttributeError or Python's own int() message
+    cases = [
+        ({"levels": {"1": [5]}}, "levels[1]: expected a list of integers, got 5"),
+        ({"generators": [7]}, "generators: expected a list of integers, got 7"),
+        ({"generators": 7}, "generators: expected a list of integer lists, got 7"),
+        ({"levels": [[0]]},
+         "levels: expected an object from degree to point list, got [[0]]"),
+        ({"levels": {"a": [[0]]}}, "levels: expected integer degree keys, got 'a'"),
+        ({"generators": [[0, 1], [2.5, 1]]},
+         "generators entry: expected integer, got 2.5"),
+        ({"levels": {"1": [[0], ["1/2"]]}},
+         "levels[1] entry: expected integer, got '1/2'"),
+        ({"levels": {"1": [[0], [True]]}},
+         "levels[1] entry: expected integer, got True"),
+    ]
+    for body, message in cases:
+        doc = staircase_doc()
+        doc["body"] = {"ambient_rank": 1, **body}
+        assert main(["semigroup", write_instance(tmp_path, doc)]) == 2, body
+        assert capsys.readouterr().err == f"input error: {message}\n"

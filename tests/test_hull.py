@@ -23,6 +23,7 @@ from kodaira.lattice import (
     dot,
     hnf,
     hnf_basis,
+    int_hull,
     lattice_volume,
 )
 from kodaira.semigroup import growth_law_check, regularize
@@ -216,3 +217,13 @@ def test_rank4_semigroups_regularize(tmp_path, capsys, body, predicted):
         assert rep["growth_law"]["predicted"] == predicted
         gaps.append(Fraction(rep["growth_law"]["relative_gap"]))
     assert gaps[1] < gaps[0]
+
+
+@settings(max_examples=80)
+@given(st.one_of(point_sets, free_sets(1)))
+def test_int_hull_vertices_match_convex_hull(pts):
+    # the per-level routine of `regularize`, on the same sets made integral
+    pts = sorted({tuple(int(6 * x) for x in p) for p in pts})
+    verts = int_hull(pts)[2]
+    assert len(verts) == len(set(verts))
+    assert sorted(verts) == list(convex_hull(pts).vertices())

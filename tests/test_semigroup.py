@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kodaira import semigroup
 from kodaira.semigroup import (
     DegreeBoundError,
     EmptySemigroupError,
@@ -16,7 +17,12 @@ from kodaira.semigroup import (
 )
 
 from _corpus import corpus_section_systems
-from _oracles import hilbert_reg_per_level, semigroup_level_points, solve_in_lattice
+from _oracles import (
+    closure_check_per_point,
+    hilbert_reg_per_level,
+    semigroup_level_points,
+    solve_in_lattice,
+)
 
 
 STAIRCASE = GradedSemigroup.from_generators([(0, 1), (1, 1)])
@@ -143,6 +149,86 @@ def test_closure_check_rejects_bad_declaration():
     with pytest.raises(ValueError, match="closure"):
         GradedSemigroup.from_levels(
             1, {1: {(0,), (1,)}, 2: {(0,)}}, closed_under_addition=True)
+
+
+def test_non_integral_entries_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="generator entries must be integers"):
+        GradedSemigroup(1, generators=[(Fraction(5, 2), 1), (0.9, 1.7)])
+    with pytest.raises(ValueError, match="point entries must be integers"):
+        GradedSemigroup(1, levels={1: {(2.7,)}})
+    # integral values of other integer types are taken as they are
+    sg = GradedSemigroup(1, levels={1: {(True,), (0,)}, 2: {(0,), (1,), (2,)}})
+    assert sg.levels[1] == {(0,), (1,)}
+
+
+def closure_outcome(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_closure_check_matches_reference(n, levels, bound, budget):
+    expected = closure_outcome(
+        lambda: closure_check_per_point(levels, bound, budget))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "_CLOSURE_CHECK_BUDGET", budget)
+        got = closure_outcome(
+            lambda: GradedSemigroup.from_levels(n, levels, degree_bound=bound))
+    assert got == expected, (levels, bound, budget)
+    return got
+
+
+@st.composite
+def declared_levels(draw):
+    """(rank, levels A_1..A_B, B) of a generated semigroup of ambient rank
+    0-3, left closed or broken by dropping a point, adding one, or removing
+    a whole level."""
+    n = draw(st.integers(0, 3))
+    bound = draw(st.integers(2, 8 - 2 * n if n else 6))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n, st.integers(1, 2)),
+                         min_size=1, max_size=4, unique=True))
+    sg = GradedSemigroup.from_generators(gens, ambient_rank=n)
+    levels = {k: set(sg.level_points(k)) for k in range(1, bound + 1)}
+    k = draw(st.integers(1, bound))
+    how = draw(st.sampled_from(["closed", "drop", "add", "remove level"]))
+    if how == "drop" and levels[k]:
+        levels[k].discard(draw(st.sampled_from(sorted(levels[k]))))
+    elif how == "add":
+        levels[k].add(draw(st.tuples(*[st.integers(-3, 3)] * n)))
+    elif how == "remove level":
+        del levels[k]
+    return n, levels, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(declared_levels(), st.sampled_from([semigroup._CLOSURE_CHECK_BUDGET, 50, 10]))
+def test_closure_check_matches_per_point_reference(case, budget):
+    # budgets 50 and 10 force the sampled path on all but the smallest levels
+    assert_closure_check_matches_reference(*case, budget)
+
+
+def test_closure_check_samples_the_same_points_as_the_reference():
+    # A_1 = {0, ..., size - 1} and A_2 = {0, ..., 2 size - 2} without one
+    # sum.  Over a budget of 10, every (size // 14)-th point of A_1 is
+    # checked: for 30 points the even ones, whose sums are all even, so a
+    # missing 1 goes unseen and a missing 2 does not; for 26 points all of
+    # them, as under the full budget
+    fails = "declared closure fails: A_1+A_1 escapes A_2"
+    cases = [(30, 1, 10, None), (30, 2, 10, fails),
+             (30, 1, semigroup._CLOSURE_CHECK_BUDGET, fails), (26, 1, 10, fails)]
+    for size, missing, budget, outcome in cases:
+        levels = {1: {(x,) for x in range(size)},
+                  2: {(x,) for x in range(2 * size - 1) if x != missing}}
+        assert assert_closure_check_matches_reference(1, levels, 2, budget) == outcome
+    # each side is thinned by its own length: A_1 (26 points) is checked in
+    # full against every third point of A_2 (51 points), so the missing
+    # 1 = 1 + 0 is found, which every second point of A_1 would miss
+    levels = {1: {(x,) for x in range(26)}, 2: {(x,) for x in range(51)},
+              3: {(x,) for x in range(76) if x != 1}}
+    assert assert_closure_check_matches_reference(1, levels, 3, 700) == (
+        "declared closure fails: A_1+A_2 escapes A_3")
 
 
 # ---------------------------------------------------------------------------
