@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
@@ -217,9 +216,12 @@ def cmd_semigroup(body, options):
                 raise ValidationError(
                     f"levels: expected integer degree keys, got {key!r}") from None
             levels[k] = _int_rows(pts, f"levels[{key}]")
-        sg = GradedSemigroup(
-            n, levels=levels, degree_bound=max_degree,
-            closed_under_addition=body.get("closed_under_addition", True))
+        closed = body.get("closed_under_addition", True)
+        if not isinstance(closed, bool):
+            raise ValidationError("closed_under_addition: expected true or "
+                                  f"false, got {closed!r}")
+        sg = GradedSemigroup(n, levels=levels, degree_bound=max_degree,
+                             closed_under_addition=closed)
     else:
         raise ValidationError("body needs generators or levels")
 
@@ -637,6 +639,9 @@ def cmd_verify_suite(directory, overrides, jobs=1):
     files = sorted(p for p in root.iterdir() if p.suffix == ".json")
     results = []
     if jobs > 1 and len(files) > 1:
+        # imported here: concurrent.futures and multiprocessing cost every
+        # other run their import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_suite_row, [str(p) for p in files],
                                  [overrides] * len(files)))

@@ -21,7 +21,7 @@ from .curve import (
     kappa_curve,
     kappa_sigma_curve,
 )
-from .lattice import IntLattice, NEG_INF, saturate_rows, vsub
+from .lattice import NEG_INF, _dots, int_kernel, saturate_rows, span_rank
 from .multiplier import EMPTY_METRIC, SingularMetricData, multiplier_coeff
 from .semigroup import DegreeBoundError
 from .toric import (
@@ -635,32 +635,22 @@ def iitaka_analysis(sys, k=None):
         raise DegreeBoundError("increase degree bound")
 
     n = sys.variety.lattice_rank
-
-    def diff_lattice(deg):
-        pts = sys.exponents(deg)
-        lat = IntLattice(n)
-        for p in pts[1:]:
-            lat.add(vsub(p, pts[0]))
-            if lat.rank == n:
-                break
-        return lat
-
-    bk = diff_lattice(k)
-    if bk.rank != diff_lattice(2 * k).rank:
+    image_dim, gram = span_rank([sys.exponents(k)], n)
+    if image_dim != span_rank([sys.exponents(2 * k)], n)[0]:
         raise DegreeBoundError("increase degree bound")
 
-    image_dim = bk.rank
-    sat_lat = IntLattice(n)
-    sat = saturate_rows(bk.basis()) if bk.rows else []
-    for row in sat:
-        sat_lat.add(row)
-
+    # the Gram rows span the differences' rational space, so their
+    # saturation is the contracted lattice L, and the integer kernel of the
+    # symmetric Gram matrix is L's orthogonal complement: for saturated L,
+    # p - base lies in L iff <w, p> = <w, base> for every w in that kernel
+    sat = saturate_rows(gram)
+    perp = int_kernel(gram)
     checked = []
     for l in support:
         pts = sys.exponents(l)
-        base = pts[0]
-        for p in pts[1:]:
-            if not sat_lat.contains(vsub(p, base)):
+        for w in perp:
+            dots = _dots(w, pts)
+            if dots.count(dots[0]) != len(dots):
                 raise CrossCheckError(
                     f"degree {l} spreads across fibers: growth is not contracted")
         checked.append(l)

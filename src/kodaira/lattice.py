@@ -269,13 +269,43 @@ def int_points_rank(points):
     pts = list(points)
     if not pts:
         return NEG_INF
-    base = pts[0]
-    lat = IntLattice(len(base))
-    for p in pts[1:]:
-        lat.add(vsub(p, base))
-        if lat.rank == len(base):
-            break
-    return lat.rank
+    return span_rank([pts], len(pts[0]))[0]
+
+
+def span_rank(point_sets, n):
+    """(rank, gram) of the differences p - P[0] over the points p of each
+    set P in Z^n, together: gram = sum of (p - P[0])(p - P[0])^T, an n x n
+    integer matrix whose rows span the same rational space as the
+    differences (rank(D^T D) = rank(D)).
+
+    Each set is read in doubling prefixes (n + 1 points, then twice as many,
+    ...) and reading stops once the rank is n, so a full-rank set costs a
+    few points; a lower rank reads every point of every set.  An entry of
+    a prefix's block is sum p_i p_j - b_i S_j - b_j S_i + m b_i b_j for the
+    base b, the column sums S and the m points, one C-level dot product of
+    coordinate columns each.
+    """
+    gram = [[0] * n for _ in range(n)]
+    rank = 0
+    for pts in point_sets:
+        base, start, stop = pts[0], 1, n + 1
+        while start < len(pts):
+            chunk = pts[start:stop]
+            cols = list(zip(*chunk))
+            sums = list(map(sum, cols))
+            m = len(chunk)
+            for i in range(n):
+                bi, si, ci, row = base[i], sums[i], cols[i], gram[i]
+                for j in range(i, n):
+                    bj = base[j]
+                    row[j] += (sum(map(mul, ci, cols[j])) - bi * sums[j]
+                               - bj * si + m * bi * bj)
+                    gram[j][i] = row[j]
+            rank = rat_rank(gram)
+            if rank == n:
+                return rank, gram
+            start, stop = stop, 2 * stop
+    return rank, gram
 
 
 def subgroup_rank_index(generators, ambient=None):
@@ -342,8 +372,27 @@ def solve_rational(a_rows, b):
 
 
 def rat_rank(rows):
-    """Rank of a matrix of rationals (Gaussian elimination)."""
-    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+    """Rank of a matrix of rationals by fraction-free (Bareiss) elimination
+    of its rows scaled to integers: every entry stays an integer minor, so
+    each division is exact."""
+    a = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        a.append([x.numerator * (den // x.denominator) for x in r])
+    rank, prev = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 def solve_linear_system(a_rows, b):

@@ -96,7 +96,11 @@ class GradedSemigroup:
             self.generators = None
             lv = {}
             for k, pts in levels.items():
-                k = int(k)
+                try:
+                    k = index(k)
+                except TypeError:
+                    raise ValueError(
+                        f"level keys must be integers, got {k!r}") from None
                 if k <= 0:
                     raise ValueError("levels are indexed by positive degrees")
                 lv[k] = set(_int_points(pts, "point"))

@@ -21,7 +21,6 @@ from operator import and_, or_
 from .lattice import (
     NEG_INF,
     GeometryError,
-    IntLattice,
     Polytope,
     ScanPlan,
     affine_rank,
@@ -30,9 +29,9 @@ from .lattice import (
     int_points_rank,
     is_zero,
     primitive,
-    vsub,
+    span_rank,
 )
-from .multiplier import EMPTY_METRIC, coeff_limit, multiplier_coeff
+from .multiplier import EMPTY_METRIC, coeff_limit
 from .semigroup import DegreeBoundError, GradedSemigroup
 
 
@@ -318,8 +317,10 @@ class SectionSystem:
         self._slopes = [int(-self.k0 * c) for c in divisor.coefficients]
         self._offsets = ([-int(c) for c in aux.coefficients] if aux is not None
                          else [0] * len(variety.rays))
-        self._weights = [(i, self.metric.weight(i)) for i in
-                         range(len(variety.rays)) if self.metric.weight(i)]
+        # (ray, p, q) of each nonzero weight p/q, validated with the metric
+        self._weights = [(i, mu.numerator, mu.denominator) for i, mu in
+                         enumerate(map(self.metric.weight,
+                                       range(len(variety.rays)))) if mu]
         self._points = {}
         self._counts = {}
 
@@ -327,8 +328,9 @@ class SectionSystem:
         """Integer scan of the degree-k piece (multiplier level k*k0)."""
         t = k * self.k0
         bounds = [k * a + b for a, b in zip(self._slopes, self._offsets)]
-        for i, mu in self._weights:
-            bounds[i] += multiplier_coeff(mu, t, clamp=self.clamp)
+        for i, p, q in self._weights:  # multiplier_coeff(p/q, t)
+            c = t * p // q - t + 1
+            bounds[i] += max(c, 0) if self.clamp else c
         plan, rows = self.variety.scan_plan()
         box = [(sum(lam * bounds[r] for r, lam in lo),
                 -sum(lam * bounds[r] for r, lam in hi)) for lo, hi in rows]
@@ -350,14 +352,17 @@ class SectionSystem:
         bound = self.degree_bound if bound is None else bound
         return [k for k in range(1, bound + 1) if self.count(k) > 0]
 
-    def growth(self, stride=1):
+    def growth(self, stride=1, period=None):
         """growth_degree of the counts at degrees stride, 2 stride, ... up to
         the degree bound.  A degree is counted only when growth_degree reads
         it: lattice rank + 2 samples per residue class, unless those leave
-        the class undecided."""
+        the class undecided.  `period` defaults to self.period(stride); a
+        caller that already has it for another auxiliary divisor passes it."""
+        if period is None:
+            period = self.period(stride)
         return growth_degree(
             _DegreeCounts(self, range(stride, self.degree_bound + 1, stride)),
-            self.period(stride), cap=self.variety.lattice_rank + 2)
+            period, cap=self.variety.lattice_rank + 2)
 
     def period(self, stride=1):
         """A period of the counts at degrees stride, 2 stride, ... for large
@@ -374,8 +379,7 @@ class SectionSystem:
         if self.clamp and not q.is_empty():  # Q is the clamped limit
             touching = reduce(or_, q.tight_masks())
         step = self.k0 * stride
-        mu_period = {i: mu.denominator // gcd(mu.denominator, step)
-                     for i, mu in self._weights}
+        mu_period = {i: q // gcd(q, step) for i, _, q in self._weights}
         period = 1
         for sub, det in self.variety.nonsingular_subsets():
             if all(touching >> i & 1 for i in sub):
@@ -481,21 +485,12 @@ def certified_growth(counts, period):
 def kappa1(sys):
     """Rank of the group generated by all within-degree exponent differences
     (the transcendence degree of the field of degree-zero monomial
-    fractions).  NEG_INF when every degree is empty."""
-    n = sys.variety.lattice_rank
-    lat = IntLattice(n)
-    seen_any = False
-    for k in sys.support():
-        pts = sys.exponents(k)
-        seen_any = True
-        base = pts[0]
-        for p in pts[1:]:
-            lat.add(vsub(p, base))
-        if lat.rank == n:
-            break
-    if not seen_any:
+    fractions), read from one Gram matrix over the degrees until it reaches
+    full rank.  NEG_INF when every degree is empty."""
+    support = sys.support()
+    if not support:
         return NEG_INF
-    return lat.rank
+    return span_rank(map(sys.exponents, support), sys.variety.lattice_rank)[0]
 
 
 def kappa2(sys, with_witness=False):
@@ -639,11 +634,13 @@ def _perturbed_growth(variety, divisor, metric, perturbation, degree_bound,
     fattened = {i for i, c in enumerate(perturbation.coefficients) if c > 0}
     exact = _limit_growth_exact(variety, divisor, metric, fattened)
 
-    estimates = [
+    systems = [
         SectionSystem(variety, divisor, metric=metric,
                       aux=perturbation.scale(m), degree_bound=degree_bound * stride,
-                      clamp=clamp).growth(stride)
+                      clamp=clamp)
         for m in PERTURBATION_MULTIPLES]
+    period = systems[0].period(stride)  # the same for every auxiliary divisor
+    estimates = [s.growth(stride, period) for s in systems]
     return check_perturbed(
         exact, estimates,
         route + " growth mismatch: exact {exact}, empirical {empirical}",

@@ -7,7 +7,9 @@ lattice helpers that only tests use (`in_row_lattice`, `solve_in_lattice`,
 `dilate`), the per-level regularized Hilbert function
 (`hilbert_reg_per_level`) that the library's slice scaling replaced, and the
 per-point closure check (`closure_check_per_point`) that the library's run
-check on integer codes replaced.
+check on integer codes replaced, and the per-point lattice insertions
+(`diff_lattice_per_point`, `kappa1_per_point`, `iitaka_fibers_per_point`)
+that the library's Gram-matrix spans replaced.
 """
 
 import math
@@ -15,7 +17,17 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from kodaira.lattice import Polytope, dot, hnf, solve_linear_system, vsub, xgcd
+from kodaira.lattice import (
+    IntLattice,
+    Polytope,
+    dot,
+    hnf,
+    saturate_rows,
+    solve_linear_system,
+    vsub,
+    xgcd,
+)
+from kodaira.toric import CrossCheckError
 
 
 def in_hull(point, points):
@@ -354,3 +366,55 @@ def closure_check_per_point(levels, degree_bound, budget):
                         f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
         if budget <= 0:
             break
+
+
+def diff_lattice_per_point(point_sets, n, stop_at_full_rank=True):
+    """Reference for `lattice.span_rank`: the IntLattice of the differences
+    p - P[0] within each set P, inserted one point at a time, and left as
+    soon as it reaches rank n when stop_at_full_rank.  With one set, its
+    rank is the former `int_points_rank`."""
+    lat = IntLattice(n)
+    for pts in point_sets:
+        for p in pts[1:]:
+            lat.add(vsub(p, pts[0]))
+            if stop_at_full_rank and lat.rank == n:
+                return lat
+    return lat
+
+
+def kappa1_per_point(sys):
+    """Reference for `toric.kappa1`: every point of each nonempty degree
+    goes into one IntLattice, degree by degree, until it has full rank."""
+    n = sys.variety.lattice_rank
+    support = sys.support()
+    if not support:
+        return float("-inf")
+    lat = IntLattice(n)
+    for k in support:
+        pts = sys.exponents(k)
+        for p in pts[1:]:
+            lat.add(vsub(p, pts[0]))
+        if lat.rank == n:
+            break
+    return lat.rank
+
+
+def iitaka_fibers_per_point(sys, k):
+    """Reference for the fiber check of `fibration.iitaka_analysis` at
+    degree k: (image dimension, saturated basis of the contracted lattice),
+    where every point's difference from its degree's first point must lie
+    in that lattice (IntLattice.contains), or CrossCheckError names the
+    first degree that spreads across fibers."""
+    n = sys.variety.lattice_rank
+    bk = diff_lattice_per_point([sys.exponents(k)], n)
+    sat = saturate_rows(bk.basis()) if bk.rows else []
+    sat_lat = IntLattice(n)
+    for row in sat:
+        sat_lat.add(row)
+    for l in sys.support():
+        pts = sys.exponents(l)
+        for p in pts[1:]:
+            if not sat_lat.contains(vsub(p, pts[0])):
+                raise CrossCheckError(
+                    f"degree {l} spreads across fibers: growth is not contracted")
+    return bk.rank, tuple(sat)

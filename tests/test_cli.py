@@ -370,3 +370,30 @@ def test_malformed_semigroup_shape_is_input_error(tmp_path, capsys):
         doc["body"] = {"ambient_rank": 1, **body}
         assert main(["semigroup", write_instance(tmp_path, doc)]) == 2, body
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_closed_under_addition_must_be_a_boolean(tmp_path, capsys):
+    # A_1 + A_1 escapes A_2, so a truthy string used to run the closure
+    # check and fail it; a non-boolean is now an input error naming the field
+    levels = {"1": [[0], [1]], "2": [[0]]}
+    for value in ("no", 0, None):
+        doc = staircase_doc()
+        doc["body"] = {"ambient_rank": 1, "levels": levels,
+                       "closed_under_addition": value}
+        assert main(["semigroup", write_instance(tmp_path, doc)]) == 2, value
+        assert capsys.readouterr().err == (
+            "input error: closed_under_addition: expected true or false, "
+            f"got {value!r}\n")
+    doc["body"]["closed_under_addition"] = False
+    assert main(["semigroup", write_instance(tmp_path, doc)]) == 0
+    doc["body"]["closed_under_addition"] = True
+    assert main(["semigroup", write_instance(tmp_path, doc)]) == 2
+    assert "declared closure fails" in capsys.readouterr().err
+
+
+def test_fractional_level_key_is_input_error(tmp_path, capsys):
+    doc = staircase_doc()
+    doc["body"] = {"ambient_rank": 1, "levels": {"1.5": [[0]], "2": [[0]]}}
+    assert main(["semigroup", write_instance(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: levels: expected integer degree keys, got '1.5'\n")

@@ -1,14 +1,21 @@
 from fractions import Fraction
+from itertools import product
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kodaira.curve import CurveDivisorClass, CurveModel
 from kodaira.lattice import NEG_INF
 from kodaira.multiplier import SingularMetricData
+from kodaira.semigroup import DegreeBoundError
 from kodaira.toric import (
+    CrossCheckError,
     SectionSystem,
     ToricDivisorData,
     ToricVariety,
+    kappa1,
     kappa_sigma,
     kappa_sigma_hor,
 )
@@ -28,9 +35,17 @@ from kodaira.fibration import (
     verify_upper_bound,
 )
 
+from _oracles import (
+    affine_dimension,
+    diff_lattice_per_point,
+    iitaka_fibers_per_point,
+    kappa1_per_point,
+)
+
 P1 = ToricVariety.projective_space(1)
 P2 = ToricVariety.projective_space(2)
 P1xP1 = ToricVariety.product(P1, P1)
+P1xP1xP1 = ToricVariety.product(P1xP1, P1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +322,103 @@ def test_iitaka_needs_room():
     sys = SectionSystem(P1, ToricDivisorData((0, 1)), degree_bound=10)
     with pytest.raises(Exception):
         iitaka_analysis(sys, k=9)  # 2k beyond the bound
+
+
+def spread_degree(sys, degree, extra):
+    """Patch sys so that the given degree also holds the points extra, put
+    right after its first point."""
+    exponents = sys.exponents
+    pts = exponents(degree)
+    pts = pts[:1] + tuple(extra) + pts[1:]
+    return lambda l: pts if l == degree else exponents(l)
+
+
+@pytest.mark.parametrize("variety, coeffs", [
+    (P1xP1, (0, 0, 0, 2)),
+    (P1xP1xP1, (0, 0, 0, 0, 0, 2)),
+    (P1xP1xP1, (0, 0, 0, 0, 0, 0)),
+])
+def test_iitaka_degree_across_fibers_raises(variety, coeffs):
+    # one point off the fiber of degree 3, in each small direction that
+    # leaves the contracted lattice, between points on the fiber
+    sys = SectionSystem(variety, ToricDivisorData(coeffs), degree_bound=8)
+    n = variety.lattice_rank
+    image_dim, relations = iitaka_fibers_per_point(sys, 4)
+    assert image_dim == len(relations) < n
+    base = sys.exponents(3)[0]
+    message = "degree 3 spreads across fibers: growth is not contracted"
+    for e in product([-1, 0, 1], repeat=n):
+        off = tuple(map(add, base, e))
+        if affine_dimension([(0,) * n, *relations, e]) == len(relations):
+            continue  # e lies in the contracted lattice
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "exponents", spread_degree(sys, 3, [off]))
+            with pytest.raises(CrossCheckError, match=message):
+                iitaka_fibers_per_point(sys, 4)
+            with pytest.raises(CrossCheckError, match=message):
+                iitaka_analysis(sys)
+
+
+VARIETIES = [P1, P2, P1xP1, ToricVariety.hirzebruch(1),
+             ToricVariety.hirzebruch(2), P1xP1xP1]
+
+
+@st.composite
+def section_systems(draw):
+    """A small section system, its exponent sets optionally patched so that
+    one degree gains a few points near its first one (on its fiber or off
+    it)."""
+    var = draw(st.sampled_from(VARIETIES))
+    n = var.lattice_rank
+    coeffs = draw(st.tuples(*[st.sampled_from([0, 0, 0, 1, 2, -1])] * len(var.rays)))
+    weights = draw(st.lists(st.tuples(st.integers(0, len(var.rays) - 1),
+                                      st.fractions(0, 3, max_denominator=3)),
+                            max_size=2, unique_by=lambda e: e[0]))
+    sys = SectionSystem(var, ToricDivisorData(coeffs),
+                        metric=SingularMetricData(weights),
+                        degree_bound=draw(st.integers(4, 10 if n < 3 else 6)))
+    support = sys.support()
+    if support and draw(st.booleans()):
+        degree = draw(st.sampled_from(support))
+        base = sys.exponents(degree)[0]
+        offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                                min_size=1, max_size=3))
+        extra = [tuple(map(add, base, u)) for u in offsets]
+        sys.exponents = spread_degree(sys, degree, extra)
+    return sys
+
+
+def outcome(call):
+    try:
+        return "ok", call()
+    except (CrossCheckError, DegreeBoundError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(section_systems())
+def test_spans_match_per_point_references(sys):
+    n = sys.variety.lattice_rank
+    assert kappa1(sys) == kappa1_per_point(sys)
+    support = sys.support()
+    k = max((d for d in support if 2 * d <= sys.degree_bound), default=None)
+    if k is None:
+        return
+    rank_k = diff_lattice_per_point([sys.exponents(k)], n).rank
+    rank_2k = diff_lattice_per_point([sys.exponents(2 * k)], n).rank
+    kind, got = outcome(lambda: iitaka_analysis(sys))
+    if rank_k != rank_2k:
+        assert (kind, got) == ("DegreeBoundError", "increase degree bound")
+        return
+    want_kind, want = outcome(lambda: iitaka_fibers_per_point(sys, k))
+    if want_kind != "ok":
+        assert (kind, got) == (want_kind, want)
+    elif kind == "ok":
+        assert (got.image_dim, got.fiber_relations) == want
+        assert got.fiber_lattice_rank == n - len(want[1])
+        assert got.degrees_checked == tuple(support)
+    else:  # the fiber check passed; only the later kappa cross-check failed
+        assert "spreads across fibers" not in got
 
 
 def test_kappa_summary_record():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kodaira.lattice import (
     NEG_INF,
@@ -9,16 +11,22 @@ from kodaira.lattice import (
     UnboundedPolytopeError,
     convex_hull,
     det_int,
+    dot,
     hnf,
     hnf_basis,
     int_kernel,
+    int_points_rank,
     lattice_volume,
     saturate_rows,
+    span_rank,
     subgroup_rank_index,
+    vsub,
 )
 
 from _oracles import (
+    affine_dimension,
     coset_count,
+    diff_lattice_per_point,
     dilate,
     grid_lattice_points,
     hull_vertex_set,
@@ -345,3 +353,62 @@ def test_volume_unimodular_invariance():
     v1 = lattice_volume(poly, [(1, 0), (0, 1)])
     v2 = lattice_volume(poly, [(1, 1), (0, 1)])  # unimodular change of basis
     assert v1 == v2 == 4
+
+
+# ---------------------------------------------------------------------------
+# spans of exponent sets from one Gram matrix
+# ---------------------------------------------------------------------------
+
+@st.composite
+def sublattice_set(draw, n):
+    """Points base + sum c_i u_i for r = 0..n small integer directions u_i
+    (dependent ones give a lower rank; r = 0 gives repeats of one point),
+    optionally ending in one arbitrary point, so that a long set can reach
+    full rank only at its end."""
+    r = draw(st.integers(0, n))
+    base = draw(st.tuples(*[st.integers(-9, 9)] * n))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                         min_size=r, max_size=r))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * r), max_size=40))
+    pts = [base] + [tuple(b + sum(c * u[i] for c, u in zip(cs, dirs))
+                          for i, b in enumerate(base)) for cs in coeffs]
+    if draw(st.booleans()):
+        pts.append(draw(st.tuples(*[st.integers(-9, 9)] * n)))
+    return pts
+
+
+span_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(sublattice_set(n), min_size=1, max_size=3)))
+
+
+@settings(max_examples=400)
+@given(span_cases)
+# full rank only at the last of many points: read past several prefixes
+@example((2, [[(0, 0)] + [(x, 2 * x) for x in range(1, 30)] + [(1, 0)]]))
+@example((3, [[(1, 2, 3)]]))
+def test_span_rank_matches_per_point_lattice(case):
+    n, sets = case
+    rank, gram = span_rank(sets, n)
+    diffs = [vsub(p, pts[0]) for pts in sets for p in pts[1:]]
+    origin = (0,) * n
+    assert rank == diff_lattice_per_point(sets, n).rank
+    assert rank == affine_dimension([origin] + diffs)
+    if len(sets) == 1:
+        assert int_points_rank(sets[0]) == rank == affine_dimension(sets[0])
+    # the Gram rows lie in the differences' rational span and have its rank
+    rows = [r for r in gram if any(r)]
+    assert affine_dimension([origin] + rows) == rank
+    assert affine_dimension([origin] + rows + diffs) == rank
+    assert gram == [list(col) for col in zip(*gram)]
+    if rank < n:  # no early exit: the Gram matrix of every difference
+        assert gram == [[sum(d[i] * d[j] for d in diffs) for j in range(n)]
+                        for i in range(n)]
+    # its integer kernel is the differences' orthogonal complement
+    perp = int_kernel(gram)
+    assert len(perp) == n - rank
+    assert all(dot(w, d) == 0 for w in perp for d in diffs)
+
+
+def test_span_rank_of_no_points():
+    assert int_points_rank([]) == NEG_INF
+    assert span_rank([], 3) == (0, [[0] * 3 for _ in range(3)])

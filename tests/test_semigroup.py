@@ -161,6 +161,14 @@ def test_non_integral_entries_are_rejected_not_truncated():
     assert sg.levels[1] == {(0,), (1,)}
 
 
+def test_non_integral_level_keys_are_rejected_not_truncated():
+    for key in (Fraction(3, 2), 2.9, 2.0, "2"):
+        with pytest.raises(ValueError, match="level keys must be integers"):
+            GradedSemigroup(1, levels={key: {(1,)}, 1: {(0,)}}, check_closure=False)
+    sg = GradedSemigroup(1, levels={True: {(0,)}, 2: {(0,)}})
+    assert sorted(sg.levels) == [1, 2]
+
+
 def closure_outcome(check):
     try:
         check()
