@@ -34,7 +34,6 @@ from .toric import (
     ToricVariety,
     certified_growth,
     check_perturbed,
-    divisor_polytope,
     growth_degree,
     kappa_report,
     kappa_sigma,
@@ -238,7 +237,7 @@ class ToricFibrationInstance:
         lhs = SectionSystem(fib.total, self.total_divisor(), metric=self.metric,
                             aux=fib.pullback_divisor(base_twist),
                             degree_bound=bound).count(k)
-        base_h0 = divisor_polytope(fib.base, base_twist, 1).count_lattice_points()
+        base_h0 = SectionSystem(fib.base, base_twist, degree_bound=1).count(1)
         rank = SectionSystem(*self.fiber_data(), degree_bound=bound).count(k)
         return lhs, base_h0, rank
 
@@ -451,11 +450,6 @@ def instance_kappa_values(inst):
     return inst.report.kappa, inst.kappa_sigma, inst.kappa_sigma_hor
 
 
-def base_kappa_values(inst):
-    """(kappa, kappa_sigma) of the base with its log or canonical divisor."""
-    return inst.base
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -592,7 +586,8 @@ def verify_iitaka(inst):
             check_id="iitaka_fibration", instance_id=inst.instance_id,
             lhs=total, rhs_terms=(("kappa", total), ("fiber_kappa", NEG_INF)),
             holds=True, vacuous=True)
-    res = iitaka_analysis(sys)  # raises on any certification failure
+    # raises on any certification failure
+    res = _iitaka_analysis(sys, None, lambda: total)
     return InequalityVerdict(
         check_id="iitaka_fibration", instance_id=inst.instance_id,
         lhs=res.image_dim,
@@ -622,6 +617,12 @@ def iitaka_analysis(sys, k=None):
     which is certified degree by degree.  Requires the difference lattice to
     have stabilized (rank at k equals rank at 2k inside the bound).
     """
+    return _iitaka_analysis(sys, k, lambda: kappa_report(sys).kappa)
+
+
+def _iitaka_analysis(sys, k, growth):
+    """iitaka_analysis, checked at the end against growth(), the growth
+    order of the system."""
     support = sys.support()
     if not support:
         raise ValueError("empty section system")
@@ -655,7 +656,7 @@ def iitaka_analysis(sys, k=None):
                     f"degree {l} spreads across fibers: growth is not contracted")
         checked.append(l)
 
-    total_kappa = kappa_report(sys).kappa
+    total_kappa = growth()
     if image_dim != total_kappa:
         raise CrossCheckError(
             f"image dimension {image_dim} disagrees with growth {total_kappa}")

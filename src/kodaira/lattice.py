@@ -1,10 +1,14 @@
-"""Exact rational linear algebra and lattice/convex geometry primitives.
+"""Exact lattice and convex geometry primitives on one fraction-free core.
 
 Everything in this module is exact: vectors are tuples of ints or Fractions,
 matrices are lists of row tuples, and no geometric predicate ever touches a
-float.  The distinguished value NEG_INF (= float("-inf")) is the dimension of
-an empty polytope and propagates through every dimension-like quantity
-downstream; it is never encoded as -1.
+float.  All linear algebra over Q runs on integers: `_bareiss`, one
+fraction-free (Bareiss) elimination, gives ranks, determinants, pivot
+columns and solutions as integer numerators over one denominator; rational
+input is scaled to integers first, and Fractions are built only for the
+values returned.  The distinguished value NEG_INF (= float("-inf")) is the
+dimension of an empty polytope and propagates through every dimension-like
+quantity downstream; it is never encoded as -1.
 """
 
 from __future__ import annotations
@@ -160,34 +164,87 @@ def saturate_rows(rows):
     return hnf_basis(sat)
 
 
-def det_int(rows):
-    """Determinant of a square integer matrix (Bareiss, exact)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in r] for r in rows]
-    sign = 1
+def _reduce(echelon, row, ncols):
+    """(row, col): an integer row after fraction-free (Bareiss 1968)
+    elimination against echelon, the (column, row, pivot) triples of the
+    pivot rows before it, and its first nonzero column among the first
+    ncols (None when there is none).
+
+    Step s replaces the row r by (p r - r[c] t) / prev, for the pivot row t,
+    its pivot p in column c and the previous pivot prev (1 at first).  Every
+    entry stays an integer minor of the input rows, rows {t_1 .. t_s, r} by
+    columns {c_1 .. c_s, j}, so each division is exact, and the pivot p_s is
+    the minor of the first s pivot rows on their pivot columns.
+    """
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for c, top, p in echelon:
+        f = row[c]
+        if f:
+            row = [(x * p - f * y) // prev for x, y in zip(row, top)]
+        elif p != prev:  # the step only scales the row
+            row = [x * p // prev for x in row]
+        prev = p
+    for col in range(ncols):
+        if row[col]:
+            return row, col
+    return row, None
+
+
+def _bareiss(rows, ncols):
+    """(echelon, rest) of integer rows reduced one at a time (`_reduce`): a
+    row with a nonzero entry among its first ncols becomes a pivot row on
+    the first such column, the others go to rest.  The columns beyond ncols
+    are right-hand sides: the system is consistent iff they vanish on every
+    row of rest.  The rank is len(echelon), and the last pivot is, up to the
+    sign of the pivot columns' order, the determinant of a square input of
+    full rank."""
+    echelon, rest = [], []
+    for row in rows:
+        row, col = _reduce(echelon, row, ncols)
+        if col is None:
+            rest.append(row)
+        else:
+            echelon.append((col, row, row[col]))
+    return echelon, rest
+
+
+def _solve(echelon, ncols, j):
+    """(den, x): den, the last pivot (1 without one), and the numerators
+    over den of the solution in the first ncols columns of the echelon rows
+    for their right-hand column j, 0 on non-pivot columns.  Back
+    substitution: den x_c = (den b - sum of t[k] den x_k over the later
+    pivot columns k) / t[c] on the pivot row t of column c, exact since
+    den x_c is an integer by Cramer's rule."""
+    den = echelon[-1][2] if echelon else 1
+    x = [0] * ncols
+    for c, row, p in reversed(echelon):
+        x[c] = (den * row[j] - sum(map(mul, row[:ncols], x))) // p
+    return den, x
+
+
+def _integral(row):
+    """A rational row scaled to integers by the lcm of its denominators."""
+    den = math.lcm(1, *(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def det_int(rows):
+    """Determinant of a square integer matrix: the last `_bareiss` pivot,
+    signed by the parity of the pivot columns' order."""
+    n = len(rows)
+    echelon, _ = _bareiss(rows, n)
+    if len(echelon) < n:
+        return 0
+    cols = [c for c, _, _ in echelon]
+    sign = (-1) ** sum(a > b for a, b in combinations(cols, 2))
+    return sign * echelon[-1][2] if n else 1
 
 
 class IntLattice:
     """Mutable integer lattice kept in row-echelon form via gcd insertion.
 
-    Supports incremental generation: add vectors one at a time, query rank
-    and membership cheaply.  Entries stay small because insertions use
+    Supports incremental generation: add vectors one at a time and query
+    the rank cheaply.  Entries stay small because insertions use
     extended-gcd row operations, never fraction-free elimination.
     """
 
@@ -236,17 +293,6 @@ class IntLattice:
     def _normalize(self, idx):
         if self.rows[idx][self.pivots[idx]] < 0:
             self.rows[idx] = [-x for x in self.rows[idx]]
-
-    def contains(self, vec):
-        v = [int(x) for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv] != 0:
-                if v[piv] % row[piv] != 0:
-                    return False
-                q = v[piv] // row[piv]
-                for jj in range(piv, self.n):
-                    v[jj] -= q * row[jj]
-        return all(x == 0 for x in v)
 
     def basis(self):
         return [tuple(r) for r in self.rows]
@@ -339,74 +385,11 @@ def subgroup_rank_index(generators, ambient=None):
 # rational linear algebra
 # ---------------------------------------------------------------------------
 
-def _rref(rows, ncols):
-    """Reduced row echelon form of a rational matrix, pivoting only in the
-    first ncols columns: (rows as lists of Fractions, pivot columns)."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-    return work, pivots
-
-
-def solve_rational(a_rows, b):
-    """Solve A x = b exactly (A square, rows of rationals); None if singular."""
-    n = len(a_rows)
-    work, pivots = _rref([list(r) + [b[i]] for i, r in enumerate(a_rows)], n)
-    if len(pivots) < n:
-        return None
-    return tuple(row[n] for row in work)
-
-
 def rat_rank(rows):
-    """Rank of a matrix of rationals by fraction-free (Bareiss) elimination
-    of its rows scaled to integers: every entry stays an integer minor, so
-    each division is exact."""
-    a = []
-    for r in rows:
-        den = math.lcm(*(x.denominator for x in r))
-        a.append([x.numerator * (den // x.denominator) for x in r])
-    rank, prev = 0, 1
-    for col in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        p = top[col]
-        for i in range(rank + 1, len(a)):
-            f = a[i][col]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-        rank += 1
-    return rank
-
-
-def solve_linear_system(a_rows, b):
-    """One exact solution x of A x = b for a consistent (possibly non-square)
-    system, or None if inconsistent."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    work, pivots = _rref([list(a_rows[i]) + [b[i]] for i in range(m)], n)
-    if any(row[n] != 0 for row in work[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, col in zip(work, pivots):
-        x[col] = row[n]
-    return tuple(x)
+    """Rank of a matrix of rationals: `_bareiss` on its rows scaled to
+    integers."""
+    a = [_integral(r) for r in rows]
+    return len(_bareiss(a, len(a[0]) if a else 0)[0])
 
 
 def affine_rank(points):
@@ -419,7 +402,7 @@ def affine_rank(points):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination (exact feasibility and coordinate bounds)
+# Polytope
 # ---------------------------------------------------------------------------
 
 def _normalize_constraint(v, c):
@@ -431,51 +414,53 @@ def _normalize_constraint(v, c):
     return tuple(v), Fraction(c)
 
 
-def _fm_eliminate(constraints, var):
-    lower, upper, rest = [], [], []
-    for v, c in constraints:
-        a = v[var]
-        if a > 0:
-            lower.append((v, c))
-        elif a < 0:
-            upper.append((v, c))
-        else:
-            rest.append((v, c))
-    best = {}
-    for v, c in rest:
-        key = v
-        if key not in best or c > best[key]:
-            best[key] = c
-    for vp, cp in lower:
-        for vn, cn in upper:
-            a, b = vp[var], -vn[var]
-            w = tuple(b * x + a * y for x, y in zip(vp, vn))
-            d = b * cp + a * cn
-            w, d = _normalize_constraint(w, d)
-            if w not in best or d > best[w]:
-                best[w] = d
-    return [(v, c) for v, c in best.items()]
+def _vertices(normals, bounds, n, first=False):
+    """{(numerators, den): tight mask} for the vertices u = numerators / den
+    (lowest terms, den > 0) of {u in Q^n : <u, a_i> >= b_i}, for integer
+    normals a_i and bounds b_i.  Each set of n rows with independent
+    normals is solved once, kept when the solution satisfies every row; bit
+    i of its mask is set when it meets row i with equality.  The sets are
+    grown one row at a time in index order, each row reduced (`_reduce`)
+    against the pivot rows its prefix shares, and a prefix with dependent
+    normals is dropped with all its extensions.  With first, stops at one
+    vertex."""
+    rows = [v + (b,) for v, b in zip(normals, bounds)]
+    found = {}
+    echelon = []
 
+    def grow(start):
+        if len(echelon) == n:
+            den, x = _solve(echelon, n, n)
+            if den < 0:
+                x, den = [-v for v in x], -den
+            slack = [dot(x, v) - b * den for v, b in zip(normals, bounds)]
+            if all(s >= 0 for s in slack):
+                g = math.gcd(den, *x)
+                found[tuple(v // g for v in x), den // g] = sum(
+                    1 << i for i, s in enumerate(slack) if s == 0)
+            return
+        for i in range(start, len(rows) - n + len(echelon) + 1):
+            row, col = _reduce(echelon, rows[i], n)
+            if col is not None:
+                echelon.append((col, row, row[col]))
+                grow(i + 1)
+                echelon.pop()
+                if first and found:
+                    return
 
-def _fm_project_to(constraints, keep_var, nvars):
-    cons = [_normalize_constraint(tuple(int(x) for x in v), c) for v, c in constraints]
-    for var in range(nvars):
-        if var == keep_var:
-            continue
-        cons = _fm_eliminate(cons, var)
-    return cons
+    grow(0)
+    return found
 
-
-# ---------------------------------------------------------------------------
-# Polytope
-# ---------------------------------------------------------------------------
 
 class Polytope:
     """Rational polyhedron in H-representation: {u : <u, normal> >= bound}.
 
     Normals are integer vectors, bounds are Fractions.  The vertex list,
     affine dimension and emptiness flag are computed lazily and cached;
-    instances are immutable after construction and safe to share.
+    instances are immutable after construction and safe to share.  Every
+    predicate is read off vertices: the bounds are scaled once to integers
+    over their common denominator, and each vertex is one fraction-free solve
+    (`_vertices`).
     """
 
     def __init__(self, ambient_dim, constraints):
@@ -496,83 +481,74 @@ class Polytope:
     def __repr__(self):
         return f"Polytope(dim={self.ambient_dim}, constraints={len(self.constraints)})"
 
+    def _integer_system(self):
+        """(normals, den, bounds): the bounds as integers over den, their
+        common denominator."""
+        den = math.lcm(1, *(c.denominator for _, c in self.constraints))
+        return ([v for v, _ in self.constraints], den,
+                [c.numerator * (den // c.denominator) for _, c in self.constraints])
+
     # -- predicates --------------------------------------------------------
 
     def contains(self, point):
         return all(dot(point, v) >= c for v, c in self.constraints)
 
     def is_empty(self):
+        """Nonempty iff the system restricted to J, the pivot columns of the
+        normals, has a vertex: those columns span the normals' column space,
+        so every <u, a_i> is <u', a_i restricted to J> for some u', and
+        restricted to J the normals have full column rank, so that
+        polyhedron contains no line.  With J all columns, this is the vertex
+        enumeration itself."""
         if self._empty is None:
-            if self._vertices is not None and self._vertices:
-                self._empty = False
-            elif self.ambient_dim == 0:
-                self._empty = any(c > 0 for _, c in self.constraints)
+            normals, _, bounds = self._integer_system()
+            pivots = [c for c, _, _ in _bareiss(normals, self.ambient_dim)[0]]
+            if len(pivots) == self.ambient_dim:
+                self._empty = not self.vertices()
             else:
-                cons = list(self.constraints)
-                for var in range(self.ambient_dim):
-                    cons = _fm_eliminate(cons, var)
-                self._empty = any(c > 0 for _, c in cons)
+                cut = [tuple(v[j] for j in pivots) for v in normals]
+                self._empty = not _vertices(cut, bounds, len(pivots), first=True)
         return self._empty
 
-    def coordinate_bounds(self, i):
-        """Exact (lo, hi) of coordinate i over the polytope; None = unbounded
-        on that side.  Raises on empty polytope."""
-        if self.is_empty():
-            raise GeometryError("empty polytope has no coordinate bounds")
-        cons = _fm_project_to(self.constraints, i, self.ambient_dim)
-        lo, hi = None, None
-        for v, c in cons:
-            a = v[i]
-            if a > 0:
-                b = Fraction(c, a)
-                lo = b if lo is None or b > lo else lo
-            elif a < 0:
-                b = Fraction(c, a)
-                hi = b if hi is None or b < hi else hi
-        return lo, hi
-
     def is_bounded(self):
+        """Empty, or the normals have rank n and the recession cone
+        {w : <w, a_i> >= 0} is zero.  With rank n, <w, s> > 0 on the cone
+        but at 0, for s the sum of the normals, so the cone is zero iff its
+        part {<w, s> >= 1}, which contains no line, has no vertex."""
         if self._bounded is None:
-            if self.is_empty():
-                self._bounded = True
-            else:
-                self._bounded = True
-                for i in range(self.ambient_dim):
-                    lo, hi = self.coordinate_bounds(i)
-                    if lo is None or hi is None:
-                        self._bounded = False
-                        break
+            n = self.ambient_dim
+            normals = [v for v, _ in self.constraints]
+            self._bounded = self.is_empty() or (
+                len(_bareiss(normals, n)[0]) == n and not _vertices(
+                    normals + [tuple(map(sum, zip(*normals)))],
+                    [0] * len(normals) + [1], n, first=True))
         return self._bounded
 
     # -- V-representation ---------------------------------------------------
 
     def vertices(self):
-        """All vertices (basic feasible solutions), lexicographically sorted."""
+        """All vertices (basic feasible solutions), lexicographically sorted;
+        their tight masks come with them."""
         if self._vertices is None:
-            n = self.ambient_dim
-            found = set()
-            if n == 0:
-                if not self.is_empty():
-                    found.add(())
-            else:
-                for idx in combinations(range(len(self.constraints)), n):
-                    rows = [self.constraints[i][0] for i in idx]
-                    rhs = [self.constraints[i][1] for i in idx]
-                    sol = solve_rational(rows, rhs)
-                    if sol is not None and self.contains(sol):
-                        found.add(sol)
-            self._vertices = tuple(sorted(found))
-            if self._vertices:
+            normals, den, bounds = self._integer_system()
+            found = sorted(
+                (tuple(Fraction(x, d * den) for x in nums), mask)
+                for (nums, d), mask in
+                _vertices(normals, bounds, self.ambient_dim).items())
+            self._vertices = tuple(p for p, _ in found)
+            self._tight = tuple(mask for _, mask in found)
+            if found:
                 self._empty = False
         return self._vertices
 
     def tight_masks(self):
         """For each vertex, in vertices() order, the bitmask of the
         constraints it satisfies with equality (bit i: constraint i)."""
-        if self._tight is None:
+        verts = self.vertices()
+        if self._tight is None:  # vertices given with the polytope
             self._tight = tuple(
                 sum(1 << i for i, (v, c) in enumerate(self.constraints)
-                    if dot(p, v) == c) for p in self.vertices())
+                    if dot(p, v) == c) for p in verts)
         return self._tight
 
     def affine_dim(self):
@@ -1011,16 +987,20 @@ def convex_hull(points, ambient_dim=None):
 
 def basis_coords(basis, vectors):
     """Coordinates of each vector in a basis of independent rows, as tuples
-    of Fractions, from one elimination for all of them.  Raises
+    of Fractions, from one `_bareiss` solve for all of them.  Raises
     GeometryError when the rows are dependent or a vector lies outside
     their span."""
     q = len(basis)
     vectors = list(vectors)
     # column i of the system is basis row i; the vectors are its right sides
-    work, pivots = _rref([list(col) for col in zip(*basis, *vectors)], q)
-    if len(pivots) < q or any(x for row in work[q:] for x in row[q:]):
+    echelon, rest = _bareiss([_integral(col) for col in zip(*basis, *vectors)], q)
+    if len(echelon) < q or any(x for row in rest for x in row[q:]):
         raise GeometryError("basis does not span direction space")
-    return [tuple(row[q + j] for row in work[:q]) for j in range(len(vectors))]
+    out = []
+    for j in range(q, q + len(vectors)):
+        den, x = _solve(echelon, q, j)
+        out.append(tuple(Fraction(v, den) for v in x))
+    return out
 
 
 def lattice_volume(poly, basis):
@@ -1029,27 +1009,36 @@ def lattice_volume(poly, basis):
 
     `basis` must span the direction space of the polytope's affine hull; the
     result is invariant under unimodular change of that basis.  Dimension 0
-    returns 1.  Computed exactly by a pulling triangulation from one vertex:
-    the vertex coordinates in the basis (`basis_coords`), scaled to integers
-    by their common denominator den, are hulled by `_hull`, and the cones
-    from the vertex over its boundary simplices give sum |det| / (q! den^q).
+    returns 1.  It is the `hull_volume` of the vertex coordinates in the
+    basis (`basis_coords`).
     """
     verts = poly.vertices()
     if not verts:
         raise GeometryError("volume of empty polytope")
-    q = len(basis)
     v0 = verts[0]
-    coords = basis_coords(basis, [vsub(v, v0) for v in verts])
-    if rat_rank(coords) != q:
+    return hull_volume(basis_coords(basis, [vsub(v, v0) for v in verts]))
+
+
+def hull_volume(points):
+    """Volume of the hull of rational points in R^q whose differences span
+    R^q (GeometryError otherwise); 1 for q = 0.
+
+    Computed exactly by a pulling triangulation from one vertex: the points,
+    scaled to integers by their common denominator den, are hulled by
+    `_hull`, and the cones from the lexicographically first point, a vertex,
+    over its boundary simplices give sum |det| / (q! den^q).
+    """
+    q = len(points[0])
+    den = math.lcm(1, *(x.denominator for p in points for x in p))
+    pts = sorted({tuple(x.numerator * (den // x.denominator) for x in p)
+                  for p in points})
+    p0 = pts[0]
+    if rat_rank([vsub(p, p0) for p in pts[1:]]) != q:
         raise GeometryError("basis does not span direction space")
     if q == 0:
         return Fraction(1)
     if q == 1:
-        vals = [c[0] for c in coords]
-        return max(vals) - min(vals)
-    # v0 sits at the origin of `coords`, so each cone's volume is the
-    # determinant of its simplex's corners
-    den = math.lcm(1, *(x.denominator for c in coords for x in c))
-    pts = sorted({tuple(int(x * den) for x in c) for c in coords})
-    total = sum(abs(det_int(corners)) for corners, _, _ in _hull(pts))
+        return Fraction(pts[-1][0] - p0[0], den)
+    total = sum(abs(det_int([vsub(c, p0) for c in corners]))
+                for corners, _, _ in _hull(pts))
     return Fraction(total, math.factorial(q) * den ** q)

@@ -28,9 +28,9 @@ from .lattice import (
     det_int,
     dot,
     hnf_basis,
+    hull_volume,
     int_hull,
     int_kernel,
-    lattice_volume,
     vadd,
     xgcd,
 )
@@ -241,7 +241,8 @@ class Regularization:
     _body: Polytope | None = field(default=None, repr=False)
     # G ∩ C at level t m is g0 t + (y · boundary) for the integer y in t times
     # one rational polytope: (ScanPlan over its integer normals, the bounds of
-    # the t = 1 slice, the (min, max) of each y coordinate over its vertices)
+    # the t = 1 slice, the (min, max) of each y coordinate over its vertices,
+    # the y coordinates of its vertices)
     _slice: tuple | None = field(default=None, repr=False)
     strongly_convex: bool = True
 
@@ -331,7 +332,7 @@ def regularize(sg, build_body=True):
         coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
                                          for v in body.vertices()])
         slice_data = (ScanPlan(len(boundary), normals), tuple(bounds),
-                      tuple((min(c), max(c)) for c in zip(*coords)))
+                      tuple((min(c), max(c)) for c in zip(*coords)), coords)
 
     return Regularization(
         group_basis=tuple(basis),
@@ -369,7 +370,7 @@ def hilbert_reg(sg, k, reg=None):
     t, r = divmod(k, reg.m)
     if r:
         return 0
-    plan, bounds, box = reg._slice
+    plan, bounds, box, _ = reg._slice
     return plan.scan([(math.ceil(t * lo), math.floor(t * hi)) for lo, hi in box],
                      [t * b for b in bounds])
 
@@ -398,7 +399,9 @@ class GrowthLawReport:
 def growth_law_check(sg, k_max=200, reg=None):
     """Growth coefficient of the regularized Hilbert function vs. the body.
 
-    predicted = m^q * Vol(Delta) in boundary-lattice coordinates;
+    predicted = m^q * Vol(Delta) in boundary-lattice coordinates, the volume
+    of the level-m slice, read from the coordinates of its vertices that
+    `regularize` solved (`hull_volume`);
     empirical = H_reg(m * k_max) / k_max^q.  The cone is strongly convex by
     construction (see Regularization).
     """
@@ -407,8 +410,9 @@ def growth_law_check(sg, k_max=200, reg=None):
     q = reg.okounkov_dim
     m = reg.m
     # boundary lattice rank is exactly rank(G) - 1 = q here
-    vol = lattice_volume(reg.okounkov_body, list(reg.boundary_lattice))
-    predicted = Fraction(m) ** q * vol
+    if reg._slice is None:
+        raise GeometryError("okounkov body was not constructed")
+    predicted = hull_volume(reg._slice[3])
     count = hilbert_reg(sg, m * k_max, reg=reg)
     empirical = Fraction(count, k_max ** q)
     gap = abs(empirical - predicted) / predicted

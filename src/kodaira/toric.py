@@ -573,36 +573,29 @@ def limit_polytope(variety, divisor, metric=None):
 
 
 def _limit_growth_exact(variety, divisor, metric, fattened_rays):
-    """Exact growth order of perturbed counts from the limit polytope.
+    """Exact growth order of perturbed counts from the limit polytope Q.
 
-    The value is the largest face dimension of the limit polytope whose tight
-    constraints admit a displacement w with <w, v> >= 1 on limit-strict rays
-    (metric weight >= 1, not fattened) and <w, v> >= 0 on neutral rays;
-    fattened rays absorb any bounded displacement.  With every ray fattened
-    this is just the polytope dimension.
+    The value is the largest face dimension of Q whose tight constraints
+    admit a displacement w with <w, v> >= 1 on limit-strict rays (metric
+    weight >= 1, not fattened) and <w, v> >= 0 on neutral rays; fattened
+    rays absorb any bounded displacement.  A face is tight on every ray
+    that all of Q is tight on, so its displacement system contains Q's,
+    and any w for a face serves Q too: that largest face is Q itself when
+    there is one.  So the value is dim Q when the rays tight on all of Q
+    admit a displacement, and NEG_INF otherwise; with every ray fattened it
+    is just dim Q.
     """
     metric = metric if metric is not None else EMPTY_METRIC
     q = limit_polytope(variety, divisor, metric)
     if q.is_empty():
         return NEG_INF
-    verts = q.vertices()
-    cons = q.constraints  # parallel to rays by construction
-    tight = q.tight_masks()  # bit i of tight[j]: vertex j is on ray i
-    faces = set()
-    for mask in range(1 << len(cons)):
-        vset = tuple(j for j, t in enumerate(tight) if t & mask == mask)
-        if vset:
-            faces.add(vset)
-
-    best = NEG_INF
-    for vset in faces:
-        full_tight = reduce(and_, (tight[j] for j in vset))
-        disp = [(cons[i][0], 1 if metric.weight(i) >= 1 else 0)
-                for i in range(len(cons))
-                if full_tight >> i & 1 and i not in fattened_rays]
-        if not disp or not Polytope(variety.lattice_rank, disp).is_empty():
-            best = max(best, affine_rank([verts[j] for j in vset]))
-    return best
+    on_q = reduce(and_, q.tight_masks())  # bit i: Q lies on ray i
+    disp = [(v, 1 if metric.weight(i) >= 1 else 0)
+            for i, (v, _) in enumerate(q.constraints)  # parallel to the rays
+            if on_q >> i & 1 and i not in fattened_rays]
+    if disp and Polytope(variety.lattice_rank, disp).is_empty():
+        return NEG_INF
+    return affine_rank(q.vertices())
 
 
 PERTURBATION_MULTIPLES = (1, 2, 3)

@@ -9,13 +9,21 @@ lattice helpers that only tests use (`in_row_lattice`, `solve_in_lattice`,
 per-point closure check (`closure_check_per_point`) that the library's run
 check on integer codes replaced, and the per-point lattice insertions
 (`diff_lattice_per_point`, `kappa1_per_point`, `iitaka_fibers_per_point`)
-that the library's Gram-matrix spans replaced.
+that the library's Gram-matrix spans replaced.  The exact rational linear
+algebra the library's fraction-free core replaced lives here too, as the
+references it is compared against: Fraction Gauss-Jordan (`rref`,
+`solve_rational`, `solve_linear_system`), vertices from one Fraction solve
+per n-subset of constraints (`vertices_by_rref`), Fourier-Motzkin
+emptiness and boundedness (`fm_is_empty`, `fm_is_bounded`), lattice
+membership (`lattice_contains`) and the perturbed growth order from a walk
+over every ray mask (`limit_growth_mask_walk`).
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
-from operator import mul
+from operator import and_, mul
 
 from kodaira.lattice import (
     IntLattice,
@@ -23,11 +31,163 @@ from kodaira.lattice import (
     dot,
     hnf,
     saturate_rows,
-    solve_linear_system,
     vsub,
     xgcd,
 )
-from kodaira.toric import CrossCheckError
+from kodaira.multiplier import EMPTY_METRIC
+from kodaira.toric import CrossCheckError, limit_polytope
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form of a rational matrix, pivoting only in the
+    first ncols columns: (rows as lists of Fractions, pivot columns)."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def solve_rational(a_rows, b):
+    """Solve A x = b exactly (A square, rows of rationals); None if singular."""
+    n = len(a_rows)
+    work, pivots = rref([list(r) + [b[i]] for i, r in enumerate(a_rows)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(row[n] for row in work)
+
+
+def solve_linear_system(a_rows, b):
+    """One exact solution x of A x = b for a consistent (possibly non-square)
+    system, or None if inconsistent."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    work, pivots = rref([list(a_rows[i]) + [b[i]] for i in range(m)], n)
+    if any(row[n] != 0 for row in work[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in zip(work, pivots):
+        x[col] = row[n]
+    return tuple(x)
+
+
+def vertices_by_rref(poly):
+    """Vertices of a Polytope, sorted: the Fraction solve of every n-subset
+    of its constraints that satisfies all of them."""
+    n = poly.ambient_dim
+    if n == 0:
+        return () if fm_is_empty(poly) else ((),)
+    found = set()
+    for idx in combinations(poly.constraints, n):
+        sol = solve_rational([v for v, _ in idx], [c for _, c in idx])
+        if sol is not None and poly.contains(sol):
+            found.add(sol)
+    return tuple(sorted(found))
+
+
+def _fm_eliminate(constraints, var):
+    """Fourier-Motzkin: the constraints (v, c), <u, v> >= c, with variable
+    var eliminated; parallel rows keep their largest bound."""
+    lower = [(v, c) for v, c in constraints if v[var] > 0]
+    upper = [(v, c) for v, c in constraints if v[var] < 0]
+    best = {}
+    for v, c in constraints:
+        if v[var] == 0:
+            best[v] = max(c, best.get(v, c))
+    for vp, cp in lower:
+        for vn, cn in upper:
+            a, b = vp[var], -vn[var]
+            w = tuple(b * x + a * y for x, y in zip(vp, vn))
+            d = Fraction(b * cp + a * cn)
+            g = math.gcd(*w)
+            if g > 1:
+                w, d = tuple(x // g for x in w), d / g
+            best[w] = max(d, best.get(w, d))
+    return list(best.items())
+
+
+def fm_is_empty(poly):
+    """Emptiness by eliminating every variable: infeasible iff some
+    remaining constraint reads 0 >= c with c > 0."""
+    cons = list(poly.constraints)
+    for var in range(poly.ambient_dim):
+        cons = _fm_eliminate(cons, var)
+    return any(c > 0 for _, c in cons)
+
+
+def fm_coordinate_bounds(poly, i):
+    """Exact (lo, hi) of coordinate i over a nonempty polyhedron (None:
+    unbounded on that side), projecting out every other coordinate."""
+    cons = list(poly.constraints)
+    for var in range(poly.ambient_dim):
+        if var != i:
+            cons = _fm_eliminate(cons, var)
+    lows = [Fraction(c, v[i]) for v, c in cons if v[i] > 0]
+    highs = [Fraction(c, v[i]) for v, c in cons if v[i] < 0]
+    return max(lows, default=None), min(highs, default=None)
+
+
+def fm_is_bounded(poly):
+    """Bounded iff empty or every coordinate has both projected bounds."""
+    return fm_is_empty(poly) or all(
+        None not in fm_coordinate_bounds(poly, i)
+        for i in range(poly.ambient_dim))
+
+
+def lattice_contains(lat, vec):
+    """Membership of an integer vector in an IntLattice, reduced along its
+    echelon rows."""
+    v = [int(x) for x in vec]
+    for row, piv in zip(lat.rows, lat.pivots):
+        if v[piv] != 0:
+            if v[piv] % row[piv] != 0:
+                return False
+            q = v[piv] // row[piv]
+            for jj in range(piv, lat.n):
+                v[jj] -= q * row[jj]
+    return all(x == 0 for x in v)
+
+
+def limit_growth_mask_walk(variety, divisor, metric, fattened_rays):
+    """Reference for `toric._limit_growth_exact`: every face of the limit
+    polytope from a walk over all 2^#rays masks (the vertices tight on
+    every ray of the mask), each checked for a feasible displacement with
+    Fourier-Motzkin; the largest feasible face dimension."""
+    metric = metric if metric is not None else EMPTY_METRIC
+    q = limit_polytope(variety, divisor, metric)
+    if fm_is_empty(q):
+        return float("-inf")
+    verts = vertices_by_rref(q)
+    cons = q.constraints
+    tight = [sum(1 << i for i, (v, c) in enumerate(cons) if dot(p, v) == c)
+             for p in verts]
+    faces = set()
+    for mask in range(1 << len(cons)):
+        vset = tuple(j for j, t in enumerate(tight) if t & mask == mask)
+        if vset:
+            faces.add(vset)
+    best = float("-inf")
+    for vset in faces:
+        full_tight = reduce(and_, (tight[j] for j in vset))
+        disp = [(cons[i][0], 1 if metric.weight(i) >= 1 else 0)
+                for i in range(len(cons))
+                if full_tight >> i & 1 and i not in fattened_rays]
+        if not disp or not fm_is_empty(Polytope(variety.lattice_rank, disp)):
+            best = max(best, affine_dimension([verts[j] for j in vset]))
+    return best
 
 
 def in_hull(point, points):
@@ -403,7 +563,7 @@ def iitaka_fibers_per_point(sys, k):
     """Reference for the fiber check of `fibration.iitaka_analysis` at
     degree k: (image dimension, saturated basis of the contracted lattice),
     where every point's difference from its degree's first point must lie
-    in that lattice (IntLattice.contains), or CrossCheckError names the
+    in that lattice (lattice_contains), or CrossCheckError names the
     first degree that spreads across fibers."""
     n = sys.variety.lattice_rank
     bk = diff_lattice_per_point([sys.exponents(k)], n)
@@ -414,7 +574,7 @@ def iitaka_fibers_per_point(sys, k):
     for l in sys.support():
         pts = sys.exponents(l)
         for p in pts[1:]:
-            if not sat_lat.contains(vsub(p, pts[0])):
+            if not lattice_contains(sat_lat, vsub(p, pts[0])):
                 raise CrossCheckError(
                     f"degree {l} spreads across fibers: growth is not contracted")
     return bk.rank, tuple(sat)
