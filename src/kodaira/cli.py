@@ -109,6 +109,12 @@ def _int(value, where="number", positive=False):
     return value
 
 
+def _list(value, where):
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
 def _int_rows(rows, where):
     """A JSON list of integer lists, returned as it is.  The entry types are
     checked in one pass over all entries; only when it fails are the rows
@@ -208,13 +214,17 @@ def cmd_semigroup(body, options):
         if not isinstance(body["levels"], dict):
             raise ValidationError("levels: expected an object from degree to "
                                   f"point list, got {body['levels']!r}")
-        levels = {}
+        levels, keys = {}, {}
         for key, pts in body["levels"].items():
             try:
                 k = int(key)
             except ValueError:
                 raise ValidationError(
                     f"levels: expected integer degree keys, got {key!r}") from None
+            if k in keys:
+                raise ValidationError(
+                    f"levels: keys {keys[k]!r} and {key!r} both name degree {k}")
+            keys[k] = key
             levels[k] = _int_rows(pts, f"levels[{key}]")
         closed = body.get("closed_under_addition", True)
         if not isinstance(closed, bool):
@@ -260,14 +270,16 @@ def cmd_semigroup(body, options):
 def cmd_kappa(body, options):
     _require_keys(body, ["variety", "coefficients"], ["metric", "ample"], "body")
     variety = parse_variety(body["variety"])
-    coeffs = [_rat(c, "coefficient") for c in body["coefficients"]]
+    coeffs = [_rat(c, "coefficient")
+              for c in _list(body["coefficients"], "coefficients")]
     if len(coeffs) != len(variety.rays):
         raise ValidationError("coefficient count does not match ray count")
     divisor = ToricDivisorData(tuple(coeffs))
     metric = parse_metric(body.get("metric"), len(variety.rays))
     ample = None
     if "ample" in body:
-        amp_coeffs = [_rat(c, "ample coefficient") for c in body["ample"]]
+        amp_coeffs = [_rat(c, "ample coefficient")
+                      for c in _list(body["ample"], "ample")]
         if len(amp_coeffs) != len(variety.rays):
             raise ValidationError("ample coefficient count does not match rays")
         ample = ToricDivisorData(tuple(amp_coeffs))
@@ -312,7 +324,7 @@ def _parse_curve_instance(body, max_degree):
     curve = CurveModel(genus)
     extra = _int(body.get("base_extra_degree", 0), "base_extra_degree")
     base_points = []
-    for e in body.get("base_metric", []):
+    for e in _list(body.get("base_metric", []), "base_metric"):
         _require_keys(e, ["point", "weight"], (), "base_metric")
         base_points.append((str(e["point"]), _rat(e["weight"], "weight")))
     if extra == 0 and not base_points:
@@ -320,7 +332,8 @@ def _parse_curve_instance(body, max_degree):
     else:
         base_class = CurveDivisorClass.general(2 * genus - 2 + extra)
     fiber = parse_variety(body["fiber"], "fiber")
-    fdiv = [_rat(c, "fiber coefficient") for c in body["fiber_divisor"]]
+    fdiv = [_rat(c, "fiber coefficient")
+            for c in _list(body["fiber_divisor"], "fiber_divisor")]
     if len(fdiv) != len(fiber.rays):
         raise ValidationError("fiber coefficient count mismatch")
     fmetric = parse_metric(body.get("fiber_metric", []), len(fiber.rays),
@@ -348,15 +361,17 @@ def _parse_toric_fibration_instance(body, max_degree):
         fib = hirzebruch_fibration(_int(body["a"], "a"))
     divisor = None
     if "divisor" in body:
-        coeffs = [_rat(c, "coefficient") for c in body["divisor"]]
+        coeffs = [_rat(c, "coefficient")
+                  for c in _list(body["divisor"], "divisor")]
         if len(coeffs) != len(fib.total.rays):
             raise ValidationError("divisor coefficient count mismatch")
         divisor = ToricDivisorData(tuple(coeffs))
     rays, base_rays = len(fib.total.rays), len(fib.base.rays)
     metric = parse_metric(body.get("metric"), rays)
-    dx = frozenset(_ray(i, rays, "dx ray") for i in body.get("dx_rays", []))
+    dx = frozenset(_ray(i, rays, "dx ray")
+                   for i in _list(body.get("dx_rays", []), "dx_rays"))
     dy = frozenset(_ray(i, base_rays, "dy ray")  # a ray of the base
-                   for i in body.get("dy_rays", []))
+                   for i in _list(body.get("dy_rays", []), "dy_rays"))
     try:
         return ToricFibrationInstance(
             fibration=fib, divisor=divisor, metric=metric,
@@ -392,7 +407,7 @@ def cmd_fibration(body, options):
             raise ValidationError(
                 f"twist_degree: expected at least {least}, got {twist}")
 
-    checks = body.get("checks", default_checks)
+    checks = _list(body.get("checks", default_checks), "checks")
     verdicts = []
     for check in checks:
         if check in ("spc", "spck", "112", "112k"):
@@ -456,7 +471,7 @@ def cmd_fibration(body, options):
 def cmd_multiplier_scan(body, options):
     _require_keys(body, [], ["mu_grid", "max_value", "max_den", "k_max"], "body")
     if "mu_grid" in body:
-        grid = [_rat(x, "mu") for x in body["mu_grid"]]
+        grid = [_rat(x, "mu") for x in _list(body["mu_grid"], "mu_grid")]
     else:
         grid = default_mu_grid(max_value=_int(body.get("max_value", 5), "max_value"),
                                max_den=_int(body.get("max_den", 8), "max_den"))

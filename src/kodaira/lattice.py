@@ -65,71 +65,88 @@ def primitive(v):
 # integer matrices: Hermite normal form and friends
 # ---------------------------------------------------------------------------
 
+def _insert(rows, pivots, v, ncols):
+    """Insert the integer row v (a list) into echelon rows by extended-gcd
+    row steps, with pivots looked for among the first ncols columns only.
+
+    `rows` have strictly increasing pivot columns `pivots` and positive
+    pivot entries.  Each step is unimodular on the pair (pivot row, v):
+    v - q row when the pivot divides v's entry, else the 2 x 2 step that
+    puts their gcd on the pivot row and 0 on v.  Returns None when v
+    becomes a new pivot row (made positive), else what is left of v, zero
+    on the first ncols columns.
+    """
+    idx = 0
+    for j in range(ncols):
+        b = v[j]
+        if not b:
+            continue
+        while idx < len(pivots) and pivots[idx] < j:
+            idx += 1
+        if idx == len(pivots) or pivots[idx] > j:
+            rows.insert(idx, v if b > 0 else [-x for x in v])
+            pivots.insert(idx, j)
+            return None
+        row = rows[idx]
+        a = row[j]
+        if b % a == 0:
+            q = b // a
+            v = [w - q * r for r, w in zip(row, v)]
+        else:
+            g, x, y = xgcd(a, b)
+            rows[idx] = [x * r + y * w for r, w in zip(row, v)]
+            a, b = a // g, b // g
+            v = [a * w - b * r for r, w in zip(row, v)]
+        idx += 1
+    return v
+
+
+def _reduce_above(rows, pivots):
+    """Reduce the entries above each pivot into [0, pivot), pivot by pivot
+    from the top: a pivot row is zero on the pivot columns before its own,
+    so a later step leaves an earlier column reduced."""
+    for i, (row, j) in enumerate(zip(rows, pivots)):
+        p = row[j]
+        for k in range(i):
+            q = rows[k][j] // p
+            if q:
+                rows[k] = [x - q * y for x, y in zip(rows[k], row)]
+
+
 def hnf(rows):
     """Row Hermite normal form with unimodular transform.
 
     Returns (H, U) with H = U * rows, U unimodular, H in row echelon form:
     pivots positive, entries below a pivot zero, entries above reduced into
     [0, pivot).  Zero rows sink to the bottom.  The integer row space is
-    preserved.  Empty input returns ([], []).
+    preserved.  Empty input returns ([], []).  Each row is inserted
+    (`_insert`) with its unit row of U appended and pivots looked for in
+    the first n columns only, so a row that reduces to zero there carries
+    its row of U, a vector of the left kernel.
     """
     m = len(rows)
     if m == 0:
         return [], []
     n = len(rows[0])
-    h = [list(int(x) for x in r) for r in rows]
-    if any(len(r) != n for r in h):
+    if any(len(r) != n for r in rows):
         raise GeometryError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    row = 0
-    for col in range(n):
-        # chase entries in this column below `row` down to a single pivot
-        while True:
-            nz = [i for i in range(row, m) if h[i][col] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(h[i][col]))
-            if piv != row:
-                h[row], h[piv] = h[piv], h[row]
-                u[row], u[piv] = u[piv], u[row]
-            done = True
-            for i in range(row + 1, m):
-                if h[i][col] != 0:
-                    q = h[i][col] // h[row][col]
-                    if q:
-                        for j in range(n):
-                            h[i][j] -= q * h[row][j]
-                        for j in range(m):
-                            u[i][j] -= q * u[row][j]
-                    if h[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if row < m and h[row][col] != 0:
-            if h[row][col] < 0:
-                h[row] = [-x for x in h[row]]
-                u[row] = [-x for x in u[row]]
-            p = h[row][col]
-            for i in range(row):
-                q = h[i][col] // p
-                if q:
-                    for j in range(n):
-                        h[i][j] -= q * h[row][j]
-                    for j in range(m):
-                        u[i][j] -= q * u[row][j]
-            row += 1
-            if row == m:
-                break
-    return [tuple(r) for r in h], [tuple(r) for r in u]
+    echelon, pivots, kernel = [], [], []
+    for i, r in enumerate(rows):
+        rest = _insert(echelon, pivots, [int(x) for x in r]
+                       + [int(i == j) for j in range(m)], n)
+        if rest is not None:
+            kernel.append(rest)
+    _reduce_above(echelon, pivots)
+    out = echelon + kernel
+    return [tuple(r[:n]) for r in out], [tuple(r[n:]) for r in out]
 
 
 def hnf_basis(rows):
     """Nonzero rows of the HNF: a canonical basis of the generated lattice.
 
-    Reduces incrementally first, so huge generating sets cost O(rows * n^2)
-    without building the transform, and stops once the rows generate Z^n
-    (full rank, every pivot 1), whose HNF is the identity.
+    Inserts the rows into an `IntLattice` without building the transform,
+    so huge generating sets cost O(rows * n^2), and stops once the rows
+    generate Z^n (full rank, every pivot 1), whose HNF is the identity.
     """
     rows = [tuple(r) for r in rows]
     if not rows:
@@ -140,8 +157,8 @@ def hnf_basis(rows):
         lat.add(r)
         if lat.rank == n and all(row[p] == 1 for row, p in zip(lat.rows, lat.pivots)):
             return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    h, _ = hnf(lat.basis())
-    return [r for r in h if not is_zero(r)]
+    _reduce_above(lat.rows, lat.pivots)
+    return lat.basis()
 
 
 def int_kernel(rows):
@@ -245,7 +262,8 @@ class IntLattice:
 
     Supports incremental generation: add vectors one at a time and query
     the rank cheaply.  Entries stay small because insertions use
-    extended-gcd row operations, never fraction-free elimination.
+    extended-gcd row operations (`_insert`), never fraction-free
+    elimination.
     """
 
     def __init__(self, ambient_dim):
@@ -258,41 +276,8 @@ class IntLattice:
         return len(self.rows)
 
     def add(self, vec):
-        v = [int(x) for x in vec]
-        for idx in range(len(self.rows)):
-            row, piv = self.rows[idx], self.pivots[idx]
-            j = next((jj for jj, x in enumerate(v) if x != 0), None)
-            if j is None:
-                return False
-            if j < piv:
-                self.rows.insert(idx, v)
-                self.pivots.insert(idx, j)
-                self._normalize(idx)
-                return True
-            if j > piv:
-                continue
-            a, b = row[piv], v[piv]
-            if b % a == 0:
-                q = b // a
-                for jj in range(piv, self.n):
-                    v[jj] -= q * row[jj]
-            else:
-                g, x, y = xgcd(a, b)
-                new_row = [x * r + y * w for r, w in zip(row, v)]
-                factor_r, factor_v = a // g, b // g
-                v = [factor_r * w - factor_v * r for r, w in zip(row, v)]
-                self.rows[idx] = new_row
-        j = next((jj for jj, x in enumerate(v) if x != 0), None)
-        if j is None:
-            return False
-        self.rows.append(v)
-        self.pivots.append(j)
-        self._normalize(len(self.rows) - 1)
-        return True
-
-    def _normalize(self, idx):
-        if self.rows[idx][self.pivots[idx]] < 0:
-            self.rows[idx] = [-x for x in self.rows[idx]]
+        """Insert vec; True when it adds a pivot row (the rank grows)."""
+        return _insert(self.rows, self.pivots, [int(x) for x in vec], self.n) is None
 
     def basis(self):
         return [tuple(r) for r in self.rows]

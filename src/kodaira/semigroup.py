@@ -30,9 +30,7 @@ from .lattice import (
     hnf_basis,
     hull_volume,
     int_hull,
-    int_kernel,
     vadd,
-    xgcd,
 )
 
 
@@ -277,20 +275,12 @@ def regularize(sg, build_body=True):
 
     basis = hnf_basis(pts)
     rank = len(basis)
-    m = 0
-    for row in basis:
-        m = math.gcd(m, row[-1])
-
-    # boundary lattice: integer combinations of basis rows with level zero
-    coeff_kernel = int_kernel([(row[-1],) for row in basis])
-    boundary = []
-    for coeffs in coeff_kernel:
-        vec = [0] * (n + 1)
-        for c, row in zip(coeffs, basis):
-            for j in range(n + 1):
-                vec[j] += c * row[j]
-        boundary.append(tuple(vec))
-    boundary = hnf_basis(boundary)
+    # the HNF of G's basis with the level column first: its first row is a
+    # point g0 of G at the least positive level m, and the rows below it,
+    # at level 0, are the HNF of the boundary lattice G ∩ {level 0}
+    level_first = hnf_basis([row[-1:] + row[:-1] for row in basis])
+    g0, *boundary = [row[1:] + row[:1] for row in level_first]
+    m = g0[-1]
 
     ind = abs(det_int([row[:-1] for row in boundary])) if len(boundary) == n else None
 
@@ -324,7 +314,6 @@ def regularize(sg, build_body=True):
         # G at level m: the hull row <x, v> >= num/den on x = g0 + y · B
         # reads <y, den B v> >= num m - den <g0, v>, and its vertices are the
         # coordinates of m v - g0 for the vertices v of Delta
-        g0 = _group_point_at_level_m(basis)
         normals, bounds = [], []
         for v, c in hull.constraints:
             normals.append(tuple(c.denominator * dot(b[:-1], v) for b in boundary))
@@ -373,17 +362,6 @@ def hilbert_reg(sg, k, reg=None):
     plan, bounds, box, _ = reg._slice
     return plan.scan([(math.ceil(t * lo), math.floor(t * hi)) for lo, hi in box],
                      [t * b for b in bounds])
-
-
-def _group_point_at_level_m(basis):
-    """A point of the group G at level m, the gcd of the basis levels: an
-    extended-gcd combination of the basis rows."""
-    g, point = 0, (0,) * len(basis[0])
-    for row in basis:
-        if row[-1]:
-            g, x, y = xgcd(g, row[-1])
-            point = tuple(x * a + y * b for a, b in zip(point, row))
-    return point
 
 
 @dataclass

@@ -16,7 +16,12 @@ references it is compared against: Fraction Gauss-Jordan (`rref`,
 per n-subset of constraints (`vertices_by_rref`), Fourier-Motzkin
 emptiness and boundedness (`fm_is_empty`, `fm_is_bounded`), lattice
 membership (`lattice_contains`) and the perturbed growth order from a walk
-over every ray mask (`limit_growth_mask_walk`).
+over every ray mask (`limit_growth_mask_walk`).  The column-by-column Euclid
+chase the library's gcd-insertion HNF replaced (`hnf_euclid_chase`, with
+the kernel, basis and saturation built on it) and the lattice route of
+`regularize` it replaced (`regularize_lattice_reference`: a level kernel,
+the combinations, a second HNF and an extended-gcd point) are references
+too.
 """
 
 import math
@@ -578,3 +583,110 @@ def iitaka_fibers_per_point(sys, k):
                 raise CrossCheckError(
                     f"degree {l} spreads across fibers: growth is not contracted")
     return bk.rank, tuple(sat)
+
+
+def hnf_euclid_chase(rows):
+    """Reference for `lattice.hnf`, the column-by-column Euclid chase it
+    replaced: in each column the entry of least absolute value below the
+    current row is swapped up and the others are reduced by it until it is
+    the only nonzero one, then the pivot is made positive and the entries
+    above it reduced into [0, pivot).  Returns (H, U) with H = U * rows."""
+    m = len(rows)
+    if m == 0:
+        return [], []
+    n = len(rows[0])
+    h = [list(int(x) for x in r) for r in rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    row = 0
+    for col in range(n):
+        while True:
+            nz = [i for i in range(row, m) if h[i][col] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(h[i][col]))
+            if piv != row:
+                h[row], h[piv] = h[piv], h[row]
+                u[row], u[piv] = u[piv], u[row]
+            done = True
+            for i in range(row + 1, m):
+                if h[i][col] != 0:
+                    q = h[i][col] // h[row][col]
+                    if q:
+                        for j in range(n):
+                            h[i][j] -= q * h[row][j]
+                        for j in range(m):
+                            u[i][j] -= q * u[row][j]
+                    if h[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if row < m and h[row][col] != 0:
+            if h[row][col] < 0:
+                h[row] = [-x for x in h[row]]
+                u[row] = [-x for x in u[row]]
+            p = h[row][col]
+            for i in range(row):
+                q = h[i][col] // p
+                if q:
+                    for j in range(n):
+                        h[i][j] -= q * h[row][j]
+                    for j in range(m):
+                        u[i][j] -= q * u[row][j]
+            row += 1
+            if row == m:
+                break
+    return [tuple(r) for r in h], [tuple(r) for r in u]
+
+
+def hnf_basis_euclid(rows):
+    """Nonzero rows of the Euclid-chase HNF."""
+    return [r for r in hnf_euclid_chase(rows)[0] if any(r)]
+
+
+def int_kernel_euclid(rows):
+    """Left kernel basis from the Euclid-chase transform: the rows of U
+    whose row of H is zero."""
+    h, u = hnf_euclid_chase(rows)
+    return [ui for hi, ui in zip(h, u) if not any(hi)]
+
+
+def saturate_rows_euclid(rows):
+    """Reference for `lattice.saturate_rows` on the Euclid chase: the
+    integer kernel of the transposed basis (the orthogonal complement of
+    the span), the kernel of its transpose, and that lattice's HNF."""
+    basis = hnf_basis_euclid(rows)
+    if not basis:
+        return []
+    n = len(basis[0])
+    perp = int_kernel_euclid([tuple(r[i] for r in basis) for i in range(n)])
+    if not perp:
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return hnf_basis_euclid(
+        int_kernel_euclid([tuple(p[i] for p in perp) for i in range(n)]))
+
+
+def regularize_lattice_reference(points):
+    """Reference for the lattice part of `semigroup.regularize`, the route
+    it replaced, on the Euclid chase: (group basis, m, boundary lattice,
+    ind, g0).  m is the gcd of the basis levels; the boundary lattice is
+    the HNF of the basis combinations whose coefficients lie in the integer
+    kernel of the level column; ind is its index in Z^n x {0}, None when
+    it has rank below n; g0 is an extended-gcd combination of the basis
+    rows at level m."""
+    basis = hnf_basis_euclid(points)
+    n = len(basis[0]) - 1
+    m = 0
+    for row in basis:
+        m = math.gcd(m, row[-1])
+    boundary = [tuple(sum(c * row[j] for c, row in zip(coeffs, basis))
+                      for j in range(n + 1))
+                for coeffs in int_kernel_euclid([(row[-1],) for row in basis])]
+    boundary = hnf_basis_euclid(boundary)
+    ind = (abs(laplace_det([row[:-1] for row in boundary]))
+           if len(boundary) == n else None)
+    g, g0 = 0, (0,) * (n + 1)
+    for row in basis:
+        if row[-1]:
+            g, x, y = xgcd(g, row[-1])
+            g0 = tuple(x * a + y * b for a, b in zip(g0, row))
+    return basis, m, boundary, ind, g0

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from kodaira.cli import main
+from kodaira.cli import _run_file, main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -364,6 +364,8 @@ def test_malformed_semigroup_shape_is_input_error(tmp_path, capsys):
          "levels[1] entry: expected integer, got '1/2'"),
         ({"levels": {"1": [[0], [True]]}},
          "levels[1] entry: expected integer, got True"),
+        ({"levels": {"1": [[0]], "01": [[1]]}},
+         "levels: keys '1' and '01' both name degree 1"),
     ]
     for body, message in cases:
         doc = staircase_doc()
@@ -397,3 +399,59 @@ def test_fractional_level_key_is_input_error(tmp_path, capsys):
     assert main(["semigroup", write_instance(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == (
         "input error: levels: expected integer degree keys, got '1.5'\n")
+
+
+def scan_doc(**body):
+    return {"schema_version": "1", "kind": "multiplier_scan",
+            "body": {"k_max": 10, **body}, "options": {}}
+
+
+def test_non_list_field_is_input_error(tmp_path, capsys):
+    # a scalar or an object where the schema wants a list used to escape as
+    # a TypeError traceback; each is an input error naming the field
+    kappa = separation_doc()
+    curve = corpus_doc("fibration_dio_g2.json")
+    cases = [
+        ("kappa", {**kappa, "body": {**kappa["body"], "coefficients": 5}},
+         "coefficients", 5),
+        ("kappa", {**kappa, "body": {**kappa["body"], "ample": 3}}, "ample", 3),
+        ("fibration", p1xp1_fibration_doc(divisor={"a": 1}), "divisor", {"a": 1}),
+        ("fibration", {**curve, "body": {**curve["body"], "fiber_divisor": "1/2"}},
+         "fiber_divisor", "1/2"),
+        ("fibration", {**curve, "body": {**curve["body"], "base_metric": 3}},
+         "base_metric", 3),
+        ("fibration", {**curve, "body": {**curve["body"], "checks": 5}},
+         "checks", 5),
+        ("fibration", p1xp1_fibration_doc(dx_rays=3), "dx_rays", 3),
+        ("fibration", p1xp1_fibration_doc(dy_rays=None), "dy_rays", None),
+        ("verify-suite", scan_doc(mu_grid="3/2"), "mu_grid", "3/2"),
+    ]
+    for command, doc, field, value in cases:
+        message = f"{field}: expected a list, got {value!r}"
+        if command == "verify-suite":
+            # multiplier_scan files run only as a suite, whose rows carry
+            # the exit code; the message is the file's error report
+            (tmp_path / "suite").mkdir(exist_ok=True)
+            path = write_instance(tmp_path / "suite", doc)
+            assert _run_file(path, {}) == (2, {"kind": "error", "error": message},
+                                           None)
+            assert main(["verify-suite", str(tmp_path / "suite"),
+                         "--format", "json"]) == 1, message
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["results"] == [
+                {"file": "inst.json", "kind": "error", "exit": 2}]
+            continue
+        assert main([command, write_instance(tmp_path, doc)]) == 2, message
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_verify_suite_reports_every_row_past_a_non_list_field(tmp_path, capsys):
+    kappa = separation_doc()
+    kappa["body"]["coefficients"] = 5
+    write_instance(tmp_path, kappa, "bad.json")
+    write_instance(tmp_path, scan_doc(mu_grid=["3/2"]), "good.json")
+    assert main(["verify-suite", str(tmp_path), "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"] == [
+        {"file": "bad.json", "kind": "error", "exit": 2},
+        {"file": "good.json", "kind": "multiplier_scan", "exit": 0}]

@@ -29,9 +29,14 @@ from _oracles import (
     diff_lattice_per_point,
     dilate,
     grid_lattice_points,
+    hnf_basis_euclid,
+    hnf_euclid_chase,
     hull_vertex_set,
     in_row_lattice,
+    int_kernel_euclid,
     interpolate_polynomial,
+    laplace_det,
+    saturate_rows_euclid,
 )
 
 
@@ -88,6 +93,45 @@ def test_hnf_unimodular_transform():
     prod = [tuple(sum(u[i][k] * mat[k][j] for k in range(3)) for j in range(3))
             for i in range(3)]
     assert prod == h
+
+
+@st.composite
+def hnf_matrices(draw):
+    """0-6 rows of 1-5 columns: drawn rows with entries up to +-50, mixed
+    with zero rows, repeated rows and combinations of two earlier rows."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("drawn", "zero", "repeat", "combination")))
+        if kind == "zero":
+            rows.append((0,) * n)
+        elif kind == "drawn" or not rows:
+            rows.append(draw(st.tuples(*[st.integers(-50, 50)] * n)))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnf_matrices())
+@example([(2, 3), (4, -5)])
+@example([(0, 0, 0), (1, 1, 1), (1, 1, 1)])
+def test_hnf_matches_euclid_chase(rows):
+    # gcd insertion and the Euclid chase give the same canonical H; their
+    # transforms differ, but each is unimodular with U * rows = H, and the
+    # kernel rows of both span one lattice
+    h, u = hnf(rows)
+    assert h == hnf_euclid_chase(rows)[0]
+    assert [tuple(sum(x * r[j] for x, r in zip(ui, rows)) for j in range(len(hi)))
+            for hi, ui in zip(h, u)] == h
+    assert abs(laplace_det(u)) == 1
+    assert hnf_basis(int_kernel(rows)) == hnf_basis(int_kernel_euclid(rows))
+    assert hnf_basis(rows) == hnf_basis_euclid(rows)
+    assert saturate_rows(rows) == saturate_rows_euclid(rows)
 
 
 # ---------------------------------------------------------------------------

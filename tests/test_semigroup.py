@@ -20,6 +20,8 @@ from _corpus import corpus_section_systems
 from _oracles import (
     closure_check_per_point,
     hilbert_reg_per_level,
+    in_row_lattice,
+    regularize_lattice_reference,
     semigroup_level_points,
     solve_in_lattice,
 )
@@ -436,3 +438,48 @@ def generator_sets(draw):
 @given(generator_sets())
 def test_hilbert_reg_matches_per_level_reference_on_drawn_generators(gens):
     assert_matches_per_level(GradedSemigroup.from_generators(gens), 40, gens)
+
+
+@st.composite
+def sheared_generator_sets(draw):
+    """(n, g, d, generators (d w + l c, l)) of ambient rank n in 0-3: level
+    l = g for the first generator and a multiple of g for the others, so
+    m = g; directions w scaled by d in {2, 3}, so the boundary lattice lies
+    in d Z^n (a level-0 combination of the generators is d times the same
+    combination of the w) and has index divisible by d^n at full rank; and a
+    shear c, so that G is not a product of its level and its boundary."""
+    n, g, d = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    coords = st.tuples(*[st.integers(-2, 2)] * n)
+    c = draw(coords)
+    gens = []
+    for i in range(draw(st.integers(1, 4))):
+        level = g * (1 if i == 0 else draw(st.integers(1, 3)))
+        gens.append(tuple(d * x + level * y for x, y in zip(draw(coords), c))
+                    + (level,))
+    return n, g, d, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(sheared_generator_sets())
+def test_regularize_lattice_matches_reference_route(case):
+    n, g, d, gens = case
+    sg = GradedSemigroup.from_generators(gens, ambient_rank=n)
+    reg = regularize(sg)
+    basis, m, boundary, ind, ref_g0 = regularize_lattice_reference(sg.graded_points())
+    assert reg.group_basis == tuple(basis)
+    assert reg.m == m == g
+    assert reg.boundary_lattice == tuple(boundary)
+    assert reg.ind == ind
+    if ind is not None:
+        assert ind % d ** n == 0
+    # the slice coordinates are those of m v - g0 for the vertices v of the
+    # body, so g0 = m v - y · boundary: a point of G at level m, which
+    # differs from the reference's by a point of the boundary lattice
+    coords, v = reg._slice[3][0], reg.okounkov_body.vertices()[0]
+    g0 = tuple(m * x - sum(y * b[j] for y, b in zip(coords, reg.boundary_lattice))
+               for j, x in enumerate(v))
+    assert all(x.denominator == 1 for x in g0) and g0[-1] == m
+    assert in_row_lattice(g0, reg.group_basis)
+    assert in_row_lattice([a - b for a, b in zip(g0, ref_g0)], boundary)
+    for k in range(3 * g + 4):
+        assert hilbert_reg(sg, k, reg=reg) == hilbert_reg_per_level(reg, k), k
