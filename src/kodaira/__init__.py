@@ -75,6 +75,7 @@ from .fibration import (
     iitaka_analysis,
     kappa_summary,
     product_fibration,
+    run_check,
     verify_addti,
     verify_chain,
     verify_dio_equality,

@@ -27,13 +27,7 @@ from .fibration import (
     hirzebruch_fibration,
     kappa_summary,
     product_fibration,
-    verify_addti,
-    verify_chain,
-    verify_dio_equality,
-    verify_iitaka,
-    verify_stride,
-    verify_subadditivity,
-    verify_upper_bound,
+    run_check,
 )
 from .lattice import NEG_INF, GeometryError
 from .multiplier import SingularMetricData, default_mu_grid, subadditivity_scan
@@ -88,6 +82,16 @@ def _require_keys(obj, required, optional=(), where="object"):
     unknown = keys - set(required) - set(optional)
     if unknown:
         raise ValidationError(f"{where} has unknown fields: {sorted(unknown)}")
+
+
+def _unique_keys(pairs):
+    """json object_pairs_hook: an object whose keys are all distinct."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _rat(value, where="number"):
@@ -388,15 +392,8 @@ def cmd_fibration(body, options):
     variant = body["variant"]
     if variant == "curve_times_toric":
         inst = _parse_curve_instance(body, max_degree)
-        default_checks = ["112", "112k", "chain", "upper"]
-        if inst.curve.genus >= 2:
-            default_checks.append("dio")
     elif variant in ("toric_product", "hirzebruch"):
         inst = _parse_toric_fibration_instance(body, max_degree)
-        if inst.is_log:
-            default_checks = ["spc", "spck", "chain", "upper"]
-        else:
-            default_checks = ["112", "112k", "chain", "upper"]
     else:
         raise ValidationError(f"unknown variant {variant!r}")
     least = inst.least_twist_degree
@@ -407,33 +404,8 @@ def cmd_fibration(body, options):
             raise ValidationError(
                 f"twist_degree: expected at least {least}, got {twist}")
 
-    checks = _list(body.get("checks", default_checks), "checks")
-    verdicts = []
-    for check in checks:
-        if check in ("spc", "spck", "112", "112k"):
-            v = verify_subadditivity(inst, check)
-        elif check == "chain":
-            v = verify_chain(inst)
-        elif check == "upper":
-            v = verify_upper_bound(inst)
-        elif check == "dio":
-            v = verify_dio_equality(inst)
-        elif check == "iitaka":
-            if not isinstance(inst, ToricFibrationInstance):
-                raise ValidationError("check iitaka needs a toric instance")
-            v = verify_iitaka(inst)
-        elif check == "simple":
-            if not isinstance(inst, ToricFibrationInstance):
-                raise ValidationError("check simple needs a toric instance")
-            v = verify_stride(inst.fibration.total, inst.total_divisor(),
-                              inst.metric, degree_bound=inst.degree_bound,
-                              instance_id=inst.instance_id,
-                              base=inst.kappa_sigma)
-        elif check == "addti":
-            v = verify_addti(inst, inst.base_twist(twist))
-        else:
-            raise ValidationError(f"unknown check {check!r}")
-        verdicts.append(v)
+    verdicts = [run_check(inst, check, twist) for check in
+                _list(body.get("checks", inst.default_checks), "checks")]
 
     failed = sum(0 if v.holds else 1 for v in verdicts)
     summary = kappa_summary(inst)
@@ -628,7 +600,7 @@ def _run_file(path, overrides, command=None):
     """(exit_code, report, exportable polytope or None) for one instance
     file; an error comes back as an error report with its exit code."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
         return run_instance(doc, str(path), overrides, command)
     except EmptySemigroupError as exc:
         code, error = EXIT_DEGENERATE, str(exc)
@@ -707,33 +679,32 @@ def main(argv=None):
     if args.stride:
         overrides["strides"] = args.stride
 
+    poly = None
     if args.command == "verify-suite":
         code, report = cmd_verify_suite(args.directory, overrides,
                                         jobs=max(args.jobs, 1))
-        _emit(report, args)
-        return code
-
-    code, report, poly = _run_file(args.file, overrides, args.command)
-    if report["kind"] == "error":
-        print(f"{ERROR_PREFIX[code]}: {report['error']}", file=sys.stderr)
-        return code
-
-    if args.export_polytope:
-        if poly is None:
+    else:
+        code, report, poly = _run_file(args.file, overrides, args.command)
+        if report["kind"] == "error":
+            print(f"{ERROR_PREFIX[code]}: {report['error']}", file=sys.stderr)
+            return code
+        if args.export_polytope and poly is None:
             print("polytope export not available for this kind", file=sys.stderr)
             return EXIT_INPUT
-        export_polytope(poly, args.export_polytope)
 
-    _emit(report, args)
-    return code
-
-
-def _emit(report, args):
     text = render(report, args.format, timestamps=args.timestamps)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    try:
+        if poly is not None and args.export_polytope:
+            export_polytope(poly, args.export_polytope)
+        if args.out:
+            Path(args.out).write_text(text)
+    except OSError as exc:  # an output path that cannot be written
+        print(f"{ERROR_PREFIX[EXIT_INPUT]}: {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_INPUT
+    if not args.out:
         sys.stdout.write(text)
+    return code
 
 
 def console_main():

@@ -162,6 +162,11 @@ class ToricFibrationInstance:
     def is_log(self):
         return self.divisor is None
 
+    @property
+    def default_checks(self):
+        flavor = ["spc", "spck"] if self.is_log else ["112", "112k"]
+        return flavor + ["chain", "upper"]
+
     def total_divisor(self):
         if self.divisor is not None:
             return self.divisor
@@ -259,12 +264,18 @@ class CurveProductInstance:
     instance_id: str = ""
 
     dim_base = 1
+    is_log = False  # metric flavor only
 
     def __post_init__(self):
         self.base_metric = tuple((pid, Fraction(mu)) for pid, mu in self.base_metric)
         for _, mu in self.base_metric:
             if mu < 0:
                 raise ValueError("metric weight must be nonnegative")
+
+    @property
+    def default_checks(self):
+        dio = ["dio"] if self.curve.genus >= 2 else []
+        return ["112", "112k", "chain", "upper"] + dio
 
     # -- curve-side counts --------------------------------------------------
 
@@ -463,7 +474,6 @@ class InequalityVerdict:
     holds: bool
     vacuous: bool = False
     combine: str = "sum"  # rhs aggregation: "sum", "product", or "chain"
-    note: str = ""
 
     @property
     def rhs_value(self):
@@ -486,16 +496,26 @@ def _verdict(check_id, inst, lhs, rhs_terms, equality=False):
         rhs_terms=tuple(rhs_terms), holds=holds, vacuous=vacuous)
 
 
+def _require(inst, check):
+    """ValueError unless the check applies to the instance."""
+    toric = isinstance(inst, ToricFibrationInstance)
+    if check in ("spc", "spck") and not inst.is_log:
+        raise ValueError(f"check {check} needs a log instance")
+    if check in ("112", "112k") and inst.is_log:
+        raise ValueError(f"check {check} needs a metric instance")
+    if check in ("iitaka", "simple") and not toric:
+        raise ValueError(f"check {check} needs a toric instance")
+    if check == "dio" and toric:
+        raise ValueError("dio equality needs a curve times toric instance")
+    if check == "dio" and inst.curve.genus < 2:
+        raise ValueError("dio equality needs a general-type base (genus >= 2)")
+
+
 def verify_subadditivity(inst, which):
     """Checks spc / spck (log flavor) and 112 / 112k (metric flavor)."""
-    if which in ("spc", "spck"):
-        if not isinstance(inst, ToricFibrationInstance) or not inst.is_log:
-            raise ValueError(f"check {which} needs a log instance")
-    elif which in ("112", "112k"):
-        if isinstance(inst, ToricFibrationInstance) and inst.is_log:
-            raise ValueError(f"check {which} needs a metric instance")
-    else:
+    if which not in ("spc", "spck", "112", "112k"):
         raise ValueError(f"unknown check {which!r}")
+    _require(inst, which)
 
     _, lhs_sigma, _ = instance_kappa_values(inst)
     fiber_k, fiber_sigma = inst.fiber
@@ -533,10 +553,7 @@ def verify_upper_bound(inst):
 
 def verify_dio_equality(inst):
     """Exact addition: kappa(X) = kappa(F) + 1 for a general-type curve base."""
-    if not isinstance(inst, CurveProductInstance):
-        raise ValueError("dio equality needs a curve times toric instance")
-    if inst.curve.genus < 2:
-        raise ValueError("dio equality needs a general-type base (genus >= 2)")
+    _require(inst, "dio")
     lhs = inst.report.kappa
     fiber_k = inst.fiber_report.kappa
     return _verdict("dio_equality", inst, lhs,
@@ -577,8 +594,7 @@ def verify_stride(variety, divisor, metric, strides=(2, 3, 5),
 def verify_iitaka(inst):
     """Generalized Iitaka-fibration verdict: the Kodaira-map image dimension
     equals the growth order and every degree contracts to the fiber point."""
-    if not isinstance(inst, ToricFibrationInstance):
-        raise ValueError("iitaka verdict needs a toric instance")
+    _require(inst, "iitaka")
     sys = inst.system
     total = inst.report.kappa
     if not sys.support():
@@ -593,6 +609,34 @@ def verify_iitaka(inst):
         lhs=res.image_dim,
         rhs_terms=(("kappa", total), ("fiber_kappa", res.fiber_kappa)),
         holds=res.image_dim == total and res.fiber_kappa == 0)
+
+
+# check id -> its verdict on (instance, addti twist degree)
+_CHECKS = {
+    "spc": lambda inst, twist: verify_subadditivity(inst, "spc"),
+    "spck": lambda inst, twist: verify_subadditivity(inst, "spck"),
+    "112": lambda inst, twist: verify_subadditivity(inst, "112"),
+    "112k": lambda inst, twist: verify_subadditivity(inst, "112k"),
+    "chain": lambda inst, twist: verify_chain(inst),
+    "upper": lambda inst, twist: verify_upper_bound(inst),
+    "dio": lambda inst, twist: verify_dio_equality(inst),
+    "iitaka": lambda inst, twist: verify_iitaka(inst),
+    "simple": lambda inst, twist: verify_stride(
+        inst.fibration.total, inst.total_divisor(), inst.metric,
+        degree_bound=inst.degree_bound, instance_id=inst.instance_id,
+        base=inst.kappa_sigma),
+    "addti": lambda inst, twist: verify_addti(inst, inst.base_twist(twist)),
+}
+
+
+def run_check(inst, check, twist):
+    """The verdict of one check id on an instance (twist: the degree of the
+    addti base twist); ValueError when the check is unknown or does not
+    apply."""
+    if not isinstance(check, str) or check not in _CHECKS:
+        raise ValueError(f"unknown check {check!r}")
+    _require(inst, check)
+    return _CHECKS[check](inst, twist)
 
 
 # ---------------------------------------------------------------------------

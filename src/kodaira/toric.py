@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import and_, or_
@@ -23,6 +23,8 @@ from .lattice import (
     GeometryError,
     Polytope,
     ScanPlan,
+    _bareiss,
+    _solve,
     affine_rank,
     det_int,
     dot,
@@ -51,7 +53,9 @@ class ToricVariety:
 
     Validation checks primitivity, smoothness (each maximal cone is a lattice
     basis) and completeness (every wall is shared by exactly two maximal
-    cones; both directions present in rank one).
+    cones; both directions present in rank one).  cone_inverses holds, in
+    max_cones order, (sorted ray indices, rows of R^-1) for each cone's ray
+    matrix R (rows v_rho), from the fraction-free solve that tests smoothness.
     """
 
     def __init__(self, rays, max_cones, name=None):
@@ -61,11 +65,7 @@ class ToricVariety:
         self.lattice_rank = len(self.rays[0])
         self.max_cones = tuple(sorted(frozenset(c) for c in max_cones))
         self.name = name or f"toric{self.lattice_rank}d"
-        self._dir_mults = None
-        self._scan_plan = None
-        self._subsets = None
         self._limits = {}
-        self._ample = None
         self._validate()
 
     def _validate(self):
@@ -77,12 +77,19 @@ class ToricVariety:
                 raise ValueError(f"ray {r} is not primitive")
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("duplicate rays")
+        inverses = []
         for cone in self.max_cones:
             if len(cone) != n:
                 raise ValueError("maximal cone is not simplicial of full rank")
-            mat = [self.rays[i] for i in sorted(cone)]
-            if abs(det_int(mat)) != 1:
-                raise ValueError(f"cone {sorted(cone)} is not smooth")
+            idx = tuple(sorted(cone))
+            echelon, _ = _bareiss([list(self.rays[i]) + [int(i == j) for j in idx]
+                                   for i in idx], n)  # rows [v_rho | e]
+            if len(echelon) < n or abs(echelon[-1][2]) != 1:
+                raise ValueError(f"cone {list(idx)} is not smooth")
+            den = echelon[-1][2]  # +-1: column j of R^-1 is x / den for R x = e_j
+            cols = [_solve(echelon, n, n + j)[1] for j in range(n)]
+            inverses.append((idx, tuple(tuple(den * x for x in row) for row in zip(*cols))))
+        self.cone_inverses = tuple(inverses)
         if n == 1:
             if set(self.rays) != {(1,), (-1,)}:
                 raise ValueError("complete fan in rank 1 needs rays +1 and -1")
@@ -97,63 +104,48 @@ class ToricVariety:
     def __repr__(self):
         return f"ToricVariety({self.name}, rank={self.lattice_rank}, rays={len(self.rays)})"
 
-    def direction_multipliers(self):
-        """For each of the 2n directions +-e_i, nonnegative integer ray
-        multipliers expressing the direction inside some maximal cone.
-
-        Yields exact coordinate bounds for every divisor polytope: from
-        <u, v_rho> >= c_rho one gets <u, d> >= sum lambda_rho c_rho whenever
-        d = sum lambda_rho v_rho with lambda >= 0.  The multipliers are
-        integers because every maximal cone is unimodular: by Cramer's rule
-        each is a determinant times the cone's determinant, which is +-1.
-        Cached per variety.
-        """
-        if self._dir_mults is not None:
-            return self._dir_mults
-        n = self.lattice_rank
-        out = []
-        for i in range(n):
-            for sign in (1, -1):
-                d = tuple(sign if j == i else 0 for j in range(n))
-                found = None
-                for cone in self.max_cones:
-                    idx = sorted(cone)
-                    rows = [self.rays[r] for r in idx]
-                    det = det_int(rows)
-                    lam = [det * det_int(rows[:j] + [d] + rows[j + 1:])
-                           for j in range(n)]
-                    if all(x >= 0 for x in lam):
-                        found = {r: x for r, x in zip(idx, lam) if x != 0}
-                        break
-                if found is None:
-                    raise GeometryError("fan is not complete")
-                out.append(((i, sign), found))
-        self._dir_mults = tuple(out)
-        return self._dir_mults
-
+    @cached_property
     def scan_plan(self):
         """(ScanPlan of the rays, box rows) for scanning degree pieces.
-        Row i holds the multipliers of +e_i and of -e_i, so coordinate i of
-        every point of {u : <u, v_rho> >= c_rho} lies between sum lam c and
-        -sum lam' c (direction_multipliers).  Cached per variety."""
-        if self._scan_plan is None:
-            mults = {d: tuple(m.items())
-                     for d, m in self.direction_multipliers()}
-            rows = tuple((mults[i, 1], mults[i, -1])
-                         for i in range(self.lattice_rank))
-            self._scan_plan = ScanPlan(self.lattice_rank, self.rays), rows
-        return self._scan_plan
+        Row i holds the ray multipliers of +e_i and of -e_i: +-row i of the
+        first cone inverse that is nonnegative, as e_i = sum (R^-1)_{i rho}
+        v_rho.  <u, v_rho> >= c_rho gives <u, d> >= sum lam c for d = sum
+        lam v_rho with lam >= 0, so coordinate i of every point of
+        {u : <u, v_rho> >= c_rho} lies between sum lam c and -sum lam' c."""
+        def mults(i, sign):
+            for idx, inv in self.cone_inverses:
+                if all(sign * x >= 0 for x in inv[i]):
+                    return tuple((r, sign * x) for r, x in zip(idx, inv[i]) if x)
+            raise GeometryError("fan is not complete")
 
+        rows = tuple((mults(i, 1), mults(i, -1)) for i in range(self.lattice_rank))
+        return ScanPlan(self.lattice_rank, self.rays), rows
+
+    @cached_property
     def nonsingular_subsets(self):
         """(ray index tuple, |det|) for every n-subset of rays with nonzero
         determinant: every vertex of a polytope {u : <u, v_rho> >= c_rho}
-        solves one of them.  Cached per variety."""
-        if self._subsets is None:
-            self._subsets = tuple(
-                (sub, abs(det)) for sub in
-                combinations(range(len(self.rays)), self.lattice_rank)
-                if (det := det_int([self.rays[i] for i in sub])))
-        return self._subsets
+        solves one of them."""
+        return tuple(
+            (sub, abs(det)) for sub in
+            combinations(range(len(self.rays)), self.lattice_rank)
+            if (det := det_int([self.rays[i] for i in sub])))
+
+    @cached_property
+    def standard_ample(self):
+        """A canned ample divisor with every coefficient >= 1.
+
+        All-ones works for projective spaces and their products; Hirzebruch
+        surfaces need the twisted coefficient on the (-1, a) ray."""
+        coeffs = [1] * len(self.rays)
+        for i, ray in enumerate(self.rays):
+            if self.lattice_rank == 2 and len(self.rays) == 4:
+                if ray[0] == -1 and ray[1] > 1:
+                    coeffs[i] = ray[1]
+        amp = ToricDivisorData(tuple(coeffs))
+        if not is_ample(self, amp):
+            raise GeometryError(f"no canned ample for {self.name}")
+        return amp
 
     # -- presets -------------------------------------------------------------
 
@@ -245,40 +237,22 @@ def is_ample(variety, divisor):
     """Ampleness on a smooth complete fan: D is integral and, for every
     maximal cone sigma, the point m_sigma with <m_sigma, v_rho> = -b_rho on
     sigma's rays satisfies <m_sigma, v_rho> > -b_rho on every other ray.
-    m_sigma is integral, by Cramer's rule: each coordinate is a determinant
-    times the cone's determinant, which is +-1 (direction_multipliers)."""
+    m_sigma = -R^-1 b_sigma for the cone's ray matrix R (rows v_rho), and
+    is integral since R^-1 is (ToricVariety.cone_inverses)."""
     if not divisor.is_integral():
         return False
     b = [int(c) for c in divisor.coefficients]
-    for cone in variety.max_cones:
-        rows = [variety.rays[i] + (-b[i],) for i in sorted(cone)]
-        det = det_int([r[:-1] for r in rows])
-        m = [det * det_int([r[:j] + r[-1:] + r[j + 1:-1] for r in rows])
-             for j in range(variety.lattice_rank)]
+    for idx, inv in variety.cone_inverses:
+        m = [-sum(x * b[r] for r, x in zip(idx, row)) for row in inv]
         if any(dot(m, ray) <= -c for i, (ray, c) in enumerate(zip(variety.rays, b))
-               if i not in cone):
+               if i not in idx):
             return False
     return True
 
 
 def standard_ample(variety):
-    """A canned ample divisor with every coefficient >= 1.
-
-    All-ones works for projective spaces and their products; Hirzebruch
-    surfaces need the twisted coefficient on the (-1, a) ray.  Validated once
-    and cached per variety.
-    """
-    if variety._ample is None:
-        coeffs = [1] * len(variety.rays)
-        for i, ray in enumerate(variety.rays):
-            if variety.lattice_rank == 2 and len(variety.rays) == 4:
-                if ray[0] == -1 and ray[1] > 1:
-                    coeffs[i] = ray[1]
-        amp = ToricDivisorData(tuple(coeffs))
-        if not is_ample(variety, amp):
-            raise GeometryError(f"no canned ample for {variety.name}")
-        variety._ample = amp
-    return variety._ample
+    """The canned ample divisor of ToricVariety.standard_ample."""
+    return variety.standard_ample
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +267,7 @@ class SectionSystem:
     with c_rho the multiplier coefficient at level k k0.  Every bound is an
     integer (k k0 clears the denominators of the b_rho, E is integral,
     multiplier coefficients are integers), and so is the enclosing box,
-    since every cone is unimodular (ToricVariety.direction_multipliers).  So
+    since every cone is unimodular (ToricVariety.scan_plan).  So
     the integers k0 b_rho and e_rho are fixed once, and each degree only
     shifts integer bounds and the box for one integer lattice scan, run on
     the variety's ScanPlan.
@@ -331,7 +305,7 @@ class SectionSystem:
         for i, p, q in self._weights:  # multiplier_coeff(p/q, t)
             c = t * p // q - t + 1
             bounds[i] += max(c, 0) if self.clamp else c
-        plan, rows = self.variety.scan_plan()
+        plan, rows = self.variety.scan_plan
         box = [(sum(lam * bounds[r] for r, lam in lo),
                 -sum(lam * bounds[r] for r, lam in hi)) for lo, hi in rows]
         return plan.scan(box, bounds, collect)
@@ -381,7 +355,7 @@ class SectionSystem:
         step = self.k0 * stride
         mu_period = {i: q // gcd(q, step) for i, _, q in self._weights}
         period = 1
-        for sub, det in self.variety.nonsingular_subsets():
+        for sub, det in self.variety.nonsingular_subsets:
             if all(touching >> i & 1 for i in sub):
                 period = lcm(period, det * lcm(
                     *(mu_period.get(i, 1) for i in sub)))

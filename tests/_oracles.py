@@ -21,7 +21,10 @@ chase the library's gcd-insertion HNF replaced (`hnf_euclid_chase`, with
 the kernel, basis and saturation built on it) and the lattice route of
 `regularize` it replaced (`regularize_lattice_reference`: a level kernel,
 the combinations, a second HNF and an extended-gcd point) are references
-too.
+too, and so are the Cramer's-rule fan data the cone inverses of
+`ToricVariety` replaced: the ray multipliers of +-e_i
+(`direction_multipliers_cramer`, `scan_rows_cramer`) and the cone-vertex
+ampleness test (`is_ample_cramer`), on cofactor determinants.
 """
 
 import math
@@ -433,6 +436,58 @@ def pyramid_volume(points):
         face = [p[:i] + p[i + 1:] for p in pts if dot(p, w) == h]
         total += (dot(pts[0], w) - h) * pyramid_volume(face) / abs(w[i])
     return total / d
+
+
+def direction_multipliers_cramer(variety):
+    """((i, sign), {ray: multiplier}) for each direction +-e_i: the nonzero
+    multipliers of the rays of the first maximal cone (in max_cones order)
+    that writes the direction as a nonnegative combination, each solved by
+    Cramer's rule with cofactor determinants (the cone's determinant is
+    +-1 on a smooth fan, so each is a determinant times it)."""
+    n = variety.lattice_rank
+    out = []
+    for i in range(n):
+        for sign in (1, -1):
+            d = tuple(sign if j == i else 0 for j in range(n))
+            for cone in variety.max_cones:
+                idx = sorted(cone)
+                rows = [variety.rays[r] for r in idx]
+                det = laplace_det(rows)
+                lam = [det * laplace_det(rows[:j] + [d] + rows[j + 1:])
+                       for j in range(n)]
+                if all(x >= 0 for x in lam):
+                    out.append(((i, sign),
+                                {r: x for r, x in zip(idx, lam) if x != 0}))
+                    break
+            else:
+                raise ValueError("fan is not complete")
+    return tuple(out)
+
+
+def scan_rows_cramer(variety):
+    """The box rows of `ToricVariety.scan_plan` from
+    `direction_multipliers_cramer`: row i holds the (ray, multiplier) pairs
+    of +e_i and of -e_i."""
+    mults = {d: tuple(m.items()) for d, m in direction_multipliers_cramer(variety)}
+    return tuple((mults[i, 1], mults[i, -1]) for i in range(variety.lattice_rank))
+
+
+def is_ample_cramer(variety, divisor):
+    """Cone-vertex ampleness with each m_sigma solved by Cramer's rule: D is
+    integral and, for every maximal cone, <m_sigma, v_rho> > -b_rho on every
+    ray outside it."""
+    if not divisor.is_integral():
+        return False
+    b = [int(c) for c in divisor.coefficients]
+    for cone in variety.max_cones:
+        rows = [variety.rays[i] + (-b[i],) for i in sorted(cone)]
+        det = laplace_det([r[:-1] for r in rows])
+        m = [det * laplace_det([r[:j] + r[-1:] + r[j + 1:-1] for r in rows])
+             for j in range(variety.lattice_rank)]
+        if any(dot(m, ray) <= -c for i, (ray, c) in enumerate(zip(variety.rays, b))
+               if i not in cone):
+            return False
+    return True
 
 
 def ample_by_vertices(variety, divisor):

@@ -455,3 +455,50 @@ def test_verify_suite_reports_every_row_past_a_non_list_field(tmp_path, capsys):
     assert rep["results"] == [
         {"file": "bad.json", "kind": "error", "exit": 2},
         {"file": "good.json", "kind": "multiplier_scan", "exit": 0}]
+
+
+def test_repeated_key_is_input_error(tmp_path, capsys):
+    # json.loads used to keep the last of two equal keys without a word:
+    # the kappa file ran on [0, 0] and exited 0, the semigroup file dropped
+    # its first A_1 and reported a closure fault
+    kappa = json.dumps(separation_doc()).replace(
+        '"coefficients": [0, 0]', '"coefficients": [1, 1], "coefficients": [0, 0]')
+    semigroup = ('{"schema_version": "1", "kind": "semigroup", "body": '
+                 '{"ambient_rank": 1, "levels": {"1": [[0]], "1": [[0], [1]], '
+                 '"2": [[0], [1], [2]]}}, "options": {"max_degree": 4}}')
+    fibration = (CORPUS / "fibration_dio_g2.json").read_text().replace(
+        '"genus": 2,', '"genus": 2, "genus": 3,')
+    cases = [("kappa", kappa, "coefficients"), ("semigroup", semigroup, "1"),
+             ("fibration", fibration, "genus")]
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for command, text, key in cases:
+        path = suite / f"{command}.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2, key
+        assert capsys.readouterr().err == f"input error: repeated key {key!r}\n"
+    write_instance(suite, scan_doc(mu_grid=["3/2"]), "scan.json")
+    assert main(["verify-suite", str(suite), "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"] == [
+        {"file": f"{command}.json", "kind": "error", "exit": 2}
+        for command in ("fibration", "kappa")] + [
+        {"file": "scan.json", "kind": "multiplier_scan", "exit": 0},
+        {"file": "semigroup.json", "kind": "error", "exit": 2}]
+
+
+def test_unwritable_output_path_is_input_error(tmp_path, capsys):
+    # a missing directory used to end in a traceback and exit 1, the code
+    # of a failed verdict
+    kappa = write_instance(tmp_path, separation_doc())
+    missing = tmp_path / "missing"
+    runs = [["kappa", kappa, "--out", str(missing / "report.txt")],
+            ["kappa", kappa, "--export-polytope", str(missing / "limit.off")],
+            ["verify-suite", str(CORPUS), "--out", str(missing / "suite.txt")]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: {argv[-1]}: No such file or directory\n"), argv
+    assert not missing.exists()
