@@ -188,6 +188,13 @@ def parse_metric(entries, ray_count, where="metric"):
     return SingularMetricData(pairs) if pairs else None
 
 
+def parse_divisor(values, ray_count, where, mismatch, item="coefficient"):
+    coeffs = [_rat(c, item) for c in _list(values, where)]
+    if len(coeffs) != ray_count:
+        raise ValidationError(mismatch)
+    return ToricDivisorData(coeffs)
+
+
 def parse_instance(doc, path="<instance>"):
     _require_keys(doc, ["schema_version", "kind", "body"], ["options"], path)
     if doc["schema_version"] != SCHEMA_VERSION:
@@ -274,30 +281,24 @@ def cmd_semigroup(body, options):
 def cmd_kappa(body, options):
     _require_keys(body, ["variety", "coefficients"], ["metric", "ample"], "body")
     variety = parse_variety(body["variety"])
-    coeffs = [_rat(c, "coefficient")
-              for c in _list(body["coefficients"], "coefficients")]
-    if len(coeffs) != len(variety.rays):
-        raise ValidationError("coefficient count does not match ray count")
-    divisor = ToricDivisorData(tuple(coeffs))
-    metric = parse_metric(body.get("metric"), len(variety.rays))
+    rays = len(variety.rays)
+    divisor = parse_divisor(body["coefficients"], rays, "coefficients",
+                            "coefficient count does not match ray count")
+    metric = parse_metric(body.get("metric"), rays)
     ample = None
     if "ample" in body:
-        amp_coeffs = [_rat(c, "ample coefficient")
-                      for c in _list(body["ample"], "ample")]
-        if len(amp_coeffs) != len(variety.rays):
-            raise ValidationError("ample coefficient count does not match rays")
-        ample = ToricDivisorData(tuple(amp_coeffs))
+        ample = parse_divisor(body["ample"], rays, "ample",
+                              "ample coefficient count does not match rays",
+                              "ample coefficient")
     max_degree = options.get("max_degree", DEFAULT_DEGREE_BOUND)
-    stride = 1
-    strides = options.get("strides")
 
     sys_ = SectionSystem(variety, divisor, metric=metric,
                          degree_bound=max_degree)
     rep = kappa_report(sys_)
     sigma = kappa_sigma(variety, divisor, metric, ample=ample,
-                        degree_bound=max_degree, stride=stride)
+                        degree_bound=max_degree)
     stride_values = {}
-    for a in strides or ():
+    for a in options.get("strides", ()):
         stride_values[str(a)] = _kappa_json(
             kappa_sigma(variety, divisor, metric, ample=ample,
                         degree_bound=max_degree, stride=a))
@@ -336,17 +337,15 @@ def _parse_curve_instance(body, max_degree):
     else:
         base_class = CurveDivisorClass.general(2 * genus - 2 + extra)
     fiber = parse_variety(body["fiber"], "fiber")
-    fdiv = [_rat(c, "fiber coefficient")
-            for c in _list(body["fiber_divisor"], "fiber_divisor")]
-    if len(fdiv) != len(fiber.rays):
-        raise ValidationError("fiber coefficient count mismatch")
+    fdiv = parse_divisor(body["fiber_divisor"], len(fiber.rays), "fiber_divisor",
+                         "fiber coefficient count mismatch", "fiber coefficient")
     fmetric = parse_metric(body.get("fiber_metric", []), len(fiber.rays),
                            "fiber_metric")
     return CurveProductInstance(
         curve=curve, base_class=base_class,
-        fiber_variety=fiber, fiber_divisor=ToricDivisorData(tuple(fdiv)),
+        fiber_variety=fiber, fiber_divisor=fdiv,
         fiber_metric=fmetric or SingularMetricData(()),
-        base_metric=tuple(base_points),
+        base_metric=SingularMetricData(base_points),
         degree_bound=max_degree, instance_id="file_instance")
 
 
@@ -363,14 +362,11 @@ def _parse_toric_fibration_instance(body, max_degree):
         if "a" not in body:
             raise ValidationError("hirzebruch variant needs a")
         fib = hirzebruch_fibration(_int(body["a"], "a"))
+    rays, base_rays = len(fib.total.rays), len(fib.base.rays)
     divisor = None
     if "divisor" in body:
-        coeffs = [_rat(c, "coefficient")
-                  for c in _list(body["divisor"], "divisor")]
-        if len(coeffs) != len(fib.total.rays):
-            raise ValidationError("divisor coefficient count mismatch")
-        divisor = ToricDivisorData(tuple(coeffs))
-    rays, base_rays = len(fib.total.rays), len(fib.base.rays)
+        divisor = parse_divisor(body["divisor"], rays, "divisor",
+                                "divisor coefficient count mismatch")
     metric = parse_metric(body.get("metric"), rays)
     dx = frozenset(_ray(i, rays, "dx ray")
                    for i in _list(body.get("dx_rays", []), "dx_rays"))

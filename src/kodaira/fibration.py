@@ -10,7 +10,6 @@ general fiber" never needs sampling: restriction is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
@@ -65,28 +64,24 @@ class ToricFibration:
     fiber_ray_of_vertical: dict   # total ray index -> fiber ray index
 
     def pullback_divisor(self, base_divisor):
-        coeffs = [Fraction(0)] * len(self.total.rays)
+        nums = [0] * len(self.total.rays)
         for b, i in enumerate(self.pullback_rays):
-            coeffs[i] = base_divisor.coefficients[b]
-        return ToricDivisorData(tuple(coeffs))
+            nums[i] = base_divisor.nums[b]
+        return ToricDivisorData.over(nums, base_divisor.k0)
 
     def base_ample(self):
         return standard_ample(self.base)
 
     def restrict_divisor(self, divisor):
-        coeffs = [Fraction(0)] * len(self.fiber.rays)
+        nums = [0] * len(self.fiber.rays)
         for i in self.vertical_rays:
-            coeffs[self.fiber_ray_of_vertical[i]] = divisor.coefficients[i]
-        return ToricDivisorData(tuple(coeffs))
+            nums[self.fiber_ray_of_vertical[i]] = divisor.nums[i]
+        return ToricDivisorData.over(nums, divisor.k0)
 
     def restrict_metric(self, metric):
-        if metric is None:
-            return EMPTY_METRIC
-        entries = []
-        for ray_id, mu in metric.entries:
-            if ray_id in self.fiber_ray_of_vertical:
-                entries.append((self.fiber_ray_of_vertical[ray_id], mu))
-        return SingularMetricData(entries)
+        return SingularMetricData([(self.fiber_ray_of_vertical[i], mu)
+                                   for i, mu in (metric.entries if metric else ())
+                                   if i in self.fiber_ray_of_vertical])
 
 
 def product_fibration(fiber_variety, base_variety):
@@ -258,19 +253,13 @@ class CurveProductInstance:
     base_class: CurveDivisorClass
     fiber_variety: ToricVariety
     fiber_divisor: ToricDivisorData
-    base_metric: tuple = ()              # ((point_id, mu), ...)
+    base_metric: SingularMetricData = EMPTY_METRIC  # ids: curve point names
     fiber_metric: SingularMetricData = EMPTY_METRIC
     degree_bound: int = DEFAULT_DEGREE_BOUND
     instance_id: str = ""
 
     dim_base = 1
     is_log = False  # metric flavor only
-
-    def __post_init__(self):
-        self.base_metric = tuple((pid, Fraction(mu)) for pid, mu in self.base_metric)
-        for _, mu in self.base_metric:
-            if mu < 0:
-                raise ValueError("metric weight must be nonnegative")
 
     @property
     def default_checks(self):
@@ -282,7 +271,7 @@ class CurveProductInstance:
     def base_class_at(self, k, extra_degree=0):
         """k(K_Y + L_Y) - (metric ideal) + extra, as a curve class."""
         mult = self.base_class.times(k)
-        drop = sum(multiplier_coeff(mu, k) for _, mu in self.base_metric)
+        drop = sum(multiplier_coeff(mu, k) for _, mu in self.base_metric.entries)
         if drop == 0 and extra_degree == 0:
             return mult
         return CurveDivisorClass.general(mult.degree - drop + extra_degree)
@@ -298,7 +287,7 @@ class CurveProductInstance:
              for k in range(1, self.degree_bound + 1)], self.base_period())
 
     def base_period(self):
-        return lcm(1, *(mu.denominator for _, mu in self.base_metric))
+        return lcm(1, *(mu.denominator for _, mu in self.base_metric.entries))
 
     # -- fiber side and products --------------------------------------------
 

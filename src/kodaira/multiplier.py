@@ -21,23 +21,18 @@ class SingularMetricData:
     entries: tuple  # of (divisor_id, Fraction)
 
     def __init__(self, entries):
-        norm = []
-        seen = set()
+        norm = {}
         for div_id, mu in entries:
             mu = Fraction(mu)
             if mu < 0:
                 raise ValueError("metric weight must be nonnegative")
-            if div_id in seen:
+            if div_id in norm:
                 raise ValueError(f"duplicate divisor id {div_id!r}")
-            seen.add(div_id)
-            norm.append((div_id, mu))
-        object.__setattr__(self, "entries", tuple(norm))
+            norm[div_id] = mu
+        object.__setattr__(self, "entries", tuple(norm.items()))
 
     def weight(self, div_id):
-        for d, mu in self.entries:
-            if d == div_id:
-                return mu
-        return Fraction(0)
+        return dict(self.entries).get(div_id, Fraction(0))
 
     def restrict(self, div_ids):
         """Sub-metric supported on the given divisor ids."""

@@ -33,7 +33,6 @@ from .lattice import (
     primitive,
     span_rank,
 )
-from .multiplier import EMPTY_METRIC, coeff_limit
 from .semigroup import DegreeBoundError, GradedSemigroup
 
 
@@ -131,18 +130,18 @@ class ToricVariety:
             combinations(range(len(self.rays)), self.lattice_rank)
             if (det := det_int([self.rays[i] for i in sub])))
 
+    factors = ()  # (first, second) of a product
+
     @cached_property
     def standard_ample(self):
         """A canned ample divisor with every coefficient >= 1.
 
-        All-ones works for projective spaces and their products; Hirzebruch
-        surfaces need the twisted coefficient on the (-1, a) ray."""
-        coeffs = [1] * len(self.rays)
-        for i, ray in enumerate(self.rays):
-            if self.lattice_rank == 2 and len(self.rays) == 4:
-                if ray[0] == -1 and ray[1] > 1:
-                    coeffs[i] = ray[1]
-        amp = ToricDivisorData(tuple(coeffs))
+        All-ones works for projective spaces; Hirzebruch surfaces need the
+        twisted coefficient on the (-1, a) ray; a product takes its factors'
+        side by side, since D1 x D2 is ample iff both factors are."""
+        nums = [n for f in self.factors for n in f.standard_ample.nums] or [
+            max(r[1], 1) if len(r) == 2 and r[0] == -1 else 1 for r in self.rays]
+        amp = ToricDivisorData.over(nums, 1)
         if not is_ample(self, amp):
             raise GeometryError(f"no canned ample for {self.name}")
         return amp
@@ -168,7 +167,9 @@ class ToricVariety:
         for c1 in first.max_cones:
             for c2 in second.max_cones:
                 cones.append(frozenset(c1) | frozenset(i + shift for i in c2))
-        return cls(rays, cones, name=f"{first.name}x{second.name}")
+        out = cls(rays, cones, name=f"{first.name}x{second.name}")
+        out.factors = (first, second)
+        return out
 
     @classmethod
     def hirzebruch(cls, a):
@@ -182,55 +183,69 @@ class ToricVariety:
 
 @dataclass(frozen=True)
 class ToricDivisorData:
-    """Ray coefficients b_rho of a torus-invariant Q-divisor."""
+    """Ray coefficients b_rho = nums[rho] / k0 of a torus-invariant Q-divisor,
+    in lowest terms: k0 is the least positive integer making every b_rho
+    integral, so equal divisors have equal fields however they were built."""
 
-    coefficients: tuple
+    nums: tuple
+    k0: int
 
     def __init__(self, coefficients):
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in coefficients))
+        """From coefficients given as ints, Fractions or "p/q" strings."""
+        coeffs = [Fraction(c) for c in coefficients]
+        k0 = lcm(1, *(c.denominator for c in coeffs))
+        object.__setattr__(self, "nums", tuple(
+            c.numerator * (k0 // c.denominator) for c in coeffs))
+        object.__setattr__(self, "k0", k0)
+
+    @classmethod
+    def over(cls, nums, k0):
+        """The divisor with coefficients nums[rho] / k0 (integers, k0 > 0)."""
+        g = gcd(k0, *nums)
+        out = object.__new__(cls)
+        object.__setattr__(out, "nums", tuple(n // g for n in nums))
+        object.__setattr__(out, "k0", k0 // g)
+        return out
 
     @property
-    def k0(self):
-        """Smallest positive integer making every coefficient integral."""
-        return lcm(1, *(c.denominator for c in self.coefficients))
+    def coefficients(self):
+        """The b_rho as Fractions."""
+        return tuple(Fraction(n, self.k0) for n in self.nums)
 
     def is_integral(self):
         return self.k0 == 1
 
     def scale(self, t):
-        return ToricDivisorData(tuple(Fraction(t) * c for c in self.coefficients))
+        t = t if isinstance(t, int) else Fraction(t)
+        return self.over([t.numerator * n for n in self.nums], t.denominator * self.k0)
 
     def add(self, other):
-        return ToricDivisorData(tuple(a + b for a, b in
-                                      zip(self.coefficients, other.coefficients)))
+        k0 = lcm(self.k0, other.k0)
+        a, b = k0 // self.k0, k0 // other.k0
+        return self.over([a * x + b * y for x, y in zip(self.nums, other.nums)], k0)
 
     @classmethod
     def canonical(cls, variety):
-        return cls(tuple([-1] * len(variety.rays)))
-
-    @classmethod
-    def zero(cls, variety):
-        return cls(tuple([0] * len(variety.rays)))
+        return cls.over([-1] * len(variety.rays), 1)
 
     @classmethod
     def boundary_subset(cls, variety, ray_indices):
         """Reduced divisor: sum of the chosen prime torus-invariant divisors."""
         chosen = set(ray_indices)
-        return cls(tuple(1 if i in chosen else 0 for i in range(len(variety.rays))))
+        return cls.over([int(i in chosen) for i in range(len(variety.rays))], 1)
 
 
 def divisor_polytope(variety, divisor, k=1):
     """Polytope of sections of k*D: {u : <u, v_rho> >= -k b_rho}.
 
     h^0(X, kD) is its lattice point count on a complete toric variety.
-    Requires k*D integral.
+    Requires k*D integral: k a multiple of k0.
     """
-    coeffs = [Fraction(k) * c for c in divisor.coefficients]
-    if any(c.denominator != 1 for c in coeffs):
+    if k % divisor.k0:
         raise ValueError("needs multiple of k0")
+    t = k // divisor.k0
     return Polytope(variety.lattice_rank,
-                    [(ray, -c) for ray, c in zip(variety.rays, coeffs)])
+                    [(ray, -t * n) for ray, n in zip(variety.rays, divisor.nums)])
 
 
 def is_ample(variety, divisor):
@@ -241,7 +256,7 @@ def is_ample(variety, divisor):
     is integral since R^-1 is (ToricVariety.cone_inverses)."""
     if not divisor.is_integral():
         return False
-    b = [int(c) for c in divisor.coefficients]
+    b = divisor.nums
     for idx, inv in variety.cone_inverses:
         m = [-sum(x * b[r] for r, x in zip(idx, row)) for row in inv]
         if any(dot(m, ray) <= -c for i, (ray, c) in enumerate(zip(variety.rays, b))
@@ -280,28 +295,24 @@ class SectionSystem:
                  degree_bound=DEFAULT_DEGREE_BOUND, clamp=True):
         self.variety = variety
         self.divisor = divisor
-        self.metric = metric if metric is not None else EMPTY_METRIC
+        self.metric = metric
         if aux is not None and not aux.is_integral():
             raise ValueError("auxiliary divisor must be integral")
         self.aux = aux
         self.degree_bound = int(degree_bound)
         self.clamp = clamp
         self.k0 = divisor.k0
-        # degree-k bound of ray i: k * slope + offset + multiplier coefficient
-        self._slopes = [int(-self.k0 * c) for c in divisor.coefficients]
-        self._offsets = ([-int(c) for c in aux.coefficients] if aux is not None
-                         else [0] * len(variety.rays))
-        # (ray, p, q) of each nonzero weight p/q, validated with the metric
-        self._weights = [(i, mu.numerator, mu.denominator) for i, mu in
-                         enumerate(map(self.metric.weight,
-                                       range(len(variety.rays)))) if mu]
+        # degree-k bound of ray i: -k * num + offset + multiplier coefficient
+        self._offsets = [-n for n in aux.nums] if aux is not None else [0] * len(variety.rays)
+        self._weights = [(i, p, q) for i, (p, q) in
+                         enumerate(_ray_weights(variety, self.metric)) if p]
         self._points = {}
         self._counts = {}
 
     def _scan(self, k, collect):
         """Integer scan of the degree-k piece (multiplier level k*k0)."""
         t = k * self.k0
-        bounds = [k * a + b for a, b in zip(self._slopes, self._offsets)]
+        bounds = [b - k * a for a, b in zip(self.divisor.nums, self._offsets)]
         for i, p, q in self._weights:  # multiplier_coeff(p/q, t)
             c = t * p // q - t + 1
             bounds[i] += max(c, 0) if self.clamp else c
@@ -531,18 +542,27 @@ def kappa_report(sys):
 # numerical (perturbed) growth
 # ---------------------------------------------------------------------------
 
+def _ray_weights(variety, metric):
+    """The weight p/q of each ray as (p, q), (0, 1) off the metric, read off
+    its entries once; ValueError naming an id that is not a ray index."""
+    mu = [(0, 1)] * len(variety.rays)
+    for i, w in metric.entries if metric is not None else ():
+        if not (isinstance(i, int) and 0 <= i < len(mu)):
+            raise ValueError(f"metric id {i!r} is not a ray index of {variety.name}")
+        mu[i] = w.numerator, w.denominator
+    return tuple(mu)
+
+
 def limit_polytope(variety, divisor, metric=None):
     """Normalized limit of the degreewise constraint polytopes:
     {u : <u, v_rho> >= -b_rho + max(mu_rho - 1, 0)}, constraints parallel to
     the rays.  Cached per variety, so its vertices are enumerated once."""
-    metric = metric if metric is not None else EMPTY_METRIC
-    key = (divisor, metric)
+    mu, k0 = _ray_weights(variety, metric), divisor.k0
+    key = (divisor.nums, k0, mu)
     if key not in variety._limits:
-        cons = []
-        for i, ray in enumerate(variety.rays):
-            gamma = coeff_limit(metric.weight(i)) if metric.weight(i) else Fraction(0)
-            cons.append((ray, -divisor.coefficients[i] + gamma))
-        variety._limits[key] = Polytope(variety.lattice_rank, cons)
+        variety._limits[key] = Polytope(variety.lattice_rank, [
+            (ray, Fraction(k0 * max(p - q, 0) - q * n, k0 * q))
+            for ray, n, (p, q) in zip(variety.rays, divisor.nums, mu)])
     return variety._limits[key]
 
 
@@ -559,12 +579,12 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
     admit a displacement, and NEG_INF otherwise; with every ray fattened it
     is just dim Q.
     """
-    metric = metric if metric is not None else EMPTY_METRIC
     q = limit_polytope(variety, divisor, metric)
     if q.is_empty():
         return NEG_INF
     on_q = reduce(and_, q.tight_masks())  # bit i: Q lies on ray i
-    disp = [(v, 1 if metric.weight(i) >= 1 else 0)
+    mu = _ray_weights(variety, metric)
+    disp = [(v, int(mu[i][0] >= mu[i][1]))
             for i, (v, _) in enumerate(q.constraints)  # parallel to the rays
             if on_q >> i & 1 and i not in fattened_rays]
     if disp and Polytope(variety.lattice_rank, disp).is_empty():
@@ -598,7 +618,7 @@ def _perturbed_growth(variety, divisor, metric, perturbation, degree_bound,
     Every determinable one must equal the exact value, or CrossCheckError
     naming the route is raised.
     """
-    fattened = {i for i, c in enumerate(perturbation.coefficients) if c > 0}
+    fattened = {i for i, n in enumerate(perturbation.nums) if n > 0}
     exact = _limit_growth_exact(variety, divisor, metric, fattened)
 
     systems = [

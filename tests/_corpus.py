@@ -182,7 +182,7 @@ def curve_product_instances(degree_bound=24):
             curve=curve, base_class=base_class,
             fiber_variety=fiber, fiber_divisor=ToricDivisorData(fdiv),
             fiber_metric=SingularMetricData(fmetric),
-            base_metric=tuple(base_points),
+            base_metric=SingularMetricData(base_points),
             degree_bound=degree_bound, instance_id=f"c_{name}"))
 
     add("g2_p1_mu2", 2, 0, P1, (0, 2), [(0, 2)])

@@ -24,10 +24,16 @@ the combinations, a second HNF and an extended-gcd point) are references
 too, and so are the Cramer's-rule fan data the cone inverses of
 `ToricVariety` replaced: the ray multipliers of +-e_i
 (`direction_multipliers_cramer`, `scan_rows_cramer`) and the cone-vertex
-ampleness test (`is_ample_cramer`), on cofactor determinants.
+ampleness test (`is_ample_cramer`), on cofactor determinants.  The
+`Fraction` divisor record that `ToricDivisorData`'s integer numerators over
+k0 replaced (`FractionDivisor`, k0 from an lcm on every read) is the
+reference for the divisor arithmetic, the fibration pullback and
+restriction (`pullback_reference`, `restrict_reference`) and the polytope
+bounds (`divisor_bounds_reference`, `limit_bounds_reference`).
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -42,7 +48,7 @@ from kodaira.lattice import (
     vsub,
     xgcd,
 )
-from kodaira.multiplier import EMPTY_METRIC
+from kodaira.multiplier import EMPTY_METRIC, coeff_limit
 from kodaira.toric import CrossCheckError, limit_polytope
 
 
@@ -745,3 +751,63 @@ def regularize_lattice_reference(points):
             g, x, y = xgcd(g, row[-1])
             g0 = tuple(x * a + y * b for a, b in zip(g0, row))
     return basis, m, boundary, ind, g0
+
+
+@dataclass(frozen=True)
+class FractionDivisor:
+    """Reference for `toric.ToricDivisorData`: the ray coefficients as
+    Fractions, k0 recomputed by an lcm on every read."""
+
+    coefficients: tuple
+
+    def __init__(self, coefficients):
+        object.__setattr__(
+            self, "coefficients", tuple(Fraction(c) for c in coefficients))
+
+    @property
+    def k0(self):
+        return math.lcm(1, *(c.denominator for c in self.coefficients))
+
+    def is_integral(self):
+        return self.k0 == 1
+
+    def scale(self, t):
+        return FractionDivisor(tuple(Fraction(t) * c for c in self.coefficients))
+
+    def add(self, other):
+        return FractionDivisor(tuple(a + b for a, b in
+                                     zip(self.coefficients, other.coefficients)))
+
+
+def pullback_reference(fib, base_divisor):
+    """Coefficients of f^* D on the total space: D's on the pulled-back rays,
+    0 elsewhere."""
+    coeffs = [Fraction(0)] * len(fib.total.rays)
+    for b, i in enumerate(fib.pullback_rays):
+        coeffs[i] = base_divisor.coefficients[b]
+    return FractionDivisor(coeffs)
+
+
+def restrict_reference(fib, divisor):
+    """Coefficients of D restricted to the general fiber: the vertical rays'."""
+    coeffs = [Fraction(0)] * len(fib.fiber.rays)
+    for i in fib.vertical_rays:
+        coeffs[fib.fiber_ray_of_vertical[i]] = divisor.coefficients[i]
+    return FractionDivisor(coeffs)
+
+
+def divisor_bounds_reference(divisor, k):
+    """Bounds -k b_rho of the section polytope of k D, or None when k D is
+    not integral."""
+    coeffs = [Fraction(k) * c for c in divisor.coefficients]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return [-c for c in coeffs]
+
+
+def limit_bounds_reference(variety, divisor, metric):
+    """Bounds -b_rho + max(mu_rho - 1, 0) of the limit polytope, each weight
+    looked up by `SingularMetricData.weight`."""
+    metric = metric if metric is not None else EMPTY_METRIC
+    return [-divisor.coefficients[i] + coeff_limit(metric.weight(i))
+            for i in range(len(variety.rays))]

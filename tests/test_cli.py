@@ -299,14 +299,18 @@ def p1xp1_fibration_doc(**body):
 
 def test_out_of_range_ray_index_is_input_error(tmp_path, capsys):
     # P1 has rays 0 and 1; P1xP1 has rays 0..3, and dy_rays index the
-    # base P1
+    # base P1; a curve point named twice used to have its weights summed
     kappa = separation_doc()
     kappa["body"]["metric"] = [{"ray": 9, "weight": "1"}]
     curve = corpus_doc("fibration_dio_g2.json")
     curve["body"]["fiber_metric"] = [{"ray": 2, "weight": "2"}]
+    twice = corpus_doc("fibration_dio_g2.json")
+    twice["body"].update(base_extra_degree=6, base_metric=[
+        {"point": "p", "weight": "3/2"}] * 2)
     cases = [
         ("kappa", kappa, "metric: ray index 9 out of range 0..1"),
         ("fibration", curve, "fiber_metric: ray index 2 out of range 0..1"),
+        ("fibration", twice, "duplicate divisor id 'p'"),
         ("fibration", p1xp1_fibration_doc(dx_rays=[7]),
          "dx ray: ray index 7 out of range 0..3"),
         ("fibration", p1xp1_fibration_doc(dy_rays=[0, -1]),
@@ -323,6 +327,29 @@ def test_out_of_range_ray_index_is_input_error(tmp_path, capsys):
     assert main(["kappa", write_instance(tmp_path, kappa)]) == 0
     assert main(["fibration", write_instance(tmp_path, p1xp1_fibration_doc(
         dx_rays=[3], dy_rays=[1], checks=["chain"]))]) == 0
+
+
+def test_product_with_hirzebruch_factor_has_canned_ample(tmp_path, capsys):
+    # F2 x P1 and P1 x F2 used to exit 2 with "no canned ample"
+    f2 = {"preset": "hirzebruch", "a": 2}
+    p1 = {"preset": "projective_space", "n": 1}
+    kappa = {"schema_version": "1", "kind": "toric_kappa",
+             "body": {"variety": {"preset": "product", "factors": [f2, p1]},
+                      "coefficients": [1, 1, 2, 1, 1, 1]},
+             "options": {"max_degree": 12}}
+    assert main(["kappa", write_instance(tmp_path, kappa), "--format", "json"]) == 0
+    canned = json.loads(capsys.readouterr().out)
+    kappa["body"]["ample"] = [1, 1, 2, 1, 1, 1]
+    assert main(["kappa", write_instance(tmp_path, kappa), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == canned
+    assert canned["kappa_sigma"] == 3
+    fib = {"schema_version": "1", "kind": "fibration",
+           "body": {"variant": "toric_product", "fiber": p1, "base": f2,
+                    "divisor": [0, 1, 0, 1, 1, 1], "checks": ["chain", "addti"]},
+           "options": {"max_degree": 10}}
+    assert main(["fibration", write_instance(tmp_path, fib), "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["summary"]["kappa_sigma_hor"] == 3 and rep["failed"] == 0
 
 
 def test_twist_degree_below_least_accepted_is_input_error(tmp_path, capsys):

@@ -1,0 +1,152 @@
+"""Differential tests of `ToricDivisorData`'s integer numerators over k0.
+
+Each divisor is compared with `FractionDivisor`, the Fraction record it
+replaced (`_oracles`): its coefficients, k0, integrality, scaling by ints and
+Fractions and sums; the pullback and restriction of product and Hirzebruch
+fibrations; the bounds of `divisor_polytope` and `limit_polytope`; and
+`is_ample` against the Cramer's-rule test.  Equal divisors must compare and
+hash equal whichever route built them.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kodaira.fibration import hirzebruch_fibration, product_fibration
+from kodaira.lattice import Polytope
+from kodaira.multiplier import SingularMetricData
+from kodaira.toric import (
+    ToricDivisorData,
+    ToricVariety,
+    divisor_polytope,
+    is_ample,
+    limit_polytope,
+)
+
+from _oracles import (
+    FractionDivisor,
+    divisor_bounds_reference,
+    is_ample_cramer,
+    limit_bounds_reference,
+    pullback_reference,
+    restrict_reference,
+)
+
+P1 = ToricVariety.projective_space(1)
+P2 = ToricVariety.projective_space(2)
+F1, F2 = ToricVariety.hirzebruch(1), ToricVariety.hirzebruch(2)
+VARIETIES = [P1, P2, ToricVariety.product(P1, P1), F2, ToricVariety.product(F2, P1)]
+FIBRATIONS = ([product_fibration(f, b) for f, b in
+               ((P1, P1), (P1, P2), (P2, P1), (P1, F2), (F1, P1))]
+              + [hirzebruch_fibration(a) for a in range(4)])
+
+
+def rationals():
+    return st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def coefficients(n):
+    return st.lists(rationals(), min_size=n, max_size=n)
+
+
+def assert_matches(divisor, reference):
+    assert divisor.coefficients == reference.coefficients
+    assert all(type(c) is Fraction for c in divisor.coefficients)
+    assert divisor.k0 == reference.k0
+    assert divisor.is_integral() == reference.is_integral()
+    assert divisor.nums == tuple(int(c * divisor.k0) for c in reference.coefficients)
+    assert gcd(divisor.k0, *divisor.nums) == 1
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6).flatmap(coefficients), st.data())
+def test_arithmetic_matches_fraction_reference(coeffs, data):
+    d, ref = ToricDivisorData(coeffs), FractionDivisor(coeffs)
+    assert_matches(d, ref)
+    t = data.draw(st.one_of(st.integers(-3, 3), rationals()))
+    assert_matches(d.scale(t), ref.scale(t))
+    other = data.draw(coefficients(len(coeffs)))
+    assert_matches(d.add(ToricDivisorData(other)), ref.add(FractionDivisor(other)))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6).flatmap(coefficients), st.integers(1, 6))
+def test_equal_divisors_compare_and_hash_equal(coeffs, m):
+    d = ToricDivisorData(coeffs)
+    routes = [
+        ToricDivisorData(tuple(coeffs)),
+        ToricDivisorData([str(c) for c in coeffs]),
+        ToricDivisorData.over([m * n for n in d.nums], m * d.k0),
+        d.scale(m).scale(Fraction(1, m)),
+        d.scale(Fraction(1, m)).scale(m),
+        d.add(d).scale(Fraction(1, 2)),
+        d.add(ToricDivisorData([0] * len(coeffs))),
+        d.scale(-1).scale(-1),
+    ]
+    if d.is_integral():
+        routes.append(ToricDivisorData([int(c) for c in coeffs]))
+    for e in routes:
+        assert (e.nums, e.k0) == (d.nums, d.k0)
+        assert e == d and hash(e) == hash(d)
+    assert len({d, *routes}) == 1
+    if any(coeffs):
+        assert d.scale(2) != d
+
+
+def test_integral_constructors_match_reference():
+    for x in VARIETIES:
+        n = len(x.rays)
+        assert ToricDivisorData.canonical(x) == ToricDivisorData([-1] * n)
+        for rays in ((), (0,), tuple(range(n))):
+            assert (ToricDivisorData.boundary_subset(x, rays)
+                    == ToricDivisorData([int(i in rays) for i in range(n)]))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(FIBRATIONS), st.data())
+def test_pullback_and_restriction_match_reference(fib, data):
+    base = data.draw(coefficients(len(fib.base.rays)))
+    pulled = fib.pullback_divisor(ToricDivisorData(base))
+    assert_matches(pulled, pullback_reference(fib, FractionDivisor(base)))
+    total = data.draw(coefficients(len(fib.total.rays)))
+    restricted = fib.restrict_divisor(ToricDivisorData(total))
+    ref = restrict_reference(fib, FractionDivisor(total))
+    assert_matches(restricted, ref)
+    assert restricted == ToricDivisorData(ref.coefficients)
+
+
+def polytope(variety, bounds):
+    return Polytope(variety.lattice_rank, list(zip(variety.rays, bounds)))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(VARIETIES), st.data())
+def test_polytope_bounds_match_reference(x, data):
+    coeffs = data.draw(coefficients(len(x.rays)))
+    d, ref = ToricDivisorData(coeffs), FractionDivisor(coeffs)
+    k = data.draw(st.one_of(st.integers(1, 6),
+                            st.integers(1, 3).map(lambda m: m * d.k0)))
+    bounds = divisor_bounds_reference(ref, k)
+    if bounds is None:
+        with pytest.raises(ValueError, match="needs multiple of k0"):
+            divisor_polytope(x, d, k)
+    else:
+        assert divisor_polytope(x, d, k).constraints == polytope(x, bounds).constraints
+    weights = data.draw(st.dictionaries(
+        st.integers(0, len(x.rays) - 1),
+        st.fractions(min_value=0, max_value=4, max_denominator=4)))
+    metric = SingularMetricData(weights.items()) if weights else None
+    assert (limit_polytope(x, d, metric).constraints
+            == polytope(x, limit_bounds_reference(x, ref, metric)).constraints)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(VARIETIES), st.data())
+def test_is_ample_matches_reference(x, data):
+    coeffs = data.draw(st.lists(st.one_of(st.integers(-1, 3), rationals()),
+                                min_size=len(x.rays), max_size=len(x.rays)))
+    d = ToricDivisorData(coeffs)
+    assert is_ample(x, d) == is_ample_cramer(x, FractionDivisor(coeffs))

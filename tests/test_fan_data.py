@@ -94,6 +94,16 @@ def divisors(draw, ample):
     return ToricDivisorData(coeffs)
 
 
+@settings(max_examples=100)
+@given(factor_lists())
+def test_standard_ample_is_the_factors_side_by_side(fs):
+    # a product with an F_a factor (a >= 2) used to have no canned ample
+    x = reduce(ToricVariety.product, fs)
+    amp = x.standard_ample
+    assert amp.nums == tuple(c for f in fs for c in factor_ample(f))
+    assert amp.k0 == 1 and is_ample(x, amp)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_is_ample_matches_cramer_and_vertices(data):

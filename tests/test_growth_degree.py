@@ -316,7 +316,7 @@ def test_curve_counts_that_die_out_or_plateau():
     dying = CurveProductInstance(
         curve=g0, base_class=CurveDivisorClass.general(1),
         fiber_variety=P1, fiber_divisor=ToricDivisorData((0, 1)),
-        base_metric=(("p", Fraction(5, 2)),), degree_bound=16)
+        base_metric=SingularMetricData([("p", Fraction(5, 2))]), degree_bound=16)
     assert [dying.base_count(k, 6) for k in range(1, 7)] == [6, 5, 5, 4, 4, 3]
     assert dying.base_growth(extra_degree=6) == NEG_INF
     # a marked point of weight 3/2 gives curve-side counts of period 2;
@@ -324,7 +324,7 @@ def test_curve_counts_that_die_out_or_plateau():
     marked = CurveProductInstance(
         curve=g0, base_class=CurveDivisorClass.general(2),
         fiber_variety=P1, fiber_divisor=ToricDivisorData((0, 1)),
-        base_metric=(("p", Fraction(3, 2)),), degree_bound=16)
+        base_metric=SingularMetricData([("p", Fraction(3, 2))]), degree_bound=16)
     assert marked.base_period() == 2
     assert marked.product_period() == 2
     assert growth_degree(marked.product_counts(), 2) == 2

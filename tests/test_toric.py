@@ -114,6 +114,18 @@ def test_sections_empty_polytope():
     assert sections_of(P2, m, None, 3) == ()
 
 
+def test_metric_id_off_the_rays_is_refused_by_name():
+    # P1 has rays 0 and 1: a weight on any other id used to be dropped
+    # without a word, so the system counted the unweighted sections
+    m = ToricDivisorData((0, 2))
+    for bad in (5, -1, "p"):
+        h = SingularMetricData([(0, 2), (bad, 3)])
+        with pytest.raises(ValueError, match=f"metric id {bad!r} is not a ray"):
+            SectionSystem(P1, m, h)
+        with pytest.raises(ValueError, match=f"metric id {bad!r} is not a ray"):
+            kappa_sigma(P1, m, h, degree_bound=8)
+
+
 # ---------------------------------------------------------------------------
 # the three invariants
 # ---------------------------------------------------------------------------
