@@ -21,7 +21,7 @@ from .curve import (
     kappa_sigma_curve,
 )
 from .lattice import NEG_INF, _dots, int_kernel, saturate_rows, span_rank
-from .multiplier import EMPTY_METRIC, SingularMetricData, multiplier_coeff
+from .multiplier import EMPTY_METRIC, SingularMetricData
 from .semigroup import DegreeBoundError
 from .toric import (
     CrossCheckError,
@@ -269,9 +269,11 @@ class CurveProductInstance:
     # -- curve-side counts --------------------------------------------------
 
     def base_class_at(self, k, extra_degree=0):
-        """k(K_Y + L_Y) - (metric ideal) + extra, as a curve class."""
+        """k(K_Y + L_Y) - (metric ideal) + extra, as a curve class; a marked
+        point of weight p/q drops multiplier_coeff(p/q, k)."""
         mult = self.base_class.times(k)
-        drop = sum(multiplier_coeff(mu, k) for _, mu in self.base_metric.entries)
+        drop = sum(max(k * mu.numerator // mu.denominator - k + 1, 0)
+                   for _, mu in self.base_metric.entries)
         if drop == 0 and extra_degree == 0:
             return mult
         return CurveDivisorClass.general(mult.degree - drop + extra_degree)

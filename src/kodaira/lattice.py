@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, count, repeat
+from numbers import Rational
 from operator import add, mul, sub
 
 Rat = Fraction
@@ -391,12 +392,13 @@ def affine_rank(points):
 # ---------------------------------------------------------------------------
 
 def _normalize_constraint(v, c):
-    g = 0
-    for a in v:
-        g = math.gcd(g, abs(a))
+    """(v / g, c / g) for g = gcd(v), the bound built as one Fraction."""
+    g = math.gcd(*v)
+    if not isinstance(c, Rational):
+        c = Fraction(c)
     if g > 1:
-        return tuple(a // g for a in v), Fraction(c) / g
-    return tuple(v), Fraction(c)
+        return tuple(a // g for a in v), Fraction(c, g)
+    return v, c if isinstance(c, Fraction) else Fraction(c)
 
 
 def _vertices(normals, bounds, n, first=False):
@@ -455,7 +457,7 @@ class Polytope:
             vv = tuple(int(x) for x in v)
             if len(vv) != self.ambient_dim:
                 raise GeometryError("constraint dimension mismatch")
-            cons.append(_normalize_constraint(vv, Fraction(c)))
+            cons.append(_normalize_constraint(vv, c))
         self.constraints = tuple(cons)
         self._vertices = None
         self._tight = None
@@ -908,13 +910,8 @@ def convex_hull(points, ambient_dim=None):
     in any dimension.
 
     The points are scaled once by their common denominator; everything after
-    that is the integer hull `int_hull`, with no cap on the number of points
-    or the dimension.  Facet bounds are read off its simplices, the
-    affine-hull equalities off its lattice, and only the output vertices and
-    bounds are divided back into Fractions.  Since conv(A ∪ B) =
-    conv(vert conv A ∪ vert conv B) for any point sets, a caller may first
-    cut each part of a large input down to the vertices of its own hull
-    (`regularize` does so per level, with `int_hull` alone).
+    that is the integer core `hull_polytope`, with no cap on the number of
+    points or the dimension.
 
     The returned polytope caches the minimal vertex set (lexicographically
     sorted) and its affine dimension; lower-dimensional hulls get explicit
@@ -931,9 +928,17 @@ def convex_hull(points, ambient_dim=None):
         p._empty = True
         p._affine_dim = NEG_INF
         return p
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
+    if any(len(p) != len(pts[0]) for p in pts):
         raise GeometryError("points of mixed dimension")
+    return hull_polytope(pts, den)
+
+
+def hull_polytope(pts, den):
+    """`convex_hull`'s integer core: the hull of pts / den as a Polytope, for
+    nonempty sorted distinct integer points of one dimension and den > 0.
+    Facet bounds are read off the simplices of `int_hull`, the affine-hull
+    equalities off its lattice; only the output is divided into Fractions."""
+    n = len(pts[0])
     lat, simplices, verts = int_hull(pts)
     cols = lat.pivots
     d = len(cols)

@@ -14,8 +14,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, product, repeat, starmap
-from operator import add, index, le, ne
+from functools import partial
+from itertools import chain, compress, groupby, product, repeat, starmap
+from operator import add, index, itemgetter, le, mul, ne
 
 from .lattice import (
     NEG_INF,
@@ -24,12 +25,11 @@ from .lattice import (
     ScanPlan,
     _dots,
     basis_coords,
-    convex_hull,
     det_int,
     dot,
     hnf_basis,
+    hull_polytope,
     hull_volume,
-    int_hull,
     vadd,
 )
 
@@ -61,6 +61,16 @@ def _runs(codes):
     breaks = list(map(ne, tail, map(add, codes, repeat(1))))
     return (codes[:1] + list(compress(tail, breaks)),
             list(compress(codes, breaks)) + codes[-1:])
+
+
+def _column_ends(points):
+    """The two ends of each column, a run of points with the same leading
+    coordinates, of sorted distinct points (a one-point column's twice): a
+    point between them is not a vertex of the hull."""
+    heads = list(map(itemgetter(slice(-1)), points))
+    breaks = list(map(ne, heads[1:], heads))
+    return (points[:1] + list(compress(points[1:], breaks))
+            + list(compress(points, breaks)) + points[-1:])
 
 
 class GradedSemigroup:
@@ -239,8 +249,9 @@ class Regularization:
     _body: Polytope | None = field(default=None, repr=False)
     # G ∩ C at level t m is g0 t + (y · boundary) for the integer y in t times
     # one rational polytope: (ScanPlan over its integer normals, the bounds of
-    # the t = 1 slice, the (min, max) of each y coordinate over its vertices,
-    # the y coordinates of its vertices)
+    # the t = 1 slice, (den, den times the (min, max) of each y coordinate
+    # over its vertices, integers for den the lcm of their denominators), the
+    # y coordinates of its vertices)
     _slice: tuple | None = field(default=None, repr=False)
     strongly_convex: bool = True
 
@@ -290,15 +301,17 @@ def regularize(sg, build_body=True):
     # cone over the generators equals the cone over the level-1 hull because
     # every graded point sits at a positive level
     if build_body:
-        # conv(∪ A_k / k) = conv(∪ vert(conv A_k) / k): each level is cut to
-        # the vertices of its own integer hull before it is divided by k
-        # (graded points come sorted and distinct, so each level's are too)
-        levels = {}
-        for p in pts:
-            levels.setdefault(p[-1], []).append(p[:-1])
-        hull = convex_hull([tuple(Fraction(x, k) for x in v)
-                            for k, a_k in levels.items()
-                            for v in int_hull(a_k)[2]])
+        # conv(∪ A_k / k) needs only the column ends of each level A_k;
+        # each level is scaled by den / k, den the lcm of the levels, so that
+        # one integer hull over den gets them all (graded points are sorted
+        # and distinct, and the stable sort by level keeps each level sorted)
+        by_level = groupby(sorted(pts, key=itemgetter(-1)), itemgetter(-1))
+        levels = {k: _column_ends(list(map(itemgetter(slice(-1)), grp)))
+                  for k, grp in by_level}
+        den = math.lcm(*levels)
+        hull = hull_polytope(sorted(set(chain.from_iterable(
+            map(tuple, map(map, repeat(partial(mul, den // k)), ends))
+            for k, ends in levels.items()))), den)
         if hull.affine_dim() != body_dim:
             raise GeometryError("okounkov dimension disagrees with group rank")
         lifted = [(v + (0,), c) for v, c in hull.constraints]
@@ -320,8 +333,11 @@ def regularize(sg, build_body=True):
             bounds.append(c.numerator * m - c.denominator * dot(g0[:-1], v))
         coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
                                          for v in body.vertices()])
+        box = [(min(c), max(c)) for c in zip(*coords)]
+        box_den = math.lcm(1, *(x.denominator for x in chain(*box)))
+        box = tuple((int(lo * box_den), int(hi * box_den)) for lo, hi in box)
         slice_data = (ScanPlan(len(boundary), normals), tuple(bounds),
-                      tuple((min(c), max(c)) for c in zip(*coords)), coords)
+                      (box_den, box), coords)
 
     return Regularization(
         group_basis=tuple(basis),
@@ -345,7 +361,7 @@ def hilbert_reg(sg, k, reg=None):
     Valid for any k >= 0, also beyond a degreewise bound.  G meets level k
     only when m divides k; the slice at level t m is t times the level-m
     slice built once by `regularize`, so each level is one integer scan of
-    its scaled box and bounds.
+    its scaled box and bounds, the box ends rounded by integer division.
     """
     k = int(k)
     if k < 0:
@@ -359,8 +375,8 @@ def hilbert_reg(sg, k, reg=None):
     t, r = divmod(k, reg.m)
     if r:
         return 0
-    plan, bounds, box, _ = reg._slice
-    return plan.scan([(math.ceil(t * lo), math.floor(t * hi)) for lo, hi in box],
+    plan, bounds, (den, box), _ = reg._slice
+    return plan.scan([(-(-t * lo // den), t * hi // den) for lo, hi in box],
                      [t * b for b in bounds])
 
 

@@ -29,7 +29,11 @@ ampleness test (`is_ample_cramer`), on cofactor determinants.  The
 k0 replaced (`FractionDivisor`, k0 from an lcm on every read) is the
 reference for the divisor arithmetic, the fibration pullback and
 restriction (`pullback_reference`, `restrict_reference`) and the polytope
-bounds (`divisor_bounds_reference`, `limit_bounds_reference`).
+bounds (`divisor_bounds_reference`, `limit_bounds_reference`).  The body
+route of `regularize` its one integer hull over the lcm of the levels
+replaced (`regularize_per_level`: one `int_hull` per level, its vertices
+divided by k as Fractions, one `convex_hull` of their union, and the slice
+box kept as Fractions) is the reference for the Okounkov body.
 """
 
 import math
@@ -42,8 +46,13 @@ from operator import and_, mul
 from kodaira.lattice import (
     IntLattice,
     Polytope,
+    ScanPlan,
+    basis_coords,
+    convex_hull,
     dot,
     hnf,
+    hnf_basis,
+    int_hull,
     saturate_rows,
     vsub,
     xgcd,
@@ -751,6 +760,47 @@ def regularize_lattice_reference(points):
             g, x, y = xgcd(g, row[-1])
             g0 = tuple(x * a + y * b for a, b in zip(g0, row))
     return basis, m, boundary, ind, g0
+
+
+def regularize_per_level(sg):
+    """Reference for `semigroup.regularize` on the body route it replaced:
+    each level A_k is cut to the vertices of its own integer hull
+    (`int_hull`), each vertex divided by k as Fractions, and the union is
+    hulled by `convex_hull`; the slice box holds the (min, max) of each
+    boundary coordinate over the slice vertices as Fractions.  The lattice
+    data (group basis, m, boundary lattice, the level-m point g0) are read
+    off the level-first HNF as in the library."""
+    from kodaira.semigroup import regularize
+
+    reg = regularize(sg, build_body=False)
+    n = sg.ambient_rank
+    g0, *boundary = [row[1:] + row[:1] for row in hnf_basis(
+        [row[-1:] + row[:-1] for row in reg.group_basis])]
+    m = g0[-1]
+    levels = {}
+    for p in sg.graded_points():
+        levels.setdefault(p[-1], []).append(p[:-1])
+    hull = convex_hull([tuple(Fraction(x, k) for x in v)
+                        for k, a_k in levels.items()
+                        for v in int_hull(sorted(a_k))[2]])
+    lifted = [(v + (0,), c) for v, c in hull.constraints]
+    lifted.append((tuple([0] * n) + (1,), Fraction(1)))
+    lifted.append((tuple([0] * n) + (-1,), Fraction(-1)))
+    body = Polytope(n + 1, lifted)
+    body._vertices = tuple(sorted(v + (Fraction(1),) for v in hull.vertices()))
+    body._empty = False
+    body._bounded = True
+    body._affine_dim = hull.affine_dim()
+    normals, bounds = [], []
+    for v, c in hull.constraints:
+        normals.append(tuple(c.denominator * dot(b[:-1], v) for b in boundary))
+        bounds.append(c.numerator * m - c.denominator * dot(g0[:-1], v))
+    coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
+                                     for v in body.vertices()])
+    reg._body = body
+    reg._slice = (ScanPlan(len(boundary), normals), tuple(bounds),
+                  tuple((min(c), max(c)) for c in zip(*coords)), coords)
+    return reg
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kodaira.curve import CurveDivisorClass, CurveModel
 from kodaira.lattice import NEG_INF
-from kodaira.multiplier import SingularMetricData
+from kodaira.multiplier import SingularMetricData, multiplier_coeff
 from kodaira.semigroup import DegreeBoundError
 from kodaira.toric import (
     CrossCheckError,
@@ -35,6 +35,7 @@ from kodaira.fibration import (
     verify_upper_bound,
 )
 
+from _corpus import curve_product_instances
 from _oracles import (
     affine_dimension,
     diff_lattice_per_point,
@@ -534,3 +535,18 @@ def test_evaluated_instances_are_freed_without_gc():
             assert ref() is None, make.__name__
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("inst", curve_product_instances(degree_bound=12),
+                         ids=lambda inst: inst.instance_id)
+def test_base_class_at_matches_multiplier_coeff_sum(inst):
+    """The integer (p, q) weights give the same class as summing
+    `multiplier_coeff` over the marked points, also where a weight below 1
+    would drive floor(k mu) - k + 1 negative."""
+    for k in range(1, 13):
+        mult = inst.base_class.times(k)
+        drop = sum(multiplier_coeff(mu, k) for _, mu in inst.base_metric.entries)
+        for extra in (0, 3):
+            want = (mult if drop == 0 and extra == 0 else
+                    CurveDivisorClass.general(mult.degree - drop + extra))
+            assert inst.base_class_at(k, extra) == want, (k, extra)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -456,3 +457,22 @@ def test_span_rank_matches_per_point_lattice(case):
 def test_span_rank_of_no_points():
     assert int_points_rank([]) == NEG_INF
     assert span_rank([], 3) == (0, [[0] * 3 for _ in range(3)])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.tuples(*[st.integers(-6, 6)] * 2),
+                          st.one_of(st.integers(-9, 9),
+                                    st.fractions(max_denominator=7),
+                                    st.fractions(max_denominator=7).map(str))),
+                min_size=1, max_size=5))
+def test_polytope_bounds_are_normalized_once(cons):
+    """Each bound is divided by the gcd of its normal, whatever form it was
+    given in; a Fraction bound on a primitive normal is kept as it is."""
+    poly = Polytope(2, cons)
+    for (v, c), (w, b) in zip(cons, poly.constraints):
+        g = math.gcd(*v)
+        assert type(b) is Fraction
+        assert (w, b) == ((tuple(a // g for a in v), Fraction(c) / g) if g > 1
+                          else (v, Fraction(c)))
+        if g <= 1 and isinstance(c, Fraction):
+            assert b is c

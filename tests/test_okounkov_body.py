@@ -1,0 +1,170 @@
+"""The Okounkov body from one integer hull, against the per-level route.
+
+`regularize` cuts each level A_k to the two ends of each column (a run of
+points with the same leading coordinates), scales every level by den / k for
+den the lcm of the levels, and hulls the union once on integers over den.
+`_oracles.regularize_per_level` is the route it replaced: one `int_hull` per
+level, its vertices divided by k as Fractions, one `convex_hull`.  Both must
+give the same body, lattice data and slice data, on drawn semigroups and on
+the okounkov benchmark inputs of seeds 1-3 (read from `perfbench/gen.py`,
+which does not import the package).
+"""
+
+import importlib.util
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kodaira.semigroup import GradedSemigroup, _column_ends, hilbert_reg, regularize
+
+from _oracles import hilbert_reg_per_level, regularize_per_level
+
+
+def assert_same_body(sg):
+    reg, ref = regularize(sg), regularize_per_level(sg)
+    body, ref_body = reg.okounkov_body, ref.okounkov_body
+    assert body.vertices() == ref_body.vertices()
+    assert body.constraints == ref_body.constraints
+    assert body.affine_dim() == ref_body.affine_dim() == reg.okounkov_dim
+    assert (reg.m, reg.boundary_lattice, reg.ind) == (ref.m, ref.boundary_lattice, ref.ind)
+    plan, bounds, (den, box), coords = reg._slice
+    ref_plan, ref_bounds, ref_box, ref_coords = ref._slice
+    assert plan.normals == ref_plan.normals
+    assert bounds == ref_bounds
+    assert tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in box) == ref_box
+    assert coords == ref_coords
+    return reg, ref
+
+
+# ---------------------------------------------------------------------------
+# the column cut
+# ---------------------------------------------------------------------------
+
+def test_column_ends_rank_zero():
+    assert set(_column_ends([()])) == {()}
+    assert _column_ends([]) == []
+
+
+def test_column_ends_rank_one_is_one_column():
+    assert set(_column_ends([(-3,), (0,), (1,), (7,)])) == {(-3,), (7,)}
+    assert set(_column_ends([(4,)])) == {(4,)}
+
+
+def test_column_ends_keep_one_point_columns():
+    pts = [(0, 5), (1, -2), (2, 0), (2, 1), (2, 9), (3, 3)]
+    assert set(_column_ends(pts)) == {(0, 5), (1, -2), (2, 0), (2, 9), (3, 3)}
+
+
+def test_column_ends_keep_both_ends_of_two_point_columns():
+    pts = [(0, 0, 1), (0, 0, 4), (0, 1, -1), (0, 1, 2), (5, 1, 0), (5, 1, 8)]
+    assert set(_column_ends(pts)) == set(pts)
+
+
+def test_column_ends_drop_interior_points_only():
+    pts = [(x, y, z) for x in range(3) for y in range(-1, 2) for z in range(4)]
+    assert set(_column_ends(pts)) == {p for p in pts if p[2] in (0, 3)}
+
+
+# ---------------------------------------------------------------------------
+# the body against the per-level reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def drawn_semigroups(draw):
+    """A level or generator semigroup of ambient rank 0-3: levels g t up to
+    degree 40 (so m is a multiple of g), some of them empty; each point k s +
+    sum a_i w_i for a drift s that may be far from the origin and at most n
+    directions w_i, fewer for a lower-dimensional body."""
+    n = draw(st.integers(0, 3))
+    g = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    dirs = draw(st.lists(st.tuples(*[coord] * n), max_size=n))
+    far = st.sampled_from([0, 1, -2, 10 ** 6, -(10 ** 9)])
+    drift = draw(st.tuples(*[far] * n))
+    keys = draw(st.lists(st.integers(1, 40 // g), min_size=1, max_size=6,
+                         unique=True))
+
+    def points(k, size):
+        combos = draw(st.lists(st.tuples(*[st.integers(-k, k)] * len(dirs)),
+                               min_size=size, max_size=size + 12))
+        return {tuple(k * s + sum(a * w[j] for a, w in zip(c, dirs))
+                      for j, s in enumerate(drift)) for c in combos}
+
+    if draw(st.booleans()):
+        gens = [u + (g * t,) for t in keys for u in points(g * t, 1)]
+        return GradedSemigroup.from_generators(gens, ambient_rank=n)
+    levels = {g * t: points(g * t, 0 if i else 1) for i, t in enumerate(keys)}
+    return GradedSemigroup.from_levels(n, levels, closed_under_addition=False,
+                                       degree_bound=40)
+
+
+def hilbert_reg_fraction_box(reg, k):
+    """H_reg(k) on the reference's slice: the box ends as Fractions, each
+    level's ceiling and floor by `math.ceil` and `math.floor`."""
+    t, r = divmod(k, reg.m)
+    if r:
+        return 0
+    plan, bounds, box, _ = reg._slice
+    return plan.scan([(math.ceil(t * lo), math.floor(t * hi)) for lo, hi in box],
+                     [t * b for b in bounds])
+
+
+@settings(max_examples=150)
+@given(drawn_semigroups())
+def test_body_matches_per_level_reference(sg):
+    reg, ref = assert_same_body(sg)
+    for k in range(1, 4 * reg.m + 1):
+        assert hilbert_reg(sg, k, reg=reg) == hilbert_reg_fraction_box(ref, k), k
+    assert hilbert_reg(sg, reg.m, reg=reg) == hilbert_reg_per_level(reg, reg.m)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 40), (3, 14)])
+def test_body_of_simplex_levels_with_large_denominators(n, bound):
+    """All degrees up to the bound, so den is lcm(1..bound) (about 5e15 at
+    40): A_k is k times the unit simplex, shifted off the origin."""
+    levels = {k: {tuple(x + 1000 * k for x in p)
+                  for p in _simplex_points(n, k)} for k in range(1, bound + 1)}
+    assert_same_body(GradedSemigroup.from_levels(n, levels, check_closure=False))
+
+
+def _simplex_points(n, k):
+    if n == 0:
+        return [()]
+    return [(a,) + rest for a in range(k + 1) for rest in _simplex_points(n - 1, k - a)]
+
+
+# ---------------------------------------------------------------------------
+# the okounkov benchmark inputs
+# ---------------------------------------------------------------------------
+
+def _load_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_okounkov_workload_bodies_match_per_level_reference():
+    gen = _load_gen()
+    bodies = 0
+    for seed in (1, 2, 3):
+        for _, _, text in gen.instances("okounkov", seed):
+            body = json.loads(text)["body"]
+            n = body["ambient_rank"]
+            if "generators" in body:
+                sg = GradedSemigroup.from_generators(
+                    [tuple(g) for g in body["generators"]], ambient_rank=n)
+            else:
+                sg = GradedSemigroup.from_levels(
+                    n, {int(k): [tuple(u) for u in pts]
+                        for k, pts in body["levels"].items()},
+                    check_closure=False)
+            assert_same_body(sg)
+            bodies += 1
+    assert bodies == 165
