@@ -20,7 +20,7 @@ from .curve import (
     kappa_curve,
     kappa_sigma_curve,
 )
-from .lattice import NEG_INF, _dots, int_kernel, saturate_rows, span_rank
+from .lattice import NEG_INF, dot, int_kernel, rat_rank, saturate_rows
 from .multiplier import EMPTY_METRIC, SingularMetricData
 from .semigroup import DegreeBoundError
 from .toric import (
@@ -657,7 +657,11 @@ def iitaka_analysis(sys, k=None):
 
 def _iitaka_analysis(sys, k, growth):
     """iitaka_analysis, checked at the end against growth(), the growth
-    order of the system."""
+    order of the system.  Every read is a rank or a kernel of the degrees'
+    Gram matrices (SectionSystem.gram): image_dim and the 2k stability
+    check are their ranks, the contracted lattice is the saturation of the
+    degree-k Gram rows, and degree l maps to one coset iff its Gram matrix
+    kills the kernel of the degree-k one."""
     support = sys.support()
     if not support:
         raise ValueError("empty section system")
@@ -671,24 +675,26 @@ def _iitaka_analysis(sys, k, growth):
         raise DegreeBoundError("increase degree bound")
 
     n = sys.variety.lattice_rank
-    image_dim, gram = span_rank([sys.exponents(k)], n)
-    if image_dim != span_rank([sys.exponents(2 * k)], n)[0]:
+    gram = sys.gram(k)
+    image_dim = rat_rank(gram)
+    if image_dim != rat_rank(sys.gram(2 * k)):
         raise DegreeBoundError("increase degree bound")
 
     # the Gram rows span the differences' rational space, so their
     # saturation is the contracted lattice L, and the integer kernel of the
     # symmetric Gram matrix is L's orthogonal complement: for saturated L,
-    # p - base lies in L iff <w, p> = <w, base> for every w in that kernel
+    # p - q lies in L iff <w, p> = <w, q> for every w in that kernel.  A
+    # degree's Gram matrix G is positive semidefinite with w^T G w half the
+    # sum of <w, p - q>^2 over its pairs of points, so <w, .> is constant on
+    # the degree iff G w = 0
     sat = saturate_rows(gram)
     perp = int_kernel(gram)
     checked = []
     for l in support:
-        pts = sys.exponents(l)
-        for w in perp:
-            dots = _dots(w, pts)
-            if dots.count(dots[0]) != len(dots):
-                raise CrossCheckError(
-                    f"degree {l} spreads across fibers: growth is not contracted")
+        g = sys.gram(l)
+        if any(dot(row, w) for w in perp for row in g):
+            raise CrossCheckError(
+                f"degree {l} spreads across fibers: growth is not contracted")
         checked.append(l)
 
     total_kappa = growth()

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, count, repeat
+from functools import partial
+from itertools import combinations, compress, count, repeat
 from numbers import Rational
 from operator import add, mul, sub
 
@@ -296,50 +297,6 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-def int_points_rank(points):
-    """Affine rank of a set of integer points (rank of differences)."""
-    pts = list(points)
-    if not pts:
-        return NEG_INF
-    return span_rank([pts], len(pts[0]))[0]
-
-
-def span_rank(point_sets, n):
-    """(rank, gram) of the differences p - P[0] over the points p of each
-    set P in Z^n, together: gram = sum of (p - P[0])(p - P[0])^T, an n x n
-    integer matrix whose rows span the same rational space as the
-    differences (rank(D^T D) = rank(D)).
-
-    Each set is read in doubling prefixes (n + 1 points, then twice as many,
-    ...) and reading stops once the rank is n, so a full-rank set costs a
-    few points; a lower rank reads every point of every set.  An entry of
-    a prefix's block is sum p_i p_j - b_i S_j - b_j S_i + m b_i b_j for the
-    base b, the column sums S and the m points, one C-level dot product of
-    coordinate columns each.
-    """
-    gram = [[0] * n for _ in range(n)]
-    rank = 0
-    for pts in point_sets:
-        base, start, stop = pts[0], 1, n + 1
-        while start < len(pts):
-            chunk = pts[start:stop]
-            cols = list(zip(*chunk))
-            sums = list(map(sum, cols))
-            m = len(chunk)
-            for i in range(n):
-                bi, si, ci, row = base[i], sums[i], cols[i], gram[i]
-                for j in range(i, n):
-                    bj = base[j]
-                    row[j] += (sum(map(mul, ci, cols[j])) - bi * sums[j]
-                               - bj * si + m * bi * bj)
-                    gram[j][i] = row[j]
-            rank = rat_rank(gram)
-            if rank == n:
-                return rank, gram
-            start, stop = stop, 2 * stop
-    return rank, gram
-
-
 def subgroup_rank_index(generators, ambient=None):
     """Rank and index of the group generated by integer vectors.
 
@@ -613,6 +570,42 @@ def floor_sum(n, m, a, b):
     return total
 
 
+# leaves and folds of ScanPlan._walk: a leaf reads the range lo..hi of its
+# coordinate, a fold the values of the subtrees at x = lo, lo + 1, ...
+
+def _column_count(lo, hi, residuals, prefix):
+    return hi - lo + 1
+
+
+def _fold_count(depth, lo, values):
+    return sum(filter(None, values))
+
+
+def _column_moments(lo, hi, residuals, prefix):
+    """(count, sum y, sum y^2) of the column lo..hi, in closed form: with
+    F(x) = x (x + 1) (2x + 1) / 6, sum y^2 = F(hi) - F(lo - 1) for any
+    signs."""
+    size = hi - lo + 1
+    return (size, (lo + hi) * size // 2,
+            (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6)
+
+
+def _fold_moments(last, depth, lo, values):
+    """The moments of coordinates depth..last, flat as the count, the sums
+    and the upper triangle of the sums of products row by row, from those
+    of coordinates depth + 1..last at each x: the new row of products is
+    sum x^2 N_x and the sums of x S_x; the rest adds up."""
+    xs = list(compress(count(lo), values))
+    if not xs:
+        return None
+    cols = list(zip(*filter(None, values)))
+    sums = cols[1:last - depth + 1]
+    xn = list(map(mul, xs, cols[0]))
+    return (sum(cols[0]), sum(xn), *map(sum, sums), sum(map(mul, xs, xn)),
+            *[sum(map(mul, xs, s)) for s in sums],
+            *map(sum, cols[last - depth + 1:]))
+
+
 class ScanPlan:
     """The part of an integer lattice-point scan fixed by the constraint
     normals, built once and run for any integer bounds and box.
@@ -669,22 +662,73 @@ class ScanPlan:
                           for j in range(len(p)) for k in range(j + 1, len(p))
                           if p[j] * m[k] != p[k] * m[j]]
 
+    def _empty(self, box, bounds):
+        return (any(lo > hi for lo, hi in box)
+                or any(bounds[i] > 0 for i in self.zero))
+
     def scan(self, box, bounds, collect=False):
         """The points of the box with <u, v_i> >= bounds[i] (collect), or
         their number."""
         n = self.dim
-        if any(lo > hi for lo, hi in box) or any(bounds[i] > 0
-                                                for i in self.zero):
+        if self._empty(box, bounds):
             return [] if collect else 0
         if n == 0:
             return [()] if collect else 1
+        if collect:
+            out = []
+
+            def column(lo, hi, residuals, prefix):
+                head = tuple(prefix[:-1])
+                out.extend([head + (y,) for y in range(lo, hi + 1)])
+            self._walk(box, bounds, n - 1, column, _fold_count)
+            return out
+        if n == 1:
+            total = self._walk(box, bounds, 0, _column_count, _fold_count)
+        else:
+            total = self._walk(box, bounds, n - 2,
+                               partial(self._count_pair, box[n - 1]),
+                               _fold_count)
+        return total or 0
+
+    def moments(self, box, bounds):
+        """(N, S1, S2) of the points u of the box with <u, v_i> >=
+        bounds[i]: their number, the coordinate sums sum u_i and the sums of
+        products sum u_i u_j (an n x n list of rows).  Each innermost column
+        contributes its count, sum y and sum y^2 in closed form, and each
+        earlier depth folds the moments of its subtrees with a few C-level
+        sums, so no point is built."""
+        n = self.dim
+        if n == 0:
+            return int(not self._empty(box, bounds)), [], []
+        flat = None if self._empty(box, bounds) else self._walk(
+            box, bounds, n - 1, _column_moments,
+            partial(_fold_moments, n - 1))
+        if flat is None:
+            return 0, [0] * n, [[0] * n for _ in range(n)]
+        # flat: N, S1, then the upper triangle of S2 row by row
+        square = [[0] * n for _ in range(n)]
+        pos = n + 1
+        for i in range(n):
+            for j in range(i, n):
+                square[i][j] = square[j][i] = flat[pos]
+                pos += 1
+        return flat[0], list(flat[1:n + 1]), square
+
+    def _walk(self, box, bounds, leaf_depth, leaf, fold):
+        """The column walk shared by counting, collecting and moments.
+
+        Coordinate by coordinate, each constraint whose last nonzero
+        coordinate is the current one bounds it given the earlier ones (their
+        values are taken off the residual bounds).  At leaf_depth,
+        leaf(lo, hi, residuals, prefix) reads the range lo..hi of that
+        coordinate; each earlier depth returns fold(depth, lo, values) over
+        the values of its x = lo, lo + 1, ... subtrees, None for an empty
+        one.  None when the piece is empty."""
+        n = self.dim
         residuals = list(bounds)
         normals, bounding, touching = (self.normals, self.bounding,
                                        self.touching)
-        out = [] if collect else None
-        counter = [0]
         prefix = [0] * n
-        pair_depth = n - 2 if not collect else -1
 
         def rec(depth):
             lo, hi = box[depth]
@@ -700,36 +744,28 @@ class ScanPlan:
                     if b < hi:
                         hi = b
             if lo > hi:
-                return
-            if depth == pair_depth:
-                counter[0] += self._count_pair(lo, hi, box[n - 1], residuals)
-                return
-            if depth == n - 1:
-                if collect:
-                    head = tuple(prefix[: n - 1])
-                    for x in range(lo, hi + 1):
-                        out.append(head + (x,))
-                else:
-                    counter[0] += hi - lo + 1
-                return
+                return None
+            if depth == leaf_depth:
+                return leaf(lo, hi, residuals, prefix)
             touch = touching[depth]
             saved = [residuals[i] for i in touch]
             coeffs = [normals[i][depth] for i in touch]
             for i, a, c in zip(touch, coeffs, saved):
                 residuals[i] = c - a * lo
+            values = []
             for x in range(lo, hi + 1):
                 prefix[depth] = x
-                rec(depth + 1)
+                values.append(rec(depth + 1))
                 for i, a in zip(touch, coeffs):
                     residuals[i] -= a
             for i, c in zip(touch, saved):
                 residuals[i] = c
-        rec(0)
-        return out if collect else counter[0]
+            return fold(depth, lo, values)
+        return rec(0)
 
-    def _count_pair(self, xlo, xhi, y_box, residuals):
+    def _count_pair(self, y_box, xlo, xhi, residuals, prefix):
         """Points (x, y) of the two innermost coordinates with xlo <= x <=
-        xhi, in closed form."""
+        xhi, in closed form (a leaf of _walk)."""
         p, m = self.p, self.m
         q = [s * residuals[i] for i, s in self.sources]
         q += y_box

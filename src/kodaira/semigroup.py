@@ -151,6 +151,8 @@ class GradedSemigroup:
         their pairwise sums.  The sorted codes of a level split into runs of
         consecutive integers; a run plus a run is the run of the summed
         ends, and it lies in C_{k+l} iff it lies in one run of C_{k+l}.
+        Each level's runs are split once; only a sampled pair splits its
+        sampled codes again.
         """
         pairs = sorted((k, l) for k in self.levels for l in self.levels
                        if k <= l and k + l <= self.degree_bound)
@@ -160,21 +162,24 @@ class GradedSemigroup:
         weights = [radix ** (n - 1 - j) for j in range(n)]
         codes = {k: sorted(_dots(weights, list(pts)))
                  for k, pts in self.levels.items()}
+        runs = {k: _runs(c) for k, c in codes.items()}
         # runs of each target level, with a run (-inf, -inf] in front so the
         # run before the first start has an end below every sum
         targets = {}
         budget = _CLOSURE_CHECK_BUDGET
         for k, l in pairs:
             ck, cl = codes[k], codes[l]
-            if len(ck) * len(cl) > budget:
+            if len(ck) * len(cl) > budget:  # runs of the sampled codes
                 ck = ck[:: max(1, len(ck) // 14)]
                 cl = cl[:: max(1, len(cl) // 14)]
+                (a0, a1), (b0, b1) = _runs(ck), _runs(cl)
+            else:
+                (a0, a1), (b0, b1) = runs[k], runs[l]
             budget -= len(ck) * len(cl)
             if k + l not in targets:
-                starts, ends = _runs(codes.get(k + l, []))
+                starts, ends = runs.get(k + l, ([], []))
                 targets[k + l] = (starts, [NEG_INF] + ends)
             starts, ends = targets[k + l]
-            (a0, a1), (b0, b1) = _runs(ck), _runs(cl)
             lows = starmap(add, product(a0, b0))
             highs = starmap(add, product(a1, b1))
             within = map(ends.__getitem__, map(bisect_right, repeat(starts), lows))

@@ -24,14 +24,14 @@ from .lattice import (
     Polytope,
     ScanPlan,
     _bareiss,
+    _reduce,
     _solve,
     affine_rank,
     det_int,
     dot,
-    int_points_rank,
     is_zero,
     primitive,
-    span_rank,
+    rat_rank,
 )
 from .semigroup import DegreeBoundError, GradedSemigroup
 
@@ -302,36 +302,73 @@ class SectionSystem:
         self.degree_bound = int(degree_bound)
         self.clamp = clamp
         self.k0 = divisor.k0
-        # degree-k bound of ray i: -k * num + offset + multiplier coefficient
-        self._offsets = [-n for n in aux.nums] if aux is not None else [0] * len(variety.rays)
         self._weights = [(i, p, q) for i, (p, q) in
                          enumerate(_ray_weights(variety, self.metric)) if p]
+        # the bounds of the rays, then the lower and upper box end of each
+        # coordinate (+-sum lam bound over the scan plan's box rows), at
+        # degree k: consts + k slopes plus the multiplier terms; for each
+        # weighted ray, its (p, q) and the (place, multiplier) pairs of the
+        # entries its coefficient enters
+        self._plan, rows = variety.scan_plan
+        ends = [(lams, sign) for row in rows for lams, sign in zip(row, (1, -1))]
+        m = len(variety.rays)
+
+        def fold(values):
+            return values + [sign * sum(lam * values[r] for r, lam in lams)
+                             for lams, sign in ends]
+        self._slopes = fold([-a for a in divisor.nums])
+        self._consts = (fold([-a for a in aux.nums]) if aux is not None
+                        else [0] * len(self._slopes))
+        self._weighted = [(p, q, ((i, 1),) + tuple(
+            (m + e, sign * lam) for e, (lams, sign) in enumerate(ends)
+            for r, lam in lams if r == i)) for i, p, q in self._weights]
         self._points = {}
         self._counts = {}
+        self._grams = {}
 
-    def _scan(self, k, collect):
-        """Integer scan of the degree-k piece (multiplier level k*k0)."""
+    def _piece(self, k):
+        """(box, bounds) of the degree-k piece (multiplier level k*k0)."""
+        values = [a + k * b for a, b in zip(self._consts, self._slopes)]
         t = k * self.k0
-        bounds = [b - k * a for a, b in zip(self.divisor.nums, self._offsets)]
-        for i, p, q in self._weights:  # multiplier_coeff(p/q, t)
+        for p, q, places in self._weighted:  # multiplier_coeff(p/q, t)
             c = t * p // q - t + 1
-            bounds[i] += max(c, 0) if self.clamp else c
-        plan, rows = self.variety.scan_plan
-        box = [(sum(lam * bounds[r] for r, lam in lo),
-                -sum(lam * bounds[r] for r, lam in hi)) for lo, hi in rows]
-        return plan.scan(box, bounds, collect)
+            if c < 0 and self.clamp:
+                c = 0
+            for j, lam in places:
+                values[j] += lam * c
+        m = len(self.variety.rays)
+        return list(zip(values[m::2], values[m + 1::2])), values[:m]
 
     def exponents(self, k):
         if k not in self._points:
-            pts = tuple(self._scan(k, collect=True))
+            pts = tuple(self._plan.scan(*self._piece(k), collect=True))
             self._points[k] = pts
             self._counts[k] = len(pts)
         return self._points[k]
 
     def count(self, k):
         if k not in self._counts:
-            self._counts[k] = self._scan(k, collect=False)
+            self._counts[k] = self._plan.scan(*self._piece(k))
         return self._counts[k]
+
+    def gram(self, k):
+        """G_k = N S2 - S1 S1^T for the moments (N, S1, S2) of the degree-k
+        piece (ScanPlan.moments): half the sum of (p - q)(p - q)^T over its
+        pairs of points, an integer positive semidefinite matrix whose rows
+        span the degree's exponent differences, as rank(D^T D) = rank(D).
+        Records the count N; a degree already counted to hold fewer than
+        two points has G_k = 0 without a scan."""
+        if k not in self._grams:
+            n = self.variety.lattice_rank
+            if self._counts.get(k, 2) < 2:
+                self._grams[k] = [[0] * n for _ in range(n)]
+            else:
+                count, sums, squares = self._plan.moments(*self._piece(k))
+                self._counts[k] = count
+                self._grams[k] = [[count * x - a * b
+                                   for b, x in zip(sums, row)]
+                                  for a, row in zip(sums, squares)]
+        return self._grams[k]
 
     def support(self, bound=None):
         bound = self.degree_bound if bound is None else bound
@@ -470,22 +507,37 @@ def certified_growth(counts, period):
 def kappa1(sys):
     """Rank of the group generated by all within-degree exponent differences
     (the transcendence degree of the field of degree-zero monomial
-    fractions), read from one Gram matrix over the degrees until it reaches
-    full rank.  NEG_INF when every degree is empty."""
+    fractions): the rank of the sum of the degrees' Gram matrices
+    (SectionSystem.gram) until it is full.  Each Gram matrix is positive
+    semidefinite, so the kernel of the sum is the intersection of their
+    kernels, and its rank the dimension of the sum of their row spaces:
+    the rank of all their rows together, which one fraction-free
+    elimination (lattice._reduce) extends degree by degree.  NEG_INF when
+    every degree is empty."""
     support = sys.support()
     if not support:
         return NEG_INF
-    return span_rank(map(sys.exponents, support), sys.variety.lattice_rank)[0]
+    n = sys.variety.lattice_rank
+    echelon = []
+    for k in support:
+        for row in sys.gram(k):
+            row, col = _reduce(echelon, row, n)
+            if col is not None:
+                echelon.append((col, row, row[col]))
+        if len(echelon) == n:
+            break
+    return len(echelon)
 
 
 def kappa2(sys, with_witness=False):
     """Maximal image dimension of the monomial maps: max over nonempty
-    degrees of the affine dimension of the exponent hull, read up to the
-    first degree of full lattice rank."""
+    degrees of the affine dimension of the exponent hull, the rank of the
+    degree's Gram matrix, read up to the first degree of full lattice
+    rank."""
     best = NEG_INF
     witness = None
     for k in sys.support():
-        d = int_points_rank(sys.exponents(k))
+        d = rat_rank(sys.gram(k))
         if d > best:
             best, witness = d, k
             if d == sys.variety.lattice_rank:  # no degree can exceed it
@@ -496,15 +548,16 @@ def kappa2(sys, with_witness=False):
 
 
 def kappa3(sys):
-    """Count growth order: hull dimension at the top nonempty degree, cross
-    checked against the growth degree of the counts.  Disagreement, or a
-    growth degree the bound cannot determine for a positive dimension, raises
-    DegreeBoundError("degree bound too small")."""
+    """Count growth order: hull dimension at the top nonempty degree (the
+    rank of its Gram matrix), cross checked against the growth degree of
+    the counts.  Disagreement, or a growth degree the bound cannot
+    determine for a positive dimension, raises DegreeBoundError("degree
+    bound too small")."""
     support = sys.support()
     if not support:
         return NEG_INF
     k_star = support[-1]
-    exact = int_points_rank(sys.exponents(k_star))
+    exact = rat_rank(sys.gram(k_star))
     empirical = sys.growth()
     if empirical is None and exact == 0:
         return exact

@@ -33,7 +33,12 @@ bounds (`divisor_bounds_reference`, `limit_bounds_reference`).  The body
 route of `regularize` its one integer hull over the lcm of the levels
 replaced (`regularize_per_level`: one `int_hull` per level, its vertices
 divided by k as Fractions, one `convex_hull` of their union, and the slice
-box kept as Fractions) is the reference for the Okounkov body.
+box kept as Fractions) is the reference for the Okounkov body.  The rank
+reads the moment Grams of `SectionSystem.gram` replaced are references
+too: `span_rank`, one Gram matrix of the differences from each set's first
+point, read in doubling prefixes, `int_points_rank` on it, and the kappa
+and Iitaka reads on them (`kappa_routes_span_rank`, `iitaka_span_rank`);
+`gram_of_points` builds a point list's Gram matrix point by point.
 """
 
 import math
@@ -44,6 +49,7 @@ from itertools import combinations, product
 from operator import and_, mul
 
 from kodaira.lattice import (
+    NEG_INF,
     IntLattice,
     Polytope,
     ScanPlan,
@@ -53,11 +59,14 @@ from kodaira.lattice import (
     hnf,
     hnf_basis,
     int_hull,
+    int_kernel,
+    rat_rank,
     saturate_rows,
     vsub,
     xgcd,
 )
 from kodaira.multiplier import EMPTY_METRIC, coeff_limit
+from kodaira.semigroup import DegreeBoundError
 from kodaira.toric import CrossCheckError, limit_polytope
 
 
@@ -603,8 +612,106 @@ def closure_check_per_point(levels, degree_bound, budget):
             break
 
 
+def int_points_rank(points):
+    """Affine rank of a set of integer points (rank of differences): the
+    reference the Gram ranks of `toric.kappa2` and `kappa3` replaced."""
+    pts = list(points)
+    if not pts:
+        return NEG_INF
+    return span_rank([pts], len(pts[0]))[0]
+
+
+def span_rank(point_sets, n):
+    """(rank, gram) of the differences p - P[0] over the points p of each
+    set P in Z^n, together: gram = sum of (p - P[0])(p - P[0])^T, an n x n
+    integer matrix whose rows span the same rational space as the
+    differences (rank(D^T D) = rank(D)).  The reference the moment Grams of
+    `SectionSystem.gram` replaced in `kappa1` and the Iitaka analysis.
+
+    Each set is read in doubling prefixes (n + 1 points, then twice as many,
+    ...) and reading stops once the rank is n, so a full-rank set costs a
+    few points; a lower rank reads every point of every set.  An entry of
+    a prefix's block is sum p_i p_j - b_i S_j - b_j S_i + m b_i b_j for the
+    base b, the column sums S and the m points, one C-level dot product of
+    coordinate columns each.
+    """
+    gram = [[0] * n for _ in range(n)]
+    rank = 0
+    for pts in point_sets:
+        base, start, stop = pts[0], 1, n + 1
+        while start < len(pts):
+            chunk = pts[start:stop]
+            cols = list(zip(*chunk))
+            sums = list(map(sum, cols))
+            m = len(chunk)
+            for i in range(n):
+                bi, si, ci, row = base[i], sums[i], cols[i], gram[i]
+                for j in range(i, n):
+                    bj = base[j]
+                    row[j] += (sum(map(mul, ci, cols[j])) - bi * sums[j]
+                               - bj * si + m * bi * bj)
+                    gram[j][i] = row[j]
+            rank = rat_rank(gram)
+            if rank == n:
+                return rank, gram
+            start, stop = stop, 2 * stop
+    return rank, gram
+
+
+def kappa_routes_span_rank(sys):
+    """Reference for the rank reads of `toric.kappa1`, `kappa2` and
+    `kappa3`, the span_rank route over collected exponent sets: (kappa1,
+    (kappa2, witness degree), the hull dimension at the top nonempty
+    degree that kappa3 cross-checks against the growth of the counts)."""
+    n = sys.variety.lattice_rank
+    support = sys.support()
+    if not support:
+        return NEG_INF, (NEG_INF, None), NEG_INF
+    kappa1 = span_rank(map(sys.exponents, support), n)[0]
+    best, witness = NEG_INF, None
+    for k in support:
+        d = int_points_rank(sys.exponents(k))
+        if d > best:
+            best, witness = d, k
+            if d == n:
+                break
+    return kappa1, (best, witness), int_points_rank(sys.exponents(support[-1]))
+
+
+def iitaka_span_rank(sys, k):
+    """Reference for the reads of `fibration.iitaka_analysis` at degree k
+    (which must have room for 2k), the span_rank route: (image_dim,
+    fiber_relations, degrees_checked) before the final growth check, with
+    the same errors.  Every point of every degree is dotted with each
+    kernel vector of the degree-k Gram matrix."""
+    n = sys.variety.lattice_rank
+    image_dim, gram = span_rank([sys.exponents(k)], n)
+    if image_dim != span_rank([sys.exponents(2 * k)], n)[0]:
+        raise DegreeBoundError("increase degree bound")
+    perp = int_kernel(gram)
+    checked = []
+    for l in sys.support():
+        pts = sys.exponents(l)
+        for w in perp:
+            if len({dot(w, p) for p in pts}) > 1:
+                raise CrossCheckError(
+                    f"degree {l} spreads across fibers: growth is not contracted")
+        checked.append(l)
+    return image_dim, tuple(saturate_rows(gram)), tuple(checked)
+
+
+def gram_of_points(points, n):
+    """N S2 - S1 S1^T over a list of points of Z^n, summed point by point:
+    the reference for `SectionSystem.gram`, and the Gram matrix a test puts
+    in place of a degree's when it patches that degree's points."""
+    pts = list(points)
+    sums = [sum(p[i] for p in pts) for i in range(n)]
+    return [[len(pts) * sum(p[i] * p[j] for p in pts) - sums[i] * sums[j]
+             for j in range(n)] for i in range(n)]
+
+
 def diff_lattice_per_point(point_sets, n, stop_at_full_rank=True):
-    """Reference for `lattice.span_rank`: the IntLattice of the differences
+    """Reference for `span_rank`: the IntLattice of the differences
     p - P[0] within each set P, inserted one point at a time, and left as
     soon as it reaches rank n when stop_at_full_rank.  With one set, its
     rank is the former `int_points_rank`."""

@@ -39,6 +39,7 @@ from _corpus import curve_product_instances
 from _oracles import (
     affine_dimension,
     diff_lattice_per_point,
+    gram_of_points,
     iitaka_fibers_per_point,
     kappa1_per_point,
 )
@@ -326,12 +327,15 @@ def test_iitaka_needs_room():
 
 
 def spread_degree(sys, degree, extra):
-    """Patch sys so that the given degree also holds the points extra, put
-    right after its first point."""
-    exponents = sys.exponents
+    """(exponents, gram) to patch sys with, so that the given degree also
+    holds the points extra, put right after its first point: the per-point
+    references read the exponents, the library reads the Gram matrices."""
+    exponents, gram = sys.exponents, sys.gram
     pts = exponents(degree)
     pts = pts[:1] + tuple(extra) + pts[1:]
-    return lambda l: pts if l == degree else exponents(l)
+    spread = gram_of_points(pts, sys.variety.lattice_rank)
+    return (lambda l: pts if l == degree else exponents(l),
+            lambda l: spread if l == degree else gram(l))
 
 
 @pytest.mark.parametrize("variety, coeffs", [
@@ -353,7 +357,9 @@ def test_iitaka_degree_across_fibers_raises(variety, coeffs):
         if affine_dimension([(0,) * n, *relations, e]) == len(relations):
             continue  # e lies in the contracted lattice
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sys, "exponents", spread_degree(sys, 3, [off]))
+            exponents, gram = spread_degree(sys, 3, [off])
+            mp.setattr(sys, "exponents", exponents)
+            mp.setattr(sys, "gram", gram)
             with pytest.raises(CrossCheckError, match=message):
                 iitaka_fibers_per_point(sys, 4)
             with pytest.raises(CrossCheckError, match=message):
@@ -385,7 +391,7 @@ def section_systems(draw):
         offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                                 min_size=1, max_size=3))
         extra = [tuple(map(add, base, u)) for u in offsets]
-        sys.exponents = spread_degree(sys, degree, extra)
+        sys.exponents, sys.gram = spread_degree(sys, degree, extra)
     return sys
 
 

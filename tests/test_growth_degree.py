@@ -247,13 +247,13 @@ def test_kappa_sigma_counts_only_the_degrees_it_reads(monkeypatch):
     divisor = ToricDivisorData(tuple(doc["body"]["coefficients"]))
     bound = doc["options"]["max_degree"]
     scanned = []
-    real_scan = SectionSystem._scan
+    real_piece = SectionSystem._piece
 
-    def scan(sys, k, collect):
+    def piece(sys, k):  # every count, collection or moment scan builds one
         scanned.append(k)
-        return real_scan(sys, k, collect)
+        return real_piece(sys, k)
 
-    monkeypatch.setattr(SectionSystem, "_scan", scan)
+    monkeypatch.setattr(SectionSystem, "_piece", piece)
     assert kappa_sigma(variety, divisor, degree_bound=bound) == 2
     period = SectionSystem(variety, divisor, degree_bound=bound).period()
     n = variety.lattice_rank
@@ -261,7 +261,7 @@ def test_kappa_sigma_counts_only_the_degrees_it_reads(monkeypatch):
     # kappa2 stops at the first degree whose exponents span the lattice
     sys = SectionSystem(variety, divisor, degree_bound=bound)
     assert kappa2(sys, with_witness=True) == (2, 1)
-    assert set(sys._points) == {1}
+    assert set(sys._grams) == {1}
 
 
 def test_period_uses_only_rays_touching_the_limit_polytope():

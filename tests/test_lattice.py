@@ -16,10 +16,8 @@ from kodaira.lattice import (
     hnf,
     hnf_basis,
     int_kernel,
-    int_points_rank,
     lattice_volume,
     saturate_rows,
-    span_rank,
     subgroup_rank_index,
     vsub,
 )
@@ -35,9 +33,11 @@ from _oracles import (
     hull_vertex_set,
     in_row_lattice,
     int_kernel_euclid,
+    int_points_rank,
     interpolate_polynomial,
     laplace_det,
     saturate_rows_euclid,
+    span_rank,
 )
 
 
@@ -401,7 +401,7 @@ def test_volume_unimodular_invariance():
 
 
 # ---------------------------------------------------------------------------
-# spans of exponent sets from one Gram matrix
+# the span_rank reference: spans of exponent sets from one Gram matrix
 # ---------------------------------------------------------------------------
 
 @st.composite
