@@ -287,8 +287,8 @@ class SectionSystem:
     shifts integer bounds and the box for one integer lattice scan, run on
     the variety's ScanPlan.
 
-    Exponent sets and counts are cached per degree; E is a fixed auxiliary
-    integral divisor (not scaled with k).
+    Exponent sets, counts and Gram matrices are cached per degree; E is a
+    fixed auxiliary integral divisor (not scaled with k).
     """
 
     def __init__(self, variety, divisor, metric=None, aux=None,
