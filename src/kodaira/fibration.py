@@ -20,7 +20,7 @@ from .curve import (
     kappa_curve,
     kappa_sigma_curve,
 )
-from .lattice import NEG_INF, dot, int_kernel, rat_rank, saturate_rows
+from .lattice import NEG_INF, dot, int_kernel, saturate_rows
 from .multiplier import EMPTY_METRIC, SingularMetricData
 from .semigroup import DegreeBoundError
 from .toric import (
@@ -676,8 +676,8 @@ def _iitaka_analysis(sys, k, growth):
 
     n = sys.variety.lattice_rank
     gram = sys.gram(k)
-    image_dim = rat_rank(gram)
-    if image_dim != rat_rank(sys.gram(2 * k)):
+    image_dim = sys.rank(k)
+    if image_dim != sys.rank(2 * k):
         raise DegreeBoundError("increase degree bound")
 
     # the Gram rows span the differences' rational space, so their

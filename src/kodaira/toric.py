@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import and_, or_
+from operator import and_, index, or_
 
 from .lattice import (
     NEG_INF,
@@ -55,6 +55,17 @@ class ToricVariety:
     cones; both directions present in rank one).  cone_inverses holds, in
     max_cones order, (sorted ray indices, rows of R^-1) for each cone's ray
     matrix R (rows v_rho), from the fraction-free solve that tests smoothness.
+
+    The presets projective_space, hirzebruch and product return one shared,
+    validated instance per argument for the life of the process (product is
+    keyed on its factor objects, so a product of presets is shared too).
+    What an instance keeps is therefore solved once per distinct fan per
+    process: the cone inverses, scan_plan, nonsingular_subsets,
+    standard_ample with its ampleness check, and the limit polytopes of
+    limit_polytope with their vertices.  The limit cache grows with the
+    distinct (divisor, weights) pairs the process sees.  A variety built
+    directly, ToricVariety(rays, cones), is not shared and is validated on
+    every call.  Shared instances are not to be mutated.
     """
 
     def __init__(self, rays, max_cones, name=None):
@@ -150,6 +161,12 @@ class ToricVariety:
 
     @classmethod
     def projective_space(cls, n):
+        """P^n, shared per n."""
+        return cls._projective_space(_preset_int(n, "projective space parameter n"))
+
+    @classmethod
+    @cache
+    def _projective_space(cls, n):
         if n < 1:
             raise ValueError("projective space needs n >= 1")
         rays = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
@@ -158,7 +175,9 @@ class ToricVariety:
         return cls(rays, cones, name=f"P{n}")
 
     @classmethod
+    @cache
     def product(cls, first, second):
+        """first x second, shared per pair of factor objects."""
         n1, n2 = first.lattice_rank, second.lattice_rank
         rays = [r + tuple([0] * n2) for r in first.rays]
         rays += [tuple([0] * n1) + r for r in second.rays]
@@ -173,12 +192,26 @@ class ToricVariety:
 
     @classmethod
     def hirzebruch(cls, a):
-        a = int(a)
+        """The Hirzebruch surface F_a, shared per a."""
+        return cls._hirzebruch(_preset_int(a, "hirzebruch parameter a"))
+
+    @classmethod
+    @cache
+    def _hirzebruch(cls, a):
         if a < 0:
             raise ValueError("hirzebruch parameter must be >= 0")
         rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
         cones = [{0, 1}, {1, 2}, {2, 3}, {3, 0}]
         return cls(rays, cones, name=f"F{a}")
+
+
+def _preset_int(value, name):
+    """value as an int (operator.index), the canonical key of a preset;
+    ValueError naming the parameter for anything else."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -287,8 +320,8 @@ class SectionSystem:
     shifts integer bounds and the box for one integer lattice scan, run on
     the variety's ScanPlan.
 
-    Exponent sets, counts and Gram matrices are cached per degree; E is a
-    fixed auxiliary integral divisor (not scaled with k).
+    Exponent sets, counts, Gram matrices and their ranks are cached per
+    degree; E is a fixed auxiliary integral divisor (not scaled with k).
     """
 
     def __init__(self, variety, divisor, metric=None, aux=None,
@@ -325,6 +358,7 @@ class SectionSystem:
         self._points = {}
         self._counts = {}
         self._grams = {}
+        self._ranks = {}
 
     def _piece(self, k):
         """(box, bounds) of the degree-k piece (multiplier level k*k0)."""
@@ -369,6 +403,15 @@ class SectionSystem:
                                    for b, x in zip(sums, row)]
                                   for a, row in zip(sums, squares)]
         return self._grams[k]
+
+    def rank(self, k):
+        """Rank of G_k (gram): the affine dimension of the degree-k piece.
+        A zero G_k, as of a degree of fewer than two points, has rank 0
+        without an elimination."""
+        if k not in self._ranks:
+            g = self.gram(k)
+            self._ranks[k] = rat_rank(g) if any(map(any, g)) else 0
+        return self._ranks[k]
 
     def support(self, bound=None):
         bound = self.degree_bound if bound is None else bound
@@ -532,12 +575,12 @@ def kappa1(sys):
 def kappa2(sys, with_witness=False):
     """Maximal image dimension of the monomial maps: max over nonempty
     degrees of the affine dimension of the exponent hull, the rank of the
-    degree's Gram matrix, read up to the first degree of full lattice
-    rank."""
+    degree's Gram matrix (SectionSystem.rank), read up to the first degree
+    of full lattice rank."""
     best = NEG_INF
     witness = None
     for k in sys.support():
-        d = rat_rank(sys.gram(k))
+        d = sys.rank(k)
         if d > best:
             best, witness = d, k
             if d == sys.variety.lattice_rank:  # no degree can exceed it
@@ -557,7 +600,7 @@ def kappa3(sys):
     if not support:
         return NEG_INF
     k_star = support[-1]
-    exact = rat_rank(sys.gram(k_star))
+    exact = sys.rank(k_star)
     empirical = sys.growth()
     if empirical is None and exact == 0:
         return exact
@@ -609,7 +652,10 @@ def _ray_weights(variety, metric):
 def limit_polytope(variety, divisor, metric=None):
     """Normalized limit of the degreewise constraint polytopes:
     {u : <u, v_rho> >= -b_rho + max(mu_rho - 1, 0)}, constraints parallel to
-    the rays.  Cached per variety, so its vertices are enumerated once."""
+    the rays.  Cached on the variety per (divisor, weights), so its vertices
+    are enumerated once per variety; a preset variety is shared by the whole
+    process (ToricVariety), and so is this cache, which grows with the
+    distinct (divisor, weights) pairs the process sees."""
     mu, k0 = _ray_weights(variety, metric), divisor.k0
     key = (divisor.nums, k0, mu)
     if key not in variety._limits:

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from kodaira.cli import main
+from kodaira.cli import COMMAND_KINDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_corpus.json"
@@ -53,6 +53,29 @@ def test_corpus_output_matches_golden():
     assert sorted(current) == sorted(golden)
     for key, expected in golden.items():
         assert current[key] == expected, key
+
+
+def test_corpus_output_independent_of_run_order(tmp_path):
+    # preset varieties, and the limit polytopes and properties they cache,
+    # are shared by the whole process: no run may see what an earlier one
+    # left in them
+    command_of = {kind: command for command, kind in COMMAND_KINDS.items()}
+    runs = []
+    for path in sorted((ROOT / "corpus").glob("*.json")):
+        kind = json.loads(path.read_text())["kind"]
+        if kind == "multiplier_scan":  # no command of its own
+            (tmp_path / path.stem).mkdir()
+            (tmp_path / path.stem / path.name).write_bytes(path.read_bytes())
+            runs.append(["verify-suite", str(tmp_path / path.stem)])
+        else:
+            runs.append([command_of[kind], str(path)])
+    runs = [argv + ["--format", "json"] for argv in runs]
+    first = [_run(argv) for argv in runs]
+    for order in (runs, runs[::-1]):
+        again = {tuple(argv): _run(argv) for argv in order}
+        for argv, want in zip(runs, first):
+            got = again[tuple(argv)]
+            assert (got["exit"], got["stdout"]) == (want["exit"], want["stdout"]), argv
 
 
 if __name__ == "__main__":

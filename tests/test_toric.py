@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from kodaira.fibration import hirzebruch_fibration
 from kodaira.lattice import NEG_INF
 from kodaira.multiplier import SingularMetricData
 from kodaira.semigroup import regularize
@@ -38,6 +40,51 @@ def test_preset_shapes():
     assert P1xP1.lattice_rank == 2 and len(P1xP1.rays) == 4
     f2 = ToricVariety.hirzebruch(2)
     assert (-1, 2) in f2.rays
+
+
+def test_presets_are_shared_per_argument():
+    assert ToricVariety.projective_space(2) is P2
+    assert ToricVariety.hirzebruch(3) is ToricVariety.hirzebruch(3)
+    assert ToricVariety.product(P1, P1) is P1xP1
+    assert P1xP1.factors == (P1, P1)
+    fib = hirzebruch_fibration(2)
+    assert fib.base is fib.fiber is P1
+    assert fib.total is ToricVariety.hirzebruch(2)
+
+
+def test_direct_variety_is_fresh_and_validated(monkeypatch):
+    calls = []
+    inner = ToricVariety._validate
+
+    def counted(self):
+        calls.append(self)
+        inner(self)
+
+    monkeypatch.setattr(ToricVariety, "_validate", counted)
+    a, b = (ToricVariety(P2.rays, P2.max_cones) for _ in range(2))
+    assert a is not b and P2 not in (a, b)
+    assert ToricVariety.projective_space(2) is P2
+    assert calls == [a, b]
+
+
+class _Two:
+    def __index__(self):
+        return 2
+
+
+def test_preset_parameter_is_an_integer_key():
+    assert ToricVariety.projective_space(_Two()) is P2
+    assert ToricVariety.hirzebruch(_Two()) is ToricVariety.hirzebruch(2)
+
+
+@pytest.mark.parametrize("build, value, name", [
+    (ToricVariety.hirzebruch, 2.5, "hirzebruch parameter a"),
+    (ToricVariety.hirzebruch, "3", "hirzebruch parameter a"),
+    (ToricVariety.projective_space, 2.0, "projective space parameter n"),
+])
+def test_non_integral_preset_parameter_rejected(build, value, name):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        build(value)
 
 
 def test_incomplete_fan_rejected():
@@ -238,11 +285,20 @@ def test_standard_ample_checked_once_per_variety(monkeypatch):
         return inner(variety, divisor)
 
     monkeypatch.setattr(kodaira.toric, "is_ample", counted)
-    f2 = ToricVariety.hirzebruch(2)
+    # built directly, so no earlier test has checked its ample yet
+    f2 = ToricVariety([(1, 0), (0, 1), (-1, 2), (0, -1)],
+                      [{0, 1}, {1, 2}, {2, 3}, {3, 0}], name="F2")
+    d = ToricDivisorData((1, 1, 1, 1))
     for _ in range(2):
-        assert kappa_sigma(f2, ToricDivisorData((1, 1, 1, 1)),
-                           degree_bound=8) == 2
+        assert kappa_sigma(f2, d, degree_bound=8) == 2
     assert calls == [f2]
+    # the shared F2 checks its ample at most once per process
+    shared = ToricVariety.hirzebruch(2)
+    assert kappa_sigma(shared, d, degree_bound=8) == 2
+    before = len(calls)
+    for _ in range(2):
+        assert kappa_sigma(shared, d, degree_bound=8) == 2
+    assert len(calls) == before
 
 
 def test_not_ample():
