@@ -54,7 +54,6 @@ from .toric import (
     kappa_sigma_hor,
     limit_polytope,
     sections_of,
-    standard_ample,
 )
 from .curve import (
     AmbiguousDivisorError,
@@ -67,13 +66,10 @@ from .curve import (
 from .fibration import (
     CurveProductInstance,
     InequalityVerdict,
-    KappaReport,
     ToricFibration,
     ToricFibrationInstance,
-    general_fiber_data,
     hirzebruch_fibration,
     iitaka_analysis,
-    kappa_summary,
     product_fibration,
     run_check,
     verify_addti,

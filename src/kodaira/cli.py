@@ -25,7 +25,6 @@ from .fibration import (
     CurveProductInstance,
     ToricFibrationInstance,
     hirzebruch_fibration,
-    kappa_summary,
     product_fibration,
     run_check,
 )
@@ -404,20 +403,21 @@ def cmd_fibration(body, options):
                 _list(body.get("checks", inst.default_checks), "checks")]
 
     failed = sum(0 if v.holds else 1 for v in verdicts)
-    summary = kappa_summary(inst)
     report = {
         "kind": "fibration",
         "max_degree": max_degree,
         "variant": variant,
+        # read off the instance in its order: report, kappa_sigma,
+        # kappa_sigma_hor, fiber, base (the first to raise is the error)
         "summary": {
-            "kappa": _kappa_json(summary.kappa),
-            "kappa_sigma": _kappa_json(summary.kappa_sigma),
-            "kappa_sigma_hor": _kappa_json(summary.kappa_sigma_hor),
-            "fiber_kappa": _kappa_json(summary.fiber_kappa),
-            "fiber_kappa_sigma": _kappa_json(summary.fiber_kappa_sigma),
-            "base_kappa": _kappa_json(summary.base_kappa),
-            "base_kappa_sigma": _kappa_json(summary.base_kappa_sigma),
-            "witness_degree": summary.witness_degree,
+            "kappa": _kappa_json(inst.report.kappa),
+            "kappa_sigma": _kappa_json(inst.kappa_sigma),
+            "kappa_sigma_hor": _kappa_json(inst.kappa_sigma_hor),
+            "fiber_kappa": _kappa_json(inst.fiber[0]),
+            "fiber_kappa_sigma": _kappa_json(inst.fiber[1]),
+            "base_kappa": _kappa_json(inst.base[0]),
+            "base_kappa_sigma": _kappa_json(inst.base[1]),
+            "witness_degree": inst.report.witness_degree,
         },
         "verdicts": [
             {
@@ -703,9 +703,5 @@ def main(argv=None):
     return code
 
 
-def console_main():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

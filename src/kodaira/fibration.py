@@ -37,7 +37,6 @@ from .toric import (
     kappa_report,
     kappa_sigma,
     kappa_sigma_hor,
-    standard_ample,
 )
 
 
@@ -68,9 +67,6 @@ class ToricFibration:
         for b, i in enumerate(self.pullback_rays):
             nums[i] = base_divisor.nums[b]
         return ToricDivisorData.over(nums, base_divisor.k0)
-
-    def base_ample(self):
-        return standard_ample(self.base)
 
     def restrict_divisor(self, divisor):
         nums = [0] * len(self.fiber.rays)
@@ -112,29 +108,33 @@ def hirzebruch_fibration(a):
 # instances
 # ---------------------------------------------------------------------------
 #
-# Each instance computes each growth invariant on first read and keeps it
-# (cached_property) for all verdicts: report (the total-space kappa triple),
-# kappa_sigma, kappa_sigma_hor and the (kappa, kappa_sigma) pairs fiber and
-# base.  Verdicts read them in a fixed order, which fixes the order of the
-# computations and so the first error raised; a part that raises is not
-# kept.  Nothing kept refers back to the instance, so dropping it frees it.
-# Do not change an instance after its first read.
+# An instance is the only record of its growth invariants.  Each is computed
+# on first read and kept (cached_property) for all verdicts and the CLI
+# summary: report (the total-space kappa triple), kappa_sigma,
+# kappa_sigma_hor and the (kappa, kappa_sigma) pairs fiber and base.  The
+# summary reads them in that order, and so do the verdicts that read the
+# total space (spc/spck/112/112k, chain, upper read all three of its
+# invariants); the order of the reads fixes the order of the computations
+# and so the first error raised.  A part that raises is not kept.  Nothing
+# kept refers back to the instance, so dropping it frees it.  Do not change
+# an instance after its first read.
 
-def general_fiber_data(inst):
-    """(fiber model, restricted divisor, restricted metric): torus-invariant
-    and split data restrict identically to every fiber over the open orbit."""
-    return inst.fiber_data()
+class _FiberSpace:
+    """What both instance shapes share: the general fiber's invariants,
+    read off fiber_data() (fiber model, restricted divisor, restricted
+    metric; torus-invariant and split data restrict identically to every
+    fiber over the open orbit) and the cached fiber_report."""
 
-
-def fiber_kappa_values(inst):
-    """(kappa, kappa_sigma) of the general fiber."""
-    fiber, divisor, metric = general_fiber_data(inst)
-    return (inst.fiber_report.kappa,
-            kappa_sigma(fiber, divisor, metric, degree_bound=inst.degree_bound))
+    @cached_property
+    def fiber(self):
+        """(kappa, kappa_sigma) of the general fiber."""
+        fiber, divisor, metric = self.fiber_data()
+        return (self.fiber_report.kappa,
+                kappa_sigma(fiber, divisor, metric, degree_bound=self.degree_bound))
 
 
 @dataclass
-class ToricFibrationInstance:
+class ToricFibrationInstance(_FiberSpace):
     """Fibration with torus-invariant data: either log divisors (reduced
     boundary subsets with f* D_Y inside D_X) or a metric, never both."""
 
@@ -212,10 +212,6 @@ class ToricFibrationInstance:
                                           degree_bound=self.degree_bound))
 
     @cached_property
-    def fiber(self):
-        return fiber_kappa_values(self)
-
-    @cached_property
     def base(self):
         """(kappa, kappa_sigma) of the base with its log or canonical divisor."""
         base, m = self.fibration.base, self.base_divisor()
@@ -227,7 +223,7 @@ class ToricFibrationInstance:
 
     def base_twist(self, degree):
         """The addti twist: degree times the base's standard ample."""
-        return self.fibration.base_ample().scale(degree)
+        return self.fibration.base.standard_ample.scale(degree)
 
     def addti_counts(self, base_twist, k):
         """(h^0 of the degree-k system twisted by f^* base_twist, h^0 of the
@@ -243,7 +239,7 @@ class ToricFibrationInstance:
 
 
 @dataclass
-class CurveProductInstance:
+class CurveProductInstance(_FiberSpace):
     """X = Y x F for a curve Y and a toric fiber F, projected to Y.
 
     base_class is the curve part of K_X + L (so K_Y + L_Y); the metric splits
@@ -325,20 +321,52 @@ class CurveProductInstance:
 
     @cached_property
     def report(self):
-        k = curve_product_kappa(self)
-        return KappaValues(k, k, k, None, self.degree_bound)
+        """The growth order of the split section counts as the kappa triple,
+        via two routes that must agree: the sum of the factor orders, and
+        the growth degree of the product counts."""
+        counts = self.product_counts()
+        support = [c for c in counts if c > 0]
+        k = NEG_INF
+        if support:
+            k = _neg_inf_sum(self.base_growth(), self.fiber_report.kappa)
+            empirical = growth_degree(counts, self.product_period())
+            if empirical is None and len(support) > 1:
+                raise CrossCheckError("product growth not estimable")
+            # a single populated degree fixes no degree
+            if empirical is not None and empirical != k:
+                raise CrossCheckError(
+                    f"product growth mismatch: sum route {k}, slope route {empirical}")
+        return KappaValues(k, k, k, None)
 
     @cached_property
     def kappa_sigma(self):
-        return curve_product_kappa_sigma(self)
+        """Perturbed growth with both factors fattened (ample on Y times
+        ample on F)."""
+        return self._perturbed_kappa(horizontal_only=False)
 
     @cached_property
     def kappa_sigma_hor(self):
-        return curve_product_kappa_sigma(self, horizontal_only=True)
+        """Perturbed growth with just the curve side fattened (pullback
+        perturbations)."""
+        return self._perturbed_kappa(horizontal_only=True)
 
-    @cached_property
-    def fiber(self):
-        return fiber_kappa_values(self)
+    def _perturbed_kappa(self, horizontal_only):
+        """Every determinable multiple of the perturbation must give the
+        sum of the factor orders."""
+        p = 2 * self.curve.genus + 1
+        base_part = self.base_growth(extra_degree=p)
+        fiber_k, fiber_sigma = self.fiber
+        exact = _neg_inf_sum(base_part, fiber_k if horizontal_only else fiber_sigma)
+        amp = self.fiber_variety.standard_ample
+        period = self.product_period()
+        return check_perturbed(
+            exact,
+            [growth_degree(self.product_counts(
+                base_extra=m * p,
+                fiber_aux=None if horizontal_only else amp.scale(m)), period)
+             for m in PERTURBATION_MULTIPLES],
+            "product perturbed growth mismatch: {exact} vs {empirical}",
+            "perturbed product growth not estimable")
 
     @cached_property
     def base(self):
@@ -363,93 +391,6 @@ class CurveProductInstance:
         base = self.base_count(k, extra_degree=base_twist.degree)
         rank = self.fiber_system().count(k)
         return base * rank, curve_h0(self.curve, base_twist), rank
-
-
-# ---------------------------------------------------------------------------
-# kappa values on instances
-# ---------------------------------------------------------------------------
-
-def curve_product_kappa(inst):
-    """Growth order of the split section counts, via two routes that must
-    agree: sum of factor orders, and the growth degree of the product
-    counts."""
-    counts = inst.product_counts()
-    support = [c for c in counts if c > 0]
-    if not support:
-        return NEG_INF
-    base_part = inst.base_growth()
-    exact = _neg_inf_sum(base_part, inst.fiber_report.kappa)
-    empirical = growth_degree(counts, inst.product_period())
-    if empirical is None:
-        if len(support) > 1:
-            raise CrossCheckError("product growth not estimable")
-        empirical = exact  # a single populated degree fixes no degree
-    if empirical != exact:
-        raise CrossCheckError(
-            f"product growth mismatch: sum route {exact}, slope route {empirical}")
-    return exact
-
-
-def curve_product_kappa_sigma(inst, horizontal_only=False):
-    """Perturbed growth of the product counts.
-
-    Full perturbation fattens both factors (ample on Y times ample on F);
-    horizontal_only fattens just the curve side (pullback perturbations).
-    Every determinable multiple of the perturbation must give the sum of the
-    factor orders."""
-    p = 2 * inst.curve.genus + 1
-    base_part = inst.base_growth(extra_degree=p)
-    fiber_k, fiber_sigma = inst.fiber
-    exact = _neg_inf_sum(base_part, fiber_k if horizontal_only else fiber_sigma)
-    amp = standard_ample(inst.fiber_variety)
-    period = inst.product_period()
-    return check_perturbed(
-        exact,
-        [growth_degree(inst.product_counts(
-            base_extra=m * p,
-            fiber_aux=None if horizontal_only else amp.scale(m)), period)
-         for m in PERTURBATION_MULTIPLES],
-        "product perturbed growth mismatch: {exact} vs {empirical}",
-        "perturbed product growth not estimable")
-
-
-@dataclass
-class KappaReport:
-    """All growth invariants of a fiber-space instance in one record."""
-
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    kappa_sigma: float
-    kappa_sigma_hor: float
-    fiber_kappa: float
-    fiber_kappa_sigma: float
-    base_kappa: float
-    base_kappa_sigma: float
-    degree_bound: int
-    witness_degree: int | None
-
-    @property
-    def kappa(self):
-        return self.kappa1
-
-
-def kappa_summary(inst):
-    """KappaReport of an instance; the three total-space invariants are
-    asserted equal along the way (toric instances compute them separately,
-    curve products equate the two independent routes)."""
-    rep = inst.report
-    return KappaReport(
-        kappa1=rep.kappa1, kappa2=rep.kappa2, kappa3=rep.kappa3,
-        kappa_sigma=inst.kappa_sigma, kappa_sigma_hor=inst.kappa_sigma_hor,
-        fiber_kappa=inst.fiber[0], fiber_kappa_sigma=inst.fiber[1],
-        base_kappa=inst.base[0], base_kappa_sigma=inst.base[1],
-        degree_bound=inst.degree_bound, witness_degree=rep.witness_degree)
-
-
-def instance_kappa_values(inst):
-    """(kappa, kappa_sigma, kappa_sigma_hor) of the total space."""
-    return inst.report.kappa, inst.kappa_sigma, inst.kappa_sigma_hor
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +449,8 @@ def verify_subadditivity(inst, which):
         raise ValueError(f"unknown check {which!r}")
     _require(inst, which)
 
-    _, lhs_sigma, _ = instance_kappa_values(inst)
+    # all three total-space reads, in the summary's order (see the instances)
+    _, lhs_sigma, _ = inst.report, inst.kappa_sigma, inst.kappa_sigma_hor
     fiber_k, fiber_sigma = inst.fiber
     base_k, base_sigma = inst.base
 
@@ -521,7 +463,7 @@ def verify_subadditivity(inst, which):
 
 def verify_chain(inst):
     """kappa <= kappa_sigma_hor <= kappa_sigma on the total space."""
-    k, ks, kh = instance_kappa_values(inst)
+    k, ks, kh = inst.report.kappa, inst.kappa_sigma, inst.kappa_sigma_hor
     holds = k <= kh <= ks
     return InequalityVerdict(
         check_id="jiangluo_chain", instance_id=inst.instance_id,
@@ -531,15 +473,14 @@ def verify_chain(inst):
 
 def verify_upper_bound(inst):
     """kappa(X) <= kappa(F) + dim Y."""
-    k, _, _ = instance_kappa_values(inst)
+    # all three total-space reads, in the summary's order (see the instances)
+    k, _, _ = inst.report.kappa, inst.kappa_sigma, inst.kappa_sigma_hor
     fiber_k, _ = inst.fiber
     dim_base = inst.dim_base
-    rhs = _neg_inf_sum(fiber_k, dim_base) if fiber_k != NEG_INF else NEG_INF
-    holds = k <= rhs or k == NEG_INF
     return InequalityVerdict(
         check_id="lemmakey_upper", instance_id=inst.instance_id, lhs=k,
         rhs_terms=(("kappa(fiber)", fiber_k), ("dim(base)", dim_base)),
-        holds=holds)
+        holds=k <= _neg_inf_sum(fiber_k, dim_base))
 
 
 def verify_dio_equality(inst):

@@ -251,13 +251,13 @@ class Regularization:
     boundary_lattice: tuple  # basis of G ∩ {level = 0}
     ind: int | None          # index of boundary lattice in Z^n x {0}, or None
     okounkov_dim: int
-    _body: Polytope | None = field(default=None, repr=False)
+    okounkov_body: Polytope = field(repr=False)  # C ∩ {level = 1} in Z^n x R
     # G ∩ C at level t m is g0 t + (y · boundary) for the integer y in t times
     # one rational polytope: (ScanPlan over its integer normals, the bounds of
     # the t = 1 slice, (den, den times the (min, max) of each y coordinate
     # over its vertices, integers for den the lcm of their denominators), the
     # y coordinates of its vertices)
-    _slice: tuple | None = field(default=None, repr=False)
+    _slice: tuple = field(repr=False)
     strongly_convex: bool = True
 
     @staticmethod
@@ -265,24 +265,16 @@ class Regularization:
         """The grading projection: last coordinate of a graded point."""
         return point[-1]
 
-    @property
-    def okounkov_body(self):
-        """Delta(P) = C ∩ {level = 1}, a polytope in Z^n x R."""
-        if self._body is None:
-            raise GeometryError("okounkov body was not constructed")
-        return self._body
 
-
-def regularize(sg, build_body=True):
+def regularize(sg):
     """Regularization of a graded semigroup.
 
     Computes the group G generated by the graded points, the level index m,
     the boundary lattice G ∩ {level 0} with its index in Z^n x {0} (None when
     rank-deficient), the Okounkov body Delta = C ∩ {level 1} of the convex
     cone C over the points, and, once, the slice data `hilbert_reg` scales to
-    each level.  Raises EmptySemigroupError when no level is populated.  With
-    build_body=False the hull and the slice data are skipped; the body
-    dimension rank(G) - 1 is available regardless.
+    each level.  Raises EmptySemigroupError when no level is populated, and
+    GeometryError when the body's dimension is not rank(G) - 1.
     """
     pts = sg.graded_points()
     if not pts:
@@ -300,49 +292,46 @@ def regularize(sg, build_body=True):
 
     ind = abs(det_int([row[:-1] for row in boundary])) if len(boundary) == n else None
 
-    body = None
-    slice_data = None
     body_dim = rank - 1
     # cone over the generators equals the cone over the level-1 hull because
-    # every graded point sits at a positive level
-    if build_body:
-        # conv(∪ A_k / k) needs only the column ends of each level A_k;
-        # each level is scaled by den / k, den the lcm of the levels, so that
-        # one integer hull over den gets them all (graded points are sorted
-        # and distinct, and the stable sort by level keeps each level sorted)
-        by_level = groupby(sorted(pts, key=itemgetter(-1)), itemgetter(-1))
-        levels = {k: _column_ends(list(map(itemgetter(slice(-1)), grp)))
-                  for k, grp in by_level}
-        den = math.lcm(*levels)
-        hull = hull_polytope(sorted(set(chain.from_iterable(
-            map(tuple, map(map, repeat(partial(mul, den // k)), ends))
-            for k, ends in levels.items()))), den)
-        if hull.affine_dim() != body_dim:
-            raise GeometryError("okounkov dimension disagrees with group rank")
-        lifted = [(v + (0,), c) for v, c in hull.constraints]
-        lifted.append((tuple([0] * n) + (1,), Fraction(1)))
-        lifted.append((tuple([0] * n) + (-1,), Fraction(-1)))
-        body = Polytope(n + 1, lifted)
-        body._vertices = tuple(sorted(v + (Fraction(1),) for v in hull.vertices()))
-        body._empty = False
-        body._bounded = True
-        body._affine_dim = body_dim
+    # every graded point sits at a positive level.  conv(∪ A_k / k) needs
+    # only the column ends of each level A_k; each level is scaled by den / k,
+    # den the lcm of the levels, so that one integer hull over den gets them
+    # all (graded points are sorted and distinct, and the stable sort by
+    # level keeps each level sorted)
+    by_level = groupby(sorted(pts, key=itemgetter(-1)), itemgetter(-1))
+    levels = {k: _column_ends(list(map(itemgetter(slice(-1)), grp)))
+              for k, grp in by_level}
+    den = math.lcm(*levels)
+    hull = hull_polytope(sorted(set(chain.from_iterable(
+        map(tuple, map(map, repeat(partial(mul, den // k)), ends))
+        for k, ends in levels.items()))), den)
+    if hull.affine_dim() != body_dim:
+        raise GeometryError("okounkov dimension disagrees with group rank")
+    lifted = [(v + (0,), c) for v, c in hull.constraints]
+    lifted.append((tuple([0] * n) + (1,), Fraction(1)))
+    lifted.append((tuple([0] * n) + (-1,), Fraction(-1)))
+    body = Polytope(n + 1, lifted)
+    body._vertices = tuple(sorted(v + (Fraction(1),) for v in hull.vertices()))
+    body._empty = False
+    body._bounded = True
+    body._affine_dim = body_dim
 
-        # the level-m slice in boundary coordinates y, around a point g0 of
-        # G at level m: the hull row <x, v> >= num/den on x = g0 + y · B
-        # reads <y, den B v> >= num m - den <g0, v>, and its vertices are the
-        # coordinates of m v - g0 for the vertices v of Delta
-        normals, bounds = [], []
-        for v, c in hull.constraints:
-            normals.append(tuple(c.denominator * dot(b[:-1], v) for b in boundary))
-            bounds.append(c.numerator * m - c.denominator * dot(g0[:-1], v))
-        coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
-                                         for v in body.vertices()])
-        box = [(min(c), max(c)) for c in zip(*coords)]
-        box_den = math.lcm(1, *(x.denominator for x in chain(*box)))
-        box = tuple((int(lo * box_den), int(hi * box_den)) for lo, hi in box)
-        slice_data = (ScanPlan(len(boundary), normals), tuple(bounds),
-                      (box_den, box), coords)
+    # the level-m slice in boundary coordinates y, around a point g0 of
+    # G at level m: the hull row <x, v> >= num/den on x = g0 + y · B
+    # reads <y, den B v> >= num m - den <g0, v>, and its vertices are the
+    # coordinates of m v - g0 for the vertices v of Delta
+    normals, bounds = [], []
+    for v, c in hull.constraints:
+        normals.append(tuple(c.denominator * dot(b[:-1], v) for b in boundary))
+        bounds.append(c.numerator * m - c.denominator * dot(g0[:-1], v))
+    coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
+                                     for v in body.vertices()])
+    box = [(min(c), max(c)) for c in zip(*coords)]
+    box_den = math.lcm(1, *(x.denominator for x in chain(*box)))
+    box = tuple((int(lo * box_den), int(hi * box_den)) for lo, hi in box)
+    slice_data = (ScanPlan(len(boundary), normals), tuple(bounds),
+                  (box_den, box), coords)
 
     return Regularization(
         group_basis=tuple(basis),
@@ -350,7 +339,7 @@ def regularize(sg, build_body=True):
         boundary_lattice=tuple(boundary),
         ind=ind,
         okounkov_dim=body_dim,
-        _body=body,
+        okounkov_body=body,
         _slice=slice_data,
     )
 
@@ -375,8 +364,6 @@ def hilbert_reg(sg, k, reg=None):
         return 1
     if reg is None:
         reg = regularize(sg)
-    if reg._slice is None:
-        raise GeometryError("regularization was built without its body")
     t, r = divmod(k, reg.m)
     if r:
         return 0
@@ -409,8 +396,6 @@ def growth_law_check(sg, k_max=200, reg=None):
     q = reg.okounkov_dim
     m = reg.m
     # boundary lattice rank is exactly rank(G) - 1 = q here
-    if reg._slice is None:
-        raise GeometryError("okounkov body was not constructed")
     predicted = hull_volume(reg._slice[3])
     count = hilbert_reg(sg, m * k_max, reg=reg)
     empirical = Fraction(count, k_max ** q)

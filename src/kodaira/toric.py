@@ -60,12 +60,12 @@ class ToricVariety:
     validated instance per argument for the life of the process (product is
     keyed on its factor objects, so a product of presets is shared too).
     What an instance keeps is therefore solved once per distinct fan per
-    process: the cone inverses, scan_plan, nonsingular_subsets,
-    standard_ample with its ampleness check, and the limit polytopes of
-    limit_polytope with their vertices.  The limit cache grows with the
-    distinct (divisor, weights) pairs the process sees.  A variety built
-    directly, ToricVariety(rays, cones), is not shared and is validated on
-    every call.  Shared instances are not to be mutated.
+    process: the cone inverses, scan_plan, nonsingular_subsets, the
+    standard_ample property with its ampleness check, and the limit
+    polytopes of limit_polytope with their vertices.  The limit cache grows
+    with the distinct (divisor, weights) pairs the process sees.  A variety
+    built directly, ToricVariety(rays, cones), is not shared and is
+    validated on every call.  Shared instances are not to be mutated.
     """
 
     def __init__(self, rays, max_cones, name=None):
@@ -296,11 +296,6 @@ def is_ample(variety, divisor):
                if i not in idx):
             return False
     return True
-
-
-def standard_ample(variety):
-    """The canned ample divisor of ToricVariety.standard_ample."""
-    return variety.standard_ample
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +610,6 @@ class KappaValues:
     kappa2: float
     kappa3: float
     witness_degree: int | None
-    degree_bound: int
 
     @property
     def kappa(self):
@@ -630,8 +624,7 @@ def kappa_report(sys):
     if not (v1 == v2 == v3):
         raise CrossCheckError(
             f"section growth invariants disagree: {v1}, {v2}, {v3}")
-    return KappaValues(kappa1=v1, kappa2=v2, kappa3=v3,
-                       witness_degree=witness, degree_bound=sys.degree_bound)
+    return KappaValues(kappa1=v1, kappa2=v2, kappa3=v3, witness_degree=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +735,7 @@ def kappa_sigma(variety, divisor, metric=None, ample=None,
     routes must agree or CrossCheckError is raised.
     """
     if ample is None:
-        ample = standard_ample(variety)
+        ample = variety.standard_ample
     elif not is_ample(variety, ample):
         raise ValueError("perturbation divisor is not ample")
     return _perturbed_growth(variety, divisor, metric, ample, degree_bound,
@@ -757,6 +750,6 @@ def kappa_sigma_hor(variety, divisor, metric, fibration,
     pulled-back rays are fattened, so metric rays in the fiber direction stay
     limit-strict and the value can drop below kappa_sigma.
     """
-    pulled = fibration.pullback_divisor(fibration.base_ample())
+    pulled = fibration.pullback_divisor(fibration.base.standard_ample)
     return _perturbed_growth(variety, divisor, metric, pulled, degree_bound,
                              1, clamp, "horizontal")

@@ -879,7 +879,7 @@ def regularize_per_level(sg):
     off the level-first HNF as in the library."""
     from kodaira.semigroup import regularize
 
-    reg = regularize(sg, build_body=False)
+    reg = regularize(sg)
     n = sg.ambient_rank
     g0, *boundary = [row[1:] + row[:1] for row in hnf_basis(
         [row[-1:] + row[:-1] for row in reg.group_basis])]
@@ -904,7 +904,7 @@ def regularize_per_level(sg):
         bounds.append(c.numerator * m - c.denominator * dot(g0[:-1], v))
     coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
                                      for v in body.vertices()])
-    reg._body = body
+    reg.okounkov_body = body
     reg._slice = (ScanPlan(len(boundary), normals), tuple(bounds),
                   tuple((min(c), max(c)) for c in zip(*coords)), coords)
     return reg

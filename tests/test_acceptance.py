@@ -138,7 +138,7 @@ def test_acceptance_3_okounkov_kappa2_consistency():
         for name, sys in corpus_section_systems(degree_bound=24):
             if not sys.support():
                 continue
-            reg = regularize(sys.to_semigroup(), build_body=False)
+            reg = regularize(sys.to_semigroup())
             assert reg.okounkov_dim == kappa2(sys), name
             checked += 1
         assert checked >= 30

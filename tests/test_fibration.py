@@ -22,10 +22,8 @@ from kodaira.toric import (
 from kodaira.fibration import (
     CurveProductInstance,
     ToricFibrationInstance,
-    general_fiber_data,
     hirzebruch_fibration,
     iitaka_analysis,
-    instance_kappa_values,
     product_fibration,
     verify_addti,
     verify_chain,
@@ -59,7 +57,7 @@ def test_product_fiber_restriction():
     inst = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, 2, 1, 1)),
         metric=SingularMetricData([(0, 2), (2, 1)]), instance_id="t")
-    fiber, div, metric = general_fiber_data(inst)
+    fiber, div, metric = inst.fiber_data()
     assert fiber is P1
     assert div.coefficients == (0, 2)
     assert metric.entries == ((0, Fraction(2)),)
@@ -69,7 +67,7 @@ def test_hirzebruch_fiber_restriction():
     fib = hirzebruch_fibration(1)
     inst = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((3, 1, 2, 0)), instance_id="t")
-    fiber, div, metric = general_fiber_data(inst)
+    fiber, div, metric = inst.fiber_data()
     # vertical rays (0,1) and (0,-1) carry coefficients 1 and 0
     assert div.coefficients == (1, 0)
     assert not metric
@@ -81,7 +79,7 @@ def test_curve_product_fiber():
         base_class=CurveDivisorClass.canonical_multiple(CurveModel(2), 1),
         fiber_variety=P1, fiber_divisor=ToricDivisorData((0, 2)),
         fiber_metric=SingularMetricData([(0, 2)]), instance_id="c")
-    fiber, div, metric = general_fiber_data(inst)
+    fiber, div, metric = inst.fiber_data()
     assert fiber is P1 and div.coefficients == (0, 2)
     assert metric.weight(0) == 2
 
@@ -194,7 +192,7 @@ def test_chain_on_instances():
     for inst in cases:
         v = verify_chain(inst)
         assert v.holds
-        k, ks, kh = instance_kappa_values(inst)
+        k, ks, kh = inst.report.kappa, inst.kappa_sigma, inst.kappa_sigma_hor
         assert k <= kh <= ks
 
 
@@ -429,21 +427,19 @@ def test_spans_match_per_point_references(sys):
 
 
 def test_kappa_summary_record():
-    from kodaira.fibration import kappa_summary
     inst = dio_instance()
-    rep = kappa_summary(inst)
+    rep = inst.report
     assert rep.kappa == rep.kappa1 == rep.kappa2 == rep.kappa3 == 2
-    assert rep.kappa_sigma == 2 and rep.kappa_sigma_hor == 2
-    assert rep.fiber_kappa == 1 and rep.base_kappa == 1
-    assert rep.degree_bound == 16
+    assert inst.kappa_sigma == 2 and inst.kappa_sigma_hor == 2
+    assert inst.fiber[0] == 1 and inst.base[0] == 1
     fib = product_fibration(P1, P1)
     t = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, 0, 0, 2)),
         metric=SingularMetricData([(0, 1)]), degree_bound=12,
         instance_id="summary")
-    rep = kappa_summary(t)
-    assert rep.kappa == NEG_INF and rep.kappa_sigma == 1
-    assert rep.kappa_sigma_hor == NEG_INF
+    rep = t.report
+    assert rep.kappa == NEG_INF and t.kappa_sigma == 1
+    assert t.kappa_sigma_hor == NEG_INF
     assert rep.witness_degree is None
 
 
@@ -492,6 +488,43 @@ def test_fibration_run_evaluates_each_perturbed_growth_once(monkeypatch, capsys)
     assert sorted(routes) == ["horizontal", "numerical", "numerical", "numerical"]
 
 
+@pytest.mark.parametrize("name", ["fibration_hirzebruch_log.json",
+                                  "fibration_metric_drop.json"])
+@pytest.mark.parametrize("checks", [[], None], ids=["summary", "default_checks"])
+def test_fibration_run_computes_invariants_in_summary_order(
+        monkeypatch, capsys, tmp_path, name, checks):
+    # the order of the first reads fixes the order of the computations, and
+    # so which error a run reports when more than one part would raise; with
+    # no checks the summary alone reads every invariant
+    import json
+    from functools import cached_property
+    from pathlib import Path
+
+    from kodaira.cli import main
+
+    order = ["report", "kappa_sigma", "kappa_sigma_hor", "fiber", "base"]
+    computed = []
+    for attr in order:
+        def recorded(self, func=getattr(ToricFibrationInstance, attr).func,
+                     attr=attr):
+            computed.append(attr)
+            return func(self)
+
+        prop = cached_property(recorded)
+        prop.__set_name__(ToricFibrationInstance, attr)
+        monkeypatch.setattr(ToricFibrationInstance, attr, prop)
+    doc = json.loads((Path(__file__).parent.parent / "corpus" / name).read_text())
+    if checks is None:
+        doc["body"].pop("checks", None)
+    else:
+        doc["body"]["checks"] = checks
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    assert main(["fibration", str(path), "--format", "json"]) == 0
+    assert '"summary"' in capsys.readouterr().out
+    assert computed == order
+
+
 def test_curve_product_run_builds_one_plain_fiber_system(monkeypatch, capsys):
     # product counts and period, both kappa routes, the fiber pair, dio and
     # addti all read the one aux-free fiber system of the instance
@@ -521,8 +554,6 @@ def test_evaluated_instances_are_freed_without_gc():
     import gc
     import weakref
 
-    from kodaira.fibration import kappa_summary
-
     def toric_instance():
         return ToricFibrationInstance(
             fibration=product_fibration(P1, P1),
@@ -534,7 +565,8 @@ def test_evaluated_instances_are_freed_without_gc():
     try:
         for make in (toric_instance, dio_instance):
             inst = make()
-            kappa_summary(inst)
+            (inst.report, inst.kappa_sigma, inst.kappa_sigma_hor, inst.fiber,
+             inst.base)
             verify_upper_bound(inst)
             ref = weakref.ref(inst)
             del inst

@@ -28,7 +28,7 @@ from kodaira.curve import (
     kappa_curve,
     kappa_sigma_curve,
 )
-from kodaira.fibration import CurveProductInstance, curve_product_kappa
+from kodaira.fibration import CurveProductInstance
 from kodaira.lattice import NEG_INF
 from kodaira.multiplier import SingularMetricData
 from kodaira.toric import (
@@ -328,7 +328,7 @@ def test_curve_counts_that_die_out_or_plateau():
     assert marked.base_period() == 2
     assert marked.product_period() == 2
     assert growth_degree(marked.product_counts(), 2) == 2
-    assert curve_product_kappa(marked) == 2
+    assert marked.report.kappa == 2
     # K_Y + L_Y trivial on P1, perturbed by one point: h0 = 2 at every k
     flat = CurveProductInstance(
         curve=g0, base_class=CurveDivisorClass.general(0),

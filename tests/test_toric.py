@@ -20,7 +20,6 @@ from kodaira.toric import (
     kappa_report,
     kappa_sigma,
     sections_of,
-    standard_ample,
 )
 
 from _oracles import ample_by_vertices
@@ -256,7 +255,7 @@ def test_okounkov_dim_equals_kappa2():
                       metric=SingularMetricData([(0, 2)]), degree_bound=10),
     ]
     for sys in cases:
-        reg = regularize(sys.to_semigroup(), build_body=False)
+        reg = regularize(sys.to_semigroup())
         assert reg.okounkov_dim == kappa2(sys)
 
 
@@ -269,7 +268,7 @@ def test_standard_amples():
               ToricVariety.hirzebruch(2), ToricVariety.hirzebruch(3),
               ToricVariety.projective_space(3),
               ToricVariety.product(P1, P2)):
-        amp = standard_ample(x)
+        amp = x.standard_ample
         assert is_ample(x, amp)
         assert all(c >= 1 for c in amp.coefficients)
 
