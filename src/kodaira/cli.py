@@ -249,9 +249,8 @@ def cmd_semigroup(body, options):
     table = []
     for k in range(0, max_degree + 1):
         table.append({"degree": k, "count": hilbert(sg, k),
-                      "regularized": hilbert_reg(sg, k, reg=reg)})
-    growth = growth_law_check(sg, k_max=options.get("growth_k_max", 200),
-                              reg=reg)
+                      "regularized": hilbert_reg(reg, k)})
+    growth = growth_law_check(reg, k_max=options.get("growth_k_max", 200))
     body_verts = [[_rat_str(x) for x in v] for v in reg.okounkov_body.vertices()]
     report = {
         "kind": "semigroup",

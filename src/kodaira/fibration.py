@@ -112,10 +112,10 @@ def hirzebruch_fibration(a):
 # on first read and kept (cached_property) for all verdicts and the CLI
 # summary: report (the total-space kappa triple), kappa_sigma,
 # kappa_sigma_hor and the (kappa, kappa_sigma) pairs fiber and base.  The
-# summary reads them in that order, and so do the verdicts that read the
-# total space (spc/spck/112/112k, chain, upper read all three of its
-# invariants); the order of the reads fixes the order of the computations
-# and so the first error raised.  A part that raises is not kept.  Nothing
+# summary reads them in that order, and `run_check` reads all five in that
+# order before any verdict, so every check list computes them in the same
+# order; the order of the reads fixes the order of the computations and so
+# the first error raised.  A part that raises is not kept.  Nothing
 # kept refers back to the instance, so dropping it frees it.  Do not change
 # an instance after its first read.
 
@@ -448,9 +448,7 @@ def verify_subadditivity(inst, which):
     if which not in ("spc", "spck", "112", "112k"):
         raise ValueError(f"unknown check {which!r}")
     _require(inst, which)
-
-    # all three total-space reads, in the summary's order (see the instances)
-    _, lhs_sigma, _ = inst.report, inst.kappa_sigma, inst.kappa_sigma_hor
+    lhs_sigma = inst.kappa_sigma
     fiber_k, fiber_sigma = inst.fiber
     base_k, base_sigma = inst.base
 
@@ -473,8 +471,7 @@ def verify_chain(inst):
 
 def verify_upper_bound(inst):
     """kappa(X) <= kappa(F) + dim Y."""
-    # all three total-space reads, in the summary's order (see the instances)
-    k, _, _ = inst.report.kappa, inst.kappa_sigma, inst.kappa_sigma_hor
+    k = inst.report.kappa
     fiber_k, _ = inst.fiber
     dim_base = inst.dim_base
     return InequalityVerdict(
@@ -564,10 +561,12 @@ _CHECKS = {
 def run_check(inst, check, twist):
     """The verdict of one check id on an instance (twist: the degree of the
     addti base twist); ValueError when the check is unknown or does not
-    apply."""
+    apply.  The invariants are read first, in the summary's order (see the
+    instances)."""
     if not isinstance(check, str) or check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")
     _require(inst, check)
+    inst.report, inst.kappa_sigma, inst.kappa_sigma_hor, inst.fiber, inst.base
     return _CHECKS[check](inst, twist)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, compress, count, repeat
+from itertools import chain, combinations, compress, count, repeat
 from numbers import Rational
 from operator import add, mul, sub
 
@@ -146,16 +146,18 @@ def hnf(rows):
 def hnf_basis(rows):
     """Nonzero rows of the HNF: a canonical basis of the generated lattice.
 
-    Inserts the rows into an `IntLattice` without building the transform,
-    so huge generating sets cost O(rows * n^2), and stops once the rows
-    generate Z^n (full rank, every pivot 1), whose HNF is the identity.
+    Reads the rows (any iterable) one at a time into an `IntLattice`
+    without building the transform, so huge generating sets cost
+    O(rows * n^2), and stops reading once the rows generate Z^n (full rank,
+    every pivot 1), whose HNF is the identity.
     """
-    rows = [tuple(r) for r in rows]
-    if not rows:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         return []
-    n = len(rows[0])
+    n = len(first)
     lat = IntLattice(n)
-    for r in rows:
+    for r in chain((first,), rows):
         lat.add(r)
         if lat.rank == n and all(row[p] == 1 for row, p in zip(lat.rows, lat.pivots)):
             return [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -404,10 +406,12 @@ class Polytope:
     instances are immutable after construction and safe to share.  Every
     predicate is read off vertices: the bounds are scaled once to integers
     over their common denominator, and each vertex is one fraction-free solve
-    (`_vertices`).
+    (`_vertices`).  A polytope built with its `vertices` known (in any
+    order) is bounded, empty iff the list is, and of the dimension of their
+    affine hull; none of them is solved for.
     """
 
-    def __init__(self, ambient_dim, constraints):
+    def __init__(self, ambient_dim, constraints, vertices=None):
         self.ambient_dim = int(ambient_dim)
         cons = []
         for v, c in constraints:
@@ -416,10 +420,10 @@ class Polytope:
                 raise GeometryError("constraint dimension mismatch")
             cons.append(_normalize_constraint(vv, c))
         self.constraints = tuple(cons)
-        self._vertices = None
+        self._vertices = None if vertices is None else tuple(sorted(vertices))
         self._tight = None
-        self._empty = None
-        self._bounded = None
+        self._empty = None if vertices is None else not self._vertices
+        self._bounded = None if vertices is None else True
         self._affine_dim = None
 
     def __repr__(self):
@@ -949,9 +953,9 @@ def convex_hull(points, ambient_dim=None):
     that is the integer core `hull_polytope`, with no cap on the number of
     points or the dimension.
 
-    The returned polytope caches the minimal vertex set (lexicographically
-    sorted) and its affine dimension; lower-dimensional hulls get explicit
-    affine-hull equality constraints.  Empty input yields an empty polytope.
+    The returned polytope carries the minimal vertex set (lexicographically
+    sorted); lower-dimensional hulls get explicit affine-hull equality
+    constraints.  Empty input yields an empty polytope.
     """
     rows = [tuple(p) for p in points]
     den = math.lcm(1, *(x.denominator for p in rows for x in p))
@@ -959,11 +963,7 @@ def convex_hull(points, ambient_dim=None):
                   for p in rows})
     if not pts:
         n = 0 if ambient_dim is None else ambient_dim
-        p = Polytope(n, [(tuple([0] * n), Fraction(1))])
-        p._vertices = ()
-        p._empty = True
-        p._affine_dim = NEG_INF
-        return p
+        return Polytope(n, [(tuple([0] * n), Fraction(1))], vertices=())
     if any(len(p) != len(pts[0]) for p in pts):
         raise GeometryError("points of mixed dimension")
     return hull_polytope(pts, den)
@@ -999,12 +999,8 @@ def hull_polytope(pts, den):
     for w, h in sorted({(w, h) for _, w, h in simplices}):
         constraints.append((embed(tuple(-x for x in w)), Fraction(-h, den)))
 
-    poly = Polytope(n, constraints)
-    poly._vertices = tuple(sorted(tuple(Fraction(x, den) for x in v) for v in verts))
-    poly._empty = False
-    poly._bounded = True
-    poly._affine_dim = d
-    return poly
+    return Polytope(n, constraints, vertices=[
+        tuple(Fraction(x, den) for x in v) for v in verts])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, groupby, product, repeat, starmap
+from itertools import chain, compress, product, repeat, starmap
 from operator import add, index, itemgetter, le, mul, ne
 
 from .lattice import (
@@ -98,7 +98,6 @@ class GradedSemigroup:
             self.generators = tuple(sorted(set(gens)))
             self.levels = None
             self.degree_bound = degree_bound
-            self.closed_under_addition = True
             self._level_cache = {0: {tuple([0] * self.ambient_rank)}}
         else:
             self.generators = None
@@ -117,7 +116,6 @@ class GradedSemigroup:
             self.levels = lv
             self.degree_bound = int(degree_bound if degree_bound is not None
                                     else (max(lv) if lv else 0))
-            self.closed_under_addition = closed_under_addition
             if closed_under_addition and check_closure:
                 self._spot_check_closure()
             self._level_cache = None
@@ -223,17 +221,17 @@ class GradedSemigroup:
             raise ValueError("a degree bound is required")
         return [k for k in range(1, bound + 1) if self.level_points(k)]
 
-    def graded_points(self, bound=None):
-        """All (u, k) with u in A_k, over stored degrees (or generators)."""
-        if self.generators is not None and bound is None:
-            return list(self.generators)
-        if bound is None:
-            bound = self.degree_bound
-        pts = []
-        for k in range(1, bound + 1):
-            for u in sorted(self.level_points(k)):
-                pts.append(u + (k,))
-        return pts
+    def spanning_levels(self):
+        """{k: sorted points u} of the points (u, k) that span the semigroup,
+        by increasing level k: the generators, or the nonempty stored levels
+        up to the degree bound."""
+        if self.generators is not None:
+            levels = {}
+            for g in self.generators:
+                levels.setdefault(g[-1], []).append(g[:-1])
+            return dict(sorted(levels.items()))
+        return {k: sorted(pts) for k, pts in sorted(self.levels.items())
+                if pts and k <= self.degree_bound}
 
 
 @dataclass
@@ -260,28 +258,24 @@ class Regularization:
     _slice: tuple = field(repr=False)
     strongly_convex: bool = True
 
-    @staticmethod
-    def level_map(point):
-        """The grading projection: last coordinate of a graded point."""
-        return point[-1]
-
 
 def regularize(sg):
     """Regularization of a graded semigroup.
 
-    Computes the group G generated by the graded points, the level index m,
-    the boundary lattice G ∩ {level 0} with its index in Z^n x {0} (None when
-    rank-deficient), the Okounkov body Delta = C ∩ {level 1} of the convex
-    cone C over the points, and, once, the slice data `hilbert_reg` scales to
-    each level.  Raises EmptySemigroupError when no level is populated, and
-    GeometryError when the body's dimension is not rank(G) - 1.
+    Computes the group G generated by the graded points (u, k) of the
+    semigroup's spanning levels, the level index m, the boundary lattice
+    G ∩ {level 0} with its index in Z^n x {0} (None when rank-deficient),
+    the Okounkov body Delta = C ∩ {level 1} of the convex cone C over the
+    points, and, once, the slice data `hilbert_reg` scales to each level.
+    Raises EmptySemigroupError when no level is populated, and GeometryError
+    when the body's dimension is not rank(G) - 1.
     """
-    pts = sg.graded_points()
-    if not pts:
+    levels = sg.spanning_levels()
+    if not levels:
         raise EmptySemigroupError("empty semigroup")
     n = sg.ambient_rank
 
-    basis = hnf_basis(pts)
+    basis = hnf_basis(u + (k,) for k, pts in levels.items() for u in pts)
     rank = len(basis)
     # the HNF of G's basis with the level column first: its first row is a
     # point g0 of G at the least positive level m, and the rows below it,
@@ -295,27 +289,20 @@ def regularize(sg):
     body_dim = rank - 1
     # cone over the generators equals the cone over the level-1 hull because
     # every graded point sits at a positive level.  conv(∪ A_k / k) needs
-    # only the column ends of each level A_k; each level is scaled by den / k,
-    # den the lcm of the levels, so that one integer hull over den gets them
-    # all (graded points are sorted and distinct, and the stable sort by
-    # level keeps each level sorted)
-    by_level = groupby(sorted(pts, key=itemgetter(-1)), itemgetter(-1))
-    levels = {k: _column_ends(list(map(itemgetter(slice(-1)), grp)))
-              for k, grp in by_level}
+    # only the column ends of each level A_k (sorted and distinct); each
+    # level is scaled by den / k, den the lcm of the levels, so that one
+    # integer hull over den gets them all
     den = math.lcm(*levels)
     hull = hull_polytope(sorted(set(chain.from_iterable(
-        map(tuple, map(map, repeat(partial(mul, den // k)), ends))
-        for k, ends in levels.items()))), den)
+        map(tuple, map(map, repeat(partial(mul, den // k)), _column_ends(pts)))
+        for k, pts in levels.items()))), den)
     if hull.affine_dim() != body_dim:
         raise GeometryError("okounkov dimension disagrees with group rank")
     lifted = [(v + (0,), c) for v, c in hull.constraints]
     lifted.append((tuple([0] * n) + (1,), Fraction(1)))
     lifted.append((tuple([0] * n) + (-1,), Fraction(-1)))
-    body = Polytope(n + 1, lifted)
-    body._vertices = tuple(sorted(v + (Fraction(1),) for v in hull.vertices()))
-    body._empty = False
-    body._bounded = True
-    body._affine_dim = body_dim
+    body = Polytope(n + 1, lifted,
+                    vertices=[v + (Fraction(1),) for v in hull.vertices()])
 
     # the level-m slice in boundary coordinates y, around a point g0 of
     # G at level m: the hull row <x, v> >= num/den on x = g0 + y · B
@@ -349,8 +336,9 @@ def hilbert(sg, k):
     return len(sg.level_points(k))
 
 
-def hilbert_reg(sg, k, reg=None):
-    """Hilbert function of the regularization: Card(G ∩ C ∩ {level k}).
+def hilbert_reg(reg, k):
+    """Hilbert function of the regularization `reg` (from `regularize`):
+    Card(G ∩ C ∩ {level k}).
 
     Valid for any k >= 0, also beyond a degreewise bound.  G meets level k
     only when m divides k; the slice at level t m is t times the level-m
@@ -362,8 +350,6 @@ def hilbert_reg(sg, k, reg=None):
         raise ValueError("negative degree")
     if k == 0:
         return 1
-    if reg is None:
-        reg = regularize(sg)
     t, r = divmod(k, reg.m)
     if r:
         return 0
@@ -382,8 +368,9 @@ class GrowthLawReport:
     k_max: int
 
 
-def growth_law_check(sg, k_max=200, reg=None):
-    """Growth coefficient of the regularized Hilbert function vs. the body.
+def growth_law_check(reg, k_max=200):
+    """Growth coefficient of the regularized Hilbert function vs. the body,
+    for the regularization `reg` (from `regularize`).
 
     predicted = m^q * Vol(Delta) in boundary-lattice coordinates, the volume
     of the level-m slice, read from the coordinates of its vertices that
@@ -391,13 +378,11 @@ def growth_law_check(sg, k_max=200, reg=None):
     empirical = H_reg(m * k_max) / k_max^q.  The cone is strongly convex by
     construction (see Regularization).
     """
-    if reg is None:
-        reg = regularize(sg)
     q = reg.okounkov_dim
     m = reg.m
     # boundary lattice rank is exactly rank(G) - 1 = q here
     predicted = hull_volume(reg._slice[3])
-    count = hilbert_reg(sg, m * k_max, reg=reg)
+    count = hilbert_reg(reg, m * k_max)
     empirical = Fraction(count, k_max ** q)
     gap = abs(empirical - predicted) / predicted
     return GrowthLawReport(q=q, m=m, a_q_empirical=empirical,

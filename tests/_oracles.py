@@ -884,20 +884,14 @@ def regularize_per_level(sg):
     g0, *boundary = [row[1:] + row[:1] for row in hnf_basis(
         [row[-1:] + row[:-1] for row in reg.group_basis])]
     m = g0[-1]
-    levels = {}
-    for p in sg.graded_points():
-        levels.setdefault(p[-1], []).append(p[:-1])
     hull = convex_hull([tuple(Fraction(x, k) for x in v)
-                        for k, a_k in levels.items()
-                        for v in int_hull(sorted(a_k))[2]])
+                        for k, a_k in sg.spanning_levels().items()
+                        for v in int_hull(a_k)[2]])
     lifted = [(v + (0,), c) for v, c in hull.constraints]
     lifted.append((tuple([0] * n) + (1,), Fraction(1)))
     lifted.append((tuple([0] * n) + (-1,), Fraction(-1)))
-    body = Polytope(n + 1, lifted)
-    body._vertices = tuple(sorted(v + (Fraction(1),) for v in hull.vertices()))
-    body._empty = False
-    body._bounded = True
-    body._affine_dim = hull.affine_dim()
+    body = Polytope(n + 1, lifted,
+                    vertices=[v + (Fraction(1),) for v in hull.vertices()])
     normals, bounds = [], []
     for v, c in hull.constraints:
         normals.append(tuple(c.denominator * dot(b[:-1], v) for b in boundary))

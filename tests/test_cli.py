@@ -51,6 +51,20 @@ def test_semigroup_doubled_vertices(tmp_path, capsys):
     assert rep["regularization"]["okounkov_vertices"] == [["0", "1"], ["1/2", "1"]]
 
 
+def test_semigroup_levels_above_max_degree_stay_out(tmp_path, capsys):
+    # a stored level above max_degree, here a far point that would stretch
+    # the Okounkov body, is neither hulled nor counted
+    doc = json.loads((CORPUS / "semigroup_triangle_levels.json").read_text())
+    outs = []
+    for extra in ([], [[50, 0]]):
+        if extra:
+            doc["body"]["levels"][str(doc["options"]["max_degree"] + 1)] = extra
+        assert main(["semigroup", write_instance(tmp_path, doc), "--format",
+                     "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_malformed_json_exit2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

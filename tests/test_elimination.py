@@ -257,4 +257,4 @@ def test_growth_law_prediction_is_the_body_volume(generators):
     q = reg.okounkov_dim
     expected = Fraction(reg.m) ** q * lattice_volume(
         reg.okounkov_body, list(reg.boundary_lattice))
-    assert growth_law_check(sg, k_max=20, reg=reg).a_q_predicted == expected
+    assert growth_law_check(reg, k_max=20).a_q_predicted == expected

@@ -488,9 +488,19 @@ def test_fibration_run_evaluates_each_perturbed_growth_once(monkeypatch, capsys)
     assert sorted(routes) == ["horizontal", "numerical", "numerical", "numerical"]
 
 
-@pytest.mark.parametrize("name", ["fibration_hirzebruch_log.json",
-                                  "fibration_metric_drop.json"])
-@pytest.mark.parametrize("checks", [[], None], ids=["summary", "default_checks"])
+@pytest.mark.parametrize("checks, name", [
+    pytest.param(checks, name, id=f"{label}-{name}")
+    for label, checks, names in [
+        ("summary", [], ("fibration_hirzebruch_log.json",
+                         "fibration_metric_drop.json")),
+        ("default_checks", None, ("fibration_hirzebruch_log.json",
+                                  "fibration_metric_drop.json")),
+        # simple reads kappa_sigma before the subadditivity check's reads
+        ("simple_spc", ["simple", "spc"], ("fibration_hirzebruch_log.json",)),
+        ("simple_112", ["simple", "112"], ("fibration_metric_drop.json",)),
+        ("addti", ["addti"], ("fibration_hirzebruch_log.json",
+                              "fibration_metric_drop.json"))]
+    for name in names])
 def test_fibration_run_computes_invariants_in_summary_order(
         monkeypatch, capsys, tmp_path, name, checks):
     # the order of the first reads fixes the order of the computations, and

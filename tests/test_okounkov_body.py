@@ -119,8 +119,8 @@ def hilbert_reg_fraction_box(reg, k):
 def test_body_matches_per_level_reference(sg):
     reg, ref = assert_same_body(sg)
     for k in range(1, 4 * reg.m + 1):
-        assert hilbert_reg(sg, k, reg=reg) == hilbert_reg_fraction_box(ref, k), k
-    assert hilbert_reg(sg, reg.m, reg=reg) == hilbert_reg_per_level(reg, reg.m)
+        assert hilbert_reg(reg, k) == hilbert_reg_fraction_box(ref, k), k
+    assert hilbert_reg(reg, reg.m) == hilbert_reg_per_level(reg, reg.m)
 
 
 @pytest.mark.parametrize("n, bound", [(2, 40), (3, 14)])

@@ -72,8 +72,8 @@ def test_semigroup_sweep_against_enumeration():
         reg = regularize(sg)
         for k in range(8):
             assert hilbert(sg, k) == len(semigroup_level_points(gens, k)), (gens, k)
-            assert hilbert(sg, k) <= hilbert_reg(sg, k, reg=reg), (gens, k)
-        rep = growth_law_check(sg, k_max=150, reg=reg)
+            assert hilbert(sg, k) <= hilbert_reg(reg, k), (gens, k)
+        rep = growth_law_check(reg, k_max=150)
         assert rep.relative_gap <= Fraction(15, 100), (gens, rep)
 
 

@@ -126,7 +126,7 @@ def test_hilbert_reg_dominates_hilbert():
                GradedSemigroup.from_generators([(0, 1), (3, 1)])):
         reg = regularize(sg)
         for k in range(13):
-            assert hilbert(sg, k) <= hilbert_reg(sg, k, reg=reg)
+            assert hilbert(sg, k) <= hilbert_reg(reg, k)
 
 
 def test_hilbert_reg_gap_semigroup():
@@ -135,7 +135,7 @@ def test_hilbert_reg_gap_semigroup():
     sg = GradedSemigroup.from_generators([(0, 1), (1, 1), (3, 1)])
     reg = regularize(sg)
     assert hilbert(sg, 1) == 3
-    assert hilbert_reg(sg, 1, reg=reg) == 4  # 0,1,2,3
+    assert hilbert_reg(reg, 1) == 4  # 0,1,2,3
 
 
 def test_degreewise_bound_enforced():
@@ -144,7 +144,7 @@ def test_degreewise_bound_enforced():
     with pytest.raises(DegreeBoundError):
         hilbert(sg, 3)
     # regularized counts extend beyond the bound
-    assert hilbert_reg(sg, 10) == 11
+    assert hilbert_reg(regularize(sg), 10) == 11
 
 
 def test_closure_check_rejects_bad_declaration():
@@ -246,7 +246,7 @@ def test_closure_check_samples_the_same_points_as_the_reference():
 # ---------------------------------------------------------------------------
 
 def test_growth_staircase():
-    rep = growth_law_check(STAIRCASE, k_max=200)
+    rep = growth_law_check(regularize(STAIRCASE), k_max=200)
     assert rep.q == 1 and rep.m == 1
     assert rep.a_q_predicted == 1
     assert rep.a_q_empirical == Fraction(201, 200)
@@ -254,7 +254,7 @@ def test_growth_staircase():
 
 
 def test_growth_doubled():
-    rep = growth_law_check(DOUBLED, k_max=200)
+    rep = growth_law_check(regularize(DOUBLED), k_max=200)
     assert rep.q == 1 and rep.m == 2
     # m^q * Vol_lat = 2 * 1/2 = 1; the literal unnormalized reading would be 1/2
     assert rep.a_q_predicted == 1
@@ -263,7 +263,7 @@ def test_growth_doubled():
 
 def test_growth_unit_triangle_levels():
     sg = GradedSemigroup.from_levels(2, unit_triangle_levels(8))
-    rep = growth_law_check(sg, k_max=200)
+    rep = growth_law_check(regularize(sg), k_max=200)
     assert rep.q == 2 and rep.m == 1
     assert rep.a_q_predicted == Fraction(1, 2)
     assert rep.a_q_empirical == Fraction(201 * 202, 2 * 200 ** 2)
@@ -282,7 +282,7 @@ def test_growth_gap_small_on_generated_corpus():
     ]
     for gens in corpus:
         sg = GradedSemigroup.from_generators(gens)
-        rep = growth_law_check(sg, k_max=200)
+        rep = growth_law_check(regularize(sg), k_max=200)
         assert rep.relative_gap <= Fraction(1, 10), gens
 
 
@@ -298,13 +298,13 @@ def test_reg_to_plain_ratio_tends_to_one():
         sg = GradedSemigroup.from_generators(gens)
         reg = regularize(sg)
         k = reg.m * k_max
-        a, b = hilbert(sg, k), hilbert_reg(sg, k, reg=reg)
+        a, b = hilbert(sg, k), hilbert_reg(reg, k)
         assert 1 <= Fraction(b, a) <= Fraction(12, 10), gens
 
 
 def test_zero_dimensional_growth():
     sg = GradedSemigroup.from_generators([(2, 3)])
-    rep = growth_law_check(sg, k_max=50)
+    rep = growth_law_check(regularize(sg), k_max=50)
     assert rep.q == 0
     assert rep.a_q_predicted == 1
     assert rep.a_q_empirical == 1
@@ -328,11 +328,6 @@ def test_m_from_group_not_observed_levels():
     assert hilbert(sg, 5) == 1
 
 
-def test_level_map_projection():
-    reg = regularize(STAIRCASE)
-    assert reg.level_map((7, 3)) == 3
-
-
 def test_hilbert_reg_coset_structure():
     # G = Z(1,2) + Z(0,4): level projection has index 2, and the group points
     # at even levels sit on a shifted sublattice of Z x {level};
@@ -352,14 +347,14 @@ def test_hilbert_reg_coset_structure():
                 continue
             if all(dot(point, v) >= level * c for v, c in body.constraints):
                 expected += 1
-        assert hilbert_reg(sg, level, reg=reg) == expected, level
+        assert hilbert_reg(reg, level) == expected, level
 
 
 def test_hilbert_reg_rejects_negative_degree():
     with pytest.raises(ValueError, match="negative degree"):
         hilbert(STAIRCASE, -1)
     with pytest.raises(ValueError, match="negative degree"):
-        hilbert_reg(STAIRCASE, -1)
+        hilbert_reg(regularize(STAIRCASE), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +397,7 @@ def listed_semigroups():
 def assert_matches_per_level(sg, k_max, label):
     reg = regularize(sg)
     for k in list(range(31)) + [reg.m * k_max]:
-        assert hilbert_reg(sg, k, reg=reg) == hilbert_reg_per_level(reg, k), (label, k)
+        assert hilbert_reg(reg, k) == hilbert_reg_per_level(reg, k), (label, k)
 
 
 @pytest.mark.parametrize("sg, k_max", corpus_file_semigroups() + listed_semigroups())
@@ -465,7 +460,7 @@ def test_regularize_lattice_matches_reference_route(case):
     n, g, d, gens = case
     sg = GradedSemigroup.from_generators(gens, ambient_rank=n)
     reg = regularize(sg)
-    basis, m, boundary, ind, ref_g0 = regularize_lattice_reference(sg.graded_points())
+    basis, m, boundary, ind, ref_g0 = regularize_lattice_reference(sg.generators)
     assert reg.group_basis == tuple(basis)
     assert reg.m == m == g
     assert reg.boundary_lattice == tuple(boundary)
@@ -482,4 +477,4 @@ def test_regularize_lattice_matches_reference_route(case):
     assert in_row_lattice(g0, reg.group_basis)
     assert in_row_lattice([a - b for a, b in zip(g0, ref_g0)], boundary)
     for k in range(3 * g + 4):
-        assert hilbert_reg(sg, k, reg=reg) == hilbert_reg_per_level(reg, k), k
+        assert hilbert_reg(reg, k) == hilbert_reg_per_level(reg, k), k
