@@ -242,6 +242,10 @@ def cmd_semigroup(body, options):
                                   f"false, got {closed!r}")
         sg = GradedSemigroup(n, levels=levels, degree_bound=max_degree,
                              closed_under_addition=closed)
+        dropped = sorted(k for k in levels if k > max_degree)
+        if dropped:
+            print(f"warning: levels {', '.join(map(str, dropped))} lie above "
+                  f"max_degree {max_degree} and are ignored", file=sys.stderr)
     else:
         raise ValidationError("body needs generators or levels")
 

@@ -577,15 +577,11 @@ def floor_sum(n, m, a, b):
 # leaves and folds of ScanPlan._walk: a leaf reads the range lo..hi of its
 # coordinate, a fold the values of the subtrees at x = lo, lo + 1, ...
 
-def _column_count(lo, hi, residuals, prefix):
-    return hi - lo + 1
-
-
 def _fold_count(depth, lo, values):
     return sum(filter(None, values))
 
 
-def _column_moments(lo, hi, residuals, prefix):
+def _column_moments(lo, hi, residuals=None, prefix=None):
     """(count, sum y, sum y^2) of the column lo..hi, in closed form: with
     F(x) = x (x + 1) (2x + 1) / 6, sum y^2 = F(hi) - F(lo - 1) for any
     signs."""
@@ -610,15 +606,48 @@ def _fold_moments(last, depth, lo, values):
             *map(sum, cols[last - depth + 1:]))
 
 
+def _no_moments(n):
+    """The moments (N, S1, S2) of no points in dimension n."""
+    return 0, [0] * n, [[0] * n for _ in range(n)]
+
+
+def _interval(lo, hi, terms, bounds):
+    """The range lo..hi of one coordinate x cut by a x >= bounds[i] for each
+    (i, a) in terms (lo > hi when empty)."""
+    for i, a in terms:
+        c = bounds[i]
+        if a > 0:
+            b = -(-c // a)
+            if b > lo:
+                lo = b
+        else:
+            b = c // a  # floor division with negative a rounds down
+            if b < hi:
+                hi = b
+    return lo, hi
+
+
 class ScanPlan:
     """The part of an integer lattice-point scan fixed by the constraint
     normals, built once and run for any integer bounds and box.
 
-    Constraint i, <u, v_i> >= c_i, becomes a one-variable bound on the last
-    coordinate where v_i is nonzero once the earlier coordinates are fixed.
-    Counting handles the two innermost coordinates x, y in closed form.
-    Every constraint whose last coordinate is y, and each end of y's box
-    range, is a line: y >= or y <= (p x + q) / m with m > 0.  Between the
+    Blocks.  The coordinates split into blocks that no normal joins (a
+    union-find over each normal's nonzero support; a zero normal joins
+    nothing and is checked once, with the box).  A piece is then the product
+    of its blocks' pieces, so counting multiplies the block counts and stops
+    at the first empty block, and `moments` combines the block moments (N_b,
+    S1_b, S2_b): N = prod N_b, S1 = S1_b N / N_b on block b, S2 = S2_b N /
+    N_b inside block b and S1_i S1_j / N across blocks, which is S1_b S1_c^T
+    N / (N_b N_c).  A one-coordinate block is an interval, its count and
+    moments in closed form; a larger block is a sub-plan of its own.  A plan
+    of one block of two or more coordinates (P^n, F_a, most slices) walks
+    its columns as below.  Collecting never splits.
+
+    Columns.  Constraint i, <u, v_i> >= c_i, becomes a one-variable bound on
+    the last coordinate where v_i is nonzero once the earlier coordinates are
+    fixed.  Counting handles the two innermost coordinates x, y in closed
+    form.  Every constraint whose last coordinate is y, and each end of y's
+    box range, is a line: y >= or y <= (p x + q) / m with m > 0.  Between the
     floors of the pairwise line crossings one upper and one lower line bind
     (the floor of a minimum is the minimum of the floors), so a piece counts
     as two sums of floors (floor_sum) and nothing where its upper line lies
@@ -633,16 +662,42 @@ class ScanPlan:
         self.touching = [[] for _ in range(dim)]  # residual updates here
         self.bounding = [[] for _ in range(dim)]  # a 1-var bound here
         self.normals = [tuple(v) for v in normals]
+        root = list(range(dim))  # union-find over the coordinates
+
+        def find(j):
+            while root[j] != j:
+                root[j] = root[root[j]]
+                j = root[j]
+            return j
         for i, v in enumerate(self.normals):
-            last = max((j for j, x in enumerate(v) if x != 0), default=-1)
-            if last < 0:
+            support = [j for j, x in enumerate(v) if x != 0]
+            if not support:
                 self.zero.append(i)
                 continue
+            last = support[-1]
             self.bounding[last].append(i)
-            for d in range(last):
-                if v[d]:
-                    self.touching[d].append(i)
-        if dim < 2:
+            for d in support[:-1]:
+                self.touching[d].append(i)
+                root[find(d)] = find(last)
+        blocks = {}  # root: (coordinates, constraints)
+        for j in range(dim):
+            coords, idx = blocks.setdefault(find(j), ([], []))
+            coords.append(j)
+            idx += self.bounding[j]
+        # one block of two or more coordinates walks the columns (parts is
+        # None); else the one-coordinate blocks are (coordinate, terms of
+        # _interval) and the larger ones (coordinates, constraints, plan)
+        self.parts = None
+        if len(blocks) != 1 or dim < 2:
+            self.intervals, self.parts = [], []
+            for coords, idx in blocks.values():
+                if len(coords) == 1:
+                    j = coords[0]
+                    self.intervals.append(
+                        (j, tuple((i, self.normals[i][j]) for i in idx)))
+                else:
+                    self.parts.append((coords, idx, ScanPlan(len(coords), [
+                        [self.normals[i][j] for j in coords] for i in idx])))
             return
         # lines y >= or <= (p x + q) / m: one per constraint with last
         # coordinate y (q is -c for an upper one, c for a lower one), then
@@ -676,9 +731,9 @@ class ScanPlan:
         n = self.dim
         if self._empty(box, bounds):
             return [] if collect else 0
-        if n == 0:
-            return [()] if collect else 1
         if collect:
+            if n == 0:
+                return [()]
             out = []
 
             def column(lo, hi, residuals, prefix):
@@ -686,13 +741,22 @@ class ScanPlan:
                 out.extend([head + (y,) for y in range(lo, hi + 1)])
             self._walk(box, bounds, n - 1, column, _fold_count)
             return out
-        if n == 1:
-            total = self._walk(box, bounds, 0, _column_count, _fold_count)
-        else:
-            total = self._walk(box, bounds, n - 2,
-                               partial(self._count_pair, box[n - 1]),
-                               _fold_count)
-        return total or 0
+        if self.parts is None:
+            return self._walk(box, bounds, n - 2,
+                              partial(self._count_pair, box[n - 1]),
+                              _fold_count) or 0
+        total = 1
+        for j, terms in self.intervals:
+            lo, hi = _interval(*box[j], terms, bounds)
+            if lo > hi:
+                return 0
+            total *= hi - lo + 1
+        for coords, idx, plan in self.parts:
+            part = plan.scan([box[j] for j in coords], [bounds[i] for i in idx])
+            if not part:
+                return 0
+            total *= part
+        return total
 
     def moments(self, box, bounds):
         """(N, S1, S2) of the points u of the box with <u, v_i> >=
@@ -700,23 +764,48 @@ class ScanPlan:
         products sum u_i u_j (an n x n list of rows).  Each innermost column
         contributes its count, sum y and sum y^2 in closed form, and each
         earlier depth folds the moments of its subtrees with a few C-level
-        sums, so no point is built."""
+        sums, so no point is built; a plan of several blocks combines its
+        blocks' moments (class docstring)."""
         n = self.dim
-        if n == 0:
-            return int(not self._empty(box, bounds)), [], []
-        flat = None if self._empty(box, bounds) else self._walk(
-            box, bounds, n - 1, _column_moments,
-            partial(_fold_moments, n - 1))
-        if flat is None:
-            return 0, [0] * n, [[0] * n for _ in range(n)]
-        # flat: N, S1, then the upper triangle of S2 row by row
-        square = [[0] * n for _ in range(n)]
-        pos = n + 1
-        for i in range(n):
-            for j in range(i, n):
-                square[i][j] = square[j][i] = flat[pos]
-                pos += 1
-        return flat[0], list(flat[1:n + 1]), square
+        if self._empty(box, bounds):
+            return _no_moments(n)
+        if self.parts is None:
+            flat = self._walk(box, bounds, n - 1, _column_moments,
+                              partial(_fold_moments, n - 1))
+            if flat is None:
+                return _no_moments(n)
+            # flat: N, S1, then the upper triangle of S2 row by row
+            square = [[0] * n for _ in range(n)]
+            pos = n + 1
+            for i in range(n):
+                for j in range(i, n):
+                    square[i][j] = square[j][i] = flat[pos]
+                    pos += 1
+            return flat[0], list(flat[1:n + 1]), square
+        blocks = []  # (coordinates, N_b, S1_b, S2_b)
+        for j, terms in self.intervals:
+            lo, hi = _interval(*box[j], terms, bounds)
+            if lo > hi:
+                return _no_moments(n)
+            size, s, ss = _column_moments(lo, hi)
+            blocks.append(((j,), size, (s,), ((ss,),)))
+        for coords, idx, plan in self.parts:
+            size, s, ss = plan.moments([box[j] for j in coords],
+                                       [bounds[i] for i in idx])
+            if not size:
+                return _no_moments(n)
+            blocks.append((coords, size, s, ss))
+        total = math.prod(size for _, size, _, _ in blocks)
+        sums = [0] * n
+        for coords, size, s, _ in blocks:
+            for j, x in zip(coords, s):
+                sums[j] = x * (total // size)
+        square = [[a * b // total for b in sums] for a in sums]
+        for coords, size, _, ss in blocks:
+            for j, row in zip(coords, ss):
+                for k, x in zip(coords, row):
+                    square[j][k] = x * (total // size)
+        return total, sums, square
 
     def _walk(self, box, bounds, leaf_depth, leaf, fold):
         """The column walk shared by counting, collecting and moments.
@@ -735,6 +824,7 @@ class ScanPlan:
         prefix = [0] * n
 
         def rec(depth):
+            # _interval, inline: a call per column costs 10-30 % here
             lo, hi = box[depth]
             for i in bounding[depth]:
                 a = normals[i][depth]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,24 @@ def subadditivity_scan(mu_grid, k_max=100):
         p, q = mu.numerator, mu.denominator
         # multiplier_coeff(mu, k) for k = 1 .. 2 k_max, checked once per mu
         coeffs = [0] + [max(k * p // q - k + 1, 0) for k in range(1, 2 * k_max + 1)]
-        for k in range(1, k_max + 1):
-            ck = coeffs[k]
-            for l in range(k, k_max + 1):
-                checked += 1
-                if coeffs[k + l] > ck + coeffs[l]:
-                    violations.append((mu, k, l, ck, coeffs[l], coeffs[k + l]))
+        checked += sum(range(k_max + 1))  # the pairs 1 <= k <= l <= k_max
+        violations += [(mu, k, l, coeffs[k], coeffs[l], coeffs[k + l])
+                       for k, l in _violating_pairs(coeffs, k_max)]
     return SubadditivityReport(checked=checked, violations=violations)
+
+
+def _violating_pairs(coeffs, k_max):
+    """The pairs (k, l), 1 <= k <= l <= k_max, with coeffs[k + l] >
+    coeffs[k] + coeffs[l], in order.  Each row k is tested at once by its
+    largest difference coeffs[k + l] - coeffs[l] and walked pair by pair
+    only when that exceeds coeffs[k]."""
+    pairs = []
+    for k in range(1, k_max + 1):
+        ck = coeffs[k]
+        if max(map(sub, coeffs[2 * k:k + k_max + 1], coeffs[k:k_max + 1])) > ck:
+            pairs += [(k, l) for l in range(k, k_max + 1)
+                      if coeffs[k + l] - coeffs[l] > ck]
+    return pairs
 
 
 def default_mu_grid(max_value=5, max_den=8):

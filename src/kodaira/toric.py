@@ -61,10 +61,11 @@ class ToricVariety:
     keyed on its factor objects, so a product of presets is shared too).
     What an instance keeps is therefore solved once per distinct fan per
     process: the cone inverses, scan_plan, nonsingular_subsets, the
-    standard_ample property with its ampleness check, and the limit
-    polytopes of limit_polytope with their vertices.  The limit cache grows
-    with the distinct (divisor, weights) pairs the process sees.  A variety
-    built directly, ToricVariety(rays, cones), is not shared and is
+    standard_ample property with its ampleness check, the limit polytopes
+    of limit_polytope with their vertices, and the exact perturbed growth
+    orders read off them.  The limit caches grow with the distinct
+    (divisor, weights) pairs and fattened ray sets the process sees.  A
+    variety built directly, ToricVariety(rays, cones), is not shared and is
     validated on every call.  Shared instances are not to be mutated.
     """
 
@@ -76,6 +77,7 @@ class ToricVariety:
         self.max_cones = tuple(sorted(frozenset(c) for c in max_cones))
         self.name = name or f"toric{self.lattice_rank}d"
         self._limits = {}
+        self._limit_growths = {}
         self._validate()
 
     def _validate(self):
@@ -669,19 +671,23 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
     and any w for a face serves Q too: that largest face is Q itself when
     there is one.  So the value is dim Q when the rays tight on all of Q
     admit a displacement, and NEG_INF otherwise; with every ray fattened it
-    is just dim Q.
+    is just dim Q.  Cached on the variety next to Q, per limit key and
+    fattened ray set.
     """
-    q = limit_polytope(variety, divisor, metric)
-    if q.is_empty():
-        return NEG_INF
-    on_q = reduce(and_, q.tight_masks())  # bit i: Q lies on ray i
     mu = _ray_weights(variety, metric)
-    disp = [(v, int(mu[i][0] >= mu[i][1]))
-            for i, (v, _) in enumerate(q.constraints)  # parallel to the rays
-            if on_q >> i & 1 and i not in fattened_rays]
-    if disp and Polytope(variety.lattice_rank, disp).is_empty():
-        return NEG_INF
-    return affine_rank(q.vertices())
+    key = (divisor.nums, divisor.k0, mu, frozenset(fattened_rays))
+    if key not in variety._limit_growths:
+        q = limit_polytope(variety, divisor, metric)
+        growth = NEG_INF
+        if not q.is_empty():
+            on_q = reduce(and_, q.tight_masks())  # bit i: Q lies on ray i
+            disp = [(v, int(mu[i][0] >= mu[i][1]))
+                    for i, (v, _) in enumerate(q.constraints)  # parallel to the rays
+                    if on_q >> i & 1 and i not in fattened_rays]
+            if not (disp and Polytope(variety.lattice_rank, disp).is_empty()):
+                growth = affine_rank(q.vertices())
+        variety._limit_growths[key] = growth
+    return variety._limit_growths[key]
 
 
 PERTURBATION_MULTIPLES = (1, 2, 3)

@@ -38,7 +38,10 @@ reads the moment Grams of `SectionSystem.gram` replaced are references
 too: `span_rank`, one Gram matrix of the differences from each set's first
 point, read in doubling prefixes, `int_points_rank` on it, and the kappa
 and Iitaka reads on them (`kappa_routes_span_rank`, `iitaka_span_rank`);
-`gram_of_points` builds a point list's Gram matrix point by point.
+`gram_of_points` builds a point list's Gram matrix point by point.  The
+subadditivity pairs of a coefficient list, compared pair by pair
+(`subadditivity_pairs_pairwise`), are the reference for the row test of
+`subadditivity_scan`.
 """
 
 import math
@@ -962,3 +965,10 @@ def limit_bounds_reference(variety, divisor, metric):
     metric = metric if metric is not None else EMPTY_METRIC
     return [-divisor.coefficients[i] + coeff_limit(metric.weight(i))
             for i in range(len(variety.rays))]
+
+
+def subadditivity_pairs_pairwise(coeffs, k_max):
+    """The pairs (k, l), 1 <= k <= l <= k_max, with coeffs[k + l] >
+    coeffs[k] + coeffs[l], in order, one comparison per pair."""
+    return [(k, l) for k in range(1, k_max + 1) for l in range(k, k_max + 1)
+            if coeffs[k + l] > coeffs[k] + coeffs[l]]

@@ -54,15 +54,23 @@ def test_semigroup_doubled_vertices(tmp_path, capsys):
 def test_semigroup_levels_above_max_degree_stay_out(tmp_path, capsys):
     # a stored level above max_degree, here a far point that would stretch
     # the Okounkov body, is neither hulled nor counted
+    # but named in one warning on stderr
     doc = json.loads((CORPUS / "semigroup_triangle_levels.json").read_text())
-    outs = []
+    top = doc["options"]["max_degree"]
+    outs, errs = [], []
     for extra in ([], [[50, 0]]):
         if extra:
-            doc["body"]["levels"][str(doc["options"]["max_degree"] + 1)] = extra
+            doc["body"]["levels"][str(top + 1)] = extra
+            doc["body"]["levels"][str(top + 3)] = extra
         assert main(["semigroup", write_instance(tmp_path, doc), "--format",
                      "json"]) == 0
-        outs.append(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        errs.append(captured.err)
     assert outs[0] == outs[1]
+    assert errs[0] == ""
+    assert errs[1] == (f"warning: levels {top + 1}, {top + 3} lie above "
+                       f"max_degree {top} and are ignored\n")
 
 
 def test_malformed_json_exit2(tmp_path, capsys):

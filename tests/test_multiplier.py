@@ -1,14 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kodaira.multiplier import (
     SingularMetricData,
+    _violating_pairs,
     coeff_limit,
     default_mu_grid,
     multiplier_coeff,
     subadditivity_scan,
 )
+
+from _oracles import subadditivity_pairs_pairwise
 
 
 def test_three_halves_instantiation():
@@ -76,6 +81,30 @@ def test_scan_small_grid_clean():
     rep = subadditivity_scan([Fraction(p, 3) for p in range(0, 10)], k_max=30)
     assert rep.ok
     assert rep.checked == 10 * (30 * 31 // 2)
+
+
+@st.composite
+def planted_coefficients(draw):
+    """(coefficient list of length 2 k_max + 1, k_max): the coefficients of
+    a drawn weight, some of them raised to plant violations, lowered to
+    plant them in other rows, or the unclamped ones."""
+    k_max = draw(st.integers(0, 24))
+    p, q = draw(st.integers(0, 30)), draw(st.integers(1, 6))
+    clamp = draw(st.booleans())
+    coeffs = [0] + [multiplier_coeff(Fraction(p, q), k, clamp)
+                    for k in range(1, 2 * k_max + 1)]
+    for _ in range(draw(st.integers(0, 4))) if k_max else ():
+        j = draw(st.integers(1, 2 * k_max))
+        coeffs[j] += draw(st.integers(-5, 5))
+    return coeffs, k_max
+
+
+@settings(max_examples=300)
+@given(planted_coefficients())
+def test_row_test_matches_pairwise_oracle(case):
+    coeffs, k_max = case
+    assert _violating_pairs(coeffs, k_max) == subadditivity_pairs_pairwise(
+        coeffs, k_max)
 
 
 def test_unclamped_breaks_subadditivity_rate():
