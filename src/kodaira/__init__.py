@@ -13,17 +13,11 @@ from .lattice import (
     GeometryError,
     IntLattice,
     Polytope,
-    Rat,
     UnboundedPolytopeError,
-    convex_hull,
     hnf,
-    lattice_points,
-    lattice_volume,
-    subgroup_rank_index,
 )
 from .multiplier import (
     SingularMetricData,
-    coeff_limit,
     default_mu_grid,
     multiplier_coeff,
     subadditivity_scan,
@@ -44,7 +38,6 @@ from .toric import (
     SectionSystem,
     ToricDivisorData,
     ToricVariety,
-    divisor_polytope,
     is_ample,
     kappa1,
     kappa2,
@@ -53,7 +46,6 @@ from .toric import (
     kappa_sigma,
     kappa_sigma_hor,
     limit_polytope,
-    sections_of,
 )
 from .curve import (
     AmbiguousDivisorError,

@@ -21,7 +21,7 @@ from .curve import (
     kappa_sigma_curve,
 )
 from .lattice import NEG_INF, dot, int_kernel, saturate_rows
-from .multiplier import EMPTY_METRIC, SingularMetricData
+from .multiplier import EMPTY_METRIC, SingularMetricData, _coeff
 from .semigroup import DegreeBoundError
 from .toric import (
     CrossCheckError,
@@ -268,7 +268,7 @@ class CurveProductInstance(_FiberSpace):
         """k(K_Y + L_Y) - (metric ideal) + extra, as a curve class; a marked
         point of weight p/q drops multiplier_coeff(p/q, k)."""
         mult = self.base_class.times(k)
-        drop = sum(max(k * mu.numerator // mu.denominator - k + 1, 0)
+        drop = sum(_coeff(mu.numerator, mu.denominator, k)
                    for _, mu in self.base_metric.entries)
         if drop == 0 and extra_degree == 0:
             return mult

@@ -20,8 +20,6 @@ from itertools import chain, combinations, compress, count, repeat
 from numbers import Rational
 from operator import add, mul, sub
 
-Rat = Fraction
-
 NEG_INF = float("-inf")
 
 
@@ -299,33 +297,6 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-def subgroup_rank_index(generators, ambient=None):
-    """Rank and index of the group generated by integer vectors.
-
-    `ambient` is a basis of a saturated sublattice containing the generators
-    (defaults to the standard lattice).  Returns (rank, index) where index is
-    the subgroup index when rank equals the ambient rank, and None (infinite)
-    otherwise.  A generator outside the ambient span raises GeometryError.
-    """
-    gens = [tuple(int(x) for x in g) for g in generators]
-    if ambient is not None:
-        amb = hnf_basis(ambient)
-        ambient_rank = len(amb)
-        coords = basis_coords(amb, gens)
-        if any(x.denominator != 1 for c in coords for x in c):
-            raise GeometryError("not in ambient lattice")
-        gens = [tuple(int(x) for x in c) for c in coords]
-    else:
-        ambient_rank = len(gens[0]) if gens else 0
-    basis = hnf_basis(gens)
-    rank = len(basis)
-    if rank < ambient_rank or rank == 0:
-        return rank, None
-    pivot_cols = [next(j for j, x in enumerate(r) if x != 0) for r in basis]
-    square = [tuple(r[j] for j in pivot_cols) for r in basis]
-    return rank, abs(det_int(square))
-
-
 # ---------------------------------------------------------------------------
 # rational linear algebra
 # ---------------------------------------------------------------------------
@@ -438,9 +409,6 @@ class Polytope:
 
     # -- predicates --------------------------------------------------------
 
-    def contains(self, point):
-        return all(dot(point, v) >= c for v, c in self.constraints)
-
     def is_empty(self):
         """Nonempty iff the system restricted to J, the pivot columns of the
         normals, has a vertex: those columns span the normals' column space,
@@ -513,48 +481,6 @@ class Polytope:
                     raise UnboundedPolytopeError("affine_dim requires bounded polytope")
                 self._affine_dim = affine_rank(self.vertices())
         return self._affine_dim
-
-    # -- lattice points ------------------------------------------------------
-
-    def _int_box(self):
-        box = []
-        for i in range(self.ambient_dim):
-            lo = min(v[i] for v in self.vertices())
-            hi = max(v[i] for v in self.vertices())
-            box.append((math.ceil(lo), math.floor(hi)))
-        return box
-
-    def lattice_points(self):
-        """All integer points, in lexicographic order.  Unbounded input is an
-        error; the empty polytope yields []."""
-        return self._lattice_scan(collect=True)
-
-    def count_lattice_points(self):
-        """Number of integer points (last coordinate counted by interval)."""
-        return self._lattice_scan(collect=False)
-
-    def _lattice_scan(self, collect):
-        if self.is_empty():
-            return [] if collect else 0
-        if not self.is_bounded():
-            raise UnboundedPolytopeError("unbounded")
-        # integer points see each bound only through its ceiling
-        return scan_int_points(
-            self._int_box(),
-            [(v, math.ceil(c)) for v, c in self.constraints], collect)
-
-
-def scan_int_points(box, constraints, collect=False):
-    """Integer points u of the box [(lo, hi), ...] with <u, v> >= c for all
-    integer (v, c) in constraints, in lexicographic order (collect) or their
-    number.  Collecting scans every coordinate column by column, and so is
-    the oracle for counting, which scans only the outer coordinates and
-    counts the two innermost ones in closed form with integer floor sums
-    (ScanPlan).  Callers that scan many bounds under the same normals build
-    the ScanPlan once."""
-    constraints = list(constraints)
-    plan = ScanPlan(len(box), [v for v, _ in constraints])
-    return plan.scan(box, [c for _, c in constraints], collect)
 
 
 def floor_sum(n, m, a, b):
@@ -895,10 +821,6 @@ class ScanPlan:
         return total
 
 
-def lattice_points(poly):
-    return poly.lattice_points()
-
-
 # ---------------------------------------------------------------------------
 # convex hull (exact integer arithmetic, any intrinsic dimension)
 # ---------------------------------------------------------------------------
@@ -1035,33 +957,11 @@ def int_hull(pts):
     return lat, simplices, verts
 
 
-def convex_hull(points, ambient_dim=None):
-    """Exact convex hull of rational points (ints or Fractions) as a Polytope,
-    in any dimension.
-
-    The points are scaled once by their common denominator; everything after
-    that is the integer core `hull_polytope`, with no cap on the number of
-    points or the dimension.
-
-    The returned polytope carries the minimal vertex set (lexicographically
-    sorted); lower-dimensional hulls get explicit affine-hull equality
-    constraints.  Empty input yields an empty polytope.
-    """
-    rows = [tuple(p) for p in points]
-    den = math.lcm(1, *(x.denominator for p in rows for x in p))
-    pts = sorted({tuple([x.numerator * (den // x.denominator) for x in p])
-                  for p in rows})
-    if not pts:
-        n = 0 if ambient_dim is None else ambient_dim
-        return Polytope(n, [(tuple([0] * n), Fraction(1))], vertices=())
-    if any(len(p) != len(pts[0]) for p in pts):
-        raise GeometryError("points of mixed dimension")
-    return hull_polytope(pts, den)
-
-
 def hull_polytope(pts, den):
-    """`convex_hull`'s integer core: the hull of pts / den as a Polytope, for
-    nonempty sorted distinct integer points of one dimension and den > 0.
+    """The hull of pts / den as a Polytope, for nonempty sorted distinct
+    integer points of one dimension and den > 0; it carries the minimal
+    vertex set (lexicographically sorted), and a lower-dimensional hull gets
+    its affine-hull equalities as pairs of opposite constraints.
     Facet bounds are read off the simplices of `int_hull`, the affine-hull
     equalities off its lattice; only the output is divided into Fractions."""
     n = len(pts[0])
@@ -1113,22 +1013,6 @@ def basis_coords(basis, vectors):
         den, x = _solve(echelon, q, j)
         out.append(tuple(Fraction(v, den) for v in x))
     return out
-
-
-def lattice_volume(poly, basis):
-    """Volume of a bounded polytope in coordinates of a direction lattice,
-    in any dimension.
-
-    `basis` must span the direction space of the polytope's affine hull; the
-    result is invariant under unimodular change of that basis.  Dimension 0
-    returns 1.  It is the `hull_volume` of the vertex coordinates in the
-    basis (`basis_coords`).
-    """
-    verts = poly.vertices()
-    if not verts:
-        raise GeometryError("volume of empty polytope")
-    v0 = verts[0]
-    return hull_volume(basis_coords(basis, [vsub(v, v0) for v in verts]))
 
 
 def hull_volume(points):

@@ -32,14 +32,6 @@ class SingularMetricData:
             norm[div_id] = mu
         object.__setattr__(self, "entries", tuple(norm.items()))
 
-    def weight(self, div_id):
-        return dict(self.entries).get(div_id, Fraction(0))
-
-    def restrict(self, div_ids):
-        """Sub-metric supported on the given divisor ids."""
-        keep = set(div_ids)
-        return SingularMetricData([(d, mu) for d, mu in self.entries if d in keep])
-
     def __bool__(self):
         return bool(self.entries)
 
@@ -57,18 +49,14 @@ def multiplier_coeff(mu, k, clamp=True):
     k = int(k)
     if k < 1:
         raise ValueError("level must be >= 1")
-    value = k * mu.numerator // mu.denominator - k + 1
-    if clamp:
-        return max(value, 0)
-    return value
+    return _coeff(mu.numerator, mu.denominator, k, clamp)
 
 
-def coeff_limit(mu):
-    """Normalized limit of the coefficients: lim_k c_k / k = max(mu - 1, 0)."""
-    mu = Fraction(mu)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    return max(mu - 1, Fraction(0))
+def _coeff(p, q, t, clamp=True):
+    """multiplier_coeff(p/q, t) on integers, unchecked: floor(t p / q) - t
+    + 1, at least 0 unless clamp is False."""
+    c = t * p // q - t + 1
+    return c if c > 0 or not clamp else 0
 
 
 @dataclass
@@ -94,7 +82,7 @@ def subadditivity_scan(mu_grid, k_max=100):
             raise ValueError("mu must be nonnegative")
         p, q = mu.numerator, mu.denominator
         # multiplier_coeff(mu, k) for k = 1 .. 2 k_max, checked once per mu
-        coeffs = [0] + [max(k * p // q - k + 1, 0) for k in range(1, 2 * k_max + 1)]
+        coeffs = [0] + [_coeff(p, q, k) for k in range(1, 2 * k_max + 1)]
         checked += sum(range(k_max + 1))  # the pairs 1 <= k <= l <= k_max
         violations += [(mu, k, l, coeffs[k], coeffs[l], coeffs[k + l])
                        for k, l in _violating_pairs(coeffs, k_max)]

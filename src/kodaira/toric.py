@@ -33,6 +33,7 @@ from .lattice import (
     primitive,
     rat_rank,
 )
+from .multiplier import _coeff
 from .semigroup import DegreeBoundError, GradedSemigroup
 
 
@@ -270,19 +271,6 @@ class ToricDivisorData:
         return cls.over([int(i in chosen) for i in range(len(variety.rays))], 1)
 
 
-def divisor_polytope(variety, divisor, k=1):
-    """Polytope of sections of k*D: {u : <u, v_rho> >= -k b_rho}.
-
-    h^0(X, kD) is its lattice point count on a complete toric variety.
-    Requires k*D integral: k a multiple of k0.
-    """
-    if k % divisor.k0:
-        raise ValueError("needs multiple of k0")
-    t = k // divisor.k0
-    return Polytope(variety.lattice_rank,
-                    [(ray, -t * n) for ray, n in zip(variety.rays, divisor.nums)])
-
-
 def is_ample(variety, divisor):
     """Ampleness on a smooth complete fan: D is integral and, for every
     maximal cone sigma, the point m_sigma with <m_sigma, v_rho> = -b_rho on
@@ -361,10 +349,8 @@ class SectionSystem:
         """(box, bounds) of the degree-k piece (multiplier level k*k0)."""
         values = [a + k * b for a, b in zip(self._consts, self._slopes)]
         t = k * self.k0
-        for p, q, places in self._weighted:  # multiplier_coeff(p/q, t)
-            c = t * p // q - t + 1
-            if c < 0 and self.clamp:
-                c = 0
+        for p, q, places in self._weighted:
+            c = _coeff(p, q, t, self.clamp)
             for j, lam in places:
                 values[j] += lam * c
         m = len(self.variety.rays)
@@ -471,13 +457,6 @@ class _DegreeCounts:
 
     def __getitem__(self, i):
         return self.count(self.degrees[i])
-
-
-def sections_of(variety, divisor, metric=None, k=1, aux=None, clamp=True):
-    """Exponent set of the degree-k piece (see SectionSystem)."""
-    sys = SectionSystem(variety, divisor, metric=metric, aux=aux,
-                        degree_bound=max(k, 1), clamp=clamp)
-    return sys.exponents(k)
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,17 @@ restriction (`pullback_reference`, `restrict_reference`) and the polytope
 bounds (`divisor_bounds_reference`, `limit_bounds_reference`).  The body
 route of `regularize` its one integer hull over the lcm of the levels
 replaced (`regularize_per_level`: one `int_hull` per level, its vertices
-divided by k as Fractions, one `convex_hull` of their union, and the slice
-box kept as Fractions) is the reference for the Okounkov body.  The rank
-reads the moment Grams of `SectionSystem.gram` replaced are references
-too: `span_rank`, one Gram matrix of the differences from each set's first
-point, read in doubling prefixes, `int_points_rank` on it, and the kappa
-and Iitaka reads on them (`kappa_routes_span_rank`, `iitaka_span_rank`);
-`gram_of_points` builds a point list's Gram matrix point by point.  The
-subadditivity pairs of a coefficient list, compared pair by pair
-(`subadditivity_pairs_pairwise`), are the reference for the row test of
-`subadditivity_scan`.
+divided by k as Fractions, one `rational_hull` of their union, and the
+slice box kept as Fractions) is the reference for the Okounkov body;
+`rational_hull` and `body_volume` put the rational scaling around
+`hull_polytope` and `hull_volume`.  The rank reads the moment Grams of
+`SectionSystem.gram` replaced are references too: `span_rank`, one Gram
+matrix of the differences from each set's first point, read in doubling
+prefixes, `int_points_rank` on it, and the kappa and Iitaka reads on them
+(`kappa_routes_span_rank`, `iitaka_span_rank`); `gram_of_points` builds a
+point list's Gram matrix point by point.  The subadditivity pairs of a
+coefficient list, compared pair by pair (`subadditivity_pairs_pairwise`),
+are the reference for the row test of `subadditivity_scan`.
 """
 
 import math
@@ -57,10 +58,11 @@ from kodaira.lattice import (
     Polytope,
     ScanPlan,
     basis_coords,
-    convex_hull,
     dot,
     hnf,
     hnf_basis,
+    hull_polytope,
+    hull_volume,
     int_hull,
     int_kernel,
     rat_rank,
@@ -68,7 +70,7 @@ from kodaira.lattice import (
     vsub,
     xgcd,
 )
-from kodaira.multiplier import EMPTY_METRIC, coeff_limit
+from kodaira.multiplier import EMPTY_METRIC
 from kodaira.semigroup import DegreeBoundError
 from kodaira.toric import CrossCheckError, limit_polytope
 
@@ -128,7 +130,7 @@ def vertices_by_rref(poly):
     found = set()
     for idx in combinations(poly.constraints, n):
         sol = solve_rational([v for v, _ in idx], [c for _, c in idx])
-        if sol is not None and poly.contains(sol):
+        if sol is not None and all(dot(sol, v) >= c for v, c in poly.constraints):
             found.add(sol)
     return tuple(sorted(found))
 
@@ -217,7 +219,7 @@ def limit_growth_mask_walk(variety, divisor, metric, fattened_rays):
     best = float("-inf")
     for vset in faces:
         full_tight = reduce(and_, (tight[j] for j in vset))
-        disp = [(cons[i][0], 1 if metric.weight(i) >= 1 else 0)
+        disp = [(cons[i][0], 1 if dict(metric.entries).get(i, 0) >= 1 else 0)
                 for i in range(len(cons))
                 if full_tight >> i & 1 and i not in fattened_rays]
         if not disp or not fm_is_empty(Polytope(variety.lattice_rank, disp)):
@@ -522,8 +524,6 @@ def ample_by_vertices(variety, divisor):
     integral and the vertices of P_D are exactly the points m_sigma cut out by
     the maximal cones (<m, v_rho> = -b_rho on the cone's rays), pairwise
     distinct, so that the normal fan of P_D is the fan itself."""
-    from kodaira.toric import divisor_polytope
-
     if not divisor.is_integral():
         return False
     b = divisor.coefficients
@@ -531,7 +531,7 @@ def ample_by_vertices(variety, divisor):
         solve_linear_system([variety.rays[i] for i in sorted(cone)],
                             [-b[i] for i in sorted(cone)])
         for cone in variety.max_cones]
-    poly = divisor_polytope(variety, divisor, 1)
+    poly = Polytope(variety.lattice_rank, zip(variety.rays, [-c for c in b]))
     verts = set() if poly.is_empty() else set(poly.vertices())
     return (len(set(cone_points)) == len(cone_points)
             and set(cone_points) == verts)
@@ -541,8 +541,8 @@ def hilbert_reg_per_level(reg, k):
     """Card(G ∩ C ∩ {level k}) built from scratch for the one level: a point
     of G at level k, then a fresh Polytope of the level-k slice in
     boundary-lattice coordinates around it, tested for emptiness and
-    counted.  (x, k) lies in C iff x lies in k * Delta, read off the
-    constraints of the Okounkov body."""
+    counted column by column over its vertex box, not by ScanPlan.  (x, k)
+    lies in C iff x lies in k * Delta, read off the Okounkov body."""
     if k == 0:
         return 1
     base = _group_point_at_level(reg.group_basis, k)
@@ -561,7 +561,37 @@ def hilbert_reg_per_level(reg, k):
     poly = Polytope(len(b), new_cons)
     if poly.is_empty():
         return 0
-    return poly.count_lattice_points()
+    *outer, last = [(math.ceil(min(c)), math.floor(max(c)))
+                    for c in zip(*poly.vertices())]
+    cons = [(v, math.ceil(c)) for v, c in poly.constraints]  # same points
+    total = 0
+    for head in product(*(range(lo, hi + 1) for lo, hi in outer)):
+        lo, hi = last
+        for v, c in cons:
+            r, a = c - dot(head, v), v[-1]  # a u_last >= r
+            if a > 0:
+                lo = max(lo, -(-r // a))
+            elif a < 0:
+                hi = min(hi, r // a)
+            elif r > 0:
+                hi = lo - 1
+        total += max(hi - lo + 1, 0)
+    return total
+
+
+def rational_hull(points):
+    """`hull_polytope` of rational points: scaled to integers by their
+    common denominator, sorted and deduplicated."""
+    rows = [tuple(map(Fraction, p)) for p in points]
+    den = math.lcm(1, *(x.denominator for p in rows for x in p))
+    return hull_polytope(sorted({tuple(x.numerator * (den // x.denominator)
+                                       for x in p) for p in rows}), den)
+
+
+def body_volume(poly, basis):
+    """`hull_volume` of a polytope's vertices in a direction-lattice basis."""
+    verts = poly.vertices()
+    return hull_volume(basis_coords(basis, [vsub(v, verts[0]) for v in verts]))
 
 
 def _group_point_at_level(basis, k):
@@ -876,7 +906,7 @@ def regularize_per_level(sg):
     """Reference for `semigroup.regularize` on the body route it replaced:
     each level A_k is cut to the vertices of its own integer hull
     (`int_hull`), each vertex divided by k as Fractions, and the union is
-    hulled by `convex_hull`; the slice box holds the (min, max) of each
+    hulled by `rational_hull`; the slice box holds the (min, max) of each
     boundary coordinate over the slice vertices as Fractions.  The lattice
     data (group basis, m, boundary lattice, the level-m point g0) are read
     off the level-first HNF as in the library."""
@@ -887,9 +917,9 @@ def regularize_per_level(sg):
     g0, *boundary = [row[1:] + row[:1] for row in hnf_basis(
         [row[-1:] + row[:-1] for row in reg.group_basis])]
     m = g0[-1]
-    hull = convex_hull([tuple(Fraction(x, k) for x in v)
-                        for k, a_k in sg.spanning_levels().items()
-                        for v in int_hull(a_k)[2]])
+    hull = rational_hull([tuple(Fraction(x, k) for x in v)
+                          for k, a_k in sg.spanning_levels().items()
+                          for v in int_hull(a_k)[2]])
     lifted = [(v + (0,), c) for v, c in hull.constraints]
     lifted.append((tuple([0] * n) + (1,), Fraction(1)))
     lifted.append((tuple([0] * n) + (-1,), Fraction(-1)))
@@ -961,9 +991,9 @@ def divisor_bounds_reference(divisor, k):
 
 def limit_bounds_reference(variety, divisor, metric):
     """Bounds -b_rho + max(mu_rho - 1, 0) of the limit polytope, each weight
-    looked up by `SingularMetricData.weight`."""
-    metric = metric if metric is not None else EMPTY_METRIC
-    return [-divisor.coefficients[i] + coeff_limit(metric.weight(i))
+    looked up in the metric's entries."""
+    weights = dict(metric.entries) if metric is not None else {}
+    return [-divisor.coefficients[i] + max(weights.get(i, 0) - 1, 0)
             for i in range(len(variety.rays))]
 
 

@@ -3,15 +3,14 @@
 Each divisor is compared with `FractionDivisor`, the Fraction record it
 replaced (`_oracles`): its coefficients, k0, integrality, scaling by ints and
 Fractions and sums; the pullback and restriction of product and Hirzebruch
-fibrations; the bounds of `divisor_polytope` and `limit_polytope`; and
-`is_ample` against the Cramer's-rule test.  Equal divisors must compare and
-hash equal whichever route built them.
+fibrations; the degree-piece bounds of `SectionSystem` and the bounds of
+`limit_polytope`; and `is_ample` against the Cramer's-rule test.  Equal
+divisors must compare and hash equal whichever route built them.
 """
 
 from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +18,9 @@ from kodaira.fibration import hirzebruch_fibration, product_fibration
 from kodaira.lattice import Polytope
 from kodaira.multiplier import SingularMetricData
 from kodaira.toric import (
+    SectionSystem,
     ToricDivisorData,
     ToricVariety,
-    divisor_polytope,
     is_ample,
     limit_polytope,
 )
@@ -129,12 +128,11 @@ def test_polytope_bounds_match_reference(x, data):
     d, ref = ToricDivisorData(coeffs), FractionDivisor(coeffs)
     k = data.draw(st.one_of(st.integers(1, 6),
                             st.integers(1, 3).map(lambda m: m * d.k0)))
+    # k D is integral exactly at the system's degrees, the multiples of k0
     bounds = divisor_bounds_reference(ref, k)
-    if bounds is None:
-        with pytest.raises(ValueError, match="needs multiple of k0"):
-            divisor_polytope(x, d, k)
-    else:
-        assert divisor_polytope(x, d, k).constraints == polytope(x, bounds).constraints
+    assert (bounds is None) == (k % d.k0 != 0)
+    if bounds is not None:
+        assert SectionSystem(x, d)._piece(k // d.k0)[1] == bounds
     weights = data.draw(st.dictionaries(
         st.integers(0, len(x.rays) - 1),
         st.fractions(min_value=0, max_value=4, max_denominator=4)))

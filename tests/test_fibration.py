@@ -81,7 +81,7 @@ def test_curve_product_fiber():
         fiber_metric=SingularMetricData([(0, 2)]), instance_id="c")
     fiber, div, metric = inst.fiber_data()
     assert fiber is P1 and div.coefficients == (0, 2)
-    assert metric.weight(0) == 2
+    assert metric.entries == ((0, 2),)
 
 
 def test_pullback_condition_enforced():

@@ -1,8 +1,9 @@
 """Differential tests of the integer convex hull and the Okounkov bodies of
 rank 3 and 4.
 
-`convex_hull` scales rational points to integers and builds hulls of any
-dimension incrementally; these tests check it and `lattice_volume` against
+`hull_polytope` builds hulls of integer points over one denominator in any
+dimension incrementally; these tests check it, on rational points scaled by
+`_oracles.rational_hull`, and `hull_volume` (`_oracles.body_volume`) against
 the independent facet scan, Caratheodory vertex test and pyramid volume of
 `_oracles`, in dimensions 2 to 4, on small coordinates with duplicate,
 collinear, coplanar and embedded inputs.  They also pin the rank-3 corpus
@@ -18,24 +19,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kodaira.cli import main
-from kodaira.lattice import (
-    Polytope,
-    convex_hull,
-    dot,
-    hnf,
-    hnf_basis,
-    int_hull,
-    lattice_volume,
-)
+from kodaira.lattice import Polytope, dot, hnf, hnf_basis, hull_polytope, int_hull
 from kodaira.semigroup import growth_law_check, regularize
 from kodaira.toric import kappa2
 
 from _corpus import corpus_section_systems
 from _oracles import (
     affine_dimension,
+    body_volume,
     facet_scan,
     hull_vertex_set,
     pyramid_volume,
+    rational_hull,
 )
 
 # |x| <= 3 with denominators 1..3
@@ -79,12 +74,12 @@ point_sets = st.one_of(
           (0, 0, 1, 1), (1, -1, -2, -2), (-2, 2, -2, 1)])
 def test_convex_hull_matches_oracles(pts):
     n = len(pts[0])
-    hull = convex_hull(pts)
+    hull = rational_hull(pts)
     dim = affine_dimension(pts)
     assert hull.affine_dim() == dim
     assert set(hull.vertices()) == hull_vertex_set(pts)
     assert list(hull.vertices()) == sorted(hull.vertices())
-    assert all(hull.contains(p) for p in pts)
+    assert all(dot(p, v) >= c for p in pts for v, c in hull.constraints)
     if dim == n:
         assert sorted(hull.constraints) == sorted(facet_scan(pts))
     else:
@@ -99,7 +94,7 @@ def test_convex_hull_of_crowded_integer_sets(pts):
     # in a 3-polytope exactly the vertices lie on three or more facets
     assume(affine_dimension(pts) == 3)
     facets = facet_scan(pts)
-    hull = convex_hull(pts)
+    hull = hull_polytope(sorted(set(pts)), 1)
     assert sorted(hull.constraints) == sorted(facets)
     assert set(hull.vertices()) == {
         p for p in set(pts) if sum(dot(p, w) == h for w, h in facets) >= 3}
@@ -112,7 +107,7 @@ def test_lattice_volume_matches_pyramid_oracle(pts):
     n = len(pts[0])
     assume(affine_dimension(pts) == n)
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    assert lattice_volume(convex_hull(pts), basis) == pyramid_volume(pts)
+    assert body_volume(rational_hull(pts), basis) == pyramid_volume(pts)
 
 
 @settings(max_examples=40)
@@ -128,17 +123,17 @@ def test_lattice_volume_in_an_embedded_direction_lattice(case):
     assume(affine_dimension([(0,) * (q + 1)] + basis) == q)
     pts = [tuple(b + sum(x * u[i] for x, u in zip(xs, basis))
                  for i, b in enumerate(base)) for xs in params]
-    assert lattice_volume(convex_hull(pts), basis) == pyramid_volume(params)
+    assert body_volume(rational_hull(pts), basis) == pyramid_volume(params)
 
 
 def test_convex_hull_of_the_four_simplex():
     simplex = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    hull = convex_hull(simplex)
+    hull = hull_polytope(sorted(simplex), 1)
     assert hull.affine_dim() == 4
     assert len(hull.constraints) == 5
     assert hull.vertices() == tuple(sorted(simplex))
     # a 3-simplex inside R^4 keeps its affine dimension
-    assert convex_hull(simplex[:4]).affine_dim() == 3
+    assert hull_polytope(sorted(simplex[:4]), 1).affine_dim() == 3
 
 
 @settings(max_examples=80)
@@ -174,7 +169,7 @@ def test_rank3_corpus_bodies_regularize():
         assert reg.okounkov_dim == kappa2(s), name
         if name in RANK3_VOLUMES:
             body = reg.okounkov_body
-            assert lattice_volume(body, list(reg.boundary_lattice)) == RANK3_VOLUMES[name]
+            assert body_volume(body, list(reg.boundary_lattice)) == RANK3_VOLUMES[name]
         if reg.okounkov_dim == 3:
             gaps = [growth_law_check(reg, k_max=k).relative_gap
                     for k in (20, 80)]
@@ -237,4 +232,4 @@ def test_int_hull_vertices_match_convex_hull(pts):
     pts = sorted({tuple(int(6 * x) for x in p) for p in pts})
     verts = int_hull(pts)[2]
     assert len(verts) == len(set(verts))
-    assert sorted(verts) == list(convex_hull(pts).vertices())
+    assert sorted(verts) == list(hull_polytope(pts, 1).vertices())

@@ -1,11 +1,12 @@
 """Differential tests of the integer degree-piece count.
 
 SectionSystem counts each degree piece by shifting integer bounds; these
-tests rebuild the same piece independently as a Fraction divisor polytope
-(vertex box, no direction multipliers) and, where the box is small, filter
-an integer grid through its constraints.  The closed-form count of the two
-innermost coordinates is checked against the point-collecting column scan
-and the grid filter on arbitrary integer constraints.
+tests rebuild the same piece independently as a Fraction divisor polytope,
+scanned over its vertex box (no direction multipliers), and, where the box
+is small, filter an integer grid through its constraints.  The closed-form
+count of the two innermost coordinates is checked against the
+point-collecting column scan and the grid filter on arbitrary integer
+constraints.
 """
 
 import math
@@ -14,13 +15,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kodaira.lattice import ScanPlan, floor_sum, scan_int_points
+from kodaira.lattice import Polytope, ScanPlan, floor_sum
 from kodaira.multiplier import SingularMetricData
 from kodaira.toric import (
     SectionSystem,
     ToricDivisorData,
     ToricVariety,
-    divisor_polytope,
 )
 
 from _oracles import grid_lattice_points
@@ -80,18 +80,21 @@ def test_integer_count_matches_fraction_polytope(piece):
         if weights.get(i):  # a zero weight is no singularity at all
             c -= ideal_coeff(weights[i], t, clamp)
         effective.append(c)
-    poly = divisor_polytope(variety, ToricDivisorData(effective), 1)
-    expected = poly.lattice_points()
+    poly = Polytope(variety.lattice_rank,
+                    [(ray, -c) for ray, c in zip(variety.rays, effective)])
+    verts = poly.vertices()
+    expected = []
+    if verts:
+        box = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*verts)]
+        expected = ScanPlan(variety.lattice_rank, variety.rays).scan(
+            box, [-c for c in effective], collect=True)
 
     assert sys.count(k) == len(expected)
     assert list(sys.exponents(k)) == expected
     assert sys.count(k) == len(expected)  # served from the cache
 
-    verts = poly.vertices()
     if verts:
-        box = [(math.floor(min(v[i] for v in verts)) - 1,
-                math.ceil(max(v[i] for v in verts)) + 1)
-               for i in range(variety.lattice_rank)]
+        box = [(lo - 1, hi + 1) for lo, hi in box]
         if math.prod(hi - lo + 1 for lo, hi in box) <= GRID_LIMIT:
             assert grid_lattice_points(poly.constraints, box) == expected
 
@@ -145,12 +148,12 @@ def scan_inputs(draw):
 @given(scan_inputs())
 def test_closed_form_count_matches_column_scan_and_grid(case):
     box, cons, again = case
-    points = scan_int_points(box, cons, collect=True)
-    assert scan_int_points(box, cons) == len(points)
+    normals, bounds = [v for v, _ in cons], [c for _, c in cons]
+    plan = ScanPlan(len(box), normals)
+    points = plan.scan(box, bounds, collect=True)
+    assert plan.scan(box, bounds) == len(points)
     if math.prod(max(hi - lo + 1, 0) for lo, hi in box) <= GRID_LIMIT:
         assert grid_lattice_points(cons, box) == points
     # one plan serves any bounds under the same normals
-    plan = ScanPlan(len(box), [v for v, _ in cons])
-    assert plan.scan(box, [c for _, c in cons]) == len(points)
-    assert plan.scan(box, again) == len(scan_int_points(
-        box, zip((v for v, _ in cons), again), collect=True))
+    assert plan.scan(box, again) == len(ScanPlan(len(box), normals).scan(
+        box, again, collect=True))

@@ -9,21 +9,21 @@ from kodaira.lattice import (
     NEG_INF,
     GeometryError,
     Polytope,
+    ScanPlan,
     UnboundedPolytopeError,
-    convex_hull,
+    basis_coords,
     det_int,
     dot,
     hnf,
     hnf_basis,
     int_kernel,
-    lattice_volume,
     saturate_rows,
-    subgroup_rank_index,
     vsub,
 )
 
 from _oracles import (
     affine_dimension,
+    body_volume,
     coset_count,
     diff_lattice_per_point,
     dilate,
@@ -36,6 +36,7 @@ from _oracles import (
     int_points_rank,
     interpolate_polynomial,
     laplace_det,
+    rational_hull,
     saturate_rows_euclid,
     span_rank,
 )
@@ -136,29 +137,28 @@ def test_hnf_matches_euclid_chase(rows):
 
 
 # ---------------------------------------------------------------------------
-# subgroup rank and index
+# subgroup rank and index: the HNF basis and the |det| of its square
 # ---------------------------------------------------------------------------
 
 def test_subgroup_index_diagonal():
-    rank, idx = subgroup_rank_index([(2, 0), (0, 3)])
-    assert (rank, idx) == (2, 6)
+    basis = hnf_basis([(2, 0), (0, 3)])
+    assert (len(basis), abs(det_int(basis))) == (2, 6)
     # brute-force coset oracle over a compatible box
     assert coset_count([(2, 0), (0, 3)], 6) == 6
 
 
 def test_subgroup_rank_deficient():
-    rank, idx = subgroup_rank_index([(1, 1)])
-    assert (rank, idx) == (1, None)
+    assert hnf_basis([(1, 1)]) == [(1, 1)]  # rank 1 in Z^2: infinite index
 
 
 def test_subgroup_empty_generators():
-    rank, idx = subgroup_rank_index([], ambient=[(1, 0), (0, 1)])
-    assert (rank, idx) == (0, None)
+    assert hnf_basis([]) == []
 
 
 def test_subgroup_outside_ambient():
+    # coordinates in the ambient basis exist only inside its span
     with pytest.raises(GeometryError):
-        subgroup_rank_index([(1, 1)], ambient=[(1, 0)])
+        basis_coords([(1, 0)], [(1, 1)])
 
 
 def test_subgroup_against_coset_oracle():
@@ -172,9 +172,10 @@ def test_subgroup_against_coset_oracle():
         [(7, 3), (2, 12)],   # index 78
     ]
     for gens in cases:
-        rank, idx = subgroup_rank_index(gens)
-        assert rank == 2
-        assert idx is not None and idx <= 100
+        basis = hnf_basis(gens)
+        idx = abs(det_int(basis))
+        assert len(basis) == 2
+        assert 0 < idx <= 100
         # a box of side idx contains a full fundamental domain
         assert coset_count(gens, idx) == idx
 
@@ -182,8 +183,10 @@ def test_subgroup_against_coset_oracle():
 def test_subgroup_in_saturated_ambient():
     # ambient = saturated rank-2 lattice in Z^3
     ambient = [(1, 0, 1), (0, 1, 1)]
-    rank, idx = subgroup_rank_index([(2, 0, 2), (0, 3, 3)], ambient=ambient)
-    assert (rank, idx) == (2, 6)
+    coords = basis_coords(hnf_basis(ambient), [(2, 0, 2), (0, 3, 3)])
+    assert all(x.denominator == 1 for c in coords for x in c)
+    basis = hnf_basis([tuple(map(int, c)) for c in coords])
+    assert (len(basis), abs(det_int(basis))) == (2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +211,34 @@ def test_saturation():
 # convex hull
 # ---------------------------------------------------------------------------
 
+def inside(poly, point):
+    return all(dot(point, v) >= c for v, c in poly.constraints)
+
+
 def test_hull_interior_point_dropped():
     pts = [(0, 0), (1, 0), (0, 1), (Fraction(1, 4), Fraction(1, 4))]
-    poly = convex_hull(pts)
+    poly = rational_hull(pts)
     assert set(poly.vertices()) == {(0, 0), (1, 0), (0, 1)}
     assert poly.affine_dim() == 2
     assert set(poly.vertices()) == hull_vertex_set(pts)
 
 
 def test_hull_single_point():
-    poly = convex_hull([(5, 7)])
+    poly = rational_hull([(5, 7)])
     assert poly.vertices() == ((5, 7),)
     assert poly.affine_dim() == 0
-    assert poly.contains((5, 7)) and not poly.contains((5, 8))
+    assert inside(poly, (5, 7)) and not inside(poly, (5, 8))
 
 
 def test_hull_collinear():
-    poly = convex_hull([(0, 0), (1, 1), (2, 2)])
+    poly = rational_hull([(0, 0), (1, 1), (2, 2)])
     assert set(poly.vertices()) == {(0, 0), (2, 2)}
     assert poly.affine_dim() == 1
 
 
 def test_hull_empty():
-    poly = convex_hull([], ambient_dim=2)
+    # an empty vertex list makes the polytope empty, whatever its constraints
+    poly = Polytope(2, [], vertices=())
     assert poly.is_empty()
     assert poly.affine_dim() == NEG_INF
     assert poly.vertices() == ()
@@ -239,7 +247,7 @@ def test_hull_empty():
 def test_hull_3d_simplex():
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
            (Fraction(1, 8), Fraction(1, 8), Fraction(1, 8))]
-    poly = convex_hull(pts)
+    poly = rational_hull(pts)
     assert set(poly.vertices()) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert poly.affine_dim() == 3
     assert set(poly.vertices()) == hull_vertex_set(pts)
@@ -252,48 +260,59 @@ def test_hull_matches_oracle_random_sets():
         [(-1, -1), (1, -1), (-1, 1), (1, 1), (0, 0)],
     ]
     for pts in sets:
-        poly = convex_hull(pts)
+        poly = rational_hull(pts)
         assert set(poly.vertices()) == hull_vertex_set(pts)
         for p in pts:
-            assert poly.contains(p)
+            assert inside(poly, p)
 
 
 def test_hull_lower_dim_in_higher_space():
     # a segment embedded in 3-space gets affine-hull equalities
-    poly = convex_hull([(0, 1, 2), (2, 1, 2)])
+    poly = rational_hull([(0, 1, 2), (2, 1, 2)])
     assert poly.affine_dim() == 1
-    assert poly.contains((1, 1, 2))
-    assert not poly.contains((1, 1, 3))
-    assert not poly.contains((3, 1, 2))
+    assert inside(poly, (1, 1, 2))
+    assert not inside(poly, (1, 1, 3))
+    assert not inside(poly, (3, 1, 2))
 
 
 # ---------------------------------------------------------------------------
-# polytopes: emptiness, vertices, lattice points
+# polytopes: emptiness and vertices; lattice points by ScanPlan
 # ---------------------------------------------------------------------------
+
+SQUARE_NORMALS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
 
 def square_polytope(side):
-    return Polytope(2, [((1, 0), 0), ((-1, 0), -side), ((0, 1), 0), ((0, -1), -side)])
+    return Polytope(2, zip(SQUARE_NORMALS, [0, -side, 0, -side]))
+
+
+def scan(cons, box, collect=True):
+    """The integer points (or their number) of the box with <u, v> >= c
+    for every (v, c) in cons, for integer bounds c."""
+    return ScanPlan(len(box), [v for v, _ in cons]).scan(
+        box, [c for _, c in cons], collect)
 
 
 def test_square_lattice_points():
-    poly = square_polytope(2)
-    pts = poly.lattice_points()
+    cons = list(zip(SQUARE_NORMALS, [0, -2, 0, -2]))
+    pts = scan(cons, [(-1, 3)] * 2)
     assert len(pts) == 9
     assert pts == sorted(pts)
-    assert poly.count_lattice_points() == 9
+    assert scan(cons, [(-1, 3)] * 2, collect=False) == 9
 
 
 def test_simplex_lattice_points_binomial():
     k = 3
-    poly = Polytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -k)])
+    cons = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -k)]
     # oracle: binomial count (k+2 choose 2)
-    assert len(poly.lattice_points()) == (k + 2) * (k + 1) // 2 == 10
+    assert len(scan(cons, [(0, k)] * 2)) == (k + 2) * (k + 1) // 2 == 10
 
 
 def test_empty_polytope():
-    poly = Polytope(2, [((1, 0), 1), ((-1, 0), 0)])  # x >= 1 and x <= 0
+    cons = [((1, 0), 1), ((-1, 0), 0)]  # x >= 1 and x <= 0
+    poly = Polytope(2, cons)
     assert poly.is_empty()
-    assert poly.lattice_points() == []
+    assert scan(cons, [(-3, 3)] * 2) == []
     assert poly.affine_dim() == NEG_INF
 
 
@@ -301,15 +320,15 @@ def test_unbounded_rejected():
     poly = Polytope(2, [((1, 0), 0), ((0, 1), 0)])
     assert not poly.is_bounded()
     with pytest.raises(UnboundedPolytopeError):
-        poly.lattice_points()
+        poly.affine_dim()
 
 
 def test_lattice_points_match_grid_oracle():
     cons = [((1, 2), -3), ((-1, 1), -4), ((0, -1), -3), ((1, -1), -2)]
     poly = Polytope(2, cons)
     assert not poly.is_empty() and poly.is_bounded()
-    box = poly._int_box()
-    assert poly.lattice_points() == grid_lattice_points(cons, box)
+    box = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*poly.vertices())]
+    assert scan(cons, box) == grid_lattice_points(cons, box)
 
 
 def test_vertices_of_intersection():
@@ -321,15 +340,15 @@ def test_vertices_of_intersection():
 def test_hull_of_lattice_points_recovers_vertices():
     # hull(lattice points of P) has the same vertex set as P, for lattice P
     polys = [
-        square_polytope(2),
-        Polytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -3)]),
-        Polytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
-                     ((-1, -1, -1), -2)]),
-        Polytope(2, [((1, 1), 0), ((-1, 1), -2), ((0, -1), -2)]),
+        (list(zip(SQUARE_NORMALS, [0, -2, 0, -2])), [(0, 2)] * 2),
+        ([((1, 0), 0), ((0, 1), 0), ((-1, -1), -3)], [(0, 3)] * 2),
+        ([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -2)],
+         [(0, 2)] * 3),
+        ([((1, 1), 0), ((-1, 1), -2), ((0, -1), -2)], [(-2, 4), (-1, 2)]),
     ]
-    for poly in polys:
-        hull = convex_hull(poly.lattice_points())
-        assert set(hull.vertices()) == set(poly.vertices())
+    for cons, box in polys:
+        hull = rational_hull(scan(cons, box))
+        assert set(hull.vertices()) == set(Polytope(len(box), cons).vertices())
 
 
 def test_ehrhart_interpolation():
@@ -342,10 +361,12 @@ def test_ehrhart_interpolation():
     ]
     for poly in polys:
         d = poly.affine_dim()
-        samples = [(k, dilate(poly, k).count_lattice_points()) for k in range(d + 1)]
-        ehr = interpolate_polynomial(samples)
+
+        def count(k):  # each polytope lies in the unit cube
+            return scan(dilate(poly, k).constraints, [(0, k)] * d, collect=False)
+        ehr = interpolate_polynomial([(k, count(k)) for k in range(d + 1)])
         for k in range(d + 1, d + 4):
-            assert ehr(k) == dilate(poly, k).count_lattice_points()
+            assert ehr(k) == count(k)
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +374,23 @@ def test_ehrhart_interpolation():
 # ---------------------------------------------------------------------------
 
 def test_volume_unit_segment():
-    poly = convex_hull([(0, 1), (1, 1)])
-    assert lattice_volume(poly, [(1, 0)]) == 1
+    poly = rational_hull([(0, 1), (1, 1)])
+    assert body_volume(poly, [(1, 0)]) == 1
 
 
 def test_volume_half_segment():
-    poly = convex_hull([(0, 1), (Fraction(1, 2), 1)])
-    assert lattice_volume(poly, [(1, 0)]) == Fraction(1, 2)
+    poly = rational_hull([(0, 1), (Fraction(1, 2), 1)])
+    assert body_volume(poly, [(1, 0)]) == Fraction(1, 2)
 
 
 def test_volume_unit_square():
     poly = square_polytope(1)
-    assert lattice_volume(poly, [(1, 0), (0, 1)]) == 1
+    assert body_volume(poly, [(1, 0), (0, 1)]) == 1
 
 
 def test_volume_point():
-    poly = convex_hull([(3, 4)])
-    assert lattice_volume(poly, []) == 1
+    poly = rational_hull([(3, 4)])
+    assert body_volume(poly, []) == 1
 
 
 def test_volume_scaling_identity():
@@ -382,21 +403,21 @@ def test_volume_scaling_identity():
     ]
     for poly, basis in polys:
         d = poly.affine_dim()
-        v1 = lattice_volume(poly, basis)
+        v1 = body_volume(poly, basis)
         for k in (1, 2, 3):
-            assert lattice_volume(dilate(poly, k), basis) == v1 * k ** d
+            assert body_volume(dilate(poly, k), basis) == v1 * k ** d
 
 
 def test_volume_basis_mismatch():
     poly = square_polytope(1)
     with pytest.raises(GeometryError):
-        lattice_volume(poly, [(1, 0)])
+        body_volume(poly, [(1, 0)])
 
 
 def test_volume_unimodular_invariance():
     poly = square_polytope(2)
-    v1 = lattice_volume(poly, [(1, 0), (0, 1)])
-    v2 = lattice_volume(poly, [(1, 1), (0, 1)])  # unimodular change of basis
+    v1 = body_volume(poly, [(1, 0), (0, 1)])
+    v2 = body_volume(poly, [(1, 1), (0, 1)])  # unimodular change of basis
     assert v1 == v2 == 4
 
 

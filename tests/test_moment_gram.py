@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kodaira.lattice import NEG_INF, ScanPlan, scan_int_points
+from kodaira.lattice import NEG_INF, ScanPlan
 from kodaira.multiplier import SingularMetricData
 from kodaira.semigroup import DegreeBoundError
 from kodaira.toric import (
@@ -59,8 +59,8 @@ def moment_inputs(draw):
 def test_moments_match_collected_points(case):
     box, cons = case
     n = len(box)
-    points = scan_int_points(box, cons, collect=True)
     plan = ScanPlan(n, [v for v, _ in cons])
+    points = plan.scan(box, [c for _, c in cons], collect=True)
     count, sums, squares = plan.moments(box, [c for _, c in cons])
     assert count == len(points) == plan.scan(box, [c for _, c in cons])
     assert sums == [sum(p[i] for p in points) for i in range(n)]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import strategies as st
 
 from kodaira.multiplier import (
     SingularMetricData,
+    _coeff,
     _violating_pairs,
-    coeff_limit,
     default_mu_grid,
     multiplier_coeff,
     subadditivity_scan,
 )
+from kodaira.toric import ToricDivisorData, ToricVariety, limit_polytope
 
 from _oracles import subadditivity_pairs_pairwise
 
@@ -36,15 +38,30 @@ def test_integrable_weights_vanish():
             assert multiplier_coeff(mu, k) == 0
 
 
-def test_clamp_optional():
+@settings(max_examples=300)
+@given(st.integers(0, 60), st.integers(1, 12), st.integers(1, 80), st.booleans())
+def test_clamp_optional(p, q, t, clamp):
     assert multiplier_coeff(Fraction(1, 2), 4, clamp=False) == 2 - 4 + 1
     assert multiplier_coeff(Fraction(1, 2), 4) == 0
+    # the integer helper every caller shares, against the floor formula
+    value = math.floor(t * Fraction(p, q)) - t + 1
+    expected = max(value, 0) if clamp else value
+    assert _coeff(p, q, t, clamp) == expected
+    assert multiplier_coeff(Fraction(p, q), t, clamp) == expected
 
 
 def test_monotone_in_mu():
     for k in (1, 2, 3, 7, 20):
         vals = [multiplier_coeff(Fraction(p, 4), k) for p in range(0, 20)]
         assert vals == sorted(vals)
+
+
+def coeff_limit(mu):
+    """The normalized limit of the coefficients, lim c_k / k, as the shift
+    of the weighted ray's bound in the limit polytope of P^1 (D = 0)."""
+    q = limit_polytope(ToricVariety.projective_space(1), ToricDivisorData((0, 0)),
+                       SingularMetricData([(0, mu)]))
+    return q.constraints[0][1]
 
 
 def test_coeff_limit():
@@ -118,9 +135,7 @@ def test_metric_data_validation():
     with pytest.raises(ValueError):
         SingularMetricData([(0, 1), (0, 2)])
     h = SingularMetricData([(1, Fraction(3, 2)), (0, 1)])
-    assert h.weight(1) == Fraction(3, 2)
-    assert h.weight(5) == 0
-    assert h.restrict([1]).entries == ((1, Fraction(3, 2)),)
+    assert h.entries == ((1, Fraction(3, 2)), (0, 1))
     assert not SingularMetricData(())
 
 

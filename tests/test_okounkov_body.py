@@ -4,7 +4,7 @@
 points with the same leading coordinates), scales every level by den / k for
 den the lcm of the levels, and hulls the union once on integers over den.
 `_oracles.regularize_per_level` is the route it replaced: one `int_hull` per
-level, its vertices divided by k as Fractions, one `convex_hull`.  Both must
+level, its vertices divided by k as Fractions, one `rational_hull`.  Both must
 give the same body, lattice data and slice data, on drawn semigroups and on
 the okounkov benchmark inputs of seeds 1-3 (read from `perfbench/gen.py`,
 which does not import the package).

