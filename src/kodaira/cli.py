@@ -241,7 +241,7 @@ def cmd_semigroup(body, options):
             raise ValidationError("closed_under_addition: expected true or "
                                   f"false, got {closed!r}")
         sg = GradedSemigroup(n, levels=levels, degree_bound=max_degree,
-                             closed_under_addition=closed)
+                             check_closure=closed)
         dropped = sorted(k for k in levels if k > max_degree)
         if dropped:
             print(f"warning: levels {', '.join(map(str, dropped))} lie above "
@@ -467,6 +467,10 @@ def cmd_multiplier_scan(body, options):
 # rendering
 # ---------------------------------------------------------------------------
 
+# how a verdict's right-hand terms combine, keyed by InequalityVerdict.combine
+RHS_SEPARATORS = {"sum": "+", "product": "*", "chain": "<="}
+
+
 def render_text(report):
     lines = [f"kind: {report['kind']}"]
 
@@ -492,11 +496,10 @@ def render_text(report):
         lines.append(f"kappa_sigma {fmt(report['kappa_sigma'])}")
         lines.append("counts " + " ".join(str(c) for c in report["counts"]))
     elif report["kind"] == "fibration":
-        seps = {"product": " * ", "chain": " <= "}
         for v in report["verdicts"]:
-            sep = seps.get(v.get("combine"), " + ")
+            sep = f" {RHS_SEPARATORS[v['combine']]} "
             rhs = sep.join(f"{label}={fmt(val)}" for label, val in v["rhs_terms"])
-            joint = "<=" if v.get("combine") == "chain" else "vs"
+            joint = "<=" if v["combine"] == "chain" else "vs"
             status = "HOLDS" if v["holds"] else "FAILS"
             extra = " (vacuous)" if v["vacuous"] else ""
             lines.append(
@@ -529,7 +532,8 @@ def render_csv(report):
     elif report["kind"] == "fibration":
         rows.append("check,lhs,rhs,holds,vacuous")
         for v in report["verdicts"]:
-            rhs = "+".join(str(val) for _, val in v["rhs_terms"])
+            rhs = RHS_SEPARATORS[v["combine"]].join(
+                str(val) for _, val in v["rhs_terms"])
             rows.append(f"{v['check']},{v['lhs']},{rhs},{v['holds']},{v['vacuous']}")
     elif report["kind"] == "multiplier_scan":
         rows.append("mu,k,l,c_k,c_l,c_kl")

@@ -1,8 +1,9 @@
 """Abstract smooth projective curves with exact section counts.
 
-Curves are only a genus: in the regimes the harness uses, h^0 is determined
-by (genus, degree, class kind) through Riemann-Roch, and anything else is
-rejected rather than approximated.
+Curves are only a genus and divisor classes only a degree, plus k when the
+class is kK (a general class of its degree otherwise).  h^0 is Riemann-Roch:
+exact for every kK and for a general class outside 0 < d <= 2g-2, and
+anything else is rejected rather than approximated.
 """
 
 from __future__ import annotations
@@ -27,90 +28,49 @@ class CurveModel:
 
 @dataclass(frozen=True)
 class CurveDivisorClass:
-    """Divisor class on an abstract curve.
-
-    kind: "general", "trivial", "canonical_multiple" (degree k(2g-2), with
-    `multiple` = k), or "marked_points" with entries ((point_id, mult), ...).
-    """
+    """Divisor class on an abstract curve: its degree, and `multiple` = k
+    when it is kK, None for a general class of that degree."""
 
     degree: int
-    kind: str = "general"
-    multiple: int = 0
-    points: tuple = ()
+    multiple: int | None = None
 
     @classmethod
     def general(cls, degree):
-        return cls(degree=int(degree), kind="general")
+        return cls(int(degree))
 
     @classmethod
     def trivial(cls):
-        return cls(degree=0, kind="trivial")
+        """0K, the trivial class on any curve."""
+        return cls(0, 0)
 
     @classmethod
     def canonical_multiple(cls, curve, k):
-        return cls(degree=k * (2 * curve.genus - 2), kind="canonical_multiple",
-                   multiple=int(k))
-
-    @classmethod
-    def marked_points(cls, entries):
-        entries = tuple((pid, int(m)) for pid, m in entries)
-        return cls(degree=sum(m for _, m in entries), kind="marked_points",
-                   points=entries)
-
-    def is_trivial_class(self):
-        if self.kind == "trivial":
-            return True
-        if self.kind == "canonical_multiple" and self.multiple == 0:
-            return True
-        if self.kind == "marked_points" and all(m == 0 for _, m in self.points):
-            return True
-        return False
+        return cls(int(k) * (2 * curve.genus - 2), int(k))
 
     def times(self, k):
-        """The k-th multiple, staying within the kind taxonomy."""
         k = int(k)
-        if self.kind == "canonical_multiple":
-            return CurveDivisorClass(degree=k * self.degree // max(self.multiple, 1)
-                                     if self.multiple else 0,
-                                     kind="canonical_multiple",
-                                     multiple=k * self.multiple)
-        if self.kind == "marked_points":
-            return CurveDivisorClass.marked_points(
-                [(pid, k * m) for pid, m in self.points])
-        if self.kind == "trivial":
-            return self
-        return CurveDivisorClass.general(k * self.degree)
+        return CurveDivisorClass(
+            k * self.degree, None if self.multiple is None else k * self.multiple)
 
 
 def h0(curve, cls):
-    """Exact h^0 in the unambiguous regimes.
+    """Exact h^0 by Riemann-Roch.
 
-    degree < 0 gives 0; degree 0 gives 1 for the trivial class and 0 for a
-    nontrivial one (genus 0 has only trivial degree-0 classes); degree above
-    2g-2 is pure Riemann-Roch; canonical multiples are exact at every k.
-    Anything else raises AmbiguousDivisorError.
+    0K, and kK on a genus-1 curve, are trivial: 1.  K has g sections.  Any
+    other class is read off its degree d: 0 below 0; at 0, 1 on P^1 and 0 on
+    a higher genus (a general class is nontrivial); d - g + 1 above 2g-2
+    ((2k-1)(g-1) for kK, k >= 2).  A general class with 0 < d <= 2g-2
+    raises AmbiguousDivisorError.
     """
-    g = curve.genus
-    d = cls.degree
-
-    if cls.kind == "canonical_multiple":
-        k = cls.multiple
-        if k == 0:
-            return 1
-        if g == 0:
-            return 0  # degree -2k < 0
-        if g == 1:
-            return 1  # trivial class
-        if k == 1:
-            return g
-        return (2 * k - 1) * (g - 1)
-
+    g, d, k = curve.genus, cls.degree, cls.multiple
+    if k == 0 or (g == 1 and k is not None):
+        return 1
+    if k == 1:
+        return g
     if d < 0:
         return 0
     if d == 0:
-        if cls.is_trivial_class() or g == 0:
-            return 1
-        return 0
+        return 1 if g == 0 else 0
     if d > 2 * g - 2:
         return d - g + 1
     raise AmbiguousDivisorError("h0 not determined by degree")

@@ -78,13 +78,12 @@ class GradedSemigroup:
 
     `generators`: finite list of (u, level) rows in Z^n x Z>0, or None.
     `levels`: dict {k: set of points in Z^n} for k up to `degree_bound`, used
-    when no generator list is given; `closed_under_addition` declares that
-    A_k + A_l is contained in A_{k+l}, which the constructor spot-checks.
+    when no generator list is given; `check_closure` spot-checks that
+    A_k + A_l is contained in A_{k+l} (stored levels are declared closed).
     """
 
     def __init__(self, ambient_rank, generators=None, levels=None,
-                 degree_bound=None, closed_under_addition=True,
-                 check_closure=True):
+                 degree_bound=None, check_closure=True):
         self.ambient_rank = int(ambient_rank)
         if (generators is None) == (levels is None):
             raise ValueError("exactly one of generators/levels must be given")
@@ -116,7 +115,7 @@ class GradedSemigroup:
             self.levels = lv
             self.degree_bound = int(degree_bound if degree_bound is not None
                                     else (max(lv) if lv else 0))
-            if closed_under_addition and check_closure:
+            if check_closure:
                 self._spot_check_closure()
             self._level_cache = None
 
@@ -130,10 +129,9 @@ class GradedSemigroup:
         return cls(ambient_rank, generators=gens)
 
     @classmethod
-    def from_levels(cls, ambient_rank, levels, closed_under_addition=True,
-                    check_closure=True, degree_bound=None):
+    def from_levels(cls, ambient_rank, levels, check_closure=True,
+                    degree_bound=None):
         return cls(ambient_rank, levels=levels, degree_bound=degree_bound,
-                   closed_under_addition=closed_under_addition,
                    check_closure=check_closure)
 
     # -- structure -----------------------------------------------------------
@@ -212,14 +210,6 @@ class GradedSemigroup:
         if k > self.degree_bound:
             raise DegreeBoundError(f"degree {k} beyond stored bound {self.degree_bound}")
         return self.levels.get(k, set())
-
-    def support(self, bound=None):
-        """N(P): positive degrees with nonempty A_k, up to the bound."""
-        if bound is None:
-            bound = self.degree_bound
-        if bound is None:
-            raise ValueError("a degree bound is required")
-        return [k for k in range(1, bound + 1) if self.level_points(k)]
 
     def spanning_levels(self):
         """{k: sorted points u} of the points (u, k) that span the semigroup,

@@ -440,8 +440,7 @@ class SectionSystem:
         addition by polytope additivity and coefficient subadditivity)."""
         levels = {k: set(self.exponents(k)) for k in range(1, self.degree_bound + 1)}
         return GradedSemigroup.from_levels(
-            self.variety.lattice_rank, levels,
-            closed_under_addition=self.clamp, check_closure=False,
+            self.variety.lattice_rank, levels, check_closure=False,
             degree_bound=self.degree_bound)
 
 

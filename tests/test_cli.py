@@ -172,6 +172,22 @@ def test_out_file_and_csv(tmp_path):
     assert lines[1].startswith("P1,None,0")
 
 
+def test_fibration_csv_joins_rhs_as_text_does(capsys):
+    # a product's terms join with *, a chain's with <=, a sum's with +, the
+    # separators of the text rendering
+    path = str(CORPUS / "fibration_dio_g2.json")
+    assert main(["fibration", path, "--format", "csv"]) == 0
+    rows = dict(line.split(",", 1) for line in
+                capsys.readouterr().out.splitlines()[1:])
+    assert rows["addti"] == "6,4*1,True,False"
+    assert rows["jiangluo_chain"] == "2,2<=2,True,False"
+    assert rows["112"] == "2,1+1,True,False"
+    assert main(["fibration", path]) == 0
+    text = capsys.readouterr().out
+    assert "6 vs h0(base twist)=4 * rank=1" in text
+    assert "2 <= kappa_sigma_hor=2 <= kappa_sigma=2" in text
+
+
 def test_export_polytope(tmp_path):
     path = write_instance(tmp_path, staircase_doc())
     off = tmp_path / "body.off"

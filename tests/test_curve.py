@@ -62,13 +62,41 @@ def test_genus_zero_canonical():
     assert h0(c, CurveDivisorClass.canonical_multiple(c, 1)) == 0
 
 
-def test_marked_points():
-    c = CurveModel(2)
-    cls = CurveDivisorClass.marked_points([("p", 3), ("q", 2)])
-    assert cls.degree == 5
-    assert h0(c, cls) == 5 - 2 + 1
-    doubled = cls.times(2)
-    assert doubled.degree == 10 and doubled.points == (("p", 6), ("q", 4))
+def test_times_scales_the_multiple_of_k():
+    for g in (0, 1, 2, 3):
+        c = CurveModel(g)
+        assert (CurveDivisorClass.canonical_multiple(c, 2).times(3)
+                == CurveDivisorClass.canonical_multiple(c, 6))
+    assert CurveDivisorClass.general(5).times(2) == CurveDivisorClass.general(10)
+    assert CurveDivisorClass.trivial().times(4) == CurveDivisorClass.trivial()
+
+
+def test_anticanonical_h0():
+    # -K has negative degree on genus 2; on P^1 it is O(2), with 3 sections
+    for g, expect in ((2, 0), (0, 3)):
+        c = CurveModel(g)
+        assert h0(c, CurveDivisorClass.canonical_multiple(c, -1)) == expect
+
+
+def test_pluricanonical_h0_table():
+    # h^0(kK), written out per case: deg kK = k(2g - 2)
+    for g in range(6):
+        c = CurveModel(g)
+        for k in range(-4, 7):
+            if k == 0:
+                expect = 1  # the trivial class
+            elif g == 1:
+                expect = 1  # K is trivial on an elliptic curve
+            elif g == 0:
+                # kK = O(-2k) on P^1: -2k + 1 sections when -2k >= 0
+                expect = -2 * k + 1 if k < 0 else 0
+            elif k < 0:
+                expect = 0  # negative degree
+            elif k == 1:
+                expect = g
+            else:
+                expect = (2 * k - 1) * (g - 1)  # degree above 2g - 2
+            assert h0(c, CurveDivisorClass.canonical_multiple(c, k)) == expect, (g, k)
 
 
 def test_kappa_general_type():

@@ -99,7 +99,7 @@ def drawn_semigroups(draw):
         gens = [u + (g * t,) for t in keys for u in points(g * t, 1)]
         return GradedSemigroup.from_generators(gens, ambient_rank=n)
     levels = {g * t: points(g * t, 0 if i else 1) for i, t in enumerate(keys)}
-    return GradedSemigroup.from_levels(n, levels, closed_under_addition=False,
+    return GradedSemigroup.from_levels(n, levels, check_closure=False,
                                        degree_bound=40)
 
 

@@ -4,7 +4,9 @@ Every module-level function and class of `src/kodaira`, and every method
 of a module-level class (dunders aside), must be referenced somewhere in
 `src/kodaira` outside its own definition and `__init__.py`: as a name or
 as an attribute.  The match is by bare name, so a method counts as used
-when any attribute of that name is read.  KEEP lists the names no library
+when any attribute of that name is read: an unused method that shares its
+name with a used one passes unseen, as `GradedSemigroup.support` did beside
+`SectionSystem.support` until it was deleted.  KEEP lists the names no library
 code reads that stay: five the acceptance tests read, and the trivial curve
 class, the unit of the curve divisor classes.
 """

@@ -150,7 +150,7 @@ def test_degreewise_bound_enforced():
 def test_closure_check_rejects_bad_declaration():
     with pytest.raises(ValueError, match="closure"):
         GradedSemigroup.from_levels(
-            1, {1: {(0,), (1,)}, 2: {(0,)}}, closed_under_addition=True)
+            1, {1: {(0,), (1,)}, 2: {(0,)}}, check_closure=True)
 
 
 def test_non_integral_entries_are_rejected_not_truncated():
