@@ -39,10 +39,6 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(map(sub, u, v))
 
@@ -565,7 +561,8 @@ class ScanPlan:
     S1_b, S2_b): N = prod N_b, S1 = S1_b N / N_b on block b, S2 = S2_b N /
     N_b inside block b and S1_i S1_j / N across blocks, which is S1_b S1_c^T
     N / (N_b N_c).  A one-coordinate block is an interval, its count and
-    moments in closed form; a larger block is a sub-plan of its own.  A plan
+    moments in closed form, and a plan of intervals only reads N, S1 and S2
+    straight off them; a larger block is a sub-plan of its own.  A plan
     of one block of two or more coordinates (P^n, F_a, most slices) walks
     its columns as below.  Collecting never splits.
 
@@ -708,6 +705,19 @@ class ScanPlan:
                     square[i][j] = square[j][i] = flat[pos]
                     pos += 1
             return flat[0], list(flat[1:n + 1]), square
+        if not self.parts:  # intervals only: N, S1 and S2 in closed form
+            cols = [None] * n  # (count, sum, sum of squares) of each range
+            for j, terms in self.intervals:
+                lo, hi = _interval(*box[j], terms, bounds)
+                if lo > hi:
+                    return _no_moments(n)
+                cols[j] = _column_moments(lo, hi)
+            total = math.prod(size for size, _, _ in cols)
+            sums = [s * (total // size) for size, s, _ in cols]
+            square = [[a * b // total for b in sums] for a in sums]
+            for j, (size, _, ss) in enumerate(cols):
+                square[j][j] = ss * (total // size)
+            return total, sums, square
         blocks = []  # (coordinates, N_b, S1_b, S2_b)
         for j, terms in self.intervals:
             lo, hi = _interval(*box[j], terms, bounds)
@@ -833,12 +843,14 @@ def _normal(rows):
 
 
 def _dots(w, points):
-    """<w, p> for each point, summed one coordinate column at a time."""
-    out = repeat(0, len(points))
+    """<w, p> for each point, summed one coordinate column at a time (a
+    weight 1 adds its column as it is)."""
+    out = None
     for a, col in zip(w, zip(*points)):
         if a:
-            out = map(add, out, map(mul, repeat(a), col))
-    return list(out)
+            term = col if a == 1 else map(mul, repeat(a), col)
+            out = term if out is None else map(add, out, term)
+    return [0] * len(points) if out is None else list(out)
 
 
 def _hull(pts):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, product, repeat, starmap
-from operator import add, index, itemgetter, le, mul, ne
+from operator import add, index, le, mul, ne
 
 from .lattice import (
     NEG_INF,
@@ -30,7 +30,6 @@ from .lattice import (
     hnf_basis,
     hull_polytope,
     hull_volume,
-    vadd,
 )
 
 
@@ -63,44 +62,75 @@ def _runs(codes):
             list(compress(codes, breaks)) + codes[-1:])
 
 
-def _column_ends(points):
-    """The two ends of each column, a run of points with the same leading
-    coordinates, of sorted distinct points (a one-point column's twice): a
-    point between them is not a vertex of the hull."""
-    heads = list(map(itemgetter(slice(-1)), points))
-    breaks = list(map(ne, heads[1:], heads))
-    return (points[:1] + list(compress(points[1:], breaks))
-            + list(compress(points, breaks)) + points[-1:])
+def _coder(n, size):
+    """(radix, weights) of the integer code c(p) = sum_j p_j R^(n-1-j) of
+    the points of Z^n with |coordinates| <= size, R = 4 size + 1: linear,
+    lexicographically order-preserving, and injective on vectors with
+    |coordinates| <= 2 size, so on the points and their pairwise sums.  Two
+    points' codes differ by 1 iff the points differ by e_n, so a run of
+    consecutive codes is a run s, s + e_n, ..., s + j e_n of one column."""
+    radix = 4 * size + 1
+    return radix, [radix ** (n - 1 - j) for j in range(n)]
+
+
+def _decode(codes, radix, weights):
+    """The points of codes of `_coder(n, size)`, by balanced digits: with
+    M = size, coordinate j is the base-R digit of c + 2M sum(weights) at
+    weights[j], less 2M."""
+    if not weights:
+        return [()] * len(codes)
+    half = radix // 2
+    shift = half * sum(weights)
+    shifted = [c + shift for c in codes]
+    return list(zip(*[[s // w % radix - half for s in shifted]
+                      for w in weights]))
+
+
+def _run_ends(codes, radix, weights):
+    """(starts, tails): the points of sorted distinct codes of `_coder` at
+    the starts of their runs of consecutive codes, and at the other ends of
+    the runs of two or more.  A run is a run s, s + e_n, ..., s + j e_n of
+    one column, so the run ends include the two ends of each column."""
+    starts, stops = _runs(codes)
+    tails = list(compress(stops, map(ne, stops, starts)))
+    points = _decode(starts + tails, radix, weights)
+    return points[:len(starts)], points[len(starts):]
 
 
 class GradedSemigroup:
     """Sub-semigroup of Z^n x Z>=0 with zero as the only level-0 element.
 
     `generators`: finite list of (u, level) rows in Z^n x Z>0, or None.
-    `levels`: dict {k: set of points in Z^n} for k up to `degree_bound`, used
-    when no generator list is given; `check_closure` spot-checks that
-    A_k + A_l is contained in A_{k+l} (stored levels are declared closed).
+    `levels`: dict {k: points of Z^n} for k up to `degree_bound`, used when
+    no generator list is given; `check_closure` spot-checks that A_k + A_l
+    is contained in A_{k+l} (stored levels are declared closed).
+
+    A stored level is kept once, as the sorted distinct codes of its points
+    (`codes[k]`, the code of `_coder(n, M)` for M the largest |coordinate|
+    of any level, `radix` and `weights`); the closure check, `hilbert` and
+    `regularize` read only the codes, and `level_points` decodes them.
+    Generated levels are sets of tuples, built on demand.
     """
 
     def __init__(self, ambient_rank, generators=None, levels=None,
                  degree_bound=None, check_closure=True):
-        self.ambient_rank = int(ambient_rank)
+        self.ambient_rank = n = int(ambient_rank)
         if (generators is None) == (levels is None):
             raise ValueError("exactly one of generators/levels must be given")
         if generators is not None:
             gens = _int_points(generators, "generator")
             for g in gens:
-                if len(g) != self.ambient_rank + 1:
+                if len(g) != n + 1:
                     raise ValueError("generator dimension mismatch")
                 if g[-1] <= 0:
                     raise ValueError("generator level must be positive")
             self.generators = tuple(sorted(set(gens)))
-            self.levels = None
+            self.codes = None
             self.degree_bound = degree_bound
-            self._level_cache = {0: {tuple([0] * self.ambient_rank)}}
+            self._level_cache = {0: {tuple([0] * n)}}
         else:
             self.generators = None
-            lv = {}
+            rows, size = {}, 0
             for k, pts in levels.items():
                 try:
                     k = index(k)
@@ -109,12 +139,27 @@ class GradedSemigroup:
                         f"level keys must be integers, got {k!r}") from None
                 if k <= 0:
                     raise ValueError("levels are indexed by positive degrees")
-                lv[k] = set(_int_points(pts, "point"))
-                if not set(map(len, lv[k])) <= {self.ambient_rank}:
+                # entry types checked in one pass; only other types than
+                # plain int take the per-point route, which names a bad one
+                try:
+                    pts = list(pts)
+                    flat = (list(chain.from_iterable(pts))
+                            if set(map(type, pts)) <= {tuple, list} else None)
+                except TypeError:
+                    flat = None
+                if flat is None or not set(map(type, flat)) <= {int}:
+                    pts = _int_points(pts, "point")
+                    flat = list(chain.from_iterable(pts))
+                if not set(map(len, pts)) <= {n}:
                     raise ValueError("point dimension mismatch")
-            self.levels = lv
+                if flat:
+                    size = max(size, max(flat), -min(flat))
+                rows[k] = pts
+            self.radix, self.weights = _coder(n, size)
+            self.codes = {k: sorted(set(_dots(self.weights, pts)))
+                          for k, pts in rows.items()}
             self.degree_bound = int(degree_bound if degree_bound is not None
-                                    else (max(lv) if lv else 0))
+                                    else (max(rows) if rows else 0))
             if check_closure:
                 self._spot_check_closure()
             self._level_cache = None
@@ -141,23 +186,17 @@ class GradedSemigroup:
         pair order, sampling every len // 14-th point of both sorted sets
         once |A_k| |A_l| exceeds what is left of the budget.
 
-        Each point p becomes the integer code sum_j p_j R^(n-1-j), R = 4M + 1
-        for M the largest |coordinate|: linear, order-preserving, and
-        injective on vectors with |coordinates| <= 2M, so on the points and
-        their pairwise sums.  The sorted codes of a level split into runs of
-        consecutive integers; a run plus a run is the run of the summed
-        ends, and it lies in C_{k+l} iff it lies in one run of C_{k+l}.
-        Each level's runs are split once; only a sampled pair splits its
-        sampled codes again.
+        Reads the stored codes: the code is linear and injective on the
+        points and their pairwise sums (`_coder`), so it checks sums of
+        codes.  The sorted codes of a level split into runs of consecutive
+        integers; a run plus a run is the run of the summed ends, and it
+        lies in C_{k+l} iff it lies in one run of C_{k+l}.  Each level's
+        runs are split once; only a sampled pair splits its sampled codes
+        again.
         """
-        pairs = sorted((k, l) for k in self.levels for l in self.levels
+        pairs = sorted((k, l) for k in self.codes for l in self.codes
                        if k <= l and k + l <= self.degree_bound)
-        n = self.ambient_rank
-        radix = 4 * max(map(abs, chain.from_iterable(
-            chain.from_iterable(self.levels.values()))), default=0) + 1
-        weights = [radix ** (n - 1 - j) for j in range(n)]
-        codes = {k: sorted(_dots(weights, list(pts)))
-                 for k, pts in self.levels.items()}
+        codes = self.codes
         runs = {k: _runs(c) for k, c in codes.items()}
         # runs of each target level, with a run (-inf, -inf] in front so the
         # run before the first start has an end below every sum
@@ -185,43 +224,55 @@ class GradedSemigroup:
             if budget <= 0:
                 break
 
-    def level_points(self, k):
-        """The set A_k (computed for generated semigroups, stored otherwise)."""
+    def level_codes(self, k):
+        """The sorted codes of the stored level A_k (the zero code at k = 0)."""
         k = int(k)
         if k < 0:
             raise ValueError("negative degree")
-        if self.generators is not None:
-            if k not in self._level_cache:
-                for t in range(1, k + 1):
-                    if t in self._level_cache:
-                        continue
-                    acc = set()
-                    for g in self.generators:
-                        lv = g[-1]
-                        if lv <= t:
-                            prev = self._level_cache.get(t - lv)
-                            if prev:
-                                head = g[:-1]
-                                acc.update(vadd(p, head) for p in prev)
-                    self._level_cache[t] = acc
-            return self._level_cache[k]
         if k == 0:
-            return {tuple([0] * self.ambient_rank)}
+            return [0]
         if k > self.degree_bound:
             raise DegreeBoundError(f"degree {k} beyond stored bound {self.degree_bound}")
-        return self.levels.get(k, set())
+        return self.codes.get(k, [])
 
-    def spanning_levels(self):
-        """{k: sorted points u} of the points (u, k) that span the semigroup,
-        by increasing level k: the generators, or the nonempty stored levels
-        up to the degree bound."""
-        if self.generators is not None:
-            levels = {}
-            for g in self.generators:
-                levels.setdefault(g[-1], []).append(g[:-1])
-            return dict(sorted(levels.items()))
-        return {k: sorted(pts) for k, pts in sorted(self.levels.items())
-                if pts and k <= self.degree_bound}
+    def level_points(self, k):
+        """The set A_k (computed for generated semigroups, decoded from the
+        stored codes otherwise)."""
+        if self.generators is None:
+            return set(_decode(self.level_codes(k), self.radix, self.weights))
+        k = int(k)
+        if k < 0:
+            raise ValueError("negative degree")
+        if k not in self._level_cache:
+            for t in range(1, k + 1):
+                if t in self._level_cache:
+                    continue
+                acc = set()
+                for g in self.generators:
+                    lv = g[-1]
+                    if lv <= t:
+                        prev = self._level_cache.get(t - lv)
+                        if prev:
+                            acc.update(map(tuple, map(
+                                map, repeat(add), prev, repeat(g[:-1]))))
+                self._level_cache[t] = acc
+        return self._level_cache[k]
+
+    def spanning_codes(self):
+        """(radix, weights, {k: sorted codes}) of the points (u, k) that span
+        the semigroup, by increasing level k: the generators, coded on their
+        own, or the nonempty stored levels up to the degree bound."""
+        if self.generators is None:
+            return self.radix, self.weights, {
+                k: c for k, c in sorted(self.codes.items())
+                if c and k <= self.degree_bound}
+        heads = [g[:-1] for g in self.generators]
+        radix, weights = _coder(self.ambient_rank, max(
+            map(abs, chain.from_iterable(heads)), default=0))
+        levels = {}
+        for g, c in zip(self.generators, _dots(weights, heads)):
+            levels.setdefault(g[-1], []).append(c)
+        return radix, weights, {k: sorted(c) for k, c in sorted(levels.items())}
 
 
 @dataclass
@@ -260,12 +311,19 @@ def regularize(sg):
     Raises EmptySemigroupError when no level is populated, and GeometryError
     when the body's dimension is not rank(G) - 1.
     """
-    levels = sg.spanning_levels()
+    radix, weights, levels = sg.spanning_codes()
     if not levels:
         raise EmptySemigroupError("empty semigroup")
     n = sg.ambient_rank
 
-    basis = hnf_basis(u + (k,) for k, pts in levels.items() for u in pts)
+    # G is generated by the run starts (s, k), and by (e_n, 0) once a run
+    # holds two points; (e_n, 0) is read first, so that `hnf_basis` can stop
+    # at the identity sooner
+    ends = {k: _run_ends(codes, radix, weights) for k, codes in levels.items()}
+    unit = ([tuple([0] * (n - 1)) + (1, 0)]
+            if any(tails for _, tails in ends.values()) else [])
+    basis = hnf_basis(chain(unit, (u + (k,) for k, (starts, _) in ends.items()
+                                   for u in starts)))
     rank = len(basis)
     # the HNF of G's basis with the level column first: its first row is a
     # point g0 of G at the least positive level m, and the rows below it,
@@ -279,13 +337,13 @@ def regularize(sg):
     body_dim = rank - 1
     # cone over the generators equals the cone over the level-1 hull because
     # every graded point sits at a positive level.  conv(∪ A_k / k) needs
-    # only the column ends of each level A_k (sorted and distinct); each
-    # level is scaled by den / k, den the lcm of the levels, so that one
-    # integer hull over den gets them all
+    # only the run ends of each level A_k, which include the two ends of
+    # each column; each level is scaled by den / k, den the lcm of the
+    # levels, so that one integer hull over den gets them all
     den = math.lcm(*levels)
     hull = hull_polytope(sorted(set(chain.from_iterable(
-        map(tuple, map(map, repeat(partial(mul, den // k)), _column_ends(pts)))
-        for k, pts in levels.items()))), den)
+        map(tuple, map(map, repeat(partial(mul, den // k)), chain(starts, tails)))
+        for k, (starts, tails) in ends.items()))), den)
     if hull.affine_dim() != body_dim:
         raise GeometryError("okounkov dimension disagrees with group rank")
     lifted = [(v + (0,), c) for v, c in hull.constraints]
@@ -322,7 +380,10 @@ def regularize(sg):
 
 
 def hilbert(sg, k):
-    """Card(A_k): the Hilbert function of the semigroup itself."""
+    """Card(A_k): the Hilbert function of the semigroup itself, the number
+    of codes of a stored level."""
+    if sg.generators is None:
+        return len(sg.level_codes(k))
     return len(sg.level_points(k))
 
 

@@ -35,7 +35,12 @@ replaced (`regularize_per_level`: one `int_hull` per level, its vertices
 divided by k as Fractions, one `rational_hull` of their union, and the
 slice box kept as Fractions) is the reference for the Okounkov body;
 `rational_hull` and `body_volume` put the rational scaling around
-`hull_polytope` and `hull_volume`.  The rank reads the moment Grams of
+`hull_polytope` and `hull_volume`.  The tuple route the coded levels of
+`GradedSemigroup` replaced is the reference for them: levels as sets of
+`operator.index` tuples (`tuple_levels`), the two ends of each column
+(`column_ends`), and the group basis from every point and the hull of the
+column ends (`regularize_tuple_route`); `spanning_points` reads a
+semigroup's spanning levels as tuples.  The rank reads the moment Grams of
 `SectionSystem.gram` replaced are references too: `span_rank`, one Gram
 matrix of the differences from each set's first point, read in doubling
 prefixes, `int_points_rank` on it, and the kappa and Iitaka reads on them
@@ -49,8 +54,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
-from operator import and_, mul
+from itertools import combinations, compress, product
+from operator import and_, index, itemgetter, mul, ne
 
 from kodaira.lattice import (
     NEG_INF,
@@ -902,6 +907,50 @@ def regularize_lattice_reference(points):
     return basis, m, boundary, ind, g0
 
 
+def tuple_levels(levels):
+    """Reference for the coded levels of `GradedSemigroup`, on the tuple
+    route the codes replaced: {k: set of points}, each point a tuple of
+    `operator.index` values."""
+    return {index(k): {tuple(map(index, p)) for p in pts}
+            for k, pts in levels.items()}
+
+
+def column_ends(points):
+    """The two ends of each column, a run of points with the same leading
+    coordinates, of sorted distinct points (a one-point column's twice), by
+    `compress` on the changes of the leading coordinates."""
+    heads = list(map(itemgetter(slice(-1)), points))
+    breaks = list(map(ne, heads[1:], heads))
+    return (points[:1] + list(compress(points[1:], breaks))
+            + list(compress(points, breaks)) + points[-1:])
+
+
+def spanning_points(sg):
+    """{k: sorted points u} of the points (u, k) that span `sg`, by
+    increasing level: its generators grouped by level, or its nonempty
+    stored levels up to the degree bound, decoded by `level_points`."""
+    if sg.generators is None:
+        return {k: sorted(sg.level_points(k)) for k in sg.spanning_codes()[2]}
+    levels = {}
+    for g in sg.generators:
+        levels.setdefault(g[-1], []).append(g[:-1])
+    return dict(sorted(levels.items()))
+
+
+def regularize_tuple_route(levels):
+    """Reference for the group basis and the hull of `regularize` on the
+    tuple route the codes replaced, for {k: sorted distinct points u} of
+    the nonempty spanning levels: `hnf_basis` of every point (u, k), and
+    `hull_polytope` over den of the column ends of each level scaled by
+    den / k, den the lcm of the levels."""
+    basis = hnf_basis([u + (k,) for k, pts in levels.items() for u in pts])
+    den = math.lcm(*levels)
+    hull = hull_polytope(sorted({tuple(x * (den // k) for x in p)
+                                 for k, pts in levels.items()
+                                 for p in column_ends(pts)}), den)
+    return basis, hull
+
+
 def regularize_per_level(sg):
     """Reference for `semigroup.regularize` on the body route it replaced:
     each level A_k is cut to the vertices of its own integer hull
@@ -918,7 +967,7 @@ def regularize_per_level(sg):
         [row[-1:] + row[:-1] for row in reg.group_basis])]
     m = g0[-1]
     hull = rational_hull([tuple(Fraction(x, k) for x in v)
-                          for k, a_k in sg.spanning_levels().items()
+                          for k, a_k in spanning_points(sg).items()
                           for v in int_hull(a_k)[2]])
     lifted = [(v + (0,), c) for v, c in hull.constraints]
     lifted.append((tuple([0] * n) + (1,), Fraction(1)))

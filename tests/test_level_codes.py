@@ -1,0 +1,177 @@
+"""Stored semigroup levels as sorted integer codes, against the tuple route.
+
+`GradedSemigroup` keeps each stored level once, as the sorted distinct codes
+c(p) = sum_j p_j R^(n-1-j) of its points (R = 4M + 1, M the largest
+|coordinate|), and `regularize` reads only the runs of consecutive codes:
+the group from the run starts plus e_n, the hull from the run ends.  The
+references in `_oracles` are the tuple route the codes replaced: levels as
+sets of tuples (`tuple_levels`), the group from every point and the hull of
+the column ends (`regularize_tuple_route`).
+"""
+
+from itertools import chain
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kodaira.lattice import _dots
+from kodaira.semigroup import (
+    DegreeBoundError,
+    GradedSemigroup,
+    _coder,
+    _decode,
+    hilbert,
+    regularize,
+)
+
+from _oracles import regularize_tuple_route, spanning_points, tuple_levels
+
+
+# ---------------------------------------------------------------------------
+# the code
+# ---------------------------------------------------------------------------
+
+@st.composite
+def point_lists(draw):
+    """(rank 0-4, points with coordinates in [-M, M] for a drawn M, some of
+    them negative, possibly all zero)."""
+    n = draw(st.integers(0, 4))
+    size = draw(st.sampled_from([0, 1, 2, 7, 10 ** 9]))
+    coord = st.integers(-size, size)
+    return n, draw(st.lists(st.tuples(*[coord] * n), max_size=30))
+
+
+@settings(max_examples=200)
+@given(point_lists())
+@example((3, [(0, 0, 0)]))  # an all-zero level: R = 1
+@example((0, [(), ()]))
+@example((2, [(-5, 3), (-5, 4), (-5, 5), (-4, -5), (5, -5)]))
+def test_codes_round_trip(case):
+    n, points = case
+    radix, weights = _coder(n, max(map(abs, chain.from_iterable(points)), default=0))
+    codes = _dots(weights, points)
+    assert len(set(codes)) == len(set(points))  # injective
+    ordered = sorted(set(points))
+    assert _decode(sorted(set(codes)), radix, weights) == ordered  # order kept
+    # consecutive codes are exactly the steps of e_n within one column
+    step = [a[:-1] == b[:-1] and b[-1] == a[-1] + 1
+            for a, b in zip(ordered, ordered[1:])] if n else []
+    sorted_codes = sorted(set(codes))
+    assert [b == a + 1 for a, b in zip(sorted_codes, sorted_codes[1:])] == step
+
+
+def test_all_zero_level_has_radix_one():
+    sg = GradedSemigroup.from_levels(3, {1: {(0, 0, 0)}, 2: [(0, 0, 0)]})
+    assert sg.radix == 1 and sg.codes == {1: [0], 2: [0]}
+    assert sg.level_points(2) == {(0, 0, 0)}
+
+
+# ---------------------------------------------------------------------------
+# levels shaped by their columns
+# ---------------------------------------------------------------------------
+
+@st.composite
+def column_levels(draw):
+    """(rank 0-3, levels {k: points}, degree bound) shaped by the runs of
+    their columns: columns with gaps, columns of single-point runs only
+    (last coordinates two or more apart, as the doubled semigroup's), or
+    full runs; one to four levels, sometimes one, some of them empty, a few
+    points sometimes lists and far from the origin."""
+    n = draw(st.integers(0, 3))
+    shape = draw(st.sampled_from(["gaps", "single", "runs"]))
+    far = draw(st.sampled_from([0, 3, -(10 ** 6)]))
+    keys = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+    levels = {}
+    for k in keys:
+        points = set()
+        heads = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (n - 1)),
+                              max_size=4, unique=True)) if n else []
+        for head in heads:
+            start = draw(st.integers(-3, 3)) + far
+            if shape == "single":
+                lasts = range(start, start + 2 * draw(st.integers(1, 4)),
+                              draw(st.integers(2, 3)))
+            elif shape == "runs":
+                lasts = range(start, start + draw(st.integers(1, 5)))
+            else:
+                lasts = {start + x for x in draw(st.lists(
+                    st.integers(0, 8), min_size=1, max_size=6))}
+            points.update(head + (y,) for y in lasts)
+        if n == 0 and draw(st.booleans()):
+            points.add(())
+        as_lists = draw(st.booleans())
+        levels[k] = [list(p) for p in points] if as_lists else points
+    bound = draw(st.sampled_from([None, max(keys), max(keys) - 1]))
+    return n, levels, bound
+
+
+def _stored(n, levels, bound):
+    return GradedSemigroup.from_levels(n, levels, check_closure=False,
+                                       degree_bound=bound)
+
+
+@settings(max_examples=200)
+@given(column_levels())
+def test_level_points_and_hilbert_match_tuple_levels(case):
+    n, levels, bound = case
+    sg = _stored(*case)
+    ref = tuple_levels(levels)
+    top = sg.degree_bound
+    assert sg.level_points(0) == {(0,) * n} and hilbert(sg, 0) == 1
+    for k in range(1, top + 1):
+        assert sg.level_points(k) == ref.get(k, set()), k
+        assert hilbert(sg, k) == len(ref.get(k, set())), k
+    for query in (sg.level_points, lambda k: hilbert(sg, k)):
+        with pytest.raises(DegreeBoundError):
+            query(top + 1)
+        with pytest.raises(ValueError, match="negative degree"):
+            query(-1)
+
+
+def _spanning_tuples(n, levels, bound):
+    """The nonempty levels up to the bound, as sorted tuple lists."""
+    ref = tuple_levels(levels)
+    top = bound if bound is not None else max(ref)
+    return {k: sorted(ref[k]) for k in sorted(ref) if ref[k] and k <= top}
+
+
+@settings(max_examples=200)
+@given(column_levels())
+@example((1, {3: {(0,)}}, None))  # a single one-point level
+@example((2, {2: {(0, 0), (0, 2), (1, 0), (1, 2)}}, None))  # single-point runs
+@example((2, {1: {(0, 0), (0, 1), (0, 5)}, 2: {(0, 2), (0, 3)}}, None))  # gaps
+@example((1, {2: {(0,), (2,), (4,)}, 4: {(0,), (2,), (4,), (6,), (8,)}}, None))
+@example((3, {1: {(0, 0, 0), (0, 0, 1), (0, 0, 4), (1, 1, 2)}}, None))
+def test_body_and_group_match_tuple_route(case):
+    """The group from the run starts plus e_n is the group of all points,
+    and the hull of the run ends is the hull of the column ends."""
+    spanning = _spanning_tuples(*case)
+    sg = _stored(*case)
+    if not spanning:
+        return
+    n = case[0]
+    assert spanning_points(sg) == spanning
+    basis, hull = regularize_tuple_route(spanning)
+    reg = regularize(sg)
+    assert list(reg.group_basis) == basis
+    body = reg.okounkov_body
+    assert list(body.constraints[:-2]) == [(v + (0,), c) for v, c in hull.constraints]
+    assert [v[:-1] for v in body.vertices()] == list(hull.vertices())
+    assert reg.okounkov_dim == len(basis) - 1
+    assert len(body.vertices()[0]) == n + 1
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(-4, 4)] * n, st.integers(1, 4)),
+                         min_size=1, max_size=6))))
+def test_generated_semigroups_match_tuple_route(case):
+    n, gens = case
+    sg = GradedSemigroup.from_generators(gens, ambient_rank=n)
+    spanning = spanning_points(sg)
+    basis, hull = regularize_tuple_route(spanning)
+    reg = regularize(sg)
+    assert list(reg.group_basis) == basis
+    assert list(reg.okounkov_body.constraints[:-2]) == [
+        (v + (0,), c) for v, c in hull.constraints]

@@ -1,8 +1,9 @@
 """The Okounkov body from one integer hull, against the per-level route.
 
-`regularize` cuts each level A_k to the two ends of each column (a run of
-points with the same leading coordinates), scales every level by den / k for
-den the lcm of the levels, and hulls the union once on integers over den.
+`regularize` cuts each level A_k to the ends of its runs of consecutive
+codes, which include the two ends of each column (a run of points with the
+same leading coordinates), scales every level by den / k for den the lcm of
+the levels, and hulls the union once on integers over den.
 `_oracles.regularize_per_level` is the route it replaced: one `int_hull` per
 level, its vertices divided by k as Fractions, one `rational_hull`.  Both must
 give the same body, lattice data and slice data, on drawn semigroups and on
@@ -14,15 +15,23 @@ import importlib.util
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kodaira.semigroup import GradedSemigroup, _column_ends, hilbert_reg, regularize
+from kodaira.lattice import _dots, hull_polytope
+from kodaira.semigroup import (
+    GradedSemigroup,
+    _coder,
+    _run_ends,
+    hilbert_reg,
+    regularize,
+)
 
-from _oracles import hilbert_reg_per_level, regularize_per_level
+from _oracles import column_ends, hilbert_reg_per_level, regularize_per_level
 
 
 def assert_same_body(sg):
@@ -42,32 +51,70 @@ def assert_same_body(sg):
 
 
 # ---------------------------------------------------------------------------
-# the column cut
+# the run-end cut
 # ---------------------------------------------------------------------------
 
-def test_column_ends_rank_zero():
-    assert set(_column_ends([()])) == {()}
-    assert _column_ends([]) == []
+def run_ends(points):
+    """The run ends of sorted distinct points, read off their codes."""
+    n = len(points[0]) if points else 0
+    radix, weights = _coder(n, max(map(abs, chain.from_iterable(points)), default=0))
+    starts, tails = _run_ends(sorted(_dots(weights, points)), radix, weights)
+    return starts + tails
 
 
-def test_column_ends_rank_one_is_one_column():
-    assert set(_column_ends([(-3,), (0,), (1,), (7,)])) == {(-3,), (7,)}
-    assert set(_column_ends([(4,)])) == {(4,)}
+def assert_run_ends(points, expected):
+    ends = run_ends(points)
+    assert len(ends) == len(set(ends))
+    assert set(ends) == expected
+    assert set(column_ends(points)) <= expected <= set(points)
 
 
-def test_column_ends_keep_one_point_columns():
+def test_run_ends_rank_zero():
+    assert_run_ends([()], {()})
+    assert run_ends([]) == []
+
+
+def test_run_ends_rank_one_split_at_gaps():
+    assert_run_ends([(-3,), (0,), (1,), (7,)], {(-3,), (0,), (1,), (7,)})
+    assert_run_ends([(4,)], {(4,)})
+    assert_run_ends([(-2,), (-1,), (0,), (1,)], {(-2,), (1,)})
+
+
+def test_run_ends_keep_one_point_columns():
     pts = [(0, 5), (1, -2), (2, 0), (2, 1), (2, 9), (3, 3)]
-    assert set(_column_ends(pts)) == {(0, 5), (1, -2), (2, 0), (2, 9), (3, 3)}
+    assert_run_ends(pts, set(pts))
 
 
-def test_column_ends_keep_both_ends_of_two_point_columns():
+def test_run_ends_keep_both_ends_of_two_point_columns():
     pts = [(0, 0, 1), (0, 0, 4), (0, 1, -1), (0, 1, 2), (5, 1, 0), (5, 1, 8)]
-    assert set(_column_ends(pts)) == set(pts)
+    assert_run_ends(pts, set(pts))
 
 
-def test_column_ends_drop_interior_points_only():
+def test_run_ends_drop_interior_points_only():
     pts = [(x, y, z) for x in range(3) for y in range(-1, 2) for z in range(4)]
-    assert set(_column_ends(pts)) == {p for p in pts if p[2] in (0, 3)}
+    assert_run_ends(pts, {p for p in pts if p[2] in (0, 3)})
+
+
+@pytest.mark.parametrize("pts", [
+    # columns with gaps in a full-dimensional level
+    [(0, 0), (0, 1), (0, 2), (0, 5), (0, 6), (1, 0), (1, 3), (2, -1), (2, 1)],
+    # one column with gaps: a segment in the plane
+    [(3, -4), (3, -3), (3, 0), (3, 2), (3, 3)],
+    # columns with gaps on the plane y = 2x in Z^3, and in all of Z^3
+    [(x, 2 * x, x + z) for x in range(3) for z in (0, 1, 4)],
+    [(x, y, x + y + z) for x in range(3) for y in range(2) for z in (0, 1, 4)],
+])
+def test_run_ends_of_gapped_columns_give_the_same_hull(pts):
+    """Same constraints, not only the same hull: the extra run ends differ
+    from column ends by multiples of e_n, so they change only the last
+    coordinate of `int_hull`'s difference lattice, which the affine-hull
+    equalities, read off the other coordinates first, do not see."""
+    ends = run_ends(pts)
+    assert set(ends) > set(column_ends(pts))
+    by_runs, by_columns = (hull_polytope(sorted(set(p)), 1)
+                           for p in (ends, column_ends(pts)))
+    assert by_runs.constraints == by_columns.constraints
+    assert by_runs.vertices() == by_columns.vertices()
 
 
 # ---------------------------------------------------------------------------

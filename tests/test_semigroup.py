@@ -158,9 +158,24 @@ def test_non_integral_entries_are_rejected_not_truncated():
         GradedSemigroup(1, generators=[(Fraction(5, 2), 1), (0.9, 1.7)])
     with pytest.raises(ValueError, match="point entries must be integers"):
         GradedSemigroup(1, levels={1: {(2.7,)}})
-    # integral values of other integer types are taken as they are
+    with pytest.raises(ValueError, match="point entries must be integers"):
+        GradedSemigroup(2, levels={1: [[0, 0]], 2: [[0, "1"]]})
+    # integral values of other integer types are taken as they are, also
+    # bool and int entries mixed in one row
     sg = GradedSemigroup(1, levels={1: {(True,), (0,)}, 2: {(0,), (1,), (2,)}})
-    assert sg.levels[1] == {(0,), (1,)}
+    assert sg.level_points(1) == {(0,), (1,)}
+    assert hilbert(sg, 1) == 2
+    sg = GradedSemigroup(2, levels={1: [[True, 0], [0, False], [1, 1]],
+                                    2: [[x, y] for x in range(3) for y in range(3)]})
+    assert sg.level_points(1) == {(1, 0), (0, 0), (1, 1)}
+    assert hilbert(sg, 1) == 3
+
+
+def test_point_dimension_mismatch_in_one_level():
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        GradedSemigroup(2, levels={1: [[0, 0]], 2: [[0, 0], [1]]})
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        GradedSemigroup(1, levels={1: {(0,)}, 2: {(0, 0)}}, check_closure=False)
 
 
 def test_non_integral_level_keys_are_rejected_not_truncated():
@@ -168,7 +183,8 @@ def test_non_integral_level_keys_are_rejected_not_truncated():
         with pytest.raises(ValueError, match="level keys must be integers"):
             GradedSemigroup(1, levels={key: {(1,)}, 1: {(0,)}}, check_closure=False)
     sg = GradedSemigroup(1, levels={True: {(0,)}, 2: {(0,)}})
-    assert sorted(sg.levels) == [1, 2]
+    assert [hilbert(sg, k) for k in range(3)] == [1, 1, 1]
+    assert sg.level_points(1) == sg.level_points(2) == {(0,)}
 
 
 def closure_outcome(check):
