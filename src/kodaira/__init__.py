@@ -13,7 +13,6 @@ from .lattice import (
     GeometryError,
     IntLattice,
     Polytope,
-    UnboundedPolytopeError,
     hnf,
 )
 from .multiplier import (

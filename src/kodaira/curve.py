@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .lattice import as_int
 from .toric import certified_growth
 
 
@@ -36,7 +37,7 @@ class CurveDivisorClass:
 
     @classmethod
     def general(cls, degree):
-        return cls(int(degree))
+        return cls(as_int(degree, "degree"))
 
     @classmethod
     def trivial(cls):
@@ -45,10 +46,11 @@ class CurveDivisorClass:
 
     @classmethod
     def canonical_multiple(cls, curve, k):
-        return cls(int(k) * (2 * curve.genus - 2), int(k))
+        k = as_int(k, "multiple")
+        return cls(k * (2 * curve.genus - 2), k)
 
     def times(self, k):
-        k = int(k)
+        k = as_int(k, "multiple")
         return CurveDivisorClass(
             k * self.degree, None if self.multiple is None else k * self.multiple)
 

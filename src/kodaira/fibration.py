@@ -40,12 +40,6 @@ from .toric import (
 )
 
 
-def _neg_inf_sum(*terms):
-    if any(t == NEG_INF for t in terms):
-        return NEG_INF
-    return sum(terms)
-
-
 # ---------------------------------------------------------------------------
 # toric fibrations
 # ---------------------------------------------------------------------------
@@ -328,7 +322,7 @@ class CurveProductInstance(_FiberSpace):
         support = [c for c in counts if c > 0]
         k = NEG_INF
         if support:
-            k = _neg_inf_sum(self.base_growth(), self.fiber_report.kappa)
+            k = self.base_growth() + self.fiber_report.kappa
             empirical = growth_degree(counts, self.product_period())
             if empirical is None and len(support) > 1:
                 raise CrossCheckError("product growth not estimable")
@@ -356,7 +350,7 @@ class CurveProductInstance(_FiberSpace):
         p = 2 * self.curve.genus + 1
         base_part = self.base_growth(extra_degree=p)
         fiber_k, fiber_sigma = self.fiber
-        exact = _neg_inf_sum(base_part, fiber_k if horizontal_only else fiber_sigma)
+        exact = base_part + (fiber_k if horizontal_only else fiber_sigma)
         amp = self.fiber_variety.standard_ample
         period = self.product_period()
         return check_perturbed(
@@ -416,11 +410,11 @@ class InequalityVerdict:
             return out
         if self.combine == "chain":
             return self.rhs_terms[-1][1]
-        return _neg_inf_sum(*(v for _, v in self.rhs_terms))
+        return sum(v for _, v in self.rhs_terms)
 
 
 def _verdict(check_id, inst, lhs, rhs_terms, equality=False):
-    rhs = _neg_inf_sum(*(v for _, v in rhs_terms))
+    rhs = sum(v for _, v in rhs_terms)
     vacuous = rhs == NEG_INF and not equality
     holds = (lhs == rhs) if equality else (lhs >= rhs)
     return InequalityVerdict(
@@ -477,7 +471,7 @@ def verify_upper_bound(inst):
     return InequalityVerdict(
         check_id="lemmakey_upper", instance_id=inst.instance_id, lhs=k,
         rhs_terms=(("kappa(fiber)", fiber_k), ("dim(base)", dim_base)),
-        holds=k <= _neg_inf_sum(fiber_k, dim_base))
+        holds=k <= fiber_k + dim_base)
 
 
 def verify_dio_equality(inst):

@@ -6,7 +6,9 @@ float.  All linear algebra over Q runs on integers: `_bareiss`, one
 fraction-free (Bareiss) elimination, gives ranks, determinants, pivot
 columns and solutions as integer numerators over one denominator; rational
 input is scaled to integers first, and Fractions are built only for the
-values returned.  The distinguished value NEG_INF (= float("-inf")) is the
+values returned.  A `Polytope` is the integer record its callers build:
+integer normals and integer bounds over one denominator; only its vertices
+are Fractions.  The distinguished value NEG_INF (= float("-inf")) is the
 dimension of an empty polytope and propagates through every dimension-like
 quantity downstream; it is never encoded as -1.
 """
@@ -17,8 +19,7 @@ import math
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, compress, count, repeat
-from numbers import Rational
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 NEG_INF = float("-inf")
 
@@ -27,13 +28,18 @@ class GeometryError(ValueError):
     """Raised on contract violations in geometric operations."""
 
 
-class UnboundedPolytopeError(GeometryError):
-    """Raised when an operation requires a bounded polytope."""
-
-
 # ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
+
+def as_int(value, name):
+    """value as an int (operator.index); ValueError naming the value for
+    anything else, so that a float or a Fraction is never truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
 
 def dot(u, v):
     return sum(map(mul, u, v))
@@ -317,16 +323,6 @@ def affine_rank(points):
 # Polytope
 # ---------------------------------------------------------------------------
 
-def _normalize_constraint(v, c):
-    """(v / g, c / g) for g = gcd(v), the bound built as one Fraction."""
-    g = math.gcd(*v)
-    if not isinstance(c, Rational):
-        c = Fraction(c)
-    if g > 1:
-        return tuple(a // g for a in v), Fraction(c, g)
-    return v, c if isinstance(c, Fraction) else Fraction(c)
-
-
 def _vertices(normals, bounds, n, first=False):
     """{(numerators, den): tight mask} for the vertices u = numerators / den
     (lowest terms, den > 0) of {u in Q^n : <u, a_i> >= b_i}, for integer
@@ -366,44 +362,36 @@ def _vertices(normals, bounds, n, first=False):
 
 
 class Polytope:
-    """Rational polyhedron in H-representation: {u : <u, normal> >= bound}.
+    """The rational polyhedron {u in Q^n : <u, normals[i]> >= bounds[i] /
+    den}: integer normals, integer bounds and one den > 0, stored as given
+    (a row scaled by a positive integer keeps its points).
 
-    Normals are integer vectors, bounds are Fractions.  The vertex list,
-    affine dimension and emptiness flag are computed lazily and cached;
-    instances are immutable after construction and safe to share.  Every
-    predicate is read off vertices: the bounds are scaled once to integers
-    over their common denominator, and each vertex is one fraction-free solve
-    (`_vertices`).  A polytope built with its `vertices` known (in any
-    order) is bounded, empty iff the list is, and of the dimension of their
-    affine hull; none of them is solved for.
+    The library builds bounded ones only: the limit polytopes of complete
+    fans and hulls whose vertices are known.  The vertex list and the emptiness
+    flag are computed lazily and cached; instances are immutable after
+    construction and safe to share.  Each vertex is one fraction-free solve
+    of the integer system (`_vertices`), divided into Fractions only for
+    the vertex returned.  A polytope built with its `vertices` known (in any
+    order) is empty iff the list is, and none of them is solved for.
     """
 
-    def __init__(self, ambient_dim, constraints, vertices=None):
-        self.ambient_dim = int(ambient_dim)
-        cons = []
-        for v, c in constraints:
-            vv = tuple(int(x) for x in v)
-            if len(vv) != self.ambient_dim:
-                raise GeometryError("constraint dimension mismatch")
-            cons.append(_normalize_constraint(vv, c))
-        self.constraints = tuple(cons)
+    def __init__(self, ambient_dim, normals, bounds, den=1, vertices=None):
+        self.ambient_dim = n = as_int(ambient_dim, "ambient dimension")
+        self.normals = tuple(tuple(as_int(x, "normal entry") for x in v)
+                             for v in normals)
+        self.bounds = tuple(as_int(b, "bound") for b in bounds)
+        self.den = as_int(den, "denominator")
+        if self.den <= 0:
+            raise ValueError(f"denominator must be positive, got {den!r}")
+        if (len(self.bounds) != len(self.normals)
+                or any(len(v) != n for v in self.normals)):
+            raise GeometryError("constraint dimension mismatch")
         self._vertices = None if vertices is None else tuple(sorted(vertices))
         self._tight = None
         self._empty = None if vertices is None else not self._vertices
-        self._bounded = None if vertices is None else True
-        self._affine_dim = None
 
     def __repr__(self):
-        return f"Polytope(dim={self.ambient_dim}, constraints={len(self.constraints)})"
-
-    def _integer_system(self):
-        """(normals, den, bounds): the bounds as integers over den, their
-        common denominator."""
-        den = math.lcm(1, *(c.denominator for _, c in self.constraints))
-        return ([v for v, _ in self.constraints], den,
-                [c.numerator * (den // c.denominator) for _, c in self.constraints])
-
-    # -- predicates --------------------------------------------------------
+        return f"Polytope(dim={self.ambient_dim}, constraints={len(self.normals)})"
 
     def is_empty(self):
         """Nonempty iff the system restricted to J, the pivot columns of the
@@ -413,40 +401,22 @@ class Polytope:
         polyhedron contains no line.  With J all columns, this is the vertex
         enumeration itself."""
         if self._empty is None:
-            normals, _, bounds = self._integer_system()
-            pivots = [c for c, _, _ in _bareiss(normals, self.ambient_dim)[0]]
+            pivots = [c for c, _, _ in _bareiss(self.normals, self.ambient_dim)[0]]
             if len(pivots) == self.ambient_dim:
                 self._empty = not self.vertices()
             else:
-                cut = [tuple(v[j] for j in pivots) for v in normals]
-                self._empty = not _vertices(cut, bounds, len(pivots), first=True)
+                cut = [tuple(v[j] for j in pivots) for v in self.normals]
+                self._empty = not _vertices(cut, self.bounds, len(pivots), first=True)
         return self._empty
-
-    def is_bounded(self):
-        """Empty, or the normals have rank n and the recession cone
-        {w : <w, a_i> >= 0} is zero.  With rank n, <w, s> > 0 on the cone
-        but at 0, for s the sum of the normals, so the cone is zero iff its
-        part {<w, s> >= 1}, which contains no line, has no vertex."""
-        if self._bounded is None:
-            n = self.ambient_dim
-            normals = [v for v, _ in self.constraints]
-            self._bounded = self.is_empty() or (
-                len(_bareiss(normals, n)[0]) == n and not _vertices(
-                    normals + [tuple(map(sum, zip(*normals)))],
-                    [0] * len(normals) + [1], n, first=True))
-        return self._bounded
-
-    # -- V-representation ---------------------------------------------------
 
     def vertices(self):
         """All vertices (basic feasible solutions), lexicographically sorted;
         their tight masks come with them."""
         if self._vertices is None:
-            normals, den, bounds = self._integer_system()
             found = sorted(
-                (tuple(Fraction(x, d * den) for x in nums), mask)
-                for (nums, d), mask in
-                _vertices(normals, bounds, self.ambient_dim).items())
+                (tuple(Fraction(x, d * self.den) for x in nums), mask)
+                for (nums, d), mask in _vertices(
+                    self.normals, self.bounds, self.ambient_dim).items())
             self._vertices = tuple(p for p, _ in found)
             self._tight = tuple(mask for _, mask in found)
             if found:
@@ -459,24 +429,9 @@ class Polytope:
         verts = self.vertices()
         if self._tight is None:  # vertices given with the polytope
             self._tight = tuple(
-                sum(1 << i for i, (v, c) in enumerate(self.constraints)
-                    if dot(p, v) == c) for p in verts)
+                sum(1 << i for i, (v, b) in enumerate(zip(self.normals, self.bounds))
+                    if dot(p, v) * self.den == b) for p in verts)
         return self._tight
-
-    def affine_dim(self):
-        """Affine dimension; NEG_INF for the empty polytope.
-
-        Exact for bounded polytopes (vertex based); unbounded polytopes are
-        rejected since their hull is not spanned by vertices.
-        """
-        if self._affine_dim is None:
-            if self.is_empty():
-                self._affine_dim = NEG_INF
-            else:
-                if not self.is_bounded():
-                    raise UnboundedPolytopeError("affine_dim requires bounded polytope")
-                self._affine_dim = affine_rank(self.vertices())
-        return self._affine_dim
 
 
 def floor_sum(n, m, a, b):
@@ -561,8 +516,7 @@ class ScanPlan:
     S1_b, S2_b): N = prod N_b, S1 = S1_b N / N_b on block b, S2 = S2_b N /
     N_b inside block b and S1_i S1_j / N across blocks, which is S1_b S1_c^T
     N / (N_b N_c).  A one-coordinate block is an interval, its count and
-    moments in closed form, and a plan of intervals only reads N, S1 and S2
-    straight off them; a larger block is a sub-plan of its own.  A plan
+    moments in closed form; a larger block is a sub-plan of its own.  A plan
     of one block of two or more coordinates (P^n, F_a, most slices) walks
     its columns as below.  Collecting never splits.
 
@@ -705,19 +659,6 @@ class ScanPlan:
                     square[i][j] = square[j][i] = flat[pos]
                     pos += 1
             return flat[0], list(flat[1:n + 1]), square
-        if not self.parts:  # intervals only: N, S1 and S2 in closed form
-            cols = [None] * n  # (count, sum, sum of squares) of each range
-            for j, terms in self.intervals:
-                lo, hi = _interval(*box[j], terms, bounds)
-                if lo > hi:
-                    return _no_moments(n)
-                cols[j] = _column_moments(lo, hi)
-            total = math.prod(size for size, _, _ in cols)
-            sums = [s * (total // size) for size, s, _ in cols]
-            square = [[a * b // total for b in sums] for a in sums]
-            for j, (size, _, ss) in enumerate(cols):
-                square[j][j] = ss * (total // size)
-            return total, sums, square
         blocks = []  # (coordinates, N_b, S1_b, S2_b)
         for j, terms in self.intervals:
             lo, hi = _interval(*box[j], terms, bounds)
@@ -970,12 +911,13 @@ def int_hull(pts):
 
 
 def hull_polytope(pts, den):
-    """The hull of pts / den as a Polytope, for nonempty sorted distinct
-    integer points of one dimension and den > 0; it carries the minimal
-    vertex set (lexicographically sorted), and a lower-dimensional hull gets
-    its affine-hull equalities as pairs of opposite constraints.
-    Facet bounds are read off the simplices of `int_hull`, the affine-hull
-    equalities off its lattice; only the output is divided into Fractions."""
+    """The hull of pts / den as a Polytope over den, for nonempty sorted
+    distinct integer points of one dimension and den > 0; it carries the
+    minimal vertex set (lexicographically sorted), and a lower-dimensional
+    hull gets its affine-hull equalities as pairs of opposite constraints.
+    Facet rows are read off the simplices of `int_hull`; the equality
+    normals are the HNF basis of the integer orthogonal complement of its
+    lattice, which depends on the hull only, not on the points fed."""
     n = len(pts[0])
     lat, simplices, verts = int_hull(pts)
     cols = lat.pivots
@@ -987,21 +929,22 @@ def hull_polytope(pts, den):
             e[c] = x
         return tuple(e)
 
-    constraints = []
-    # affine-hull equalities from an integer basis of the orthogonal complement
+    normals, bounds = [], []
     if d < n:
-        for w in int_kernel([tuple(r[i] for r in lat.rows) for i in range(n)]):
-            b = Fraction(dot(pts[0], w), den)
-            constraints.append((w, b))
-            constraints.append((tuple(-x for x in w), -b))
+        for w in hnf_basis(int_kernel([tuple(r[i] for r in lat.rows)
+                                       for i in range(n)])):
+            b = dot(pts[0], w)
+            normals += [w, tuple(-x for x in w)]
+            bounds += [b, -b]
     if d == 1:
         c = cols[0]
-        constraints.append((embed((1,)), Fraction(verts[0][c], den)))
-        constraints.append((embed((-1,)), Fraction(-verts[-1][c], den)))
+        normals += [embed((1,)), embed((-1,))]
+        bounds += [verts[0][c], -verts[-1][c]]
     for w, h in sorted({(w, h) for _, w, h in simplices}):
-        constraints.append((embed(tuple(-x for x in w)), Fraction(-h, den)))
+        normals.append(embed(tuple(-x for x in w)))
+        bounds.append(-h)
 
-    return Polytope(n, constraints, vertices=[
+    return Polytope(n, normals, bounds, den, vertices=[
         tuple(Fraction(x, den) for x in v) for v in verts])
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
+from .lattice import as_int
+
 
 @dataclass(frozen=True)
 class SingularMetricData:
@@ -46,7 +48,7 @@ def multiplier_coeff(mu, k, clamp=True):
     mu = Fraction(mu)
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    k = int(k)
+    k = as_int(k, "level")
     if k < 1:
         raise ValueError("level must be >= 1")
     return _coeff(mu.numerator, mu.denominator, k, clamp)

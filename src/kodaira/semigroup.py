@@ -24,6 +24,8 @@ from .lattice import (
     Polytope,
     ScanPlan,
     _dots,
+    affine_rank,
+    as_int,
     basis_coords,
     det_int,
     dot,
@@ -114,7 +116,7 @@ class GradedSemigroup:
 
     def __init__(self, ambient_rank, generators=None, levels=None,
                  degree_bound=None, check_closure=True):
-        self.ambient_rank = n = int(ambient_rank)
+        self.ambient_rank = n = as_int(ambient_rank, "ambient_rank")
         if (generators is None) == (levels is None):
             raise ValueError("exactly one of generators/levels must be given")
         if generators is not None:
@@ -158,8 +160,9 @@ class GradedSemigroup:
             self.radix, self.weights = _coder(n, size)
             self.codes = {k: sorted(set(_dots(self.weights, pts)))
                           for k, pts in rows.items()}
-            self.degree_bound = int(degree_bound if degree_bound is not None
-                                    else (max(rows) if rows else 0))
+            self.degree_bound = as_int(
+                degree_bound if degree_bound is not None
+                else (max(rows) if rows else 0), "degree_bound")
             if check_closure:
                 self._spot_check_closure()
             self._level_cache = None
@@ -226,7 +229,7 @@ class GradedSemigroup:
 
     def level_codes(self, k):
         """The sorted codes of the stored level A_k (the zero code at k = 0)."""
-        k = int(k)
+        k = as_int(k, "degree")
         if k < 0:
             raise ValueError("negative degree")
         if k == 0:
@@ -240,7 +243,7 @@ class GradedSemigroup:
         stored codes otherwise)."""
         if self.generators is None:
             return set(_decode(self.level_codes(k), self.radix, self.weights))
-        k = int(k)
+        k = as_int(k, "degree")
         if k < 0:
             raise ValueError("negative degree")
         if k not in self._level_cache:
@@ -344,22 +347,21 @@ def regularize(sg):
     hull = hull_polytope(sorted(set(chain.from_iterable(
         map(tuple, map(map, repeat(partial(mul, den // k)), chain(starts, tails)))
         for k, (starts, tails) in ends.items()))), den)
-    if hull.affine_dim() != body_dim:
+    if affine_rank(hull.vertices()) != body_dim:
         raise GeometryError("okounkov dimension disagrees with group rank")
-    lifted = [(v + (0,), c) for v, c in hull.constraints]
-    lifted.append((tuple([0] * n) + (1,), Fraction(1)))
-    lifted.append((tuple([0] * n) + (-1,), Fraction(-1)))
-    body = Polytope(n + 1, lifted,
-                    vertices=[v + (Fraction(1),) for v in hull.vertices()])
+    level = tuple([0] * n)
+    body = Polytope(n + 1, [v + (0,) for v in hull.normals]
+                    + [level + (1,), level + (-1,)], hull.bounds + (den, -den),
+                    den, vertices=[v + (Fraction(1),) for v in hull.vertices()])
 
     # the level-m slice in boundary coordinates y, around a point g0 of
-    # G at level m: the hull row <x, v> >= num/den on x = g0 + y · B
-    # reads <y, den B v> >= num m - den <g0, v>, and its vertices are the
+    # G at level m: the hull row <x, v> >= b/den on x = g0 + y · B
+    # reads <y, den B v> >= b m - den <g0, v>, and its vertices are the
     # coordinates of m v - g0 for the vertices v of Delta
-    normals, bounds = [], []
-    for v, c in hull.constraints:
-        normals.append(tuple(c.denominator * dot(b[:-1], v) for b in boundary))
-        bounds.append(c.numerator * m - c.denominator * dot(g0[:-1], v))
+    normals = [tuple(den * dot(b[:-1], v) for b in boundary)
+               for v in hull.normals]
+    bounds = [b * m - den * dot(g0[:-1], v)
+              for v, b in zip(hull.normals, hull.bounds)]
     coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
                                      for v in body.vertices()])
     box = [(min(c), max(c)) for c in zip(*coords)]
@@ -396,7 +398,7 @@ def hilbert_reg(reg, k):
     slice built once by `regularize`, so each level is one integer scan of
     its scaled box and bounds, the box ends rounded by integer division.
     """
-    k = int(k)
+    k = as_int(k, "degree")
     if k < 0:
         raise ValueError("negative degree")
     if k == 0:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import and_, index, or_
+from operator import and_, or_
 
 from .lattice import (
     NEG_INF,
@@ -27,6 +27,7 @@ from .lattice import (
     _reduce,
     _solve,
     affine_rank,
+    as_int,
     det_int,
     dot,
     is_zero,
@@ -71,7 +72,7 @@ class ToricVariety:
     """
 
     def __init__(self, rays, max_cones, name=None):
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
+        self.rays = tuple(tuple(as_int(x, "ray entry") for x in r) for r in rays)
         if not self.rays:
             raise ValueError("a complete fan needs rays")
         self.lattice_rank = len(self.rays[0])
@@ -165,7 +166,7 @@ class ToricVariety:
     @classmethod
     def projective_space(cls, n):
         """P^n, shared per n."""
-        return cls._projective_space(_preset_int(n, "projective space parameter n"))
+        return cls._projective_space(as_int(n, "projective space parameter n"))
 
     @classmethod
     @cache
@@ -196,7 +197,7 @@ class ToricVariety:
     @classmethod
     def hirzebruch(cls, a):
         """The Hirzebruch surface F_a, shared per a."""
-        return cls._hirzebruch(_preset_int(a, "hirzebruch parameter a"))
+        return cls._hirzebruch(as_int(a, "hirzebruch parameter a"))
 
     @classmethod
     @cache
@@ -206,15 +207,6 @@ class ToricVariety:
         rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
         cones = [{0, 1}, {1, 2}, {2, 3}, {3, 0}]
         return cls(rays, cones, name=f"F{a}")
-
-
-def _preset_int(value, name):
-    """value as an int (operator.index), the canonical key of a preset;
-    ValueError naming the parameter for anything else."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -317,7 +309,7 @@ class SectionSystem:
         if aux is not None and not aux.is_integral():
             raise ValueError("auxiliary divisor must be integral")
         self.aux = aux
-        self.degree_bound = int(degree_bound)
+        self.degree_bound = as_int(degree_bound, "degree_bound")
         self.clamp = clamp
         self.k0 = divisor.k0
         self._weights = [(i, p, q) for i, (p, q) in
@@ -628,13 +620,15 @@ def limit_polytope(variety, divisor, metric=None):
     the rays.  Cached on the variety per (divisor, weights), so its vertices
     are enumerated once per variety; a preset variety is shared by the whole
     process (ToricVariety), and so is this cache, which grows with the
-    distinct (divisor, weights) pairs the process sees."""
+    distinct (divisor, weights) pairs the process sees.  The bounds are
+    integers over k0 lcm(q), for q the denominators of the weights."""
     mu, k0 = _ray_weights(variety, metric), divisor.k0
     key = (divisor.nums, k0, mu)
     if key not in variety._limits:
-        variety._limits[key] = Polytope(variety.lattice_rank, [
-            (ray, Fraction(k0 * max(p - q, 0) - q * n, k0 * q))
-            for ray, n, (p, q) in zip(variety.rays, divisor.nums, mu)])
+        den = lcm(*(q for _, q in mu))
+        variety._limits[key] = Polytope(variety.lattice_rank, variety.rays, [
+            (k0 * max(p - q, 0) - q * n) * (den // q)
+            for n, (p, q) in zip(divisor.nums, mu)], k0 * den)
     return variety._limits[key]
 
 
@@ -659,10 +653,11 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
         growth = NEG_INF
         if not q.is_empty():
             on_q = reduce(and_, q.tight_masks())  # bit i: Q lies on ray i
-            disp = [(v, int(mu[i][0] >= mu[i][1]))
-                    for i, (v, _) in enumerate(q.constraints)  # parallel to the rays
+            disp = [i for i in range(len(q.normals))  # parallel to the rays
                     if on_q >> i & 1 and i not in fattened_rays]
-            if not (disp and Polytope(variety.lattice_rank, disp).is_empty()):
+            if not (disp and Polytope(
+                    variety.lattice_rank, [q.normals[i] for i in disp],
+                    [int(mu[i][0] >= mu[i][1]) for i in disp]).is_empty()):
                 growth = affine_rank(q.vertices())
         variety._limit_growths[key] = growth
     return variety._limit_growths[key]

@@ -14,7 +14,7 @@ algebra the library's fraction-free core replaced lives here too, as the
 references it is compared against: Fraction Gauss-Jordan (`rref`,
 `solve_rational`, `solve_linear_system`), vertices from one Fraction solve
 per n-subset of constraints (`vertices_by_rref`), Fourier-Motzkin
-emptiness and boundedness (`fm_is_empty`, `fm_is_bounded`), lattice
+emptiness (`fm_is_empty`), lattice
 membership (`lattice_contains`) and the perturbed growth order from a walk
 over every ray mask (`limit_growth_mask_walk`).  The column-by-column Euclid
 chase the library's gcd-insertion HNF replaced (`hnf_euclid_chase`, with
@@ -47,7 +47,10 @@ prefixes, `int_points_rank` on it, and the kappa and Iitaka reads on them
 (`kappa_routes_span_rank`, `iitaka_span_rank`); `gram_of_points` builds a
 point list's Gram matrix point by point.  The subadditivity pairs of a
 coefficient list, compared pair by pair (`subadditivity_pairs_pairwise`),
-are the reference for the row test of `subadditivity_scan`.
+are the reference for the row test of `subadditivity_scan`.  The oracles
+read and write polytopes as rational (normal, bound) pairs, <u, normal> >=
+bound: `rational_polytope` scales them to the integer record of `Polytope`,
+`rational_pairs` reads a polytope back.
 """
 
 import math
@@ -78,6 +81,21 @@ from kodaira.lattice import (
 from kodaira.multiplier import EMPTY_METRIC
 from kodaira.semigroup import DegreeBoundError
 from kodaira.toric import CrossCheckError, limit_polytope
+
+
+def rational_polytope(n, pairs, vertices=None):
+    """The Polytope of rational (normal, bound) pairs: the integer normals,
+    and the bounds as integers over their common denominator."""
+    pairs = [(v, Fraction(c)) for v, c in pairs]
+    den = math.lcm(1, *(c.denominator for _, c in pairs))
+    return Polytope(n, [v for v, _ in pairs],
+                    [c.numerator * (den // c.denominator) for _, c in pairs],
+                    den, vertices)
+
+
+def rational_pairs(poly):
+    """The rows of a Polytope as rational (normal, bound) pairs."""
+    return [(v, Fraction(b, poly.den)) for v, b in zip(poly.normals, poly.bounds)]
 
 
 def rref(rows, ncols):
@@ -133,9 +151,10 @@ def vertices_by_rref(poly):
     if n == 0:
         return () if fm_is_empty(poly) else ((),)
     found = set()
-    for idx in combinations(poly.constraints, n):
+    cons = rational_pairs(poly)
+    for idx in combinations(cons, n):
         sol = solve_rational([v for v, _ in idx], [c for _, c in idx])
-        if sol is not None and all(dot(sol, v) >= c for v, c in poly.constraints):
+        if sol is not None and all(dot(sol, v) >= c for v, c in cons):
             found.add(sol)
     return tuple(sorted(found))
 
@@ -164,29 +183,10 @@ def _fm_eliminate(constraints, var):
 def fm_is_empty(poly):
     """Emptiness by eliminating every variable: infeasible iff some
     remaining constraint reads 0 >= c with c > 0."""
-    cons = list(poly.constraints)
+    cons = rational_pairs(poly)
     for var in range(poly.ambient_dim):
         cons = _fm_eliminate(cons, var)
     return any(c > 0 for _, c in cons)
-
-
-def fm_coordinate_bounds(poly, i):
-    """Exact (lo, hi) of coordinate i over a nonempty polyhedron (None:
-    unbounded on that side), projecting out every other coordinate."""
-    cons = list(poly.constraints)
-    for var in range(poly.ambient_dim):
-        if var != i:
-            cons = _fm_eliminate(cons, var)
-    lows = [Fraction(c, v[i]) for v, c in cons if v[i] > 0]
-    highs = [Fraction(c, v[i]) for v, c in cons if v[i] < 0]
-    return max(lows, default=None), min(highs, default=None)
-
-
-def fm_is_bounded(poly):
-    """Bounded iff empty or every coordinate has both projected bounds."""
-    return fm_is_empty(poly) or all(
-        None not in fm_coordinate_bounds(poly, i)
-        for i in range(poly.ambient_dim))
 
 
 def lattice_contains(lat, vec):
@@ -213,7 +213,7 @@ def limit_growth_mask_walk(variety, divisor, metric, fattened_rays):
     if fm_is_empty(q):
         return float("-inf")
     verts = vertices_by_rref(q)
-    cons = q.constraints
+    cons = rational_pairs(q)
     tight = [sum(1 << i for i, (v, c) in enumerate(cons) if dot(p, v) == c)
              for p in verts]
     faces = set()
@@ -227,7 +227,7 @@ def limit_growth_mask_walk(variety, divisor, metric, fattened_rays):
         disp = [(cons[i][0], 1 if dict(metric.entries).get(i, 0) >= 1 else 0)
                 for i in range(len(cons))
                 if full_tight >> i & 1 and i not in fattened_rays]
-        if not disp or not fm_is_empty(Polytope(variety.lattice_rank, disp)):
+        if not disp or not fm_is_empty(rational_polytope(variety.lattice_rank, disp)):
             best = max(best, affine_dimension([verts[j] for j in vset]))
     return best
 
@@ -326,7 +326,8 @@ def solve_in_lattice(target, rows):
 
 def dilate(poly, k):
     """The dilate k*P of an H-polytope (bounds scale, normals do not)."""
-    return Polytope(poly.ambient_dim, [(v, c * k) for v, c in poly.constraints])
+    return Polytope(poly.ambient_dim, poly.normals,
+                    [b * k for b in poly.bounds], poly.den)
 
 
 def interpolate_polynomial(samples):
@@ -536,7 +537,7 @@ def ample_by_vertices(variety, divisor):
         solve_linear_system([variety.rays[i] for i in sorted(cone)],
                             [-b[i] for i in sorted(cone)])
         for cone in variety.max_cones]
-    poly = Polytope(variety.lattice_rank, zip(variety.rays, [-c for c in b]))
+    poly = rational_polytope(variety.lattice_rank, zip(variety.rays, [-c for c in b]))
     verts = set() if poly.is_empty() else set(poly.vertices())
     return (len(set(cone_points)) == len(cone_points)
             and set(cone_points) == verts)
@@ -553,7 +554,7 @@ def hilbert_reg_per_level(reg, k):
     base = _group_point_at_level(reg.group_basis, k)
     if base is None:
         return 0
-    cons = [(w[:-1], k * (c - w[-1])) for w, c in reg.okounkov_body.constraints]
+    cons = [(w[:-1], k * (c - w[-1])) for w, c in rational_pairs(reg.okounkov_body)]
     b = reg.boundary_lattice
     if not b:
         pt = base[:-1]
@@ -563,12 +564,12 @@ def hilbert_reg_per_level(reg, k):
     for v, c in cons:
         w = tuple(dot(row[:-1], v) for row in b)
         new_cons.append((w, c - dot(base[:-1], v)))
-    poly = Polytope(len(b), new_cons)
+    poly = rational_polytope(len(b), new_cons)
     if poly.is_empty():
         return 0
     *outer, last = [(math.ceil(min(c)), math.floor(max(c)))
                     for c in zip(*poly.vertices())]
-    cons = [(v, math.ceil(c)) for v, c in poly.constraints]  # same points
+    cons = [(v, math.ceil(c)) for v, c in rational_pairs(poly)]  # same points
     total = 0
     for head in product(*(range(lo, hi + 1) for lo, hi in outer)):
         lo, hi = last
@@ -969,13 +970,13 @@ def regularize_per_level(sg):
     hull = rational_hull([tuple(Fraction(x, k) for x in v)
                           for k, a_k in spanning_points(sg).items()
                           for v in int_hull(a_k)[2]])
-    lifted = [(v + (0,), c) for v, c in hull.constraints]
+    lifted = [(v + (0,), c) for v, c in rational_pairs(hull)]
     lifted.append((tuple([0] * n) + (1,), Fraction(1)))
     lifted.append((tuple([0] * n) + (-1,), Fraction(-1)))
-    body = Polytope(n + 1, lifted,
-                    vertices=[v + (Fraction(1),) for v in hull.vertices()])
+    body = rational_polytope(n + 1, lifted,
+                             vertices=[v + (Fraction(1),) for v in hull.vertices()])
     normals, bounds = [], []
-    for v, c in hull.constraints:
+    for v, c in rational_pairs(hull):
         normals.append(tuple(c.denominator * dot(b[:-1], v) for b in boundary))
         bounds.append(c.numerator * m - c.denominator * dot(g0[:-1], v))
     coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from kodaira.lattice import (
     GeometryError,
-    Polytope,
     basis_coords,
     det_int,
     dot,
@@ -30,10 +29,11 @@ from kodaira.toric import ToricDivisorData, ToricVariety, _limit_growth_exact
 
 from _oracles import (
     body_volume,
-    fm_is_bounded,
     fm_is_empty,
     laplace_det,
     limit_growth_mask_walk,
+    rational_pairs,
+    rational_polytope,
     rref,
     solve_linear_system,
     vertices_by_rref,
@@ -99,19 +99,18 @@ def systems(draw):
               ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), 0)]))
 def test_polytope_predicates_match_fourier_motzkin(system):
     n, cons = system
-    reference = Polytope(n, cons)
-    empty, bounded = fm_is_empty(reference), fm_is_bounded(reference)
+    reference = rational_polytope(n, cons)
+    empty = fm_is_empty(reference)
     verts = vertices_by_rref(reference)
     # emptiness first, then vertices, and the other way round
-    first = Polytope(n, cons)
+    first = rational_polytope(n, cons)
     assert first.is_empty() == empty
-    assert first.is_bounded() == bounded
     assert first.vertices() == verts
-    second = Polytope(n, cons)
+    second = rational_polytope(n, cons)
     assert second.vertices() == verts
     assert second.is_empty() == empty
     assert second.tight_masks() == tuple(
-        sum(1 << i for i, (v, c) in enumerate(second.constraints)
+        sum(1 << i for i, (v, c) in enumerate(rational_pairs(second))
             if dot(p, v) == c) for p in verts)
 
 

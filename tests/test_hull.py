@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kodaira.cli import main
-from kodaira.lattice import Polytope, dot, hnf, hnf_basis, hull_polytope, int_hull
+from kodaira.lattice import dot, hnf, hnf_basis, hull_polytope, int_hull
 from kodaira.semigroup import growth_law_check, regularize
 from kodaira.toric import kappa2
 
@@ -31,6 +31,8 @@ from _oracles import (
     hull_vertex_set,
     pyramid_volume,
     rational_hull,
+    rational_pairs,
+    rational_polytope,
 )
 
 # |x| <= 3 with denominators 1..3
@@ -76,15 +78,16 @@ def test_convex_hull_matches_oracles(pts):
     n = len(pts[0])
     hull = rational_hull(pts)
     dim = affine_dimension(pts)
-    assert hull.affine_dim() == dim
+    assert affine_dimension(hull.vertices()) == dim
     assert set(hull.vertices()) == hull_vertex_set(pts)
     assert list(hull.vertices()) == sorted(hull.vertices())
-    assert all(dot(p, v) >= c for p in pts for v, c in hull.constraints)
+    cons = rational_pairs(hull)
+    assert all(dot(p, v) >= c for p in pts for v, c in cons)
     if dim == n:
-        assert sorted(hull.constraints) == sorted(facet_scan(pts))
+        assert sorted(cons) == sorted(facet_scan(pts))
     else:
         # the equalities and embedded facets cut out exactly the hull
-        assert Polytope(n, hull.constraints).vertices() == hull.vertices()
+        assert rational_polytope(n, cons).vertices() == hull.vertices()
 
 
 @settings(max_examples=40)
@@ -95,9 +98,22 @@ def test_convex_hull_of_crowded_integer_sets(pts):
     assume(affine_dimension(pts) == 3)
     facets = facet_scan(pts)
     hull = hull_polytope(sorted(set(pts)), 1)
-    assert sorted(hull.constraints) == sorted(facets)
+    assert sorted(zip(hull.normals, hull.bounds)) == sorted(facets)
     assert set(hull.vertices()) == {
         p for p in set(pts) if sum(dot(p, w) == h for w, h in facets) >= 3}
+
+
+def test_hull_equalities_depend_on_the_hull_only():
+    # the same triangle in Z^4 from its corners, and with the midpoint of
+    # two of them added: the equality normals are the HNF basis of the
+    # integer orthogonal complement, whatever points were fed
+    corners = [(0, 13, 7, -8), (6, 9, 1, -2), (8, 4, -4, 2)]
+    first, second = (hull_polytope(sorted(pts), 1)
+                     for pts in (corners, corners + [(3, 11, 4, -5)]))
+    assert first.normals[:4] == ((1, 0, -2, -3), (-1, 0, 2, 3),
+                                 (0, 3, -7, -5), (0, -3, 7, 5))
+    assert (first.normals, first.bounds) == (second.normals, second.bounds)
+    assert first.vertices() == second.vertices() == tuple(corners)
 
 
 @settings(max_examples=60)
@@ -129,11 +145,10 @@ def test_lattice_volume_in_an_embedded_direction_lattice(case):
 def test_convex_hull_of_the_four_simplex():
     simplex = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
     hull = hull_polytope(sorted(simplex), 1)
-    assert hull.affine_dim() == 4
-    assert len(hull.constraints) == 5
+    assert len(hull.normals) == 5
     assert hull.vertices() == tuple(sorted(simplex))
     # a 3-simplex inside R^4 keeps its affine dimension
-    assert hull_polytope(sorted(simplex[:4]), 1).affine_dim() == 3
+    assert affine_dimension(hull_polytope(sorted(simplex[:4]), 1).vertices()) == 3
 
 
 @settings(max_examples=80)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kodaira.lattice import Polytope, ScanPlan, floor_sum
+from kodaira.lattice import ScanPlan, floor_sum
 from kodaira.multiplier import SingularMetricData
 from kodaira.toric import (
     SectionSystem,
@@ -23,7 +23,7 @@ from kodaira.toric import (
     ToricVariety,
 )
 
-from _oracles import grid_lattice_points
+from _oracles import grid_lattice_points, rational_pairs, rational_polytope
 
 P1 = ToricVariety.projective_space(1)
 VARIETIES = [
@@ -80,8 +80,8 @@ def test_integer_count_matches_fraction_polytope(piece):
         if weights.get(i):  # a zero weight is no singularity at all
             c -= ideal_coeff(weights[i], t, clamp)
         effective.append(c)
-    poly = Polytope(variety.lattice_rank,
-                    [(ray, -c) for ray, c in zip(variety.rays, effective)])
+    poly = rational_polytope(variety.lattice_rank,
+                             [(ray, -c) for ray, c in zip(variety.rays, effective)])
     verts = poly.vertices()
     expected = []
     if verts:
@@ -96,7 +96,7 @@ def test_integer_count_matches_fraction_polytope(piece):
     if verts:
         box = [(lo - 1, hi + 1) for lo, hi in box]
         if math.prod(hi - lo + 1 for lo, hi in box) <= GRID_LIMIT:
-            assert grid_lattice_points(poly.constraints, box) == expected
+            assert grid_lattice_points(rational_pairs(poly), box) == expected
 
 
 def test_floor_sum_matches_direct_sum():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from kodaira.lattice import (
     GeometryError,
     Polytope,
     ScanPlan,
-    UnboundedPolytopeError,
     basis_coords,
     det_int,
     dot,
@@ -20,6 +20,10 @@ from kodaira.lattice import (
     saturate_rows,
     vsub,
 )
+from kodaira.curve import CurveDivisorClass
+from kodaira.multiplier import multiplier_coeff
+from kodaira.semigroup import GradedSemigroup, hilbert, hilbert_reg, regularize
+from kodaira.toric import SectionSystem, ToricDivisorData, ToricVariety
 
 from _oracles import (
     affine_dimension,
@@ -37,6 +41,8 @@ from _oracles import (
     interpolate_polynomial,
     laplace_det,
     rational_hull,
+    rational_pairs,
+    rational_polytope,
     saturate_rows_euclid,
     span_rank,
 )
@@ -212,35 +218,34 @@ def test_saturation():
 # ---------------------------------------------------------------------------
 
 def inside(poly, point):
-    return all(dot(point, v) >= c for v, c in poly.constraints)
+    return all(dot(point, v) >= c for v, c in rational_pairs(poly))
 
 
 def test_hull_interior_point_dropped():
     pts = [(0, 0), (1, 0), (0, 1), (Fraction(1, 4), Fraction(1, 4))]
     poly = rational_hull(pts)
     assert set(poly.vertices()) == {(0, 0), (1, 0), (0, 1)}
-    assert poly.affine_dim() == 2
+    assert affine_dimension(poly.vertices()) == 2
     assert set(poly.vertices()) == hull_vertex_set(pts)
 
 
 def test_hull_single_point():
     poly = rational_hull([(5, 7)])
     assert poly.vertices() == ((5, 7),)
-    assert poly.affine_dim() == 0
+    assert affine_dimension(poly.vertices()) == 0
     assert inside(poly, (5, 7)) and not inside(poly, (5, 8))
 
 
 def test_hull_collinear():
     poly = rational_hull([(0, 0), (1, 1), (2, 2)])
     assert set(poly.vertices()) == {(0, 0), (2, 2)}
-    assert poly.affine_dim() == 1
+    assert affine_dimension(poly.vertices()) == 1
 
 
 def test_hull_empty():
     # an empty vertex list makes the polytope empty, whatever its constraints
-    poly = Polytope(2, [], vertices=())
+    poly = Polytope(2, [], [], vertices=())
     assert poly.is_empty()
-    assert poly.affine_dim() == NEG_INF
     assert poly.vertices() == ()
 
 
@@ -249,7 +254,7 @@ def test_hull_3d_simplex():
            (Fraction(1, 8), Fraction(1, 8), Fraction(1, 8))]
     poly = rational_hull(pts)
     assert set(poly.vertices()) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert poly.affine_dim() == 3
+    assert affine_dimension(poly.vertices()) == 3
     assert set(poly.vertices()) == hull_vertex_set(pts)
 
 
@@ -269,7 +274,7 @@ def test_hull_matches_oracle_random_sets():
 def test_hull_lower_dim_in_higher_space():
     # a segment embedded in 3-space gets affine-hull equalities
     poly = rational_hull([(0, 1, 2), (2, 1, 2)])
-    assert poly.affine_dim() == 1
+    assert affine_dimension(poly.vertices()) == 1
     assert inside(poly, (1, 1, 2))
     assert not inside(poly, (1, 1, 3))
     assert not inside(poly, (3, 1, 2))
@@ -283,7 +288,7 @@ SQUARE_NORMALS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
 def square_polytope(side):
-    return Polytope(2, zip(SQUARE_NORMALS, [0, -side, 0, -side]))
+    return Polytope(2, SQUARE_NORMALS, [0, -side, 0, -side])
 
 
 def scan(cons, box, collect=True):
@@ -310,23 +315,16 @@ def test_simplex_lattice_points_binomial():
 
 def test_empty_polytope():
     cons = [((1, 0), 1), ((-1, 0), 0)]  # x >= 1 and x <= 0
-    poly = Polytope(2, cons)
+    poly = rational_polytope(2, cons)
     assert poly.is_empty()
+    assert poly.vertices() == ()
     assert scan(cons, [(-3, 3)] * 2) == []
-    assert poly.affine_dim() == NEG_INF
-
-
-def test_unbounded_rejected():
-    poly = Polytope(2, [((1, 0), 0), ((0, 1), 0)])
-    assert not poly.is_bounded()
-    with pytest.raises(UnboundedPolytopeError):
-        poly.affine_dim()
 
 
 def test_lattice_points_match_grid_oracle():
     cons = [((1, 2), -3), ((-1, 1), -4), ((0, -1), -3), ((1, -1), -2)]
-    poly = Polytope(2, cons)
-    assert not poly.is_empty() and poly.is_bounded()
+    poly = rational_polytope(2, cons)
+    assert not poly.is_empty()
     box = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*poly.vertices())]
     assert scan(cons, box) == grid_lattice_points(cons, box)
 
@@ -334,7 +332,7 @@ def test_lattice_points_match_grid_oracle():
 def test_vertices_of_intersection():
     poly = square_polytope(1)
     assert poly.vertices() == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert poly.affine_dim() == 2
+    assert affine_dimension(poly.vertices()) == 2
 
 
 def test_hull_of_lattice_points_recovers_vertices():
@@ -348,22 +346,24 @@ def test_hull_of_lattice_points_recovers_vertices():
     ]
     for cons, box in polys:
         hull = rational_hull(scan(cons, box))
-        assert set(hull.vertices()) == set(Polytope(len(box), cons).vertices())
+        assert set(hull.vertices()) == set(rational_polytope(len(box), cons).vertices())
 
 
 def test_ehrhart_interpolation():
     # counts of dilates interpolate to the Ehrhart polynomial
     polys = [
         square_polytope(1),
-        Polytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]),
-        Polytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
-                     ((-1, -1, -1), -1)]),
+        Polytope(2, [(1, 0), (0, 1), (-1, -1)], [0, 0, -1]),
+        Polytope(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                 [0, 0, 0, -1]),
     ]
     for poly in polys:
-        d = poly.affine_dim()
+        d = affine_dimension(poly.vertices())
 
         def count(k):  # each polytope lies in the unit cube
-            return scan(dilate(poly, k).constraints, [(0, k)] * d, collect=False)
+            q = dilate(poly, k)
+            return scan(list(zip(q.normals, q.bounds)), [(0, k)] * d,
+                        collect=False)
         ehr = interpolate_polynomial([(k, count(k)) for k in range(d + 1)])
         for k in range(d + 1, d + 4):
             assert ehr(k) == count(k)
@@ -397,12 +397,14 @@ def test_volume_scaling_identity():
     # vol(kP) = k^dim vol(P) as an exact rational identity
     polys = [
         (square_polytope(1), [(1, 0), (0, 1)]),
-        (Polytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]), [(1, 0), (0, 1)]),
-        (Polytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
-                      ((-1, -1, -1), -1)]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (rational_polytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]),
+         [(1, 0), (0, 1)]),
+        (rational_polytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                               ((-1, -1, -1), -1)]),
+         [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
     ]
     for poly, basis in polys:
-        d = poly.affine_dim()
+        d = affine_dimension(poly.vertices())
         v1 = body_volume(poly, basis)
         for k in (1, 2, 3):
             assert body_volume(dilate(poly, k), basis) == v1 * k ** d
@@ -480,20 +482,50 @@ def test_span_rank_of_no_points():
     assert span_rank([], 3) == (0, [[0] * 3 for _ in range(3)])
 
 
-@settings(max_examples=100)
-@given(st.lists(st.tuples(st.tuples(*[st.integers(-6, 6)] * 2),
-                          st.one_of(st.integers(-9, 9),
-                                    st.fractions(max_denominator=7),
-                                    st.fractions(max_denominator=7).map(str))),
-                min_size=1, max_size=5))
-def test_polytope_bounds_are_normalized_once(cons):
-    """Each bound is divided by the gcd of its normal, whatever form it was
-    given in; a Fraction bound on a primitive normal is kept as it is."""
-    poly = Polytope(2, cons)
-    for (v, c), (w, b) in zip(cons, poly.constraints):
-        g = math.gcd(*v)
-        assert type(b) is Fraction
-        assert (w, b) == ((tuple(a // g for a in v), Fraction(c) / g) if g > 1
-                          else (v, Fraction(c)))
-        if g <= 1 and isinstance(c, Fraction):
-            assert b is c
+def test_polytope_stores_its_record_as_given():
+    # no row is divided by the gcd of its normal, and the vertices divide by
+    # den only once: {2x + 4y >= 3/6, -x >= -5/6, -y >= 0}
+    poly = Polytope(2, [(2, 4), (-1, 0), (0, -1)], [3, -5, 0], 6)
+    assert (poly.normals, poly.bounds, poly.den) == (
+        ((2, 4), (-1, 0), (0, -1)), (3, -5, 0), 6)
+    assert poly.vertices() == ((Fraction(1, 4), 0), (Fraction(5, 6), Fraction(-7, 24)),
+                               (Fraction(5, 6), 0))
+    assert poly.tight_masks() == (0b101, 0b011, 0b110)
+
+
+P1_FAN = [{0, 1}, {1, 2}, {2, 3}, {3, 0}]
+
+
+def _stored(k):
+    levels = {1: [(0,), (1,)], 2: [(0,), (1,), (2,)]}
+    return hilbert(GradedSemigroup(1, levels=levels, degree_bound=2), k)
+
+
+def _generated(k):
+    return hilbert(GradedSemigroup.from_generators([(0, 1), (1, 1)]), k)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: ToricVariety([(1.5, 0), (0, 1), (-1, 0), (0, -1)], P1_FAN), 1.5),
+    (lambda: _stored(2.5), 2.5),
+    (lambda: _generated(Fraction(5, 2)), Fraction(5, 2)),
+    (lambda: hilbert_reg(regularize(
+        GradedSemigroup.from_generators([(0, 1), (1, 1)])), 2.7), 2.7),
+    (lambda: SectionSystem(ToricVariety.projective_space(2),
+                           ToricDivisorData((1, 0, 0)), degree_bound=4.9), 4.9),
+    (lambda: GradedSemigroup(1, levels={1: [(0,)]}, degree_bound=1.9), 1.9),
+    (lambda: multiplier_coeff(Fraction(3, 2), 4.7), 4.7),
+    (lambda: CurveDivisorClass.general(3.8), 3.8),
+    (lambda: Polytope(2.0, [], []), 2.0),
+    (lambda: Polytope(1, [(Fraction(1, 2),)], [0]), Fraction(1, 2)),
+    (lambda: Polytope(1, [(1,)], [0.5]), 0.5),
+    (lambda: Polytope(1, [(1,)], [0], "2"), "2"),
+])
+def test_integer_inputs_are_not_truncated(call, value):
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
+        call()
+
+
+def test_polytope_denominator_is_positive():
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        Polytope(1, [(1,)], [0], 0)

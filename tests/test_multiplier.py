@@ -61,7 +61,7 @@ def coeff_limit(mu):
     of the weighted ray's bound in the limit polytope of P^1 (D = 0)."""
     q = limit_polytope(ToricVariety.projective_space(1), ToricDivisorData((0, 0)),
                        SingularMetricData([(0, mu)]))
-    return q.constraints[0][1]
+    return Fraction(q.bounds[0], q.den)
 
 
 def test_coeff_limit():

@@ -32,6 +32,7 @@ from _oracles import (
     hull_vertex_set,
     in_row_lattice,
     rational_hull,
+    rational_pairs,
     semigroup_level_points,
 )
 
@@ -64,7 +65,7 @@ def test_hull_sweep_against_caratheodory():
                      for _ in range(dim)) for _ in range(npts)]
         hull = rational_hull(pts)
         assert set(hull.vertices()) == hull_vertex_set(pts), pts
-        assert all(dot(p, v) >= c for p in pts for v, c in hull.constraints)
+        assert all(dot(p, v) >= c for p in pts for v, c in rational_pairs(hull))
 
 
 def test_semigroup_sweep_against_enumeration():
@@ -85,8 +86,8 @@ def test_semigroup_sweep_against_enumeration():
 def test_polytope_sweep_against_grid_oracle():
     import math
 
-    from kodaira.lattice import Polytope, ScanPlan
-    from _oracles import fm_is_empty, grid_lattice_points
+    from kodaira.lattice import ScanPlan
+    from _oracles import fm_is_empty, grid_lattice_points, rational_polytope
 
     rng = random.Random(99)
     for _ in range(120):
@@ -96,21 +97,22 @@ def test_polytope_sweep_against_grid_oracle():
             v = tuple(rng.randint(-3, 3) for _ in range(n))
             if any(v):
                 cons.append((v, Fraction(rng.randint(-6, 6), rng.choice((1, 2)))))
-        poly = Polytope(n, cons)
-        if not poly.is_bounded():
-            continue
+        poly = rational_polytope(n, cons)
         # integer points see each bound through its ceiling
-        plan = ScanPlan(n, [v for v, _ in poly.constraints])
-        bounds = [math.ceil(c) for _, c in poly.constraints]
+        plan = ScanPlan(n, poly.normals)
+        bounds = [-(-b // poly.den) for b in poly.bounds]
         if poly.is_empty():
             assert plan.scan([(-40, 40)] * n, bounds, collect=True) == []
             # rationally empty, so with no lattice point anywhere
             assert fm_is_empty(poly)
             continue
-        box = [(math.floor(min(v[i] for v in poly.vertices())) - 2,
-                math.ceil(max(v[i] for v in poly.vertices())) + 2)
+        # an unbounded polyhedron is compared on the box around its
+        # vertices, or on a fixed box when it has none (it holds a line)
+        verts = poly.vertices() or [(0,) * n]
+        box = [(math.floor(min(v[i] for v in verts)) - 2,
+                math.ceil(max(v[i] for v in verts)) + 2)
                for i in range(n)]
-        pts = grid_lattice_points(poly.constraints, box)
+        pts = grid_lattice_points(cons, box)
         assert plan.scan(box, bounds, collect=True) == pts
         assert plan.scan(box, bounds) == len(pts)
 

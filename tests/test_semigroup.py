@@ -18,10 +18,12 @@ from kodaira.semigroup import (
 
 from _corpus import corpus_section_systems
 from _oracles import (
+    affine_dimension,
     closure_check_per_point,
     hilbert_reg_per_level,
     in_row_lattice,
     regularize_lattice_reference,
+    rational_pairs,
     semigroup_level_points,
     solve_in_lattice,
 )
@@ -82,7 +84,7 @@ def test_okounkov_dim_is_group_rank_minus_one():
                GradedSemigroup.from_generators([(2, 3)])):
         reg = regularize(sg)
         assert reg.okounkov_dim == len(reg.group_basis) - 1
-        assert reg.okounkov_body.affine_dim() == reg.okounkov_dim
+        assert affine_dimension(reg.okounkov_body.vertices()) == reg.okounkov_dim
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +363,7 @@ def test_hilbert_reg_coset_structure():
             point = (u, level)
             if solve_in_lattice(point, list(reg.group_basis)) is None:
                 continue
-            if all(dot(point, v) >= level * c for v, c in body.constraints):
+            if all(dot(point, v) >= level * c for v, c in rational_pairs(body)):
                 expected += 1
         assert hilbert_reg(reg, level) == expected, level
 
