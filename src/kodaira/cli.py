@@ -263,7 +263,8 @@ def cmd_semigroup(body, options):
             "group_rank": len(reg.group_basis),
             "m": reg.m,
             "ind": reg.ind if reg.ind is not None else "undefined",
-            "strongly_convex": reg.strongly_convex,
+            # the cone is strongly convex by construction (Regularization)
+            "strongly_convex": True,
             "okounkov_dim": reg.okounkov_dim,
             "okounkov_vertices": body_verts,
         },
@@ -348,7 +349,7 @@ def _parse_curve_instance(body, max_degree):
         fiber_variety=fiber, fiber_divisor=fdiv,
         fiber_metric=fmetric or SingularMetricData(()),
         base_metric=SingularMetricData(base_points),
-        degree_bound=max_degree, instance_id="file_instance")
+        degree_bound=max_degree)
 
 
 def _parse_toric_fibration_instance(body, max_degree):
@@ -377,8 +378,7 @@ def _parse_toric_fibration_instance(body, max_degree):
     try:
         return ToricFibrationInstance(
             fibration=fib, divisor=divisor, metric=metric,
-            dx_rays=dx, dy_rays=dy, degree_bound=max_degree,
-            instance_id="file_instance")
+            dx_rays=dx, dy_rays=dy, degree_bound=max_degree)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -138,7 +138,6 @@ class ToricFibrationInstance(_FiberSpace):
     dx_rays: frozenset = frozenset()             # log flavor
     dy_rays: frozenset = frozenset()
     degree_bound: int = DEFAULT_DEGREE_BOUND
-    instance_id: str = ""
 
     def __post_init__(self):
         if self.metric is not None and (self.dx_rays or self.dy_rays):
@@ -219,16 +218,15 @@ class ToricFibrationInstance(_FiberSpace):
         """The addti twist: degree times the base's standard ample."""
         return self.fibration.base.standard_ample.scale(degree)
 
-    def addti_counts(self, base_twist, k):
-        """(h^0 of the degree-k system twisted by f^* base_twist, h^0 of the
-        base twist, fiber section count at degree k)."""
+    def addti_counts(self, base_twist):
+        """(h^0 of the degree-1 system twisted by f^* base_twist, h^0 of the
+        base twist, fiber section count at degree 1)."""
         fib = self.fibration
-        bound = max(k, 1)
         lhs = SectionSystem(fib.total, self.total_divisor(), metric=self.metric,
                             aux=fib.pullback_divisor(base_twist),
-                            degree_bound=bound).count(k)
+                            degree_bound=1).count(1)
         base_h0 = SectionSystem(fib.base, base_twist, degree_bound=1).count(1)
-        rank = SectionSystem(*self.fiber_data(), degree_bound=bound).count(k)
+        rank = SectionSystem(*self.fiber_data(), degree_bound=1).count(1)
         return lhs, base_h0, rank
 
 
@@ -246,7 +244,6 @@ class CurveProductInstance(_FiberSpace):
     base_metric: SingularMetricData = EMPTY_METRIC  # ids: curve point names
     fiber_metric: SingularMetricData = EMPTY_METRIC
     degree_bound: int = DEFAULT_DEGREE_BOUND
-    instance_id: str = ""
 
     dim_base = 1
     is_log = False  # metric flavor only
@@ -379,11 +376,11 @@ class CurveProductInstance(_FiberSpace):
         """The addti twist: a curve class of the given degree."""
         return CurveDivisorClass.general(degree)
 
-    def addti_counts(self, base_twist, k):
-        """(h^0 of the degree-k product twisted by base_twist on the curve,
-        h^0 of the base twist, fiber section count at degree k)."""
-        base = self.base_count(k, extra_degree=base_twist.degree)
-        rank = self.fiber_system().count(k)
+    def addti_counts(self, base_twist):
+        """(h^0 of the degree-1 product twisted by base_twist on the curve,
+        h^0 of the base twist, fiber section count at degree 1)."""
+        base = self.base_count(1, extra_degree=base_twist.degree)
+        rank = self.fiber_system().count(1)
         return base * rank, curve_h0(self.curve, base_twist), rank
 
 
@@ -394,32 +391,18 @@ class CurveProductInstance(_FiberSpace):
 @dataclass
 class InequalityVerdict:
     check_id: str
-    instance_id: str
     lhs: float
     rhs_terms: tuple  # of (label, value)
     holds: bool
     vacuous: bool = False
     combine: str = "sum"  # rhs aggregation: "sum", "product", or "chain"
 
-    @property
-    def rhs_value(self):
-        if self.combine == "product":
-            out = 1
-            for _, v in self.rhs_terms:
-                out *= v
-            return out
-        if self.combine == "chain":
-            return self.rhs_terms[-1][1]
-        return sum(v for _, v in self.rhs_terms)
 
-
-def _verdict(check_id, inst, lhs, rhs_terms, equality=False):
+def _verdict(check_id, lhs, rhs_terms, equality=False):
     rhs = sum(v for _, v in rhs_terms)
     vacuous = rhs == NEG_INF and not equality
     holds = (lhs == rhs) if equality else (lhs >= rhs)
-    return InequalityVerdict(
-        check_id=check_id, instance_id=inst.instance_id, lhs=lhs,
-        rhs_terms=tuple(rhs_terms), holds=holds, vacuous=vacuous)
+    return InequalityVerdict(check_id, lhs, tuple(rhs_terms), holds, vacuous)
 
 
 def _require(inst, check):
@@ -450,7 +433,7 @@ def verify_subadditivity(inst, which):
         terms = [("kappa_sigma(fiber)", fiber_sigma), ("kappa(base)", base_k)]
     else:
         terms = [("kappa(fiber)", fiber_k), ("kappa_sigma(base)", base_sigma)]
-    return _verdict(which, inst, lhs_sigma, terms)
+    return _verdict(which, lhs_sigma, terms)
 
 
 def verify_chain(inst):
@@ -458,8 +441,8 @@ def verify_chain(inst):
     k, ks, kh = inst.report.kappa, inst.kappa_sigma, inst.kappa_sigma_hor
     holds = k <= kh <= ks
     return InequalityVerdict(
-        check_id="jiangluo_chain", instance_id=inst.instance_id,
-        lhs=k, rhs_terms=(("kappa_sigma_hor", kh), ("kappa_sigma", ks)),
+        check_id="jiangluo_chain", lhs=k,
+        rhs_terms=(("kappa_sigma_hor", kh), ("kappa_sigma", ks)),
         holds=holds, combine="chain")
 
 
@@ -469,7 +452,7 @@ def verify_upper_bound(inst):
     fiber_k, _ = inst.fiber
     dim_base = inst.dim_base
     return InequalityVerdict(
-        check_id="lemmakey_upper", instance_id=inst.instance_id, lhs=k,
+        check_id="lemmakey_upper", lhs=k,
         rhs_terms=(("kappa(fiber)", fiber_k), ("dim(base)", dim_base)),
         holds=k <= fiber_k + dim_base)
 
@@ -479,39 +462,36 @@ def verify_dio_equality(inst):
     _require(inst, "dio")
     lhs = inst.report.kappa
     fiber_k = inst.fiber_report.kappa
-    return _verdict("dio_equality", inst, lhs,
+    return _verdict("dio_equality", lhs,
                     [("kappa(fiber)", fiber_k), ("dim(base)", 1)],
                     equality=True)
 
 
-def verify_addti(inst, base_twist, k=1):
-    """h^0(degree-k system twisted by f^* D_Y) >= h^0(Y, D_Y) * rank, where
-    the rank is the fiber section count at degree k."""
-    lhs, base_h0, rank = inst.addti_counts(base_twist, k)
+def verify_addti(inst, base_twist):
+    """h^0(degree-1 system twisted by f^* D_Y) >= h^0(Y, D_Y) * rank, where
+    the rank is the fiber section count at degree 1."""
+    lhs, base_h0, rank = inst.addti_counts(base_twist)
     return InequalityVerdict(
-        check_id="addti", instance_id=inst.instance_id, lhs=lhs,
+        check_id="addti", lhs=lhs,
         rhs_terms=(("h0(base twist)", base_h0), ("rank", rank)),
         holds=lhs >= base_h0 * rank,
         vacuous=base_h0 * rank == 0,
         combine="product")
 
 
-def verify_stride(variety, divisor, metric, strides=(2, 3, 5),
-                  degree_bound=DEFAULT_DEGREE_BOUND, instance_id="", base=None):
-    """kappa_sigma computed on degree multiples of a equals the full value
-    (base: the stride-1 value when the caller already has it)."""
-    if base is None:
-        base = kappa_sigma(variety, divisor, metric, degree_bound=degree_bound)
+def verify_stride(inst):
+    """kappa_sigma of the total space computed on the degree multiples of
+    each stride a in 2, 3, 5 equals the instance's full value."""
+    base = inst.kappa_sigma
     results = []
     ok = True
-    for a in strides:
-        val = kappa_sigma(variety, divisor, metric,
-                          degree_bound=degree_bound, stride=a)
+    for a in (2, 3, 5):
+        val = kappa_sigma(inst.fibration.total, inst.total_divisor(),
+                          inst.metric, degree_bound=inst.degree_bound, stride=a)
         results.append((f"stride_{a}", val))
         ok = ok and val == base
     return InequalityVerdict(
-        check_id="simple", instance_id=instance_id, lhs=base,
-        rhs_terms=tuple(results), holds=ok)
+        check_id="simple", lhs=base, rhs_terms=tuple(results), holds=ok)
 
 
 def verify_iitaka(inst):
@@ -522,14 +502,13 @@ def verify_iitaka(inst):
     total = inst.report.kappa
     if not sys.support():
         return InequalityVerdict(
-            check_id="iitaka_fibration", instance_id=inst.instance_id,
-            lhs=total, rhs_terms=(("kappa", total), ("fiber_kappa", NEG_INF)),
+            check_id="iitaka_fibration", lhs=total,
+            rhs_terms=(("kappa", total), ("fiber_kappa", NEG_INF)),
             holds=True, vacuous=True)
     # raises on any certification failure
-    res = _iitaka_analysis(sys, None, lambda: total)
+    res = iitaka_analysis(sys, lambda: total)
     return InequalityVerdict(
-        check_id="iitaka_fibration", instance_id=inst.instance_id,
-        lhs=res.image_dim,
+        check_id="iitaka_fibration", lhs=res.image_dim,
         rhs_terms=(("kappa", total), ("fiber_kappa", res.fiber_kappa)),
         holds=res.image_dim == total and res.fiber_kappa == 0)
 
@@ -544,10 +523,7 @@ _CHECKS = {
     "upper": lambda inst, twist: verify_upper_bound(inst),
     "dio": lambda inst, twist: verify_dio_equality(inst),
     "iitaka": lambda inst, twist: verify_iitaka(inst),
-    "simple": lambda inst, twist: verify_stride(
-        inst.fibration.total, inst.total_divisor(), inst.metric,
-        degree_bound=inst.degree_bound, instance_id=inst.instance_id,
-        base=inst.kappa_sigma),
+    "simple": lambda inst, twist: verify_stride(inst),
     "addti": lambda inst, twist: verify_addti(inst, inst.base_twist(twist)),
 }
 
@@ -577,35 +553,28 @@ class IitakaAnalysis:
     degrees_checked: tuple
 
 
-def iitaka_analysis(sys, k=None):
-    """Monomial Kodaira-map analysis at degree k.
+def iitaka_analysis(sys, growth):
+    """Monomial Kodaira-map analysis at degree k, the largest nonempty
+    degree with 2k inside the bound, checked at the end against growth(),
+    the growth order of the system (a callable, read last, so that a
+    certification failure is raised first).
 
     image_dim is the exponent-hull dimension; the fiber character lattice is
     Z^n modulo the saturation of the degree-k difference lattice; the fiber
     growth order is zero exactly when every degree maps to a single coset,
     which is certified degree by degree.  Requires the difference lattice to
-    have stabilized (rank at k equals rank at 2k inside the bound).
-    """
-    return _iitaka_analysis(sys, k, lambda: kappa_report(sys).kappa)
+    have stabilized (rank at k equals rank at 2k).
 
-
-def _iitaka_analysis(sys, k, growth):
-    """iitaka_analysis, checked at the end against growth(), the growth
-    order of the system.  Every read is a rank or a kernel of the degrees'
-    Gram matrices (SectionSystem.gram): image_dim and the 2k stability
-    check are their ranks, the contracted lattice is the saturation of the
-    degree-k Gram rows, and degree l maps to one coset iff its Gram matrix
-    kills the kernel of the degree-k one."""
+    Every read is a rank or a kernel of the degrees' Gram matrices
+    (SectionSystem.gram): image_dim and the 2k stability check are their
+    ranks, the contracted lattice is the saturation of the degree-k Gram
+    rows, and degree l maps to one coset iff its Gram matrix kills the
+    kernel of the degree-k one."""
     support = sys.support()
     if not support:
         raise ValueError("empty section system")
+    k = max((d for d in support if 2 * d <= sys.degree_bound), default=None)
     if k is None:
-        k = max((d for d in support if 2 * d <= sys.degree_bound), default=None)
-        if k is None:
-            raise DegreeBoundError("increase degree bound")
-    if k not in support:
-        raise ValueError(f"degree {k} has no sections")
-    if 2 * k > sys.degree_bound:
         raise DegreeBoundError("increase degree bound")
 
     n = sys.variety.lattice_rank

@@ -41,6 +41,15 @@ def as_int(value, name):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_int_row(row, name):
+    """The entries of row as a list of ints (operator.index); ValueError
+    naming the first entry that is not an integer."""
+    try:
+        return list(map(index, row))
+    except TypeError:
+        return [as_int(x, name) for x in row]  # raises at the first non-integer
+
+
 def dot(u, v):
     return sum(map(mul, u, v))
 
@@ -55,12 +64,8 @@ def is_zero(u):
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for a in v:
-        g = math.gcd(g, abs(int(a)))
-    if g <= 1:
-        return tuple(int(a) for a in v)
-    return tuple(int(a) // g for a in v)
+    g = math.gcd(*v)
+    return tuple(v) if g <= 1 else tuple(a // g for a in v)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +139,7 @@ def hnf(rows):
         raise GeometryError("ragged matrix")
     echelon, pivots, kernel = [], [], []
     for i, r in enumerate(rows):
-        rest = _insert(echelon, pivots, [int(x) for x in r]
+        rest = _insert(echelon, pivots, as_int_row(r, "matrix entry")
                        + [int(i == j) for j in range(m)], n)
         if rest is not None:
             kernel.append(rest)
@@ -271,7 +276,7 @@ class IntLattice:
     """
 
     def __init__(self, ambient_dim):
-        self.n = int(ambient_dim)
+        self.n = as_int(ambient_dim, "ambient dimension")
         self.rows = []        # echelon rows, pivot columns strictly increase
         self.pivots = []      # pivot column per row
 
@@ -281,7 +286,8 @@ class IntLattice:
 
     def add(self, vec):
         """Insert vec; True when it adds a pivot row (the rank grows)."""
-        return _insert(self.rows, self.pivots, [int(x) for x in vec], self.n) is None
+        return _insert(self.rows, self.pivots, as_int_row(vec, "vector entry"),
+                       self.n) is None
 
     def basis(self):
         return [tuple(r) for r in self.rows]

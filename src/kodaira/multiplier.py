@@ -3,7 +3,7 @@
 A metric is a list of (prime divisor id, weight mu >= 0) entries, one weight
 per divisor; the prefactor and the divisor multiplicity only enter through
 their product, so a single mu per divisor suffices.  The k-th ideal is cut
-out by the coefficients c_k = max(floor(k*mu) - k + 1, 0); the clamp keeps
+out by the coefficients c_k = max(floor(k*mu) - k + 1, 0); the max keeps
 ideal coefficients nonnegative (a negative value would spuriously enlarge
 section spaces).
 """
@@ -41,24 +41,23 @@ class SingularMetricData:
 EMPTY_METRIC = SingularMetricData(())
 
 
-def multiplier_coeff(mu, k, clamp=True):
+def multiplier_coeff(mu, k):
     """Coefficient of a prime divisor in the k-th multiplier ideal:
-    max(floor(k*mu) - k + 1, 0).  clamp=False drops the max (only for
-    falsification tests; real ideals never carry negative coefficients)."""
+    max(floor(k*mu) - k + 1, 0)."""
     mu = Fraction(mu)
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     k = as_int(k, "level")
     if k < 1:
         raise ValueError("level must be >= 1")
-    return _coeff(mu.numerator, mu.denominator, k, clamp)
+    return _coeff(mu.numerator, mu.denominator, k)
 
 
-def _coeff(p, q, t, clamp=True):
-    """multiplier_coeff(p/q, t) on integers, unchecked: floor(t p / q) - t
-    + 1, at least 0 unless clamp is False."""
+def _coeff(p, q, t):
+    """multiplier_coeff(p/q, t) on integers, unchecked: max(floor(t p / q)
+    - t + 1, 0)."""
     c = t * p // q - t + 1
-    return c if c > 0 or not clamp else 0
+    return c if c > 0 else 0
 
 
 @dataclass

@@ -168,19 +168,11 @@ class GradedSemigroup:
             self._level_cache = None
 
     @classmethod
-    def from_generators(cls, generators, ambient_rank=None):
+    def from_generators(cls, generators):
         gens = [tuple(g) for g in generators]
-        if ambient_rank is None:
-            if not gens:
-                raise ValueError("ambient_rank required for empty generators")
-            ambient_rank = len(gens[0]) - 1
-        return cls(ambient_rank, generators=gens)
-
-    @classmethod
-    def from_levels(cls, ambient_rank, levels, check_closure=True,
-                    degree_bound=None):
-        return cls(ambient_rank, levels=levels, degree_bound=degree_bound,
-                   check_closure=check_closure)
+        if not gens:
+            raise ValueError("from_generators needs a generator")
+        return cls(len(gens[0]) - 1, generators=gens)
 
     # -- structure -----------------------------------------------------------
 
@@ -300,7 +292,6 @@ class Regularization:
     # over its vertices, integers for den the lcm of their denominators), the
     # y coordinates of its vertices)
     _slice: tuple = field(repr=False)
-    strongly_convex: bool = True
 
 
 def regularize(sg):

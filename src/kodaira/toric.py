@@ -302,7 +302,7 @@ class SectionSystem:
     """
 
     def __init__(self, variety, divisor, metric=None, aux=None,
-                 degree_bound=DEFAULT_DEGREE_BOUND, clamp=True):
+                 degree_bound=DEFAULT_DEGREE_BOUND):
         self.variety = variety
         self.divisor = divisor
         self.metric = metric
@@ -310,7 +310,6 @@ class SectionSystem:
             raise ValueError("auxiliary divisor must be integral")
         self.aux = aux
         self.degree_bound = as_int(degree_bound, "degree_bound")
-        self.clamp = clamp
         self.k0 = divisor.k0
         self._weights = [(i, p, q) for i, (p, q) in
                          enumerate(_ray_weights(variety, self.metric)) if p]
@@ -342,7 +341,7 @@ class SectionSystem:
         values = [a + k * b for a, b in zip(self._consts, self._slopes)]
         t = k * self.k0
         for p, q, places in self._weighted:
-            c = _coeff(p, q, t, self.clamp)
+            c = _coeff(p, q, t)
             for j, lam in places:
                 values[j] += lam * c
         m = len(self.variety.rays)
@@ -388,9 +387,8 @@ class SectionSystem:
             self._ranks[k] = rat_rank(g) if any(map(any, g)) else 0
         return self._ranks[k]
 
-    def support(self, bound=None):
-        bound = self.degree_bound if bound is None else bound
-        return [k for k in range(1, bound + 1) if self.count(k) > 0]
+    def support(self):
+        return [k for k in range(1, self.degree_bound + 1) if self.count(k) > 0]
 
     def growth(self, stride=1, period=None):
         """growth_degree of the counts at degrees stride, 2 stride, ... up to
@@ -408,7 +406,7 @@ class SectionSystem:
         """A period of the counts at degrees stride, 2 stride, ... for large
         degrees.  Only rays whose constraint touches the limit polytope Q
         bound the degree piece for large k; the others are slack by a margin
-        growing with k (all rays count when Q is empty or the clamp is off).
+        growing with k (all rays count when Q is empty).
         A vertex cut out by rays B moves with a period dividing |det B| times
         the periods of their multiplier coefficients (the denominators of
         k0 stride mu), and the lcm of the vertex periods is a period of the
@@ -416,7 +414,7 @@ class SectionSystem:
         so none of this depends on the auxiliary divisor."""
         touching = (1 << len(self.variety.rays)) - 1  # bit i: ray i
         q = limit_polytope(self.variety, self.divisor, self.metric)
-        if self.clamp and not q.is_empty():  # Q is the clamped limit
+        if not q.is_empty():
             touching = reduce(or_, q.tight_masks())
         step = self.k0 * stride
         mu_period = {i: q // gcd(q, step) for i, _, q in self._weights}
@@ -431,8 +429,8 @@ class SectionSystem:
         """The exponent sets as a degreewise graded semigroup (closed under
         addition by polytope additivity and coefficient subadditivity)."""
         levels = {k: set(self.exponents(k)) for k in range(1, self.degree_bound + 1)}
-        return GradedSemigroup.from_levels(
-            self.variety.lattice_rank, levels, check_closure=False,
+        return GradedSemigroup(
+            self.variety.lattice_rank, levels=levels, check_closure=False,
             degree_bound=self.degree_bound)
 
 
@@ -539,21 +537,16 @@ def kappa1(sys):
     return len(echelon)
 
 
-def kappa2(sys, with_witness=False):
+def kappa2(sys):
     """Maximal image dimension of the monomial maps: max over nonempty
     degrees of the affine dimension of the exponent hull, the rank of the
     degree's Gram matrix (SectionSystem.rank), read up to the first degree
     of full lattice rank."""
     best = NEG_INF
-    witness = None
     for k in sys.support():
-        d = sys.rank(k)
-        if d > best:
-            best, witness = d, k
-            if d == sys.variety.lattice_rank:  # no degree can exceed it
-                break
-    if with_witness:
-        return best, witness
+        best = max(best, sys.rank(k))
+        if best == sys.variety.lattice_rank:  # no degree can exceed it
+            break
     return best
 
 
@@ -589,13 +582,15 @@ class KappaValues:
 
 
 def kappa_report(sys):
-    """All three invariants, asserted equal (raises CrossCheckError)."""
+    """All three invariants, asserted equal (raises CrossCheckError); the
+    witness is the first degree of rank kappa2, whose rank kappa2 cached."""
     v1 = kappa1(sys)
-    v2, witness = kappa2(sys, with_witness=True)
+    v2 = kappa2(sys)
     v3 = kappa3(sys)
     if not (v1 == v2 == v3):
         raise CrossCheckError(
             f"section growth invariants disagree: {v1}, {v2}, {v3}")
+    witness = next((k for k in sys.support() if sys.rank(k) == v2), None)
     return KappaValues(kappa1=v1, kappa2=v2, kappa3=v3, witness_degree=witness)
 
 
@@ -680,7 +675,7 @@ def check_perturbed(exact, estimates, mismatch, unestimable):
 
 
 def _perturbed_growth(variety, divisor, metric, perturbation, degree_bound,
-                      stride, clamp, route):
+                      stride, route):
     """Growth order of the counts of k*D + m*P for the perturbation P.
 
     Exact value from the limit polytope with the support of P fattened, which
@@ -694,8 +689,7 @@ def _perturbed_growth(variety, divisor, metric, perturbation, degree_bound,
 
     systems = [
         SectionSystem(variety, divisor, metric=metric,
-                      aux=perturbation.scale(m), degree_bound=degree_bound * stride,
-                      clamp=clamp)
+                      aux=perturbation.scale(m), degree_bound=degree_bound * stride)
         for m in PERTURBATION_MULTIPLES]
     period = systems[0].period(stride)  # the same for every auxiliary divisor
     estimates = [s.growth(stride, period) for s in systems]
@@ -706,7 +700,7 @@ def _perturbed_growth(variety, divisor, metric, perturbation, degree_bound,
 
 
 def kappa_sigma(variety, divisor, metric=None, ample=None,
-                degree_bound=DEFAULT_DEGREE_BOUND, stride=1, clamp=True):
+                degree_bound=DEFAULT_DEGREE_BOUND, stride=1):
     """Perturbed section growth order (numerical dimension flavor).
 
     Exact value from the limit polytope; empirical values as the growth
@@ -718,11 +712,11 @@ def kappa_sigma(variety, divisor, metric=None, ample=None,
     elif not is_ample(variety, ample):
         raise ValueError("perturbation divisor is not ample")
     return _perturbed_growth(variety, divisor, metric, ample, degree_bound,
-                             stride, clamp, "numerical")
+                             stride, "numerical")
 
 
 def kappa_sigma_hor(variety, divisor, metric, fibration,
-                    degree_bound=DEFAULT_DEGREE_BOUND, clamp=True):
+                    degree_bound=DEFAULT_DEGREE_BOUND):
     """Perturbed growth order along divisors pulled back from the base.
 
     Same as kappa_sigma, but the perturbation is m * f^*(ample on base): only
@@ -731,4 +725,4 @@ def kappa_sigma_hor(variety, divisor, metric, fibration,
     """
     pulled = fibration.pullback_divisor(fibration.base.standard_ample)
     return _perturbed_growth(variety, divisor, metric, pulled, degree_bound,
-                             1, clamp, "horizontal")
+                             1, "horizontal")

@@ -110,8 +110,9 @@ def corpus_section_systems(degree_bound=24):
 
 
 def boundary_subset_instances(degree_bound=24):
-    """Every reduced (D_X, D_Y) pair with f*D_Y inside D_X, on the product
-    P1 x P1 -> P1 and on the Hirzebruch surfaces F_a -> P1 for a <= 3."""
+    """(name, instance) for every reduced (D_X, D_Y) pair with f*D_Y inside
+    D_X, on the product P1 x P1 -> P1 and on the Hirzebruch surfaces
+    F_a -> P1 for a <= 3."""
     fibs = [("p1xp1", product_fibration(P1, P1))]
     for a in (1, 2, 3):
         fibs.append((f"f{a}", hirzebruch_fibration(a)))
@@ -128,14 +129,15 @@ def boundary_subset_instances(degree_bound=24):
                         dx = frozenset(forced) | frozenset(extra)
                         name = (f"{fname}_dy{''.join(map(str, dy))}_"
                                 f"dx{''.join(map(str, sorted(dx)))}")
-                        out.append(ToricFibrationInstance(
+                        out.append((name, ToricFibrationInstance(
                             fibration=fib, dx_rays=dx, dy_rays=frozenset(dy),
-                            degree_bound=degree_bound, instance_id=name))
+                            degree_bound=degree_bound)))
     return out
 
 
 def metric_fibration_instances(degree_bound=24):
-    """Toric fibrations carrying a metric (log divisors empty)."""
+    """(name, instance) for toric fibrations carrying a metric (log divisors
+    empty)."""
     out = []
     pf = product_fibration(P1, P1)
     half = Fraction(1, 2)
@@ -149,25 +151,24 @@ def metric_fibration_instances(degree_bound=24):
         ("prod_empty", (0, -1, 0, 1), ()),
     ]
     for name, coeffs, entries in cases:
-        out.append(ToricFibrationInstance(
+        out.append((f"m_{name}", ToricFibrationInstance(
             fibration=pf, divisor=ToricDivisorData(coeffs),
             metric=SingularMetricData(entries) if entries else None,
-            degree_bound=degree_bound, instance_id=f"m_{name}"))
+            degree_bound=degree_bound)))
     for a in (1, 2):
         fa = hirzebruch_fibration(a)
-        out.append(ToricFibrationInstance(
+        out.append((f"m_f{a}_mu1", ToricFibrationInstance(
             fibration=fa, divisor=ToricDivisorData((1, 0, 0, 1)),
-            metric=SingularMetricData([(1, 1)]),
-            degree_bound=degree_bound, instance_id=f"m_f{a}_mu1"))
-        out.append(ToricFibrationInstance(
+            metric=SingularMetricData([(1, 1)]), degree_bound=degree_bound)))
+        out.append((f"m_f{a}_plain", ToricFibrationInstance(
             fibration=fa, divisor=ToricDivisorData((0, 1, 0, 1)),
-            metric=None, degree_bound=degree_bound,
-            instance_id=f"m_f{a}_plain"))
+            metric=None, degree_bound=degree_bound)))
     return out
 
 
 def curve_product_instances(degree_bound=24):
-    """Curve times toric instances with g in {2, 3} and fiber dimension <= 2."""
+    """(name, instance) for curve times toric instances with g in {2, 3} and
+    fiber dimension <= 2."""
     out = []
 
     def add(name, genus, extra_base_degree, fiber, fdiv, fmetric=(),
@@ -178,12 +179,12 @@ def curve_product_instances(degree_bound=24):
         else:
             base_class = CurveDivisorClass.general(
                 2 * genus - 2 + extra_base_degree)
-        out.append(CurveProductInstance(
+        out.append((f"c_{name}", CurveProductInstance(
             curve=curve, base_class=base_class,
             fiber_variety=fiber, fiber_divisor=ToricDivisorData(fdiv),
             fiber_metric=SingularMetricData(fmetric),
             base_metric=SingularMetricData(base_points),
-            degree_bound=degree_bound, instance_id=f"c_{name}"))
+            degree_bound=degree_bound)))
 
     add("g2_p1_mu2", 2, 0, P1, (0, 2), [(0, 2)])
     add("g3_p1_mu2", 3, 0, P1, (0, 2), [(0, 2)])

@@ -28,6 +28,7 @@ from kodaira.toric import (
     kappa1,
     kappa2,
     kappa3,
+    kappa_report,
     kappa_sigma,
 )
 from kodaira.multiplier import SingularMetricData
@@ -80,14 +81,14 @@ def growth_semigroups():
         [(0, 0, 1), (1, 0, 1), (-1, 1, 1)],
     ]
     out = [GradedSemigroup.from_generators(g) for g in gens_1d + gens_2d]
-    out.append(GradedSemigroup.from_levels(
-        2, {k: {(x, y) for x in range(k + 1) for y in range(k + 1 - x)}
-            for k in range(1, 9)}))
-    out.append(GradedSemigroup.from_levels(
-        2, {k: {(x, y) for x in range(k + 1) for y in range(k + 1)}
-            for k in range(1, 7)}))
-    out.append(GradedSemigroup.from_levels(
-        1, {k: {(x,) for x in range(0, 2 * k + 1)} for k in range(1, 13)}))
+    out.append(GradedSemigroup(
+        2, levels={k: {(x, y) for x in range(k + 1) for y in range(k + 1 - x)}
+                   for k in range(1, 9)}))
+    out.append(GradedSemigroup(
+        2, levels={k: {(x, y) for x in range(k + 1) for y in range(k + 1)}
+                   for k in range(1, 7)}))
+    out.append(GradedSemigroup(
+        1, levels={k: {(x,) for x in range(0, 2 * k + 1)} for k in range(1, 13)}))
     return out
 
 
@@ -125,9 +126,9 @@ def test_acceptance_2_growth_law():
             [(0, 2), (1, 2)])), k_max=200)
         assert (rep.q, rep.m, rep.a_q_predicted, rep.a_q_empirical) == \
             (1, 2, Fraction(1), Fraction(201, 200))
-        rep = growth_law_check(regularize(GradedSemigroup.from_levels(
-            2, {k: {(x, y) for x in range(k + 1) for y in range(k + 1 - x)}
-                for k in range(1, 9)})), k_max=200)
+        rep = growth_law_check(regularize(GradedSemigroup(
+            2, levels={k: {(x, y) for x in range(k + 1) for y in range(k + 1 - x)}
+                       for k in range(1, 9)})), k_max=200)
         assert (rep.q, rep.a_q_predicted) == (2, Fraction(1, 2))
         assert rep.a_q_empirical == Fraction(201 * 202, 2 * 200 ** 2)
 
@@ -174,34 +175,34 @@ def test_acceptance_6_subadditivity_everywhere():
         start = time.monotonic()
         boundary = boundary_subset_instances(degree_bound=24)
         assert len(boundary) == 144  # 36 per fibration, 4 fibrations
-        for inst in boundary:
-            assert verify_subadditivity(inst, "spc").holds, inst.instance_id
-            assert verify_subadditivity(inst, "spck").holds, inst.instance_id
-            assert verify_chain(inst).holds, inst.instance_id
+        for name, inst in boundary:
+            assert verify_subadditivity(inst, "spc").holds, name
+            assert verify_subadditivity(inst, "spck").holds, name
+            assert verify_chain(inst).holds, name
         curve_insts = curve_product_instances(degree_bound=24)
         assert len(curve_insts) >= 10
-        for inst in curve_insts:
-            assert verify_subadditivity(inst, "112").holds, inst.instance_id
-            assert verify_subadditivity(inst, "112k").holds, inst.instance_id
-            assert verify_chain(inst).holds, inst.instance_id
-        for inst in metric_fibration_instances(degree_bound=24):
-            assert verify_subadditivity(inst, "112").holds, inst.instance_id
-            assert verify_subadditivity(inst, "112k").holds, inst.instance_id
-            assert verify_chain(inst).holds, inst.instance_id
+        for name, inst in curve_insts:
+            assert verify_subadditivity(inst, "112").holds, name
+            assert verify_subadditivity(inst, "112k").holds, name
+            assert verify_chain(inst).holds, name
+        for name, inst in metric_fibration_instances(degree_bound=24):
+            assert verify_subadditivity(inst, "112").holds, name
+            assert verify_subadditivity(inst, "112k").holds, name
+            assert verify_chain(inst).holds, name
         elapsed = time.monotonic() - start
         assert elapsed < 120, f"took {elapsed:.1f}s"
 
 
 def test_acceptance_7_addition_formula():
     with criterion(7, "dio equality on >= 10 curve x toric instances"):
-        insts = [i for i in curve_product_instances(degree_bound=24)
+        insts = [(name, i) for name, i in curve_product_instances(degree_bound=24)
                  if i.curve.genus >= 2]
         assert len(insts) >= 10
-        assert {i.curve.genus for i in insts} == {2, 3}
-        assert all(i.fiber_variety.lattice_rank <= 2 for i in insts)
-        for inst in insts:
+        assert {i.curve.genus for _, i in insts} == {2, 3}
+        assert all(i.fiber_variety.lattice_rank <= 2 for _, i in insts)
+        for name, inst in insts:
             v = verify_dio_equality(inst)
-            assert v.holds, (inst.instance_id, v.lhs, v.rhs_value)
+            assert v.holds, (name, v.lhs, v.rhs_terms)
 
 
 def test_acceptance_8_iitaka_fibration():
@@ -213,7 +214,7 @@ def test_acceptance_8_iitaka_fibration():
             k = kappa1(sys)
             if not (0 <= k < sys.variety.lattice_rank):
                 continue
-            res = iitaka_analysis(sys)
+            res = iitaka_analysis(sys, lambda: kappa_report(sys).kappa)
             assert res.image_dim == k, name
             assert res.fiber_kappa == 0, name
             checked += 1
@@ -235,12 +236,13 @@ def test_acceptance_9_stride_and_addti():
         from kodaira.fibration import ToricFibrationInstance
         inst = ToricFibrationInstance(
             fibration=fib, divisor=ToricDivisorData((0, 1, 0, 1)),
-            degree_bound=8, instance_id="addti_example")
-        v = verify_addti(inst, ToricDivisorData((0, 1)), k=1)
-        assert v.lhs == 6 and v.rhs_value == 4 and v.holds
-        for inst in curve_product_instances(degree_bound=16):
+            degree_bound=8)
+        v = verify_addti(inst, ToricDivisorData((0, 1)))
+        assert v.lhs == 6 and v.holds
+        assert v.rhs_terms == (("h0(base twist)", 2), ("rank", 2))
+        for name, inst in curve_product_instances(degree_bound=16):
             twist = CurveDivisorClass.general(2 * inst.curve.genus + 1)
-            assert verify_addti(inst, twist, k=1).holds, inst.instance_id
+            assert verify_addti(inst, twist).holds, name
 
 
 def test_acceptance_10_upper_bound():
@@ -248,5 +250,5 @@ def test_acceptance_10_upper_bound():
         everything = (boundary_subset_instances(degree_bound=16)
                       + metric_fibration_instances(degree_bound=16)
                       + curve_product_instances(degree_bound=16))
-        for inst in everything:
-            assert verify_upper_bound(inst).holds, inst.instance_id
+        for name, inst in everything:
+            assert verify_upper_bound(inst).holds, name

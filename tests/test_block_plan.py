@@ -102,8 +102,7 @@ def product_systems():
         inst = ToricFibrationInstance(
             fibration=product_fibration(fiber, base),
             divisor=ToricDivisorData(coeffs),
-            metric=SingularMetricData(entries), degree_bound=12,
-            instance_id=name)
+            metric=SingularMetricData(entries), degree_bound=12)
         out.append((name, inst.system))
     return out
 

@@ -16,6 +16,7 @@ from kodaira.toric import (
     ToricDivisorData,
     ToricVariety,
     kappa1,
+    kappa_report,
     kappa_sigma,
     kappa_sigma_hor,
 )
@@ -56,7 +57,7 @@ def test_product_fiber_restriction():
     fib = product_fibration(P1, P1)
     inst = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, 2, 1, 1)),
-        metric=SingularMetricData([(0, 2), (2, 1)]), instance_id="t")
+        metric=SingularMetricData([(0, 2), (2, 1)]))
     fiber, div, metric = inst.fiber_data()
     assert fiber is P1
     assert div.coefficients == (0, 2)
@@ -66,7 +67,7 @@ def test_product_fiber_restriction():
 def test_hirzebruch_fiber_restriction():
     fib = hirzebruch_fibration(1)
     inst = ToricFibrationInstance(
-        fibration=fib, divisor=ToricDivisorData((3, 1, 2, 0)), instance_id="t")
+        fibration=fib, divisor=ToricDivisorData((3, 1, 2, 0)))
     fiber, div, metric = inst.fiber_data()
     # vertical rays (0,1) and (0,-1) carry coefficients 1 and 0
     assert div.coefficients == (1, 0)
@@ -78,7 +79,7 @@ def test_curve_product_fiber():
         curve=CurveModel(2),
         base_class=CurveDivisorClass.canonical_multiple(CurveModel(2), 1),
         fiber_variety=P1, fiber_divisor=ToricDivisorData((0, 2)),
-        fiber_metric=SingularMetricData([(0, 2)]), instance_id="c")
+        fiber_metric=SingularMetricData([(0, 2)]))
     fiber, div, metric = inst.fiber_data()
     assert fiber is P1 and div.coefficients == (0, 2)
     assert metric.entries == ((0, 2),)
@@ -88,7 +89,7 @@ def test_pullback_condition_enforced():
     fib = product_fibration(P1, P1)
     with pytest.raises(ValueError, match="pullback"):
         ToricFibrationInstance(fibration=fib, dx_rays=frozenset({0}),
-                               dy_rays=frozenset({0}), instance_id="bad")
+                               dy_rays=frozenset({0}))
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +100,17 @@ def test_spc_full_boundary():
     fib = product_fibration(P1, P1)
     inst = ToricFibrationInstance(
         fibration=fib, dx_rays=frozenset({0, 1, 2, 3}),
-        dy_rays=frozenset({0, 1}), degree_bound=12, instance_id="full")
+        dy_rays=frozenset({0, 1}), degree_bound=12)
     v = verify_subadditivity(inst, "spc")
-    assert v.holds and v.lhs == 0 and v.rhs_value == 0
+    assert v.holds and v.lhs == 0
+    assert v.rhs_terms == (("kappa_sigma(fiber)", 0), ("kappa(base)", 0))
 
 
 def test_spc_and_spck_on_sample():
     fib = hirzebruch_fibration(2)
     inst = ToricFibrationInstance(
         fibration=fib, dx_rays=frozenset({0, 1, 2}), dy_rays=frozenset({0, 1}),
-        degree_bound=12, instance_id="f2_sample")
+        degree_bound=12)
     assert verify_subadditivity(inst, "spc").holds
     assert verify_subadditivity(inst, "spck").holds
 
@@ -117,8 +119,7 @@ def test_112_on_metric_product():
     fib = product_fibration(P1, P1)
     inst = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, 2, 0, 2)),
-        metric=SingularMetricData([(0, 2)]), degree_bound=12,
-        instance_id="m112")
+        metric=SingularMetricData([(0, 2)]), degree_bound=12)
     v = verify_subadditivity(inst, "112")
     assert v.holds and v.vacuous  # toric base: kappa(K_Y) is -inf
 
@@ -129,22 +130,23 @@ def test_112_on_curve_product_equality():
         curve=c, base_class=CurveDivisorClass.canonical_multiple(c, 1),
         fiber_variety=P1, fiber_divisor=ToricDivisorData((0, 2)),
         fiber_metric=SingularMetricData([(0, 2)]),
-        degree_bound=16, instance_id="c112")
+        degree_bound=16)
     v = verify_subadditivity(inst, "112")
     assert v.holds and not v.vacuous
-    assert v.lhs == 2 and v.rhs_value == 1 + 1
+    assert v.lhs == 2
+    assert v.rhs_terms == (("kappa_sigma(fiber)", 1), ("kappa(base)", 1))
 
 
 def test_wrong_flavor_rejected():
     fib = product_fibration(P1, P1)
     log_inst = ToricFibrationInstance(
         fibration=fib, dx_rays=frozenset(), dy_rays=frozenset(),
-        degree_bound=10, instance_id="log")
+        degree_bound=10)
     with pytest.raises(ValueError):
         verify_subadditivity(log_inst, "112")
     metric_inst = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, 1, 0, 1)),
-        degree_bound=10, instance_id="met")
+        degree_bound=10)
     with pytest.raises(ValueError):
         verify_subadditivity(metric_inst, "spc")
 
@@ -184,10 +186,10 @@ def test_chain_on_instances():
         ToricFibrationInstance(fibration=fib,
                                divisor=ToricDivisorData((0, 0, 0, 2)),
                                metric=SingularMetricData([(0, 1)]),
-                               degree_bound=12, instance_id="drop"),
+                               degree_bound=12),
         ToricFibrationInstance(fibration=fib,
                                divisor=ToricDivisorData((0, 1, 0, 1)),
-                               degree_bound=12, instance_id="nef"),
+                               degree_bound=12),
     ]
     for inst in cases:
         v = verify_chain(inst)
@@ -206,19 +208,21 @@ def dio_instance(genus=2, fdiv=(0, 2), fmetric=((0, 2),), bound=16):
         curve=c, base_class=CurveDivisorClass.canonical_multiple(c, 1),
         fiber_variety=P1, fiber_divisor=ToricDivisorData(fdiv),
         fiber_metric=SingularMetricData(fmetric),
-        degree_bound=bound, instance_id=f"dio_g{genus}")
+        degree_bound=bound)
 
 
 def test_dio_worked_example():
     v = verify_dio_equality(dio_instance())
     assert v.holds
-    assert v.lhs == 2 and v.rhs_value == 2
+    assert v.lhs == 2
+    assert v.rhs_terms == (("kappa(fiber)", 1), ("dim(base)", 1))
 
 
 def test_dio_empty_fiber():
     v = verify_dio_equality(dio_instance(fdiv=(0, -1), fmetric=()))
     assert v.holds
-    assert v.lhs == NEG_INF and v.rhs_value == NEG_INF
+    assert v.lhs == NEG_INF
+    assert v.rhs_terms == (("kappa(fiber)", NEG_INF), ("dim(base)", 1))
 
 
 def test_dio_needs_general_type():
@@ -233,7 +237,7 @@ def test_dio_surface_fiber():
     inst = CurveProductInstance(
         curve=c, base_class=CurveDivisorClass.canonical_multiple(c, 1),
         fiber_variety=P1xP1, fiber_divisor=ToricDivisorData((0, 1, 0, 1)),
-        degree_bound=16, instance_id="dio_surface")
+        degree_bound=16)
     v = verify_dio_equality(inst)
     assert v.holds and v.lhs == 3
 
@@ -244,8 +248,7 @@ def test_upper_bound_everywhere():
         dio_instance(fdiv=(0, 0), fmetric=((0, 1),)),
         ToricFibrationInstance(
             fibration=product_fibration(P1, P1),
-            divisor=ToricDivisorData((0, 2, 0, 2)), degree_bound=12,
-            instance_id="ub"),
+            divisor=ToricDivisorData((0, 2, 0, 2)), degree_bound=12),
     ]
     for inst in insts:
         assert verify_upper_bound(inst).holds
@@ -259,8 +262,8 @@ def test_addti_product_counts():
     fib = product_fibration(P1, P1)
     inst = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, 1, 0, 1)),
-        degree_bound=8, instance_id="addti")
-    v = verify_addti(inst, ToricDivisorData((0, 1)), k=1)
+        degree_bound=8)
+    v = verify_addti(inst, ToricDivisorData((0, 1)))
     # lhs counts O(1,2)-style sections: 6; rhs = 2 * 2
     assert v.lhs == 6
     assert v.rhs_terms == (("h0(base twist)", 2), ("rank", 2))
@@ -269,25 +272,29 @@ def test_addti_product_counts():
 
 def test_addti_kunneth_equality_curve():
     inst = dio_instance()
-    v = verify_addti(inst, CurveDivisorClass.general(5), k=2)
+    v = verify_addti(inst, CurveDivisorClass.general(5))
     assert v.holds
     # split data: exact Kunneth factorization
-    assert v.lhs == inst.base_count(2, extra_degree=5) * inst.fiber_system().count(2)
+    assert v.lhs == inst.base_count(1, extra_degree=5) * inst.fiber_system().count(1)
 
 
 def test_addti_vacuous():
     inst = dio_instance(fdiv=(0, -1), fmetric=())
-    v = verify_addti(inst, CurveDivisorClass.general(5), k=1)
+    v = verify_addti(inst, CurveDivisorClass.general(5))
     assert v.holds and v.vacuous  # sectionless fiber: rank 0
 
 
 def test_stride_invariance_op():
-    v = verify_stride(P1, ToricDivisorData((0, 0)),
-                      SingularMetricData([(0, 1)]), strides=(1, 2, 3, 5),
-                      degree_bound=16, instance_id="sep")
+    # the separation point (kappa -inf, kappa_sigma 0) times P1
+    fib = product_fibration(P1, P1)
+    v = verify_stride(ToricFibrationInstance(
+        fibration=fib, divisor=ToricDivisorData((0, 0, 0, 0)),
+        metric=SingularMetricData([(0, 1)]), degree_bound=16))
     assert v.holds and v.lhs == 0
-    v2 = verify_stride(P1, ToricDivisorData((0, -1)), None, strides=(3,),
-                       degree_bound=12, instance_id="empty")
+    assert v.rhs_terms == (("stride_2", 0), ("stride_3", 0), ("stride_5", 0))
+    v2 = verify_stride(ToricFibrationInstance(
+        fibration=fib, divisor=ToricDivisorData((0, -1, 0, 0)),
+        degree_bound=12))
     assert v2.holds and v2.lhs == NEG_INF
 
 
@@ -295,9 +302,14 @@ def test_stride_invariance_op():
 # iitaka analysis
 # ---------------------------------------------------------------------------
 
+def iitaka(sys):
+    """iitaka_analysis checked against the system's own growth report."""
+    return iitaka_analysis(sys, lambda: kappa_report(sys).kappa)
+
+
 def test_iitaka_projection():
     sys = SectionSystem(P1xP1, ToricDivisorData((0, 0, 0, 2)), degree_bound=16)
-    res = iitaka_analysis(sys)
+    res = iitaka(sys)
     assert res.image_dim == 1
     assert res.fiber_lattice_rank == 1
     assert res.fiber_kappa == 0
@@ -306,22 +318,23 @@ def test_iitaka_projection():
 
 def test_iitaka_big_case():
     sys = SectionSystem(P1xP1, ToricDivisorData((1, 1, 1, 1)), degree_bound=12)
-    res = iitaka_analysis(sys)
+    res = iitaka(sys)
     assert res.image_dim == 2
     assert res.fiber_lattice_rank == 0
 
 
 def test_iitaka_zero_case():
     sys = SectionSystem(P1, ToricDivisorData((0, 0)), degree_bound=12)
-    res = iitaka_analysis(sys)
+    res = iitaka(sys)
     assert res.image_dim == 0
     assert res.fiber_lattice_rank == 1  # fiber is the whole space
 
 
 def test_iitaka_needs_room():
-    sys = SectionSystem(P1, ToricDivisorData((0, 1)), degree_bound=10)
-    with pytest.raises(Exception):
-        iitaka_analysis(sys, k=9)  # 2k beyond the bound
+    # the one nonempty degree, 1, has no room for 2k within the bound
+    sys = SectionSystem(P1, ToricDivisorData((0, 1)), degree_bound=1)
+    with pytest.raises(DegreeBoundError, match="increase degree bound"):
+        iitaka(sys)
 
 
 def spread_degree(sys, degree, extra):
@@ -361,7 +374,7 @@ def test_iitaka_degree_across_fibers_raises(variety, coeffs):
             with pytest.raises(CrossCheckError, match=message):
                 iitaka_fibers_per_point(sys, 4)
             with pytest.raises(CrossCheckError, match=message):
-                iitaka_analysis(sys)
+                iitaka(sys)
 
 
 VARIETIES = [P1, P2, P1xP1, ToricVariety.hirzebruch(1),
@@ -411,7 +424,7 @@ def test_spans_match_per_point_references(sys):
         return
     rank_k = diff_lattice_per_point([sys.exponents(k)], n).rank
     rank_2k = diff_lattice_per_point([sys.exponents(2 * k)], n).rank
-    kind, got = outcome(lambda: iitaka_analysis(sys))
+    kind, got = outcome(lambda: iitaka(sys))
     if rank_k != rank_2k:
         assert (kind, got) == ("DegreeBoundError", "increase degree bound")
         return
@@ -435,8 +448,7 @@ def test_kappa_summary_record():
     fib = product_fibration(P1, P1)
     t = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, 0, 0, 2)),
-        metric=SingularMetricData([(0, 1)]), degree_bound=12,
-        instance_id="summary")
+        metric=SingularMetricData([(0, 1)]), degree_bound=12)
     rep = t.report
     assert rep.kappa == NEG_INF and t.kappa_sigma == 1
     assert t.kappa_sigma_hor == NEG_INF
@@ -448,13 +460,13 @@ def test_verify_iitaka_verdict():
     fib = product_fibration(P1, P1)
     inst = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, 0, 0, 2)),
-        degree_bound=16, instance_id="iitaka")
+        degree_bound=16)
     v = verify_iitaka(inst)
     assert v.check_id == "iitaka_fibration" and v.holds
     assert v.lhs == 1
     empty = ToricFibrationInstance(
         fibration=fib, divisor=ToricDivisorData((0, -1, 0, 0)),
-        degree_bound=12, instance_id="iitaka_empty")
+        degree_bound=12)
     v = verify_iitaka(empty)
     assert v.holds and v.vacuous
 
@@ -568,8 +580,7 @@ def test_evaluated_instances_are_freed_without_gc():
         return ToricFibrationInstance(
             fibration=product_fibration(P1, P1),
             divisor=ToricDivisorData((0, 0, 0, 2)),
-            metric=SingularMetricData([(0, 1)]), degree_bound=12,
-            instance_id="freed")
+            metric=SingularMetricData([(0, 1)]), degree_bound=12)
 
     gc.disable()
     try:
@@ -585,8 +596,9 @@ def test_evaluated_instances_are_freed_without_gc():
         gc.enable()
 
 
-@pytest.mark.parametrize("inst", curve_product_instances(degree_bound=12),
-                         ids=lambda inst: inst.instance_id)
+@pytest.mark.parametrize("inst", [
+    pytest.param(inst, id=name)
+    for name, inst in curve_product_instances(degree_bound=12)])
 def test_base_class_at_matches_multiplier_coeff_sum(inst):
     """The integer (p, q) weights give the same class as summing
     `multiplier_coeff` over the marked points, also where a weight below 1

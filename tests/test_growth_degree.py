@@ -260,8 +260,9 @@ def test_kappa_sigma_counts_only_the_degrees_it_reads(monkeypatch):
     assert 0 < len(scanned) <= len(PERTURBATION_MULTIPLES) * (n + 2) * period
     # kappa2 stops at the first degree whose exponents span the lattice
     sys = SectionSystem(variety, divisor, degree_bound=bound)
-    assert kappa2(sys, with_witness=True) == (2, 1)
+    assert kappa2(sys) == 2
     assert set(sys._grams) == {1}
+    assert kappa_report(sys).witness_degree == 1
 
 
 def test_period_uses_only_rays_touching_the_limit_polytope():
@@ -277,9 +278,6 @@ def test_period_uses_only_rays_touching_the_limit_polytope():
     assert sys.period() == 3
     assert sys.period(stride=2) == 3
     assert kappa_sigma(f3, divisor, metric, degree_bound=24) == 2
-    # without the clamp the limit polytope does not apply: every ray counts
-    unclamped = SectionSystem(f3, divisor, metric=metric, clamp=False)
-    assert unclamped.period() == 6
 
 
 def test_period_multiplies_determinant_and_weight_period():

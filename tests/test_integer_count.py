@@ -38,9 +38,8 @@ VARIETIES = [
 GRID_LIMIT = 3000  # grid points the brute-force oracle may filter
 
 
-def ideal_coeff(mu, t, clamp):
-    value = math.floor(t * mu) - t + 1
-    return max(value, 0) if clamp else value
+def ideal_coeff(mu, t):
+    return max(math.floor(t * mu) - t + 1, 0)
 
 
 @st.composite
@@ -58,19 +57,18 @@ def degree_pieces(draw):
         max_size=2))
     stride = draw(st.sampled_from((1, 2, 3, 5)))
     k = stride * draw(st.integers(1, 2))
-    clamp = draw(st.booleans())
-    return variety, coeffs, aux, weights, stride, k, clamp
+    return variety, coeffs, aux, weights, stride, k
 
 
 @settings(max_examples=150)
 @given(degree_pieces())
 def test_integer_count_matches_fraction_polytope(piece):
-    variety, coeffs, aux, weights, stride, k, clamp = piece
+    variety, coeffs, aux, weights, stride, k = piece
     divisor = ToricDivisorData(coeffs)
     sys = SectionSystem(
         variety, divisor, metric=SingularMetricData(weights.items()),
         aux=None if aux is None else ToricDivisorData(aux),
-        degree_bound=2 * stride, clamp=clamp)
+        degree_bound=2 * stride)
 
     # the degree-k piece as a Fraction polytope of the effective divisor
     t = k * divisor.k0
@@ -78,7 +76,7 @@ def test_integer_count_matches_fraction_polytope(piece):
     for i, b in enumerate(divisor.coefficients):
         c = t * b + (aux[i] if aux is not None else 0)
         if weights.get(i):  # a zero weight is no singularity at all
-            c -= ideal_coeff(weights[i], t, clamp)
+            c -= ideal_coeff(weights[i], t)
         effective.append(c)
     poly = rational_polytope(variety.lattice_rank,
                              [(ray, -c) for ray, c in zip(variety.rays, effective)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kodaira.lattice import (
     NEG_INF,
     GeometryError,
+    IntLattice,
     Polytope,
     ScanPlan,
     basis_coords,
@@ -17,6 +18,7 @@ from kodaira.lattice import (
     hnf,
     hnf_basis,
     int_kernel,
+    primitive,
     saturate_rows,
     vsub,
 )
@@ -520,8 +522,17 @@ def _generated(k):
     (lambda: Polytope(1, [(Fraction(1, 2),)], [0]), Fraction(1, 2)),
     (lambda: Polytope(1, [(1,)], [0.5]), 0.5),
     (lambda: Polytope(1, [(1,)], [0], "2"), "2"),
+    pytest.param(lambda: hnf([(1.5, 2), (0, 1)]), 1.5, id="hnf"),
+    pytest.param(lambda: IntLattice(2.7), 2.7, id="IntLattice"),
+    pytest.param(lambda: IntLattice(2).add((0.9, 0)), 0.9, id="IntLattice.add"),
+    # primitive has integer callers only and converts nothing: gcd refuses
+    pytest.param(lambda: primitive((2.5, 4)), None, id="primitive"),
 ])
 def test_integer_inputs_are_not_truncated(call, value):
+    if value is None:
+        with pytest.raises(TypeError):
+            call()
+        return
     with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
         call()
 

@@ -67,7 +67,7 @@ def test_codes_round_trip(case):
 
 
 def test_all_zero_level_has_radix_one():
-    sg = GradedSemigroup.from_levels(3, {1: {(0, 0, 0)}, 2: [(0, 0, 0)]})
+    sg = GradedSemigroup(3, levels={1: {(0, 0, 0)}, 2: [(0, 0, 0)]})
     assert sg.radix == 1 and sg.codes == {1: [0], 2: [0]}
     assert sg.level_points(2) == {(0, 0, 0)}
 
@@ -112,8 +112,8 @@ def column_levels(draw):
 
 
 def _stored(n, levels, bound):
-    return GradedSemigroup.from_levels(n, levels, check_closure=False,
-                                       degree_bound=bound)
+    return GradedSemigroup(n, levels=levels, check_closure=False,
+                           degree_bound=bound)
 
 
 @settings(max_examples=200)
@@ -173,7 +173,7 @@ def test_body_and_group_match_tuple_route(case):
                          min_size=1, max_size=6))))
 def test_generated_semigroups_match_tuple_route(case):
     n, gens = case
-    sg = GradedSemigroup.from_generators(gens, ambient_rank=n)
+    sg = GradedSemigroup(n, generators=gens)
     spanning = spanning_points(sg)
     basis, hull = regularize_tuple_route(spanning)
     reg = regularize(sg)

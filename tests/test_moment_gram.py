@@ -24,6 +24,7 @@ from kodaira.toric import (
     kappa1,
     kappa2,
     kappa3,
+    kappa_report,
 )
 from kodaira.fibration import iitaka_analysis
 
@@ -88,7 +89,7 @@ def iitaka_degree(sys):
 def assert_gram_route_matches(sys):
     want1, want2, top_dim = kappa_routes_span_rank(sys)
     assert kappa1(sys) == want1
-    assert kappa2(sys, with_witness=True) == want2
+    assert kappa2(sys) == want2[0]
     # kappa3 reads the top degree's rank, then cross-checks the counts
     empirical = sys.growth() if sys.support() else None
     if top_dim == NEG_INF or (empirical is None and top_dim == 0):
@@ -98,10 +99,14 @@ def assert_gram_route_matches(sys):
     else:
         want3 = ("ok", top_dim)
     assert outcome(lambda: kappa3(sys)) == want3
-    for k in {iitaka_degree(sys), min(sys.support(), default=None)} - {None}:
-        if 2 * k > sys.degree_bound:
-            continue
-        kind, got = outcome(lambda: iitaka_analysis(sys, k))
+    # the witness is the first degree of rank kappa2, when the three agree
+    kind, report = outcome(lambda: kappa_report(sys))
+    if kind == "ok":
+        assert report.witness_degree == want2[1]
+    k = iitaka_degree(sys)
+    if k is not None:
+        kind, got = outcome(
+            lambda: iitaka_analysis(sys, lambda: kappa_report(sys).kappa))
         want_kind, want = outcome(lambda: iitaka_span_rank(sys, k))
         if want_kind != "ok":
             assert (kind, got) == (want_kind, want)

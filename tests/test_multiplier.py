@@ -39,15 +39,12 @@ def test_integrable_weights_vanish():
 
 
 @settings(max_examples=300)
-@given(st.integers(0, 60), st.integers(1, 12), st.integers(1, 80), st.booleans())
-def test_clamp_optional(p, q, t, clamp):
-    assert multiplier_coeff(Fraction(1, 2), 4, clamp=False) == 2 - 4 + 1
-    assert multiplier_coeff(Fraction(1, 2), 4) == 0
+@given(st.integers(0, 60), st.integers(1, 12), st.integers(1, 80))
+def test_coeff_matches_floor_formula(p, q, t):
     # the integer helper every caller shares, against the floor formula
-    value = math.floor(t * Fraction(p, q)) - t + 1
-    expected = max(value, 0) if clamp else value
-    assert _coeff(p, q, t, clamp) == expected
-    assert multiplier_coeff(Fraction(p, q), t, clamp) == expected
+    expected = max(math.floor(t * Fraction(p, q)) - t + 1, 0)
+    assert _coeff(p, q, t) == expected
+    assert multiplier_coeff(Fraction(p, q), t) == expected
 
 
 def test_monotone_in_mu():
@@ -104,12 +101,13 @@ def test_scan_small_grid_clean():
 def planted_coefficients(draw):
     """(coefficient list of length 2 k_max + 1, k_max): the coefficients of
     a drawn weight, some of them raised to plant violations, lowered to
-    plant them in other rows, or the unclamped ones."""
+    plant them in other rows, or the unclamped ones, floor(k p / q) - k + 1
+    without the max, which go negative for p < q."""
     k_max = draw(st.integers(0, 24))
     p, q = draw(st.integers(0, 30)), draw(st.integers(1, 6))
     clamp = draw(st.booleans())
-    coeffs = [0] + [multiplier_coeff(Fraction(p, q), k, clamp)
-                    for k in range(1, 2 * k_max + 1)]
+    coeffs = [0] + [multiplier_coeff(Fraction(p, q), k) if clamp
+                    else k * p // q - k + 1 for k in range(1, 2 * k_max + 1)]
     for _ in range(draw(st.integers(0, 4))) if k_max else ():
         j = draw(st.integers(1, 2 * k_max))
         coeffs[j] += draw(st.integers(-5, 5))
@@ -126,7 +124,7 @@ def test_row_test_matches_pairwise_oracle(case):
 
 def test_unclamped_breaks_subadditivity_rate():
     # the clamp matters: unclamped coefficients go negative for mu < 1
-    assert multiplier_coeff(Fraction(1, 4), 8, clamp=False) < 0
+    assert 8 * 1 // 4 - 8 + 1 < 0 == multiplier_coeff(Fraction(1, 4), 8)
 
 
 def test_metric_data_validation():

@@ -2,13 +2,16 @@
 
 The clamp on multiplier coefficients and the exact/empirical cross-checks
 are load-bearing; these tests corrupt one of them and require the harness to
-notice.
+notice.  The clamp is corrupted by patching `kodaira.toric._coeff`, the
+coefficient every degree piece reads, with the unclamped floor(t p / q) -
+t + 1.
 """
 
 from fractions import Fraction
 
 import pytest
 
+import kodaira.toric
 from kodaira.lattice import NEG_INF
 from kodaira.multiplier import SingularMetricData
 from kodaira.semigroup import DegreeBoundError
@@ -22,6 +25,11 @@ from kodaira.toric import (
 )
 
 P1 = ToricVariety.projective_space(1)
+
+
+def unclamped_coeff(p, q, t):
+    """The multiplier coefficient without its max: negative for p < q."""
+    return t * p // q - t + 1
 
 
 def falsified_system():
@@ -39,21 +47,24 @@ def test_clamped_system_is_empty():
     assert kappa_report(sys).kappa == NEG_INF
 
 
-def test_falsified_clamp_breaks_growth_chain():
+def test_falsified_clamp_breaks_growth_chain(monkeypatch):
     m, h = falsified_system()
-    fake = SectionSystem(P1, m, metric=h, degree_bound=20, clamp=False)
-    fake_kappa = kappa_report(fake).kappa
-    assert fake_kappa == 1  # spurious linear growth
     true_sigma = kappa_sigma(P1, m, h, degree_bound=20)
     assert true_sigma == NEG_INF
+    monkeypatch.setattr(kodaira.toric, "_coeff", unclamped_coeff)
+    fake = SectionSystem(P1, m, metric=h, degree_bound=20)
+    fake_kappa = kappa_report(fake).kappa
+    assert fake_kappa == 1  # spurious linear growth
     # the falsified value violates kappa <= kappa_sigma: the suite notices
     assert not fake_kappa <= true_sigma
 
 
-def test_falsified_clamp_trips_sigma_cross_check():
+def test_falsified_clamp_trips_sigma_cross_check(monkeypatch):
     m, h = falsified_system()
-    with pytest.raises((CrossCheckError, DegreeBoundError)):
-        kappa_sigma(P1, m, h, degree_bound=20, clamp=False)
+    monkeypatch.setattr(kodaira.toric, "_coeff", unclamped_coeff)
+    with pytest.raises(CrossCheckError, match="numerical growth mismatch: "
+                       "exact -inf, empirical 1"):
+        kappa_sigma(P1, m, h, degree_bound=20)
 
 
 def test_underresolved_degree_bound_trips_kappa3():

@@ -156,10 +156,10 @@ def drawn_semigroups(draw):
 
     if draw(st.booleans()):
         gens = [u + (g * t,) for t in keys for u in points(g * t, 1)]
-        return GradedSemigroup.from_generators(gens, ambient_rank=n)
+        return GradedSemigroup(n, generators=gens)
     levels = {g * t: points(g * t, 0 if i else 1) for i, t in enumerate(keys)}
-    return GradedSemigroup.from_levels(n, levels, check_closure=False,
-                                       degree_bound=40)
+    return GradedSemigroup(n, levels=levels, check_closure=False,
+                           degree_bound=40)
 
 
 def hilbert_reg_fraction_box(reg, k):
@@ -188,7 +188,7 @@ def test_body_of_simplex_levels_with_large_denominators(n, bound):
     40): A_k is k times the unit simplex, shifted off the origin."""
     levels = {k: {tuple(x + 1000 * k for x in p)
                   for p in _simplex_points(n, k)} for k in range(1, bound + 1)}
-    assert_same_body(GradedSemigroup.from_levels(n, levels, check_closure=False))
+    assert_same_body(GradedSemigroup(n, levels=levels, check_closure=False))
 
 
 def _simplex_points(n, k):
@@ -217,12 +217,12 @@ def test_okounkov_workload_bodies_match_per_level_reference():
             body = json.loads(text)["body"]
             n = body["ambient_rank"]
             if "generators" in body:
-                sg = GradedSemigroup.from_generators(
-                    [tuple(g) for g in body["generators"]], ambient_rank=n)
+                sg = GradedSemigroup(
+                    n, generators=[tuple(g) for g in body["generators"]])
             else:
-                sg = GradedSemigroup.from_levels(
-                    n, {int(k): [tuple(u) for u in pts]
-                        for k, pts in body["levels"].items()},
+                sg = GradedSemigroup(
+                    n, levels={int(k): [tuple(u) for u in pts]
+                               for k, pts in body["levels"].items()},
                     check_closure=False)
             assert_same_body(sg)
             bodies += 1

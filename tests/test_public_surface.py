@@ -1,4 +1,4 @@
-"""No library routine that only tests call.
+"""No library routine that only tests call, and no option that only tests set.
 
 Every module-level function and class of `src/kodaira`, and every method
 of a module-level class (dunders aside), must be referenced somewhere in
@@ -7,21 +7,30 @@ as an attribute.  The match is by bare name, so a method counts as used
 when any attribute of that name is read: an unused method that shares its
 name with a used one passes unseen, as `GradedSemigroup.support` did beside
 `SectionSystem.support` until it was deleted.  KEEP lists the names no library
-code reads that stay: five the acceptance tests read, and the trivial curve
+code reads that stay: three the acceptance tests read, and the trivial curve
 class, the unit of the curve divisor classes.
+
+Likewise every option, a defaulted parameter of such a function or method
+or a dataclass field with a default, must be passed by some call in
+`src/kodaira` outside `__init__.py`: by keyword, by position or through
+`*` or `**`, callees again matched by bare name (a constructor by its class
+name, or by `cls` inside the class).  An option that only tests set is a
+second behaviour the tests and the benchmark must cover for no library
+use; its one library value belongs in the code as a constant.  OPTION_KEEP
+lists the options that stay unset.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "kodaira"
 
 KEEP = {
-    "fibration.iitaka_analysis",
     "toric.SectionSystem.to_semigroup",
     "multiplier.multiplier_coeff",
     "semigroup.GradedSemigroup.from_generators",
-    "fibration.InequalityVerdict.rhs_value",
     "curve.CurveDivisorClass.trivial",
 }
 
@@ -85,3 +94,123 @@ def test_guard_flags_a_routine_only_tests_call(tmp_path):
         "\n\ndef convex_hull(points):\n"
         "    return convex_hull(points[1:]) if points else None\n"))
     assert unreferenced(tmp_path) == sorted(KEEP | {"lattice.convex_hull"})
+
+
+# -- options -----------------------------------------------------------------
+
+# defaulted parameters no library call passes that stay: the console entry
+# point's argv, and the two leaf arguments that ScanPlan._walk passes to any
+# leaf through its `leaf` parameter, which no bare name matches
+OPTION_KEEP = {
+    "cli.main.argv",
+    "lattice._column_moments.residuals",
+    "lattice._column_moments.prefix",
+}
+
+
+def _decorators(node):
+    """Bare names of the decorators of a definition, called or not."""
+    return {getattr(d, "id", getattr(d, "attr", None)) for d in
+            (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)}
+
+
+def _options(tree, module):
+    """(qualified name, callee, position, keyword) of every option: each
+    defaulted parameter of a module-level function or of a method of a
+    module-level class (callee: the function's name, or the class name for
+    __init__; position: its index among the positional arguments a call
+    passes, None when keyword-only), and each dataclass field with a
+    default (callee: the class name)."""
+    out = []
+
+    def params(fn, qual, callee, skip):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        for i, p in enumerate(positional):
+            if i >= len(positional) - len(a.defaults):
+                out.append((f"{qual}.{p.arg}", callee, i - skip, p.arg))
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                out.append((f"{qual}.{p.arg}", callee, None, p.arg))
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params(node, f"{module}.{node.name}", node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                      and isinstance(s.target, ast.Name)]
+            if "dataclass" in _decorators(node):
+                for i, s in enumerate(fields):
+                    if s.value is not None:
+                        out.append((f"{module}.{node.name}.{s.target.id}",
+                                    node.name, i, s.target.id))
+            for fn in node.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = "staticmethod" in _decorators(fn)
+                    callee = node.name if fn.name == "__init__" else fn.name
+                    params(fn, f"{module}.{node.name}.{fn.name}", callee,
+                           0 if static else 1)
+    return out
+
+
+def _calls(tree):
+    """(bare callee name, positional count, keywords, starred, double
+    starred) of every call: the positional count stops at the first *args,
+    and a call of cls inside a module-level class calls that class."""
+    out = []
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            walk(child, child.name if isinstance(child, ast.ClassDef)
+                 and node is tree else cls)
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            starred = [isinstance(a, ast.Starred) for a in node.args]
+            keywords = {k.arg for k in node.keywords}
+            out.append((cls if name == "cls" else name,
+                        starred.index(True) if any(starred) else len(starred),
+                        keywords, any(starred), None in keywords))
+
+    walk(tree, None)
+    return out
+
+
+def unset_options(src=SRC):
+    """Qualified names of the options that no call in the package directory
+    src outside __init__.py passes, by keyword, by position or through * or
+    **, sorted.  Callees are matched by bare name."""
+    options, calls = [], []
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text())
+            options += _options(tree, path.stem)
+            calls += _calls(tree)
+    return sorted(
+        qual for qual, callee, pos, kw in options
+        if not any(name == callee and (
+            kw in keywords or double or (pos is not None and (pos < npos or starred)))
+            for name, npos, keywords, starred, double in calls))
+
+
+def test_every_library_option_has_a_library_setter():
+    assert [name for name in unset_options() if name not in OPTION_KEEP] == []
+
+
+@pytest.mark.parametrize("module, old, new, flagged", [
+    # the clamp switch put back on _coeff
+    ("multiplier", "def _coeff(p, q, t):", "def _coeff(p, q, t, clamp=True):",
+     "multiplier._coeff.clamp"),
+    # an instance label that no library code passes
+    ("fibration", "    combine: str = ",
+     "    label: str = \"\"\n    combine: str = ",
+     "fibration.InequalityVerdict.label"),
+], ids=["parameter", "dataclass_field"])
+def test_guard_flags_an_option_only_tests_set(tmp_path, module, old, new, flagged):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    planted = tmp_path / f"{module}.py"
+    text = planted.read_text()
+    assert text.count(old) == 1
+    planted.write_text(text.replace(old, new))
+    assert unset_options(tmp_path) == sorted(OPTION_KEEP | {flagged})

@@ -48,7 +48,6 @@ def test_regularize_staircase():
     assert reg.m == 1
     assert len(reg.group_basis) == 2  # G = Z^2
     assert reg.okounkov_dim == 1
-    assert reg.strongly_convex
     verts = reg.okounkov_body.vertices()
     assert [v[:-1] for v in verts] == [(0,), (1,)]
     assert all(v[-1] == 1 for v in verts)
@@ -67,13 +66,12 @@ def test_regularize_doubled():
 def test_regularize_symmetric():
     reg = regularize(SYMMETRIC)
     assert reg.okounkov_dim == 1
-    assert reg.strongly_convex
     verts = reg.okounkov_body.vertices()
     assert verts == ((-1, 1), (1, 1))
 
 
 def test_regularize_empty():
-    sg = GradedSemigroup.from_levels(1, {1: set(), 2: set()})
+    sg = GradedSemigroup(1, levels={1: set(), 2: set()})
     with pytest.raises(EmptySemigroupError):
         regularize(sg)
 
@@ -141,7 +139,7 @@ def test_hilbert_reg_gap_semigroup():
 
 
 def test_degreewise_bound_enforced():
-    sg = GradedSemigroup.from_levels(1, {1: {(0,), (1,)}, 2: {(0,), (1,), (2,)}})
+    sg = GradedSemigroup(1, levels={1: {(0,), (1,)}, 2: {(0,), (1,), (2,)}})
     assert hilbert(sg, 2) == 3
     with pytest.raises(DegreeBoundError):
         hilbert(sg, 3)
@@ -151,8 +149,8 @@ def test_degreewise_bound_enforced():
 
 def test_closure_check_rejects_bad_declaration():
     with pytest.raises(ValueError, match="closure"):
-        GradedSemigroup.from_levels(
-            1, {1: {(0,), (1,)}, 2: {(0,)}}, check_closure=True)
+        GradedSemigroup(
+            1, levels={1: {(0,), (1,)}, 2: {(0,)}}, check_closure=True)
 
 
 def test_non_integral_entries_are_rejected_not_truncated():
@@ -203,7 +201,7 @@ def assert_closure_check_matches_reference(n, levels, bound, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semigroup, "_CLOSURE_CHECK_BUDGET", budget)
         got = closure_outcome(
-            lambda: GradedSemigroup.from_levels(n, levels, degree_bound=bound))
+            lambda: GradedSemigroup(n, levels=levels, degree_bound=bound))
     assert got == expected, (levels, bound, budget)
     return got
 
@@ -217,7 +215,7 @@ def declared_levels(draw):
     bound = draw(st.integers(2, 8 - 2 * n if n else 6))
     gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n, st.integers(1, 2)),
                          min_size=1, max_size=4, unique=True))
-    sg = GradedSemigroup.from_generators(gens, ambient_rank=n)
+    sg = GradedSemigroup(n, generators=gens)
     levels = {k: set(sg.level_points(k)) for k in range(1, bound + 1)}
     k = draw(st.integers(1, bound))
     how = draw(st.sampled_from(["closed", "drop", "add", "remove level"]))
@@ -280,7 +278,7 @@ def test_growth_doubled():
 
 
 def test_growth_unit_triangle_levels():
-    sg = GradedSemigroup.from_levels(2, unit_triangle_levels(8))
+    sg = GradedSemigroup(2, levels=unit_triangle_levels(8))
     rep = growth_law_check(regularize(sg), k_max=200)
     assert rep.q == 2 and rep.m == 1
     assert rep.a_q_predicted == Fraction(1, 2)
@@ -339,8 +337,8 @@ def test_ind_undefined_when_rank_deficient():
 def test_m_from_group_not_observed_levels():
     # levels 2 and 3 observed: the level projection of G is all of Z even
     # though no degree-1 sections were stored
-    sg = GradedSemigroup.from_levels(1, {2: {(0,)}, 3: {(0,)}, 4: {(0,)},
-                                         5: {(0,)}, 6: {(0,)}})
+    sg = GradedSemigroup(1, levels={2: {(0,)}, 3: {(0,)}, 4: {(0,)},
+                                    5: {(0,)}, 6: {(0,)}})
     reg = regularize(sg)
     assert reg.m == 1
     assert hilbert(sg, 5) == 1
@@ -390,9 +388,9 @@ def corpus_file_semigroups():
         if "generators" in body:
             sg = GradedSemigroup(body["ambient_rank"], generators=body["generators"])
         else:
-            sg = GradedSemigroup.from_levels(
+            sg = GradedSemigroup(
                 body["ambient_rank"],
-                {int(k): {tuple(p) for p in pts} for k, pts in body["levels"].items()})
+                levels={int(k): {tuple(p) for p in pts} for k, pts in body["levels"].items()})
         out.append(pytest.param(sg, options.get("growth_k_max", 200), id=path.stem))
     return out
 
@@ -404,10 +402,10 @@ def listed_semigroups():
             [(0, 0, 1), (2, 0, 1), (0, 2, 1)]]
     out = [(GradedSemigroup.from_generators(g), str(g)) for g in gens]
     out += [(STAIRCASE, "staircase"), (DOUBLED, "doubled"), (SYMMETRIC, "symmetric"),
-            (GradedSemigroup.from_levels(2, unit_triangle_levels(8)), "triangle_levels"),
-            (GradedSemigroup.from_levels(1, {1: {(0,), (1,)}, 2: {(0,), (1,), (2,)}}),
+            (GradedSemigroup(2, levels=unit_triangle_levels(8)), "triangle_levels"),
+            (GradedSemigroup(1, levels={1: {(0,), (1,)}, 2: {(0,), (1,), (2,)}}),
              "stored_levels"),
-            (GradedSemigroup.from_levels(1, {k: {(0,)} for k in range(2, 7)}),
+            (GradedSemigroup(1, levels={k: {(0,)} for k in range(2, 7)}),
              "levels_2_to_6")]
     return [pytest.param(sg, 200, id=name) for sg, name in out]
 
@@ -476,7 +474,7 @@ def sheared_generator_sets(draw):
 @given(sheared_generator_sets())
 def test_regularize_lattice_matches_reference_route(case):
     n, g, d, gens = case
-    sg = GradedSemigroup.from_generators(gens, ambient_rank=n)
+    sg = GradedSemigroup(n, generators=gens)
     reg = regularize(sg)
     basis, m, boundary, ind, ref_g0 = regularize_lattice_reference(sg.generators)
     assert reg.group_basis == tuple(basis)
