@@ -547,12 +547,11 @@ def render_csv(report):
 
 
 def render(report, fmt, timestamps=False):
+    report = dict(report)
     if timestamps:
         import datetime
-        report = dict(report)
         report["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-    report = dict(report)
     report["schema_version"] = SCHEMA_VERSION
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"

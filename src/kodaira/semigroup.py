@@ -107,11 +107,19 @@ class GradedSemigroup:
     no generator list is given; `check_closure` spot-checks that A_k + A_l
     is contained in A_{k+l} (stored levels are declared closed).
 
-    A stored level is kept once, as the sorted distinct codes of its points
-    (`codes[k]`, the code of `_coder(n, M)` for M the largest |coordinate|
-    of any level, `radix` and `weights`); the closure check, `hilbert` and
-    `regularize` read only the codes, and `level_points` decodes them.
-    Generated levels are sets of tuples, built on demand.
+    Every level is kept once, as the sorted distinct codes of its points
+    (`codes[k]`, the code of `_coder(n, M)`, `radix` and `weights`), and
+    `spanning` holds the codes of the points (u, k) that span the semigroup,
+    by increasing level k.  A stored semigroup codes all its levels up
+    front, M the largest |coordinate| of any level; `spanning` is its
+    nonempty levels up to the degree bound.  A generated semigroup codes its
+    levels up to its reach, the degree bound (at least 1): M is the reach
+    times the largest |generator coordinate|, which bounds the coordinates
+    of every point up to that level.  `spanning` is its generators, and a
+    level is built when first asked, as the sorted sums codes[k - l] + c(g)
+    over the generators g at level l, since the code is linear.  Asked past
+    its reach, it codes again at twice the degree asked.  The closure
+    check, `hilbert` and `regularize` read only the codes.
     """
 
     def __init__(self, ambient_rank, generators=None, levels=None,
@@ -119,6 +127,12 @@ class GradedSemigroup:
         self.ambient_rank = n = as_int(ambient_rank, "ambient_rank")
         if (generators is None) == (levels is None):
             raise ValueError("exactly one of generators/levels must be given")
+        if degree_bound is not None:
+            degree_bound = as_int(degree_bound, "degree_bound")
+            if degree_bound < 0:
+                raise ValueError(
+                    f"degree_bound must be nonnegative, got {degree_bound}")
+        self.degree_bound = degree_bound
         if generators is not None:
             gens = _int_points(generators, "generator")
             for g in gens:
@@ -127,9 +141,7 @@ class GradedSemigroup:
                 if g[-1] <= 0:
                     raise ValueError("generator level must be positive")
             self.generators = tuple(sorted(set(gens)))
-            self.codes = None
-            self.degree_bound = degree_bound
-            self._level_cache = {0: {tuple([0] * n)}}
+            self._code_generators(degree_bound or 1)
         else:
             self.generators = None
             rows, size = {}, 0
@@ -160,19 +172,26 @@ class GradedSemigroup:
             self.radix, self.weights = _coder(n, size)
             self.codes = {k: sorted(set(_dots(self.weights, pts)))
                           for k, pts in rows.items()}
-            self.degree_bound = as_int(
-                degree_bound if degree_bound is not None
-                else (max(rows) if rows else 0), "degree_bound")
+            if degree_bound is None:
+                self.degree_bound = max(rows, default=0)
+            self.spanning = {k: c for k, c in sorted(self.codes.items())
+                             if c and k <= self.degree_bound}
             if check_closure:
                 self._spot_check_closure()
-            self._level_cache = None
 
-    @classmethod
-    def from_generators(cls, generators):
-        gens = [tuple(g) for g in generators]
-        if not gens:
-            raise ValueError("from_generators needs a generator")
-        return cls(len(gens[0]) - 1, generators=gens)
+    def _code_generators(self, reach):
+        """Code the generated levels up to degree `reach`: the coder, the
+        generator codes by level, and the level-0 code; levels are built by
+        `level_codes`."""
+        heads = [g[:-1] for g in self.generators]
+        self.reach = reach
+        self.radix, self.weights = _coder(self.ambient_rank, reach * max(
+            map(abs, chain.from_iterable(heads)), default=0))
+        spanning = {}
+        for g, c in zip(self.generators, _dots(self.weights, heads)):
+            spanning.setdefault(g[-1], []).append(c)
+        self.spanning = {k: sorted(c) for k, c in sorted(spanning.items())}
+        self.codes = {0: [0]}
 
     # -- structure -----------------------------------------------------------
 
@@ -220,54 +239,29 @@ class GradedSemigroup:
                 break
 
     def level_codes(self, k):
-        """The sorted codes of the stored level A_k (the zero code at k = 0)."""
+        """The sorted codes of the level A_k (the zero code at k = 0)."""
         k = as_int(k, "degree")
         if k < 0:
             raise ValueError("negative degree")
         if k == 0:
             return [0]
-        if k > self.degree_bound:
-            raise DegreeBoundError(f"degree {k} beyond stored bound {self.degree_bound}")
-        return self.codes.get(k, [])
-
-    def level_points(self, k):
-        """The set A_k (computed for generated semigroups, decoded from the
-        stored codes otherwise)."""
         if self.generators is None:
-            return set(_decode(self.level_codes(k), self.radix, self.weights))
-        k = as_int(k, "degree")
-        if k < 0:
-            raise ValueError("negative degree")
-        if k not in self._level_cache:
-            for t in range(1, k + 1):
-                if t in self._level_cache:
-                    continue
-                acc = set()
-                for g in self.generators:
-                    lv = g[-1]
-                    if lv <= t:
-                        prev = self._level_cache.get(t - lv)
-                        if prev:
-                            acc.update(map(tuple, map(
-                                map, repeat(add), prev, repeat(g[:-1]))))
-                self._level_cache[t] = acc
-        return self._level_cache[k]
-
-    def spanning_codes(self):
-        """(radix, weights, {k: sorted codes}) of the points (u, k) that span
-        the semigroup, by increasing level k: the generators, coded on their
-        own, or the nonempty stored levels up to the degree bound."""
-        if self.generators is None:
-            return self.radix, self.weights, {
-                k: c for k, c in sorted(self.codes.items())
-                if c and k <= self.degree_bound}
-        heads = [g[:-1] for g in self.generators]
-        radix, weights = _coder(self.ambient_rank, max(
-            map(abs, chain.from_iterable(heads)), default=0))
-        levels = {}
-        for g, c in zip(self.generators, _dots(weights, heads)):
-            levels.setdefault(g[-1], []).append(c)
-        return radix, weights, {k: sorted(c) for k, c in sorted(levels.items())}
+            if k > self.degree_bound:
+                raise DegreeBoundError(
+                    f"degree {k} beyond stored bound {self.degree_bound}")
+            return self.codes.get(k, [])
+        if k > self.reach:
+            self._code_generators(2 * k)
+        codes = self.codes
+        for t in range(len(codes), k + 1):
+            level = set()
+            for l, gens in self.spanning.items():
+                if l > t:
+                    break
+                for c in gens:
+                    level.update(map(add, codes[t - l], repeat(c)))
+            codes[t] = sorted(level)
+        return codes[k]
 
 
 @dataclass
@@ -305,7 +299,7 @@ def regularize(sg):
     Raises EmptySemigroupError when no level is populated, and GeometryError
     when the body's dimension is not rank(G) - 1.
     """
-    radix, weights, levels = sg.spanning_codes()
+    radix, weights, levels = sg.radix, sg.weights, sg.spanning
     if not levels:
         raise EmptySemigroupError("empty semigroup")
     n = sg.ambient_rank
@@ -374,10 +368,8 @@ def regularize(sg):
 
 def hilbert(sg, k):
     """Card(A_k): the Hilbert function of the semigroup itself, the number
-    of codes of a stored level."""
-    if sg.generators is None:
-        return len(sg.level_codes(k))
-    return len(sg.level_points(k))
+    of codes of the level."""
+    return len(sg.level_codes(k))
 
 
 def hilbert_reg(reg, k):

@@ -35,7 +35,7 @@ from .lattice import (
     rat_rank,
 )
 from .multiplier import _coeff
-from .semigroup import DegreeBoundError, GradedSemigroup
+from .semigroup import DegreeBoundError
 
 
 class CrossCheckError(RuntimeError):
@@ -424,14 +424,6 @@ class SectionSystem:
                 period = lcm(period, det * lcm(
                     *(mu_period.get(i, 1) for i in sub)))
         return period
-
-    def to_semigroup(self):
-        """The exponent sets as a degreewise graded semigroup (closed under
-        addition by polytope additivity and coefficient subadditivity)."""
-        levels = {k: set(self.exponents(k)) for k in range(1, self.degree_bound + 1)}
-        return GradedSemigroup(
-            self.variety.lattice_rank, levels=levels, check_closure=False,
-            degree_bound=self.degree_bound)
 
 
 class _DegreeCounts:

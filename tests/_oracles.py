@@ -40,17 +40,21 @@ slice box kept as Fractions) is the reference for the Okounkov body;
 `operator.index` tuples (`tuple_levels`), the two ends of each column
 (`column_ends`), and the group basis from every point and the hull of the
 column ends (`regularize_tuple_route`); `spanning_points` reads a
-semigroup's spanning levels as tuples.  The rank reads the moment Grams of
-`SectionSystem.gram` replaced are references too: `span_rank`, one Gram
-matrix of the differences from each set's first point, read in doubling
-prefixes, `int_points_rank` on it, and the kappa and Iitaka reads on them
-(`kappa_routes_span_rank`, `iitaka_span_rank`); `gram_of_points` builds a
-point list's Gram matrix point by point.  The subadditivity pairs of a
-coefficient list, compared pair by pair (`subadditivity_pairs_pairwise`),
-are the reference for the row test of `subadditivity_scan`.  The oracles
-read and write polytopes as rational (normal, bound) pairs, <u, normal> >=
-bound: `rational_polytope` scales them to the integer record of `Polytope`,
-`rational_pairs` reads a polytope back.
+semigroup's spanning levels as tuples, and `level_points` decodes one
+level.  The two semigroup constructors only tests use live here too: a
+semigroup from its generator rows (`from_generators`) and a section
+system's exponent sets as stored levels (`to_semigroup`).  The rank reads
+the moment Grams of `SectionSystem.gram` replaced are references too:
+`span_rank`, one Gram matrix of the differences from each set's first
+point, read in doubling prefixes, `int_points_rank` on it, and the kappa
+and Iitaka reads on them (`kappa_routes_span_rank`, `iitaka_span_rank`);
+`gram_of_points` builds a point list's Gram matrix point by point.  The
+subadditivity pairs of a coefficient list, compared pair by pair
+(`subadditivity_pairs_pairwise`), are the reference for the row test of
+`subadditivity_scan`.  The oracles read and write polytopes as rational
+(normal, bound) pairs, <u, normal> >= bound: `rational_polytope` scales
+them to the integer record of `Polytope`, `rational_pairs` reads a
+polytope back.
 """
 
 import math
@@ -79,7 +83,7 @@ from kodaira.lattice import (
     xgcd,
 )
 from kodaira.multiplier import EMPTY_METRIC
-from kodaira.semigroup import DegreeBoundError
+from kodaira.semigroup import DegreeBoundError, GradedSemigroup, _decode
 from kodaira.toric import CrossCheckError, limit_polytope
 
 
@@ -926,12 +930,36 @@ def column_ends(points):
             + list(compress(points, breaks)) + points[-1:])
 
 
+def from_generators(generators):
+    """The semigroup generated by (u, level) rows, of the ambient rank the
+    first row gives."""
+    gens = [tuple(g) for g in generators]
+    return GradedSemigroup(len(gens[0]) - 1, generators=gens)
+
+
+def to_semigroup(system):
+    """The exponent sets of a `SectionSystem` up to its degree bound, as a
+    degreewise graded semigroup (closed under addition by polytope
+    additivity and coefficient subadditivity)."""
+    bound = system.degree_bound
+    levels = {k: set(system.exponents(k)) for k in range(1, bound + 1)}
+    return GradedSemigroup(system.variety.lattice_rank, levels=levels,
+                           check_closure=False, degree_bound=bound)
+
+
+def level_points(sg, k):
+    """The set A_k of a semigroup: the codes `level_codes(k)` decoded (read
+    first, since a generated semigroup asked past its reach codes again)."""
+    codes = sg.level_codes(k)
+    return set(_decode(codes, sg.radix, sg.weights))
+
+
 def spanning_points(sg):
     """{k: sorted points u} of the points (u, k) that span `sg`, by
     increasing level: its generators grouped by level, or its nonempty
     stored levels up to the degree bound, decoded by `level_points`."""
     if sg.generators is None:
-        return {k: sorted(sg.level_points(k)) for k in sg.spanning_codes()[2]}
+        return {k: sorted(level_points(sg, k)) for k in sg.spanning}
     levels = {}
     for g in sg.generators:
         levels.setdefault(g[-1], []).append(g[:-1])

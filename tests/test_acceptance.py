@@ -40,6 +40,7 @@ from _corpus import (
     metric_fibration_instances,
     toric_kappa_corpus,
 )
+from _oracles import from_generators, to_semigroup
 
 
 @contextmanager
@@ -80,7 +81,7 @@ def growth_semigroups():
         [(0, 0, 2), (1, 0, 2), (0, 1, 2)],
         [(0, 0, 1), (1, 0, 1), (-1, 1, 1)],
     ]
-    out = [GradedSemigroup.from_generators(g) for g in gens_1d + gens_2d]
+    out = [from_generators(g) for g in gens_1d + gens_2d]
     out.append(GradedSemigroup(
         2, levels={k: {(x, y) for x in range(k + 1) for y in range(k + 1 - x)}
                    for k in range(1, 9)}))
@@ -118,11 +119,11 @@ def test_acceptance_2_growth_law():
             assert rep.relative_gap <= Fraction(1, 10), rep
 
         # the worked examples match their closed forms exactly
-        rep = growth_law_check(regularize(GradedSemigroup.from_generators(
+        rep = growth_law_check(regularize(from_generators(
             [(0, 1), (1, 1)])), k_max=200)
         assert (rep.q, rep.a_q_predicted, rep.a_q_empirical) == \
             (1, Fraction(1), Fraction(201, 200))
-        rep = growth_law_check(regularize(GradedSemigroup.from_generators(
+        rep = growth_law_check(regularize(from_generators(
             [(0, 2), (1, 2)])), k_max=200)
         assert (rep.q, rep.m, rep.a_q_predicted, rep.a_q_empirical) == \
             (1, 2, Fraction(1), Fraction(201, 200))
@@ -139,7 +140,7 @@ def test_acceptance_3_okounkov_kappa2_consistency():
         for name, sys in corpus_section_systems(degree_bound=24):
             if not sys.support():
                 continue
-            reg = regularize(sys.to_semigroup())
+            reg = regularize(to_semigroup(sys))
             assert reg.okounkov_dim == kappa2(sys), name
             checked += 1
         assert checked >= 30

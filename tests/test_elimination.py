@@ -24,12 +24,13 @@ from kodaira.lattice import (
     rat_rank,
 )
 from kodaira.multiplier import SingularMetricData
-from kodaira.semigroup import GradedSemigroup, growth_law_check, regularize
+from kodaira.semigroup import growth_law_check, regularize
 from kodaira.toric import ToricDivisorData, ToricVariety, _limit_growth_exact
 
 from _oracles import (
     body_volume,
     fm_is_empty,
+    from_generators,
     laplace_det,
     limit_growth_mask_walk,
     rational_pairs,
@@ -251,7 +252,7 @@ def test_limit_growth_lower_dimensional_cases(case):
 def test_growth_law_prediction_is_the_body_volume(generators):
     """The predicted coefficient, read from the slice coordinates that
     `regularize` solved, is m^q times the lattice volume of the body."""
-    sg = GradedSemigroup.from_generators(generators)
+    sg = from_generators(generators)
     reg = regularize(sg)
     q = reg.okounkov_dim
     expected = Fraction(reg.m) ** q * body_volume(

@@ -33,6 +33,7 @@ from _oracles import (
     rational_hull,
     rational_pairs,
     rational_polytope,
+    to_semigroup,
 )
 
 # |x| <= 3 with denominators 1..3
@@ -180,7 +181,7 @@ def test_rank3_corpus_bodies_regularize():
                if s.variety.lattice_rank == 3 and s.support()]
     assert len(systems) == 9
     for name, s in systems:
-        reg = regularize(s.to_semigroup())
+        reg = regularize(to_semigroup(s))
         assert reg.okounkov_dim == kappa2(s), name
         if name in RANK3_VOLUMES:
             body = reg.okounkov_body

@@ -33,6 +33,7 @@ from _oracles import (
     coset_count,
     diff_lattice_per_point,
     dilate,
+    from_generators,
     grid_lattice_points,
     hnf_basis_euclid,
     hnf_euclid_chase,
@@ -504,7 +505,7 @@ def _stored(k):
 
 
 def _generated(k):
-    return hilbert(GradedSemigroup.from_generators([(0, 1), (1, 1)]), k)
+    return hilbert(from_generators([(0, 1), (1, 1)]), k)
 
 
 @pytest.mark.parametrize("call, value", [
@@ -512,7 +513,7 @@ def _generated(k):
     (lambda: _stored(2.5), 2.5),
     (lambda: _generated(Fraction(5, 2)), Fraction(5, 2)),
     (lambda: hilbert_reg(regularize(
-        GradedSemigroup.from_generators([(0, 1), (1, 1)])), 2.7), 2.7),
+        from_generators([(0, 1), (1, 1)])), 2.7), 2.7),
     (lambda: SectionSystem(ToricVariety.projective_space(2),
                            ToricDivisorData((1, 0, 0)), degree_bound=4.9), 4.9),
     (lambda: GradedSemigroup(1, levels={1: [(0,)]}, degree_bound=1.9), 1.9),
@@ -522,6 +523,7 @@ def _generated(k):
     (lambda: Polytope(1, [(Fraction(1, 2),)], [0]), Fraction(1, 2)),
     (lambda: Polytope(1, [(1,)], [0.5]), 0.5),
     (lambda: Polytope(1, [(1,)], [0], "2"), "2"),
+    (lambda: GradedSemigroup(1, generators=[(0, 1), (1, 1)], degree_bound=3.5), 3.5),
     pytest.param(lambda: hnf([(1.5, 2), (0, 1)]), 1.5, id="hnf"),
     pytest.param(lambda: IntLattice(2.7), 2.7, id="IntLattice"),
     pytest.param(lambda: IntLattice(2).add((0.9, 0)), 0.9, id="IntLattice.add"),

@@ -1,12 +1,15 @@
-"""Stored semigroup levels as sorted integer codes, against the tuple route.
+"""Semigroup levels as sorted integer codes, against the tuple route.
 
-`GradedSemigroup` keeps each stored level once, as the sorted distinct codes
-c(p) = sum_j p_j R^(n-1-j) of its points (R = 4M + 1, M the largest
-|coordinate|), and `regularize` reads only the runs of consecutive codes:
-the group from the run starts plus e_n, the hull from the run ends.  The
-references in `_oracles` are the tuple route the codes replaced: levels as
-sets of tuples (`tuple_levels`), the group from every point and the hull of
-the column ends (`regularize_tuple_route`).
+`GradedSemigroup` keeps each level once, as the sorted distinct codes
+c(p) = sum_j p_j R^(n-1-j) of its points (R = 4M + 1): M is the largest
+|coordinate| of a stored level, or the reach times the largest |generator
+coordinate| of a generated one, whose levels are sums of codes.
+`regularize` reads only the runs of consecutive codes: the group from the
+run starts plus e_n, the hull from the run ends.  The references in
+`_oracles` are the tuple route the codes replaced: levels as sets of tuples
+(`tuple_levels`) or enumerated from the generators
+(`semigroup_level_points`), the group from every point and the hull of the
+column ends (`regularize_tuple_route`).
 """
 
 from itertools import chain
@@ -26,8 +29,10 @@ from kodaira.semigroup import (
 )
 
 from _oracles import (
+    level_points,
     rational_pairs,
     regularize_tuple_route,
+    semigroup_level_points,
     spanning_points,
     tuple_levels,
 )
@@ -69,7 +74,7 @@ def test_codes_round_trip(case):
 def test_all_zero_level_has_radix_one():
     sg = GradedSemigroup(3, levels={1: {(0, 0, 0)}, 2: [(0, 0, 0)]})
     assert sg.radix == 1 and sg.codes == {1: [0], 2: [0]}
-    assert sg.level_points(2) == {(0, 0, 0)}
+    assert level_points(sg, 2) == {(0, 0, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +128,11 @@ def test_level_points_and_hilbert_match_tuple_levels(case):
     sg = _stored(*case)
     ref = tuple_levels(levels)
     top = sg.degree_bound
-    assert sg.level_points(0) == {(0,) * n} and hilbert(sg, 0) == 1
+    assert level_points(sg, 0) == {(0,) * n} and hilbert(sg, 0) == 1
     for k in range(1, top + 1):
-        assert sg.level_points(k) == ref.get(k, set()), k
+        assert level_points(sg, k) == ref.get(k, set()), k
         assert hilbert(sg, k) == len(ref.get(k, set())), k
-    for query in (sg.level_points, lambda k: hilbert(sg, k)):
+    for query in (lambda k: level_points(sg, k), lambda k: hilbert(sg, k)):
         with pytest.raises(DegreeBoundError):
             query(top + 1)
         with pytest.raises(ValueError, match="negative degree"):
@@ -167,13 +172,33 @@ def test_body_and_group_match_tuple_route(case):
     assert len(body.vertices()[0]) == n + 1
 
 
-@settings(max_examples=100)
-@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(*[st.integers(-4, 4)] * n, st.integers(1, 4)),
-                         min_size=1, max_size=6))))
+@st.composite
+def generator_lists(draw):
+    """(rank 0-4, generators (u, level) at levels 1-4, a degree bound):
+    coordinates in [-4, 4] or all zero (radix 1), and a bound None or
+    small, so that levels are asked past the reach and coded again."""
+    n = draw(st.integers(0, 4))
+    coord = draw(st.sampled_from([st.integers(-4, 4), st.just(0)]))
+    gens = draw(st.lists(st.tuples(*[coord] * n, st.integers(1, 4)),
+                         min_size=1, max_size=6))
+    return n, gens, draw(st.sampled_from([None, 0, 1, 2, 5]))
+
+
+@settings(max_examples=200)
+@given(generator_lists())
+@example((3, [(0, 0, 0, 1), (0, 0, 0, 2)], 1))  # all-zero generators: R = 1
+@example((0, [(2,), (3,)], None))
+@example((2, [(-4, 3, 1), (4, -4, 3)], 1))  # coded again at 4, then at 10
 def test_generated_semigroups_match_tuple_route(case):
-    n, gens = case
-    sg = GradedSemigroup(n, generators=gens)
+    """Each coded level, decoded in order, is the enumerated level, also
+    past the reach, and the group and the body are the tuple route's."""
+    n, gens, bound = case
+    sg = GradedSemigroup(n, generators=gens, degree_bound=bound)
+    for k in range(7 if n < 3 else 5):
+        ref = sorted(semigroup_level_points(gens, k))
+        codes = sg.level_codes(k)
+        assert _decode(codes, sg.radix, sg.weights) == ref, k
+        assert hilbert(sg, k) == len(ref), k
     spanning = spanning_points(sg)
     basis, hull = regularize_tuple_route(spanning)
     reg = regularize(sg)

@@ -7,8 +7,12 @@ as an attribute.  The match is by bare name, so a method counts as used
 when any attribute of that name is read: an unused method that shares its
 name with a used one passes unseen, as `GradedSemigroup.support` did beside
 `SectionSystem.support` until it was deleted.  KEEP lists the names no library
-code reads that stay: three the acceptance tests read, and the trivial curve
-class, the unit of the curve divisor classes.
+code reads that stay: the multiplier coefficient, which the package exports
+and the acceptance tests read; the exponent sets of a section system, which
+the benchmark's tracer wraps by name and the tests read; and the trivial
+curve class, the unit of the curve divisor classes.  A routine only tests
+need lives in the tests, as the semigroup constructors and the decoded
+level of `tests/_oracles.py` do.
 
 Likewise every option, a defaulted parameter of such a function or method
 or a dataclass field with a default, must be passed by some call in
@@ -28,9 +32,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "kodaira"
 
 KEEP = {
-    "toric.SectionSystem.to_semigroup",
+    "toric.SectionSystem.exponents",
     "multiplier.multiplier_coeff",
-    "semigroup.GradedSemigroup.from_generators",
     "curve.CurveDivisorClass.trivial",
 }
 

@@ -21,7 +21,7 @@ from kodaira.toric import (
     limit_polytope,
 )
 
-from _oracles import ample_by_vertices
+from _oracles import ample_by_vertices, to_semigroup
 
 P1 = ToricVariety.projective_space(1)
 P2 = ToricVariety.projective_space(2)
@@ -252,7 +252,7 @@ def test_okounkov_dim_equals_kappa2():
                       metric=SingularMetricData([(0, 2)]), degree_bound=10),
     ]
     for sys in cases:
-        reg = regularize(sys.to_semigroup())
+        reg = regularize(to_semigroup(sys))
         assert reg.okounkov_dim == kappa2(sys)
 
 
