@@ -441,12 +441,20 @@ def cmd_fibration(body, options):
 
 def cmd_multiplier_scan(body, options):
     _require_keys(body, [], ["mu_grid", "max_value", "max_den", "k_max"], "body")
+    # a field that admits no pair would pass a scan that checks nothing; each
+    # is checked even next to a mu_grid, which makes the other two unused
+    max_value = _int(body.get("max_value", 5), "max_value")
+    if max_value < 0:
+        raise ValidationError(
+            f"max_value: expected nonnegative integer, got {max_value!r}")
+    max_den = _int(body.get("max_den", 8), "max_den", positive=True)
     if "mu_grid" in body:
         grid = [_rat(x, "mu") for x in _list(body["mu_grid"], "mu_grid")]
+        if not grid:
+            raise ValidationError("mu_grid: expected a nonempty list, got []")
     else:
-        grid = default_mu_grid(max_value=_int(body.get("max_value", 5), "max_value"),
-                               max_den=_int(body.get("max_den", 8), "max_den"))
-    k_max = _int(body.get("k_max", 100), "k_max")
+        grid = default_mu_grid(max_value=max_value, max_den=max_den)
+    k_max = _int(body.get("k_max", 100), "k_max", positive=True)
     rep = subadditivity_scan(grid, k_max=k_max)
     report = {
         "kind": "multiplier_scan",

@@ -26,9 +26,7 @@ class SingularMetricData:
     def __init__(self, entries):
         norm = {}
         for div_id, mu in entries:
-            mu = Fraction(mu)
-            if mu < 0:
-                raise ValueError("metric weight must be nonnegative")
+            mu = _weight(mu, "metric weight")
             if div_id in norm:
                 raise ValueError(f"duplicate divisor id {div_id!r}")
             norm[div_id] = mu
@@ -41,12 +39,22 @@ class SingularMetricData:
 EMPTY_METRIC = SingularMetricData(())
 
 
+def _weight(mu, name):
+    """mu as a nonnegative Fraction; ValueError naming a float, which holds
+    only a binary approximation of the weight meant (0.1 is not 1/10)."""
+    if isinstance(mu, float):
+        raise ValueError(f"{name} must be exact (an int, a Fraction or a "
+                         f"'p/q' string), got {mu!r}")
+    mu = Fraction(mu)
+    if mu < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return mu
+
+
 def multiplier_coeff(mu, k):
     """Coefficient of a prime divisor in the k-th multiplier ideal:
     max(floor(k*mu) - k + 1, 0)."""
-    mu = Fraction(mu)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    mu = _weight(mu, "mu")
     k = as_int(k, "level")
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -78,9 +86,7 @@ def subadditivity_scan(mu_grid, k_max=100):
     violations = []
     checked = 0
     for mu in mu_grid:
-        mu = Fraction(mu)
-        if mu < 0:
-            raise ValueError("mu must be nonnegative")
+        mu = _weight(mu, "mu")
         p, q = mu.numerator, mu.denominator
         # multiplier_coeff(mu, k) for k = 1 .. 2 k_max, checked once per mu
         coeffs = [0] + [_coeff(p, q, k) for k in range(1, 2 * k_max + 1)]
@@ -92,16 +98,50 @@ def subadditivity_scan(mu_grid, k_max=100):
 
 def _violating_pairs(coeffs, k_max):
     """The pairs (k, l), 1 <= k <= l <= k_max, with coeffs[k + l] >
-    coeffs[k] + coeffs[l], in order.  Each row k is tested at once by its
-    largest difference coeffs[k + l] - coeffs[l] and walked pair by pair
-    only when that exceeds coeffs[k]."""
-    pairs = []
-    for k in range(1, k_max + 1):
-        ck = coeffs[k]
-        if max(map(sub, coeffs[2 * k:k + k_max + 1], coeffs[k:k_max + 1])) > ck:
-            pairs += [(k, l) for l in range(k, k_max + 1)
-                      if coeffs[k + l] - coeffs[l] > ck]
-    return pairs
+    coeffs[k] + coeffs[l], in order.
+
+    P is the least period p < k_max of the increments coeffs[t + 1] -
+    coeffs[t], t >= 1, read off the list itself (k_max when there is none).
+    Then coeffs[t + P] - coeffs[t] is one constant for every t >= 1, so the
+    excess coeffs[k + l] - coeffs[k] - coeffs[l] depends only on k and l
+    mod P, and the residue pairs 1 <= a <= b <= P, themselves pairs of the
+    scan, decide every pair.  The rows of all k_max are tested, and the
+    violating ones walked pair by pair, only when a row of the P x P block
+    violates; at P = k_max that block is the whole scan.  A weight's
+    coefficients have P at most its denominator."""
+    period = _least_period(list(map(sub, coeffs[2:], coeffs[1:])), k_max)
+    rows = _violating_rows(coeffs, period)
+    if rows and period < k_max:
+        rows = _violating_rows(coeffs, k_max)
+    return [(k, l) for k in rows for l in range(k, k_max + 1)
+            if coeffs[k + l] - coeffs[l] > coeffs[k]]
+
+
+def _least_period(seq, bound):
+    """The least p < bound with seq[p:] == seq[:-p], or bound, in one pass
+    (the prefix function of Knuth, Morris and Pratt): j is the longest
+    proper border of seq[:i + 1], whose least period i + 1 - j never
+    decreases with i, so the pass stops once that reaches bound."""
+    border = [0] * len(seq)
+    j = 0
+    for i in range(1, len(seq)):
+        x = seq[i]
+        while j and x != seq[j]:
+            j = border[j - 1]
+        if x == seq[j]:
+            j += 1
+        border[i] = j
+        if i + 1 - j >= bound:
+            return bound
+    return min(len(seq) - j, bound)
+
+
+def _violating_rows(coeffs, n):
+    """The rows k <= n with a pair (k, l), k <= l <= n, that violates; each
+    row is tested at once by its largest difference coeffs[k + l] -
+    coeffs[l]."""
+    return [k for k in range(1, n + 1)
+            if max(map(sub, coeffs[2 * k:k + n + 1], coeffs[k:n + 1])) > coeffs[k]]
 
 
 def default_mu_grid(max_value=5, max_den=8):

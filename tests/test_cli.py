@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from kodaira.cli import _run_file, main
+import pytest
+
+from kodaira.cli import ValidationError, _run_file, main, run_instance
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -469,6 +471,30 @@ def test_fractional_level_key_is_input_error(tmp_path, capsys):
 def scan_doc(**body):
     return {"schema_version": "1", "kind": "multiplier_scan",
             "body": {"k_max": 10, **body}, "options": {}}
+
+
+def test_vacuous_scan_options_are_input_errors(tmp_path):
+    # each of these used to run a scan of no pair: exit 0 with checked 0
+    cases = [({"k_max": -5}, "k_max: expected positive integer, got -5"),
+             ({"k_max": 0}, "k_max: expected positive integer, got 0"),
+             ({"max_den": 0}, "max_den: expected positive integer, got 0"),
+             ({"max_value": -1}, "max_value: expected nonnegative integer, got -1"),
+             ({"mu_grid": []}, "mu_grid: expected a nonempty list, got []"),
+             # next to a grid the two fields are unused, but still checked
+             ({"mu_grid": ["3/2"], "max_den": 0},
+              "max_den: expected positive integer, got 0"),
+             ({"mu_grid": ["3/2"], "max_value": -7},
+              "max_value: expected nonnegative integer, got -7")]
+    for body, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            run_instance(scan_doc(**body))
+        assert str(exc.value) == message
+        path = write_instance(tmp_path, scan_doc(**body))
+        assert _run_file(path, {}) == (2, {"kind": "error", "error": message},
+                                       None)
+    # the least values that remain scan one weight at one pair
+    code, report, _ = run_instance(scan_doc(k_max=1, max_value=0, max_den=1))
+    assert (code, report["grid_size"], report["checked"]) == (0, 1, 1)
 
 
 def test_non_list_field_is_input_error(tmp_path, capsys):

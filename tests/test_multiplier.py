@@ -1,13 +1,15 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kodaira.multiplier import (
     SingularMetricData,
     _coeff,
+    _least_period,
     _violating_pairs,
     default_mu_grid,
     multiplier_coeff,
@@ -120,6 +122,81 @@ def test_row_test_matches_pairwise_oracle(case):
     coeffs, k_max = case
     assert _violating_pairs(coeffs, k_max) == subadditivity_pairs_pairwise(
         coeffs, k_max)
+
+
+@st.composite
+def periodic_coefficients(draw):
+    """(coefficient list of length 2 k_max + 1, k_max) whose increments
+    coeffs[t + 1] - coeffs[t], t >= 1, repeat with a period of 1-9: the
+    unclamped, subadditive coefficients floor(t p / q) - t + 1 of a weight
+    p/q, or drawn increments.  Violations are planted past the first
+    period: shifting a whole residue class keeps the period, moving single
+    entries breaks it.  Some lists draw every increment afresh, so that
+    most of them have no period short of k_max."""
+    k_max = draw(st.integers(0, 60))
+    period = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        p = draw(st.integers(0, 5 * period))
+        coeffs = [0] + [t * p // period - t + 1 for t in range(1, 2 * k_max + 1)]
+    else:
+        if draw(st.booleans()):
+            period = max(2 * k_max - 1, 1)
+        steps = draw(st.lists(st.integers(-3, 3), min_size=period,
+                              max_size=period))
+        coeffs = [0, draw(st.integers(-3, 3))]
+        for t in range(1, 2 * k_max):
+            coeffs.append(coeffs[-1] + steps[(t - 1) % period])
+        del coeffs[2 * k_max + 1:]
+    if draw(st.booleans()):
+        a, d = draw(st.integers(1, period)), draw(st.integers(-4, 4))
+        for j in range(a, 2 * k_max + 1, period):
+            coeffs[j] += d
+    for _ in range(draw(st.integers(0, 2))) if 2 * k_max > period else ():
+        j = draw(st.integers(period + 1, 2 * k_max))
+        coeffs[j] += draw(st.integers(-4, 4))
+    return coeffs, k_max
+
+
+@settings(max_examples=300)
+@given(periodic_coefficients())
+@example(([0, 1, 2, 3, 4], 2))  # the least period is k_max - 1
+def test_residue_pairs_match_pairwise_oracle(case):
+    coeffs, k_max = case
+    assert _violating_pairs(coeffs, k_max) == subadditivity_pairs_pairwise(
+        coeffs, k_max)
+    # the one-pass period is the least one the slices show
+    steps = [b - a for a, b in zip(coeffs[1:], coeffs[2:])]
+    assert _least_period(steps, k_max) == next(
+        (p for p in range(1, k_max) if steps[p:] == steps[:-p]), k_max)
+
+
+def test_default_grid_scan_scales_to_large_k_max():
+    # every grid weight has increments of period at most 8, so the scan
+    # makes O(k_max) comparisons per weight; all pairs are counted
+    start = time.perf_counter()
+    rep = subadditivity_scan(default_mu_grid(), k_max=3000)
+    assert time.perf_counter() - start < 5
+    assert rep.ok
+    assert rep.checked == 111 * math.comb(3001, 2)
+
+
+def test_float_weights_are_refused():
+    # a float holds a binary approximation: 2.3 * 10 floors to 22, not 23,
+    # and 0.1 is stored as 3602879701896397/36028797018963968
+    for run in (lambda: multiplier_coeff(2.3, 10),
+                lambda: SingularMetricData([(0, 0.1)]),
+                lambda: subadditivity_scan([Fraction(1, 2), 1.5], k_max=4)):
+        with pytest.raises(ValueError, match="got (2.3|0.1|1.5)$"):
+            run()
+    assert multiplier_coeff(Fraction(23, 10), 10) == 14
+    assert multiplier_coeff("23/10", 10) == 14
+    with pytest.raises(ValueError, match="^mu must be nonnegative$"):
+        multiplier_coeff(-1, 3)
+    with pytest.raises(ValueError, match="^mu must be nonnegative$"):
+        subadditivity_scan([Fraction(-1, 2)], k_max=4)
+    with pytest.raises(ValueError,
+                       match="^metric weight must be nonnegative$"):
+        SingularMetricData([(0, Fraction(-1))])
 
 
 def test_unclamped_breaks_subadditivity_rate():
