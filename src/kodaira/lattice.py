@@ -529,14 +529,19 @@ class ScanPlan:
     Columns.  Constraint i, <u, v_i> >= c_i, becomes a one-variable bound on
     the last coordinate where v_i is nonzero once the earlier coordinates are
     fixed.  Counting handles the two innermost coordinates x, y in closed
-    form.  Every constraint whose last coordinate is y, and each end of y's
-    box range, is a line: y >= or y <= (p x + q) / m with m > 0.  Between the
-    floors of the pairwise line crossings one upper and one lower line bind
-    (the floor of a minimum is the minimum of the floors), so a piece counts
-    as two sums of floors (floor_sum) and nothing where its upper line lies
-    below its lower one.  An integer crossing is a piece of its own: there
-    the lines meet, and an upper and a lower line that meet at an integer
-    point count 1 where the pieces on either side count 0.
+    form.  A constraint whose last coordinate is y and that has no x term
+    only narrows y's box range.  Every other such constraint, and each end
+    of that range, is a line: y >= or y <= (p x + q) / m with m > 0.
+    Between the floors of the pairwise line crossings one upper and one
+    lower line bind (the floor of a minimum is the minimum of the floors),
+    so a piece counts as two sums of floors (floor_sum) and nothing where
+    its upper line lies below its lower one.  An integer crossing ends a
+    piece, where the two lines are equal, so either gives the value there.
+    Only at the left tip of the region, where an upper and a lower line
+    meet with the gap between them growing (p_u m_l > p_l m_u, fixed per
+    crossing with the plan), is the crossing a one-point piece of its own:
+    there the lines meet at an integer point that counts 1, where the
+    piece before it counts 0.
     """
 
     def __init__(self, dim, normals):
@@ -583,12 +588,17 @@ class ScanPlan:
                         [self.normals[i][j] for j in coords] for i in idx])))
             return
         # lines y >= or <= (p x + q) / m: one per constraint with last
-        # coordinate y (q is -c for an upper one, c for a lower one), then
-        # the two ends of y's box range (q is the box end)
+        # coordinate y and an x term (q is -c for an upper one, c for a lower
+        # one), then the two ends of y's box range (q is the box end); a
+        # constraint with no x term narrows that range (terms of _interval)
         self.sources = []  # (constraint, sign of its bound in q)
+        self.flat = []
         p, m, upper = [], [], []
         for i in self.bounding[dim - 1]:
             a, b = self.normals[i][dim - 2:]
+            if not a:
+                self.flat.append((i, b))
+                continue
             self.sources.append((i, -1 if b < 0 else 1))
             p.append(a if b < 0 else -a)
             m.append(abs(b))
@@ -599,10 +609,15 @@ class ScanPlan:
         self.p, self.m = p, m
         self.upper = [j for j, up in enumerate(upper) if up]
         self.lower = [j for j, up in enumerate(upper) if not up]
-        # (j, k, d): lines j and k cross where d x = q_k m_j - q_j m_k
-        self.crossings = [(j, k, p[j] * m[k] - p[k] * m[j])
-                          for j in range(len(p)) for k in range(j + 1, len(p))
-                          if p[j] * m[k] != p[k] * m[j]]
+        # (j, k, d, tip): lines j and k cross where d x = q_k m_j - q_j m_k,
+        # a left tip when one is upper, one lower and their gap grows there
+        self.crossings = []
+        for j, k in combinations(range(len(p)), 2):
+            d = p[j] * m[k] - p[k] * m[j]
+            if d:
+                u, l = (j, k) if upper[j] else (k, j)
+                self.crossings.append((j, k, d, upper[j] != upper[k]
+                                       and p[u] * m[l] > p[l] * m[u]))
 
     def _empty(self, box, bounds):
         return (any(lo > hi for lo, hi in box)
@@ -742,17 +757,22 @@ class ScanPlan:
 
     def _count_pair(self, y_box, xlo, xhi, residuals, prefix):
         """Points (x, y) of the two innermost coordinates with xlo <= x <=
-        xhi, in closed form (a leaf of _walk)."""
+        xhi, in closed form (a leaf of _walk): y's box range narrowed by the
+        constraints with no x term, then the pieces between line crossings,
+        split at an integer left tip (class docstring)."""
+        ylo, yhi = _interval(*y_box, self.flat, residuals)
+        if ylo > yhi:
+            return 0
         p, m = self.p, self.m
         q = [s * residuals[i] for i, s in self.sources]
-        q += y_box
+        q += ylo, yhi
         ends = {xhi}  # last x of each piece
-        for j, k, d in self.crossings:
+        for j, k, d, tip in self.crossings:
             num = q[k] * m[j] - q[j] * m[k]
             x = num // d
             if xlo <= x < xhi:
                 ends.add(x)
-            if x * d == num and xlo < x <= xhi:
+            if tip and x * d == num and xlo < x <= xhi:
                 ends.add(x - 1)
         total = 0
         start = xlo

@@ -81,8 +81,15 @@ class SubadditivityReport:
 def subadditivity_scan(mu_grid, k_max=100):
     """Verify c_{k+l} <= c_k + c_l for every mu in the grid, all k, l <= k_max.
 
-    Violations are report content (with witnesses), not exceptions.
+    Violations are report content (with witnesses), not exceptions; a scan
+    that would check no pair (k_max < 1 or an empty grid) is a ValueError.
     """
+    k_max = as_int(k_max, "k_max")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    mu_grid = list(mu_grid)
+    if not mu_grid:
+        raise ValueError("mu_grid must be nonempty")
     violations = []
     checked = 0
     for mu in mu_grid:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import and_, or_
 
@@ -295,7 +295,9 @@ class SectionSystem:
     since every cone is unimodular (ToricVariety.scan_plan).  So
     the integers k0 b_rho and e_rho are fixed once, and each degree only
     shifts integer bounds and the box for one integer lattice scan, run on
-    the variety's ScanPlan.
+    the variety's ScanPlan.  A weight <= 1 has one coefficient at every
+    level, folded into the constant bounds once; a system with no slope and
+    no weight above 1 has one piece at every degree, and counts it once.
 
     Exponent sets, counts, Gram matrices and their ranks are cached per
     degree; E is a fixed auxiliary integral divisor (not scaled with k).
@@ -326,11 +328,21 @@ class SectionSystem:
             return values + [sign * sum(lam * values[r] for r, lam in lams)
                              for lams, sign in ends]
         self._slopes = fold([-a for a in divisor.nums])
-        self._consts = (fold([-a for a in aux.nums]) if aux is not None
-                        else [0] * len(self._slopes))
-        self._weighted = [(p, q, ((i, 1),) + tuple(
-            (m + e, sign * lam) for e, (lams, sign) in enumerate(ends)
-            for r, lam in lams if r == i)) for i, p, q in self._weights]
+        consts = [-a for a in aux.nums] if aux is not None else [0] * m
+        # a weight p/q <= 1 has one coefficient at every level (0 below 1, 1
+        # at 1), told apart by _coeff itself: before its clamp a coefficient
+        # gains p - q every q levels
+        self._weighted = []
+        for i, p, q in self._weights:
+            c = _coeff(p, q, 1)
+            if c == _coeff(p, q, 1 + q):
+                consts[i] += c
+            else:
+                self._weighted.append((p, q, ((i, 1),) + tuple(
+                    (m + e, sign * lam) for e, (lams, sign) in enumerate(ends)
+                    for r, lam in lams if r == i)))
+        self._consts = fold(consts)
+        self._fixed = not (any(self._slopes) or self._weighted)
         self._points = {}
         self._counts = {}
         self._grams = {}
@@ -356,7 +368,10 @@ class SectionSystem:
 
     def count(self, k):
         if k not in self._counts:
-            self._counts[k] = self._plan.scan(*self._piece(k))
+            if self._fixed and self._counts:  # every degree has one piece
+                self._counts[k] = next(iter(self._counts.values()))
+            else:
+                self._counts[k] = self._plan.scan(*self._piece(k))
         return self._counts[k]
 
     def gram(self, k):
@@ -393,14 +408,15 @@ class SectionSystem:
     def growth(self, stride=1, period=None):
         """growth_degree of the counts at degrees stride, 2 stride, ... up to
         the degree bound.  A degree is counted only when growth_degree reads
-        it: lattice rank + 2 samples per residue class, unless those leave
-        the class undecided.  `period` defaults to self.period(stride); a
-        caller that already has it for another auxiliary divisor passes it."""
+        it: 2 samples of a dead residue class, max(3, d + 2) of a class of
+        degree d, and the whole of an undecided one.  `period` defaults to
+        self.period(stride); a caller that already has it for another
+        auxiliary divisor passes it."""
         if period is None:
             period = self.period(stride)
         return growth_degree(
             _DegreeCounts(self, range(stride, self.degree_bound + 1, stride)),
-            period, cap=self.variety.lattice_rank + 2)
+            period)
 
     def period(self, stride=1):
         """A period of the counts at degrees stride, 2 stride, ... for large
@@ -444,7 +460,7 @@ class _DegreeCounts:
 # exact growth degree shared by the empirical routes
 # ---------------------------------------------------------------------------
 
-def growth_degree(counts, period, cap=None):
+def growth_degree(counts, period):
     """Exact growth degree of the counts at degrees 1..K, or None.
 
     Section counts are eventually quasi-polynomial in k with a period that
@@ -457,38 +473,43 @@ def growth_degree(counts, period, cap=None):
     class is dead, None when some class is not determinable from its
     samples, else the largest class degree.
 
-    `counts` is any sequence, read by index.  With a sample cap (at least
-    3), each class first reads only its last `cap` samples, and reads the
-    rest only when no degree below cap - 1 fits them.  The answer is the
-    same as without the cap: the step-d test reads only the last d + 2
-    samples, and the dead and falling rules the last 3.
+    `counts` is any sequence, read by index, and each class only from the
+    top down as far as its rules look: its last 2 samples when it is dead,
+    its last max(3, d + 2) when it has degree d, all of it when undecided.
     """
     best = NEG_INF
     for end in range(max(len(counts) - period, 0), len(counts)):
-        places = range(end, -1, -period)  # the class, from the top down
-        samples = [counts[i] for i in places[:cap]][::-1]
-        if samples[-2:] == [0, 0]:
-            continue
-        tail = samples[-3:]
-        if any(a > b for a, b in zip(tail, tail[1:])):
-            return None
-        degree = _fitting_degree(samples)
-        if degree is None and len(samples) < len(places):
-            degree = _fitting_degree([counts[i] for i in places][::-1])
+        degree = _class_degree(counts, range(end, -1, -period))
         if degree is None:
             return None
         best = max(best, degree)
     return best
 
 
-def _fitting_degree(samples):
-    """Least d whose last d+2 samples have a vanishing (d+1)-st difference
-    and a positive last d-th difference, or None."""
-    for d in range(len(samples) - 1):
-        nxt = [b - a for a, b in zip(samples, samples[1:])]
-        if nxt[-1] == 0 and samples[-1] > 0:
+def _class_degree(counts, places):
+    """growth_degree of the one class at `places`, from the top down.
+
+    Reading one sample further down extends the two edges of the class's
+    difference table by one: `front` holds the differences at the oldest
+    sample read, and the new one, x, makes it x, front[0] - x, ...; its
+    last entry is the next difference at the top, the one the step-d test
+    (top[d + 1] == 0 < top[d]) needs for d one higher."""
+    samples = [counts[i] for i in places[:2]]
+    if samples == [0, 0]:
+        return NEG_INF
+    samples += [counts[i] for i in places[2:3]]
+    if any(a < b for a, b in zip(samples, samples[1:])):  # falling
+        return None
+    top, front = [], []
+    for x in chain(samples, (counts[i] for i in places[3:])):
+        new = [x]
+        for f in front:
+            new.append(f - new[-1])
+        front = new
+        top.append(new[-1])
+        d = len(top) - 2
+        if d >= 0 and top[d + 1] == 0 and top[d] > 0:
             return d
-        samples = nxt
     return None
 
 

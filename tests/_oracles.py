@@ -51,7 +51,12 @@ and Iitaka reads on them (`kappa_routes_span_rank`, `iitaka_span_rank`);
 `gram_of_points` builds a point list's Gram matrix point by point.  The
 subadditivity pairs of a coefficient list, compared pair by pair
 (`subadditivity_pairs_pairwise`), are the reference for the row test of
-`subadditivity_scan`.  The oracles read and write polytopes as rational
+`subadditivity_scan`.  The two-coordinate count leaf that split every
+line crossing at an integer point, and kept a y bound with no x term as a
+line (`EveryCrossingPlan`), is the reference for `ScanPlan`'s leaf, and
+the growth degree that read each residue class's last `cap` samples
+before the whole class (`growth_degree_capped`) is the reference for the
+lazy read of `growth_degree`.  The oracles read and write polytopes as rational
 (normal, bound) pairs, <u, normal> >= bound: `rational_polytope` scales
 them to the integer record of `Polytope`, `rational_pairs` reads a
 polytope back.
@@ -70,6 +75,7 @@ from kodaira.lattice import (
     Polytope,
     ScanPlan,
     basis_coords,
+    floor_sum,
     dot,
     hnf,
     hnf_basis,
@@ -1080,3 +1086,94 @@ def subadditivity_pairs_pairwise(coeffs, k_max):
     coeffs[k] + coeffs[l], in order, one comparison per pair."""
     return [(k, l) for k in range(1, k_max + 1) for l in range(k, k_max + 1)
             if coeffs[k + l] > coeffs[k] + coeffs[l]]
+
+
+class EveryCrossingPlan(ScanPlan):
+    """A ScanPlan whose two-coordinate leaf makes a one-point piece of every
+    integer crossing of two lines, and keeps a constraint with no x term as
+    a line y >= or <= q / m."""
+
+    def __init__(self, dim, normals):
+        super().__init__(dim, normals)
+        if self.parts is not None:
+            return
+        self.sources, p, m, upper = [], [], [], []
+        for i in self.bounding[dim - 1]:
+            a, b = self.normals[i][dim - 2:]
+            self.sources.append((i, -1 if b < 0 else 1))
+            p.append(a if b < 0 else -a)
+            m.append(abs(b))
+            upper.append(b < 0)
+        p += [0, 0]
+        m += [1, 1]
+        upper += [False, True]
+        self.p, self.m = p, m
+        self.upper = [j for j, up in enumerate(upper) if up]
+        self.lower = [j for j, up in enumerate(upper) if not up]
+        self.crossings = [(j, k, p[j] * m[k] - p[k] * m[j])
+                          for j in range(len(p)) for k in range(j + 1, len(p))
+                          if p[j] * m[k] != p[k] * m[j]]
+
+    def _count_pair(self, y_box, xlo, xhi, residuals, prefix):
+        p, m = self.p, self.m
+        q = [s * residuals[i] for i, s in self.sources]
+        q += y_box
+        ends = {xhi}  # last x of each piece
+        for j, k, d in self.crossings:
+            num = q[k] * m[j] - q[j] * m[k]
+            x = num // d
+            if xlo <= x < xhi:
+                ends.add(x)
+            if x * d == num and xlo < x <= xhi:
+                ends.add(x - 1)
+        total = 0
+        start = xlo
+        for end in sorted(ends):
+            ju = vu = jl = vl = None
+            for j in self.upper:
+                v = p[j] * start + q[j]
+                if ju is None or v * m[ju] < vu * m[j]:
+                    ju, vu = j, v
+            for j in self.lower:
+                v = p[j] * start + q[j]
+                if jl is None or v * m[jl] > vl * m[j]:
+                    jl, vl = j, v
+            if vu * m[jl] >= vl * m[ju]:
+                size = end - start + 1
+                total += (floor_sum(size, m[ju], p[ju], vu)
+                          + floor_sum(size, m[jl], -p[jl], -vl) + size)
+            start = end + 1
+        return total
+
+
+def growth_degree_capped(counts, period, cap=None):
+    """growth_degree reading each residue class's last `cap` samples (all
+    when cap is None), and the whole class when no degree below cap - 1
+    fits them: the least d whose last d + 2 samples have a vanishing
+    (d+1)-st difference and a positive last d-th difference, after the
+    dead (last two 0) and falling (a decrease in the last three) rules."""
+    best = NEG_INF
+    for end in range(max(len(counts) - period, 0), len(counts)):
+        places = range(end, -1, -period)  # the class, from the top down
+        samples = [counts[i] for i in places[:cap]][::-1]
+        if samples[-2:] == [0, 0]:
+            continue
+        tail = samples[-3:]
+        if any(a > b for a, b in zip(tail, tail[1:])):
+            return None
+        degree = _fitting_degree(samples)
+        if degree is None and len(samples) < len(places):
+            degree = _fitting_degree([counts[i] for i in places][::-1])
+        if degree is None:
+            return None
+        best = max(best, degree)
+    return best
+
+
+def _fitting_degree(samples):
+    for d in range(len(samples) - 1):
+        nxt = [b - a for a, b in zip(samples, samples[1:])]
+        if nxt[-1] == 0 and samples[-1] > 0:
+            return d
+        samples = nxt
+    return None

@@ -3,8 +3,9 @@
 growth_degree reads the degree of an eventually quasi-polynomial count
 sequence off integer finite differences along residue classes of a given
 period.  These tests build such sequences from known polynomials and check
-the reading against exact Lagrange interpolation, check that a per-class
-sample cap with its whole-class fallback reads the same degree, then pin
+the reading against exact Lagrange interpolation, check that reading each
+class only as far as its rules look gives the degree a per-class sample
+cap with its whole-class fallback gives, and reads just those samples, then pin
 the routes that use it: the perturbation multiples of kappa_sigma and the
 degrees they count, a period that only the rays touching the limit
 polytope make short enough, and the curve-side decision for counts that
@@ -44,7 +45,7 @@ from kodaira.toric import (
     kappa_sigma,
 )
 
-from _oracles import interpolate_polynomial
+from _oracles import growth_degree_capped, interpolate_polynomial
 
 P1 = ToricVariety.projective_space(1)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -159,13 +160,15 @@ class ReadLog(list):
 def test_capped_growth_degree_matches_full_read(case, cap):
     counts, period, _, degrees = case
     log = ReadLog(counts)
-    assert growth_degree(log, period, cap) == growth_degree(counts, period)
-    # a class whose degree d satisfies d + 2 <= cap is decided by its last
-    # cap samples; one of higher degree falls back to the whole class
+    assert (growth_degree(log, period)
+            == growth_degree_capped(counts, period, cap)
+            == growth_degree_capped(counts, period))
+    # each class is read from the top only as far as its rules look: the
+    # last 2 samples of a dead class, the last max(3, d + 2) of degree d
     for r, d in enumerate(degrees):
         places = range(len(counts) - 1 - r, -1, -period)
-        if (d or 0) + 2 <= cap:
-            assert log.read.isdisjoint(places[cap:])
+        need = 2 if d is None else max(3, d + 2)
+        assert log.read & set(places) == set(places[:need])
 
 
 @settings(max_examples=300)
@@ -173,18 +176,19 @@ def test_capped_growth_degree_matches_full_read(case, cap):
        st.integers(3, 6))
 def test_capped_growth_degree_matches_full_read_on_any_counts(counts, period,
                                                               cap):
-    assert (growth_degree(counts, period, cap)
-            == growth_degree(counts, period))
+    assert (growth_degree(counts, period)
+            == growth_degree_capped(counts, period, cap)
+            == growth_degree_capped(counts, period))
 
 
 def test_capped_read_falls_back_to_the_whole_class():
-    # cubic counts, read with the cap of a rank-1 lattice: the last three
-    # samples fit no degree below 2, so the whole sequence is read
+    # cubic counts: the last three samples fit no degree below 2, and the
+    # cubic needs its last five, so only those are read
     counts = ReadLog([comb(j + 3, 3) for j in range(10)])
-    assert growth_degree(counts, 1, cap=3) == 3
-    assert counts.read == set(range(10))
+    assert growth_degree(counts, 1) == 3
+    assert counts.read == set(range(5, 10))
     linear = ReadLog(range(1, 11))
-    assert growth_degree(linear, 1, cap=3) == 1
+    assert growth_degree(linear, 1) == 1
     assert linear.read == {7, 8, 9}
 
 

@@ -6,15 +6,19 @@ scanned over its vertex box (no direction multipliers), and, where the box
 is small, filter an integer grid through its constraints.  The closed-form
 count of the two innermost coordinates is checked against the
 point-collecting column scan and the grid filter on arbitrary integer
-constraints.
+constraints, and against the leaf that split every integer line crossing
+(`EveryCrossingPlan`) on drawn one-block plans whose lines cross at integer
+points.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kodaira import lattice
 from kodaira.lattice import ScanPlan, floor_sum
 from kodaira.multiplier import SingularMetricData
 from kodaira.toric import (
@@ -23,7 +27,12 @@ from kodaira.toric import (
     ToricVariety,
 )
 
-from _oracles import grid_lattice_points, rational_pairs, rational_polytope
+from _oracles import (
+    EveryCrossingPlan,
+    grid_lattice_points,
+    rational_pairs,
+    rational_polytope,
+)
 
 P1 = ToricVariety.projective_space(1)
 VARIETIES = [
@@ -155,3 +164,103 @@ def test_closed_form_count_matches_column_scan_and_grid(case):
     # one plan serves any bounds under the same normals
     assert plan.scan(box, again) == len(ScanPlan(len(box), normals).scan(
         box, again, collect=True))
+
+
+@st.composite
+def leaf_inputs(draw):
+    """(box, constraints) of a one-block plan in rank 2 or 3, x and y the
+    last two coordinates.
+
+    Most bounds are the normal's value at one drawn integer point, so many
+    lines meet there: an upper and a lower line at the left or the right
+    tip of the region, or two lines on one side.  The first normal reads
+    every coordinate, which keeps the plan one block.  Normals with no x
+    term, some pairs of them with crossed bounds (an empty y range), and
+    parallel copies of a line on its own side ride along; boxes reach
+    below 0."""
+    n = draw(st.sampled_from((2, 2, 3)))
+    box = []
+    for _ in range(n):
+        lo = draw(st.integers(-12, 4))
+        box.append((lo, lo + draw(st.integers(-1, 9 if n == 2 else 5))))
+    pivot = [draw(st.integers(lo - 2, hi + 2)) for lo, hi in box]
+    entry = st.integers(-3, 3)
+    normals = [tuple(draw(st.integers(1, 3)) * draw(st.sampled_from((-1, 1)))
+                     for _ in range(n))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("line", "line", "flat", "parallel")))
+        if kind == "flat":
+            v = [*draw(st.lists(entry, min_size=n - 2, max_size=n - 2)), 0,
+                 draw(st.integers(1, 3)) * draw(st.sampled_from((-1, 1)))]
+        elif kind == "parallel":  # a copy of a line, on the same side
+            v = list(draw(st.sampled_from(normals)))
+        else:
+            v = draw(st.lists(entry, min_size=n, max_size=n))
+        normals.append(tuple(v))
+    cons = [(v, sum(map(mul, v, pivot))
+             + draw(st.sampled_from((0, 0, 0, -1, 1, -3, 2)))) for v in normals]
+    if draw(st.booleans()):  # y >= c and y <= c - 1 - gap: no y at all
+        c, gap = draw(st.integers(-8, 8)), draw(st.integers(0, 2))
+        unit = (0,) * (n - 1)
+        cons += [(unit + (1,), c), (unit + (-1,), 1 + gap - c)]
+    return box, cons
+
+
+@settings(max_examples=600, derandomize=True)
+@given(leaf_inputs())
+# an upper and a lower line meet at (0, 0), the left tip of y <= x, y >= -x
+@example(([(-3, 3), (-5, 5)], [((1, -1), 0), ((1, 1), 0)]))
+# ... and the right tip of y <= -x, y >= x
+@example(([(-3, 3), (-5, 5)], [((-1, -1), 0), ((-1, 1), 0)]))
+# two upper lines meet at (1, 1), below a y range narrowed by y >= -2
+@example(([(-4, 4), (-6, 6)], [((1, -1), 0), ((-1, -1), -2), ((0, 1), -2)]))
+def test_leaf_count_matches_every_crossing_split_and_grid(case):
+    box, cons = case
+    normals, bounds = [v for v, _ in cons], [c for _, c in cons]
+    plan = ScanPlan(len(box), normals)
+    assert plan.parts is None  # the two-coordinate leaf counts
+    count = plan.scan(box, bounds)
+    assert count == EveryCrossingPlan(len(box), normals).scan(box, bounds)
+    assert count == len(grid_lattice_points(cons, box))
+
+
+def test_leaf_sums_floors_only_on_pieces_that_need_them(monkeypatch):
+    # F2, D = D_0 + D_1 + 2 D_2 + D_3 at degree 20: the rays (0, +-1) only
+    # narrow y's range, and no crossing is a left tip, so the leaf makes at
+    # most two pieces of two floor sums each (eight with a piece per
+    # integer crossing)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return floor_sum(*args)
+    monkeypatch.setattr(lattice, "floor_sum", counted)
+    sys = SectionSystem(ToricVariety.hirzebruch(2),
+                        ToricDivisorData((1, 1, 2, 1)), degree_bound=24)
+    assert sys.count(20) == 2501
+    assert len(calls) <= 4
+
+
+def test_degree_free_system_scans_once(monkeypatch):
+    # D = 0 on P2: every degree has the one piece {0}, also with weights
+    # <= 1 (coefficient 0 below 1); a weight above 1 moves the piece
+    scans = []
+    real_scan = ScanPlan.scan
+
+    def scan(plan, *args, **kwargs):
+        scans.append(args)
+        return real_scan(plan, *args, **kwargs)
+    monkeypatch.setattr(ScanPlan, "scan", scan)
+    p2 = ToricVariety.projective_space(2)
+    zero = ToricDivisorData((0, 0, 0))
+    for metric in (None, SingularMetricData([(0, Fraction(1, 2))])):
+        scans.clear()
+        sys = SectionSystem(p2, zero, metric=metric, degree_bound=24)
+        assert [sys.count(k) for k in range(1, 25)] == [1] * 24
+        assert sys.growth() == 0
+        assert len(scans) == 1
+    scans.clear()
+    sys = SectionSystem(p2, zero, metric=SingularMetricData(
+        [(0, Fraction(3, 2))]), degree_bound=24)
+    assert [sys.count(k) for k in range(1, 5)] == [0] * 4
+    assert len(scans) == 4

@@ -199,6 +199,18 @@ def test_float_weights_are_refused():
         SingularMetricData([(0, Fraction(-1))])
 
 
+def test_scan_that_checks_no_pair_is_refused():
+    # a report that is ok with nothing checked would pass vacuously
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match="^k_max must be >= 1$"):
+            subadditivity_scan(["1/2"], k_max=k_max)
+    with pytest.raises(ValueError, match="^mu_grid must be nonempty$"):
+        subadditivity_scan([], k_max=4)
+    with pytest.raises(ValueError, match="^k_max must be an integer"):
+        subadditivity_scan(["1/2"], k_max=2.0)
+    assert subadditivity_scan(["1/2"], k_max=1).checked == 1
+
+
 def test_unclamped_breaks_subadditivity_rate():
     # the clamp matters: unclamped coefficients go negative for mu < 1
     assert 8 * 1 // 4 - 8 + 1 < 0 == multiplier_coeff(Fraction(1, 4), 8)
