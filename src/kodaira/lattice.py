@@ -8,9 +8,12 @@ columns and solutions as integer numerators over one denominator; rational
 input is scaled to integers first, and Fractions are built only for the
 values returned.  A `Polytope` is the integer record its callers build:
 integer normals and integer bounds over one denominator; only its vertices
-are Fractions.  The distinguished value NEG_INF (= float("-inf")) is the
-dimension of an empty polytope and propagates through every dimension-like
-quantity downstream; it is never encoded as -1.
+are Fractions.  One `int_hull` of integer points gives a hull's lattice,
+boundary simplices and vertices: its rank is the hull's dimension,
+`hull_polytope` reads the Polytope off it and `volume_sum` the volume, so a
+body is hulled once.  The distinguished value NEG_INF (= float("-inf")) is
+the dimension of an empty polytope and propagates through every
+dimension-like quantity downstream; it is never encoded as -1.
 """
 
 from __future__ import annotations
@@ -936,16 +939,17 @@ def int_hull(pts):
     return lat, simplices, verts
 
 
-def hull_polytope(pts, den):
-    """The hull of pts / den as a Polytope over den, for nonempty sorted
-    distinct integer points of one dimension and den > 0; it carries the
-    minimal vertex set (lexicographically sorted), and a lower-dimensional
-    hull gets its affine-hull equalities as pairs of opposite constraints.
-    Facet rows are read off the simplices of `int_hull`; the equality
-    normals are the HNF basis of the integer orthogonal complement of its
-    lattice, which depends on the hull only, not on the points fed."""
-    n = len(pts[0])
-    lat, simplices, verts = int_hull(pts)
+def hull_polytope(hull, den):
+    """The hull of pts / den as a Polytope over den, for den > 0 and the
+    `int_hull` result (lattice, simplices, vertices) of nonempty sorted
+    distinct integer points pts of one dimension; it carries the minimal
+    vertex set (lexicographically sorted), and a lower-dimensional hull
+    gets its affine-hull equalities as pairs of opposite constraints.
+    Facet rows are read off the simplices; the equality normals are the
+    HNF basis of the integer orthogonal complement of the lattice, which
+    depends on the hull only, not on the points fed."""
+    lat, simplices, verts = hull
+    n = len(verts[0])
     cols = lat.pivots
     d = len(cols)
 
@@ -959,7 +963,7 @@ def hull_polytope(pts, den):
     if d < n:
         for w in hnf_basis(int_kernel([tuple(r[i] for r in lat.rows)
                                        for i in range(n)])):
-            b = dot(pts[0], w)
+            b = dot(verts[0], w)
             normals += [w, tuple(-x for x in w)]
             bounds += [b, -b]
     if d == 1:
@@ -974,48 +978,17 @@ def hull_polytope(pts, den):
         tuple(Fraction(x, den) for x in v) for v in verts])
 
 
-# ---------------------------------------------------------------------------
-# lattice-normalized volume
-# ---------------------------------------------------------------------------
-
-def basis_coords(basis, vectors):
-    """Coordinates of each vector in a basis of independent rows, as tuples
-    of Fractions, from one `_bareiss` solve for all of them.  Raises
-    GeometryError when the rows are dependent or a vector lies outside
-    their span."""
-    q = len(basis)
-    vectors = list(vectors)
-    # column i of the system is basis row i; the vectors are its right sides
-    echelon, rest = _bareiss([_integral(col) for col in zip(*basis, *vectors)], q)
-    if len(echelon) < q or any(x for row in rest for x in row[q:]):
-        raise GeometryError("basis does not span direction space")
-    out = []
-    for j in range(q, q + len(vectors)):
-        den, x = _solve(echelon, q, j)
-        out.append(tuple(Fraction(v, den) for v in x))
-    return out
-
-
-def hull_volume(points):
-    """Volume of the hull of rational points in R^q whose differences span
-    R^q (GeometryError otherwise); 1 for q = 0.
-
-    Computed exactly by a pulling triangulation from one vertex: the points,
-    scaled to integers by their common denominator den, are hulled by
-    `_hull`, and the cones from the lexicographically first point, a vertex,
-    over its boundary simplices give sum |det| / (q! den^q).
-    """
-    q = len(points[0])
-    den = math.lcm(1, *(x.denominator for p in points for x in p))
-    pts = sorted({tuple(x.numerator * (den // x.denominator) for x in p)
-                  for p in points})
-    p0 = pts[0]
-    if rat_rank([vsub(p, p0) for p in pts[1:]]) != q:
-        raise GeometryError("basis does not span direction space")
-    if q == 0:
-        return Fraction(1)
-    if q == 1:
-        return Fraction(pts[-1][0] - p0[0], den)
-    total = sum(abs(det_int([vsub(c, p0) for c in corners]))
-                for corners, _, _ in _hull(pts))
-    return Fraction(total, math.factorial(q) * den ** q)
+def volume_sum(hull):
+    """q! times the volume of the hull of integer points on the q pivot
+    coordinates of its `int_hull` result (lattice, simplices, vertices):
+    a pulling triangulation, the cones from one corner over the boundary
+    simplices, sums |det(corners - p0)|; for q = 1 it is the extent along
+    the pivot column, and 1 for q = 0.  Divided by |det M| for the rows M
+    of a lattice basis of the hull's direction space on the pivot columns,
+    it is q! times the volume in that lattice."""
+    lat, simplices, verts = hull
+    if lat.rank < 2:
+        return verts[-1][lat.pivots[0]] - verts[0][lat.pivots[0]] if lat.rank else 1
+    p0 = simplices[0][0][0]
+    return sum(abs(det_int([vsub(c, p0) for c in corners]))
+               for corners, _, _ in simplices)

@@ -23,15 +23,16 @@ from .lattice import (
     GeometryError,
     Polytope,
     ScanPlan,
+    _bareiss,
     _dots,
-    affine_rank,
+    _solve,
     as_int,
-    basis_coords,
     det_int,
     dot,
     hnf_basis,
     hull_polytope,
-    hull_volume,
+    int_hull,
+    volume_sum,
 )
 
 
@@ -283,8 +284,8 @@ class Regularization:
     # G ∩ C at level t m is g0 t + (y · boundary) for the integer y in t times
     # one rational polytope: (ScanPlan over its integer normals, the bounds of
     # the t = 1 slice, (den, den times the (min, max) of each y coordinate
-    # over its vertices, integers for den the lcm of their denominators), the
-    # y coordinates of its vertices)
+    # over its vertices, integers over that one den), (numerator, denominator)
+    # of its volume m^q Vol(Delta), the predicted growth coefficient)
     _slice: tuple = field(repr=False)
 
 
@@ -295,9 +296,11 @@ def regularize(sg):
     semigroup's spanning levels, the level index m, the boundary lattice
     G ∩ {level 0} with its index in Z^n x {0} (None when rank-deficient),
     the Okounkov body Delta = C ∩ {level 1} of the convex cone C over the
-    points, and, once, the slice data `hilbert_reg` scales to each level.
-    Raises EmptySemigroupError when no level is populated, and GeometryError
-    when the body's dimension is not rank(G) - 1.
+    points, and, once, the slice data `hilbert_reg` scales to each level
+    and the slice volume `growth_law_check` reads: one hull gives the body,
+    its dimension and its volume.  Raises EmptySemigroupError when no level
+    is populated, and GeometryError when the body's dimension is not
+    rank(G) - 1.
     """
     radix, weights, levels = sg.radix, sg.weights, sg.spanning
     if not levels:
@@ -329,31 +332,43 @@ def regularize(sg):
     # each column; each level is scaled by den / k, den the lcm of the
     # levels, so that one integer hull over den gets them all
     den = math.lcm(*levels)
-    hull = hull_polytope(sorted(set(chain.from_iterable(
+    hull = int_hull(sorted(set(chain.from_iterable(
         map(tuple, map(map, repeat(partial(mul, den // k)), chain(starts, tails)))
-        for k, (starts, tails) in ends.items()))), den)
-    if affine_rank(hull.vertices()) != body_dim:
+        for k, (starts, tails) in ends.items()))))
+    lat, _, verts = hull
+    if lat.rank != body_dim:
         raise GeometryError("okounkov dimension disagrees with group rank")
+    delta = hull_polytope(hull, den)
     level = tuple([0] * n)
-    body = Polytope(n + 1, [v + (0,) for v in hull.normals]
-                    + [level + (1,), level + (-1,)], hull.bounds + (den, -den),
-                    den, vertices=[v + (Fraction(1),) for v in hull.vertices()])
+    body = Polytope(n + 1, [v + (0,) for v in delta.normals]
+                    + [level + (1,), level + (-1,)], delta.bounds + (den, -den),
+                    den, vertices=[v + (Fraction(1),) for v in delta.vertices()])
 
     # the level-m slice in boundary coordinates y, around a point g0 of
     # G at level m: the hull row <x, v> >= b/den on x = g0 + y · B
-    # reads <y, den B v> >= b m - den <g0, v>, and its vertices are the
-    # coordinates of m v - g0 for the vertices v of Delta
+    # reads <y, den B v> >= b m - den <g0, v>
     normals = [tuple(den * dot(b[:-1], v) for b in boundary)
-               for v in hull.normals]
+               for v in delta.normals]
     bounds = [b * m - den * dot(g0[:-1], v)
-              for v, b in zip(hull.normals, hull.bounds)]
-    coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
-                                     for v in body.vertices()])
-    box = [(min(c), max(c)) for c in zip(*coords)]
-    box_den = math.lcm(1, *(x.denominator for x in chain(*box)))
-    box = tuple((int(lo * box_den), int(hi * box_den)) for lo, hi in box)
-    slice_data = (ScanPlan(len(boundary), normals), tuple(bounds),
-                  (box_den, box), coords)
+              for v, b in zip(delta.normals, delta.bounds)]
+    # its vertices are the y of m V / den - g0 for the vertices V of den
+    # Delta: den y M = m V - den g0 on the hull lattice's pivot columns, for
+    # M the boundary rows there, invertible once the dimensions agree; one
+    # solve for all V gives den y as numerators over its last pivot, ±det M
+    q = body_dim
+    echelon, _ = _bareiss([[b[c] for b in boundary]
+                           + [m * v[c] - den * g0[c] for v in verts]
+                           for c in lat.pivots], q)
+    det = echelon[-1][2] if echelon else 1
+    coords = [_solve(echelon, q, j)[1] for j in range(q, q + len(verts))]
+    box = tuple((min(c), max(c)) if det > 0 else (-max(c), -min(c))
+                for c in zip(*coords))
+    # the slice's volume m^q Vol(Delta) in the boundary lattice: the hull's
+    # volume on the pivot columns over |det M|, scaled by m / den
+    volume = (m ** q * volume_sum(hull),
+              math.factorial(q) * den ** q * abs(det))
+    slice_data = (ScanPlan(q, normals), tuple(bounds),
+                  (abs(det) * den, box), volume)
 
     return Regularization(
         group_basis=tuple(basis),
@@ -409,15 +424,17 @@ def growth_law_check(reg, k_max=200):
     for the regularization `reg` (from `regularize`).
 
     predicted = m^q * Vol(Delta) in boundary-lattice coordinates, the volume
-    of the level-m slice, read from the coordinates of its vertices that
-    `regularize` solved (`hull_volume`);
-    empirical = H_reg(m * k_max) / k_max^q.  The cone is strongly convex by
-    construction (see Regularization).
+    of the level-m slice, which `regularize` read off the one hull that gave
+    the body and its dimension; empirical = H_reg(m * k_max) / k_max^q, for
+    an integer k_max >= 1.  The cone is strongly convex by construction (see
+    Regularization).
     """
+    k_max = as_int(k_max, "k_max")
+    if k_max < 1:
+        raise ValueError(f"k_max must be positive, got {k_max}")
     q = reg.okounkov_dim
     m = reg.m
-    # boundary lattice rank is exactly rank(G) - 1 = q here
-    predicted = hull_volume(reg._slice[3])
+    predicted = Fraction(*reg._slice[3])
     count = hilbert_reg(reg, m * k_max)
     empirical = Fraction(count, k_max ** q)
     gap = abs(empirical - predicted) / predicted

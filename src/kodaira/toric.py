@@ -313,13 +313,11 @@ class SectionSystem:
         self.aux = aux
         self.degree_bound = as_int(degree_bound, "degree_bound")
         self.k0 = divisor.k0
-        self._weights = [(i, p, q) for i, (p, q) in
-                         enumerate(_ray_weights(variety, self.metric)) if p]
         # the bounds of the rays, then the lower and upper box end of each
         # coordinate (+-sum lam bound over the scan plan's box rows), at
         # degree k: consts + k slopes plus the multiplier terms; for each
-        # weighted ray, its (p, q) and the (place, multiplier) pairs of the
-        # entries its coefficient enters
+        # ray of weight above 1, its index, its (p, q) and the (place,
+        # multiplier) pairs of the entries its coefficient enters
         self._plan, rows = variety.scan_plan
         ends = [(lams, sign) for row in rows for lams, sign in zip(row, (1, -1))]
         m = len(variety.rays)
@@ -333,12 +331,12 @@ class SectionSystem:
         # at 1), told apart by _coeff itself: before its clamp a coefficient
         # gains p - q every q levels
         self._weighted = []
-        for i, p, q in self._weights:
+        for i, (p, q) in enumerate(_ray_weights(variety, self.metric)):
             c = _coeff(p, q, 1)
             if c == _coeff(p, q, 1 + q):
                 consts[i] += c
             else:
-                self._weighted.append((p, q, ((i, 1),) + tuple(
+                self._weighted.append((i, p, q, ((i, 1),) + tuple(
                     (m + e, sign * lam) for e, (lams, sign) in enumerate(ends)
                     for r, lam in lams if r == i)))
         self._consts = fold(consts)
@@ -352,7 +350,7 @@ class SectionSystem:
         """(box, bounds) of the degree-k piece (multiplier level k*k0)."""
         values = [a + k * b for a, b in zip(self._consts, self._slopes)]
         t = k * self.k0
-        for p, q, places in self._weighted:
+        for _, p, q, places in self._weighted:
             c = _coeff(p, q, t)
             for j, lam in places:
                 values[j] += lam * c
@@ -425,15 +423,17 @@ class SectionSystem:
         growing with k (all rays count when Q is empty).
         A vertex cut out by rays B moves with a period dividing |det B| times
         the periods of their multiplier coefficients (the denominators of
-        k0 stride mu), and the lcm of the vertex periods is a period of the
-        counts.  The touching rays are cached with Q (Polytope.tight_masks),
-        so none of this depends on the auxiliary divisor."""
+        k0 stride mu for the weights mu above 1; a weight <= 1 has one
+        coefficient at every level, in the constant bounds), and the lcm of
+        the vertex periods is a period of the counts.  The touching rays are
+        cached with Q (Polytope.tight_masks), so none of this depends on the
+        auxiliary divisor."""
         touching = (1 << len(self.variety.rays)) - 1  # bit i: ray i
         q = limit_polytope(self.variety, self.divisor, self.metric)
         if not q.is_empty():
             touching = reduce(or_, q.tight_masks())
         step = self.k0 * stride
-        mu_period = {i: q // gcd(q, step) for i, _, q in self._weights}
+        mu_period = {i: q // gcd(q, step) for i, _, q, _ in self._weighted}
         period = 1
         for sub, det in self.variety.nonsingular_subsets:
             if all(touching >> i & 1 for i in sub):

@@ -33,13 +33,18 @@ bounds (`divisor_bounds_reference`, `limit_bounds_reference`).  The body
 route of `regularize` its one integer hull over the lcm of the levels
 replaced (`regularize_per_level`: one `int_hull` per level, its vertices
 divided by k as Fractions, one `rational_hull` of their union, and the
-slice box kept as Fractions) is the reference for the Okounkov body;
-`rational_hull` and `body_volume` put the rational scaling around
-`hull_polytope` and `hull_volume`.  The tuple route the coded levels of
-`GradedSemigroup` replaced is the reference for them: levels as sets of
-`operator.index` tuples (`tuple_levels`), the two ends of each column
-(`column_ends`), and the group basis from every point and the hull of the
-column ends (`regularize_tuple_route`); `spanning_points` reads a
+slice box kept as Fractions) is the reference for the Okounkov body.  The
+library reads the body, its dimension and its volume off one `int_hull`;
+the two-hull route it replaced is the reference for the growth-law
+volume (`slice_volume_two_hulls`: `hull_volume`, a second hull, of the
+Fraction boundary coordinates `basis_coords` of the slice vertices).
+`scaled_hull` puts the rational scaling around `int_hull`, `rational_hull`
+reads its `hull_polytope`, and `body_volume` divides the library's
+`volume_sum` by the lattice's determinant.  The tuple route the coded
+levels of `GradedSemigroup` replaced is the reference for them: levels as
+sets of `operator.index` tuples (`tuple_levels`), the two ends of each
+column (`column_ends`), and the group basis from every point and the hull
+of the column ends (`regularize_tuple_route`); `spanning_points` reads a
 semigroup's spanning levels as tuples, and `level_points` decodes one
 level.  The two semigroup constructors only tests use live here too: a
 semigroup from its generator rows (`from_generators`) and a section
@@ -71,20 +76,25 @@ from operator import and_, index, itemgetter, mul, ne
 
 from kodaira.lattice import (
     NEG_INF,
+    GeometryError,
     IntLattice,
     Polytope,
     ScanPlan,
-    basis_coords,
+    _bareiss,
+    _hull,
+    _integral,
+    _solve,
+    det_int,
     floor_sum,
     dot,
     hnf,
     hnf_basis,
     hull_polytope,
-    hull_volume,
     int_hull,
     int_kernel,
     rat_rank,
     saturate_rows,
+    volume_sum,
     vsub,
     xgcd,
 )
@@ -595,19 +605,95 @@ def hilbert_reg_per_level(reg, k):
     return total
 
 
-def rational_hull(points):
-    """`hull_polytope` of rational points: scaled to integers by their
-    common denominator, sorted and deduplicated."""
+def scaled_hull(points):
+    """(int_hull, den) of rational points: `int_hull` of the points scaled
+    to integers by their common denominator den, sorted and deduplicated."""
     rows = [tuple(map(Fraction, p)) for p in points]
     den = math.lcm(1, *(x.denominator for p in rows for x in p))
-    return hull_polytope(sorted({tuple(x.numerator * (den // x.denominator)
-                                       for x in p) for p in rows}), den)
+    return int_hull(sorted({tuple(x.numerator * (den // x.denominator)
+                                  for x in p) for p in rows})), den
+
+
+def rational_hull(points):
+    """`hull_polytope` of rational points, on their `scaled_hull`."""
+    return hull_polytope(*scaled_hull(points))
 
 
 def body_volume(poly, basis):
-    """`hull_volume` of a polytope's vertices in a direction-lattice basis."""
-    verts = poly.vertices()
-    return hull_volume(basis_coords(basis, [vsub(v, verts[0]) for v in verts]))
+    """Volume of a polytope in the lattice of integer basis rows spanning
+    its direction space (GeometryError otherwise), by the library's
+    `volume_sum` of the `scaled_hull` of its vertices over den:
+    sum / (q! den^q |det M|), M the basis on the hull lattice's pivot
+    columns."""
+    hull, den = scaled_hull(poly.vertices())
+    lat = hull[0]
+    q = lat.rank
+    if len(basis) != q or rat_rank(list(basis) + lat.basis()) != q:
+        raise GeometryError("basis does not span direction space")
+    det = det_int([[b[c] for c in lat.pivots] for b in basis])
+    return Fraction(volume_sum(hull), math.factorial(q) * den ** q * abs(det))
+
+
+def basis_coords(basis, vectors):
+    """Coordinates of each vector in a basis of independent rows, as tuples
+    of Fractions, from one `_bareiss` solve for all of them; GeometryError
+    when the rows are dependent or a vector lies outside their span.  The
+    library's integer route solves on the hull lattice's pivot columns
+    only (`semigroup.regularize`)."""
+    q = len(basis)
+    vectors = list(vectors)
+    # column i of the system is basis row i; the vectors are its right sides
+    echelon, rest = _bareiss([_integral(col) for col in zip(*basis, *vectors)], q)
+    if len(echelon) < q or any(x for row in rest for x in row[q:]):
+        raise GeometryError("basis does not span direction space")
+    out = []
+    for j in range(q, q + len(vectors)):
+        den, x = _solve(echelon, q, j)
+        out.append(tuple(Fraction(v, den) for v in x))
+    return out
+
+
+def hull_volume(points):
+    """Volume of the hull of rational points in R^q whose differences span
+    R^q (GeometryError otherwise); 1 for q = 0: the points, scaled to
+    integers by their common denominator den, hulled again by `_hull`, and
+    the cones from the lexicographically first point over its boundary
+    simplices summed, sum |det| / (q! den^q)."""
+    q = len(points[0])
+    den = math.lcm(1, *(x.denominator for p in points for x in p))
+    pts = sorted({tuple(x.numerator * (den // x.denominator) for x in p)
+                  for p in points})
+    p0 = pts[0]
+    if rat_rank([vsub(p, p0) for p in pts[1:]]) != q:
+        raise GeometryError("basis does not span direction space")
+    if q == 0:
+        return Fraction(1)
+    if q == 1:
+        return Fraction(pts[-1][0] - p0[0], den)
+    total = sum(abs(det_int([vsub(c, p0) for c in corners]))
+                for corners, _, _ in _hull(pts))
+    return Fraction(total, math.factorial(q) * den ** q)
+
+
+def level_first(group_basis):
+    """(g0, boundary): the rows of the HNF of a group basis with the level
+    column moved first, back in place: a point g0 of the group at the
+    least positive level m, and the HNF of the boundary lattice."""
+    g0, *boundary = [row[1:] + row[:1] for row in hnf_basis(
+        [row[-1:] + row[:-1] for row in group_basis])]
+    return g0, boundary
+
+
+def slice_volume_two_hulls(reg):
+    """Reference for the predicted growth coefficient m^q Vol(Delta) that
+    `regularize` reads off its one hull, on the two-hull route it replaced:
+    `hull_volume` of the boundary coordinates (`basis_coords`) of m v - g0
+    for the vertices v of the body."""
+    g0, boundary = level_first(reg.group_basis)
+    m = g0[-1]
+    return hull_volume(basis_coords(boundary, [
+        tuple(m * x - g for x, g in zip(v, g0))
+        for v in reg.okounkov_body.vertices()]))
 
 
 def _group_point_at_level(basis, k):
@@ -980,9 +1066,9 @@ def regularize_tuple_route(levels):
     den / k, den the lcm of the levels."""
     basis = hnf_basis([u + (k,) for k, pts in levels.items() for u in pts])
     den = math.lcm(*levels)
-    hull = hull_polytope(sorted({tuple(x * (den // k) for x in p)
-                                 for k, pts in levels.items()
-                                 for p in column_ends(pts)}), den)
+    hull = hull_polytope(int_hull(sorted({tuple(x * (den // k) for x in p)
+                                          for k, pts in levels.items()
+                                          for p in column_ends(pts)})), den)
     return basis, hull
 
 
@@ -991,15 +1077,15 @@ def regularize_per_level(sg):
     each level A_k is cut to the vertices of its own integer hull
     (`int_hull`), each vertex divided by k as Fractions, and the union is
     hulled by `rational_hull`; the slice box holds the (min, max) of each
-    boundary coordinate over the slice vertices as Fractions.  The lattice
-    data (group basis, m, boundary lattice, the level-m point g0) are read
-    off the level-first HNF as in the library."""
+    boundary coordinate over the slice vertices as Fractions, and the
+    slice volume is their `hull_volume`.  The lattice data (group basis, m,
+    boundary lattice, the level-m point g0) are read off the level-first
+    HNF as in the library."""
     from kodaira.semigroup import regularize
 
     reg = regularize(sg)
     n = sg.ambient_rank
-    g0, *boundary = [row[1:] + row[:1] for row in hnf_basis(
-        [row[-1:] + row[:-1] for row in reg.group_basis])]
+    g0, boundary = level_first(reg.group_basis)
     m = g0[-1]
     hull = rational_hull([tuple(Fraction(x, k) for x in v)
                           for k, a_k in spanning_points(sg).items()
@@ -1017,7 +1103,8 @@ def regularize_per_level(sg):
                                      for v in body.vertices()])
     reg.okounkov_body = body
     reg._slice = (ScanPlan(len(boundary), normals), tuple(bounds),
-                  tuple((min(c), max(c)) for c in zip(*coords)), coords)
+                  tuple((min(c), max(c)) for c in zip(*coords)),
+                  hull_volume(coords))
     return reg
 
 

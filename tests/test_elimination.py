@@ -1,13 +1,14 @@
 """Differential tests of the fraction-free elimination core of `lattice`.
 
-`det_int`, `rat_rank`, `basis_coords` and the vertex-based `Polytope`
-predicates all run on one integer Bareiss elimination; here they are
-compared with the Fraction Gauss-Jordan, Fourier-Motzkin and cofactor
-references of `_oracles`, in dimensions 0 to 4, on rank-deficient,
-empty, unbounded and lower-dimensional systems with bounds of
-denominators 1 to 3.  The perturbed growth order of `toric` is compared
-with the walk over every ray mask it replaced, and the growth-law
-prediction, now read from the solved slice, with the body's volume.
+`det_int`, `rat_rank`, the solves of `_solve` (here through the reference
+`_oracles.basis_coords`) and the vertex-based `Polytope` predicates all run
+on one integer Bareiss elimination; here they are compared with the
+Fraction Gauss-Jordan, Fourier-Motzkin and cofactor references of
+`_oracles`, in dimensions 0 to 4, on rank-deficient, empty, unbounded and
+lower-dimensional systems with bounds of denominators 1 to 3.  The
+perturbed growth order of `toric` is compared with the walk over every ray
+mask it replaced, and the growth-law prediction, read off the one hull of
+the body, with the body's volume and with the two-hull route it replaced.
 """
 
 from fractions import Fraction
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 
 from kodaira.lattice import (
     GeometryError,
-    basis_coords,
     det_int,
     dot,
     rat_rank,
@@ -28,6 +28,7 @@ from kodaira.semigroup import growth_law_check, regularize
 from kodaira.toric import ToricDivisorData, ToricVariety, _limit_growth_exact
 
 from _oracles import (
+    basis_coords,
     body_volume,
     fm_is_empty,
     from_generators,
@@ -36,6 +37,7 @@ from _oracles import (
     rational_pairs,
     rational_polytope,
     rref,
+    slice_volume_two_hulls,
     solve_linear_system,
     vertices_by_rref,
 )
@@ -250,11 +252,13 @@ def test_limit_growth_lower_dimensional_cases(case):
     [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 2)],
 ])
 def test_growth_law_prediction_is_the_body_volume(generators):
-    """The predicted coefficient, read from the slice coordinates that
-    `regularize` solved, is m^q times the lattice volume of the body."""
+    """The predicted coefficient, read off the one hull `regularize` built,
+    is m^q times the lattice volume of the body, and the volume of the
+    hull of the slice vertices' boundary coordinates."""
     sg = from_generators(generators)
     reg = regularize(sg)
     q = reg.okounkov_dim
     expected = Fraction(reg.m) ** q * body_volume(
         reg.okounkov_body, list(reg.boundary_lattice))
     assert growth_law_check(reg, k_max=20).a_q_predicted == expected
+    assert expected == slice_volume_two_hulls(reg)

@@ -304,6 +304,22 @@ def test_period_multiplies_determinant_and_weight_period():
     assert kappa_report(sys).kappa == 2
 
 
+def test_period_ignores_weights_at_most_one():
+    # P2, D = H, weight 3/4 on one ray: its coefficient is 0 at every
+    # level, so the counts are the unweighted C(k + 2, 2), of period 1, and
+    # are decided at every bound; a period of 4 left them undecided to 12
+    p2 = ToricVariety.projective_space(2)
+    divisor = ToricDivisorData((1, 0, 0))
+    for bound in range(6, 13):
+        plain = SectionSystem(p2, divisor, degree_bound=bound)
+        weighted = SectionSystem(p2, divisor, degree_bound=bound,
+                                 metric=SingularMetricData([(0, Fraction(3, 4))]))
+        assert [weighted.count(k) for k in range(1, bound + 1)] == [
+            comb(k + 2, 2) for k in range(1, bound + 1)]
+        assert weighted.period() == plain.period() == 1
+        assert weighted.growth() == plain.growth() == 2
+
+
 def test_curve_counts_that_die_out_or_plateau():
     """One rule for every curve-side sequence: counts that die out have
     growth NEG_INF (not 0), and a plateau above 1 has growth 0 (not 1)."""

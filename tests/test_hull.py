@@ -1,9 +1,10 @@
 """Differential tests of the integer convex hull and the Okounkov bodies of
 rank 3 and 4.
 
-`hull_polytope` builds hulls of integer points over one denominator in any
-dimension incrementally; these tests check it, on rational points scaled by
-`_oracles.rational_hull`, and `hull_volume` (`_oracles.body_volume`) against
+`int_hull` hulls integer points in any dimension incrementally, and
+`hull_polytope` reads the hull over one denominator off it; these tests
+check it, on rational points scaled by `_oracles.rational_hull`, and the
+volume `volume_sum` reads off the same hull (`_oracles.body_volume`) against
 the independent facet scan, Caratheodory vertex test and pyramid volume of
 `_oracles`, in dimensions 2 to 4, on small coordinates with duplicate,
 collinear, coplanar and embedded inputs.  They also pin the rank-3 corpus
@@ -98,7 +99,7 @@ def test_convex_hull_of_crowded_integer_sets(pts):
     # in a 3-polytope exactly the vertices lie on three or more facets
     assume(affine_dimension(pts) == 3)
     facets = facet_scan(pts)
-    hull = hull_polytope(sorted(set(pts)), 1)
+    hull = hull_polytope(int_hull(sorted(set(pts))), 1)
     assert sorted(zip(hull.normals, hull.bounds)) == sorted(facets)
     assert set(hull.vertices()) == {
         p for p in set(pts) if sum(dot(p, w) == h for w, h in facets) >= 3}
@@ -109,7 +110,7 @@ def test_hull_equalities_depend_on_the_hull_only():
     # two of them added: the equality normals are the HNF basis of the
     # integer orthogonal complement, whatever points were fed
     corners = [(0, 13, 7, -8), (6, 9, 1, -2), (8, 4, -4, 2)]
-    first, second = (hull_polytope(sorted(pts), 1)
+    first, second = (hull_polytope(int_hull(sorted(pts)), 1)
                      for pts in (corners, corners + [(3, 11, 4, -5)]))
     assert first.normals[:4] == ((1, 0, -2, -3), (-1, 0, 2, 3),
                                  (0, 3, -7, -5), (0, -3, 7, 5))
@@ -145,11 +146,12 @@ def test_lattice_volume_in_an_embedded_direction_lattice(case):
 
 def test_convex_hull_of_the_four_simplex():
     simplex = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    hull = hull_polytope(sorted(simplex), 1)
+    hull = hull_polytope(int_hull(sorted(simplex)), 1)
     assert len(hull.normals) == 5
     assert hull.vertices() == tuple(sorted(simplex))
     # a 3-simplex inside R^4 keeps its affine dimension
-    assert affine_dimension(hull_polytope(sorted(simplex[:4]), 1).vertices()) == 3
+    assert affine_dimension(
+        hull_polytope(int_hull(sorted(simplex[:4])), 1).vertices()) == 3
 
 
 @settings(max_examples=80)
@@ -246,6 +248,8 @@ def test_rank4_semigroups_regularize(tmp_path, capsys, body, predicted):
 def test_int_hull_vertices_match_convex_hull(pts):
     # the per-level routine of `regularize`, on the same sets made integral
     pts = sorted({tuple(int(6 * x) for x in p) for p in pts})
-    verts = int_hull(pts)[2]
+    hull = int_hull(pts)
+    verts = hull[2]
     assert len(verts) == len(set(verts))
-    assert sorted(verts) == list(hull_polytope(pts, 1).vertices())
+    assert sorted(verts) == list(hull_polytope(hull, 1).vertices())
+    assert set(verts) == hull_vertex_set(pts)

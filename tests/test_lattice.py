@@ -12,7 +12,6 @@ from kodaira.lattice import (
     IntLattice,
     Polytope,
     ScanPlan,
-    basis_coords,
     det_int,
     dot,
     hnf,
@@ -29,6 +28,7 @@ from kodaira.toric import SectionSystem, ToricDivisorData, ToricVariety
 
 from _oracles import (
     affine_dimension,
+    basis_coords,
     body_volume,
     coset_count,
     diff_lattice_per_point,

@@ -5,10 +5,11 @@ codes, which include the two ends of each column (a run of points with the
 same leading coordinates), scales every level by den / k for den the lcm of
 the levels, and hulls the union once on integers over den.
 `_oracles.regularize_per_level` is the route it replaced: one `int_hull` per
-level, its vertices divided by k as Fractions, one `rational_hull`.  Both must
-give the same body, lattice data and slice data, on drawn semigroups and on
-the okounkov benchmark inputs of seeds 1-3 (read from `perfbench/gen.py`,
-which does not import the package).
+level, its vertices divided by k as Fractions, one `rational_hull`, and the
+slice volume from a second hull of the slice vertices' boundary coordinates.
+Both must give the same body, lattice data and slice data, on drawn
+semigroups and on the okounkov benchmark inputs of seeds 1-3 (read from
+`perfbench/gen.py`, which does not import the package).
 """
 
 import importlib.util
@@ -19,14 +20,16 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kodaira.lattice import _dots, hull_polytope
+from kodaira import lattice
+from kodaira.lattice import _dots, hull_polytope, int_hull
 from kodaira.semigroup import (
     GradedSemigroup,
     _coder,
     _run_ends,
+    growth_law_check,
     hilbert_reg,
     regularize,
 )
@@ -37,6 +40,7 @@ from _oracles import (
     hilbert_reg_per_level,
     rational_pairs,
     regularize_per_level,
+    slice_volume_two_hulls,
 )
 
 
@@ -47,8 +51,8 @@ def assert_same_body(sg):
     assert rational_pairs(body) == rational_pairs(ref_body)
     assert affine_dimension(body.vertices()) == reg.okounkov_dim
     assert (reg.m, reg.boundary_lattice, reg.ind) == (ref.m, ref.boundary_lattice, ref.ind)
-    plan, bounds, (den, box), coords = reg._slice
-    ref_plan, ref_bounds, ref_box, ref_coords = ref._slice
+    plan, bounds, (den, box), volume = reg._slice
+    ref_plan, ref_bounds, ref_box, ref_volume = ref._slice
     # each slice row is the reference row, which is over its own reduced
     # denominator, times a positive integer: all rows are over the hull's
     assert len(plan.normals) == len(bounds) == len(ref_bounds)
@@ -58,7 +62,9 @@ def assert_same_body(sg):
         assert scale > 0 and scale.denominator == 1
         assert row == tuple(scale * y for y in ref_row)
     assert tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in box) == ref_box
-    assert coords == ref_coords
+    # the slice volume read off the one hull, against the second hull of
+    # the reference's slice vertex coordinates
+    assert Fraction(*volume) == ref_volume
     return reg, ref
 
 
@@ -123,7 +129,7 @@ def test_run_ends_of_gapped_columns_give_the_same_hull(pts):
     equalities, read off the other coordinates first, do not see."""
     ends = run_ends(pts)
     assert set(ends) > set(column_ends(pts))
-    by_runs, by_columns = (hull_polytope(sorted(set(p)), 1)
+    by_runs, by_columns = (hull_polytope(int_hull(sorted(set(p))), 1)
                            for p in (ends, column_ends(pts)))
     assert (by_runs.normals, by_runs.bounds) == (by_columns.normals, by_columns.bounds)
     assert by_runs.vertices() == by_columns.vertices()
@@ -195,6 +201,67 @@ def _simplex_points(n, k):
     if n == 0:
         return [()]
     return [(a,) + rest for a in range(k + 1) for rest in _simplex_points(n - 1, k - a)]
+
+
+# ---------------------------------------------------------------------------
+# the growth-law volume off the one hull
+# ---------------------------------------------------------------------------
+
+@st.composite
+def generated_semigroups(draw):
+    """A generated semigroup of ambient rank 0-4: generators (k s + sum a_i
+    w_i, k) at levels k that are multiples of g in 1-3, so m may exceed 1
+    and the body's vertices u / k are rational; at most n directions w_i,
+    fewer or dependent ones for a body of lower dimension than the ambient
+    space, and a drift s that may put the body far from the origin."""
+    n = draw(st.integers(0, 4))
+    g = draw(st.integers(1, 3))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=n))
+    drift = draw(st.tuples(*[st.sampled_from([0, 1, -3, 10 ** 6, -(10 ** 9)])] * n))
+    gens = set()
+    for _ in range(draw(st.integers(1, 7))):
+        k = g * draw(st.integers(1, 3))
+        a = draw(st.tuples(*[st.integers(-2, 2)] * len(dirs)))
+        gens.add(tuple(k * s + sum(x * w[j] for x, w in zip(a, dirs))
+                       for j, s in enumerate(drift)) + (k,))
+    return GradedSemigroup(n, generators=sorted(gens))
+
+
+@settings(max_examples=300)
+@given(generated_semigroups())
+# a triangle at level 2 and a point at level 4 in the plane x4 = x1 + 1 of
+# Z^4, 10^6 from the origin: q = 3 < n = 4, m = 2, rational vertices
+@example(GradedSemigroup(4, generators=[
+    (10 ** 6, 0, 0, 10 ** 6 + 2, 2), (10 ** 6 + 1, 0, 0, 10 ** 6 + 3, 2),
+    (10 ** 6, 1, 0, 10 ** 6 + 2, 2), (2 * 10 ** 6 + 1, 1, 3, 2 * 10 ** 6 + 5, 4)]))
+def test_growth_law_prediction_matches_two_hull_route(sg):
+    reg = regularize(sg)
+    assert (growth_law_check(reg, k_max=1).a_q_predicted
+            == slice_volume_two_hulls(reg))
+
+
+@pytest.mark.parametrize("sg", [
+    GradedSemigroup(2, generators=[(0, 0, 1), (2, 0, 1), (0, 3, 2), (1, 1, 3)]),
+    GradedSemigroup(3, levels={k: _simplex_points(3, k) for k in range(1, 5)},
+                    check_closure=False),
+], ids=["2d", "3d"])
+def test_regularize_and_growth_law_hull_once(sg, monkeypatch):
+    """The body, its dimension and the growth-law volume all come from one
+    hull of the body: `_hull` runs once through `regularize` and
+    `growth_law_check`."""
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    real = lattice._hull
+    monkeypatch.setattr(lattice, "_hull", counted)
+    reg = regularize(sg)
+    rep = growth_law_check(reg, k_max=4)
+    assert reg.okounkov_dim == sg.ambient_rank
+    assert rep.a_q_predicted > 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

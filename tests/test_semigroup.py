@@ -19,6 +19,7 @@ from kodaira.semigroup import (
 from _corpus import corpus_section_systems
 from _oracles import (
     affine_dimension,
+    basis_coords,
     closure_check_per_point,
     from_generators,
     hilbert_reg_per_level,
@@ -28,6 +29,7 @@ from _oracles import (
     rational_pairs,
     semigroup_level_points,
     solve_in_lattice,
+    solve_linear_system,
     to_semigroup,
 )
 
@@ -335,6 +337,18 @@ def test_zero_dimensional_growth():
     assert rep.a_q_empirical == 1
 
 
+@pytest.mark.parametrize("gens", [[(2, 3)], [(0, 1), (1, 1)]], ids=["q0", "q1"])
+@pytest.mark.parametrize("k_max", [0, -2, 1.5, "20"])
+def test_growth_law_refuses_a_k_max_below_one(gens, k_max):
+    # no empirical coefficient without a positive integer degree: at 0 a
+    # division by zero for q >= 1 and a vacuous report for q = 0, below 0
+    # a "negative degree"; a non-integer is never truncated
+    reg = regularize(from_generators(gens))
+    with pytest.raises(ValueError, match="k_max"):
+        growth_law_check(reg, k_max=k_max)
+    assert growth_law_check(reg, k_max=1).k_max == 1
+
+
 def test_ind_undefined_when_rank_deficient():
     # G = Z(0,1): the boundary lattice has rank 0 < ambient rank 1
     sg = from_generators([(0, 1)])
@@ -492,14 +506,22 @@ def test_regularize_lattice_matches_reference_route(case):
     assert reg.ind == ind
     if ind is not None:
         assert ind % d ** n == 0
-    # the slice coordinates are those of m v - g0 for the vertices v of the
-    # body, so g0 = m v - y · boundary: a point of G at level m, which
-    # differs from the reference's by a point of the boundary lattice
-    coords, v = reg._slice[3][0], reg.okounkov_body.vertices()[0]
-    g0 = tuple(m * x - sum(y * b[j] for y, b in zip(coords, reg.boundary_lattice))
-               for j, x in enumerate(v))
-    assert all(x.denominator == 1 for x in g0) and g0[-1] == m
+    # the slice rows are the body's rows <x, v> >= b / den on x = g0 + y ·
+    # boundary, with bounds b m - den <g0, v>, so they fix g0: a point of G
+    # at level m, which differs from the reference's by a point of the
+    # boundary lattice; the box holds the least and largest coordinates of
+    # m v - g0 over the vertices v of the body
+    body = reg.okounkov_body
+    _, bounds, (den, box), _ = reg._slice
+    g0 = solve_linear_system(
+        [v[:-1] for v in body.normals[:len(bounds)]],
+        [Fraction(b * m - c, body.den) for b, c in zip(body.bounds, bounds)]) + (m,)
+    assert all(x.denominator == 1 for x in g0)
     assert in_row_lattice(g0, reg.group_basis)
     assert in_row_lattice([a - b for a, b in zip(g0, ref_g0)], boundary)
+    coords = basis_coords(boundary, [tuple(m * x - g for x, g in zip(v, g0))
+                                     for v in body.vertices()])
+    assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in box] == [
+        (min(c), max(c)) for c in zip(*coords)]
     for k in range(3 * g + 4):
         assert hilbert_reg(reg, k) == hilbert_reg_per_level(reg, k), k
