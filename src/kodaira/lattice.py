@@ -467,7 +467,7 @@ def _fold_count(depth, lo, values):
     return sum(filter(None, values))
 
 
-def _column_moments(lo, hi, residuals=None, prefix=None):
+def _column_moments(lo, hi, residuals=None):
     """(count, sum y, sum y^2) of the column lo..hi, in closed form: with
     F(x) = x (x + 1) (2x + 1) / 6, sum y^2 = F(hi) - F(lo - 1) for any
     signs."""
@@ -527,7 +527,7 @@ class ScanPlan:
     N / (N_b N_c).  A one-coordinate block is an interval, its count and
     moments in closed form; a larger block is a sub-plan of its own.  A plan
     of one block of two or more coordinates (P^n, F_a, most slices) walks
-    its columns as below.  Collecting never splits.
+    its columns as below.
 
     Columns.  Constraint i, <u, v_i> >= c_i, becomes a one-variable bound on
     the last coordinate where v_i is nonzero once the earlier coordinates are
@@ -626,22 +626,11 @@ class ScanPlan:
         return (any(lo > hi for lo, hi in box)
                 or any(bounds[i] > 0 for i in self.zero))
 
-    def scan(self, box, bounds, collect=False):
-        """The points of the box with <u, v_i> >= bounds[i] (collect), or
-        their number."""
+    def scan(self, box, bounds):
+        """The number of points of the box with <u, v_i> >= bounds[i]."""
         n = self.dim
         if self._empty(box, bounds):
-            return [] if collect else 0
-        if collect:
-            if n == 0:
-                return [()]
-            out = []
-
-            def column(lo, hi, residuals, prefix):
-                head = tuple(prefix[:-1])
-                out.extend([head + (y,) for y in range(lo, hi + 1)])
-            self._walk(box, bounds, n - 1, column, _fold_count)
-            return out
+            return 0
         if self.parts is None:
             return self._walk(box, bounds, n - 2,
                               partial(self._count_pair, box[n - 1]),
@@ -709,20 +698,18 @@ class ScanPlan:
         return total, sums, square
 
     def _walk(self, box, bounds, leaf_depth, leaf, fold):
-        """The column walk shared by counting, collecting and moments.
+        """The column walk shared by counting and moments.
 
         Coordinate by coordinate, each constraint whose last nonzero
         coordinate is the current one bounds it given the earlier ones (their
         values are taken off the residual bounds).  At leaf_depth,
-        leaf(lo, hi, residuals, prefix) reads the range lo..hi of that
-        coordinate; each earlier depth returns fold(depth, lo, values) over
-        the values of its x = lo, lo + 1, ... subtrees, None for an empty
-        one.  None when the piece is empty."""
-        n = self.dim
+        leaf(lo, hi, residuals) reads the range lo..hi of that coordinate;
+        each earlier depth returns fold(depth, lo, values) over the values
+        of its x = lo, lo + 1, ... subtrees, None for an empty one.  None
+        when the piece is empty."""
         residuals = list(bounds)
         normals, bounding, touching = (self.normals, self.bounding,
                                        self.touching)
-        prefix = [0] * n
 
         def rec(depth):
             # _interval, inline: a call per column costs 10-30 % here
@@ -741,7 +728,7 @@ class ScanPlan:
             if lo > hi:
                 return None
             if depth == leaf_depth:
-                return leaf(lo, hi, residuals, prefix)
+                return leaf(lo, hi, residuals)
             touch = touching[depth]
             saved = [residuals[i] for i in touch]
             coeffs = [normals[i][depth] for i in touch]
@@ -749,7 +736,6 @@ class ScanPlan:
                 residuals[i] = c - a * lo
             values = []
             for x in range(lo, hi + 1):
-                prefix[depth] = x
                 values.append(rec(depth + 1))
                 for i, a in zip(touch, coeffs):
                     residuals[i] -= a
@@ -758,7 +744,7 @@ class ScanPlan:
             return fold(depth, lo, values)
         return rec(0)
 
-    def _count_pair(self, y_box, xlo, xhi, residuals, prefix):
+    def _count_pair(self, y_box, xlo, xhi, residuals):
         """Points (x, y) of the two innermost coordinates with xlo <= x <=
         xhi, in closed form (a leaf of _walk): y's box range narrowed by the
         constraints with no x term, then the pieces between line crossings,

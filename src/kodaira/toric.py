@@ -299,8 +299,8 @@ class SectionSystem:
     level, folded into the constant bounds once; a system with no slope and
     no weight above 1 has one piece at every degree, and counts it once.
 
-    Exponent sets, counts, Gram matrices and their ranks are cached per
-    degree; E is a fixed auxiliary integral divisor (not scaled with k).
+    Counts, Gram matrices and their ranks are cached per degree; E is a
+    fixed auxiliary integral divisor (not scaled with k).
     """
 
     def __init__(self, variety, divisor, metric=None, aux=None,
@@ -341,7 +341,6 @@ class SectionSystem:
                     for r, lam in lams if r == i)))
         self._consts = fold(consts)
         self._fixed = not (any(self._slopes) or self._weighted)
-        self._points = {}
         self._counts = {}
         self._grams = {}
         self._ranks = {}
@@ -356,13 +355,6 @@ class SectionSystem:
                 values[j] += lam * c
         m = len(self.variety.rays)
         return list(zip(values[m::2], values[m + 1::2])), values[:m]
-
-    def exponents(self, k):
-        if k not in self._points:
-            pts = tuple(self._plan.scan(*self._piece(k), collect=True))
-            self._points[k] = pts
-            self._counts[k] = len(pts)
-        return self._points[k]
 
     def count(self, k):
         if k not in self._counts:

@@ -54,6 +54,12 @@ the moment Grams of `SectionSystem.gram` replaced are references too:
 point, read in doubling prefixes, `int_points_rank` on it, and the kappa
 and Iitaka reads on them (`kappa_routes_span_rank`, `iitaka_span_rank`);
 `gram_of_points` builds a point list's Gram matrix point by point.  The
+column walk that listed each innermost column of a `ScanPlan`, before the
+plan kept only counts and moments (`scan_points`, unsplit and unmemoised),
+is the reference for `ScanPlan.scan` and `ScanPlan.moments`, with
+`point_moments` summed point by point; `section_points` lists a section
+system's degree piece with it, and is the default exponent set reader
+`points(k)` of the kappa, Iitaka and semigroup references above.  The
 subadditivity pairs of a coefficient list, compared pair by pair
 (`subadditivity_pairs_pairwise`), are the reference for the row test of
 `subadditivity_scan`.  The two-coordinate count leaf that split every
@@ -70,7 +76,7 @@ polytope back.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import combinations, compress, product
 from operator import and_, index, itemgetter, mul, ne
 
@@ -409,6 +415,69 @@ def grid_lattice_points(constraints, box):
         if all(sum(map(mul, pt, v)) >= c for v, c in folded):
             out.append(pt)
     return sorted(out)
+
+
+def scan_points(plan, box, bounds):
+    """The points u of the box with <u, v_i> >= bounds[i] for the normals
+    v_i of a ScanPlan, in lexicographic order: the column walk the plan
+    once listed points with, unsplit and unmemoised.  Coordinate by
+    coordinate, each constraint whose last nonzero entry is the current
+    coordinate bounds it once the earlier ones are fixed, and the innermost
+    range is listed as a column; a zero normal is checked once.  The
+    reference for `ScanPlan.scan` and `ScanPlan.moments`."""
+    n = plan.dim
+    last = [[] for _ in range(n)]  # constraints by last nonzero entry
+    for i, v in enumerate(plan.normals):
+        support = [j for j, a in enumerate(v) if a]
+        if support:
+            last[support[-1]].append(i)
+        elif bounds[i] > 0:
+            return []
+    if any(lo > hi for lo, hi in box):
+        return []
+    if n == 0:
+        return [()]
+    out, head = [], []
+
+    def rec(depth):
+        lo, hi = box[depth]
+        for i in last[depth]:
+            v = plan.normals[i]
+            c = bounds[i] - sum(map(mul, v, head))
+            if v[depth] > 0:
+                lo = max(lo, -(-c // v[depth]))
+            else:
+                hi = min(hi, c // v[depth])
+        if depth == n - 1:
+            out.extend(tuple(head) + (y,) for y in range(lo, hi + 1))
+            return
+        for x in range(lo, hi + 1):
+            head.append(x)
+            rec(depth + 1)
+            head.pop()
+    rec(0)
+    return out
+
+
+def section_points(system, k):
+    """The exponent set of a `SectionSystem`'s degree-k piece, listed by
+    `scan_points` as a tuple."""
+    return tuple(scan_points(system._plan, *system._piece(k)))
+
+
+def point_moments(points, n):
+    """(N, S1, S2) of a list of points of Z^n, summed point by point: the
+    reference for `ScanPlan.moments`."""
+    pts = list(points)
+    return (len(pts), [sum(p[i] for p in pts) for i in range(n)],
+            [[sum(p[i] * p[j] for p in pts) for j in range(n)]
+             for i in range(n)])
+
+
+def _lister(sys, points):
+    """The degree -> exponent set reader of a reference: points when
+    given, else `section_points` on sys, cached per degree."""
+    return cache(partial(section_points, sys)) if points is None else points
 
 
 def hull_vertex_set(points):
@@ -793,40 +862,44 @@ def span_rank(point_sets, n):
     return rank, gram
 
 
-def kappa_routes_span_rank(sys):
+def kappa_routes_span_rank(sys, points=None):
     """Reference for the rank reads of `toric.kappa1`, `kappa2` and
-    `kappa3`, the span_rank route over collected exponent sets: (kappa1,
-    (kappa2, witness degree), the hull dimension at the top nonempty
-    degree that kappa3 cross-checks against the growth of the counts)."""
+    `kappa3`, the span_rank route over listed exponent sets (points(k),
+    `section_points` by default): (kappa1, (kappa2, witness degree), the
+    hull dimension at the top nonempty degree that kappa3 cross-checks
+    against the growth of the counts)."""
+    points = _lister(sys, points)
     n = sys.variety.lattice_rank
     support = sys.support()
     if not support:
         return NEG_INF, (NEG_INF, None), NEG_INF
-    kappa1 = span_rank(map(sys.exponents, support), n)[0]
+    kappa1 = span_rank(map(points, support), n)[0]
     best, witness = NEG_INF, None
     for k in support:
-        d = int_points_rank(sys.exponents(k))
+        d = int_points_rank(points(k))
         if d > best:
             best, witness = d, k
             if d == n:
                 break
-    return kappa1, (best, witness), int_points_rank(sys.exponents(support[-1]))
+    return kappa1, (best, witness), int_points_rank(points(support[-1]))
 
 
-def iitaka_span_rank(sys, k):
+def iitaka_span_rank(sys, k, points=None):
     """Reference for the reads of `fibration.iitaka_analysis` at degree k
-    (which must have room for 2k), the span_rank route: (image_dim,
+    (which must have room for 2k), the span_rank route over listed exponent
+    sets (points(l), `section_points` by default): (image_dim,
     fiber_relations, degrees_checked) before the final growth check, with
     the same errors.  Every point of every degree is dotted with each
     kernel vector of the degree-k Gram matrix."""
+    points = _lister(sys, points)
     n = sys.variety.lattice_rank
-    image_dim, gram = span_rank([sys.exponents(k)], n)
-    if image_dim != span_rank([sys.exponents(2 * k)], n)[0]:
+    image_dim, gram = span_rank([points(k)], n)
+    if image_dim != span_rank([points(2 * k)], n)[0]:
         raise DegreeBoundError("increase degree bound")
     perp = int_kernel(gram)
     checked = []
     for l in sys.support():
-        pts = sys.exponents(l)
+        pts = points(l)
         for w in perp:
             if len({dot(w, p) for p in pts}) > 1:
                 raise CrossCheckError(
@@ -859,16 +932,18 @@ def diff_lattice_per_point(point_sets, n, stop_at_full_rank=True):
     return lat
 
 
-def kappa1_per_point(sys):
+def kappa1_per_point(sys, points=None):
     """Reference for `toric.kappa1`: every point of each nonempty degree
-    goes into one IntLattice, degree by degree, until it has full rank."""
+    (points(k), `section_points` by default) goes into one IntLattice,
+    degree by degree, until it has full rank."""
+    points = _lister(sys, points)
     n = sys.variety.lattice_rank
     support = sys.support()
     if not support:
         return float("-inf")
     lat = IntLattice(n)
     for k in support:
-        pts = sys.exponents(k)
+        pts = points(k)
         for p in pts[1:]:
             lat.add(vsub(p, pts[0]))
         if lat.rank == n:
@@ -876,20 +951,22 @@ def kappa1_per_point(sys):
     return lat.rank
 
 
-def iitaka_fibers_per_point(sys, k):
+def iitaka_fibers_per_point(sys, k, points=None):
     """Reference for the fiber check of `fibration.iitaka_analysis` at
     degree k: (image dimension, saturated basis of the contracted lattice),
-    where every point's difference from its degree's first point must lie
-    in that lattice (lattice_contains), or CrossCheckError names the
-    first degree that spreads across fibers."""
+    where every point's difference from its degree's first point
+    (points(l), `section_points` by default) must lie in that lattice
+    (lattice_contains), or CrossCheckError names the first degree that
+    spreads across fibers."""
+    points = _lister(sys, points)
     n = sys.variety.lattice_rank
-    bk = diff_lattice_per_point([sys.exponents(k)], n)
+    bk = diff_lattice_per_point([points(k)], n)
     sat = saturate_rows(bk.basis()) if bk.rows else []
     sat_lat = IntLattice(n)
     for row in sat:
         sat_lat.add(row)
     for l in sys.support():
-        pts = sys.exponents(l)
+        pts = points(l)
         for p in pts[1:]:
             if not lattice_contains(sat_lat, vsub(p, pts[0])):
                 raise CrossCheckError(
@@ -1029,12 +1106,14 @@ def from_generators(generators):
     return GradedSemigroup(len(gens[0]) - 1, generators=gens)
 
 
-def to_semigroup(system):
-    """The exponent sets of a `SectionSystem` up to its degree bound, as a
-    degreewise graded semigroup (closed under addition by polytope
-    additivity and coefficient subadditivity)."""
+def to_semigroup(system, points=None):
+    """The exponent sets of a `SectionSystem` up to its degree bound
+    (points(k), `section_points` by default), as a degreewise graded
+    semigroup (closed under addition by polytope additivity and coefficient
+    subadditivity)."""
+    points = _lister(system, points)
     bound = system.degree_bound
-    levels = {k: set(system.exponents(k)) for k in range(1, bound + 1)}
+    levels = {k: set(points(k)) for k in range(1, bound + 1)}
     return GradedSemigroup(system.variety.lattice_rank, levels=levels,
                            check_closure=False, degree_bound=bound)
 
@@ -1201,7 +1280,7 @@ class EveryCrossingPlan(ScanPlan):
                           for j in range(len(p)) for k in range(j + 1, len(p))
                           if p[j] * m[k] != p[k] * m[j]]
 
-    def _count_pair(self, y_box, xlo, xhi, residuals, prefix):
+    def _count_pair(self, y_box, xlo, xhi, residuals):
         p, m = self.p, self.m
         q = [s * residuals[i] for i, s in self.sources]
         q += y_box

@@ -2,10 +2,10 @@
 
 A `ScanPlan` whose normals leave the coordinates in several blocks counts
 and takes moments block by block (intervals in closed form, larger blocks
-as sub-plans); collecting never splits.  These tests check the split count
-and moments against the unsplit collect path and the grid filter on drawn
-block-structured normals, and check product section systems at corpus scale
-against the collected points at every degree.
+as sub-plans).  These tests check the split count and moments against the
+unsplit, unmemoised point lister of the oracles (`scan_points`) and the
+grid filter on drawn block-structured normals, and check product section
+systems at corpus scale against the listed points at every degree.
 """
 
 from fractions import Fraction
@@ -19,7 +19,12 @@ from kodaira.lattice import ScanPlan
 from kodaira.multiplier import SingularMetricData
 from kodaira.toric import SectionSystem, ToricDivisorData, ToricVariety
 
-from _oracles import grid_lattice_points
+from _oracles import (
+    grid_lattice_points,
+    point_moments,
+    scan_points,
+    section_points,
+)
 
 P1 = ToricVariety.projective_space(1)
 P2 = ToricVariety.projective_space(2)
@@ -28,18 +33,19 @@ P1xP1xP1 = ToricVariety.product(ToricVariety.product(P1, P1), P1)
 
 @st.composite
 def block_inputs(draw):
-    """(box, constraints, number of drawn blocks) in dimension 0 to 5.
+    """(box, constraints, number of drawn blocks) in dimension 0 to 6.
 
     The coordinates are cut into consecutive blocks, each block gets up to
     three normals supported inside it (none leaves its coordinates
     untouched), and a random permutation then scatters the blocks, so they
     are not contiguous.  Zero normals ride along; bounds near 0 on boxes
-    around 0 leave some blocks empty and others not."""
-    n = draw(st.integers(0, 5))
+    around 0, some of them empty, leave some blocks empty and others not.
+    Boxes narrow with the dimension, so the grid stays small."""
+    n = draw(st.integers(0, 6))
     perm = draw(st.permutations(range(n)))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
     blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
-    width = (0, 6, 5, 4, 3, 2)[n]
+    width = (0, 6, 5, 4, 3, 2, 2)[n]
     box = []
     for _ in range(n):
         lo = draw(st.integers(-4, 2))
@@ -76,14 +82,10 @@ def test_split_scan_and_moments_match_collected_points(case):
         assert plan.parts is not None
         assert len(plan.intervals) + len(plan.parts) >= min(drawn, n)
     bounds = [c for _, c in cons]
-    points = plan.scan(box, bounds, collect=True)
+    points = scan_points(plan, box, bounds)
     assert points == grid_lattice_points(cons, box)
     assert plan.scan(box, bounds) == len(points)
-    count, sums, squares = plan.moments(box, bounds)
-    assert count == len(points)
-    assert sums == [sum(p[i] for p in points) for i in range(n)]
-    assert squares == [[sum(p[i] * p[j] for p in points) for j in range(n)]
-                       for i in range(n)]
+    assert plan.moments(box, bounds) == point_moments(points, n)
 
 
 def product_systems():
@@ -113,10 +115,7 @@ def test_product_counts_match_unsplit_scan_at_every_degree(name, sys):
     plan = sys._plan
     assert plan.parts is not None  # the product's factors are its blocks
     for k in range(1, sys.degree_bound + 1):
-        box, bounds = sys._piece(k)
-        points = plan.scan(box, bounds, collect=True)  # never split
+        points = section_points(sys, k)  # never split
         assert sys.count(k) == len(points), (name, k)
-        count, sums, _ = plan.moments(box, bounds)
-        assert count == len(points)
-        assert sums == [sum(p[i] for p in points)
-                        for i in range(sys.variety.lattice_rank)]
+        assert plan.moments(*sys._piece(k)) == point_moments(
+            points, sys.variety.lattice_rank)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from operator import add
 
@@ -41,6 +42,7 @@ from _oracles import (
     gram_of_points,
     iitaka_fibers_per_point,
     kappa1_per_point,
+    section_points,
 )
 
 P1 = ToricVariety.projective_space(1)
@@ -338,14 +340,15 @@ def test_iitaka_needs_room():
 
 
 def spread_degree(sys, degree, extra):
-    """(exponents, gram) to patch sys with, so that the given degree also
-    holds the points extra, put right after its first point: the per-point
-    references read the exponents, the library reads the Gram matrices."""
-    exponents, gram = sys.exponents, sys.gram
-    pts = exponents(degree)
+    """(points, gram) in which the given degree also holds the points
+    extra, put right after its first point: the per-point references take
+    the points, and sys is patched with the Gram matrices the library
+    reads."""
+    gram = sys.gram
+    pts = section_points(sys, degree)
     pts = pts[:1] + tuple(extra) + pts[1:]
     spread = gram_of_points(pts, sys.variety.lattice_rank)
-    return (lambda l: pts if l == degree else exponents(l),
+    return (lambda l: pts if l == degree else section_points(sys, l),
             lambda l: spread if l == degree else gram(l))
 
 
@@ -361,18 +364,17 @@ def test_iitaka_degree_across_fibers_raises(variety, coeffs):
     n = variety.lattice_rank
     image_dim, relations = iitaka_fibers_per_point(sys, 4)
     assert image_dim == len(relations) < n
-    base = sys.exponents(3)[0]
+    base = section_points(sys, 3)[0]
     message = "degree 3 spreads across fibers: growth is not contracted"
     for e in product([-1, 0, 1], repeat=n):
         off = tuple(map(add, base, e))
         if affine_dimension([(0,) * n, *relations, e]) == len(relations):
             continue  # e lies in the contracted lattice
         with pytest.MonkeyPatch.context() as mp:
-            exponents, gram = spread_degree(sys, 3, [off])
-            mp.setattr(sys, "exponents", exponents)
+            points, gram = spread_degree(sys, 3, [off])
             mp.setattr(sys, "gram", gram)
             with pytest.raises(CrossCheckError, match=message):
-                iitaka_fibers_per_point(sys, 4)
+                iitaka_fibers_per_point(sys, 4, points)
             with pytest.raises(CrossCheckError, match=message):
                 iitaka(sys)
 
@@ -383,9 +385,10 @@ VARIETIES = [P1, P2, P1xP1, ToricVariety.hirzebruch(1),
 
 @st.composite
 def section_systems(draw):
-    """A small section system, its exponent sets optionally patched so that
-    one degree gains a few points near its first one (on its fiber or off
-    it)."""
+    """(sys, points): a small section system and the exponent set reader
+    of the references, `section_points` on sys or, with sys's Gram matrices
+    patched to match, one in which a degree gains a few points near its
+    first one (on its fiber or off it)."""
     var = draw(st.sampled_from(VARIETIES))
     n = var.lattice_rank
     coeffs = draw(st.tuples(*[st.sampled_from([0, 0, 0, 1, 2, -1])] * len(var.rays)))
@@ -396,14 +399,15 @@ def section_systems(draw):
                         metric=SingularMetricData(weights),
                         degree_bound=draw(st.integers(4, 10 if n < 3 else 6)))
     support = sys.support()
+    points = partial(section_points, sys)
     if support and draw(st.booleans()):
         degree = draw(st.sampled_from(support))
-        base = sys.exponents(degree)[0]
+        base = section_points(sys, degree)[0]
         offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                                 min_size=1, max_size=3))
         extra = [tuple(map(add, base, u)) for u in offsets]
-        sys.exponents, sys.gram = spread_degree(sys, degree, extra)
-    return sys
+        points, sys.gram = spread_degree(sys, degree, extra)
+    return sys, points
 
 
 def outcome(call):
@@ -415,20 +419,21 @@ def outcome(call):
 
 @settings(max_examples=300)
 @given(section_systems())
-def test_spans_match_per_point_references(sys):
+def test_spans_match_per_point_references(case):
+    sys, points = case
     n = sys.variety.lattice_rank
-    assert kappa1(sys) == kappa1_per_point(sys)
+    assert kappa1(sys) == kappa1_per_point(sys, points)
     support = sys.support()
     k = max((d for d in support if 2 * d <= sys.degree_bound), default=None)
     if k is None:
         return
-    rank_k = diff_lattice_per_point([sys.exponents(k)], n).rank
-    rank_2k = diff_lattice_per_point([sys.exponents(2 * k)], n).rank
+    rank_k = diff_lattice_per_point([points(k)], n).rank
+    rank_2k = diff_lattice_per_point([points(2 * k)], n).rank
     kind, got = outcome(lambda: iitaka(sys))
     if rank_k != rank_2k:
         assert (kind, got) == ("DegreeBoundError", "increase degree bound")
         return
-    want_kind, want = outcome(lambda: iitaka_fibers_per_point(sys, k))
+    want_kind, want = outcome(lambda: iitaka_fibers_per_point(sys, k, points))
     if want_kind != "ok":
         assert (kind, got) == (want_kind, want)
     elif kind == "ok":

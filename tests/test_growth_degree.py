@@ -253,7 +253,7 @@ def test_kappa_sigma_counts_only_the_degrees_it_reads(monkeypatch):
     scanned = []
     real_piece = SectionSystem._piece
 
-    def piece(sys, k):  # every count, collection or moment scan builds one
+    def piece(sys, k):  # every count or moment scan builds one
         scanned.append(k)
         return real_piece(sys, k)
 

@@ -4,8 +4,8 @@ SectionSystem counts each degree piece by shifting integer bounds; these
 tests rebuild the same piece independently as a Fraction divisor polytope,
 scanned over its vertex box (no direction multipliers), and, where the box
 is small, filter an integer grid through its constraints.  The closed-form
-count of the two innermost coordinates is checked against the
-point-collecting column scan and the grid filter on arbitrary integer
+count of the two innermost coordinates is checked against the oracles'
+point lister (`scan_points`) and the grid filter on arbitrary integer
 constraints, and against the leaf that split every integer line crossing
 (`EveryCrossingPlan`) on drawn one-block plans whose lines cross at integer
 points.
@@ -30,8 +30,11 @@ from kodaira.toric import (
 from _oracles import (
     EveryCrossingPlan,
     grid_lattice_points,
+    point_moments,
     rational_pairs,
     rational_polytope,
+    scan_points,
+    section_points,
 )
 
 P1 = ToricVariety.projective_space(1)
@@ -93,12 +96,14 @@ def test_integer_count_matches_fraction_polytope(piece):
     expected = []
     if verts:
         box = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*verts)]
-        expected = ScanPlan(variety.lattice_rank, variety.rays).scan(
-            box, [-c for c in effective], collect=True)
+        expected = scan_points(ScanPlan(variety.lattice_rank, variety.rays),
+                               box, [-c for c in effective])
 
     assert sys.count(k) == len(expected)
-    assert list(sys.exponents(k)) == expected
+    assert list(section_points(sys, k)) == expected
     assert sys.count(k) == len(expected)  # served from the cache
+    assert sys._plan.moments(*sys._piece(k)) == point_moments(
+        expected, variety.lattice_rank)
 
     if verts:
         box = [(lo - 1, hi + 1) for lo, hi in box]
@@ -157,13 +162,14 @@ def test_closed_form_count_matches_column_scan_and_grid(case):
     box, cons, again = case
     normals, bounds = [v for v, _ in cons], [c for _, c in cons]
     plan = ScanPlan(len(box), normals)
-    points = plan.scan(box, bounds, collect=True)
+    points = scan_points(plan, box, bounds)
     assert plan.scan(box, bounds) == len(points)
+    assert plan.moments(box, bounds) == point_moments(points, len(box))
     if math.prod(max(hi - lo + 1, 0) for lo, hi in box) <= GRID_LIMIT:
         assert grid_lattice_points(cons, box) == points
     # one plan serves any bounds under the same normals
-    assert plan.scan(box, again) == len(ScanPlan(len(box), normals).scan(
-        box, again, collect=True))
+    assert plan.scan(box, again) == len(scan_points(
+        ScanPlan(len(box), normals), box, again))
 
 
 @st.composite

@@ -43,10 +43,12 @@ from _oracles import (
     int_points_rank,
     interpolate_polynomial,
     laplace_det,
+    point_moments,
     rational_hull,
     rational_pairs,
     rational_polytope,
     saturate_rows_euclid,
+    scan_points,
     span_rank,
 )
 
@@ -294,11 +296,16 @@ def square_polytope(side):
     return Polytope(2, SQUARE_NORMALS, [0, -side, 0, -side])
 
 
-def scan(cons, box, collect=True):
-    """The integer points (or their number) of the box with <u, v> >= c
-    for every (v, c) in cons, for integer bounds c."""
-    return ScanPlan(len(box), [v for v, _ in cons]).scan(
-        box, [c for _, c in cons], collect)
+def scan(cons, box):
+    """The integer points of the box with <u, v> >= c for every (v, c) in
+    cons, for integer bounds c, listed by the oracle; ScanPlan's count and
+    moments must agree with them."""
+    plan = ScanPlan(len(box), [v for v, _ in cons])
+    bounds = [c for _, c in cons]
+    pts = scan_points(plan, box, bounds)
+    assert plan.scan(box, bounds) == len(pts)
+    assert plan.moments(box, bounds) == point_moments(pts, len(box))
+    return pts
 
 
 def test_square_lattice_points():
@@ -306,7 +313,6 @@ def test_square_lattice_points():
     pts = scan(cons, [(-1, 3)] * 2)
     assert len(pts) == 9
     assert pts == sorted(pts)
-    assert scan(cons, [(-1, 3)] * 2, collect=False) == 9
 
 
 def test_simplex_lattice_points_binomial():
@@ -365,8 +371,7 @@ def test_ehrhart_interpolation():
 
         def count(k):  # each polytope lies in the unit cube
             q = dilate(poly, k)
-            return scan(list(zip(q.normals, q.bounds)), [(0, k)] * d,
-                        collect=False)
+            return ScanPlan(d, q.normals).scan([(0, k)] * d, q.bounds)
         ehr = interpolate_polynomial([(k, count(k)) for k in range(d + 1)])
         for k in range(d + 1, d + 4):
             assert ehr(k) == count(k)

@@ -1,10 +1,11 @@
 """Differential tests of the rank reads from integer moment Grams.
 
-`ScanPlan.moments` is checked against the points the column scan collects,
-and the Gram ranks of `kappa1`, `kappa2`, `kappa3` and the Iitaka analysis
-against the span_rank route over collected exponent sets that they
-replaced (`kappa_routes_span_rank`, `iitaka_span_rank`), on the corpus and
-on drawn systems, rank-deficient and metric-twisted ones included.
+`ScanPlan.moments` is checked against the points the oracles' column walk
+lists (`scan_points`), and the Gram ranks of `kappa1`, `kappa2`, `kappa3`
+and the Iitaka analysis against the span_rank route over listed exponent
+sets that they replaced (`kappa_routes_span_rank`, `iitaka_span_rank`), on
+the corpus and on drawn systems, rank-deficient and metric-twisted ones
+included.
 """
 
 from fractions import Fraction
@@ -29,7 +30,14 @@ from kodaira.toric import (
 from kodaira.fibration import iitaka_analysis
 
 from _corpus import corpus_section_systems
-from _oracles import gram_of_points, iitaka_span_rank, kappa_routes_span_rank
+from _oracles import (
+    gram_of_points,
+    iitaka_span_rank,
+    kappa_routes_span_rank,
+    point_moments,
+    scan_points,
+    section_points,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +69,10 @@ def test_moments_match_collected_points(case):
     box, cons = case
     n = len(box)
     plan = ScanPlan(n, [v for v, _ in cons])
-    points = plan.scan(box, [c for _, c in cons], collect=True)
-    count, sums, squares = plan.moments(box, [c for _, c in cons])
-    assert count == len(points) == plan.scan(box, [c for _, c in cons])
-    assert sums == [sum(p[i] for p in points) for i in range(n)]
-    assert squares == [[sum(p[i] * p[j] for p in points) for j in range(n)]
-                       for i in range(n)]
+    bounds = [c for _, c in cons]
+    points = scan_points(plan, box, bounds)
+    assert plan.moments(box, bounds) == point_moments(points, n)
+    assert plan.scan(box, bounds) == len(points)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +92,10 @@ def iitaka_degree(sys):
                default=None)
 
 
-def assert_gram_route_matches(sys):
-    want1, want2, top_dim = kappa_routes_span_rank(sys)
+def assert_gram_route_matches(sys, points=None):
+    """The library's Gram reads of sys against the span_rank route over
+    points(k), `section_points` by default."""
+    want1, want2, top_dim = kappa_routes_span_rank(sys, points)
     assert kappa1(sys) == want1
     assert kappa2(sys) == want2[0]
     # kappa3 reads the top degree's rank, then cross-checks the counts
@@ -107,7 +115,7 @@ def assert_gram_route_matches(sys):
     if k is not None:
         kind, got = outcome(
             lambda: iitaka_analysis(sys, lambda: kappa_report(sys).kappa))
-        want_kind, want = outcome(lambda: iitaka_span_rank(sys, k))
+        want_kind, want = outcome(lambda: iitaka_span_rank(sys, k, points))
         if want_kind != "ok":
             assert (kind, got) == (want_kind, want)
         elif kind == "ok":
@@ -152,23 +160,25 @@ def drawn_systems(draw):
 @given(drawn_systems(), st.data())
 def test_gram_route_matches_span_rank_on_drawn_systems(sys, data):
     support = sys.support()
+    points = None
     if support and data.draw(st.booleans()):
         # one degree gains a few points near its first one, on its fiber
-        # or off it: the references read them from the exponents, the
+        # or off it: the references read them as their points, the
         # library from the Gram matrix of the spread set
         degree = data.draw(st.sampled_from(support))
         n = sys.variety.lattice_rank
-        base = sys.exponents(degree)[0]
+        listed = section_points(sys, degree)
+        base = listed[0]
         offsets = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                                      min_size=1, max_size=3))
-        pts = sys.exponents(degree)[:1] + tuple(
+        pts = listed[:1] + tuple(
             tuple(b + u for b, u in zip(base, off)) for off in offsets
-        ) + sys.exponents(degree)[1:]
+        ) + listed[1:]
         spread = gram_of_points(pts, n)
-        exponents, gram = sys.exponents, sys.gram
-        sys.exponents = lambda l: pts if l == degree else exponents(l)
+        gram = sys.gram
         sys.gram = lambda l: spread if l == degree else gram(l)
-    assert_gram_route_matches(sys)
+        points = lambda l: pts if l == degree else section_points(sys, l)
+    assert_gram_route_matches(sys, points)
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,5 +189,6 @@ def test_gram_is_the_gram_of_the_collected_points(sys, data):
     counted = data.draw(st.booleans())  # the shortcut for < 2 points
     if counted:
         sys.count(k)
-    assert sys.gram(k) == gram_of_points(sys.exponents(k), n)
-    assert sys.count(k) == len(sys.exponents(k))
+    points = section_points(sys, k)
+    assert sys.gram(k) == gram_of_points(points, n)
+    assert sys.count(k) == len(points)

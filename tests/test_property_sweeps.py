@@ -87,7 +87,12 @@ def test_polytope_sweep_against_grid_oracle():
     import math
 
     from kodaira.lattice import ScanPlan
-    from _oracles import fm_is_empty, grid_lattice_points, rational_polytope
+    from _oracles import (
+        fm_is_empty,
+        grid_lattice_points,
+        point_moments,
+        rational_polytope,
+    )
 
     rng = random.Random(99)
     for _ in range(120):
@@ -102,7 +107,9 @@ def test_polytope_sweep_against_grid_oracle():
         plan = ScanPlan(n, poly.normals)
         bounds = [-(-b // poly.den) for b in poly.bounds]
         if poly.is_empty():
-            assert plan.scan([(-40, 40)] * n, bounds, collect=True) == []
+            box = [(-40, 40)] * n
+            assert plan.scan(box, bounds) == 0
+            assert plan.moments(box, bounds) == point_moments([], n)
             # rationally empty, so with no lattice point anywhere
             assert fm_is_empty(poly)
             continue
@@ -113,8 +120,8 @@ def test_polytope_sweep_against_grid_oracle():
                 math.ceil(max(v[i] for v in verts)) + 2)
                for i in range(n)]
         pts = grid_lattice_points(cons, box)
-        assert plan.scan(box, bounds, collect=True) == pts
         assert plan.scan(box, bounds) == len(pts)
+        assert plan.moments(box, bounds) == point_moments(pts, n)
 
 
 def test_hnf_sweep_canonical_and_unimodular():

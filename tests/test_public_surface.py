@@ -8,11 +8,10 @@ when any attribute of that name is read: an unused method that shares its
 name with a used one passes unseen, as `GradedSemigroup.support` did beside
 `SectionSystem.support` until it was deleted.  KEEP lists the names no library
 code reads that stay: the multiplier coefficient, which the package exports
-and the acceptance tests read; the exponent sets of a section system, which
-the benchmark's tracer wraps by name and the tests read; and the trivial
-curve class, the unit of the curve divisor classes.  A routine only tests
-need lives in the tests, as the semigroup constructors and the decoded
-level of `tests/_oracles.py` do.
+and the acceptance tests read, and the trivial curve class, the unit of the
+curve divisor classes.  A routine only tests need lives in the tests, as
+the semigroup constructors, the decoded level and the point lister of
+`tests/_oracles.py` do.
 
 Likewise every option, a defaulted parameter of such a function or method
 or a dataclass field with a default, must be passed by some call in
@@ -32,7 +31,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "kodaira"
 
 KEEP = {
-    "toric.SectionSystem.exponents",
     "multiplier.multiplier_coeff",
     "curve.CurveDivisorClass.trivial",
 }
@@ -102,12 +100,11 @@ def test_guard_flags_a_routine_only_tests_call(tmp_path):
 # -- options -----------------------------------------------------------------
 
 # defaulted parameters no library call passes that stay: the console entry
-# point's argv, and the two leaf arguments that ScanPlan._walk passes to any
-# leaf through its `leaf` parameter, which no bare name matches
+# point's argv, and the residuals that ScanPlan._walk passes to any leaf
+# through its `leaf` parameter, which no bare name matches
 OPTION_KEEP = {
     "cli.main.argv",
     "lattice._column_moments.residuals",
-    "lattice._column_moments.prefix",
 }
 
 

@@ -21,7 +21,7 @@ from kodaira.toric import (
     limit_polytope,
 )
 
-from _oracles import ample_by_vertices, to_semigroup
+from _oracles import ample_by_vertices, section_points, to_semigroup
 
 P1 = ToricVariety.projective_space(1)
 P2 = ToricVariety.projective_space(2)
@@ -107,7 +107,9 @@ def test_nonprimitive_ray_rejected():
 
 def test_p1_degree_two():
     d = ToricDivisorData((0, 2))
-    assert SectionSystem(P1, d).exponents(1) == ((0,), (1,), (2,))
+    sys = SectionSystem(P1, d)
+    assert section_points(sys, 1) == ((0,), (1,), (2,))
+    assert sys.count(1) == 3
 
 
 def test_p2_canonical_empty():
@@ -128,7 +130,9 @@ def test_fractional_divisor_needs_k0():
     # degree 1 of the system is k0 D = 2 D, the first integral multiple
     d = ToricDivisorData((Fraction(1, 2), 1))
     assert d.k0 == 2 and not d.is_integral()
-    assert SectionSystem(P1, d).exponents(1) == ((-1,), (0,), (1,), (2,))
+    sys = SectionSystem(P1, d)
+    assert section_points(sys, 1) == ((-1,), (0,), (1,), (2,))
+    assert sys.count(1) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +144,25 @@ def test_sections_metric_shift():
     m = ToricDivisorData((0, 2))
     h = SingularMetricData([(0, 2)])
     for k in (1, 2, 5, 9):
-        pts = SectionSystem(P1, m, h, degree_bound=k).exponents(k)
-        assert pts == tuple((u,) for u in range(k + 1, 2 * k + 1))
-        assert len(pts) == k
+        sys = SectionSystem(P1, m, h, degree_bound=k)
+        assert section_points(sys, k) == tuple((u,) for u in range(k + 1, 2 * k + 1))
+        assert sys.count(k) == k
 
 
 def test_sections_separation_instance_empty():
     m = ToricDivisorData((0, 0))
     h = SingularMetricData([(0, 1)])
     for k in (1, 2, 7):
-        assert SectionSystem(P1, m, h, degree_bound=k).exponents(k) == ()
+        sys = SectionSystem(P1, m, h, degree_bound=k)
+        assert section_points(sys, k) == ()
+        assert sys.count(k) == 0
 
 
 def test_sections_empty_polytope():
     m = ToricDivisorData.canonical(P2)
-    assert SectionSystem(P2, m, degree_bound=3).exponents(3) == ()
+    sys = SectionSystem(P2, m, degree_bound=3)
+    assert section_points(sys, 3) == ()
+    assert sys.count(3) == 0
 
 
 def test_metric_id_off_the_rays_is_refused_by_name():
