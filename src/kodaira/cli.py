@@ -200,7 +200,8 @@ def parse_instance(doc, path="<instance>"):
         raise ValidationError(
             f"unsupported schema_version {doc['schema_version']!r}")
     kind = doc["kind"]
-    if kind not in ("semigroup", "toric_kappa", "fibration", "multiplier_scan"):
+    # a JSON list or object as kind is unhashable: no dict lookup for it
+    if not isinstance(kind, str) or kind not in KIND_COMMANDS:
         raise ValidationError(f"unknown kind {kind!r}")
     options = doc.get("options", {})
     _require_keys(options, [], ["max_degree", "strides", "growth_k_max"],
@@ -404,23 +405,24 @@ def cmd_fibration(body, options):
 
     verdicts = [run_check(inst, check, twist) for check in
                 _list(body.get("checks", inst.default_checks), "checks")]
+    # read after the verdicts, so that a bad check id is the error before
+    # any invariant is computed, and in the instance's order
+    rep, sigma, sigma_hor, fiber, base = inst.invariants()
 
     failed = sum(0 if v.holds else 1 for v in verdicts)
     report = {
         "kind": "fibration",
         "max_degree": max_degree,
         "variant": variant,
-        # read off the instance in its order: report, kappa_sigma,
-        # kappa_sigma_hor, fiber, base (the first to raise is the error)
         "summary": {
-            "kappa": _kappa_json(inst.report.kappa),
-            "kappa_sigma": _kappa_json(inst.kappa_sigma),
-            "kappa_sigma_hor": _kappa_json(inst.kappa_sigma_hor),
-            "fiber_kappa": _kappa_json(inst.fiber[0]),
-            "fiber_kappa_sigma": _kappa_json(inst.fiber[1]),
-            "base_kappa": _kappa_json(inst.base[0]),
-            "base_kappa_sigma": _kappa_json(inst.base[1]),
-            "witness_degree": inst.report.witness_degree,
+            "kappa": _kappa_json(rep.kappa),
+            "kappa_sigma": _kappa_json(sigma),
+            "kappa_sigma_hor": _kappa_json(sigma_hor),
+            "fiber_kappa": _kappa_json(fiber[0]),
+            "fiber_kappa_sigma": _kappa_json(fiber[1]),
+            "base_kappa": _kappa_json(base[0]),
+            "base_kappa_sigma": _kappa_json(base[1]),
+            "witness_degree": rep.witness_degree,
         },
         "verdicts": [
             {
@@ -469,6 +471,16 @@ def cmd_multiplier_scan(body, options):
         ],
     }
     return (EXIT_OK if rep.ok else EXIT_VERDICT), report, None
+
+
+# instance kind -> its command on (body, options), called by its module
+# name at call time, so that a wrapper rebound to that name sees the call
+KIND_COMMANDS = {
+    "semigroup": lambda body, options: cmd_semigroup(body, options),
+    "toric_kappa": lambda body, options: cmd_kappa(body, options),
+    "fibration": lambda body, options: cmd_fibration(body, options),
+    "multiplier_scan": lambda body, options: cmd_multiplier_scan(body, options),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +609,7 @@ def run_instance(doc, path="<instance>", overrides=None, command=None):
         raise ValidationError("strides must be a list")
     for a in options.get("strides", []):
         _int(a, "stride", positive=True)
-    if kind == "semigroup":
-        return cmd_semigroup(body, options)
-    if kind == "toric_kappa":
-        return cmd_kappa(body, options)
-    if kind == "fibration":
-        return cmd_fibration(body, options)
-    return cmd_multiplier_scan(body, options)
+    return KIND_COMMANDS[kind](body, options)
 
 
 def _run_file(path, overrides, command=None):
@@ -675,7 +681,7 @@ def build_parser():
         description=("Exact section growth invariants, Newton-Okounkov bodies "
                      "and multiplier-ideal checks on toric and curve models"))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("semigroup", "kappa", "fibration"):
+    for name in COMMAND_KINDS:
         p = sub.add_parser(name, parents=[common])
         p.add_argument("file")
     p = sub.add_parser("verify-suite", parents=[common])

@@ -40,11 +40,6 @@ class CurveDivisorClass:
         return cls(as_int(degree, "degree"))
 
     @classmethod
-    def trivial(cls):
-        """0K, the trivial class on any curve."""
-        return cls(0, 0)
-
-    @classmethod
     def canonical_multiple(cls, curve, k):
         k = as_int(k, "multiple")
         return cls(k * (2 * curve.genus - 2), k)

@@ -20,7 +20,7 @@ from .curve import (
     kappa_curve,
     kappa_sigma_curve,
 )
-from .lattice import NEG_INF, dot, int_kernel, saturate_rows
+from .lattice import NEG_INF, dot, hnf_basis, int_kernel
 from .multiplier import EMPTY_METRIC, SingularMetricData, _coeff
 from .semigroup import DegreeBoundError
 from .toric import (
@@ -105,19 +105,34 @@ def hirzebruch_fibration(a):
 # An instance is the only record of its growth invariants.  Each is computed
 # on first read and kept (cached_property) for all verdicts and the CLI
 # summary: report (the total-space kappa triple), kappa_sigma,
-# kappa_sigma_hor and the (kappa, kappa_sigma) pairs fiber and base.  The
-# summary reads them in that order, and `run_check` reads all five in that
-# order before any verdict, so every check list computes them in the same
-# order; the order of the reads fixes the order of the computations and so
-# the first error raised.  A part that raises is not kept.  Nothing
-# kept refers back to the instance, so dropping it frees it.  Do not change
-# an instance after its first read.
+# kappa_sigma_hor and the (kappa, kappa_sigma) pairs fiber and base.
+# `invariants()` reads the five in that order for `run_check`, before any
+# verdict, and for the summary, so the order of the reads, which fixes the
+# first error raised, is the same for every check list.  Every fiber count
+# reads one kept aux-free general-fiber system, `fiber_system`.  A part that
+# raises is not kept.  Nothing kept refers back to the instance, so dropping
+# it frees it.  Do not change an instance after its first read.
 
 class _FiberSpace:
-    """What both instance shapes share: the general fiber's invariants,
-    read off fiber_data() (fiber model, restricted divisor, restricted
-    metric; torus-invariant and split data restrict identically to every
-    fiber over the open orbit) and the cached fiber_report."""
+    """What both instance shapes share: the general fiber's section system,
+    its growth report and its invariants, read off fiber_data() (fiber
+    model, restricted divisor, restricted metric; torus-invariant and split
+    data restrict identically to every fiber over the open orbit), and the
+    read order of the invariants."""
+
+    def invariants(self):
+        """(report, kappa_sigma, kappa_sigma_hor, fiber, base), in order."""
+        return (self.report, self.kappa_sigma, self.kappa_sigma_hor,
+                self.fiber, self.base)
+
+    @cached_property
+    def fiber_system(self):
+        """The aux-free SectionSystem of the general fiber."""
+        return SectionSystem(*self.fiber_data(), degree_bound=self.degree_bound)
+
+    @cached_property
+    def fiber_report(self):
+        return kappa_report(self.fiber_system)
 
     @cached_property
     def fiber(self):
@@ -200,11 +215,6 @@ class ToricFibrationInstance(_FiberSpace):
                                degree_bound=self.degree_bound)
 
     @cached_property
-    def fiber_report(self):
-        return kappa_report(SectionSystem(*self.fiber_data(),
-                                          degree_bound=self.degree_bound))
-
-    @cached_property
     def base(self):
         """(kappa, kappa_sigma) of the base with its log or canonical divisor."""
         base, m = self.fibration.base, self.base_divisor()
@@ -226,8 +236,7 @@ class ToricFibrationInstance(_FiberSpace):
                             aux=fib.pullback_divisor(base_twist),
                             degree_bound=1).count(1)
         base_h0 = SectionSystem(fib.base, base_twist, degree_bound=1).count(1)
-        rank = SectionSystem(*self.fiber_data(), degree_bound=1).count(1)
-        return lhs, base_h0, rank
+        return lhs, base_h0, self.fiber_system.count(1)
 
 
 @dataclass
@@ -283,28 +292,16 @@ class CurveProductInstance(_FiberSpace):
     def fiber_data(self):
         return self.fiber_variety, self.fiber_divisor, self.fiber_metric
 
-    @cached_property
-    def _plain_fiber_system(self):
-        return SectionSystem(*self.fiber_data(), degree_bound=self.degree_bound)
-
-    def fiber_system(self, aux=None):
-        """The fiber SectionSystem twisted by the integral divisor aux; the
-        aux-free one is built once, so its counts are shared."""
-        if aux is None:
-            return self._plain_fiber_system
-        return SectionSystem(*self.fiber_data(), aux=aux,
-                             degree_bound=self.degree_bound)
-
-    @cached_property
-    def fiber_report(self):
-        return kappa_report(self.fiber_system())
-
     def product_period(self):
         """The lcm of the curve-side and fiber periods."""
-        return lcm(self.base_period(), self.fiber_system().period())
+        return lcm(self.base_period(), self.fiber_system.period())
 
     def product_counts(self, base_extra=0, fiber_aux=None):
-        sys = self.fiber_system(aux=fiber_aux)
+        """Curve-side counts times the fiber's, twisted by fiber_aux if given."""
+        sys = self.fiber_system
+        if fiber_aux is not None:
+            sys = SectionSystem(*self.fiber_data(), aux=fiber_aux,
+                                degree_bound=self.degree_bound)
         return [self.base_count(k, base_extra) * sys.count(k)
                 for k in range(1, self.degree_bound + 1)]
 
@@ -380,7 +377,7 @@ class CurveProductInstance(_FiberSpace):
         """(h^0 of the degree-1 product twisted by base_twist on the curve,
         h^0 of the base twist, fiber section count at degree 1)."""
         base = self.base_count(1, extra_degree=base_twist.degree)
-        rank = self.fiber_system().count(1)
+        rank = self.fiber_system.count(1)
         return base * rank, curve_h0(self.curve, base_twist), rank
 
 
@@ -531,12 +528,12 @@ _CHECKS = {
 def run_check(inst, check, twist):
     """The verdict of one check id on an instance (twist: the degree of the
     addti base twist); ValueError when the check is unknown or does not
-    apply.  The invariants are read first, in the summary's order (see the
-    instances)."""
+    apply.  The invariants are read first, in the summary's order
+    (invariants())."""
     if not isinstance(check, str) or check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")
     _require(inst, check)
-    inst.report, inst.kappa_sigma, inst.kappa_sigma_hor, inst.fiber, inst.base
+    inst.invariants()
     return _CHECKS[check](inst, twist)
 
 
@@ -568,8 +565,8 @@ def iitaka_analysis(sys, growth):
     Every read is a rank or a kernel of the degrees' Gram matrices
     (SectionSystem.gram): image_dim and the 2k stability check are their
     ranks, the contracted lattice is the saturation of the degree-k Gram
-    rows, and degree l maps to one coset iff its Gram matrix kills the
-    kernel of the degree-k one."""
+    rows, read off the kernel of the degree-k Gram matrix, and degree l maps
+    to one coset iff its Gram matrix kills that kernel."""
     support = sys.support()
     if not support:
         raise ValueError("empty section system")
@@ -590,24 +587,24 @@ def iitaka_analysis(sys, growth):
     # degree's Gram matrix G is positive semidefinite with w^T G w half the
     # sum of <w, p - q>^2 over its pairs of points, so <w, .> is constant on
     # the degree iff G w = 0
-    sat = saturate_rows(gram)
     perp = int_kernel(gram)
-    checked = []
     for l in support:
         g = sys.gram(l)
         if any(dot(row, w) for w in perp for row in g):
             raise CrossCheckError(
                 f"degree {l} spreads across fibers: growth is not contracted")
-        checked.append(l)
 
     total_kappa = growth()
     if image_dim != total_kappa:
         raise CrossCheckError(
             f"image dimension {image_dim} disagrees with growth {total_kappa}")
 
+    # L is the kernel of perp's transpose, the vectors orthogonal to every
+    # w: all of Z^n when perp is empty, the kernel of n empty rows
+    sat = hnf_basis(int_kernel([tuple(w[i] for w in perp) for i in range(n)]))
     return IitakaAnalysis(
         image_dim=image_dim,
         fiber_lattice_rank=n - len(sat),
         fiber_relations=tuple(sat),
         fiber_kappa=0,
-        degrees_checked=tuple(checked))
+        degrees_checked=tuple(support))

@@ -179,20 +179,6 @@ def int_kernel(rows):
     return [u[i] for i in range(len(h)) if is_zero(h[i])]
 
 
-def saturate_rows(rows):
-    """Basis of the saturation (rational row span intersected with Z^n)."""
-    basis = hnf_basis(rows)
-    if not basis:
-        return []
-    n = len(basis[0])
-    # orthogonal complement of the span, then complement again
-    perp = int_kernel([tuple(r[i] for r in basis) for i in range(n)])
-    if not perp:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    sat = int_kernel([tuple(p[i] for p in perp) for i in range(n)])
-    return hnf_basis(sat)
-
-
 def _reduce(echelon, row, ncols):
     """(row, col): an integer row after fraction-free (Bareiss 1968)
     elimination against echelon, the (column, row, pivot) triples of the

@@ -235,11 +235,6 @@ class ToricDivisorData:
         object.__setattr__(out, "k0", k0 // g)
         return out
 
-    @property
-    def coefficients(self):
-        """The b_rho as Fractions."""
-        return tuple(Fraction(n, self.k0) for n in self.nums)
-
     def is_integral(self):
         return self.k0 == 1
 
@@ -310,7 +305,6 @@ class SectionSystem:
         self.metric = metric
         if aux is not None and not aux.is_integral():
             raise ValueError("auxiliary divisor must be integral")
-        self.aux = aux
         self.degree_bound = as_int(degree_bound, "degree_bound")
         self.k0 = divisor.k0
         # the bounds of the rays, then the lower and upper box end of each

@@ -99,7 +99,6 @@ from kodaira.lattice import (
     int_hull,
     int_kernel,
     rat_rank,
-    saturate_rows,
     volume_sum,
     vsub,
     xgcd,
@@ -602,7 +601,7 @@ def is_ample_cramer(variety, divisor):
     ray outside it."""
     if not divisor.is_integral():
         return False
-    b = [int(c) for c in divisor.coefficients]
+    b = [int(c) for c in ray_fractions(divisor)]
     for cone in variety.max_cones:
         rows = [variety.rays[i] + (-b[i],) for i in sorted(cone)]
         det = laplace_det([r[:-1] for r in rows])
@@ -621,7 +620,7 @@ def ample_by_vertices(variety, divisor):
     distinct, so that the normal fan of P_D is the fan itself."""
     if not divisor.is_integral():
         return False
-    b = divisor.coefficients
+    b = ray_fractions(divisor)
     cone_points = [
         solve_linear_system([variety.rays[i] for i in sorted(cone)],
                             [-b[i] for i in sorted(cone)])
@@ -905,7 +904,7 @@ def iitaka_span_rank(sys, k, points=None):
                 raise CrossCheckError(
                     f"degree {l} spreads across fibers: growth is not contracted")
         checked.append(l)
-    return image_dim, tuple(saturate_rows(gram)), tuple(checked)
+    return image_dim, tuple(saturate_rows_euclid(gram)), tuple(checked)
 
 
 def gram_of_points(points, n):
@@ -961,7 +960,7 @@ def iitaka_fibers_per_point(sys, k, points=None):
     points = _lister(sys, points)
     n = sys.variety.lattice_rank
     bk = diff_lattice_per_point([points(k)], n)
-    sat = saturate_rows(bk.basis()) if bk.rows else []
+    sat = saturate_rows_euclid(bk.basis()) if bk.rows else []
     sat_lat = IntLattice(n)
     for row in sat:
         sat_lat.add(row)
@@ -1040,9 +1039,11 @@ def int_kernel_euclid(rows):
 
 
 def saturate_rows_euclid(rows):
-    """Reference for `lattice.saturate_rows` on the Euclid chase: the
-    integer kernel of the transposed basis (the orthogonal complement of
-    the span), the kernel of its transpose, and that lattice's HNF."""
+    """The saturation of the rows' span (its rational span met with Z^n) on
+    the Euclid chase, the reference for the contracted lattice of
+    `fibration.iitaka_analysis`: the integer kernel of the transposed basis
+    (the orthogonal complement of the span), the kernel of its transpose,
+    and that lattice's HNF."""
     basis = hnf_basis_euclid(rows)
     if not basis:
         return []
@@ -1211,6 +1212,15 @@ class FractionDivisor:
     def add(self, other):
         return FractionDivisor(tuple(a + b for a, b in
                                      zip(self.coefficients, other.coefficients)))
+
+
+def ray_fractions(divisor):
+    """The ray coefficients b_rho of a divisor as Fractions: a
+    `FractionDivisor`'s own, and Fraction(n, k0) off the numerators of a
+    `toric.ToricDivisorData`."""
+    if isinstance(divisor, FractionDivisor):
+        return divisor.coefficients
+    return tuple(Fraction(n, divisor.k0) for n in divisor.nums)
 
 
 def pullback_reference(fib, base_divisor):

@@ -91,6 +91,19 @@ def test_wrong_kind_for_command(tmp_path):
     assert main(["kappa", write_instance(tmp_path, staircase_doc())]) == 2
 
 
+def test_unknown_or_unhashable_kind_is_input_error(tmp_path, capsys):
+    # a JSON list or object as kind cannot be looked up in the table of
+    # kinds; it is an unknown kind like any other, not a TypeError
+    for kind in ("polytope", ["semigroup"], {"kind": "semigroup"}, 3, None):
+        doc = {**staircase_doc(), "kind": kind}
+        message = f"unknown kind {kind!r}"
+        path = write_instance(tmp_path, doc)
+        assert _run_file(path, {}) == (2, {"kind": "error", "error": message},
+                                       None)
+        assert main(["semigroup", path]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_empty_semigroup_exit3(tmp_path):
     doc = {
         "schema_version": "1", "kind": "semigroup",

@@ -34,7 +34,7 @@ def test_negative_degree():
 
 
 def test_degree_zero():
-    assert h0(CurveModel(2), CurveDivisorClass.trivial()) == 1
+    assert h0(CurveModel(2), CurveDivisorClass(0, 0)) == 1
     assert h0(CurveModel(2), CurveDivisorClass.general(0)) == 0
     assert h0(CurveModel(0), CurveDivisorClass.general(0)) == 1
 
@@ -68,7 +68,7 @@ def test_times_scales_the_multiple_of_k():
         assert (CurveDivisorClass.canonical_multiple(c, 2).times(3)
                 == CurveDivisorClass.canonical_multiple(c, 6))
     assert CurveDivisorClass.general(5).times(2) == CurveDivisorClass.general(10)
-    assert CurveDivisorClass.trivial().times(4) == CurveDivisorClass.trivial()
+    assert CurveDivisorClass(0, 0).times(4) == CurveDivisorClass(0, 0)
 
 
 def test_anticanonical_h0():
@@ -107,7 +107,7 @@ def test_kappa_general_type():
 
 def test_kappa_elliptic_and_rational():
     c1 = CurveModel(1)
-    assert kappa_curve(c1, CurveDivisorClass.trivial()) == 0
+    assert kappa_curve(c1, CurveDivisorClass(0, 0)) == 0
     assert kappa_curve(c1, CurveDivisorClass.canonical_multiple(c1, 1)) == 0
     c0 = CurveModel(0)
     assert kappa_curve(c0, CurveDivisorClass.canonical_multiple(c0, 1)) == NEG_INF
@@ -118,4 +118,4 @@ def test_kappa_sigma_curve_values():
         c = CurveModel(g)
         assert kappa_sigma_curve(c, CurveDivisorClass.canonical_multiple(c, 1)) == expect
     # trivial class has perturbed growth zero on any curve
-    assert kappa_sigma_curve(CurveModel(2), CurveDivisorClass.trivial()) == 0
+    assert kappa_sigma_curve(CurveModel(2), CurveDivisorClass(0, 0)) == 0

@@ -137,25 +137,6 @@ def test_rat_rank_matches_rref(rows):
     assert rat_rank(rows) == len(rref(rows, ncols)[1])
 
 
-@st.composite
-def coordinate_systems(draw):
-    """(basis, vectors) in Z^n, n <= 4: a free or dependent basis of q <= n
-    rows, and rational vectors in its span (combinations with coefficients
-    of denominators 1 to 3) or free ones, usually outside it."""
-    n = draw(st.integers(1, 4))
-    q = draw(st.integers(0, n))
-    basis = draw(matrices(q, n))
-    vectors = []
-    for _ in range(draw(st.integers(0, 4))):
-        if draw(st.integers(0, 3)):
-            coeffs = draw(st.lists(bound, min_size=q, max_size=q))
-            vectors.append(tuple(sum(a * b[j] for a, b in zip(coeffs, basis))
-                                 for j in range(n)))
-        else:
-            vectors.append(draw(st.tuples(*[bound] * n)))
-    return basis, vectors
-
-
 def coords_by_rref(basis, vectors):
     """Reference for `basis_coords`: one Fraction solve per vector with the
     basis rows as columns; GeometryError for a dependent basis or a vector
@@ -173,21 +154,38 @@ def coords_by_rref(basis, vectors):
     return out
 
 
-@settings(max_examples=400)
-@given(coordinate_systems())
-@example(([], [(0, 0)]))
-@example(([], [(1, 0)]))
-@example(([(1, 2), (2, 4)], []))
-@example(([(1, 2)], [(Fraction(1, 2), 1), (1, 0)]))
-def test_basis_coords_matches_rref(case):
-    basis, vectors = case
-    try:
-        expected = coords_by_rref(basis, vectors)
-    except GeometryError:
-        with pytest.raises(GeometryError):
-            basis_coords(basis, vectors)
-    else:
-        assert basis_coords(basis, vectors) == expected
+# (basis, vectors) in Z^n, n <= 4: free and dependent bases of 0 to n
+# rows, with rational vectors in the span (denominators 1 to 3) or outside
+COORDINATE_SYSTEMS = [
+    ([], []),
+    ([], [(0, 0)]),
+    ([], [(1, 0)]),
+    ([(0, 0)], [(0, 0)]),
+    ([(1, 2), (2, 4)], []),
+    ([(1, 2)], [(Fraction(1, 2), 1), (1, 0)]),
+    ([(3,)], [(1,), (Fraction(-4, 3),), (0,)]),
+    ([(1, 0), (0, 1)], [(3, -2), (Fraction(1, 2), Fraction(2, 3))]),
+    ([(2, 1, 0), (0, 1, 3)], [(2, 2, 3), (1, Fraction(1, 2), 0),
+                              (Fraction(2, 3), Fraction(-1, 3), -2)]),
+    ([(2, 1, 0), (0, 1, 3)], [(1, 0, 0)]),
+    ([(1, 1, 1), (1, -1, 0), (0, 0, 2)], [(1, 2, 3), (Fraction(1, 3), 0, -4)]),
+    ([(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, -1, 0)], [(1, 2, 1, 0)]),
+    ([(1, -2, 0, 1), (0, 2, -1, 2)], [(2, -2, -1, 4), (Fraction(1, 2), -1, 0,
+                                                      Fraction(1, 2))]),
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)],
+     [(4, -3, 2, Fraction(1, 3))]),
+]
+
+
+def test_basis_coords_matches_rref():
+    for basis, vectors in COORDINATE_SYSTEMS:
+        try:
+            expected = coords_by_rref(basis, vectors)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                basis_coords(basis, vectors)
+        else:
+            assert basis_coords(basis, vectors) == expected, (basis, vectors)
 
 
 P1 = ToricVariety.projective_space(1)

@@ -42,6 +42,8 @@ from _oracles import (
     gram_of_points,
     iitaka_fibers_per_point,
     kappa1_per_point,
+    ray_fractions,
+    saturate_rows_euclid,
     section_points,
 )
 
@@ -62,7 +64,7 @@ def test_product_fiber_restriction():
         metric=SingularMetricData([(0, 2), (2, 1)]))
     fiber, div, metric = inst.fiber_data()
     assert fiber is P1
-    assert div.coefficients == (0, 2)
+    assert ray_fractions(div) == (0, 2)
     assert metric.entries == ((0, Fraction(2)),)
 
 
@@ -72,7 +74,7 @@ def test_hirzebruch_fiber_restriction():
         fibration=fib, divisor=ToricDivisorData((3, 1, 2, 0)))
     fiber, div, metric = inst.fiber_data()
     # vertical rays (0,1) and (0,-1) carry coefficients 1 and 0
-    assert div.coefficients == (1, 0)
+    assert ray_fractions(div) == (1, 0)
     assert not metric
 
 
@@ -83,7 +85,7 @@ def test_curve_product_fiber():
         fiber_variety=P1, fiber_divisor=ToricDivisorData((0, 2)),
         fiber_metric=SingularMetricData([(0, 2)]))
     fiber, div, metric = inst.fiber_data()
-    assert fiber is P1 and div.coefficients == (0, 2)
+    assert fiber is P1 and ray_fractions(div) == (0, 2)
     assert metric.entries == ((0, 2),)
 
 
@@ -277,7 +279,7 @@ def test_addti_kunneth_equality_curve():
     v = verify_addti(inst, CurveDivisorClass.general(5))
     assert v.holds
     # split data: exact Kunneth factorization
-    assert v.lhs == inst.base_count(1, extra_degree=5) * inst.fiber_system().count(1)
+    assert v.lhs == inst.base_count(1, extra_degree=5) * inst.fiber_system.count(1)
 
 
 def test_addti_vacuous():
@@ -337,6 +339,24 @@ def test_iitaka_needs_room():
     sys = SectionSystem(P1, ToricDivisorData((0, 1)), degree_bound=1)
     with pytest.raises(DegreeBoundError, match="increase degree bound"):
         iitaka(sys)
+
+
+@pytest.mark.parametrize("variety, coeffs, bound, relations", [
+    (P1, (0, 0), 12, ()),
+    (P1xP1, (0, 0, 0, 2), 16, ((0, 1),)),
+    (P2, (0, 0, 1), 8, ((1, 0), (0, 1))),
+], ids=["zero_gram", "partial_rank", "full_rank"])
+def test_fiber_relations_saturate_the_gram_rows(variety, coeffs, bound, relations):
+    # the contracted lattice, read off the degree-k Gram kernel, is the
+    # saturation of the degree-k Gram rows: none for a zero matrix, (0, 1)
+    # for the rows (0, 0), (0, 6936), and Z^2 for a full-rank matrix whose
+    # rows span a sublattice of index above 1
+    sys = SectionSystem(variety, ToricDivisorData(coeffs), degree_bound=bound)
+    k = max(d for d in sys.support() if 2 * d <= bound)
+    res = iitaka(sys)
+    assert res.fiber_relations == relations
+    assert res.fiber_relations == tuple(saturate_rows_euclid(sys.gram(k)))
+    assert res.fiber_lattice_rank == variety.lattice_rank - len(relations)
 
 
 def spread_degree(sys, degree, extra):
@@ -573,6 +593,37 @@ def test_curve_product_run_builds_one_plain_fiber_system(monkeypatch, capsys):
     assert main(["fibration", str(path), "--format", "json"]) == 0
     assert '"failed": 0' in capsys.readouterr().out
     assert plain == ["P1"]
+
+
+def test_toric_addti_run_builds_one_plain_fiber_system(monkeypatch, capsys,
+                                                     tmp_path):
+    # the fiber pair and the addti rank read the one aux-free fiber system
+    # of a toric instance; the fiber P2 is told apart from the base P1
+    import json
+    import kodaira.toric
+
+    from kodaira.cli import main
+
+    plain = []
+    inner = kodaira.toric.SectionSystem.__init__
+
+    def counted(self, variety, divisor, metric=None, aux=None, **kwargs):
+        if aux is None:
+            plain.append(variety.name)
+        inner(self, variety, divisor, metric=metric, aux=aux, **kwargs)
+
+    monkeypatch.setattr(kodaira.toric.SectionSystem, "__init__", counted)
+    path = tmp_path / "p2_over_p1.json"
+    path.write_text(json.dumps({
+        "schema_version": "1", "kind": "fibration", "options": {"max_degree": 8},
+        "body": {"variant": "toric_product",
+                 "fiber": {"preset": "projective_space", "n": 2},
+                 "base": {"preset": "projective_space", "n": 1},
+                 "dx_rays": [0, 1, 2, 3, 4], "dy_rays": [0, 1],
+                 "checks": ["spc", "addti", "upper"]}}))
+    assert main(["fibration", str(path), "--format", "json"]) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    assert plain.count("P2") == 1
 
 
 def test_evaluated_instances_are_freed_without_gc():

@@ -33,6 +33,7 @@ from _oracles import (
     point_moments,
     rational_pairs,
     rational_polytope,
+    ray_fractions,
     scan_points,
     section_points,
 )
@@ -85,7 +86,7 @@ def test_integer_count_matches_fraction_polytope(piece):
     # the degree-k piece as a Fraction polytope of the effective divisor
     t = k * divisor.k0
     effective = []
-    for i, b in enumerate(divisor.coefficients):
+    for i, b in enumerate(ray_fractions(divisor)):
         c = t * b + (aux[i] if aux is not None else 0)
         if weights.get(i):  # a zero weight is no singularity at all
             c -= ideal_coeff(weights[i], t)

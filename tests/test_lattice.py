@@ -18,7 +18,6 @@ from kodaira.lattice import (
     hnf_basis,
     int_kernel,
     primitive,
-    saturate_rows,
     vsub,
 )
 from kodaira.curve import CurveDivisorClass
@@ -108,6 +107,18 @@ def test_hnf_unimodular_transform():
     assert prod == h
 
 
+def saturate(rows):
+    """The saturation of the rows' span (its rational span met with Z^n) by
+    two library kernels, the route of `fibration.iitaka_analysis`: the
+    integer kernel of the transposed rows, the span's orthogonal complement,
+    then the integer kernel of its transpose, in Hermite form."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    perp = int_kernel([tuple(r[i] for r in rows) for i in range(n)])
+    return hnf_basis(int_kernel([tuple(w[i] for w in perp) for i in range(n)]))
+
+
 @st.composite
 def hnf_matrices(draw):
     """0-6 rows of 1-5 columns: drawn rows with entries up to +-50, mixed
@@ -144,7 +155,7 @@ def test_hnf_matches_euclid_chase(rows):
     assert abs(laplace_det(u)) == 1
     assert hnf_basis(int_kernel(rows)) == hnf_basis(int_kernel_euclid(rows))
     assert hnf_basis(rows) == hnf_basis_euclid(rows)
-    assert saturate_rows(rows) == saturate_rows_euclid(rows)
+    assert saturate(rows) == saturate_rows_euclid(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +223,11 @@ def test_int_kernel():
 
 
 def test_saturation():
-    sat = saturate_rows([(2, 0), (0, 2)])
+    sat = saturate([(2, 0), (0, 2)])
     assert sat == [(1, 0), (0, 1)]
-    sat = saturate_rows([(2, 4)])
+    sat = saturate([(2, 4)])
     assert sat == [(1, 2)]
+    assert saturate([(0, 0)]) == []
 
 
 # ---------------------------------------------------------------------------

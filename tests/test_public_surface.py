@@ -1,17 +1,25 @@
-"""No library routine that only tests call, and no option that only tests set.
+"""No library routine that only tests call, no option that only tests set,
+and no stored attribute that nothing reads.
 
 Every module-level function and class of `src/kodaira`, and every method
 of a module-level class (dunders aside), must be referenced somewhere in
-`src/kodaira` outside its own definition and `__init__.py`: as a name or
-as an attribute.  The match is by bare name, so a method counts as used
-when any attribute of that name is read: an unused method that shares its
-name with a used one passes unseen, as `GradedSemigroup.support` did beside
-`SectionSystem.support` until it was deleted.  KEEP lists the names no library
-code reads that stay: the multiplier coefficient, which the package exports
-and the acceptance tests read, and the trivial curve class, the unit of the
-curve divisor classes.  A routine only tests need lives in the tests, as
-the semigroup constructors, the decoded level and the point lister of
+`src/kodaira` outside its own definition and `__init__.py`: a function or
+class as a name or as an attribute, a method or property only as an
+attribute, so a parameter or local of the same name does not count, as
+the `coefficients` parameter of `ToricDivisorData.__init__` once hid the
+unread property of that name.  The match is by bare name, so a method
+counts as used when any attribute of that name is read: an unused method
+that shares its name with a used one passes unseen, as
+`GradedSemigroup.support` did beside `SectionSystem.support` until it was
+deleted.  KEEP lists the names no library code reads that stay: the
+multiplier coefficient, which the package exports and the acceptance tests
+read.  A routine only tests need lives in the tests, as the semigroup
+constructors, the decoded level and the point lister of
 `tests/_oracles.py` do.
+
+Every attribute a method of a module-level class stores on `self` must be
+read as an attribute somewhere in `src/kodaira` outside `__init__.py`,
+again by bare name.
 
 Likewise every option, a defaulted parameter of such a function or method
 or a dataclass field with a default, must be passed by some call in
@@ -32,24 +40,24 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "kodaira"
 
 KEEP = {
     "multiplier.multiplier_coeff",
-    "curve.CurveDivisorClass.trivial",
 }
 
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _scan(tree, module):
-    """(definitions, references): the (qualified name, bare name, node) of
-    each module-level function and class and each method of a module-level
-    class, and the (name, enclosing definition nodes) of each name or
-    attribute read."""
+    """(definitions, references): the (qualified name, bare name, node,
+    whether a method) of each module-level function and class and each
+    method of a module-level class, and the (name, enclosing definition
+    nodes, whether an attribute) of each name or attribute read."""
     defs, refs = [], []
 
     def walk(node, enclosing, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, DEFINITION):
                 if prefix is not None:
-                    defs.append((prefix + child.name, child.name, child))
+                    defs.append((prefix + child.name, child.name, child,
+                                 prefix != module + "."))
                 # methods of a module-level class count; nested ones do not
                 inner = (prefix + child.name + "."
                          if prefix == module + "." and isinstance(child, ast.ClassDef)
@@ -57,9 +65,9 @@ def _scan(tree, module):
                 walk(child, enclosing + (child,), inner)
                 continue
             if isinstance(child, ast.Name):
-                refs.append((child.id, enclosing))
+                refs.append((child.id, enclosing, False))
             elif isinstance(child, ast.Attribute):
-                refs.append((child.attr, enclosing))
+                refs.append((child.attr, enclosing, True))
             walk(child, enclosing, prefix)
 
     walk(tree, (), module + ".")
@@ -76,10 +84,11 @@ def unreferenced(src=SRC):
             defs += d
             refs += r
     return sorted(
-        qual for qual, name, node in defs
+        qual for qual, name, node, method in defs
         if not (name.startswith("__") and name.endswith("__"))
         and not any(ref == name and node not in enclosing
-                    for ref, enclosing in refs))
+                    and (attribute or not method)
+                    for ref, enclosing, attribute in refs))
 
 
 def test_every_library_routine_has_a_library_caller():
@@ -95,6 +104,68 @@ def test_guard_flags_a_routine_only_tests_call(tmp_path):
         "\n\ndef convex_hull(points):\n"
         "    return convex_hull(points[1:]) if points else None\n"))
     assert unreferenced(tmp_path) == sorted(KEEP | {"lattice.convex_hull"})
+
+
+def test_guard_flags_a_property_only_a_parameter_names(tmp_path):
+    # the Fraction view of a divisor put back: `__init__` reads its
+    # parameter `coefficients` as a bare name, never the property
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    toric = tmp_path / "toric.py"
+    text = toric.read_text()
+    old = "    def is_integral(self):\n"
+    assert text.count(old) == 1
+    toric.write_text(text.replace(old, (
+        "    @property\n"
+        "    def coefficients(self):\n"
+        "        return tuple(Fraction(n, self.k0) for n in self.nums)\n\n")
+        + old))
+    assert unreferenced(tmp_path) == sorted(
+        KEEP | {"toric.ToricDivisorData.coefficients"})
+
+
+# -- stored attributes -------------------------------------------------------
+
+def unread_attributes(src=SRC):
+    """Qualified names (module.Class.attribute) of the attributes that a
+    method of a module-level class in the package directory src stores on
+    self and that nothing there outside __init__.py reads as an attribute,
+    sorted."""
+    stored, read = set(), set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"):
+                        stored.add((f"{path.stem}.{cls.name}.{node.attr}",
+                                    node.attr))
+    return sorted(qual for qual, attr in stored if attr not in read)
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_attributes() == []
+
+
+def test_guard_flags_an_attribute_nothing_reads(tmp_path):
+    # the auxiliary divisor stored on a section system again, which every
+    # reader takes from the constructor's parameter instead
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    toric = tmp_path / "toric.py"
+    text = toric.read_text()
+    old = "        self.degree_bound = as_int(degree_bound, \"degree_bound\")\n"
+    assert text.count(old) == 1
+    toric.write_text(text.replace(old, "        self.aux = aux\n" + old))
+    assert unread_attributes(tmp_path) == ["toric.SectionSystem.aux"]
 
 
 # -- options -----------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_standard_amples():
               ToricVariety.product(P1, P2)):
         amp = x.standard_ample
         assert is_ample(x, amp)
-        assert all(c >= 1 for c in amp.coefficients)
+        assert all(Fraction(n, amp.k0) >= 1 for n in amp.nums)
 
 
 def test_standard_ample_checked_once_per_variety(monkeypatch):
