@@ -299,13 +299,11 @@ def cmd_kappa(body, options):
     sys_ = SectionSystem(variety, divisor, metric=metric,
                          degree_bound=max_degree)
     rep = kappa_report(sys_)
-    sigma = kappa_sigma(variety, divisor, metric, ample=ample,
-                        degree_bound=max_degree)
+    sigma = kappa_sigma(sys_, ample=ample)
     stride_values = {}
     for a in options.get("strides", ()):
         stride_values[str(a)] = _kappa_json(
-            kappa_sigma(variety, divisor, metric, ample=ample,
-                        degree_bound=max_degree, stride=a))
+            kappa_sigma(sys_, ample=ample, stride=a))
     report = {
         "kind": "toric_kappa",
         "max_degree": max_degree,

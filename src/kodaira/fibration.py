@@ -109,16 +109,18 @@ def hirzebruch_fibration(a):
 # `invariants()` reads the five in that order for `run_check`, before any
 # verdict, and for the summary, so the order of the reads, which fixes the
 # first error raised, is the same for every check list.  Every fiber count
-# reads one kept aux-free general-fiber system, `fiber_system`.  A part that
-# raises is not kept.  Nothing kept refers back to the instance, so dropping
-# it frees it.  Do not change an instance after its first read.
+# reads one kept aux-free general-fiber system, `fiber_system`, or a twist
+# of it; every perturbed count reads a twist of the system it perturbs.  A
+# part that raises is not kept.  Nothing kept refers back to the instance, so
+# dropping it frees it.  Do not change an instance after its first read.
 
 class _FiberSpace:
     """What both instance shapes share: the general fiber's section system,
     its growth report and its invariants, read off fiber_data() (fiber
     model, restricted divisor, restricted metric; torus-invariant and split
     data restrict identically to every fiber over the open orbit), and the
-    read order of the invariants."""
+    read order of the invariants.  A curve product's perturbed counts read
+    the twists of fiber_system that the fiber's kappa_sigma made."""
 
     def invariants(self):
         """(report, kappa_sigma, kappa_sigma_hor, fiber, base), in order."""
@@ -137,9 +139,7 @@ class _FiberSpace:
     @cached_property
     def fiber(self):
         """(kappa, kappa_sigma) of the general fiber."""
-        fiber, divisor, metric = self.fiber_data()
-        return (self.fiber_report.kappa,
-                kappa_sigma(fiber, divisor, metric, degree_bound=self.degree_bound))
+        return self.fiber_report.kappa, kappa_sigma(self.fiber_system)
 
 
 @dataclass
@@ -170,6 +170,7 @@ class ToricFibrationInstance(_FiberSpace):
         flavor = ["spc", "spck"] if self.is_log else ["112", "112k"]
         return flavor + ["chain", "upper"]
 
+    @cached_property
     def total_divisor(self):
         if self.divisor is not None:
             return self.divisor
@@ -177,6 +178,7 @@ class ToricFibrationInstance(_FiberSpace):
         return kx.add(ToricDivisorData.boundary_subset(
             self.fibration.total, self.dx_rays))
 
+    @cached_property
     def base_divisor(self):
         ky = ToricDivisorData.canonical(self.fibration.base)
         if self.is_log:
@@ -190,13 +192,13 @@ class ToricFibrationInstance(_FiberSpace):
 
     def fiber_data(self):
         fib = self.fibration
-        return (fib.fiber, fib.restrict_divisor(self.total_divisor()),
+        return (fib.fiber, fib.restrict_divisor(self.total_divisor),
                 fib.restrict_metric(self.metric))
 
     @cached_property
     def system(self):
         """The total-space SectionSystem."""
-        return SectionSystem(self.fibration.total, self.total_divisor(),
+        return SectionSystem(self.fibration.total, self.total_divisor,
                              metric=self.metric, degree_bound=self.degree_bound)
 
     @cached_property
@@ -205,22 +207,18 @@ class ToricFibrationInstance(_FiberSpace):
 
     @cached_property
     def kappa_sigma(self):
-        return kappa_sigma(self.fibration.total, self.total_divisor(),
-                           self.metric, degree_bound=self.degree_bound)
+        return kappa_sigma(self.system)
 
     @cached_property
     def kappa_sigma_hor(self):
-        return kappa_sigma_hor(self.fibration.total, self.total_divisor(),
-                               self.metric, self.fibration,
-                               degree_bound=self.degree_bound)
+        return kappa_sigma_hor(self.system, self.fibration)
 
     @cached_property
     def base(self):
         """(kappa, kappa_sigma) of the base with its log or canonical divisor."""
-        base, m = self.fibration.base, self.base_divisor()
-        sys = SectionSystem(base, m, degree_bound=self.degree_bound)
-        return (kappa_report(sys).kappa,
-                kappa_sigma(base, m, None, degree_bound=self.degree_bound))
+        sys = SectionSystem(self.fibration.base, self.base_divisor,
+                            degree_bound=self.degree_bound)
+        return kappa_report(sys).kappa, kappa_sigma(sys)
 
     least_twist_degree = 1
 
@@ -232,9 +230,7 @@ class ToricFibrationInstance(_FiberSpace):
         """(h^0 of the degree-1 system twisted by f^* base_twist, h^0 of the
         base twist, fiber section count at degree 1)."""
         fib = self.fibration
-        lhs = SectionSystem(fib.total, self.total_divisor(), metric=self.metric,
-                            aux=fib.pullback_divisor(base_twist),
-                            degree_bound=1).count(1)
+        lhs = self.system.twist(fib.pullback_divisor(base_twist), 1).count(1)
         base_h0 = SectionSystem(fib.base, base_twist, degree_bound=1).count(1)
         return lhs, base_h0, self.fiber_system.count(1)
 
@@ -298,10 +294,7 @@ class CurveProductInstance(_FiberSpace):
 
     def product_counts(self, base_extra=0, fiber_aux=None):
         """Curve-side counts times the fiber's, twisted by fiber_aux if given."""
-        sys = self.fiber_system
-        if fiber_aux is not None:
-            sys = SectionSystem(*self.fiber_data(), aux=fiber_aux,
-                                degree_bound=self.degree_bound)
+        sys = self.fiber_system.twist(fiber_aux, self.degree_bound)
         return [self.base_count(k, base_extra) * sys.count(k)
                 for k in range(1, self.degree_bound + 1)]
 
@@ -483,8 +476,7 @@ def verify_stride(inst):
     results = []
     ok = True
     for a in (2, 3, 5):
-        val = kappa_sigma(inst.fibration.total, inst.total_divisor(),
-                          inst.metric, degree_bound=inst.degree_bound, stride=a)
+        val = kappa_sigma(inst.system, stride=a)
         results.append((f"stride_{a}", val))
         ok = ok and val == base
     return InequalityVerdict(

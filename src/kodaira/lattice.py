@@ -513,7 +513,7 @@ class ScanPlan:
     N / (N_b N_c).  A one-coordinate block is an interval, its count and
     moments in closed form; a larger block is a sub-plan of its own.  A plan
     of one block of two or more coordinates (P^n, F_a, most slices) walks
-    its columns as below.
+    its columns as below (in two, it reads x's range and counts the pair).
 
     Columns.  Constraint i, <u, v_i> >= c_i, becomes a one-variable bound on
     the last coordinate where v_i is nonzero once the earlier coordinates are
@@ -525,12 +525,13 @@ class ScanPlan:
     lower line bind (the floor of a minimum is the minimum of the floors),
     so a piece counts as two sums of floors (floor_sum) and nothing where
     its upper line lies below its lower one.  An integer crossing ends a
-    piece, where the two lines are equal, so either gives the value there.
-    Only at the left tip of the region, where an upper and a lower line
-    meet with the gap between them growing (p_u m_l > p_l m_u, fixed per
-    crossing with the plan), is the crossing a one-point piece of its own:
-    there the lines meet at an integer point that counts 1, where the
-    piece before it counts 0.
+    piece, where the two lines are equal, so either gives the value there
+    (one of two lines of one side on the first column, xlo, ends none: the
+    line that binds after it gives the value there too).  Only at the left tip
+    of the region, where an upper and a lower line meet with the gap between
+    them growing (p_u m_l > p_l m_u, fixed per crossing with the plan), is
+    the crossing a one-point piece of its own: there the lines meet at an
+    integer point that counts 1, where the piece before it counts 0.
     """
 
     def __init__(self, dim, normals):
@@ -596,21 +597,28 @@ class ScanPlan:
         m += [1, 1]
         upper += [False, True]
         self.p, self.m = p, m
+        # x's own bounds (terms of _interval), read by a two-coordinate scan
+        self.x_terms = [(i, self.normals[i][0]) for i in self.bounding[0]]
         self.upper = [j for j, up in enumerate(upper) if up]
         self.lower = [j for j, up in enumerate(upper) if not up]
-        # (j, k, d, tip): lines j and k cross where d x = q_k m_j - q_j m_k,
-        # a left tip when one is upper, one lower and their gap grows there
+        # (j, k, d, same, tip): lines j and k, of the same side or not, cross
+        # where d x = q_k m_j - q_j m_k, a left tip when their gap grows there
         self.crossings = []
         for j, k in combinations(range(len(p)), 2):
             d = p[j] * m[k] - p[k] * m[j]
             if d:
                 u, l = (j, k) if upper[j] else (k, j)
-                self.crossings.append((j, k, d, upper[j] != upper[k]
-                                       and p[u] * m[l] > p[l] * m[u]))
+                tip = upper[j] != upper[k] and p[u] * m[l] > p[l] * m[u]
+                self.crossings.append((j, k, d, upper[j] == upper[k], tip))
 
     def _empty(self, box, bounds):
-        return (any(lo > hi for lo, hi in box)
-                or any(bounds[i] > 0 for i in self.zero))
+        for lo, hi in box:
+            if lo > hi:
+                return True
+        for i in self.zero:
+            if bounds[i] > 0:
+                return True
+        return False
 
     def scan(self, box, bounds):
         """The number of points of the box with <u, v_i> >= bounds[i]."""
@@ -618,6 +626,9 @@ class ScanPlan:
         if self._empty(box, bounds):
             return 0
         if self.parts is None:
+            if n == 2:  # the leaf alone, on x's range (x_terms: its bounds)
+                lo, hi = _interval(*box[0], self.x_terms, bounds)
+                return self._count_pair(box[1], lo, hi, bounds) if lo <= hi else 0
             return self._walk(box, bounds, n - 2,
                               partial(self._count_pair, box[n - 1]),
                               _fold_count) or 0
@@ -742,10 +753,10 @@ class ScanPlan:
         q = [s * residuals[i] for i, s in self.sources]
         q += ylo, yhi
         ends = {xhi}  # last x of each piece
-        for j, k, d, tip in self.crossings:
+        for j, k, d, same, tip in self.crossings:
             num = q[k] * m[j] - q[j] * m[k]
             x = num // d
-            if xlo <= x < xhi:
+            if xlo < x < xhi or x == xlo < xhi and not (same and x * d == num):
                 ends.add(x)
             if tip and x * d == num and xlo < x <= xhi:
                 ends.add(x - 1)
@@ -754,15 +765,18 @@ class ScanPlan:
         for end in sorted(ends):
             # no two lines cross inside the piece, so the least upper and the
             # largest lower line at its start (values (p x + q) / m compared
-            # without division) bind on all of it
+            # without division; on a tie, the lesser or larger slope) bind on
+            # all of it
             ju = vu = jl = vl = None
             for j in self.upper:
                 v = p[j] * start + q[j]
-                if ju is None or v * m[ju] < vu * m[j]:
+                if ju is None or v * m[ju] < vu * m[j] or (
+                        v * m[ju] == vu * m[j] and p[j] * m[ju] < p[ju] * m[j]):
                     ju, vu = j, v
             for j in self.lower:
                 v = p[j] * start + q[j]
-                if jl is None or v * m[jl] > vl * m[j]:
+                if jl is None or v * m[jl] > vl * m[j] or (
+                        v * m[jl] == vl * m[j] and p[j] * m[jl] > p[jl] * m[j]):
                     jl, vl = j, v
             # floor(U) - ceil(L) + 1 >= 0 where U >= L, and <= 0 elsewhere
             if vu * m[jl] >= vl * m[ju]:

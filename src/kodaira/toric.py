@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import chain, combinations
 from math import gcd, lcm
-from operator import and_, or_
+from operator import and_, mul, or_
 
 from .lattice import (
     NEG_INF,
@@ -294,8 +294,11 @@ class SectionSystem:
     level, folded into the constant bounds once; a system with no slope and
     no weight above 1 has one piece at every degree, and counts it once.
 
-    Counts, Gram matrices and their ranks are cached per degree; E is a
-    fixed auxiliary integral divisor (not scaled with k).
+    E is a fixed auxiliary integral divisor (not scaled with k), and only
+    the constant bounds read it: twist(E, K) is the system for another E and
+    degree bound K that shares the rest, built once per (variety, divisor,
+    metric): plan, box rows, slopes, weights and the period of each stride.
+    Counts, Gram matrices and their ranks are cached per degree.
     """
 
     def __init__(self, variety, divisor, metric=None, aux=None,
@@ -303,41 +306,58 @@ class SectionSystem:
         self.variety = variety
         self.divisor = divisor
         self.metric = metric
-        if aux is not None and not aux.is_integral():
-            raise ValueError("auxiliary divisor must be integral")
-        self.degree_bound = as_int(degree_bound, "degree_bound")
+        key = _twist_key(aux, degree_bound)
         self.k0 = divisor.k0
         # the bounds of the rays, then the lower and upper box end of each
-        # coordinate (+-sum lam bound over the scan plan's box rows), at
-        # degree k: consts + k slopes plus the multiplier terms; for each
-        # ray of weight above 1, its index, its (p, q) and the (place,
-        # multiplier) pairs of the entries its coefficient enters
+        # coordinate (the bounds times a row of _ends, +-lam off the scan
+        # plan's box rows), at degree k: consts + k slopes plus the multiplier
+        # terms; for each ray of weight above 1, its index, its (p, q) and
+        # the (place, multiplier) pairs of the entries its coefficient enters
         self._plan, rows = variety.scan_plan
-        ends = [(lams, sign) for row in rows for lams, sign in zip(row, (1, -1))]
         m = len(variety.rays)
-
-        def fold(values):
-            return values + [sign * sum(lam * values[r] for r, lam in lams)
-                             for lams, sign in ends]
-        self._slopes = fold([-a for a in divisor.nums])
-        consts = [-a for a in aux.nums] if aux is not None else [0] * m
-        # a weight p/q <= 1 has one coefficient at every level (0 below 1, 1
-        # at 1), told apart by _coeff itself: before its clamp a coefficient
-        # gains p - q every q levels
+        self._ends = [[sign * lams.get(r, 0) for r in range(m)] for row in rows
+                      for lams, sign in zip(map(dict, row), (1, -1))]
+        self._slopes = self._fold([-a for a in divisor.nums])
+        # the aux-free constants: a weight p/q <= 1 has one coefficient at
+        # every level (0 below 1, 1 at 1), told apart by _coeff itself:
+        # before its clamp a coefficient gains p - q every q levels
+        self._free = [0] * m
         self._weighted = []
         for i, (p, q) in enumerate(_ray_weights(variety, self.metric)):
             c = _coeff(p, q, 1)
             if c == _coeff(p, q, 1 + q):
-                consts[i] += c
+                self._free[i] += c
             else:
                 self._weighted.append((i, p, q, ((i, 1),) + tuple(
-                    (m + e, sign * lam) for e, (lams, sign) in enumerate(ends)
-                    for r, lam in lams if r == i)))
-        self._consts = fold(consts)
+                    (m + e, row[i]) for e, row in enumerate(self._ends) if row[i])))
         self._fixed = not (any(self._slopes) or self._weighted)
-        self._counts = {}
-        self._grams = {}
-        self._ranks = {}
+        self._periods = {}  # stride: period
+        self._twists = {}  # (aux, degree bound): system
+        self._own(*key)
+
+    def _fold(self, values):
+        """values, then the box ends they give."""
+        return values + [sum(map(mul, row, values)) for row in self._ends]
+
+    def _own(self, aux, degree_bound):
+        """Fold the constant bounds of aux, start the caches, join the twists."""
+        self.degree_bound = degree_bound
+        self._consts = self._fold(self._free if aux is None else [
+            c - a for c, a in zip(self._free, aux.nums)])
+        self._counts, self._grams, self._ranks = {}, {}, {}
+        self._support = None
+        self._twists[aux, degree_bound] = self
+
+    def twist(self, aux, degree_bound):
+        """This system with auxiliary divisor aux (or None) and the given
+        degree bound, folded off the aux-free constants (so twists do not add
+        up), once per (aux, degree_bound)."""
+        key = _twist_key(aux, degree_bound)
+        if key not in self._twists:
+            out = object.__new__(SectionSystem)
+            out.__dict__.update(self.__dict__)
+            out._own(*key)
+        return self._twists[key]
 
     def _piece(self, k):
         """(box, bounds) of the degree-k piece (multiplier level k*k0)."""
@@ -387,20 +407,20 @@ class SectionSystem:
         return self._ranks[k]
 
     def support(self):
-        return [k for k in range(1, self.degree_bound + 1) if self.count(k) > 0]
+        """The nonempty degrees up to the degree bound, listed once."""
+        if self._support is None:
+            self._support = [k for k in range(1, self.degree_bound + 1)
+                             if self.count(k) > 0]
+        return self._support
 
-    def growth(self, stride=1, period=None):
+    def growth(self, stride=1):
         """growth_degree of the counts at degrees stride, 2 stride, ... up to
         the degree bound.  A degree is counted only when growth_degree reads
         it: 2 samples of a dead residue class, max(3, d + 2) of a class of
-        degree d, and the whole of an undecided one.  `period` defaults to
-        self.period(stride); a caller that already has it for another
-        auxiliary divisor passes it."""
-        if period is None:
-            period = self.period(stride)
+        degree d, and the whole of an undecided one."""
         return growth_degree(
             _DegreeCounts(self, range(stride, self.degree_bound + 1, stride)),
-            period)
+            self.period(stride))
 
     def period(self, stride=1):
         """A period of the counts at degrees stride, 2 stride, ... for large
@@ -412,20 +432,29 @@ class SectionSystem:
         k0 stride mu for the weights mu above 1; a weight <= 1 has one
         coefficient at every level, in the constant bounds), and the lcm of
         the vertex periods is a period of the counts.  The touching rays are
-        cached with Q (Polytope.tight_masks), so none of this depends on the
-        auxiliary divisor."""
-        touching = (1 << len(self.variety.rays)) - 1  # bit i: ray i
-        q = limit_polytope(self.variety, self.divisor, self.metric)
-        if not q.is_empty():
-            touching = reduce(or_, q.tight_masks())
-        step = self.k0 * stride
-        mu_period = {i: q // gcd(q, step) for i, _, q, _ in self._weighted}
-        period = 1
-        for sub, det in self.variety.nonsingular_subsets:
-            if all(touching >> i & 1 for i in sub):
-                period = lcm(period, det * lcm(
-                    *(mu_period.get(i, 1) for i in sub)))
-        return period
+        cached with Q (Polytope.tight_masks), and none of this depends on the
+        auxiliary divisor, so each stride's period is shared by all twists."""
+        if stride not in self._periods:
+            touching = (1 << len(self.variety.rays)) - 1  # bit i: ray i
+            q = limit_polytope(self.variety, self.divisor, self.metric)
+            if not q.is_empty():
+                touching = reduce(or_, q.tight_masks())
+            step = self.k0 * stride
+            mu_period = {i: q // gcd(q, step) for i, _, q, _ in self._weighted}
+            period = 1
+            for sub, det in self.variety.nonsingular_subsets:
+                if all(touching >> i & 1 for i in sub):
+                    period = lcm(period, det * lcm(
+                        *(mu_period.get(i, 1) for i in sub)))
+            self._periods[stride] = period
+        return self._periods[stride]
+
+
+def _twist_key(aux, degree_bound):
+    """(aux, degree_bound), checked as a section system's."""
+    if aux is not None and not aux.is_integral():
+        raise ValueError("auxiliary divisor must be integral")
+    return aux, as_int(degree_bound, "degree_bound")
 
 
 class _DegreeCounts:
@@ -673,49 +702,45 @@ def check_perturbed(exact, estimates, mismatch, unestimable):
     return exact
 
 
-def _perturbed_growth(variety, divisor, metric, perturbation, degree_bound,
-                      stride, route):
-    """Growth order of the counts of k*D + m*P for the perturbation P.
+def _perturbed_growth(system, perturbation, stride, route):
+    """Growth order of the counts of k*D + m*P for the perturbation P, on
+    the variety, divisor, metric and degree bound of the system.
 
     Exact value from the limit polytope with the support of P fattened, which
     is the same for every m >= 1.  Empirical values: the growth degree of the
-    counts (on multiples of the stride) for each m in PERTURBATION_MULTIPLES.
-    Every determinable one must equal the exact value, or CrossCheckError
-    naming the route is raised.
+    counts (on multiples of the stride, up to the bound times the stride) of
+    the system twisted by m*P, for each m in PERTURBATION_MULTIPLES.  Every
+    determinable one must equal the exact value, or CrossCheckError naming
+    the route is raised.
     """
     fattened = {i for i, n in enumerate(perturbation.nums) if n > 0}
-    exact = _limit_growth_exact(variety, divisor, metric, fattened)
-
-    systems = [
-        SectionSystem(variety, divisor, metric=metric,
-                      aux=perturbation.scale(m), degree_bound=degree_bound * stride)
-        for m in PERTURBATION_MULTIPLES]
-    period = systems[0].period(stride)  # the same for every auxiliary divisor
-    estimates = [s.growth(stride, period) for s in systems]
+    exact = _limit_growth_exact(system.variety, system.divisor, system.metric,
+                                fattened)
+    bound = system.degree_bound * stride
+    estimates = [system.twist(perturbation.scale(m), bound).growth(stride)
+                 for m in PERTURBATION_MULTIPLES]
     return check_perturbed(
         exact, estimates,
         route + " growth mismatch: exact {exact}, empirical {empirical}",
         "perturbed growth order could not be estimated")
 
 
-def kappa_sigma(variety, divisor, metric=None, ample=None,
-                degree_bound=DEFAULT_DEGREE_BOUND, stride=1):
-    """Perturbed section growth order (numerical dimension flavor).
+def kappa_sigma(system, ample=None, stride=1):
+    """Perturbed section growth order (numerical dimension flavor) of the
+    system's divisor and metric, at its degree bound.
 
     Exact value from the limit polytope; empirical values as the growth
-    degree of the counts for small multiples of the ample perturbation.  The
-    routes must agree or CrossCheckError is raised.
+    degree of the counts of the system's twists by small multiples of the
+    ample perturbation.  The routes must agree or CrossCheckError is raised.
     """
     if ample is None:
-        ample = variety.standard_ample
-    elif not is_ample(variety, ample):
+        ample = system.variety.standard_ample
+    elif not is_ample(system.variety, ample):
         raise ValueError("perturbation divisor is not ample")
-    return _perturbed_growth(variety, divisor, metric, ample, degree_bound,
-                             stride, "numerical")
+    return _perturbed_growth(system, ample, stride, "numerical")
 
 
-def kappa_sigma_hor(variety, divisor, metric, fibration,
-                    degree_bound=DEFAULT_DEGREE_BOUND):
+def kappa_sigma_hor(system, fibration):
     """Perturbed growth order along divisors pulled back from the base.
 
     Same as kappa_sigma, but the perturbation is m * f^*(ample on base): only
@@ -723,5 +748,4 @@ def kappa_sigma_hor(variety, divisor, metric, fibration,
     limit-strict and the value can drop below kappa_sigma.
     """
     pulled = fibration.pullback_divisor(fibration.base.standard_ample)
-    return _perturbed_growth(variety, divisor, metric, pulled, degree_bound,
-                             1, "horizontal")
+    return _perturbed_growth(system, pulled, 1, "horizontal")

@@ -164,11 +164,12 @@ def test_acceptance_5_separation_and_sigma_agreement():
         h = SingularMetricData([(0, 1)])
         sys = SectionSystem(P1, m, metric=h, degree_bound=24)
         assert kappa1(sys) == kappa2(sys) == kappa3(sys) == NEG_INF
-        assert kappa_sigma(P1, m, h, degree_bound=24) == 0
+        assert kappa_sigma(sys) == 0
         # kappa_sigma raises CrossCheckError on any exact/empirical mismatch,
         # so a clean sweep is the 100% agreement statement
         for name, variety, divisor, metric, bound in toric_kappa_corpus(24):
-            kappa_sigma(variety, divisor, metric, degree_bound=bound)
+            kappa_sigma(SectionSystem(variety, divisor, metric,
+                                      degree_bound=bound))
 
 
 def test_acceptance_6_subadditivity_everywhere():
@@ -227,10 +228,10 @@ def test_acceptance_9_stride_and_addti():
         for name, variety, divisor, metric, bound in toric_kappa_corpus(24):
             if variety.lattice_rank > 2:
                 continue
-            base = kappa_sigma(variety, divisor, metric, degree_bound=bound)
+            sys = SectionSystem(variety, divisor, metric, degree_bound=bound)
+            base = kappa_sigma(sys)
             for a in (2, 3, 5):
-                val = kappa_sigma(variety, divisor, metric,
-                                  degree_bound=bound, stride=a)
+                val = kappa_sigma(sys, stride=a)
                 assert val == base, (name, a, val, base)
 
         fib = product_fibration(P1, P1)

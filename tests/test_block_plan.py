@@ -74,6 +74,9 @@ def block_inputs(draw):
 @example(([(0, 1), (0, 1)], [((0, 0), 1), ((1, 0), 0)], 2))
 @example(([(0, 1), (0, 1)], [((0, 0), 0), ((1, 0), 0)], 2))
 @example(([], [((), 0)], 1))
+# one block of two coordinates, whose x range (x >= 5) is empty, and a zero
+# normal that every point meets
+@example(([(0, 2), (0, 2)], [((1, 1), 0), ((1, 0), 5), ((0, 0), -1)], 1))
 def test_split_scan_and_moments_match_collected_points(case):
     box, cons, drawn = case
     n = len(box)

@@ -165,23 +165,25 @@ def test_hor_drop_instance():
     fib = product_fibration(P1, P1)
     m = ToricDivisorData((0, 0, 0, 2))
     h = SingularMetricData([(0, 1)])
-    assert kappa_sigma(fib.total, m, h, degree_bound=14) == 1
-    assert kappa_sigma_hor(fib.total, m, h, fib, degree_bound=14) == NEG_INF
+    sys = SectionSystem(fib.total, m, h, degree_bound=14)
+    assert kappa_sigma(sys) == 1
+    assert kappa_sigma_hor(sys, fib) == NEG_INF
 
 
 def test_hor_equals_sigma_when_metric_pulled_back():
     fib = product_fibration(P1, P1)
     m = ToricDivisorData((0, 2, 0, 0))
     h = SingularMetricData([(2, 1)])  # metric on a pulled-back ray
-    assert kappa_sigma(fib.total, m, h, degree_bound=14) == 1
-    assert kappa_sigma_hor(fib.total, m, h, fib, degree_bound=14) == 1
+    sys = SectionSystem(fib.total, m, h, degree_bound=14)
+    assert kappa_sigma(sys) == 1
+    assert kappa_sigma_hor(sys, fib) == 1
 
 
 def test_hor_no_metric_nef():
     fib = product_fibration(P1, P1)
     m = ToricDivisorData((0, 1, 0, 1))
-    assert kappa_sigma_hor(fib.total, m, None, fib, degree_bound=14) == \
-        kappa_sigma(fib.total, m, None, degree_bound=14) == 2
+    sys = SectionSystem(fib.total, m, None, degree_bound=14)
+    assert kappa_sigma_hor(sys, fib) == kappa_sigma(sys) == 2
 
 
 def test_chain_on_instances():
@@ -499,7 +501,8 @@ def test_verify_iitaka_verdict():
 def test_hor_empty_everything():
     fib = product_fibration(P1, P1)
     m = ToricDivisorData((0, -1, 0, 0))
-    assert kappa_sigma_hor(fib.total, m, None, fib, degree_bound=12) == NEG_INF
+    assert kappa_sigma_hor(SectionSystem(fib.total, m, None, degree_bound=12),
+                           fib) == NEG_INF
 
 
 def test_fibration_run_evaluates_each_perturbed_growth_once(monkeypatch, capsys):
@@ -624,6 +627,65 @@ def test_toric_addti_run_builds_one_plain_fiber_system(monkeypatch, capsys,
     assert main(["fibration", str(path), "--format", "json"]) == 0
     assert '"failed": 0' in capsys.readouterr().out
     assert plain.count("P2") == 1
+
+
+def _record_system_folds(monkeypatch):
+    """(full builds, folds) of the SectionSystems a run makes: each build
+    appends its variety's name, and each fold of constant bounds, once per
+    build and once per twist that is not a memo hit, appends (variety name,
+    aux numerators or None)."""
+    import kodaira.toric
+
+    system = kodaira.toric.SectionSystem
+    builds, folds = [], []
+    init, own = system.__init__, system._own
+
+    def counted_init(self, variety, *args, **kwargs):
+        builds.append(variety.name)
+        init(self, variety, *args, **kwargs)
+
+    def counted_own(self, aux, degree_bound):
+        folds.append((self.variety.name, aux and aux.nums))
+        own(self, aux, degree_bound)
+
+    monkeypatch.setattr(system, "__init__", counted_init)
+    monkeypatch.setattr(system, "_own", counted_own)
+    return builds, folds
+
+
+def test_log_fibration_run_builds_three_systems_and_twists_them(monkeypatch,
+                                                                capsys):
+    # total space, fiber and base are built once each; each of the four
+    # perturbed growths (kappa_sigma of the three, kappa_sigma_hor of the
+    # total space) twists its system by three multiples of its perturbation
+    from pathlib import Path
+
+    from kodaira.cli import main
+
+    builds, folds = _record_system_folds(monkeypatch)
+    path = Path(__file__).parent.parent / "corpus" / "fibration_hirzebruch_log.json"
+    assert main(["fibration", str(path), "--format", "json"]) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    assert sorted(builds) == ["F2", "P1", "P1"]
+    assert len(folds) - len(builds) == 12
+
+
+def test_curve_product_shares_its_perturbed_fiber_systems(monkeypatch, capsys):
+    # the fiber's kappa_sigma and the product's perturbed counts read the
+    # same twists of the P1 fiber system, so each is folded once
+    from collections import Counter
+    from pathlib import Path
+
+    from kodaira.cli import main
+
+    builds, folds = _record_system_folds(monkeypatch)
+    path = Path(__file__).parent.parent / "corpus" / "fibration_dio_g2.json"
+    assert main(["fibration", str(path), "--format", "json"]) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    assert builds == ["P1"]
+    twists = Counter(folds)
+    for m in (1, 2, 3):
+        assert twists["P1", (m, m)] == 1
 
 
 def test_evaluated_instances_are_freed_without_gc():

@@ -238,8 +238,8 @@ def test_every_perturbation_multiple_certifies_p3_unit_mu32(monkeypatch):
     monkeypatch.setattr(toric, "growth_degree", record)
     p3 = ToricVariety.projective_space(3)
     metric = SingularMetricData([(0, Fraction(3, 2))])
-    assert kappa_sigma(p3, ToricDivisorData((0, 0, 0, 1)), metric,
-                       degree_bound=24) == 3
+    assert kappa_sigma(SectionSystem(p3, ToricDivisorData((0, 0, 0, 1)), metric,
+                                     degree_bound=24)) == 3
     assert readings == [3] * len(PERTURBATION_MULTIPLES)
 
 
@@ -258,7 +258,8 @@ def test_kappa_sigma_counts_only_the_degrees_it_reads(monkeypatch):
         return real_piece(sys, k)
 
     monkeypatch.setattr(SectionSystem, "_piece", piece)
-    assert kappa_sigma(variety, divisor, degree_bound=bound) == 2
+    assert kappa_sigma(SectionSystem(variety, divisor,
+                                     degree_bound=bound)) == 2
     period = SectionSystem(variety, divisor, degree_bound=bound).period()
     n = variety.lattice_rank
     assert 0 < len(scanned) <= len(PERTURBATION_MULTIPLES) * (n + 2) * period
@@ -281,7 +282,7 @@ def test_period_uses_only_rays_touching_the_limit_polytope():
     sys = SectionSystem(f3, divisor, metric=metric, degree_bound=24)
     assert sys.period() == 3
     assert sys.period(stride=2) == 3
-    assert kappa_sigma(f3, divisor, metric, degree_bound=24) == 2
+    assert kappa_sigma(sys) == 2
 
 
 def test_period_multiplies_determinant_and_weight_period():

@@ -221,6 +221,10 @@ def leaf_inputs(draw):
 @example(([(-3, 3), (-5, 5)], [((-1, -1), 0), ((-1, 1), 0)]))
 # two upper lines meet at (1, 1), below a y range narrowed by y >= -2
 @example(([(-4, 4), (-6, 6)], [((1, -1), 0), ((-1, -1), -2), ((0, 1), -2)]))
+# two upper lines, y <= x and y <= -x, and two lower lines, y >= x - 6 and
+# y >= -x - 6, each pair crossing on the first column x = 0
+@example(([(0, 3), (-6, 6)], [((1, -1), 0), ((-1, -1), 0), ((-1, 1), -6),
+                              ((1, 1), -6)]))
 def test_leaf_count_matches_every_crossing_split_and_grid(case):
     box, cons = case
     normals, bounds = [v for v, _ in cons], [c for _, c in cons]
@@ -246,6 +250,22 @@ def test_leaf_sums_floors_only_on_pieces_that_need_them(monkeypatch):
                         ToricDivisorData((1, 1, 2, 1)), degree_bound=24)
     assert sys.count(20) == 2501
     assert len(calls) <= 4
+
+
+def test_same_side_crossing_on_the_first_column_ends_no_piece(monkeypatch):
+    # P2, D = H at degree 7: the upper lines y <= 7 - x and y <= 7 (the top
+    # of y's box range) cross at x = 0, the first column, so x = 0..7 is
+    # one piece of two floor sums (two pieces with one at the crossing)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return floor_sum(*args)
+    monkeypatch.setattr(lattice, "floor_sum", counted)
+    sys = SectionSystem(ToricVariety.projective_space(2),
+                        ToricDivisorData((0, 0, 1)), degree_bound=8)
+    assert sys.count(7) == 36
+    assert len(calls) == 2
 
 
 def test_degree_free_system_scans_once(monkeypatch):

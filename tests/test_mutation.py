@@ -49,7 +49,7 @@ def test_clamped_system_is_empty():
 
 def test_falsified_clamp_breaks_growth_chain(monkeypatch):
     m, h = falsified_system()
-    true_sigma = kappa_sigma(P1, m, h, degree_bound=20)
+    true_sigma = kappa_sigma(SectionSystem(P1, m, h, degree_bound=20))
     assert true_sigma == NEG_INF
     monkeypatch.setattr(kodaira.toric, "_coeff", unclamped_coeff)
     fake = SectionSystem(P1, m, metric=h, degree_bound=20)
@@ -64,7 +64,7 @@ def test_falsified_clamp_trips_sigma_cross_check(monkeypatch):
     monkeypatch.setattr(kodaira.toric, "_coeff", unclamped_coeff)
     with pytest.raises(CrossCheckError, match="numerical growth mismatch: "
                        "exact -inf, empirical 1"):
-        kappa_sigma(P1, m, h, degree_bound=20)
+        kappa_sigma(SectionSystem(P1, m, h, degree_bound=20))
 
 
 def test_underresolved_degree_bound_trips_kappa3():

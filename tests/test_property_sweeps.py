@@ -51,8 +51,8 @@ def test_chain_sweep_product_and_hirzebruch():
             m = ToricDivisorData(coeffs)
             sys = SectionSystem(fib.total, m, metric=h, degree_bound=12)
             k = kappa_report(sys).kappa
-            ks = kappa_sigma(fib.total, m, h, degree_bound=12)
-            kh = kappa_sigma_hor(fib.total, m, h, fib, degree_bound=12)
+            ks = kappa_sigma(sys)
+            kh = kappa_sigma_hor(sys, fib)
             assert k <= kh <= ks, (fib.total.name, coeffs, h)
 
 

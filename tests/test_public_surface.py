@@ -157,12 +157,12 @@ def test_every_stored_attribute_is_read():
 
 def test_guard_flags_an_attribute_nothing_reads(tmp_path):
     # the auxiliary divisor stored on a section system again, which every
-    # reader takes from the constructor's parameter instead
+    # reader takes from the parameter of the system's own fold instead
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     toric = tmp_path / "toric.py"
     text = toric.read_text()
-    old = "        self.degree_bound = as_int(degree_bound, \"degree_bound\")\n"
+    old = "        self.degree_bound = degree_bound\n"
     assert text.count(old) == 1
     toric.write_text(text.replace(old, "        self.aux = aux\n" + old))
     assert unread_attributes(tmp_path) == ["toric.SectionSystem.aux"]

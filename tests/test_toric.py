@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kodaira.fibration import hirzebruch_fibration
 from kodaira.lattice import NEG_INF
@@ -174,7 +176,91 @@ def test_metric_id_off_the_rays_is_refused_by_name():
         with pytest.raises(ValueError, match=f"metric id {bad!r} is not a ray"):
             SectionSystem(P1, m, h)
         with pytest.raises(ValueError, match=f"metric id {bad!r} is not a ray"):
-            kappa_sigma(P1, m, h, degree_bound=8)
+            kappa_sigma(SectionSystem(P1, m, h, degree_bound=8))
+
+
+# ---------------------------------------------------------------------------
+# twists: one aux-free part, folded per auxiliary divisor and bound
+# ---------------------------------------------------------------------------
+
+TWIST_VARIETIES = [P1, P2, P1xP1, ToricVariety.product(P1, P2)] + [
+    ToricVariety.hirzebruch(a) for a in range(4)]
+WEIGHTS = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(4, 3),
+           Fraction(3, 2), Fraction(2), Fraction(5, 2)]
+
+
+@st.composite
+def twist_cases(draw):
+    """(variety, divisor, metric, aux of the base build, aux, bound, stride
+    read on the base first, stride): fractional divisors, weights <= 1 and
+    > 1, auxiliary divisors None or integral, strides 1 to 5."""
+    variety = draw(st.sampled_from(TWIST_VARIETIES))
+    m = len(variety.rays)
+    den = draw(st.sampled_from((1, 1, 2, 3)))
+    divisor = ToricDivisorData(
+        [Fraction(draw(st.integers(-den, 3 * den)), den) for _ in range(m)])
+    rays = draw(st.lists(st.integers(0, m - 1), max_size=2, unique=True))
+    metric = SingularMetricData(
+        [(i, draw(st.sampled_from(WEIGHTS))) for i in rays]) if rays else None
+    auxes = st.none() | st.lists(st.integers(-1, 3), min_size=m,
+                                 max_size=m).map(ToricDivisorData)
+    return (variety, divisor, metric, draw(auxes), draw(auxes),
+            draw(st.integers(1, 9)), draw(st.integers(1, 5)),
+            draw(st.integers(1, 5)))
+
+
+def assert_same_system(twisted, fresh, stride):
+    bound = fresh.degree_bound
+    assert twisted.degree_bound == bound
+    assert ([twisted.count(k) for k in range(1, bound + 1)]
+            == [fresh.count(k) for k in range(1, bound + 1)])
+    assert twisted.support() == fresh.support()
+    for k in (1, bound):
+        assert twisted.gram(k) == fresh.gram(k)
+    assert twisted.period(stride) == fresh.period(stride)
+    assert twisted.growth(stride) == fresh.growth(stride)
+
+
+@settings(max_examples=120)
+@given(twist_cases())
+def test_twist_matches_a_fresh_system(case):
+    variety, divisor, metric, base_aux, aux, bound, first, stride = case
+    base = SectionSystem(variety, divisor, metric, aux=base_aux, degree_bound=4)
+    # counts, a period and a support of the base that its twists must not reuse
+    base.growth(first)
+    base.support()
+    twisted = base.twist(aux, bound)
+    fresh = SectionSystem(variety, divisor, metric, aux=aux, degree_bound=bound)
+    assert_same_system(twisted, fresh, stride)
+    # a repeated twist is the same object; twisting a twist starts from the
+    # aux-free constants again, so it is the base's twist
+    assert base.twist(aux, bound) is twisted
+    again = twisted.twist(base_aux, 4).twist(aux, bound)
+    assert again is twisted
+    other = SectionSystem(variety, divisor, metric, degree_bound=bound)
+    assert_same_system(other.twist(base_aux, 3).twist(aux, bound), fresh, stride)
+    # the base keeps its own auxiliary divisor and bound
+    assert base.twist(base_aux, 4) is base
+    assert_same_system(base, SectionSystem(variety, divisor, metric,
+                                           aux=base_aux, degree_bound=4), stride)
+
+
+def test_twist_refuses_a_fractional_auxiliary_divisor():
+    sys = SectionSystem(P1, ToricDivisorData((0, 2)), degree_bound=8)
+    half = ToricDivisorData((Fraction(1, 2), 0))
+    for build in (lambda: SectionSystem(P1, ToricDivisorData((0, 2)), aux=half),
+                  lambda: sys.twist(half, 8)):
+        with pytest.raises(ValueError, match="auxiliary divisor must be integral"):
+            build()
+    with pytest.raises(ValueError, match="degree_bound must be an integer"):
+        sys.twist(None, 2.0)
+
+
+def test_support_is_listed_once(monkeypatch):
+    sys = SectionSystem(P2, ToricDivisorData((0, 0, 1)), degree_bound=6)
+    assert sys.support() == [1, 2, 3, 4, 5, 6]
+    monkeypatch.setattr(SectionSystem, "count", None)  # no count is read again
+    assert sys.support() == [1, 2, 3, 4, 5, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +380,14 @@ def test_standard_ample_checked_once_per_variety(monkeypatch):
                       [{0, 1}, {1, 2}, {2, 3}, {3, 0}], name="F2")
     d = ToricDivisorData((1, 1, 1, 1))
     for _ in range(2):
-        assert kappa_sigma(f2, d, degree_bound=8) == 2
+        assert kappa_sigma(SectionSystem(f2, d, degree_bound=8)) == 2
     assert calls == [f2]
     # the shared F2 checks its ample at most once per process
     shared = ToricVariety.hirzebruch(2)
-    assert kappa_sigma(shared, d, degree_bound=8) == 2
+    assert kappa_sigma(SectionSystem(shared, d, degree_bound=8)) == 2
     before = len(calls)
     for _ in range(2):
-        assert kappa_sigma(shared, d, degree_bound=8) == 2
+        assert kappa_sigma(SectionSystem(shared, d, degree_bound=8)) == 2
     assert len(calls) == before
 
 
@@ -331,34 +417,40 @@ def test_kappa_sigma_separation():
     h = SingularMetricData([(0, 1)])
     sys = SectionSystem(P1, m, metric=h, degree_bound=16)
     assert kappa_report(sys).kappa == NEG_INF
-    assert kappa_sigma(P1, m, h, degree_bound=16) == 0
+    assert kappa_sigma(sys) == 0
 
 
 def test_kappa_sigma_interval():
     m = ToricDivisorData((0, 2))
     h = SingularMetricData([(0, 2)])
-    assert kappa_sigma(P1, m, h, degree_bound=16) == 1
+    assert kappa_sigma(SectionSystem(P1, m, h, degree_bound=16)) == 1
 
 
 def test_kappa_sigma_empty():
     m = ToricDivisorData((0, 2))
-    assert kappa_sigma(P1, m, SingularMetricData([(0, 4)]), degree_bound=16) == NEG_INF
+    assert kappa_sigma(SectionSystem(
+        P1, m, SingularMetricData([(0, 4)]), degree_bound=16)) == NEG_INF
     # weight 3 pins to a single point
-    assert kappa_sigma(P1, m, SingularMetricData([(0, 3)]), degree_bound=16) == 0
+    assert kappa_sigma(SectionSystem(
+        P1, m, SingularMetricData([(0, 3)]), degree_bound=16)) == 0
 
 
 def test_kappa_sigma_no_metric_is_polytope_dim():
-    assert kappa_sigma(P1xP1, ToricDivisorData((1, 1, 1, 1)), degree_bound=12) == 2
-    assert kappa_sigma(P1xP1, ToricDivisorData((0, 0, 1, 1)), degree_bound=12) == 1
-    assert kappa_sigma(P2, ToricDivisorData.canonical(P2), degree_bound=12) == NEG_INF
+    assert kappa_sigma(SectionSystem(
+        P1xP1, ToricDivisorData((1, 1, 1, 1)), degree_bound=12)) == 2
+    assert kappa_sigma(SectionSystem(
+        P1xP1, ToricDivisorData((0, 0, 1, 1)), degree_bound=12)) == 1
+    assert kappa_sigma(SectionSystem(
+        P2, ToricDivisorData.canonical(P2), degree_bound=12)) == NEG_INF
 
 
 def test_kappa_sigma_stride_invariance():
     m = ToricDivisorData((0, 0))
     h = SingularMetricData([(0, 1)])
-    base = kappa_sigma(P1, m, h, degree_bound=16)
+    sys = SectionSystem(P1, m, h, degree_bound=16)
+    base = kappa_sigma(sys)
     for a in (2, 3, 5):
-        assert kappa_sigma(P1, m, h, degree_bound=16, stride=a) == base
+        assert kappa_sigma(sys, stride=a) == base
 
 
 def test_kappa_le_kappa_sigma():
@@ -370,4 +462,4 @@ def test_kappa_le_kappa_sigma():
     ]
     for x, m, h in cases:
         sys = SectionSystem(x, m, metric=h, degree_bound=14)
-        assert kappa_report(sys).kappa <= kappa_sigma(x, m, h, degree_bound=14)
+        assert kappa_report(sys).kappa <= kappa_sigma(sys)
