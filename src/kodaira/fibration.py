@@ -110,9 +110,11 @@ def hirzebruch_fibration(a):
 # verdict, and for the summary, so the order of the reads, which fixes the
 # first error raised, is the same for every check list.  Every fiber count
 # reads one kept aux-free general-fiber system, `fiber_system`, or a twist
-# of it; every perturbed count reads a twist of the system it perturbs.  A
-# part that raises is not kept.  Nothing kept refers back to the instance, so
-# dropping it frees it.  Do not change an instance after its first read.
+# of it; every perturbed count reads a twist of the system it perturbs,
+# memoised per auxiliary divisor alone, so the stride values count on the
+# twists the instance's kappa_sigma made.  A part that raises is not kept.
+# Nothing kept refers back to the instance, so dropping it frees it.  Do
+# not change an instance after its first read.
 
 class _FiberSpace:
     """What both instance shapes share: the general fiber's section system,
@@ -130,7 +132,8 @@ class _FiberSpace:
     @cached_property
     def fiber_system(self):
         """The aux-free SectionSystem of the general fiber."""
-        return SectionSystem(*self.fiber_data(), degree_bound=self.degree_bound)
+        fiber, divisor, metric = self.fiber_data()
+        return SectionSystem(fiber, divisor, metric, degree_bound=self.degree_bound)
 
     @cached_property
     def fiber_report(self):
@@ -230,7 +233,7 @@ class ToricFibrationInstance(_FiberSpace):
         """(h^0 of the degree-1 system twisted by f^* base_twist, h^0 of the
         base twist, fiber section count at degree 1)."""
         fib = self.fibration
-        lhs = self.system.twist(fib.pullback_divisor(base_twist), 1).count(1)
+        lhs = self.system.twist(fib.pullback_divisor(base_twist)).count(1)
         base_h0 = SectionSystem(fib.base, base_twist, degree_bound=1).count(1)
         return lhs, base_h0, self.fiber_system.count(1)
 
@@ -294,7 +297,7 @@ class CurveProductInstance(_FiberSpace):
 
     def product_counts(self, base_extra=0, fiber_aux=None):
         """Curve-side counts times the fiber's, twisted by fiber_aux if given."""
-        sys = self.fiber_system.twist(fiber_aux, self.degree_bound)
+        sys = self.fiber_system.twist(fiber_aux)
         return [self.base_count(k, base_extra) * sys.count(k)
                 for k in range(1, self.degree_bound + 1)]
 

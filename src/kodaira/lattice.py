@@ -420,12 +420,10 @@ class Polytope:
 
     def tight_masks(self):
         """For each vertex, in vertices() order, the bitmask of the
-        constraints it satisfies with equality (bit i: constraint i)."""
-        verts = self.vertices()
-        if self._tight is None:  # vertices given with the polytope
-            self._tight = tuple(
-                sum(1 << i for i, (v, b) in enumerate(zip(self.normals, self.bounds))
-                    if dot(p, v) * self.den == b) for p in verts)
+        constraints it satisfies with equality (bit i: constraint i).  The
+        masks come with solved vertices: a polytope built with its vertices
+        has none (None)."""
+        self.vertices()
         return self._tight
 
 

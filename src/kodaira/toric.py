@@ -295,18 +295,19 @@ class SectionSystem:
     no weight above 1 has one piece at every degree, and counts it once.
 
     E is a fixed auxiliary integral divisor (not scaled with k), and only
-    the constant bounds read it: twist(E, K) is the system for another E and
-    degree bound K that shares the rest, built once per (variety, divisor,
-    metric): plan, box rows, slopes, weights and the period of each stride.
-    Counts, Gram matrices and their ranks are cached per degree.
+    the constant bounds read it.  A system is built without one; twist(E)
+    is the system for E, memoised per E alone, that shares the rest, built
+    once per (variety, divisor, metric): plan, box rows, slopes, weights,
+    degree bound and the period of each stride.  Counts, Gram matrices and
+    their ranks are cached per degree.
     """
 
-    def __init__(self, variety, divisor, metric=None, aux=None,
+    def __init__(self, variety, divisor, metric=None,
                  degree_bound=DEFAULT_DEGREE_BOUND):
         self.variety = variety
         self.divisor = divisor
         self.metric = metric
-        key = _twist_key(aux, degree_bound)
+        self.degree_bound = as_int(degree_bound, "degree_bound")
         self.k0 = divisor.k0
         # the bounds of the rays, then the lower and upper box end of each
         # coordinate (the bounds times a row of _ends, +-lam off the scan
@@ -332,32 +333,32 @@ class SectionSystem:
                     (m + e, row[i]) for e, row in enumerate(self._ends) if row[i])))
         self._fixed = not (any(self._slopes) or self._weighted)
         self._periods = {}  # stride: period
-        self._twists = {}  # (aux, degree bound): system
-        self._own(*key)
+        self._twists = {}  # aux: system
+        self._own(None)
 
     def _fold(self, values):
         """values, then the box ends they give."""
         return values + [sum(map(mul, row, values)) for row in self._ends]
 
-    def _own(self, aux, degree_bound):
+    def _own(self, aux):
         """Fold the constant bounds of aux, start the caches, join the twists."""
-        self.degree_bound = degree_bound
         self._consts = self._fold(self._free if aux is None else [
             c - a for c, a in zip(self._free, aux.nums)])
         self._counts, self._grams, self._ranks = {}, {}, {}
         self._support = None
-        self._twists[aux, degree_bound] = self
+        self._twists[aux] = self
 
-    def twist(self, aux, degree_bound):
-        """This system with auxiliary divisor aux (or None) and the given
-        degree bound, folded off the aux-free constants (so twists do not add
-        up), once per (aux, degree_bound)."""
-        key = _twist_key(aux, degree_bound)
-        if key not in self._twists:
+    def twist(self, aux):
+        """This system with the integral auxiliary divisor aux (or None),
+        folded off the aux-free constants (so twists do not add up), once
+        per aux."""
+        if aux not in self._twists:
+            if aux is not None and not aux.is_integral():
+                raise ValueError("auxiliary divisor must be integral")
             out = object.__new__(SectionSystem)
             out.__dict__.update(self.__dict__)
-            out._own(*key)
-        return self._twists[key]
+            out._own(aux)
+        return self._twists[aux]
 
     def _piece(self, k):
         """(box, bounds) of the degree-k piece (multiplier level k*k0)."""
@@ -414,13 +415,13 @@ class SectionSystem:
         return self._support
 
     def growth(self, stride=1):
-        """growth_degree of the counts at degrees stride, 2 stride, ... up to
-        the degree bound.  A degree is counted only when growth_degree reads
-        it: 2 samples of a dead residue class, max(3, d + 2) of a class of
-        degree d, and the whole of an undecided one."""
-        return growth_degree(
-            _DegreeCounts(self, range(stride, self.degree_bound + 1, stride)),
-            self.period(stride))
+        """growth_degree of the counts at the first degree_bound multiples
+        of the stride: degrees stride, 2 stride, ..., degree_bound stride.
+        A degree is counted only when growth_degree reads it: 2 samples of a
+        dead residue class, max(3, d + 2) of a class of degree d, and the
+        whole of an undecided one."""
+        return growth_degree(_DegreeCounts(self, range(
+            stride, self.degree_bound * stride + 1, stride)), self.period(stride))
 
     def period(self, stride=1):
         """A period of the counts at degrees stride, 2 stride, ... for large
@@ -448,13 +449,6 @@ class SectionSystem:
                         *(mu_period.get(i, 1) for i in sub)))
             self._periods[stride] = period
         return self._periods[stride]
-
-
-def _twist_key(aux, degree_bound):
-    """(aux, degree_bound), checked as a section system's."""
-    if aux is not None and not aux.is_integral():
-        raise ValueError("auxiliary divisor must be integral")
-    return aux, as_int(degree_bound, "degree_bound")
 
 
 class _DegreeCounts:
@@ -708,16 +702,15 @@ def _perturbed_growth(system, perturbation, stride, route):
 
     Exact value from the limit polytope with the support of P fattened, which
     is the same for every m >= 1.  Empirical values: the growth degree of the
-    counts (on multiples of the stride, up to the bound times the stride) of
-    the system twisted by m*P, for each m in PERTURBATION_MULTIPLES.  Every
-    determinable one must equal the exact value, or CrossCheckError naming
-    the route is raised.
+    counts (on the first degree-bound multiples of the stride) of the system
+    twisted by m*P, for each m in PERTURBATION_MULTIPLES, so every stride
+    reads the same twists.  Every determinable one must equal the exact
+    value, or CrossCheckError naming the route is raised.
     """
     fattened = {i for i, n in enumerate(perturbation.nums) if n > 0}
     exact = _limit_growth_exact(system.variety, system.divisor, system.metric,
                                 fattened)
-    bound = system.degree_bound * stride
-    estimates = [system.twist(perturbation.scale(m), bound).growth(stride)
+    estimates = [system.twist(perturbation.scale(m)).growth(stride)
                  for m in PERTURBATION_MULTIPLES]
     return check_perturbed(
         exact, estimates,

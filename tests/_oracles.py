@@ -67,10 +67,13 @@ line crossing at an integer point, and kept a y bound with no x term as a
 line (`EveryCrossingPlan`), is the reference for `ScanPlan`'s leaf, and
 the growth degree that read each residue class's last `cap` samples
 before the whole class (`growth_degree_capped`) is the reference for the
-lazy read of `growth_degree`.  The oracles read and write polytopes as rational
-(normal, bound) pairs, <u, normal> >= bound: `rational_polytope` scales
-them to the integer record of `Polytope`, `rational_pairs` reads a
-polytope back.
+lazy read of `growth_degree`.  The section system constructor that
+folded an auxiliary divisor in itself, before `SectionSystem.twist` became
+the only way to add one (`FreshSectionSystem`), is the fresh-system
+reference the twists are compared against.  The oracles read and write
+polytopes as rational (normal, bound) pairs, <u, normal> >= bound:
+`rational_polytope` scales them to the integer record of `Polytope`,
+`rational_pairs` reads a polytope back.
 """
 
 import math
@@ -105,7 +108,12 @@ from kodaira.lattice import (
 )
 from kodaira.multiplier import EMPTY_METRIC
 from kodaira.semigroup import DegreeBoundError, GradedSemigroup, _decode
-from kodaira.toric import CrossCheckError, limit_polytope
+from kodaira.toric import (
+    DEFAULT_DEGREE_BOUND,
+    CrossCheckError,
+    SectionSystem,
+    limit_polytope,
+)
 
 
 def rational_polytope(n, pairs, vertices=None):
@@ -1320,6 +1328,22 @@ class EveryCrossingPlan(ScanPlan):
                           + floor_sum(size, m[jl], -p[jl], -vl) + size)
             start = end + 1
         return total
+
+
+class FreshSectionSystem(SectionSystem):
+    """A section system built from scratch with the integral auxiliary
+    divisor aux (or None) folded into its constant bounds by its own
+    constructor, with caches of its own and no twist behind it."""
+
+    def __init__(self, variety, divisor, metric=None, aux=None,
+                 degree_bound=DEFAULT_DEGREE_BOUND):
+        if aux is not None and not aux.is_integral():
+            raise ValueError("auxiliary divisor must be integral")
+        super().__init__(variety, divisor, metric, degree_bound)
+        if aux is not None:
+            self._consts = self._fold(
+                [c - a for c, a in zip(self._free, aux.nums)])
+            self._twists = {aux: self}
 
 
 def growth_degree_capped(counts, period, cap=None):

@@ -20,6 +20,7 @@ from kodaira.multiplier import SingularMetricData
 from kodaira.toric import SectionSystem, ToricDivisorData, ToricVariety
 
 from _oracles import (
+    FreshSectionSystem,
     grid_lattice_points,
     point_moments,
     scan_points,
@@ -97,7 +98,7 @@ def product_systems():
     of two toric_product fibrations."""
     ample = P1xP1xP1.standard_ample
     out = [("p1xp1xp1_ample", SectionSystem(P1xP1xP1, ample, degree_bound=12)),
-           ("p1xp1xp1_metric_perturbed", SectionSystem(
+           ("p1xp1xp1_metric_perturbed", FreshSectionSystem(
                P1xP1xP1, ToricDivisorData((1, 0, Fraction(1, 2), 1, 0, 2)),
                metric=SingularMetricData([(1, Fraction(3, 2))]),
                aux=ample.scale(2), degree_bound=12))]

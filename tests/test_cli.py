@@ -161,6 +161,25 @@ def test_fibration_report(tmp_path, capsys):
     assert rep["verdicts"][0]["lhs"] == 2
 
 
+def test_curve_product_growth_needs_its_own_samples(tmp_path, capsys):
+    # genus 2 x P1 with fiber divisor H and base K_Y + 2 points: each factor
+    # is decided at max_degree 3, but the quadratic product counts need 4
+    # samples, so at 3 the product route cannot be estimated
+    doc = {
+        "schema_version": "1", "kind": "fibration",
+        "body": {"variant": "curve_times_toric", "genus": 2,
+                 "fiber": {"preset": "projective_space", "n": 1},
+                 "fiber_divisor": [1, 1], "base_extra_degree": 2},
+        "options": {"max_degree": 3},
+    }
+    path = write_instance(tmp_path, doc)
+    assert main(["fibration", path, "--format", "json"]) == 4
+    assert capsys.readouterr().err == (
+        "cross-check mismatch: product growth not estimable\n")
+    assert main(["fibration", path, "--format", "json", "--max-degree", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["kappa"] == 2
+
+
 def test_deterministic_output(tmp_path, capsys):
     path = write_instance(tmp_path, separation_doc())
     main(["kappa", path, "--format", "json"])

@@ -586,10 +586,9 @@ def test_curve_product_run_builds_one_plain_fiber_system(monkeypatch, capsys):
     plain = []
     inner = kodaira.toric.SectionSystem.__init__
 
-    def counted(self, variety, divisor, metric=None, aux=None, **kwargs):
-        if aux is None:
-            plain.append(variety.name)
-        inner(self, variety, divisor, metric=metric, aux=aux, **kwargs)
+    def counted(self, variety, *args, **kwargs):
+        plain.append(variety.name)
+        inner(self, variety, *args, **kwargs)
 
     monkeypatch.setattr(kodaira.toric.SectionSystem, "__init__", counted)
     path = Path(__file__).parent.parent / "corpus" / "fibration_dio_g2.json"
@@ -610,10 +609,9 @@ def test_toric_addti_run_builds_one_plain_fiber_system(monkeypatch, capsys,
     plain = []
     inner = kodaira.toric.SectionSystem.__init__
 
-    def counted(self, variety, divisor, metric=None, aux=None, **kwargs):
-        if aux is None:
-            plain.append(variety.name)
-        inner(self, variety, divisor, metric=metric, aux=aux, **kwargs)
+    def counted(self, variety, *args, **kwargs):
+        plain.append(variety.name)
+        inner(self, variety, *args, **kwargs)
 
     monkeypatch.setattr(kodaira.toric.SectionSystem, "__init__", counted)
     path = tmp_path / "p2_over_p1.json"
@@ -644,9 +642,9 @@ def _record_system_folds(monkeypatch):
         builds.append(variety.name)
         init(self, variety, *args, **kwargs)
 
-    def counted_own(self, aux, degree_bound):
+    def counted_own(self, aux):
         folds.append((self.variety.name, aux and aux.nums))
-        own(self, aux, degree_bound)
+        own(self, aux)
 
     monkeypatch.setattr(system, "__init__", counted_init)
     monkeypatch.setattr(system, "_own", counted_own)
@@ -668,6 +666,29 @@ def test_log_fibration_run_builds_three_systems_and_twists_them(monkeypatch,
     assert '"failed": 0' in capsys.readouterr().out
     assert sorted(builds) == ["F2", "P1", "P1"]
     assert len(folds) - len(builds) == 12
+
+
+@pytest.mark.parametrize("command, name, strides, builds, folds", [
+    # one P1 system and its three perturbed twists
+    ("kappa", "kappa_p1_deg2_mu2.json", '"kappa_sigma_strides"', 1, 4),
+    # total space, fiber and base, and three twists for each of the four
+    # perturbed growths (kappa_sigma of the three, kappa_sigma_hor)
+    ("fibration", "fibration_metric_drop.json", '"stride_5"', 3, 15),
+], ids=["kappa", "fibration"])
+def test_strides_read_the_stride_one_twists(monkeypatch, capsys, command,
+                                            name, strides, builds, folds):
+    # kappa_sigma on strides 2, 3 and 5 (the kappa file's strides, the
+    # fibration file's stride check) counts on the twists of the stride-1
+    # kappa_sigma, so it folds nothing more
+    from pathlib import Path
+
+    from kodaira.cli import main
+
+    built, folded = _record_system_folds(monkeypatch)
+    path = Path(__file__).parent.parent / "corpus" / name
+    assert main([command, str(path), "--format", "json"]) == 0
+    assert strides in capsys.readouterr().out
+    assert (len(built), len(folded)) == (builds, folds)
 
 
 def test_curve_product_shares_its_perturbed_fiber_systems(monkeypatch, capsys):

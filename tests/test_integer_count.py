@@ -29,6 +29,7 @@ from kodaira.toric import (
 
 from _oracles import (
     EveryCrossingPlan,
+    FreshSectionSystem,
     grid_lattice_points,
     point_moments,
     rational_pairs,
@@ -78,7 +79,7 @@ def degree_pieces(draw):
 def test_integer_count_matches_fraction_polytope(piece):
     variety, coeffs, aux, weights, stride, k = piece
     divisor = ToricDivisorData(coeffs)
-    sys = SectionSystem(
+    sys = FreshSectionSystem(
         variety, divisor, metric=SingularMetricData(weights.items()),
         aux=None if aux is None else ToricDivisorData(aux),
         degree_bound=2 * stride)

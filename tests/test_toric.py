@@ -23,7 +23,12 @@ from kodaira.toric import (
     limit_polytope,
 )
 
-from _oracles import ample_by_vertices, section_points, to_semigroup
+from _oracles import (
+    FreshSectionSystem,
+    ample_by_vertices,
+    section_points,
+    to_semigroup,
+)
 
 P1 = ToricVariety.projective_space(1)
 P2 = ToricVariety.projective_space(2)
@@ -180,7 +185,7 @@ def test_metric_id_off_the_rays_is_refused_by_name():
 
 
 # ---------------------------------------------------------------------------
-# twists: one aux-free part, folded per auxiliary divisor and bound
+# twists: one aux-free part, folded per auxiliary divisor
 # ---------------------------------------------------------------------------
 
 TWIST_VARIETIES = [P1, P2, P1xP1, ToricVariety.product(P1, P2)] + [
@@ -225,35 +230,37 @@ def assert_same_system(twisted, fresh, stride):
 @given(twist_cases())
 def test_twist_matches_a_fresh_system(case):
     variety, divisor, metric, base_aux, aux, bound, first, stride = case
-    base = SectionSystem(variety, divisor, metric, aux=base_aux, degree_bound=4)
+    base = FreshSectionSystem(variety, divisor, metric, aux=base_aux,
+                              degree_bound=bound)
     # counts, a period and a support of the base that its twists must not reuse
     base.growth(first)
     base.support()
-    twisted = base.twist(aux, bound)
-    fresh = SectionSystem(variety, divisor, metric, aux=aux, degree_bound=bound)
+    twisted = base.twist(aux)
+    fresh = FreshSectionSystem(variety, divisor, metric, aux=aux,
+                               degree_bound=bound)
     assert_same_system(twisted, fresh, stride)
     # a repeated twist is the same object; twisting a twist starts from the
     # aux-free constants again, so it is the base's twist
-    assert base.twist(aux, bound) is twisted
-    again = twisted.twist(base_aux, 4).twist(aux, bound)
-    assert again is twisted
+    assert base.twist(aux) is twisted
+    assert twisted.twist(base_aux).twist(aux) is twisted
     other = SectionSystem(variety, divisor, metric, degree_bound=bound)
-    assert_same_system(other.twist(base_aux, 3).twist(aux, bound), fresh, stride)
-    # the base keeps its own auxiliary divisor and bound
-    assert base.twist(base_aux, 4) is base
-    assert_same_system(base, SectionSystem(variety, divisor, metric,
-                                           aux=base_aux, degree_bound=4), stride)
+    assert_same_system(other.twist(base_aux).twist(aux), fresh, stride)
+    # the base keeps its own auxiliary divisor
+    assert base.twist(base_aux) is base
+    assert_same_system(base, FreshSectionSystem(
+        variety, divisor, metric, aux=base_aux, degree_bound=bound), stride)
 
 
 def test_twist_refuses_a_fractional_auxiliary_divisor():
     sys = SectionSystem(P1, ToricDivisorData((0, 2)), degree_bound=8)
     half = ToricDivisorData((Fraction(1, 2), 0))
-    for build in (lambda: SectionSystem(P1, ToricDivisorData((0, 2)), aux=half),
-                  lambda: sys.twist(half, 8)):
+    for build in (lambda: FreshSectionSystem(P1, ToricDivisorData((0, 2)),
+                                             aux=half),
+                  lambda: sys.twist(half)):
         with pytest.raises(ValueError, match="auxiliary divisor must be integral"):
             build()
     with pytest.raises(ValueError, match="degree_bound must be an integer"):
-        sys.twist(None, 2.0)
+        SectionSystem(P1, ToricDivisorData((0, 2)), degree_bound=2.0)
 
 
 def test_support_is_listed_once(monkeypatch):
