@@ -305,15 +305,6 @@ def rat_rank(rows):
     return len(_bareiss(a, len(a[0]) if a else 0)[0])
 
 
-def affine_rank(points):
-    """Dimension of the affine hull of a point set (NEG_INF when empty)."""
-    pts = list(points)
-    if not pts:
-        return NEG_INF
-    p0 = pts[0]
-    return rat_rank([vsub(p, p0) for p in pts[1:]]) if len(pts) > 1 else 0
-
-
 # ---------------------------------------------------------------------------
 # Polytope
 # ---------------------------------------------------------------------------
@@ -539,6 +530,7 @@ class ScanPlan:
         self.bounding = [[] for _ in range(dim)]  # a 1-var bound here
         self.normals = [tuple(v) for v in normals]
         root = list(range(dim))  # union-find over the coordinates
+        spans = []  # (constraint, first and last coordinate it reads)
 
         def find(j):
             while root[j] != j:
@@ -551,6 +543,7 @@ class ScanPlan:
                 self.zero.append(i)
                 continue
             last = support[-1]
+            spans.append((i, support[0], last))
             self.bounding[last].append(i)
             for d in support[:-1]:
                 self.touching[d].append(i)
@@ -575,6 +568,11 @@ class ScanPlan:
                     self.parts.append((coords, idx, ScanPlan(len(coords), [
                         [self.normals[i][j] for j in coords] for i in idx])))
             return
+        # the constraints that straddle each depth d, with a nonzero entry
+        # before d and one at or after it: the subtree of the column walk
+        # below d reads no other residual (_walk's memo)
+        self.live = [[i for i, first, last in spans if first < d <= last]
+                     for d in range(dim)]
         # lines y >= or <= (p x + q) / m: one per constraint with last
         # coordinate y and an x term (q is -c for an upper one, c for a lower
         # one), then the two ends of y's box range (q is the box end); a
@@ -701,7 +699,18 @@ class ScanPlan:
         leaf(lo, hi, residuals) reads the range lo..hi of that coordinate;
         each earlier depth returns fold(depth, lo, values) over the values
         of its x = lo, lo + 1, ... subtrees, None for an empty one.  None
-        when the piece is empty."""
+        when the piece is empty.
+
+        Leaves and folds read coordinates depth.. only, so a subtree below
+        depth d >= 1 is fixed by the residuals of the constraints that
+        straddle d (ScanPlan.live).  The subtrees below depths 2 <= d <=
+        rank - 2 are walked once per call, memoised on (d, those residuals):
+        a count of the dilate k of a simplex then costs O(rank k^2) columns,
+        not O(k^(rank - 2)).  Depth 1 is not wrapped, as its keys never
+        repeat: every constraint straddling it reads coordinate 0, which
+        each of its subtrees changes.  Nor is the one-column subtree below
+        depth rank - 1, a moments leaf, which costs no more than its key.
+        So below rank 4 the walk is not wrapped at all."""
         residuals = list(bounds)
         normals, bounding, touching = (self.normals, self.bounding,
                                        self.touching)
@@ -730,13 +739,23 @@ class ScanPlan:
             for i, a, c in zip(touch, coeffs, saved):
                 residuals[i] = c - a * lo
             values = []
+            step = down if 0 < depth < last else rec
             for x in range(lo, hi + 1):
-                values.append(rec(depth + 1))
+                values.append(step(depth + 1))
                 for i, a in zip(touch, coeffs):
                     residuals[i] -= a
             for i, c in zip(touch, saved):
                 residuals[i] = c
             return fold(depth, lo, values)
+        down, last = rec, self.dim - 2
+        if last >= 2:
+            memo, live = {}, self.live
+
+            def down(depth):
+                key = (depth, *[residuals[i] for i in live[depth]])
+                if key not in memo:
+                    memo[key] = rec(depth)
+                return memo[key]
         return rec(0)
 
     def _count_pair(self, y_box, xlo, xhi, residuals):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import chain, combinations
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import and_, mul, or_
 
 from .lattice import (
@@ -26,7 +26,6 @@ from .lattice import (
     _bareiss,
     _reduce,
     _solve,
-    affine_rank,
     as_int,
     det_int,
     dot,
@@ -294,6 +293,17 @@ class SectionSystem:
     level, folded into the constant bounds once; a system with no slope and
     no weight above 1 has one piece at every degree, and counts it once.
 
+    Degree window.  The gap between the upper and the lower box end of a
+    coordinate is a + k b plus multiplier terms, which only shrink it: a
+    coefficient enters with a factor -lam - lam' <= 0, and it is at least
+    t (p - q) / q, with or without its clamp.  So, scaled by the lcm of the
+    weights' q to keep everything integral, gap i is at most a_i + k
+    rise_i.  Outside the window lo <= k <= hi one of these bounds is
+    negative and the box is empty: count, support and gram answer 0, or a
+    zero Gram matrix, there without building the piece.  The rises read no
+    auxiliary divisor and are computed once per build; the window is read
+    off the constants of each twist on its first use.
+
     E is a fixed auxiliary integral divisor (not scaled with k), and only
     the constant bounds read it.  A system is built without one; twist(E)
     is the system for E, memoised per E alone, that shares the rest, built
@@ -332,6 +342,20 @@ class SectionSystem:
                 self._weighted.append((i, p, q, ((i, 1),) + tuple(
                     (m + e, row[i]) for e, row in enumerate(self._ends) if row[i])))
         self._fixed = not (any(self._slopes) or self._weighted)
+        # the rises of the degree window (class docstring), scaled: per
+        # place, its slope plus lam step for each multiplier term; per
+        # coordinate (rise, lower end's place, upper end's place), the rise
+        # its upper end's less its lower end's.  A multiplier coefficient
+        # enters that gap with the factor lam (upper) - lam (lower) <= 0
+        # and is at least t (p - q) / q, so the rise bounds its growth
+        self._scale = lcm(1, *(q for _, _, q, _ in self._weighted))
+        rises = [self._scale * b for b in self._slopes]
+        for _, p, q, places in self._weighted:
+            step = self.k0 * (p - q) * (self._scale // q)
+            for j, lam in places[1:]:  # the box ends, after the ray's bound
+                rises[j] += step * lam
+        self._rises = [(rises[j + 1] - rises[j], j, j + 1)
+                       for j in range(m, len(rises), 2)]
         self._periods = {}  # stride: period
         self._twists = {}  # aux: system
         self._own(None)
@@ -345,7 +369,7 @@ class SectionSystem:
         self._consts = self._fold(self._free if aux is None else [
             c - a for c, a in zip(self._free, aux.nums)])
         self._counts, self._grams, self._ranks = {}, {}, {}
-        self._support = None
+        self._support = self._span = None
         self._twists[aux] = self
 
     def twist(self, aux):
@@ -359,6 +383,29 @@ class SectionSystem:
             out.__dict__.update(self.__dict__)
             out._own(aux)
         return self._twists[aux]
+
+    def _window(self):
+        """(lo, hi), either end possibly infinite: every degree k outside
+        lo <= k <= hi has an empty box, as some a_i + k rise_i < 0.  Read
+        off this system's constants once: the callers read the cached _span
+        first."""
+        lo, hi = -inf, inf
+        consts, scale = self._consts, self._scale
+        for rise, lower, upper in self._rises:
+            a = scale * (consts[upper] - consts[lower])
+            if rise > 0:
+                end = -(a // rise)
+                if end > lo:
+                    lo = end
+            elif rise < 0:
+                end = a // -rise
+                if end < hi:
+                    hi = end
+            elif a < 0:  # at every degree
+                lo, hi = 1, 0
+                break
+        self._span = lo, hi
+        return self._span
 
     def _piece(self, k):
         """(box, bounds) of the degree-k piece (multiplier level k*k0)."""
@@ -376,7 +423,9 @@ class SectionSystem:
             if self._fixed and self._counts:  # every degree has one piece
                 self._counts[k] = next(iter(self._counts.values()))
             else:
-                self._counts[k] = self._plan.scan(*self._piece(k))
+                lo, hi = self._span or self._window()
+                self._counts[k] = self._plan.scan(
+                    *self._piece(k)) if lo <= k <= hi else 0
         return self._counts[k]
 
     def gram(self, k):
@@ -384,11 +433,12 @@ class SectionSystem:
         piece (ScanPlan.moments): half the sum of (p - q)(p - q)^T over its
         pairs of points, an integer positive semidefinite matrix whose rows
         span the degree's exponent differences, as rank(D^T D) = rank(D).
-        Records the count N; a degree already counted to hold fewer than
-        two points has G_k = 0 without a scan."""
+        Records the count N; a degree outside the window, or already
+        counted to hold fewer than two points, has G_k = 0 without a scan."""
         if k not in self._grams:
             n = self.variety.lattice_rank
-            if self._counts.get(k, 2) < 2:
+            lo, hi = self._span or self._window()
+            if self._counts.get(k, 2) < 2 or not lo <= k <= hi:
                 self._grams[k] = [[0] * n for _ in range(n)]
             else:
                 count, sums, squares = self._plan.moments(*self._piece(k))
@@ -408,10 +458,12 @@ class SectionSystem:
         return self._ranks[k]
 
     def support(self):
-        """The nonempty degrees up to the degree bound, listed once."""
+        """The nonempty degrees up to the degree bound, listed once; only
+        the degrees in the window are counted."""
         if self._support is None:
-            self._support = [k for k in range(1, self.degree_bound + 1)
-                             if self.count(k) > 0]
+            lo, hi = self._span or self._window()
+            self._support = [k for k in range(
+                max(lo, 1), min(hi, self.degree_bound) + 1) if self.count(k) > 0]
         return self._support
 
     def growth(self, stride=1):
@@ -660,8 +712,10 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
     and any w for a face serves Q too: that largest face is Q itself when
     there is one.  So the value is dim Q when the rays tight on all of Q
     admit a displacement, and NEG_INF otherwise; with every ray fattened it
-    is just dim Q.  Cached on the variety next to Q, per limit key and
-    fattened ray set.
+    is just dim Q.  dim Q is n less the rank of the normals of the rays
+    tight on all of Q, its implicit equalities (Schrijver, "Theory of
+    Linear and Integer Programming", 8.2).  Cached on the variety next to
+    Q, per limit key and fattened ray set.
     """
     mu = _ray_weights(variety, metric)
     key = (divisor.nums, divisor.k0, mu, frozenset(fattened_rays))
@@ -675,7 +729,8 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
             if not (disp and Polytope(
                     variety.lattice_rank, [q.normals[i] for i in disp],
                     [int(mu[i][0] >= mu[i][1]) for i in disp]).is_empty()):
-                growth = affine_rank(q.vertices())
+                growth = variety.lattice_rank - rat_rank(  # dim Q
+                    [v for i, v in enumerate(q.normals) if on_q >> i & 1])
         variety._limit_growths[key] = growth
     return variety._limit_growths[key]
 

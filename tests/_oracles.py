@@ -16,7 +16,9 @@ references it is compared against: Fraction Gauss-Jordan (`rref`,
 per n-subset of constraints (`vertices_by_rref`), Fourier-Motzkin
 emptiness (`fm_is_empty`), lattice
 membership (`lattice_contains`) and the perturbed growth order from a walk
-over every ray mask (`limit_growth_mask_walk`).  The column-by-column Euclid
+over every ray mask (`limit_growth_mask_walk`); the rank of a point set's
+differences (`affine_rank`) is the reference for the limit polytope's
+dimension, read off its implicit equalities.  The column-by-column Euclid
 chase the library's gcd-insertion HNF replaced (`hnf_euclid_chase`, with
 the kernel, basis and saturation built on it) and the lattice route of
 `regularize` it replaced (`regularize_lattice_reference`: a level kernel,
@@ -492,6 +494,18 @@ def hull_vertex_set(points):
     hull of the remaining points."""
     pts = sorted(set(points))
     return {p for p in pts if not in_hull(p, [q for q in pts if q != p])}
+
+
+def affine_rank(points):
+    """Dimension of the affine hull of a point set (NEG_INF when empty): the
+    rank of the differences from the first point.  The reference for the
+    limit polytope's dimension, which `toric._limit_growth_exact` reads off
+    its implicit equalities."""
+    pts = list(points)
+    if not pts:
+        return NEG_INF
+    p0 = pts[0]
+    return rat_rank([vsub(p, p0) for p in pts[1:]]) if len(pts) > 1 else 0
 
 
 def affine_dimension(points):

@@ -7,7 +7,8 @@ Fraction Gauss-Jordan, Fourier-Motzkin and cofactor references of
 `_oracles`, in dimensions 0 to 4, on rank-deficient, empty, unbounded and
 lower-dimensional systems with bounds of denominators 1 to 3.  The
 perturbed growth order of `toric` is compared with the walk over every ray
-mask it replaced, and the growth-law prediction, read off the one hull of
+mask it replaced, the limit polytope's dimension read off its implicit
+equalities with the affine rank of its vertices, and the growth-law prediction, read off the one hull of
 the body, with the body's volume and with the two-hull route it replaced.
 """
 
@@ -25,9 +26,15 @@ from kodaira.lattice import (
 )
 from kodaira.multiplier import SingularMetricData
 from kodaira.semigroup import growth_law_check, regularize
-from kodaira.toric import ToricDivisorData, ToricVariety, _limit_growth_exact
+from kodaira.toric import (
+    ToricDivisorData,
+    ToricVariety,
+    _limit_growth_exact,
+    limit_polytope,
+)
 
 from _oracles import (
+    affine_rank,
     basis_coords,
     body_volume,
     fm_is_empty,
@@ -229,6 +236,19 @@ def test_limit_growth_matches_mask_walk(case):
     metric = SingularMetricData(entries) if entries else None
     assert (_limit_growth_exact(x, divisor, metric, fattened)
             == limit_growth_mask_walk(x, divisor, metric, fattened))
+
+
+@settings(max_examples=150)
+@given(limit_cases())
+def test_limit_dimension_from_equalities_matches_vertex_rank(case):
+    # with every ray fattened the exact growth order is dim Q, read off the
+    # rays tight on all of Q; the vertices' affine rank is the reference
+    x, coeffs, entries, _ = case
+    divisor = ToricDivisorData(coeffs)
+    metric = SingularMetricData(entries) if entries else None
+    q = limit_polytope(x, divisor, metric)
+    assert (_limit_growth_exact(x, divisor, metric, set(range(len(x.rays))))
+            == affine_rank(q.vertices()))
 
 
 @pytest.mark.parametrize("case", LOWER_DIMENSIONAL)
