@@ -11,7 +11,6 @@ m^q * Vol(Delta) measured in the lattice G ∩ {level 0}.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -42,9 +41,6 @@ class EmptySemigroupError(ValueError):
 
 class DegreeBoundError(ValueError):
     """A degreewise semigroup was queried beyond its stored bound."""
-
-
-_CLOSURE_CHECK_BUDGET = 200_000  # pairwise sums; larger inputs get sampled
 
 
 def _int_points(points, what):
@@ -105,8 +101,8 @@ class GradedSemigroup:
 
     `generators`: finite list of (u, level) rows in Z^n x Z>0, or None.
     `levels`: dict {k: points of Z^n} for k up to `degree_bound`, used when
-    no generator list is given; `check_closure` spot-checks that A_k + A_l
-    is contained in A_{k+l} (stored levels are declared closed).
+    no generator list is given; `check_closure` checks that A_k + A_l is
+    contained in A_{k+l} (stored levels are declared closed).
 
     Every level is kept once, as the sorted distinct codes of its points
     (`codes[k]`, the code of `_coder(n, M)`, `radix` and `weights`), and
@@ -178,7 +174,7 @@ class GradedSemigroup:
             self.spanning = {k: c for k, c in sorted(self.codes.items())
                              if c and k <= self.degree_bound}
             if check_closure:
-                self._spot_check_closure()
+                self._check_closure()
 
     def _code_generators(self, reach):
         """Code the generated levels up to degree `reach`: the coder, the
@@ -196,48 +192,36 @@ class GradedSemigroup:
 
     # -- structure -----------------------------------------------------------
 
-    def _spot_check_closure(self):
+    def _check_closure(self):
         """Check A_k + A_l ⊆ A_{k+l} for k <= l, k + l within the bound, in
-        pair order, sampling every len // 14-th point of both sorted sets
-        once |A_k| |A_l| exceeds what is left of the budget.
+        pair order, exactly.
 
         Reads the stored codes: the code is linear and injective on the
         points and their pairwise sums (`_coder`), so it checks sums of
         codes.  The sorted codes of a level split into runs of consecutive
         integers; a run plus a run is the run of the summed ends, and it
-        lies in C_{k+l} iff it lies in one run of C_{k+l}.  Each level's
-        runs are split once; only a sampled pair splits its sampled codes
-        again.
+        lies in C_{k+l} iff its start does and the run of C_{k+l} holding
+        that start reaches its end.  Each level's runs are split once, and
+        each target level's map from a code to the last code of its run is
+        built once, so a pair of runs is one lookup.
         """
         pairs = sorted((k, l) for k in self.codes for l in self.codes
                        if k <= l and k + l <= self.degree_bound)
         codes = self.codes
         runs = {k: _runs(c) for k, c in codes.items()}
-        # runs of each target level, with a run (-inf, -inf] in front so the
-        # run before the first start has an end below every sum
-        targets = {}
-        budget = _CLOSURE_CHECK_BUDGET
+        reaches = {}  # target level: {code: last code of its run}
         for k, l in pairs:
-            ck, cl = codes[k], codes[l]
-            if len(ck) * len(cl) > budget:  # runs of the sampled codes
-                ck = ck[:: max(1, len(ck) // 14)]
-                cl = cl[:: max(1, len(cl) // 14)]
-                (a0, a1), (b0, b1) = _runs(ck), _runs(cl)
-            else:
-                (a0, a1), (b0, b1) = runs[k], runs[l]
-            budget -= len(ck) * len(cl)
-            if k + l not in targets:
-                starts, ends = runs.get(k + l, ([], []))
-                targets[k + l] = (starts, [NEG_INF] + ends)
-            starts, ends = targets[k + l]
+            if k + l not in reaches:
+                starts, ends = runs.get(k + l, ((), ()))
+                reaches[k + l] = dict(zip(codes.get(k + l, ()), chain.from_iterable(
+                    repeat(end, end - start + 1) for start, end in zip(starts, ends))))
+            (a0, a1), (b0, b1) = runs[k], runs[l]
             lows = starmap(add, product(a0, b0))
             highs = starmap(add, product(a1, b1))
-            within = map(ends.__getitem__, map(bisect_right, repeat(starts), lows))
+            within = map(reaches[k + l].get, lows, repeat(NEG_INF))
             if not all(map(le, highs, within)):
                 raise ValueError(
                     f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
-            if budget <= 0:
-                break
 
     def level_codes(self, k):
         """The sorted codes of the level A_k (the zero code at k = 0)."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import chain, combinations
 from math import gcd, inf, lcm
-from operator import and_, mul, or_
+from operator import and_, mul
 
 from .lattice import (
     NEG_INF,
@@ -27,7 +27,6 @@ from .lattice import (
     _reduce,
     _solve,
     as_int,
-    det_int,
     dot,
     is_zero,
     primitive,
@@ -61,13 +60,13 @@ class ToricVariety:
     validated instance per argument for the life of the process (product is
     keyed on its factor objects, so a product of presets is shared too).
     What an instance keeps is therefore solved once per distinct fan per
-    process: the cone inverses, scan_plan, nonsingular_subsets, the
-    standard_ample property with its ampleness check, the limit polytopes
-    of limit_polytope with their vertices, and the exact perturbed growth
-    orders read off them.  The limit caches grow with the distinct
-    (divisor, weights) pairs and fattened ray sets the process sees.  A
-    variety built directly, ToricVariety(rays, cones), is not shared and is
-    validated on every call.  Shared instances are not to be mutated.
+    process: the cone inverses, scan_plan, the standard_ample property with
+    its ampleness check, the limit polytopes of limit_polytope with their
+    vertices, and the exact perturbed growth orders read off them.  The
+    limit caches grow with the distinct (divisor, weights) pairs and
+    fattened ray sets the process sees.  A variety built directly,
+    ToricVariety(rays, cones), is not shared and is validated on every
+    call.  Shared instances are not to be mutated.
     """
 
     def __init__(self, rays, max_cones, name=None):
@@ -133,16 +132,6 @@ class ToricVariety:
 
         rows = tuple((mults(i, 1), mults(i, -1)) for i in range(self.lattice_rank))
         return ScanPlan(self.lattice_rank, self.rays), rows
-
-    @cached_property
-    def nonsingular_subsets(self):
-        """(ray index tuple, |det|) for every n-subset of rays with nonzero
-        determinant: every vertex of a polytope {u : <u, v_rho> >= c_rho}
-        solves one of them."""
-        return tuple(
-            (sub, abs(det)) for sub in
-            combinations(range(len(self.rays)), self.lattice_rank)
-            if (det := det_int([self.rays[i] for i in sub])))
 
     factors = ()  # (first, second) of a product
 
@@ -477,29 +466,37 @@ class SectionSystem:
 
     def period(self, stride=1):
         """A period of the counts at degrees stride, 2 stride, ... for large
-        degrees.  Only rays whose constraint touches the limit polytope Q
-        bound the degree piece for large k; the others are slack by a margin
-        growing with k (all rays count when Q is empty).
-        A vertex cut out by rays B moves with a period dividing |det B| times
-        the periods of their multiplier coefficients (the denominators of
-        k0 stride mu for the weights mu above 1; a weight <= 1 has one
-        coefficient at every level, in the constant bounds), and the lcm of
-        the vertex periods is a period of the counts.  The touching rays are
-        cached with Q (Polytope.tight_masks), and none of this depends on the
-        auxiliary divisor, so each stride's period is shared by all twists."""
+        degrees: the least p for which p k0 stride Q is a lattice polytope,
+        Q the limit polytope, that is M / gcd(M, k0 stride) for M the lcm of
+        the denominators of Q's vertex coordinates.
+
+        Only the rays touching Q bound the degree-k piece for large k; the
+        others are slack by a margin growing with k.  Once the pieces have
+        settled, p more strides add p k0 stride Q to the piece (a Minkowski
+        sum) if they move each multiplier coefficient on a touching ray by
+        whole steps, and the count is then a polynomial along the class
+        (McMullen's theorem: P. McMullen, "Valuations and Euler-type
+        relations on certain classes of convex polytopes", Proc. London
+        Math. Soc., 1977).  The steps are whole for this p: the bound of a
+        ray tight at a vertex v of Q is <v, v_rho> = -b_rho + mu - 1 for a
+        weight mu = a/q above 1, so q / gcd(q, k0 stride), the period of its
+        coefficient, divides the denominator of k0 stride v (a weight <= 1
+        has one coefficient at every level, in the constant bounds).  This
+        divides the rule it replaced, the lcm over bases B of touching rays
+        of |det B| times the multiplier periods on B: a vertex solves the
+        system of a basis of its tight rays, whose bounds those periods
+        clear.
+
+        When Q is empty the counts vanish for large k and any period holds;
+        M is then the lcm of q over the weights above 1, so that a count
+        that does not vanish, as under a broken clamp, still repeats along
+        its classes.  None of this reads the auxiliary divisor, so each
+        stride's period is shared by all twists."""
         if stride not in self._periods:
-            touching = (1 << len(self.variety.rays)) - 1  # bit i: ray i
-            q = limit_polytope(self.variety, self.divisor, self.metric)
-            if not q.is_empty():
-                touching = reduce(or_, q.tight_masks())
-            step = self.k0 * stride
-            mu_period = {i: q // gcd(q, step) for i, _, q, _ in self._weighted}
-            period = 1
-            for sub, det in self.variety.nonsingular_subsets:
-                if all(touching >> i & 1 for i in sub):
-                    period = lcm(period, det * lcm(
-                        *(mu_period.get(i, 1) for i in sub)))
-            self._periods[stride] = period
+            limit = limit_polytope(self.variety, self.divisor, self.metric)
+            m = lcm(1, *([x.denominator for v in limit.vertices() for x in v]
+                         or [q for _, _, q, _ in self._weighted]))
+            self._periods[stride] = m // gcd(m, self.k0 * stride)
         return self._periods[stride]
 
 

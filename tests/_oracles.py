@@ -72,7 +72,11 @@ before the whole class (`growth_degree_capped`) is the reference for the
 lazy read of `growth_degree`.  The section system constructor that
 folded an auxiliary divisor in itself, before `SectionSystem.twist` became
 the only way to add one (`FreshSectionSystem`), is the fresh-system
-reference the twists are compared against.  The oracles read and write
+reference the twists are compared against.  The count period that took
+the lcm over every nonsingular n-subset of rays touching the limit
+polytope of its determinant times the multiplier periods on it
+(`period_by_ray_subsets`) is the reference the limit polytope's
+denominator must divide.  The oracles read and write
 polytopes as rational (normal, bound) pairs, <u, normal> >= bound:
 `rational_polytope` scales them to the integer record of `Polytope`,
 `rational_pairs` reads a polytope back.
@@ -83,7 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import combinations, compress, product
-from operator import and_, index, itemgetter, mul, ne
+from operator import and_, index, itemgetter, mul, ne, or_
 
 from kodaira.lattice import (
     NEG_INF,
@@ -813,28 +817,43 @@ def _group_point_at_level(basis, k):
     return tuple(point)
 
 
-def closure_check_per_point(levels, degree_bound, budget):
-    """Reference for `GradedSemigroup._spot_check_closure`: for k <= l with
+def closure_check_per_point(levels, degree_bound):
+    """Reference for `GradedSemigroup._check_closure`: for k <= l with
     k + l <= degree_bound, in pair order, every tuple sum a + b of A_k and
-    A_l must lie in A_{k+l}; once |A_k| |A_l| exceeds what is left of the
-    budget, every len // 14-th point of both sorted sets is checked
-    instead.  Raises the library's ValueError at the first failing pair."""
+    A_l must lie in A_{k+l}.  Raises the library's ValueError at the first
+    failing pair."""
     pairs = sorted((k, l) for k in levels for l in levels
                    if k <= l and k + l <= degree_bound)
     for k, l in pairs:
-        ak, al = levels[k], levels[l]
         target = levels.get(k + l, set())
-        if len(ak) * len(al) > budget:
-            ak = sorted(ak)[:: max(1, len(ak) // 14)]
-            al = sorted(al)[:: max(1, len(al) // 14)]
-        budget -= len(ak) * len(al)
-        for a in ak:
-            for b in al:
+        for a in levels[k]:
+            for b in levels[l]:
                 if tuple(x + y for x, y in zip(a, b)) not in target:
                     raise ValueError(
                         f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
-        if budget <= 0:
-            break
+
+
+def period_by_ray_subsets(system, stride=1):
+    """Reference for `SectionSystem.period`: the rule it replaced.  The lcm,
+    over every n-subset B of rays touching the limit polytope Q (all rays
+    when Q is empty) with det B != 0, of |det B| times the periods
+    q / gcd(q, k0 stride) of the weights a/q above 1 on B."""
+    variety, n = system.variety, system.variety.lattice_rank
+    touching = (1 << len(variety.rays)) - 1  # bit i: ray i
+    limit = limit_polytope(variety, system.divisor, system.metric)
+    if not limit.is_empty():
+        touching = reduce(or_, limit.tight_masks())
+    step = system.k0 * stride
+    mu_period = {i: w.denominator // math.gcd(w.denominator, step)
+                 for i, w in (system.metric.entries if system.metric else ())
+                 if w > 1}
+    period = 1
+    for sub in combinations(range(len(variety.rays)), n):
+        det = det_int([variety.rays[i] for i in sub])
+        if det and all(touching >> i & 1 for i in sub):
+            period = math.lcm(period, abs(det) * math.lcm(
+                *(mu_period.get(i, 1) for i in sub)))
+    return period
 
 
 def int_points_rank(points):

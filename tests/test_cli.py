@@ -292,6 +292,37 @@ def test_underresolved_bound_exit4(tmp_path):
     assert main(["kappa", write_instance(tmp_path, doc)]) == 4
 
 
+def F(a):
+    return {"preset": "hirzebruch", "a": a}
+
+
+def P(n):
+    return {"preset": "projective_space", "n": n}
+
+
+@pytest.mark.parametrize("factors, coefficients, metric, kappa", [
+    ([F(3), F(3)], [1] * 8, [], 4),
+    ([F(2), F(4)], [1] * 8, [], 4),
+    ([F(2), F(3), P(1)], [1] * 10, [], 5),
+    ([F(3), P(3)], ["3/2", "1/2", -1, 2, -1, 1, "3/2", 0],
+     [{"ray": 1, "weight": "1/2"}, {"ray": 4, "weight": "5/3"}], 5),
+], ids=["F3xF3", "F2xF4", "F2xF3xP1", "F3xP3"])
+def test_products_are_decided_at_the_default_bound(tmp_path, capsys, factors,
+                                                   coefficients, metric, kappa):
+    # The count period is read off the limit polytope, a product of the
+    # factors' limit polytopes, so it is the lcm of the factors' periods.
+    # A period that multiplied one factor's ray determinants by another's
+    # (9 on F3 x F3, 8 on F2 x F4) left these undecided at 24, exit 4
+    doc = {
+        "schema_version": "1", "kind": "toric_kappa",
+        "body": {"variety": {"preset": "product", "factors": factors},
+                 "coefficients": coefficients, "metric": metric},
+        "options": {"max_degree": 24},
+    }
+    assert main(["kappa", write_instance(tmp_path, doc), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == kappa
+
+
 def ample_doc(**options):
     doc = json.loads((CORPUS / "kappa_p2_ample.json").read_text())
     doc["options"] = options

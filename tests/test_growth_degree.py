@@ -272,10 +272,10 @@ def test_kappa_sigma_counts_only_the_degrees_it_reads(monkeypatch):
 
 def test_period_uses_only_rays_touching_the_limit_polytope():
     # F3, D = D_0 + D_1, weight 3/2 on ray (0, 1).  The weighted constraint
-    # is slack on the limit polytope, so only the det-3 vertex of rays
-    # (1, 0), (-1, 3) sets the period: 3, not 3 * 2.  With period 6 the
-    # class of degrees 2, 8, 14, 20 starts before the counts are stable and
-    # no multiple would be determinable at bound 24.
+    # is slack on the limit polytope, so the period is the denominator of
+    # its vertex (-1, -1/3) on rays (1, 0), (-1, 3): 3, not 3 * 2.  With
+    # period 6 the class of degrees 2, 8, 14, 20 starts before the counts
+    # are stable and no multiple would be determinable at bound 24.
     f3 = ToricVariety.hirzebruch(3)
     divisor = ToricDivisorData((1, 1, 0, 0))
     metric = SingularMetricData([(1, Fraction(3, 2))])
@@ -290,10 +290,10 @@ def test_period_multiplies_determinant_and_weight_period():
     p1_sys = SectionSystem(P1, ToricDivisorData((0, 2)),
                            metric=SingularMetricData([(0, Fraction(3, 2))]))
     assert (p1_sys.period(), p1_sys.period(stride=2)) == (2, 1)
-    # F2, weight 3/2 on ray (1, 0): the limit polytope has a vertex on rays
-    # (1, 0) and (-1, 2), of determinant 2, and the counts have period
-    # 2 * 2 = 4; read with lcm(2, 2) = 2 no class is polynomial even at
-    # degree 80
+    # F2, weight 3/2 on ray (1, 0): the limit polytope has the vertex
+    # (3/2, 5/4) on rays (1, 0) and (-1, 2), of determinant 2, and the
+    # counts have its denominator 2 * 2 = 4 as period; read with
+    # lcm(2, 2) = 2 no class is polynomial even at degree 80
     f2 = ToricVariety.hirzebruch(2)
     sys = SectionSystem(f2, ToricDivisorData((-1, -1, -1, 2)),
                         metric=SingularMetricData([(0, Fraction(3, 2))]),

@@ -1,11 +1,13 @@
 import json
+import re
 from fractions import Fraction
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kodaira import semigroup
 from kodaira.semigroup import (
     DegreeBoundError,
     EmptySemigroupError,
@@ -206,17 +208,6 @@ def closure_outcome(check):
     return None
 
 
-def assert_closure_check_matches_reference(n, levels, bound, budget):
-    expected = closure_outcome(
-        lambda: closure_check_per_point(levels, bound, budget))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semigroup, "_CLOSURE_CHECK_BUDGET", budget)
-        got = closure_outcome(
-            lambda: GradedSemigroup(n, levels=levels, degree_bound=bound))
-    assert got == expected, (levels, bound, budget)
-    return got
-
-
 @st.composite
 def declared_levels(draw):
     """(rank, levels A_1..A_B, B) of a generated semigroup of ambient rank
@@ -240,32 +231,35 @@ def declared_levels(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(declared_levels(), st.sampled_from([semigroup._CLOSURE_CHECK_BUDGET, 50, 10]))
-def test_closure_check_matches_per_point_reference(case, budget):
-    # budgets 50 and 10 force the sampled path on all but the smallest levels
-    assert_closure_check_matches_reference(*case, budget)
+@given(declared_levels())
+def test_closure_check_matches_per_point_reference(case):
+    n, levels, bound = case
+    expected = closure_outcome(lambda: closure_check_per_point(levels, bound))
+    got = closure_outcome(
+        lambda: GradedSemigroup(n, levels=levels, degree_bound=bound))
+    assert got == expected, (levels, bound)
 
 
-def test_closure_check_samples_the_same_points_as_the_reference():
-    # A_1 = {0, ..., size - 1} and A_2 = {0, ..., 2 size - 2} without one
-    # sum.  Over a budget of 10, every (size // 14)-th point of A_1 is
-    # checked: for 30 points the even ones, whose sums are all even, so a
-    # missing 1 goes unseen and a missing 2 does not; for 26 points all of
-    # them, as under the full budget
-    fails = "declared closure fails: A_1+A_1 escapes A_2"
-    cases = [(30, 1, 10, None), (30, 2, 10, fails),
-             (30, 1, semigroup._CLOSURE_CHECK_BUDGET, fails), (26, 1, 10, fails)]
-    for size, missing, budget, outcome in cases:
-        levels = {1: {(x,) for x in range(size)},
-                  2: {(x,) for x in range(2 * size - 1) if x != missing}}
-        assert assert_closure_check_matches_reference(1, levels, 2, budget) == outcome
-    # each side is thinned by its own length: A_1 (26 points) is checked in
-    # full against every third point of A_2 (51 points), so the missing
-    # 1 = 1 + 0 is found, which every second point of A_1 would miss
-    levels = {1: {(x,) for x in range(26)}, 2: {(x,) for x in range(51)},
-              3: {(x,) for x in range(76) if x != 1}}
-    assert assert_closure_check_matches_reference(1, levels, 3, 700) == (
-        "declared closure fails: A_1+A_2 escapes A_3")
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_closure_check_finds_one_missing_sum_in_large_levels(data):
+    # A_t is the box t B for a lattice box B of 450-600 points, so every
+    # pair of levels has over 200,000 point sums, where the check once
+    # sampled every len // 14-th point and missed most single missing sums.
+    # The check passes the closed levels; with one point of A_2 or A_3
+    # dropped, it must find the pair that misses it
+    n = data.draw(st.integers(1, 3))
+    sides = data.draw(st.lists(st.integers(2, 12), min_size=n - 1, max_size=n - 1))
+    inner = prod(sides)  # at most 150, so some last side fits
+    sides.append(data.draw(st.integers(-(-450 // inner), 600 // inner)))
+    levels = {t: set(product(*[range(-t * (s // 2), t * (s - 1 - s // 2) + 1)
+                               for s in sides])) for t in (1, 2, 3)}
+    GradedSemigroup(n, levels=levels, degree_bound=3)
+    t = data.draw(st.sampled_from([2, 3]))
+    levels[t].discard(data.draw(st.sampled_from(sorted(levels[t]))))
+    with pytest.raises(ValueError, match=re.escape(
+            f"declared closure fails: A_1+A_{t - 1} escapes A_{t}")):
+        GradedSemigroup(n, levels=levels, degree_bound=3)
 
 
 # ---------------------------------------------------------------------------
