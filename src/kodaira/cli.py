@@ -134,12 +134,6 @@ def _int_rows(rows, where):
     return rows
 
 
-def _rat_str(x):
-    if x == NEG_INF:
-        return None
-    return str(Fraction(x))
-
-
 def _kappa_json(x):
     return None if x == NEG_INF else x
 
@@ -256,7 +250,7 @@ def cmd_semigroup(body, options):
         table.append({"degree": k, "count": hilbert(sg, k),
                       "regularized": hilbert_reg(reg, k)})
     growth = growth_law_check(reg, k_max=options.get("growth_k_max", 200))
-    body_verts = [[_rat_str(x) for x in v] for v in reg.okounkov_body.vertices()]
+    body_verts = [list(map(str, v)) for v in reg.okounkov_body.vertices()]
     report = {
         "kind": "semigroup",
         "max_degree": max_degree,
@@ -273,9 +267,9 @@ def cmd_semigroup(body, options):
         "growth_law": {
             "q": growth.q,
             "m": growth.m,
-            "predicted": _rat_str(growth.a_q_predicted),
-            "empirical": _rat_str(growth.a_q_empirical),
-            "relative_gap": _rat_str(growth.relative_gap),
+            "predicted": str(growth.a_q_predicted),
+            "empirical": str(growth.a_q_empirical),
+            "relative_gap": str(growth.relative_gap),
             "k_max": growth.k_max,
         },
     }
@@ -463,7 +457,7 @@ def cmd_multiplier_scan(body, options):
         "k_max": k_max,
         "checked": rep.checked,
         "violations": [
-            {"mu": _rat_str(mu), "k": k, "l": l,
+            {"mu": str(mu), "k": k, "l": l,
              "c_k": ck, "c_l": cl, "c_kl": ckl}
             for mu, k, l, ck, cl, ckl in rep.violations
         ],
@@ -523,13 +517,6 @@ def render_text(report):
             lines.append(
                 f"{v['check']}: {fmt(v['lhs'])} {joint} {rhs} -> {status}{extra}")
         lines.append(f"failed: {report['failed']}")
-    elif report["kind"] == "multiplier_scan":
-        lines.append(f"checked {report['checked']} triples over "
-                     f"{report['grid_size']} weights, k_max {report['k_max']}")
-        lines.append(f"violations: {len(report['violations'])}")
-        for v in report["violations"]:
-            lines.append(f"mu {v['mu']} k {v['k']} l {v['l']}: "
-                         f"{v['c_kl']} > {v['c_k']} + {v['c_l']}")
     elif report["kind"] == "suite":
         for row in report["results"]:
             lines.append(f"{row['file']}: kind {row['kind']} exit {row['exit']}")
@@ -553,10 +540,6 @@ def render_csv(report):
             rhs = RHS_SEPARATORS[v["combine"]].join(
                 str(val) for _, val in v["rhs_terms"])
             rows.append(f"{v['check']},{v['lhs']},{rhs},{v['holds']},{v['vacuous']}")
-    elif report["kind"] == "multiplier_scan":
-        rows.append("mu,k,l,c_k,c_l,c_kl")
-        for v in report["violations"]:
-            rows.append(f"{v['mu']},{v['k']},{v['l']},{v['c_k']},{v['c_l']},{v['c_kl']}")
     elif report["kind"] == "suite":
         rows.append("file,kind,exit")
         for row in report["results"]:
@@ -582,7 +565,7 @@ def export_polytope(poly, path):
     verts = poly.vertices()
     lines = ["OFF", f"{len(verts)} 0 0"]
     for v in verts:
-        lines.append(" ".join(str(Fraction(x)) for x in v))
+        lines.append(" ".join(map(str, v)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -47,14 +47,14 @@ from .toric import (
 @dataclass(frozen=True)
 class ToricFibration:
     """Toric morphism data: which rays are vertical (fiber direction) and how
-    base rays pull back (multiplicity one in all models here)."""
+    base rays pull back (multiplicity one in all models here).  The keys of
+    fiber_ray_of_vertical are the vertical rays, in increasing order."""
 
     total: ToricVariety
     base: ToricVariety
     fiber: ToricVariety
-    vertical_rays: tuple          # indices into total.rays
     pullback_rays: tuple          # pullback_rays[b] = total ray index of base ray b
-    fiber_ray_of_vertical: dict   # total ray index -> fiber ray index
+    fiber_ray_of_vertical: dict   # vertical total ray index -> fiber ray index
 
     def pullback_divisor(self, base_divisor):
         nums = [0] * len(self.total.rays)
@@ -64,8 +64,8 @@ class ToricFibration:
 
     def restrict_divisor(self, divisor):
         nums = [0] * len(self.fiber.rays)
-        for i in self.vertical_rays:
-            nums[self.fiber_ray_of_vertical[i]] = divisor.nums[i]
+        for i, j in self.fiber_ray_of_vertical.items():
+            nums[j] = divisor.nums[i]
         return ToricDivisorData.over(nums, divisor.k0)
 
     def restrict_metric(self, metric):
@@ -78,12 +78,10 @@ def product_fibration(fiber_variety, base_variety):
     """X = F x Y with the projection onto Y; fiber-factor rays come first."""
     total = ToricVariety.product(fiber_variety, base_variety)
     nf = len(fiber_variety.rays)
-    vertical = tuple(range(nf))
     pullback = tuple(nf + b for b in range(len(base_variety.rays)))
     return ToricFibration(
         total=total, base=base_variety, fiber=fiber_variety,
-        vertical_rays=vertical, pullback_rays=pullback,
-        fiber_ray_of_vertical={i: i for i in vertical})
+        pullback_rays=pullback, fiber_ray_of_vertical={i: i for i in range(nf)})
 
 
 def hirzebruch_fibration(a):
@@ -94,8 +92,7 @@ def hirzebruch_fibration(a):
     # total rays: (1,0), (0,1), (-1,a), (0,-1); base rays: (1,), (-1,)
     return ToricFibration(
         total=total, base=base, fiber=fiber,
-        vertical_rays=(1, 3), pullback_rays=(0, 2),
-        fiber_ray_of_vertical={1: 0, 3: 1})
+        pullback_rays=(0, 2), fiber_ray_of_vertical={1: 0, 3: 1})
 
 
 # ---------------------------------------------------------------------------

@@ -384,15 +384,12 @@ class Polytope:
         normals, has a vertex: those columns span the normals' column space,
         so every <u, a_i> is <u', a_i restricted to J> for some u', and
         restricted to J the normals have full column rank, so that
-        polyhedron contains no line.  With J all columns, this is the vertex
-        enumeration itself."""
+        polyhedron contains no line.  One search for a first vertex serves
+        every rank; at full rank J is all the columns."""
         if self._empty is None:
             pivots = [c for c, _, _ in _bareiss(self.normals, self.ambient_dim)[0]]
-            if len(pivots) == self.ambient_dim:
-                self._empty = not self.vertices()
-            else:
-                cut = [tuple(v[j] for j in pivots) for v in self.normals]
-                self._empty = not _vertices(cut, self.bounds, len(pivots), first=True)
+            cut = [tuple(v[j] for j in pivots) for v in self.normals]
+            self._empty = not _vertices(cut, self.bounds, len(pivots), first=True)
         return self._empty
 
     def vertices(self):
@@ -828,7 +825,7 @@ def _dots(w, points):
 
 def _hull(pts):
     """Boundary simplices (corners, w, h) of the hull of sorted distinct
-    integer points spanning R^d, d >= 2: w is a primitive outward normal,
+    integer points spanning R^d, d >= 1: w is a primitive outward normal,
     <p, w> <= h on the hull with equality at the d corners.
 
     Beneath-beyond with conflict lists (Quickhull): each point waits on one
@@ -912,10 +909,9 @@ def int_hull(pts):
     """(lattice, simplices, vertices) of the hull of sorted distinct integer
     points, in any dimension: the IntLattice of the differences from pts[0]
     (stopped at full rank; its d pivots are the coordinates the hull is
-    computed on), `_hull`'s boundary simplices there (none for d < 2), and
+    computed on), `_hull`'s boundary simplices there (none for d = 0), and
     the vertices, points of `pts`.  A corner is a vertex when its tight facet
-    normals span d dimensions; for d = 1 the vertices are the first and the
-    last point, since lexicographic order runs along the line.
+    normals span d dimensions.
     """
     p0 = pts[0]
     n = len(p0)
@@ -925,8 +921,8 @@ def int_hull(pts):
             break
         lat.add(vsub(p, p0))
     d = lat.rank
-    if d < 2:
-        return lat, [], [p0, pts[-1]][:d + 1]
+    if d == 0:
+        return lat, [], [p0]
     columns = list(zip(*pts))
     proj = list(zip(*[columns[c] for c in lat.pivots]))
     simplices = _hull(proj)
@@ -969,10 +965,6 @@ def hull_polytope(hull, den):
             b = dot(verts[0], w)
             normals += [w, tuple(-x for x in w)]
             bounds += [b, -b]
-    if d == 1:
-        c = cols[0]
-        normals += [embed((1,)), embed((-1,))]
-        bounds += [verts[0][c], -verts[-1][c]]
     for w, h in sorted({(w, h) for _, w, h in simplices}):
         normals.append(embed(tuple(-x for x in w)))
         bounds.append(-h)
@@ -985,13 +977,12 @@ def volume_sum(hull):
     """q! times the volume of the hull of integer points on the q pivot
     coordinates of its `int_hull` result (lattice, simplices, vertices):
     a pulling triangulation, the cones from one corner over the boundary
-    simplices, sums |det(corners - p0)|; for q = 1 it is the extent along
-    the pivot column, and 1 for q = 0.  Divided by |det M| for the rows M
-    of a lattice basis of the hull's direction space on the pivot columns,
-    it is q! times the volume in that lattice."""
-    lat, simplices, verts = hull
-    if lat.rank < 2:
-        return verts[-1][lat.pivots[0]] - verts[0][lat.pivots[0]] if lat.rank else 1
+    simplices, sums |det(corners - p0)|, and 1 for q = 0.  Divided by |det M|
+    for the rows M of a lattice basis of the hull's direction space on the
+    pivot columns, it is q! times the volume in that lattice."""
+    lat, simplices, _ = hull
+    if not lat.rank:
+        return 1
     p0 = simplices[0][0][0]
     return sum(abs(det_int([vsub(c, p0) for c in corners]))
                for corners, _, _ in simplices)

@@ -40,7 +40,9 @@ class EmptySemigroupError(ValueError):
 
 
 class DegreeBoundError(ValueError):
-    """A degreewise semigroup was queried beyond its stored bound."""
+    """A degreewise semigroup was queried beyond its stored bound, or a
+    degree bound is too small to decide a growth order (`toric.kappa3`,
+    `toric.certified_growth`) or an image dimension (`iitaka_analysis`)."""
 
 
 def _int_points(points, what):
@@ -379,12 +381,11 @@ def hilbert_reg(reg, k):
     only when m divides k; the slice at level t m is t times the level-m
     slice built once by `regularize`, so each level is one integer scan of
     its scaled box and bounds, the box ends rounded by integer division.
+    Level 0 is scanned too: its box is the origin, so it counts 1.
     """
     k = as_int(k, "degree")
     if k < 0:
         raise ValueError("negative degree")
-    if k == 0:
-        return 1
     t, r = divmod(k, reg.m)
     if r:
         return 0

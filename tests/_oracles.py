@@ -1276,7 +1276,7 @@ def pullback_reference(fib, base_divisor):
 def restrict_reference(fib, divisor):
     """Coefficients of D restricted to the general fiber: the vertical rays'."""
     coeffs = [Fraction(0)] * len(fib.fiber.rays)
-    for i in fib.vertical_rays:
+    for i in fib.fiber_ray_of_vertical:
         coeffs[fib.fiber_ray_of_vertical[i]] = divisor.coefficients[i]
     return FractionDivisor(coeffs)
 

@@ -656,3 +656,60 @@ def test_unwritable_output_path_is_input_error(tmp_path, capsys):
         assert captured.err == (
             f"input error: {argv[-1]}: No such file or directory\n"), argv
     assert not missing.exists()
+
+
+def kappa_doc(**body):
+    doc = separation_doc()
+    doc["body"] = {**doc["body"], **body}
+    return doc
+
+
+def fibration_doc(body):
+    return {"schema_version": "1", "kind": "fibration", "body": body,
+            "options": {"max_degree": 8}}
+
+
+P1_SPEC = {"preset": "projective_space", "n": 1}
+
+
+@pytest.mark.parametrize("command, doc, flags, stderr", [
+    ("kappa", kappa_doc(variety=3), [], "input error: variety must be a JSON object"),
+    ("kappa", {**separation_doc(), "body": {"variety": P1_SPEC}}, [],
+     "input error: body misses fields: ['coefficients']"),
+    ("kappa", kappa_doc(coefficients=[True, 0]), [],
+     "input error: coefficient: expected integer or 'p/q' string, got True"),
+    ("kappa", kappa_doc(metric=[{"ray": 0, "weight": 0.5}]), [],
+     "input error: metric: expected integer or 'p/q' string, got 0.5"),
+    ("kappa", kappa_doc(coefficients=["1/0", 0]), [],
+     "input error: coefficient: expected integer or 'p/q' string, got '1/0'"),
+    ("kappa", kappa_doc(variety={"preset": "projective_space"}), [],
+     "input error: variety: projective_space needs n"),
+    ("kappa", kappa_doc(variety={"preset": "hirzebruch"}), [],
+     "input error: variety: hirzebruch needs a"),
+    ("kappa", kappa_doc(variety={"preset": "product", "factors": [P1_SPEC]}), [],
+     "input error: variety: product needs >= 2 factors"),
+    ("kappa", kappa_doc(variety={"preset": "grassmannian"}), [],
+     "input error: variety: unknown preset 'grassmannian'"),
+    ("kappa", kappa_doc(metric={"ray": 0, "weight": "1"}), [],
+     "input error: metric must be a list"),
+    ("kappa", kappa_doc(coefficients=[0, 0, 0]), [],
+     "input error: coefficient count does not match ray count"),
+    ("semigroup", staircase_doc() | {"body": {"ambient_rank": 1}}, [],
+     "input error: body needs generators or levels"),
+    ("fibration", fibration_doc({"variant": "toric_product", "fiber": P1_SPEC}),
+     [], "input error: toric_product needs fiber and base"),
+    ("fibration", fibration_doc({"variant": "hirzebruch"}), [],
+     "input error: hirzebruch variant needs a"),
+    ("fibration", fibration_doc({}), [], "input error: body needs a variant"),
+    ("fibration", fibration_doc({"variant": "blowup"}), [],
+     "input error: unknown variant 'blowup'"),
+    ("fibration", p1xp1_fibration_doc(), ["--export-polytope", "out.off"],
+     "polytope export not available for this kind"),
+])
+def test_malformed_file_exits_2_with_one_message(tmp_path, capsys, monkeypatch,
+                                                 command, doc, flags, stderr):
+    monkeypatch.chdir(tmp_path)  # where an export, wrongly made, would land
+    assert main([command, write_instance(tmp_path, doc), *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr + "\n")
+    assert not (tmp_path / "out.off").exists()

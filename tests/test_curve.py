@@ -9,6 +9,7 @@ from kodaira.curve import (
     kappa_sigma_curve,
 )
 from kodaira.lattice import NEG_INF
+from kodaira.semigroup import DegreeBoundError
 
 
 def test_canonical_h0_is_genus():
@@ -103,6 +104,13 @@ def test_kappa_general_type():
     for g in (2, 3):
         c = CurveModel(g)
         assert kappa_curve(c, CurveDivisorClass.canonical_multiple(c, 1)) == 1
+
+
+def test_kappa_curve_needs_two_counts_to_certify_growth():
+    # one count fixes no growth degree, so certified_growth refuses it
+    c = CurveModel(2)
+    with pytest.raises(DegreeBoundError, match="degree bound too small"):
+        kappa_curve(c, CurveDivisorClass.canonical_multiple(c, 1), degree_bound=1)
 
 
 def test_kappa_elliptic_and_rational():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -343,6 +344,14 @@ def test_iitaka_needs_room():
         iitaka(sys)
 
 
+def test_iitaka_image_dimension_is_checked_against_growth():
+    sys = SectionSystem(P1xP1, ToricDivisorData((0, 0, 0, 2)), degree_bound=16)
+    assert iitaka_analysis(sys, lambda: 1).image_dim == 1
+    with pytest.raises(CrossCheckError,
+                       match="image dimension 1 disagrees with growth 2"):
+        iitaka_analysis(sys, lambda: 2)
+
+
 @pytest.mark.parametrize("variety, coeffs, bound, relations", [
     (P1, (0, 0), 12, ()),
     (P1xP1, (0, 0, 0, 2), 16, ((0, 1),)),
@@ -464,6 +473,16 @@ def test_spans_match_per_point_references(case):
         assert got.degrees_checked == tuple(support)
     else:  # the fiber check passed; only the later kappa cross-check failed
         assert "spreads across fibers" not in got
+
+
+def test_product_growth_routes_are_cross_checked():
+    # a wrong fiber order makes the sum route disagree with the slope of
+    # the product counts
+    inst = dio_instance()
+    inst.fiber_report = replace(inst.fiber_report, kappa1=0)
+    with pytest.raises(CrossCheckError, match="product growth mismatch: "
+                       "sum route 1, slope route 2"):
+        inst.report
 
 
 def test_kappa_summary_record():

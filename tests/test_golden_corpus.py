@@ -1,7 +1,7 @@
 """Byte-for-byte CLI output on the bundled corpus.
 
 tests/golden_corpus.json holds the exit code, stdout and stderr of
-`kodaira <command> FILE --format {json,text}` for every corpus file under
+`kodaira <command> FILE --format {json,text,csv}` for every corpus file under
 each single-file command, and of `kodaira verify-suite corpus`.  Regenerate
 it (only when an output change is intended) from the repository root with
 
@@ -20,7 +20,7 @@ from kodaira.cli import COMMAND_KINDS, main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_corpus.json"
 COMMANDS = ("semigroup", "kappa", "fibration")
-FORMATS = ("json", "text")
+FORMATS = ("json", "text", "csv")
 
 
 def _run(argv):

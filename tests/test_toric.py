@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kodaira.fibration import hirzebruch_fibration
 from kodaira.lattice import NEG_INF
 from kodaira.multiplier import SingularMetricData
-from kodaira.semigroup import regularize
+from kodaira.semigroup import DegreeBoundError, regularize
 from kodaira.toric import (
     SectionSystem,
     ToricDivisorData,
@@ -286,6 +286,17 @@ def test_kappa_zero_dim():
     assert kappa1(sys) == 0
     assert kappa2(sys) == 0
     assert kappa3(sys) == 0
+
+
+def test_kappa3_accepts_undetermined_growth_at_rank_zero_only():
+    # one populated degree fixes no growth degree: a top rank of 0 stands,
+    # a top rank of 1 cannot be confirmed
+    zero = SectionSystem(P1, ToricDivisorData((0, 0)), degree_bound=1)
+    assert (zero.support(), zero.growth(), kappa3(zero)) == ([1], None, 0)
+    line = SectionSystem(P1, ToricDivisorData((0, 1)), degree_bound=1)
+    assert (line.support(), line.growth()) == ([1], None)
+    with pytest.raises(DegreeBoundError, match="degree bound too small"):
+        kappa3(line)
 
 
 def test_kappa_all_empty():
