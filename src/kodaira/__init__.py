@@ -11,7 +11,6 @@ integer statements.
 from .lattice import (
     NEG_INF,
     GeometryError,
-    IntLattice,
     Polytope,
     hnf,
 )

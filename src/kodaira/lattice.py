@@ -3,17 +3,17 @@
 Everything in this module is exact: vectors are tuples of ints or Fractions,
 matrices are lists of row tuples, and no geometric predicate ever touches a
 float.  All linear algebra over Q runs on integers: `_bareiss`, one
-fraction-free (Bareiss) elimination, gives ranks, determinants, pivot
-columns and solutions as integer numerators over one denominator; rational
-input is scaled to integers first, and Fractions are built only for the
-values returned.  A `Polytope` is the integer record its callers build:
-integer normals and integer bounds over one denominator; only its vertices
-are Fractions.  One `int_hull` of integer points gives a hull's lattice,
-boundary simplices and vertices: its rank is the hull's dimension,
-`hull_polytope` reads the Polytope off it and `volume_sum` the volume, so a
-body is hulled once.  The distinguished value NEG_INF (= float("-inf")) is
-the dimension of an empty polytope and propagates through every
-dimension-like quantity downstream; it is never encoded as -1.
+fraction-free (Bareiss) elimination, gives ranks, determinants, pivot columns
+and solutions as integer numerators over one denominator; rational input is
+scaled to integers first, and Fractions are built only for the values returned.
+Lattice bases come from the Hermite family `hnf`, `hnf_basis`, `int_kernel`.  A
+`Polytope` is the integer record its callers build: integer normals and integer
+bounds over one denominator; only its vertices are Fractions.  One `int_hull`
+of integer points gives a hull's pivot columns (as many as its dimension),
+boundary simplices and vertices: `hull_polytope` reads the Polytope off it and
+`volume_sum` the volume, so a body is hulled once.  The distinguished value
+NEG_INF (= float("-inf")) is the dimension of an empty polytope and propagates
+through every dimension-like quantity downstream; it is never encoded as -1.
 """
 
 from __future__ import annotations
@@ -154,23 +154,23 @@ def hnf(rows):
 def hnf_basis(rows):
     """Nonzero rows of the HNF: a canonical basis of the generated lattice.
 
-    Reads the rows (any iterable) one at a time into an `IntLattice`
-    without building the transform, so huge generating sets cost
-    O(rows * n^2), and stops reading once the rows generate Z^n (full rank,
-    every pivot 1), whose HNF is the identity.
+    Inserts the rows (any iterable) one at a time (`_insert`) without
+    building the transform, so huge generating sets cost O(rows * n^2), and
+    stops reading once the rows generate Z^n (full rank, every pivot 1),
+    whose HNF is the identity.
     """
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         return []
     n = len(first)
-    lat = IntLattice(n)
+    echelon, pivots = [], []
     for r in chain((first,), rows):
-        lat.add(r)
-        if lat.rank == n and all(row[p] == 1 for row, p in zip(lat.rows, lat.pivots)):
+        _insert(echelon, pivots, as_int_row(r, "vector entry"), n)
+        if len(pivots) == n and all(row[p] == 1 for row, p in zip(echelon, pivots)):
             return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    _reduce_above(lat.rows, lat.pivots)
-    return lat.basis()
+    _reduce_above(echelon, pivots)
+    return [tuple(r) for r in echelon]
 
 
 def int_kernel(rows):
@@ -253,33 +253,6 @@ def det_int(rows):
     cols = [c for c, _, _ in echelon]
     sign = (-1) ** sum(a > b for a, b in combinations(cols, 2))
     return sign * echelon[-1][2] if n else 1
-
-
-class IntLattice:
-    """Mutable integer lattice kept in row-echelon form via gcd insertion.
-
-    Supports incremental generation: add vectors one at a time and query
-    the rank cheaply.  Entries stay small because insertions use
-    extended-gcd row operations (`_insert`), never fraction-free
-    elimination.
-    """
-
-    def __init__(self, ambient_dim):
-        self.n = as_int(ambient_dim, "ambient dimension")
-        self.rows = []        # echelon rows, pivot columns strictly increase
-        self.pivots = []      # pivot column per row
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def add(self, vec):
-        """Insert vec; True when it adds a pivot row (the rank grows)."""
-        return _insert(self.rows, self.pivots, as_int_row(vec, "vector entry"),
-                       self.n) is None
-
-    def basis(self):
-        return [tuple(r) for r in self.rows]
 
 
 def xgcd(a, b):
@@ -906,25 +879,29 @@ def _hull(pts):
 
 
 def int_hull(pts):
-    """(lattice, simplices, vertices) of the hull of sorted distinct integer
-    points, in any dimension: the IntLattice of the differences from pts[0]
-    (stopped at full rank; its d pivots are the coordinates the hull is
-    computed on), `_hull`'s boundary simplices there (none for d = 0), and
-    the vertices, points of `pts`.  A corner is a vertex when its tight facet
-    normals span d dimensions.
+    """(columns, simplices, vertices) of the hull of sorted distinct integer
+    points, in any dimension: the pivot columns, in increasing order, of the
+    differences from pts[0] reduced one at a time (`_reduce`, stopped at
+    full rank; their number d is the hull's dimension, and they are the
+    coordinates the hull is computed on), `_hull`'s boundary simplices there
+    (none for d = 0), and the vertices, points of `pts`.  A corner is a
+    vertex when its tight facet normals have rank d.
     """
     p0 = pts[0]
     n = len(p0)
-    lat = IntLattice(n)
+    echelon = []
     for p in pts[1:]:
-        if lat.rank == n:
+        if len(echelon) == n:
             break
-        lat.add(vsub(p, p0))
-    d = lat.rank
+        row, col = _reduce(echelon, vsub(p, p0), n)
+        if col is not None:
+            echelon.append((col, row, row[col]))
+    cols = sorted(c for c, _, _ in echelon)
+    d = len(cols)
     if d == 0:
-        return lat, [], [p0]
+        return cols, [], [p0]
     columns = list(zip(*pts))
-    proj = list(zip(*[columns[c] for c in lat.pivots]))
+    proj = list(zip(*[columns[c] for c in cols]))
     simplices = _hull(proj)
     # the simplices form a triangulation of the boundary, so a corner lies
     # on exactly the facets of the simplices it is a corner of
@@ -934,23 +911,21 @@ def int_hull(pts):
             tight.setdefault(q, set()).add(w)
     back = dict(zip(proj, pts))
     verts = [back[q] for q, ws in tight.items()
-             if any(det_int(sub) for sub in combinations(ws, d))]
-    return lat, simplices, verts
+             if len(_bareiss(list(ws), d)[0]) == d]
+    return cols, simplices, verts
 
 
 def hull_polytope(hull, den):
     """The hull of pts / den as a Polytope over den, for den > 0 and the
-    `int_hull` result (lattice, simplices, vertices) of nonempty sorted
+    `int_hull` result (columns, simplices, vertices) of nonempty sorted
     distinct integer points pts of one dimension; it carries the minimal
     vertex set (lexicographically sorted), and a lower-dimensional hull
     gets its affine-hull equalities as pairs of opposite constraints.
     Facet rows are read off the simplices; the equality normals are the
-    HNF basis of the integer orthogonal complement of the lattice, which
-    depends on the hull only, not on the points fed."""
-    lat, simplices, verts = hull
+    HNF basis of the integer orthogonal complement of the vertices'
+    differences, so they depend on the hull only, not on the points fed."""
+    cols, simplices, verts = hull
     n = len(verts[0])
-    cols = lat.pivots
-    d = len(cols)
 
     def embed(w):
         e = [0] * n
@@ -959,8 +934,8 @@ def hull_polytope(hull, den):
         return tuple(e)
 
     normals, bounds = [], []
-    if d < n:
-        for w in hnf_basis(int_kernel([tuple(r[i] for r in lat.rows)
+    if len(cols) < n:
+        for w in hnf_basis(int_kernel([[v[i] - verts[0][i] for v in verts[1:]]
                                        for i in range(n)])):
             b = dot(verts[0], w)
             normals += [w, tuple(-x for x in w)]
@@ -975,13 +950,13 @@ def hull_polytope(hull, den):
 
 def volume_sum(hull):
     """q! times the volume of the hull of integer points on the q pivot
-    coordinates of its `int_hull` result (lattice, simplices, vertices):
-    a pulling triangulation, the cones from one corner over the boundary
+    columns of its `int_hull` result (columns, simplices, vertices): a
+    pulling triangulation, the cones from one corner over the boundary
     simplices, sums |det(corners - p0)|, and 1 for q = 0.  Divided by |det M|
     for the rows M of a lattice basis of the hull's direction space on the
     pivot columns, it is q! times the volume in that lattice."""
-    lat, simplices, _ = hull
-    if not lat.rank:
+    cols, simplices, _ = hull
+    if not cols:
         return 1
     p0 = simplices[0][0][0]
     return sum(abs(det_int([vsub(c, p0) for c in corners]))

@@ -321,8 +321,8 @@ def regularize(sg):
     hull = int_hull(sorted(set(chain.from_iterable(
         map(tuple, map(map, repeat(partial(mul, den // k)), chain(starts, tails)))
         for k, (starts, tails) in ends.items()))))
-    lat, _, verts = hull
-    if lat.rank != body_dim:
+    cols, _, verts = hull
+    if len(cols) != body_dim:
         raise GeometryError("okounkov dimension disagrees with group rank")
     delta = hull_polytope(hull, den)
     level = tuple([0] * n)
@@ -338,13 +338,13 @@ def regularize(sg):
     bounds = [b * m - den * dot(g0[:-1], v)
               for v, b in zip(delta.normals, delta.bounds)]
     # its vertices are the y of m V / den - g0 for the vertices V of den
-    # Delta: den y M = m V - den g0 on the hull lattice's pivot columns, for
+    # Delta: den y M = m V - den g0 on the hull's pivot columns, for
     # M the boundary rows there, invertible once the dimensions agree; one
     # solve for all V gives den y as numerators over its last pivot, ±det M
     q = body_dim
     echelon, _ = _bareiss([[b[c] for b in boundary]
                            + [m * v[c] - den * g0[c] for v in verts]
-                           for c in lat.pivots], q)
+                           for c in cols], q)
     det = echelon[-1][2] if echelon else 1
     coords = [_solve(echelon, q, j)[1] for j in range(q, q + len(verts))]
     box = tuple((min(c), max(c)) if det > 0 else (-max(c), -min(c))

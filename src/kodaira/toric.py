@@ -246,15 +246,23 @@ class ToricDivisorData:
         return cls.over([int(i in chosen) for i in range(len(variety.rays))], 1)
 
 
+def _nums(variety, divisor, name="divisor"):
+    """The divisor's numerators; ValueError unless there is one per ray."""
+    if len(divisor.nums) != len(variety.rays):
+        raise ValueError(f"{name} has {len(divisor.nums)} coefficients, "
+                         f"{variety.name} has {len(variety.rays)} rays")
+    return divisor.nums
+
+
 def is_ample(variety, divisor):
     """Ampleness on a smooth complete fan: D is integral and, for every
     maximal cone sigma, the point m_sigma with <m_sigma, v_rho> = -b_rho on
     sigma's rays satisfies <m_sigma, v_rho> > -b_rho on every other ray.
     m_sigma = -R^-1 b_sigma for the cone's ray matrix R (rows v_rho), and
     is integral since R^-1 is (ToricVariety.cone_inverses)."""
+    b = _nums(variety, divisor)
     if not divisor.is_integral():
         return False
-    b = divisor.nums
     for idx, inv in variety.cone_inverses:
         m = [-sum(x * b[r] for r, x in zip(idx, row)) for row in inv]
         if any(dot(m, ray) <= -c for i, (ray, c) in enumerate(zip(variety.rays, b))
@@ -317,7 +325,7 @@ class SectionSystem:
         m = len(variety.rays)
         self._ends = [[sign * lams.get(r, 0) for r in range(m)] for row in rows
                       for lams, sign in zip(map(dict, row), (1, -1))]
-        self._slopes = self._fold([-a for a in divisor.nums])
+        self._slopes = self._fold([-a for a in _nums(variety, divisor)])
         # the aux-free constants: a weight p/q <= 1 has one coefficient at
         # every level (0 below 1, 1 at 1), told apart by _coeff itself:
         # before its clamp a coefficient gains p - q every q levels
@@ -356,7 +364,7 @@ class SectionSystem:
     def _own(self, aux):
         """Fold the constant bounds of aux, start the caches, join the twists."""
         self._consts = self._fold(self._free if aux is None else [
-            c - a for c, a in zip(self._free, aux.nums)])
+            c - a for c, a in zip(self._free, _nums(self.variety, aux, "aux"))])
         self._counts, self._grams, self._ranks = {}, {}, {}
         self._support = self._span = None
         self._twists[aux] = self

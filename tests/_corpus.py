@@ -1,13 +1,18 @@
 """Deterministic instance corpora used by the acceptance and hull tests.
 
 Everything here is enumerated, never sampled: the acceptance checks are
-exact statements about every generated instance.
+exact statements about every generated instance.  `workload_generator`
+loads the benchmark's input generator, `perfbench/gen.py`, which does not
+import the package, so that tests read the benchmark inputs without
+running the benchmark.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from kodaira.curve import CurveDivisorClass, CurveModel
 from kodaira.fibration import (
@@ -25,6 +30,16 @@ P3 = ToricVariety.projective_space(3)
 P1xP1 = ToricVariety.product(P1, P1)
 P1xP2 = ToricVariety.product(P1, P2)
 P1xP1xP1 = ToricVariety.product(P1xP1, P1)
+
+
+def workload_generator():
+    """The module `perfbench/gen.py`: `instances(workload, seed)` lists the
+    benchmark inputs of a workload as (name, CLI command, JSON text)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def toric_kappa_corpus(degree_bound=24):

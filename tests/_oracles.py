@@ -9,12 +9,16 @@ lattice helpers that only tests use (`in_row_lattice`, `solve_in_lattice`,
 per-point closure check (`closure_check_per_point`) that the library's run
 check on integer codes replaced, and the per-point lattice insertions
 (`diff_lattice_per_point`, `kappa1_per_point`, `iitaka_fibers_per_point`)
-that the library's Gram-matrix spans replaced.  The exact rational linear
-algebra the library's fraction-free core replaced lives here too, as the
-references it is compared against: Fraction Gauss-Jordan (`rref`,
-`solve_rational`, `solve_linear_system`), vertices from one Fraction solve
-per n-subset of constraints (`vertices_by_rref`), Fourier-Motzkin
-emptiness (`fm_is_empty`), lattice
+that the library's Gram-matrix spans replaced.  The lattice they insert
+into (`IntLattice`, extended-gcd Hermite rows grown one vector at a time)
+is the one `int_hull` read its dimension and pivot columns off before
+`_bareiss` gave them; it stays as the incremental Hermite reference of
+those insertions, `span_rank` and the saturation references.  The exact
+rational linear algebra the library's fraction-free core replaced lives
+here too, as the references it is compared against: Fraction Gauss-Jordan
+(`rref`, `solve_rational`, `solve_linear_system`), vertices from one
+Fraction solve per n-subset of constraints (`vertices_by_rref`),
+Fourier-Motzkin emptiness (`fm_is_empty`), lattice
 membership (`lattice_contains`) and the perturbed growth order from a walk
 over every ray mask (`limit_growth_mask_walk`); the rank of a point set's
 differences (`affine_rank`) is the reference for the limit polytope's
@@ -42,8 +46,12 @@ volume (`slice_volume_two_hulls`: `hull_volume`, a second hull, of the
 Fraction boundary coordinates `basis_coords` of the slice vertices).
 `scaled_hull` puts the rational scaling around `int_hull`, `rational_hull`
 reads its `hull_polytope`, and `body_volume` divides the library's
-`volume_sum` by the lattice's determinant.  The tuple route the coded
-levels of `GradedSemigroup` replaced is the reference for them: levels as
+`volume_sum` by the determinant of a lattice basis on the hull's pivot
+columns.  The hull route that read its dimension, pivot columns and
+equality normals off an `IntLattice` and tested a vertex by enumerating
+determinants (`hull_by_hermite`) is the reference for the Bareiss route
+that replaced it.  The tuple route the coded levels of `GradedSemigroup`
+replaced is the reference for them: levels as
 sets of `operator.index` tuples (`tuple_levels`), the two ends of each
 column (`column_ends`), and the group basis from every point and the hull
 of the column ends (`regularize_tuple_route`); `spanning_points` reads a
@@ -92,13 +100,15 @@ from operator import and_, index, itemgetter, mul, ne, or_
 from kodaira.lattice import (
     NEG_INF,
     GeometryError,
-    IntLattice,
     Polytope,
     ScanPlan,
     _bareiss,
     _hull,
+    _insert,
     _integral,
     _solve,
+    as_int,
+    as_int_row,
     det_int,
     floor_sum,
     dot,
@@ -226,6 +236,31 @@ def fm_is_empty(poly):
     for var in range(poly.ambient_dim):
         cons = _fm_eliminate(cons, var)
     return any(c > 0 for _, c in cons)
+
+
+class IntLattice:
+    """Mutable integer lattice kept in row-echelon form via gcd insertion
+    (`_insert`): the incremental Hermite reference of `span_rank`,
+    `diff_lattice_per_point`, `lattice_contains` and the saturation
+    references.  Vectors are added one at a time and the rank is read
+    cheaply; entries stay small, as no fraction-free step is taken."""
+
+    def __init__(self, ambient_dim):
+        self.n = as_int(ambient_dim, "ambient dimension")
+        self.rows = []        # echelon rows, pivot columns strictly increase
+        self.pivots = []      # pivot column per row
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, vec):
+        """Insert vec; True when it adds a pivot row (the rank grows)."""
+        return _insert(self.rows, self.pivots, as_int_row(vec, "vector entry"),
+                       self.n) is None
+
+    def basis(self):
+        return [tuple(r) for r in self.rows]
 
 
 def lattice_contains(lat, vec):
@@ -717,15 +752,56 @@ def body_volume(poly, basis):
     """Volume of a polytope in the lattice of integer basis rows spanning
     its direction space (GeometryError otherwise), by the library's
     `volume_sum` of the `scaled_hull` of its vertices over den:
-    sum / (q! den^q |det M|), M the basis on the hull lattice's pivot
-    columns."""
+    sum / (q! den^q |det M|), M the basis on the hull's q pivot columns."""
     hull, den = scaled_hull(poly.vertices())
-    lat = hull[0]
-    q = lat.rank
-    if len(basis) != q or rat_rank(list(basis) + lat.basis()) != q:
+    cols, _, verts = hull
+    q = len(cols)
+    if len(basis) != q or rat_rank(
+            list(basis) + [vsub(v, verts[0]) for v in verts]) != q:
         raise GeometryError("basis does not span direction space")
-    det = det_int([[b[c] for c in lat.pivots] for b in basis])
+    det = det_int([[b[c] for c in cols] for b in basis])
     return Fraction(volume_sum(hull), math.factorial(q) * den ** q * abs(det))
+
+
+def hull_by_hermite(pts):
+    """Reference for `int_hull` and `hull_polytope` (over den 1), the route
+    that read the hull's dimension and pivot columns off the `IntLattice`
+    of the differences from pts[0] (sorted distinct integer points, stopped
+    at full rank): (pivots, vertices, normals, bounds).  A corner is a
+    vertex when some d of its tight facet normals have a nonzero
+    determinant, and the equality normals are the HNF basis of the integer
+    orthogonal complement of the lattice's Hermite rows."""
+    p0 = pts[0]
+    n = len(p0)
+    lat = IntLattice(n)
+    for p in pts[1:]:
+        if lat.rank == n:
+            break
+        lat.add(vsub(p, p0))
+    d, cols = lat.rank, lat.pivots
+    normals, bounds = [], []
+    for w in (hnf_basis(int_kernel([tuple(r[i] for r in lat.rows)
+                                    for i in range(n)])) if d < n else []):
+        normals += [w, tuple(-x for x in w)]
+        bounds += [dot(p0, w), -dot(p0, w)]
+    if d == 0:
+        return cols, [p0], normals, bounds
+    proj = [tuple(p[c] for c in cols) for p in pts]
+    simplices = _hull(proj)
+    tight = {}
+    for corners, w, _ in simplices:
+        for q in corners:
+            tight.setdefault(q, set()).add(w)
+    back = dict(zip(proj, pts))
+    verts = [back[q] for q, ws in tight.items()
+             if any(det_int(sub) for sub in combinations(ws, d))]
+    for w, h in sorted({(w, h) for _, w, h in simplices}):
+        e = [0] * n
+        for c, x in zip(cols, w):
+            e[c] = -x
+        normals.append(tuple(e))
+        bounds.append(-h)
+    return cols, verts, normals, bounds
 
 
 def basis_coords(basis, vectors):

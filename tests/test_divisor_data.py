@@ -5,22 +5,30 @@ replaced (`_oracles`): its coefficients, k0, integrality, scaling by ints and
 Fractions and sums; the pullback and restriction of product and Hirzebruch
 fibrations; the degree-piece bounds of `SectionSystem` and the bounds of
 `limit_polytope`; and `is_ample` against the Cramer's-rule test.  Equal
-divisors must compare and hash equal whichever route built them.
+divisors must compare and hash equal whichever route built them, and a
+divisor with other than one coefficient per ray is refused by name.
 """
 
+import re
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kodaira.fibration import hirzebruch_fibration, product_fibration
+from kodaira.fibration import (
+    ToricFibrationInstance,
+    hirzebruch_fibration,
+    product_fibration,
+)
 from kodaira.multiplier import SingularMetricData
 from kodaira.toric import (
     SectionSystem,
     ToricDivisorData,
     ToricVariety,
     is_ample,
+    kappa_sigma,
     limit_polytope,
 )
 
@@ -149,3 +157,30 @@ def test_is_ample_matches_reference(x, data):
                                 min_size=len(x.rays), max_size=len(x.rays)))
     d = ToricDivisorData(coeffs)
     assert is_ample(x, d) == is_ample_cramer(x, FractionDivisor(coeffs))
+
+
+P2_SYSTEM = SectionSystem(P2, ToricDivisorData((1, 0, 0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SectionSystem(P2, ToricDivisorData((1, 1))),
+     "divisor has 2 coefficients, P2 has 3 rays"),
+    # a fourth coefficient was once dropped: counts 15, 21, 28 at degrees 1-3
+    (lambda: P2_SYSTEM.twist(ToricDivisorData((1, 1, 1, 1))).count(1),
+     "aux has 4 coefficients, P2 has 3 rays"),
+    (lambda: P2_SYSTEM.twist(ToricDivisorData((1, 1))).count(1),
+     "aux has 2 coefficients, P2 has 3 rays"),
+    (lambda: is_ample(P2, ToricDivisorData((1, 1, 1, 1))),
+     "divisor has 4 coefficients, P2 has 3 rays"),
+    (lambda: is_ample(P2, ToricDivisorData((Fraction(1, 2),) * 4)),
+     "divisor has 4 coefficients, P2 has 3 rays"),
+    (lambda: kappa_sigma(P2_SYSTEM, ample=ToricDivisorData((1, 1))),
+     "divisor has 2 coefficients, P2 has 3 rays"),
+    (lambda: ToricFibrationInstance(
+        product_fibration(P1, P1), ToricDivisorData((1, 1, 1))).invariants(),
+     "divisor has 3 coefficients, P1xP1 has 4 rays"),
+], ids=["system", "twist-long", "twist-short", "is_ample", "is_ample-rational",
+        "kappa_sigma-ample", "fibration-instance"])
+def test_coefficient_count_must_match_the_rays(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

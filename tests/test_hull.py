@@ -7,8 +7,11 @@ check it, on rational points scaled by `_oracles.rational_hull`, and the
 volume `volume_sum` reads off the same hull (`_oracles.body_volume`) against
 the independent facet scan, Caratheodory vertex test and pyramid volume of
 `_oracles`, in dimensions 2 to 4, on small coordinates with duplicate,
-collinear, coplanar and embedded inputs.  They also pin the rank-3 corpus
-bodies, whose slices hold hundreds of points, and rank-4 semigroups.
+collinear, coplanar and embedded inputs.  `int_hull`'s pivot columns,
+vertices and `hull_polytope` rows are checked against the Hermite route
+it replaced (`_oracles.hull_by_hermite`) on point sets in affine
+sublattices of every dimension.  They also pin the rank-3 corpus bodies,
+whose slices hold hundreds of points, and rank-4 semigroups.
 """
 
 import json
@@ -29,6 +32,7 @@ from _oracles import (
     affine_dimension,
     body_volume,
     facet_scan,
+    hull_by_hermite,
     hull_vertex_set,
     pyramid_volume,
     rational_hull,
@@ -90,6 +94,37 @@ def test_convex_hull_matches_oracles(pts):
     else:
         # the equalities and embedded facets cut out exactly the hull
         assert rational_polytope(n, cons).vertices() == hull.vertices()
+
+
+@st.composite
+def sublattice_sets(draw):
+    """Sorted distinct points of Z^n, n in 1-4, negative coordinates
+    allowed, in an affine sublattice of a drawn dimension q in 0-n: base +
+    sum x_i u_i over q small integer directions u_i (dependent ones give a
+    lower dimension still)."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(0, n))
+    base = draw(st.tuples(*[st.integers(-5, 5)] * n))
+    dirs = draw(st.lists(st.tuples(*[small_int] * n), min_size=q, max_size=q))
+    params = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * q),
+                           min_size=q + 1, max_size=q + 6))
+    return sorted({tuple(b + sum(x * u[i] for x, u in zip(xs, dirs))
+                         for i, b in enumerate(base)) for xs in params})
+
+
+@settings(max_examples=200)
+@given(sublattice_sets())
+# the differences reach pivot column 1 before column 0: the columns are
+# read in increasing order, as the Hermite pivots are
+@example([(0, 0, 0), (0, 1, 0), (1, 0, 0)])
+@example([(-1, 2, 0, 1), (0, 0, 2, 1), (2, -4, 6, 1)])
+def test_int_hull_matches_the_hermite_route(pts):
+    cols, verts, normals, bounds = hull_by_hermite(pts)
+    hull = int_hull(pts)
+    assert hull[0] == cols
+    assert hull[2] == verts
+    poly = hull_polytope(hull, 1)
+    assert (poly.normals, poly.bounds) == (tuple(normals), tuple(bounds))
 
 
 @settings(max_examples=40)

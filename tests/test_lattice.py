@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kodaira.lattice import (
     NEG_INF,
     GeometryError,
-    IntLattice,
     Polytope,
     ScanPlan,
     det_int,
@@ -542,8 +541,7 @@ def _generated(k):
     (lambda: Polytope(1, [(1,)], [0], "2"), "2"),
     (lambda: GradedSemigroup(1, generators=[(0, 1), (1, 1)], degree_bound=3.5), 3.5),
     pytest.param(lambda: hnf([(1.5, 2), (0, 1)]), 1.5, id="hnf"),
-    pytest.param(lambda: IntLattice(2.7), 2.7, id="IntLattice"),
-    pytest.param(lambda: IntLattice(2).add((0.9, 0)), 0.9, id="IntLattice.add"),
+    pytest.param(lambda: hnf_basis([(1, 0), (0.9, 0)]), 0.9, id="hnf_basis"),
     # primitive has integer callers only and converts nothing: gcd refuses
     pytest.param(lambda: primitive((2.5, 4)), None, id="primitive"),
 ])

@@ -12,12 +12,10 @@ semigroups and on the okounkov benchmark inputs of seeds 1-3 (read from
 `perfbench/gen.py`, which does not import the package).
 """
 
-import importlib.util
 import json
 import math
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +32,7 @@ from kodaira.semigroup import (
     regularize,
 )
 
+from _corpus import workload_generator
 from _oracles import (
     affine_dimension,
     column_ends,
@@ -268,16 +267,8 @@ def test_regularize_and_growth_law_hull_once(sg, monkeypatch):
 # the okounkov benchmark inputs
 # ---------------------------------------------------------------------------
 
-def _load_gen():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_okounkov_workload_bodies_match_per_level_reference():
-    gen = _load_gen()
+    gen = workload_generator()
     bodies = 0
     for seed in (1, 2, 3):
         for _, _, text in gen.instances("okounkov", seed):

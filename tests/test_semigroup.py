@@ -519,3 +519,70 @@ def test_regularize_lattice_matches_reference_route(case):
         (min(c), max(c)) for c in zip(*coords)]
     for k in range(3 * g + 4):
         assert hilbert_reg(reg, k) == hilbert_reg_per_level(reg, k), k
+
+
+@st.composite
+def shear_cases(draw):
+    """(n, generators or None, levels or None, ops, w): a generated or
+    stored semigroup of ambient rank 1-3 with levels 1-3 and coordinates in
+    [-2, 2], and the shear (u, l) -> (U u + l w, l), U the product of the
+    elementary integer row operations ops, applied in order: (i, j, c) adds
+    c times row j to row i, (i, i, 0) swaps rows i and i + 1 mod n and (i,
+    i, -1) negates row i."""
+    n = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-2, 2)] * n)
+    row = st.integers(0, n - 1)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(row, row, st.integers(-2, 2)).filter(lambda op: op[0] != op[1]),
+        st.builds(lambda i, c: (i, i, c), row, st.sampled_from((0, -1)))),
+        max_size=6))
+    w = draw(coords)
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.tuples(coords, st.integers(1, 3)),
+                             min_size=1, max_size=5))
+        return n, [u + (l,) for u, l in gens], None, ops, w
+    keys = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    levels = {l: draw(st.sets(coords, min_size=1, max_size=5)) for l in keys}
+    return n, None, levels, ops, w
+
+
+def _shear(u, l, ops, w):
+    u = list(u)
+    for i, j, c in ops:
+        if i != j:
+            u[i] += c * u[j]
+        elif c == -1:
+            u[i] = -u[i]
+        else:
+            k = (i + 1) % len(u)
+            u[i], u[k] = u[k], u[i]
+    return tuple(x + l * y for x, y in zip(u, w))
+
+
+def _semigroup(n, gens, levels):
+    if gens is not None:
+        return GradedSemigroup(n, generators=gens)
+    return GradedSemigroup(n, levels=levels, degree_bound=8, check_closure=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shear_cases())
+def test_semigroup_invariants_survive_a_unimodular_shear(case):
+    # no oracle: a shear moves the pivot columns of a lower-dimensional
+    # body, and every invariant but the body's position stays
+    n, gens, levels, ops, w = case
+    sheared = _semigroup(
+        n, gens and [_shear(g[:-1], g[-1], ops, w) + g[-1:] for g in gens],
+        levels and {l: {_shear(u, l, ops, w) for u in pts}
+                    for l, pts in levels.items()})
+    sg = _semigroup(n, gens, levels)
+    assert [hilbert(sheared, k) for k in range(9)] == [hilbert(sg, k) for k in range(9)]
+    reg, reg2 = regularize(sg), regularize(sheared)
+    assert [hilbert_reg(reg2, k) for k in range(13)] == [
+        hilbert_reg(reg, k) for k in range(13)]
+    assert (reg2.m, reg2.ind, reg2.okounkov_dim) == (reg.m, reg.ind, reg.okounkov_dim)
+    law, law2 = growth_law_check(reg, k_max=20), growth_law_check(reg2, k_max=20)
+    assert (law2.a_q_predicted, law2.a_q_empirical) == (
+        law.a_q_predicted, law.a_q_empirical)
+    assert reg2.okounkov_body.vertices() == tuple(sorted(
+        _shear(v[:-1], 1, ops, w) + v[-1:] for v in reg.okounkov_body.vertices()))
