@@ -12,7 +12,6 @@ from .lattice import (
     NEG_INF,
     GeometryError,
     Polytope,
-    hnf,
 )
 from .multiplier import (
     SingularMetricData,

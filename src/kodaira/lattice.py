@@ -2,15 +2,16 @@
 
 Everything in this module is exact: vectors are tuples of ints or Fractions,
 matrices are lists of row tuples, and no geometric predicate ever touches a
-float.  All linear algebra over Q runs on integers: `_bareiss`, one
-fraction-free (Bareiss) elimination, gives ranks, determinants, pivot columns
-and solutions as integer numerators over one denominator; rational input is
-scaled to integers first, and Fractions are built only for the values returned.
-Lattice bases come from the Hermite family `hnf`, `hnf_basis`, `int_kernel`.  A
-`Polytope` is the integer record its callers build: integer normals and integer
-bounds over one denominator; only its vertices are Fractions.  One `int_hull`
-of integer points gives a hull's pivot columns (as many as its dimension),
-boundary simplices and vertices: `hull_polytope` reads the Polytope off it and
+float.  All linear algebra over Q runs on integer rows: `_bareiss`, one
+fraction-free (Bareiss) elimination, gives ranks (`rat_rank`), determinants,
+pivot columns and solutions as integer numerators over one denominator, and
+Fractions are built only for the values returned.  Lattice bases come from one
+gcd-insertion Hermite routine behind `hnf_basis` and `int_kernel`, the latter
+keeping the appended unit rows of the rows that vanish.  A `Polytope` is the
+integer record its callers build: integer normals and integer bounds over one
+denominator; only its vertices are Fractions.  One `int_hull` of integer
+points gives a hull's pivot columns (as many as its dimension), boundary
+simplices and vertices: `hull_polytope` reads the Polytope off it and
 `volume_sum` the volume, so a body is hulled once.  The distinguished value
 NEG_INF (= float("-inf")) is the dimension of an empty polytope and propagates
 through every dimension-like quantity downstream; it is never encoded as -1.
@@ -123,41 +124,14 @@ def _reduce_above(rows, pivots):
                 rows[k] = [x - q * y for x, y in zip(rows[k], row)]
 
 
-def hnf(rows):
-    """Row Hermite normal form with unimodular transform.
-
-    Returns (H, U) with H = U * rows, U unimodular, H in row echelon form:
-    pivots positive, entries below a pivot zero, entries above reduced into
-    [0, pivot).  Zero rows sink to the bottom.  The integer row space is
-    preserved.  Empty input returns ([], []).  Each row is inserted
-    (`_insert`) with its unit row of U appended and pivots looked for in
-    the first n columns only, so a row that reduces to zero there carries
-    its row of U, a vector of the left kernel.
-    """
-    m = len(rows)
-    if m == 0:
-        return [], []
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise GeometryError("ragged matrix")
-    echelon, pivots, kernel = [], [], []
-    for i, r in enumerate(rows):
-        rest = _insert(echelon, pivots, as_int_row(r, "matrix entry")
-                       + [int(i == j) for j in range(m)], n)
-        if rest is not None:
-            kernel.append(rest)
-    _reduce_above(echelon, pivots)
-    out = echelon + kernel
-    return [tuple(r[:n]) for r in out], [tuple(r[n:]) for r in out]
-
-
 def hnf_basis(rows):
     """Nonzero rows of the HNF: a canonical basis of the generated lattice.
 
     Inserts the rows (any iterable) one at a time (`_insert`) without
     building the transform, so huge generating sets cost O(rows * n^2), and
     stops reading once the rows generate Z^n (full rank, every pivot 1),
-    whose HNF is the identity.
+    whose HNF is the identity.  A row read of another length than the first
+    is a GeometryError; the rows after that exit are never read or checked.
     """
     rows = iter(rows)
     first = next(rows, None)
@@ -166,7 +140,10 @@ def hnf_basis(rows):
     n = len(first)
     echelon, pivots = [], []
     for r in chain((first,), rows):
-        _insert(echelon, pivots, as_int_row(r, "vector entry"), n)
+        r = as_int_row(r, "vector entry")
+        if len(r) != n:
+            raise GeometryError("ragged matrix")
+        _insert(echelon, pivots, r, n)
         if len(pivots) == n and all(row[p] == 1 for row, p in zip(echelon, pivots)):
             return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     _reduce_above(echelon, pivots)
@@ -174,9 +151,23 @@ def hnf_basis(rows):
 
 
 def int_kernel(rows):
-    """Basis of the left kernel {x integer : x * rows = 0}."""
-    h, u = hnf(rows)
-    return [u[i] for i in range(len(h)) if is_zero(h[i])]
+    """Basis of the left kernel {x integer : x * rows = 0}: each row is
+    inserted (`_insert`) with its unit row appended, pivots looked for in
+    the first n columns only, so a row that vanishes there keeps its row
+    of the unimodular transform, a kernel vector."""
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise GeometryError("ragged matrix")
+    echelon, pivots, kernel = [], [], []
+    for i, r in enumerate(rows):
+        rest = _insert(echelon, pivots, as_int_row(r, "matrix entry")
+                       + [int(i == j) for j in range(m)], n)
+        if rest is not None:
+            kernel.append(tuple(rest[n:]))
+    return kernel
 
 
 def _reduce(echelon, row, ncols):
@@ -237,12 +228,6 @@ def _solve(echelon, ncols, j):
     return den, x
 
 
-def _integral(row):
-    """A rational row scaled to integers by the lcm of its denominators."""
-    den = math.lcm(1, *(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def det_int(rows):
     """Determinant of a square integer matrix: the last `_bareiss` pivot,
     signed by the parity of the pivot columns' order."""
@@ -272,9 +257,10 @@ def xgcd(a, b):
 # ---------------------------------------------------------------------------
 
 def rat_rank(rows):
-    """Rank of a matrix of rationals: `_bareiss` on its rows scaled to
-    integers."""
-    a = [_integral(r) for r in rows]
+    """Rank over Q of integer rows: the number of `_bareiss` pivot rows.
+    The entries are read with `operator.index`, so a non-integral one is a
+    ValueError naming it."""
+    a = [as_int_row(r, "matrix entry") for r in rows]
     return len(_bareiss(a, len(a[0]) if a else 0)[0])
 
 

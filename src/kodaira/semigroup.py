@@ -26,7 +26,6 @@ from .lattice import (
     _dots,
     _solve,
     as_int,
-    det_int,
     dot,
     hnf_basis,
     hull_polytope,
@@ -264,7 +263,7 @@ class Regularization:
     group_basis: tuple
     m: int                   # index of the level projection of G in Z
     boundary_lattice: tuple  # basis of G ∩ {level = 0}
-    ind: int | None          # index of boundary lattice in Z^n x {0}, or None
+    ind: int | None          # its index in Z^n x {0}, read off the slice solve, or None
     okounkov_dim: int
     okounkov_body: Polytope = field(repr=False)  # C ∩ {level = 1} in Z^n x R
     # G ∩ C at level t m is g0 t + (y · boundary) for the integer y in t times
@@ -309,8 +308,6 @@ def regularize(sg):
     g0, *boundary = [row[1:] + row[:1] for row in level_first]
     m = g0[-1]
 
-    ind = abs(det_int([row[:-1] for row in boundary])) if len(boundary) == n else None
-
     body_dim = rank - 1
     # cone over the generators equals the cone over the level-1 hull because
     # every graded point sits at a positive level.  conv(∪ A_k / k) needs
@@ -346,6 +343,8 @@ def regularize(sg):
                            + [m * v[c] - den * g0[c] for v in verts]
                            for c in cols], q)
     det = echelon[-1][2] if echelon else 1
+    # with n boundary rows the pivot columns are all n, so |det M| is ind
+    ind = abs(det) if len(boundary) == n else None
     coords = [_solve(echelon, q, j)[1] for j in range(q, q + len(verts))]
     box = tuple((min(c), max(c)) if det > 0 else (-max(c), -min(c))
                 for c in zip(*coords))

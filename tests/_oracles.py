@@ -16,17 +16,20 @@ is the one `int_hull` read its dimension and pivot columns off before
 those insertions, `span_rank` and the saturation references.  The exact
 rational linear algebra the library's fraction-free core replaced lives
 here too, as the references it is compared against: Fraction Gauss-Jordan
-(`rref`, `solve_rational`, `solve_linear_system`), vertices from one
+(`rref`, `solve_rational`, `solve_linear_system`, and `rational_rank`, the
+rank of rational rows, which the library's `rat_rank` takes as integers
+only; `_integral` scales a rational row to integers), vertices from one
 Fraction solve per n-subset of constraints (`vertices_by_rref`),
 Fourier-Motzkin emptiness (`fm_is_empty`), lattice
 membership (`lattice_contains`) and the perturbed growth order from a walk
 over every ray mask (`limit_growth_mask_walk`); the rank of a point set's
 differences (`affine_rank`) is the reference for the limit polytope's
 dimension, read off its implicit equalities.  The column-by-column Euclid
-chase the library's gcd-insertion HNF replaced (`hnf_euclid_chase`, with
-the kernel, basis and saturation built on it) and the lattice route of
-`regularize` it replaced (`regularize_lattice_reference`: a level kernel,
-the combinations, a second HNF and an extended-gcd point) are references
+chase the library's gcd insertion replaced (`hnf_euclid_chase`, the full
+(H, U) that the library never builds, with the kernel, basis and saturation
+built on it) and the lattice route of `regularize` it replaced
+(`regularize_lattice_reference`: a level kernel, the combinations, a
+second HNF and an extended-gcd point) are references
 too, and so are the Cramer's-rule fan data the cone inverses of
 `ToricVariety` replaced: the ray multipliers of +-e_i
 (`direction_multipliers_cramer`, `scan_rows_cramer`) and the cone-vertex
@@ -105,19 +108,16 @@ from kodaira.lattice import (
     _bareiss,
     _hull,
     _insert,
-    _integral,
     _solve,
     as_int,
     as_int_row,
     det_int,
     floor_sum,
     dot,
-    hnf,
     hnf_basis,
     hull_polytope,
     int_hull,
     int_kernel,
-    rat_rank,
     volume_sum,
     vsub,
     xgcd,
@@ -168,6 +168,17 @@ def rref(rows, ncols):
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(col)
     return work, pivots
+
+
+def rational_rank(rows):
+    """Rank of a rational matrix: the number of `rref` pivots."""
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _integral(row):
+    """A rational row scaled to integers by the lcm of its denominators."""
+    den = math.lcm(1, *(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def solve_rational(a_rows, b):
@@ -373,7 +384,7 @@ def in_row_lattice(vec, basis):
 
 def solve_in_lattice(target, rows):
     """Integer coefficients x with x * rows == target, or None."""
-    h, u = hnf(rows)
+    h, u = hnf_euclid_chase(rows)
     v = [int(x) for x in target]
     coeff = [0] * len(h)
     for i, row in enumerate(h):
@@ -544,7 +555,7 @@ def affine_rank(points):
     if not pts:
         return NEG_INF
     p0 = pts[0]
-    return rat_rank([vsub(p, p0) for p in pts[1:]]) if len(pts) > 1 else 0
+    return rational_rank([vsub(p, p0) for p in pts[1:]]) if len(pts) > 1 else 0
 
 
 def affine_dimension(points):
@@ -756,7 +767,7 @@ def body_volume(poly, basis):
     hull, den = scaled_hull(poly.vertices())
     cols, _, verts = hull
     q = len(cols)
-    if len(basis) != q or rat_rank(
+    if len(basis) != q or rational_rank(
             list(basis) + [vsub(v, verts[0]) for v in verts]) != q:
         raise GeometryError("basis does not span direction space")
     det = det_int([[b[c] for c in cols] for b in basis])
@@ -834,7 +845,7 @@ def hull_volume(points):
     pts = sorted({tuple(x.numerator * (den // x.denominator) for x in p)
                   for p in points})
     p0 = pts[0]
-    if rat_rank([vsub(p, p0) for p in pts[1:]]) != q:
+    if rational_rank([vsub(p, p0) for p in pts[1:]]) != q:
         raise GeometryError("basis does not span direction space")
     if q == 0:
         return Fraction(1)
@@ -971,7 +982,7 @@ def span_rank(point_sets, n):
                     row[j] += (sum(map(mul, ci, cols[j])) - bi * sums[j]
                                - bj * si + m * bi * bj)
                     gram[j][i] = row[j]
-            rank = rat_rank(gram)
+            rank = rational_rank(gram)
             if rank == n:
                 return rank, gram
             start, stop = stop, 2 * stop
@@ -1091,11 +1102,12 @@ def iitaka_fibers_per_point(sys, k, points=None):
 
 
 def hnf_euclid_chase(rows):
-    """Reference for `lattice.hnf`, the column-by-column Euclid chase it
-    replaced: in each column the entry of least absolute value below the
-    current row is swapped up and the others are reduced by it until it is
-    the only nonzero one, then the pivot is made positive and the entries
-    above it reduced into [0, pivot).  Returns (H, U) with H = U * rows."""
+    """Reference for `lattice.hnf_basis` and `lattice.int_kernel`, the
+    column-by-column Euclid chase their gcd insertion replaced: in each
+    column the entry of least absolute value below the current row is
+    swapped up and the others are reduced by it until it is the only
+    nonzero one, then the pivot is made positive and the entries above it
+    reduced into [0, pivot).  Returns (H, U) with H = U * rows."""
     m = len(rows)
     if m == 0:
         return [], []

@@ -34,6 +34,7 @@ from kodaira.toric import (
 )
 
 from _oracles import (
+    _integral,
     affine_rank,
     basis_coords,
     body_volume,
@@ -140,8 +141,15 @@ def test_det_int_matches_cofactors_and_rref_rank(rows):
 @given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
     lambda shape: matrices(*shape, bound)))
 def test_rat_rank_matches_rref(rows):
+    # rat_rank takes integer rows; scaling a row by a nonzero number keeps
+    # the rank over Q, so the rational draws are scaled first
     ncols = len(rows[0]) if rows else 0
-    assert rat_rank(rows) == len(rref(rows, ncols)[1])
+    assert rat_rank([_integral(r) for r in rows]) == len(rref(rows, ncols)[1])
+
+
+def test_rat_rank_refuses_a_fraction_entry():
+    with pytest.raises(ValueError, match="matrix entry must be an integer"):
+        rat_rank([(Fraction(1, 2), 1)])
 
 
 def coords_by_rref(basis, vectors):

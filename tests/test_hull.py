@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kodaira.cli import main
-from kodaira.lattice import dot, hnf, hnf_basis, hull_polytope, int_hull
+from kodaira.lattice import dot, hnf_basis, hull_polytope, int_hull
 from kodaira.semigroup import growth_law_check, regularize
 from kodaira.toric import kappa2
 
@@ -32,6 +32,7 @@ from _oracles import (
     affine_dimension,
     body_volume,
     facet_scan,
+    hnf_basis_euclid,
     hull_by_hermite,
     hull_vertex_set,
     pyramid_volume,
@@ -193,9 +194,9 @@ def test_convex_hull_of_the_four_simplex():
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=8)))
 def test_hnf_basis_equals_full_hnf(rows):
-    # the early exit at Z^n must not change the canonical basis
-    h, _ = hnf(rows)
-    assert hnf_basis(rows) == [r for r in h if any(r)]
+    # the early exit at Z^n must not change the canonical basis, the
+    # nonzero rows of the full (Euclid chase) HNF
+    assert hnf_basis(rows) == hnf_basis_euclid(rows)
 
 
 def test_hnf_basis_stops_reading_at_the_identity():

@@ -13,7 +13,6 @@ from kodaira.lattice import (
     ScanPlan,
     det_int,
     dot,
-    hnf,
     hnf_basis,
     int_kernel,
     primitive,
@@ -34,19 +33,18 @@ from _oracles import (
     from_generators,
     grid_lattice_points,
     hnf_basis_euclid,
-    hnf_euclid_chase,
     hull_vertex_set,
     in_row_lattice,
     int_kernel_euclid,
     int_points_rank,
     interpolate_polynomial,
-    laplace_det,
     point_moments,
     rational_hull,
     rational_pairs,
     rational_polytope,
     saturate_rows_euclid,
     scan_points,
+    solve_in_lattice,
     span_rank,
 )
 
@@ -57,31 +55,24 @@ from _oracles import (
 
 def test_hnf_rowspace_preserved():
     mat = [(2, 4), (1, 3)]
-    h, u = hnf(mat)
-    assert abs(det_int(u)) == 1
-    assert all(tuple(sum(u[i][k] * mat[k][j] for k in range(2)) for j in range(2)) == h[i]
-               for i in range(2))
+    hb = hnf_basis(mat)
+    assert hb == hnf_basis_euclid(mat)
     # mutual membership: same integer row space
-    hb = hnf_basis(h)
     for row in mat:
         assert in_row_lattice(row, hb)
-    mb = hnf_basis(mat)
-    for row in h:
-        assert in_row_lattice(row, mb)
+    for row in hb:
+        assert solve_in_lattice(row, mat) is not None
 
 
 def test_hnf_identity():
     ident = [(1, 0), (0, 1)]
-    h, u = hnf(ident)
-    assert h == [(1, 0), (0, 1)]
-    assert u == [(1, 0), (0, 1)]
+    assert hnf_basis(ident) == [(1, 0), (0, 1)]
+    assert int_kernel(ident) == []
 
 
 def test_hnf_zero_row():
-    h, u = hnf([(0, 0)])
-    assert h == [(0, 0)]
-    assert abs(det_int(u)) == 1
-    assert len(hnf_basis([(0, 0)])) == 0
+    assert hnf_basis([(0, 0)]) == []
+    assert int_kernel([(0, 0)]) == [(1,)]
 
 
 def test_hnf_idempotent():
@@ -92,18 +83,29 @@ def test_hnf_idempotent():
         [(0, 7), (3, 1), (9, 9)],
     ]
     for mat in mats:
-        h1, _ = hnf(mat)
-        h2, _ = hnf(h1)
-        assert h1 == h2
+        h1 = hnf_basis(mat)
+        assert hnf_basis(h1) == h1
 
 
 def test_hnf_unimodular_transform():
+    # a unimodular transform keeps |det|: the full-rank HNF has the input's
+    # index in Z^3, and the left kernel is trivial
     mat = [(6, 10, 15), (10, 15, 6), (15, 6, 10)]
-    h, u = hnf(mat)
-    assert abs(det_int(u)) == 1
-    prod = [tuple(sum(u[i][k] * mat[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)]
-    assert prod == h
+    h = hnf_basis(mat)
+    assert h == hnf_basis_euclid(mat)
+    assert abs(det_int(h)) == abs(det_int(mat)) != 0
+    assert int_kernel(mat) == []
+
+
+@pytest.mark.parametrize("rows", [
+    [(2, 0), (0, 3, 7)],
+    [(1, 0, 0), (0, 1)],
+    [(1, 0), (0, 1, 5)],
+])
+def test_lattice_bases_refuse_ragged_rows(rows):
+    for routine in (hnf_basis, int_kernel):
+        with pytest.raises(GeometryError, match="ragged matrix"):
+            routine(rows)
 
 
 def saturate(rows):
@@ -144,16 +146,16 @@ def hnf_matrices(draw):
 @example([(2, 3), (4, -5)])
 @example([(0, 0, 0), (1, 1, 1), (1, 1, 1)])
 def test_hnf_matches_euclid_chase(rows):
-    # gcd insertion and the Euclid chase give the same canonical H; their
-    # transforms differ, but each is unimodular with U * rows = H, and the
-    # kernel rows of both span one lattice
-    h, u = hnf(rows)
-    assert h == hnf_euclid_chase(rows)[0]
-    assert [tuple(sum(x * r[j] for x, r in zip(ui, rows)) for j in range(len(hi)))
-            for hi, ui in zip(h, u)] == h
-    assert abs(laplace_det(u)) == 1
-    assert hnf_basis(int_kernel(rows)) == hnf_basis(int_kernel_euclid(rows))
-    assert hnf_basis(rows) == hnf_basis_euclid(rows)
+    # gcd insertion and the Euclid chase give the same canonical basis; the
+    # kernels differ, but each holds m - rank vectors of the left kernel,
+    # and both span one lattice
+    basis = hnf_basis_euclid(rows)
+    assert hnf_basis(rows) == basis
+    kernel = int_kernel(rows)
+    assert len(kernel) == len(rows) - len(basis)
+    assert all(not any(sum(x * r[j] for x, r in zip(k, rows))
+                       for j in range(len(rows[0]))) for k in kernel)
+    assert hnf_basis(kernel) == hnf_basis(int_kernel_euclid(rows))
     assert saturate(rows) == saturate_rows_euclid(rows)
 
 
@@ -540,7 +542,7 @@ def _generated(k):
     (lambda: Polytope(1, [(1,)], [0.5]), 0.5),
     (lambda: Polytope(1, [(1,)], [0], "2"), "2"),
     (lambda: GradedSemigroup(1, generators=[(0, 1), (1, 1)], degree_bound=3.5), 3.5),
-    pytest.param(lambda: hnf([(1.5, 2), (0, 1)]), 1.5, id="hnf"),
+    pytest.param(lambda: int_kernel([(1.5, 2), (0, 1)]), 1.5, id="int_kernel"),
     pytest.param(lambda: hnf_basis([(1, 0), (0.9, 0)]), 0.9, id="hnf_basis"),
     # primitive has integer callers only and converts nothing: gcd refuses
     pytest.param(lambda: primitive((2.5, 4)), None, id="primitive"),

@@ -29,8 +29,10 @@ from kodaira.toric import (
 
 from _oracles import (
     from_generators,
+    hnf_basis_euclid,
     hull_vertex_set,
     in_row_lattice,
+    int_kernel_euclid,
     rational_hull,
     rational_pairs,
     semigroup_level_points,
@@ -125,18 +127,18 @@ def test_polytope_sweep_against_grid_oracle():
 
 
 def test_hnf_sweep_canonical_and_unimodular():
-    from kodaira.lattice import det_int, hnf, hnf_basis
+    from kodaira.lattice import hnf_basis, int_kernel
 
     rng = random.Random(3)
     for _ in range(120):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)]
-        h, u = hnf(mat)
-        assert abs(det_int(u)) == 1
-        prod = [tuple(sum(u[i][k] * mat[k][j] for k in range(m))
-                      for j in range(n)) for i in range(m)]
-        assert prod == h
         hb = hnf_basis(mat)
+        assert hb == hnf_basis_euclid(mat)
+        # the kernel rows of two unimodular transforms span one lattice
+        kernel = int_kernel(mat)
+        assert len(kernel) == m - len(hb)
+        assert hnf_basis(kernel) == hnf_basis(int_kernel_euclid(mat))
         assert all(in_row_lattice(r, hb) for r in mat)
         pivots = [next(j for j, x in enumerate(r) if x) for r in hb]
         assert pivots == sorted(set(pivots))

@@ -21,6 +21,10 @@ Every attribute a method of a module-level class stores on `self` must be
 read as an attribute somewhere in `src/kodaira` outside `__init__.py`,
 again by bare name.
 
+Every name that an import of a module binds, `__init__.py` aside, must be
+read in that module as a name or as the base of an attribute: an import
+left behind by a deleted call is flagged.
+
 Likewise every option, a defaulted parameter of such a function or method
 or a dataclass field with a default, must be passed by some call in
 `src/kodaira` outside `__init__.py`: by keyword, by position or through
@@ -166,6 +170,47 @@ def test_guard_flags_an_attribute_nothing_reads(tmp_path):
     assert text.count(old) == 1
     toric.write_text(text.replace(old, "        self.aux = aux\n" + old))
     assert unread_attributes(tmp_path) == ["toric.SectionSystem.aux"]
+
+
+# -- imports -----------------------------------------------------------------
+
+def unread_imports(src=SRC):
+    """Qualified names (module.name) of the names that an import in a module
+    of the package directory src, __init__.py aside, binds and that the
+    module never reads as a name (an attribute base is one), sorted;
+    `from __future__` imports bind no name."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.stem}.{name}" for name in
+                           ((a.asname or a.name).split(".")[0] for a in node.names)
+                           if name not in read]
+    return sorted(unread)
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
+
+
+def test_guard_flags_an_import_nothing_reads(tmp_path):
+    # the determinant import put back on semigroup, whose boundary index is
+    # read off the slice solve's last pivot instead
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    semigroup = tmp_path / "semigroup.py"
+    text = semigroup.read_text()
+    old = "    as_int,\n    dot,\n"
+    assert text.count(old) == 1
+    semigroup.write_text(text.replace(old, "    as_int,\n    det_int,\n    dot,\n"))
+    assert unread_imports(tmp_path) == ["semigroup.det_int"]
 
 
 # -- options -----------------------------------------------------------------
