@@ -49,8 +49,6 @@ from .curve import (
     CurveDivisorClass,
     CurveModel,
     h0,
-    kappa_curve,
-    kappa_sigma_curve,
 )
 from .fibration import (
     CurveProductInstance,

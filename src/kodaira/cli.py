@@ -6,8 +6,8 @@ deterministic byte for byte for a fixed input and flag set: keys are sorted,
 sequences are canonically ordered, and no timestamp is emitted unless
 --timestamps is given.
 
-Exit codes: 0 success, 1 verdict failure, 2 input error, 3 empty or
-degenerate instance, 4 internal cross-check mismatch.
+Exit codes: 0 success, 1 verdict failure, 2 input error, 3 empty or degenerate
+instance, 4 cross-check mismatch: routes disagree, or the bound cannot decide.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import as_int
-from .toric import certified_growth
 
 
 class AmbiguousDivisorError(ValueError):
@@ -72,23 +71,3 @@ def h0(curve, cls):
         return d - g + 1
     raise AmbiguousDivisorError("h0 not determined by degree")
 
-
-def kappa_curve(curve, cls, degree_bound=24):
-    """Section growth order of multiples of the class: the growth degree of
-    the counts (period 1: the degree of k*cls is linear in k), so NEG_INF when
-    they die out, 0 for a plateau at any height, 1 for linear growth."""
-    return certified_growth(
-        [h0(curve, cls.times(k)) for k in range(1, degree_bound + 1)], 1)
-
-
-def kappa_sigma_curve(curve, cls, degree_bound=24):
-    """Perturbed growth order: counts of k*cls + (general divisor of degree
-    2g+1, so every populated count sits in the Riemann-Roch regime).
-
-    Differs from kappa_curve exactly where the perturbation keeps a section
-    alive: the numerical dimension of a curve class.
-    """
-    p = 2 * curve.genus + 1
-    return certified_growth(
-        [h0(curve, CurveDivisorClass.general(cls.times(k).degree + p))
-         for k in range(1, degree_bound + 1)], 1)

@@ -9,7 +9,7 @@ general fiber" never needs sampling: restriction is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import lcm
 
@@ -17,8 +17,6 @@ from .curve import (
     CurveDivisorClass,
     CurveModel,
     h0 as curve_h0,
-    kappa_curve,
-    kappa_sigma_curve,
 )
 from .lattice import NEG_INF, dot, hnf_basis, int_kernel
 from .multiplier import EMPTY_METRIC, SingularMetricData, _coeff
@@ -32,7 +30,7 @@ from .toric import (
     ToricDivisorData,
     ToricVariety,
     certified_growth,
-    check_perturbed,
+    cross_check,
     growth_degree,
     kappa_report,
     kappa_sigma,
@@ -157,8 +155,12 @@ class ToricFibrationInstance(_FiberSpace):
     def __post_init__(self):
         if self.metric is not None and (self.dx_rays or self.dy_rays):
             raise ValueError("metric and log divisors are mutually exclusive")
+        fib = self.fibration
+        for rays, fan in ((self.dx_rays, fib.total), (self.dy_rays, fib.base)):
+            if bad := sorted(set(rays).difference(range(len(fan.rays)))):
+                raise ValueError(f"log ray indices {bad} name no ray of {fan.name}")
         for b in self.dy_rays:
-            if self.fibration.pullback_rays[b] not in self.dx_rays:
+            if fib.pullback_rays[b] not in self.dx_rays:
                 raise ValueError("pullback of D_Y is not contained in D_X")
 
     @property
@@ -302,21 +304,18 @@ class CurveProductInstance(_FiberSpace):
 
     @cached_property
     def report(self):
-        """The growth order of the split section counts as the kappa triple,
-        via two routes that must agree: the sum of the factor orders, and
-        the growth degree of the product counts."""
+        """The growth order of the split section counts as the kappa triple:
+        the sum of the factor orders, held by cross_check to the growth degree
+        of the product counts, which one populated degree cannot fix."""
         counts = self.product_counts()
-        support = [c for c in counts if c > 0]
+        populated = sum(c > 0 for c in counts)
         k = NEG_INF
-        if support:
-            k = self.base_growth() + self.fiber_report.kappa
-            empirical = growth_degree(counts, self.product_period())
-            if empirical is None and len(support) > 1:
-                raise CrossCheckError("product growth not estimable")
-            # a single populated degree fixes no degree
-            if empirical is not None and empirical != k:
-                raise CrossCheckError(
-                    f"product growth mismatch: sum route {k}, slope route {empirical}")
+        if populated:
+            k = cross_check(
+                self.base_growth() + self.fiber_report.kappa,
+                [growth_degree(counts, self.product_period())],
+                "product growth mismatch: sum route {exact}, slope route {empirical}",
+                populated == 1, "product growth not estimable")
         return KappaValues(k, k, k, None)
 
     @cached_property
@@ -340,21 +339,22 @@ class CurveProductInstance(_FiberSpace):
         exact = base_part + (fiber_k if horizontal_only else fiber_sigma)
         amp = self.fiber_variety.standard_ample
         period = self.product_period()
-        return check_perturbed(
+        return cross_check(
             exact,
             [growth_degree(self.product_counts(
                 base_extra=m * p,
                 fiber_aux=None if horizontal_only else amp.scale(m)), period)
              for m in PERTURBATION_MULTIPLES],
             "product perturbed growth mismatch: {exact} vs {empirical}",
-            "perturbed product growth not estimable")
+            exact == NEG_INF, "perturbed product growth not estimable")
 
     @cached_property
     def base(self):
-        """(kappa, kappa_sigma) of the curve with its canonical divisor."""
-        ky = CurveDivisorClass.canonical_multiple(self.curve, 1)
-        return (kappa_curve(self.curve, ky, self.degree_bound),
-                kappa_sigma_curve(self.curve, ky, self.degree_bound))
+        """(kappa, kappa_sigma) of K_Y off a throwaway copy with no metric;
+        base_growth reads only curve, degree_bound and the two fields set."""
+        ky = replace(self, base_metric=EMPTY_METRIC,
+                     base_class=CurveDivisorClass.canonical_multiple(self.curve, 1))
+        return ky.base_growth(), ky.base_growth(2 * self.curve.genus + 1)
 
     @property
     def least_twist_degree(self):

@@ -40,8 +40,9 @@ class EmptySemigroupError(ValueError):
 
 class DegreeBoundError(ValueError):
     """A degreewise semigroup was queried beyond its stored bound, or a
-    degree bound is too small to decide a growth order (`toric.kappa3`,
-    `toric.certified_growth`) or an image dimension (`iitaka_analysis`)."""
+    degree bound is too small to decide a growth order (`toric.cross_check`,
+    `toric.certified_growth`) or an image dimension (`iitaka_analysis`), which
+    a larger bound can mend; routes that disagree are a CrossCheckError."""
 
 
 def _int_points(points, what):

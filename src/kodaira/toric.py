@@ -37,7 +37,8 @@ from .semigroup import DegreeBoundError
 
 
 class CrossCheckError(RuntimeError):
-    """An exact value and its mandatory empirical estimate disagree."""
+    """An exact value and a determined empirical estimate of it disagree; an
+    estimate the degree bound cannot determine is a DegreeBoundError."""
 
 
 DEFAULT_DEGREE_BOUND = 24
@@ -632,20 +633,16 @@ def kappa2(sys):
 def kappa3(sys):
     """Count growth order: hull dimension at the top nonempty degree (the
     rank of its Gram matrix), cross checked against the growth degree of
-    the counts.  Disagreement, or a growth degree the bound cannot
-    determine for a positive dimension, raises DegreeBoundError("degree
-    bound too small")."""
+    the counts by cross_check: a growth degree the bound cannot determine
+    (one populated degree fixes none) confirms only a dimension of 0."""
     support = sys.support()
     if not support:
         return NEG_INF
-    k_star = support[-1]
-    exact = sys.rank(k_star)
-    empirical = sys.growth()
-    if empirical is None and exact == 0:
-        return exact
-    if empirical != exact:
-        raise DegreeBoundError("degree bound too small")
-    return exact
+    exact = sys.rank(support[-1])
+    return cross_check(
+        exact, [sys.growth()],
+        "count growth mismatch: top rank {exact}, growth degree {empirical}",
+        exact == 0, "degree bound too small")
 
 
 @dataclass
@@ -743,16 +740,16 @@ def _limit_growth_exact(variety, divisor, metric, fattened_rays):
 PERTURBATION_MULTIPLES = (1, 2, 3)
 
 
-def check_perturbed(exact, estimates, mismatch, unestimable):
-    """exact, once every determinable estimate (not None) equals it and, unless
-    it is NEG_INF, some estimate is determinable; else CrossCheckError."""
+def cross_check(exact, estimates, mismatch, excused, undetermined):
+    """exact, once every determinable (not None) estimate equals it, else a
+    CrossCheckError; with none determinable, DegreeBoundError unless excused."""
     determined = [e for e in estimates if e is not None]
     for empirical in determined:
         if empirical != exact:
             raise CrossCheckError(
                 mismatch.format(exact=exact, empirical=empirical))
-    if not determined and exact != NEG_INF:
-        raise CrossCheckError(unestimable)
+    if not determined and not excused:
+        raise DegreeBoundError(undetermined)
     return exact
 
 
@@ -764,18 +761,18 @@ def _perturbed_growth(system, perturbation, stride, route):
     is the same for every m >= 1.  Empirical values: the growth degree of the
     counts (on the first degree-bound multiples of the stride) of the system
     twisted by m*P, for each m in PERTURBATION_MULTIPLES, so every stride
-    reads the same twists.  Every determinable one must equal the exact
-    value, or CrossCheckError naming the route is raised.
+    reads the same twists.  cross_check holds them to the exact value, the
+    route named in a mismatch, excused when none is determinable at NEG_INF.
     """
     fattened = {i for i, n in enumerate(perturbation.nums) if n > 0}
     exact = _limit_growth_exact(system.variety, system.divisor, system.metric,
                                 fattened)
     estimates = [system.twist(perturbation.scale(m)).growth(stride)
                  for m in PERTURBATION_MULTIPLES]
-    return check_perturbed(
+    return cross_check(
         exact, estimates,
         route + " growth mismatch: exact {exact}, empirical {empirical}",
-        "perturbed growth order could not be estimated")
+        exact == NEG_INF, "perturbed growth order could not be estimated")
 
 
 def kappa_sigma(system, ample=None, stride=1):

@@ -87,7 +87,11 @@ reference the twists are compared against.  The count period that took
 the lcm over every nonsingular n-subset of rays touching the limit
 polytope of its determinant times the multiplier periods on it
 (`period_by_ray_subsets`) is the reference the limit polytope's
-denominator must divide.  The oracles read and write
+denominator must divide.  The curve growth orders of a class's multiples,
+plain and perturbed by a general class of degree 2g + 1 (`kappa_curve`,
+`kappa_sigma_curve`), are the references for the base pair of a curve
+product, which reads them off `CurveProductInstance.base_growth`.  The
+oracles read and write
 polytopes as rational (normal, bound) pairs, <u, normal> >= bound:
 `rational_polytope` scales them to the integer record of `Polytope`,
 `rational_pairs` reads a polytope back.
@@ -100,6 +104,7 @@ from functools import cache, partial, reduce
 from itertools import combinations, compress, product
 from operator import and_, index, itemgetter, mul, ne, or_
 
+from kodaira.curve import CurveDivisorClass, h0
 from kodaira.lattice import (
     NEG_INF,
     GeometryError,
@@ -128,6 +133,7 @@ from kodaira.toric import (
     DEFAULT_DEGREE_BOUND,
     CrossCheckError,
     SectionSystem,
+    certified_growth,
     limit_polytope,
 )
 
@@ -1498,3 +1504,24 @@ def _fitting_degree(samples):
             return d
         samples = nxt
     return None
+
+
+def kappa_curve(curve, cls, degree_bound=24):
+    """Section growth order of multiples of the class: the growth degree of
+    the counts (period 1: the degree of k*cls is linear in k), so NEG_INF when
+    they die out, 0 for a plateau at any height, 1 for linear growth."""
+    return certified_growth(
+        [h0(curve, cls.times(k)) for k in range(1, degree_bound + 1)], 1)
+
+
+def kappa_sigma_curve(curve, cls, degree_bound=24):
+    """Perturbed growth order: counts of k*cls + (general divisor of degree
+    2g+1, so every populated count sits in the Riemann-Roch regime).
+
+    Differs from kappa_curve exactly where the perturbation keeps a section
+    alive: the numerical dimension of a curve class.
+    """
+    p = 2 * curve.genus + 1
+    return certified_growth(
+        [h0(curve, CurveDivisorClass.general(cls.times(k).degree + p))
+         for k in range(1, degree_bound + 1)], 1)

@@ -5,11 +5,11 @@ from kodaira.curve import (
     CurveDivisorClass,
     CurveModel,
     h0,
-    kappa_curve,
-    kappa_sigma_curve,
 )
 from kodaira.lattice import NEG_INF
 from kodaira.semigroup import DegreeBoundError
+
+from _oracles import kappa_curve, kappa_sigma_curve
 
 
 def test_canonical_h0_is_genus():

@@ -43,6 +43,8 @@ from _oracles import (
     gram_of_points,
     iitaka_fibers_per_point,
     kappa1_per_point,
+    kappa_curve,
+    kappa_sigma_curve,
     ray_fractions,
     saturate_rows_euclid,
     section_points,
@@ -95,6 +97,19 @@ def test_pullback_condition_enforced():
     with pytest.raises(ValueError, match="pullback"):
         ToricFibrationInstance(fibration=fib, dx_rays=frozenset({0}),
                                dy_rays=frozenset({0}))
+
+
+@pytest.mark.parametrize("dx, dy, bad, fan", [
+    ({2, 3}, {-1}, [-1], "P1"),  # would wrap to the last base ray
+    ({9}, set(), [9], "P1xP1"),  # would be dropped from D_X
+    (set(), {5}, [5], "P1"),     # would index past the pullback rays
+], ids=["negative_base_ray", "total_ray_past_the_end", "base_ray_past_the_end"])
+def test_log_ray_indices_must_name_rays(dx, dy, bad, fan):
+    fib = product_fibration(P1, P1)
+    with pytest.raises(ValueError, match=rf"^log ray indices \{bad}\ name no "
+                       rf"ray of {fan}$"):
+        ToricFibrationInstance(fibration=fib, dx_rays=frozenset(dx),
+                               dy_rays=frozenset(dy))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +498,46 @@ def test_product_growth_routes_are_cross_checked():
     with pytest.raises(CrossCheckError, match="product growth mismatch: "
                        "sum route 1, slope route 2"):
         inst.report
+
+
+def test_undetermined_product_growth_is_a_degree_bound_error():
+    # genus 2 x P1, fiber divisor H, base K_Y + 2 points: each factor is
+    # decided at bound 3, the quadratic product counts need a fourth sample;
+    # a larger bound mends it, so it is no disagreement of the routes
+    g2 = CurveModel(2)
+    inst = partial(CurveProductInstance, curve=g2,
+                   base_class=CurveDivisorClass.general(4), fiber_variety=P1,
+                   fiber_divisor=ToricDivisorData((1, 1)))
+    with pytest.raises(DegreeBoundError, match="^product growth not estimable$"):
+        inst(degree_bound=3).report
+    assert inst(degree_bound=4).report.kappa == 2
+
+
+@pytest.mark.parametrize("genus", range(5))
+@pytest.mark.parametrize("bound", range(1, 13))
+def test_curve_base_pair_matches_the_curve_references(genus, bound):
+    # the base pair read off base_growth equals the plain and perturbed
+    # growth of K_Y's multiples, errors included
+    curve = CurveModel(genus)
+    ky = CurveDivisorClass.canonical_multiple(curve, 1)
+    # the instance's own base class and metric must not leak into the pair
+    inst = CurveProductInstance(
+        curve=curve, base_class=CurveDivisorClass.general(2 * genus + 3),
+        fiber_variety=P1, fiber_divisor=ToricDivisorData((0, 1)),
+        base_metric=SingularMetricData([("p", Fraction(3, 2))]),
+        degree_bound=bound)
+
+    def outcome(call):
+        try:
+            return "ok", call()
+        except DegreeBoundError as exc:
+            return "DegreeBoundError", str(exc)
+
+    want = outcome(lambda: (kappa_curve(curve, ky, bound),
+                            kappa_sigma_curve(curve, ky, bound)))
+    assert outcome(lambda: inst.base) == want
+    if bound == 1:  # one count fixes no growth degree
+        assert want == ("DegreeBoundError", "degree bound too small")
 
 
 def test_kappa_summary_record():

@@ -23,29 +23,30 @@ from hypothesis import strategies as st
 
 from kodaira import toric
 from kodaira.cli import parse_variety
-from kodaira.curve import (
-    CurveDivisorClass,
-    CurveModel,
-    kappa_curve,
-    kappa_sigma_curve,
-)
+from kodaira.curve import CurveDivisorClass, CurveModel
 from kodaira.fibration import CurveProductInstance
 from kodaira.lattice import NEG_INF
 from kodaira.multiplier import SingularMetricData
+from kodaira.semigroup import DegreeBoundError
 from kodaira.toric import (
     PERTURBATION_MULTIPLES,
     CrossCheckError,
     SectionSystem,
     ToricDivisorData,
     ToricVariety,
-    check_perturbed,
+    cross_check,
     growth_degree,
     kappa2,
     kappa_report,
     kappa_sigma,
 )
 
-from _oracles import growth_degree_capped, interpolate_polynomial
+from _oracles import (
+    growth_degree_capped,
+    interpolate_polynomial,
+    kappa_curve,
+    kappa_sigma_curve,
+)
 
 P1 = ToricVariety.projective_space(1)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -208,14 +209,18 @@ def test_dead_and_constant_classes():
     assert growth_degree([4, 1, 0, 1], 1) is None
 
 
-def test_check_perturbed_needs_every_determinable_multiple():
-    assert check_perturbed(2, [2, None, 2], "{exact} {empirical}", "") == 2
-    with pytest.raises(CrossCheckError, match="exact 3, empirical 2"):
-        check_perturbed(3, [3, 2, 3], "exact {exact}, empirical {empirical}",
-                        "")
-    with pytest.raises(CrossCheckError, match="not estimable"):
-        check_perturbed(1, [None] * 3, "", "not estimable")
-    assert check_perturbed(NEG_INF, [None] * 3, "", "") == NEG_INF
+def test_cross_check_needs_every_determinable_multiple():
+    assert cross_check(2, [2, None, 2], "{exact} {empirical}", False, "") == 2
+    # a determined estimate that differs is a mismatch, excuse or not
+    for excused in (False, True):
+        with pytest.raises(CrossCheckError, match="exact 3, empirical 2"):
+            cross_check(3, [3, 2, None], "exact {exact}, empirical {empirical}",
+                        excused, "")
+    # no determinable estimate: a bound too small, unless the caller excuses it
+    with pytest.raises(DegreeBoundError, match="not estimable"):
+        cross_check(1, [None] * 3, "", False, "not estimable")
+    assert cross_check(NEG_INF, [None] * 3, "", True, "") == NEG_INF
+    assert cross_check(0, [None], "", True, "") == 0
 
 
 def test_period_two_counts_that_pair_up():

@@ -102,8 +102,11 @@ def assert_gram_route_matches(sys, points=None):
     empirical = sys.growth() if sys.support() else None
     if top_dim == NEG_INF or (empirical is None and top_dim == 0):
         want3 = ("ok", top_dim)
-    elif empirical != top_dim:
+    elif empirical is None:
         want3 = ("DegreeBoundError", "degree bound too small")
+    elif empirical != top_dim:
+        want3 = ("CrossCheckError", f"count growth mismatch: top rank "
+                 f"{top_dim}, growth degree {empirical}")
     else:
         want3 = ("ok", top_dim)
     assert outcome(lambda: kappa3(sys)) == want3
@@ -179,6 +182,28 @@ def test_gram_route_matches_span_rank_on_drawn_systems(sys, data):
         sys.gram = lambda l: spread if l == degree else gram(l)
         points = lambda l: pts if l == degree else section_points(sys, l)
     assert_gram_route_matches(sys, points)
+
+
+def test_kappa3_names_both_values_of_a_wrong_top_rank():
+    # P^2 with D = H counts C(k + 2, 2): growth degree 2; a top rank planted
+    # at 1 is a real disagreement, not a bound too small
+    sys = SectionSystem(ToricVariety.projective_space(2),
+                        ToricDivisorData((1, 0, 0)), degree_bound=6)
+    top, rank = sys.support()[-1], sys.rank
+    sys.rank = lambda k: 1 if k == top else rank(k)
+    with pytest.raises(CrossCheckError, match="^count growth mismatch: top "
+                       "rank 1, growth degree 2$"):
+        kappa3(sys)
+
+
+@settings(max_examples=250, deadline=None)
+@given(drawn_systems())
+def test_kappa3_never_disagrees_on_drawn_systems(sys):
+    # on unplanted systems the top rank and a determined growth degree
+    # agree: kappa3 answers, or the bound is too small to decide
+    kind, got = outcome(lambda: kappa3(sys))
+    assert kind == "ok" or (kind, got) == (
+        "DegreeBoundError", "degree bound too small")
 
 
 @settings(max_examples=150, deadline=None)

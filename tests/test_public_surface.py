@@ -11,7 +11,8 @@ unread property of that name.  The match is by bare name, so a method
 counts as used when any attribute of that name is read: an unused method
 that shares its name with a used one passes unseen, as
 `GradedSemigroup.support` did beside `SectionSystem.support` until it was
-deleted.  KEEP lists the names no library code reads that stay: the
+deleted.  A read of `other` after `from .m import name as other` is a read
+of `name`, as `fibration` reads `curve.h0` through `curve_h0`.  KEEP lists the names no library code reads that stay: the
 multiplier coefficient, which the package exports and the acceptance tests
 read.  A routine only tests need lives in the tests, as the semigroup
 constructors, the decoded level and the point lister of
@@ -53,8 +54,11 @@ def _scan(tree, module):
     """(definitions, references): the (qualified name, bare name, node,
     whether a method) of each module-level function and class and each
     method of a module-level class, and the (name, enclosing definition
-    nodes, whether an attribute) of each name or attribute read."""
+    nodes, whether an attribute) of each name or attribute read, an
+    imported alias read as the name it binds."""
     defs, refs = [], []
+    aliases = {a.asname: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
 
     def walk(node, enclosing, prefix):
         for child in ast.iter_child_nodes(node):
@@ -69,7 +73,7 @@ def _scan(tree, module):
                 walk(child, enclosing + (child,), inner)
                 continue
             if isinstance(child, ast.Name):
-                refs.append((child.id, enclosing, False))
+                refs.append((aliases.get(child.id, child.id), enclosing, False))
             elif isinstance(child, ast.Attribute):
                 refs.append((child.attr, enclosing, True))
             walk(child, enclosing, prefix)
@@ -108,6 +112,23 @@ def test_guard_flags_a_routine_only_tests_call(tmp_path):
         "\n\ndef convex_hull(points):\n"
         "    return convex_hull(points[1:]) if points else None\n"))
     assert unreferenced(tmp_path) == sorted(KEEP | {"lattice.convex_hull"})
+
+
+def test_guard_reads_a_routine_through_its_import_alias(tmp_path):
+    # the growth certificate's one caller renames it on import
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    fibration = tmp_path / "fibration.py"
+    text = fibration.read_text()
+    for old, new in (("    certified_growth,\n", "    certified_growth as certify,\n"),
+                     ("return certified_growth(", "return certify(")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    fibration.write_text(text)
+    # its definition is the one call-like text left: every call is aliased
+    assert sum(p.read_text().count("certified_growth(")
+               for p in tmp_path.glob("*.py")) == 1
+    assert unreferenced(tmp_path) == sorted(KEEP)
 
 
 def test_guard_flags_a_property_only_a_parameter_names(tmp_path):
@@ -211,6 +232,18 @@ def test_guard_flags_an_import_nothing_reads(tmp_path):
     assert text.count(old) == 1
     semigroup.write_text(text.replace(old, "    as_int,\n    det_int,\n    dot,\n"))
     assert unread_imports(tmp_path) == ["semigroup.det_int"]
+
+
+def test_guard_flags_an_import_alias_nothing_reads(tmp_path):
+    # a second alias of the curve count that no fibration code reads
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    fibration = tmp_path / "fibration.py"
+    text = fibration.read_text()
+    old = "    h0 as curve_h0,\n"
+    assert text.count(old) == 1
+    fibration.write_text(text.replace(old, old + "    h0 as spare_h0,\n"))
+    assert unread_imports(tmp_path) == ["fibration.spare_h0"]
 
 
 # -- options -----------------------------------------------------------------
