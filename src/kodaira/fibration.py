@@ -18,7 +18,7 @@ from .curve import (
     CurveModel,
     h0 as curve_h0,
 )
-from .lattice import NEG_INF, dot, hnf_basis, int_kernel
+from .lattice import NEG_INF, dot, int_kernel
 from .multiplier import EMPTY_METRIC, SingularMetricData, _coeff
 from .semigroup import DegreeBoundError
 from .toric import (
@@ -495,11 +495,11 @@ def verify_iitaka(inst):
             rhs_terms=(("kappa", total), ("fiber_kappa", NEG_INF)),
             holds=True, vacuous=True)
     # raises on any certification failure
-    res = iitaka_analysis(sys, lambda: total)
+    image_dim = iitaka_analysis(sys, lambda: total)
     return InequalityVerdict(
-        check_id="iitaka_fibration", lhs=res.image_dim,
-        rhs_terms=(("kappa", total), ("fiber_kappa", res.fiber_kappa)),
-        holds=res.image_dim == total and res.fiber_kappa == 0)
+        check_id="iitaka_fibration", lhs=image_dim,
+        rhs_terms=(("kappa", total), ("fiber_kappa", 0)),
+        holds=image_dim == total)
 
 
 # check id -> its verdict on (instance, addti twist degree)
@@ -533,32 +533,22 @@ def run_check(inst, check, twist):
 # generalized Iitaka fibration analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IitakaAnalysis:
-    image_dim: int
-    fiber_lattice_rank: int        # rank of the quotient character lattice
-    fiber_relations: tuple         # saturated basis of the contracted lattice
-    fiber_kappa: int
-    degrees_checked: tuple
-
-
 def iitaka_analysis(sys, growth):
-    """Monomial Kodaira-map analysis at degree k, the largest nonempty
-    degree with 2k inside the bound, checked at the end against growth(),
-    the growth order of the system (a callable, read last, so that a
-    certification failure is raised first).
+    """The image dimension of the monomial Kodaira map at degree k, the
+    largest nonempty degree with 2k inside the bound, once the generalized
+    Iitaka fibration it defines is certified, and checked at the end
+    against growth(), the growth order of the system (a callable, read
+    last, so that a certification failure is raised first).
 
-    image_dim is the exponent-hull dimension; the fiber character lattice is
-    Z^n modulo the saturation of the degree-k difference lattice; the fiber
-    growth order is zero exactly when every degree maps to a single coset,
-    which is certified degree by degree.  Requires the difference lattice to
-    have stabilized (rank at k equals rank at 2k).
+    The image dimension is the exponent-hull dimension, and it must have
+    stabilized (rank at k equals rank at 2k).  The fiber growth order is
+    zero exactly when every degree maps to a single fiber point, which is
+    certified degree by degree.
 
     Every read is a rank or a kernel of the degrees' Gram matrices
-    (SectionSystem.gram): image_dim and the 2k stability check are their
-    ranks, the contracted lattice is the saturation of the degree-k Gram
-    rows, read off the kernel of the degree-k Gram matrix, and degree l maps
-    to one coset iff its Gram matrix kills that kernel."""
+    (SectionSystem.gram): the image dimension and the 2k stability check
+    are their ranks, and degree l maps to one fiber point iff its Gram
+    matrix kills the integer kernel of the degree-k Gram matrix."""
     support = sys.support()
     if not support:
         raise ValueError("empty section system")
@@ -566,8 +556,6 @@ def iitaka_analysis(sys, growth):
     if k is None:
         raise DegreeBoundError("increase degree bound")
 
-    n = sys.variety.lattice_rank
-    gram = sys.gram(k)
     image_dim = sys.rank(k)
     if image_dim != sys.rank(2 * k):
         raise DegreeBoundError("increase degree bound")
@@ -579,7 +567,7 @@ def iitaka_analysis(sys, growth):
     # degree's Gram matrix G is positive semidefinite with w^T G w half the
     # sum of <w, p - q>^2 over its pairs of points, so <w, .> is constant on
     # the degree iff G w = 0
-    perp = int_kernel(gram)
+    perp = int_kernel(sys.gram(k))
     for l in support:
         g = sys.gram(l)
         if any(dot(row, w) for w in perp for row in g):
@@ -590,13 +578,4 @@ def iitaka_analysis(sys, growth):
     if image_dim != total_kappa:
         raise CrossCheckError(
             f"image dimension {image_dim} disagrees with growth {total_kappa}")
-
-    # L is the kernel of perp's transpose, the vectors orthogonal to every
-    # w: all of Z^n when perp is empty, the kernel of n empty rows
-    sat = hnf_basis(int_kernel([tuple(w[i] for w in perp) for i in range(n)]))
-    return IitakaAnalysis(
-        image_dim=image_dim,
-        fiber_lattice_rank=n - len(sat),
-        fiber_relations=tuple(sat),
-        fiber_kappa=0,
-        degrees_checked=tuple(support))
+    return image_dim

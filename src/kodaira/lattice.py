@@ -3,9 +3,10 @@
 Everything in this module is exact: vectors are tuples of ints or Fractions,
 matrices are lists of row tuples, and no geometric predicate ever touches a
 float.  All linear algebra over Q runs on integer rows: `_bareiss`, one
-fraction-free (Bareiss) elimination, gives ranks (`rat_rank`), determinants,
-pivot columns and solutions as integer numerators over one denominator, and
-Fractions are built only for the values returned.  Lattice bases come from one
+fraction-free (Bareiss) elimination that reads its rows lazily and stops at
+full rank, gives ranks (`rat_rank`), determinants, pivot columns and
+solutions as integer numerators over one denominator, and Fractions are
+built only for the values returned.  Lattice bases come from one
 gcd-insertion Hermite routine behind `hnf_basis` and `int_kernel`, the latter
 keeping the appended unit rows of the rows that vanish.  A `Polytope` is the
 integer record its callers build: integer normals and integer bounds over one
@@ -197,21 +198,22 @@ def _reduce(echelon, row, ncols):
 
 
 def _bareiss(rows, ncols):
-    """(echelon, rest) of integer rows reduced one at a time (`_reduce`): a
-    row with a nonzero entry among its first ncols becomes a pivot row on
-    the first such column, the others go to rest.  The columns beyond ncols
-    are right-hand sides: the system is consistent iff they vanish on every
-    row of rest.  The rank is len(echelon), and the last pivot is, up to the
-    sign of the pivot columns' order, the determinant of a square input of
-    full rank."""
-    echelon, rest = [], []
+    """The echelon, the (column, row, pivot) triples, of integer rows read
+    lazily from any iterable and reduced one at a time (`_reduce`): a row
+    with a nonzero entry among its first ncols becomes a pivot row on the
+    first such column, and the others are dropped.  It stops at ncols
+    pivots, full rank, before reading another row, since none could add a
+    pivot.  The columns beyond ncols are right-hand sides.  The rank is
+    len(echelon), and the last pivot is, up to the sign of the pivot
+    columns' order, the determinant of a square input of full rank."""
+    echelon = []
     for row in rows:
         row, col = _reduce(echelon, row, ncols)
-        if col is None:
-            rest.append(row)
-        else:
+        if col is not None:
             echelon.append((col, row, row[col]))
-    return echelon, rest
+            if len(echelon) == ncols:
+                break
+    return echelon
 
 
 def _solve(echelon, ncols, j):
@@ -232,7 +234,7 @@ def det_int(rows):
     """Determinant of a square integer matrix: the last `_bareiss` pivot,
     signed by the parity of the pivot columns' order."""
     n = len(rows)
-    echelon, _ = _bareiss(rows, n)
+    echelon = _bareiss(rows, n)
     if len(echelon) < n:
         return 0
     cols = [c for c, _, _ in echelon]
@@ -261,7 +263,7 @@ def rat_rank(rows):
     The entries are read with `operator.index`, so a non-integral one is a
     ValueError naming it."""
     a = [as_int_row(r, "matrix entry") for r in rows]
-    return len(_bareiss(a, len(a[0]) if a else 0)[0])
+    return len(_bareiss(a, len(a[0]) if a else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,7 @@ class Polytope:
         polyhedron contains no line.  One search for a first vertex serves
         every rank; at full rank J is all the columns."""
         if self._empty is None:
-            pivots = [c for c, _, _ in _bareiss(self.normals, self.ambient_dim)[0]]
+            pivots = [c for c, _, _ in _bareiss(self.normals, self.ambient_dim)]
             cut = [tuple(v[j] for j in pivots) for v in self.normals]
             self._empty = not _vertices(cut, self.bounds, len(pivots), first=True)
         return self._empty
@@ -866,23 +868,16 @@ def _hull(pts):
 
 def int_hull(pts):
     """(columns, simplices, vertices) of the hull of sorted distinct integer
-    points, in any dimension: the pivot columns, in increasing order, of the
-    differences from pts[0] reduced one at a time (`_reduce`, stopped at
-    full rank; their number d is the hull's dimension, and they are the
-    coordinates the hull is computed on), `_hull`'s boundary simplices there
+    points, in any dimension: the pivot columns, in increasing order, of
+    one `_bareiss` of the differences from pts[0] (read up to full rank;
+    their number d is the hull's dimension, and they are the coordinates
+    the hull is computed on), `_hull`'s boundary simplices there
     (none for d = 0), and the vertices, points of `pts`.  A corner is a
     vertex when its tight facet normals have rank d.
     """
     p0 = pts[0]
     n = len(p0)
-    echelon = []
-    for p in pts[1:]:
-        if len(echelon) == n:
-            break
-        row, col = _reduce(echelon, vsub(p, p0), n)
-        if col is not None:
-            echelon.append((col, row, row[col]))
-    cols = sorted(c for c, _, _ in echelon)
+    cols = sorted(c for c, _, _ in _bareiss((vsub(p, p0) for p in pts[1:]), n))
     d = len(cols)
     if d == 0:
         return cols, [], [p0]
@@ -897,7 +892,7 @@ def int_hull(pts):
             tight.setdefault(q, set()).add(w)
     back = dict(zip(proj, pts))
     verts = [back[q] for q, ws in tight.items()
-             if len(_bareiss(list(ws), d)[0]) == d]
+             if len(_bareiss(ws, d)) == d]
     return cols, simplices, verts
 
 

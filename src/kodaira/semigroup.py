@@ -340,9 +340,9 @@ def regularize(sg):
     # M the boundary rows there, invertible once the dimensions agree; one
     # solve for all V gives den y as numerators over its last pivot, ±det M
     q = body_dim
-    echelon, _ = _bareiss([[b[c] for b in boundary]
-                           + [m * v[c] - den * g0[c] for v in verts]
-                           for c in cols], q)
+    echelon = _bareiss([[b[c] for b in boundary]
+                        + [m * v[c] - den * g0[c] for v in verts]
+                        for c in cols], q)
     det = echelon[-1][2] if echelon else 1
     # with n boundary rows the pivot columns are all n, so |det M| is ind
     ind = abs(det) if len(boundary) == n else None

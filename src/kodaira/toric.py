@@ -24,7 +24,6 @@ from .lattice import (
     Polytope,
     ScanPlan,
     _bareiss,
-    _reduce,
     _solve,
     as_int,
     dot,
@@ -95,8 +94,8 @@ class ToricVariety:
             if len(cone) != n:
                 raise ValueError("maximal cone is not simplicial of full rank")
             idx = tuple(sorted(cone))
-            echelon, _ = _bareiss([list(self.rays[i]) + [int(i == j) for j in idx]
-                                   for i in idx], n)  # rows [v_rho | e]
+            echelon = _bareiss([list(self.rays[i]) + [int(i == j) for j in idx]
+                                for i in idx], n)  # rows [v_rho | e]
             if len(echelon) < n or abs(echelon[-1][2]) != 1:
                 raise ValueError(f"cone {list(idx)} is not smooth")
             den = echelon[-1][2]  # +-1: column j of R^-1 is x / den for R x = e_j
@@ -316,6 +315,8 @@ class SectionSystem:
         self.divisor = divisor
         self.metric = metric
         self.degree_bound = as_int(degree_bound, "degree_bound")
+        if self.degree_bound < 1:
+            raise ValueError(f"degree_bound must be positive, got {degree_bound!r}")
         self.k0 = divisor.k0
         # the bounds of the rays, then the lower and upper box end of each
         # coordinate (the bounds times a row of _ends, +-lam off the scan
@@ -469,7 +470,9 @@ class SectionSystem:
         of the stride: degrees stride, 2 stride, ..., degree_bound stride.
         A degree is counted only when growth_degree reads it: 2 samples of a
         dead residue class, max(3, d + 2) of a class of degree d, and the
-        whole of an undecided one."""
+        whole of an undecided one.  ValueError for a stride below 1."""
+        if as_int(stride, "stride") < 1:
+            raise ValueError(f"stride must be positive, got {stride!r}")
         return growth_degree(_DegreeCounts(self, range(
             stride, self.degree_bound * stride + 1, stride)), self.period(stride))
 
@@ -538,14 +541,14 @@ def growth_degree(counts, period):
     last d+2 samples lie on one degree-d polynomial (vanishing (d+1)-st
     difference) with a positive last d-th difference.  NEG_INF when every
     class is dead, None when some class is not determinable from its
-    samples, else the largest class degree.
+    samples (as one with no sample), else the largest class degree.
 
     `counts` is any sequence, read by index, and each class only from the
     top down as far as its rules look: its last 2 samples when it is dead,
     its last max(3, d + 2) when it has degree d, all of it when undecided.
     """
     best = NEG_INF
-    for end in range(max(len(counts) - period, 0), len(counts)):
+    for end in range(len(counts) - period, len(counts)):
         degree = _class_degree(counts, range(end, -1, -period))
         if degree is None:
             return None
@@ -599,22 +602,14 @@ def kappa1(sys):
     (SectionSystem.gram) until it is full.  Each Gram matrix is positive
     semidefinite, so the kernel of the sum is the intersection of their
     kernels, and its rank the dimension of the sum of their row spaces:
-    the rank of all their rows together, which one fraction-free
-    elimination (lattice._reduce) extends degree by degree.  NEG_INF when
-    every degree is empty."""
+    the rank of all their rows together, one `_bareiss` over the Gram rows
+    chained degree by degree.  It stops at full rank, before a later
+    degree's Gram matrix is built.  NEG_INF when every degree is empty."""
     support = sys.support()
     if not support:
         return NEG_INF
-    n = sys.variety.lattice_rank
-    echelon = []
-    for k in support:
-        for row in sys.gram(k):
-            row, col = _reduce(echelon, row, n)
-            if col is not None:
-                echelon.append((col, row, row[col]))
-        if len(echelon) == n:
-            break
-    return len(echelon)
+    return len(_bareiss(chain.from_iterable(map(sys.gram, support)),
+                        sys.variety.lattice_rank))
 
 
 def kappa2(sys):

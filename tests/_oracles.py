@@ -824,14 +824,15 @@ def hull_by_hermite(pts):
 def basis_coords(basis, vectors):
     """Coordinates of each vector in a basis of independent rows, as tuples
     of Fractions, from one `_bareiss` solve for all of them; GeometryError
-    when the rows are dependent or a vector lies outside their span.  The
+    when the rows are dependent or a vector lies outside their span, that
+    is when the basis rows have rank below q or the vectors add to it.  The
     library's integer route solves on the hull lattice's pivot columns
     only (`semigroup.regularize`)."""
     q = len(basis)
     vectors = list(vectors)
     # column i of the system is basis row i; the vectors are its right sides
-    echelon, rest = _bareiss([_integral(col) for col in zip(*basis, *vectors)], q)
-    if len(echelon) < q or any(x for row in rest for x in row[q:]):
+    echelon = _bareiss([_integral(col) for col in zip(*basis, *vectors)], q)
+    if len(echelon) < q or rational_rank(list(basis) + vectors) != q:
         raise GeometryError("basis does not span direction space")
     out = []
     for j in range(q, q + len(vectors)):
@@ -1020,25 +1021,23 @@ def kappa_routes_span_rank(sys, points=None):
 def iitaka_span_rank(sys, k, points=None):
     """Reference for the reads of `fibration.iitaka_analysis` at degree k
     (which must have room for 2k), the span_rank route over listed exponent
-    sets (points(l), `section_points` by default): (image_dim,
-    fiber_relations, degrees_checked) before the final growth check, with
-    the same errors.  Every point of every degree is dotted with each
-    kernel vector of the degree-k Gram matrix."""
+    sets (points(l), `section_points` by default): the image dimension
+    before the final growth check, with the same errors.  Every point of
+    every degree is dotted with each kernel vector of the degree-k Gram
+    matrix."""
     points = _lister(sys, points)
     n = sys.variety.lattice_rank
     image_dim, gram = span_rank([points(k)], n)
     if image_dim != span_rank([points(2 * k)], n)[0]:
         raise DegreeBoundError("increase degree bound")
     perp = int_kernel(gram)
-    checked = []
     for l in sys.support():
         pts = points(l)
         for w in perp:
             if len({dot(w, p) for p in pts}) > 1:
                 raise CrossCheckError(
                     f"degree {l} spreads across fibers: growth is not contracted")
-        checked.append(l)
-    return image_dim, tuple(saturate_rows_euclid(gram)), tuple(checked)
+    return image_dim
 
 
 def gram_of_points(points, n):
@@ -1480,7 +1479,7 @@ def growth_degree_capped(counts, period, cap=None):
     (d+1)-st difference and a positive last d-th difference, after the
     dead (last two 0) and falling (a decrease in the last three) rules."""
     best = NEG_INF
-    for end in range(max(len(counts) - period, 0), len(counts)):
+    for end in range(len(counts) - period, len(counts)):
         places = range(end, -1, -period)  # the class, from the top down
         samples = [counts[i] for i in places[:cap]][::-1]
         if samples[-2:] == [0, 0]:

@@ -216,9 +216,8 @@ def test_acceptance_8_iitaka_fibration():
             k = kappa1(sys)
             if not (0 <= k < sys.variety.lattice_rank):
                 continue
-            res = iitaka_analysis(sys, lambda: kappa_report(sys).kappa)
-            assert res.image_dim == k, name
-            assert res.fiber_kappa == 0, name
+            # fiber growth 0: every degree contracts, or this raises
+            assert iitaka_analysis(sys, lambda: kappa_report(sys).kappa) == k, name
             checked += 1
         assert checked >= 10
 

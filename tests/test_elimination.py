@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from kodaira.lattice import (
     GeometryError,
+    _bareiss,
     det_int,
     dot,
     rat_rank,
@@ -145,6 +146,21 @@ def test_rat_rank_matches_rref(rows):
     # the rank over Q, so the rational draws are scaled first
     ncols = len(rows[0]) if rows else 0
     assert rat_rank([_integral(r) for r in rows]) == len(rref(rows, ncols)[1])
+
+
+def test_bareiss_stops_reading_at_full_rank():
+    # three independent rows fill every pivot column of Z^3, so no later
+    # row could add a pivot: one asked for after them raises
+    def rows():
+        yield (0, 2, 1)
+        yield (0, 4, 2)  # dependent, dropped
+        yield (1, 0, 0)
+        yield (3, 1, 5)
+        raise AssertionError("row read after full rank")
+
+    # the last pivot is 9, the determinant -9 of the three rows up to the
+    # sign of the pivot columns' order 1, 0, 2
+    assert [(c, p) for c, _, p in _bareiss(rows(), 3)] == [(1, 2), (0, 2), (2, 9)]
 
 
 def test_rat_rank_refuses_a_fraction_entry():

@@ -35,6 +35,7 @@ from _oracles import (
     iitaka_span_rank,
     kappa_routes_span_rank,
     point_moments,
+    rational_rank,
     scan_points,
     section_points,
 )
@@ -122,8 +123,7 @@ def assert_gram_route_matches(sys, points=None):
         if want_kind != "ok":
             assert (kind, got) == (want_kind, want)
         elif kind == "ok":
-            assert (got.image_dim, got.fiber_relations,
-                    got.degrees_checked) == want
+            assert got == want
         else:  # the reads agreed; only the final growth cross-check failed
             assert "spreads across fibers" not in got
             assert got != "increase degree bound"
@@ -133,6 +133,27 @@ def assert_gram_route_matches(sys, points=None):
                          ids=lambda x: x if isinstance(x, str) else "")
 def test_gram_route_matches_span_rank_on_corpus(name, sys):
     assert_gram_route_matches(sys)
+
+
+def test_kappa1_builds_gram_matrices_up_to_the_first_full_rank_degree():
+    # kappa1 reads the support degrees in order and builds no Gram matrix
+    # past the degree at which their rows reach full rank; the corpus stops
+    # at the first degree, at a later one, and never
+    stops = set()
+    for name, sys in corpus_section_systems(degree_bound=12):
+        n, support = sys.variety.lattice_rank, sys.support()
+        rows, want = [], []
+        for k in support:
+            want.append(k)
+            rows += sys.gram(k)
+            if rational_rank(rows) == n:
+                break
+        built, gram = [], sys.gram
+        sys.gram = lambda k: built.append(k) or gram(k)
+        kappa1(sys)
+        assert built == want, name
+        stops.add(len(want) if len(want) < len(support) else None)
+    assert {1, None} < stops
 
 
 P1 = ToricVariety.projective_space(1)

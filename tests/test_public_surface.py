@@ -18,9 +18,11 @@ read.  A routine only tests need lives in the tests, as the semigroup
 constructors, the decoded level and the point lister of
 `tests/_oracles.py` do.
 
-Every attribute a method of a module-level class stores on `self` must be
-read as an attribute somewhere in `src/kodaira` outside `__init__.py`,
-again by bare name.
+Every attribute a method of a module-level class stores on `self`, and
+every annotated field of a module-level dataclass, must be read as an
+attribute somewhere in `src/kodaira` outside `__init__.py`, again by bare
+name.  ATTRIBUTE_KEEP lists the stored attributes no library code reads
+that stay.
 
 Every name that an import of a module binds, `__init__.py` aside, must be
 read in that module as a name or as the base of an attribute: an import
@@ -151,11 +153,20 @@ def test_guard_flags_a_property_only_a_parameter_names(tmp_path):
 
 # -- stored attributes -------------------------------------------------------
 
+# the basis of the semigroup's boundary lattice: `regularize` builds its
+# rows for the slice anyway, so keeping them costs no work, and the tests
+# hold the record to the references
+ATTRIBUTE_KEEP = {
+    "semigroup.Regularization.boundary_lattice",
+}
+
+
 def unread_attributes(src=SRC):
     """Qualified names (module.Class.attribute) of the attributes that a
     method of a module-level class in the package directory src stores on
-    self and that nothing there outside __init__.py reads as an attribute,
-    sorted."""
+    self, or that a module-level dataclass there declares as an annotated
+    field, and that nothing there outside __init__.py reads as an
+    attribute, sorted."""
     stored, read = set(), set()
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
@@ -166,6 +177,11 @@ def unread_attributes(src=SRC):
                 read.add(node.attr)
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
+                if "dataclass" in _decorators(cls):
+                    stored |= {(f"{path.stem}.{cls.name}.{s.target.id}",
+                                s.target.id) for s in cls.body
+                               if isinstance(s, ast.AnnAssign)
+                               and isinstance(s.target, ast.Name)}
                 for node in ast.walk(cls):
                     if (isinstance(node, ast.Attribute)
                             and isinstance(node.ctx, ast.Store)
@@ -177,7 +193,7 @@ def unread_attributes(src=SRC):
 
 
 def test_every_stored_attribute_is_read():
-    assert unread_attributes() == []
+    assert [a for a in unread_attributes() if a not in ATTRIBUTE_KEEP] == []
 
 
 def test_guard_flags_an_attribute_nothing_reads(tmp_path):
@@ -190,7 +206,21 @@ def test_guard_flags_an_attribute_nothing_reads(tmp_path):
     old = "        self._counts, self._grams, self._ranks = {}, {}, {}\n"
     assert text.count(old) == 1
     toric.write_text(text.replace(old, "        self.aux = aux\n" + old))
-    assert unread_attributes(tmp_path) == ["toric.SectionSystem.aux"]
+    assert unread_attributes(tmp_path) == sorted(
+        ATTRIBUTE_KEEP | {"toric.SectionSystem.aux"})
+
+
+def test_guard_flags_a_dataclass_field_nothing_reads(tmp_path):
+    # a field on the kappa record that no library code reads
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    toric = tmp_path / "toric.py"
+    text = toric.read_text()
+    old = "    witness_degree: int | None\n"
+    assert text.count(old) == 1
+    toric.write_text(text.replace(old, old + "    spare: int\n"))
+    assert unread_attributes(tmp_path) == sorted(
+        ATTRIBUTE_KEEP | {"toric.KappaValues.spare"})
 
 
 # -- imports -----------------------------------------------------------------
