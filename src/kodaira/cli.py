@@ -221,11 +221,13 @@ def cmd_semigroup(body, options):
                                   f"point list, got {body['levels']!r}")
         levels, keys = {}, {}
         for key, pts in body["levels"].items():
-            try:
-                k = int(key)
-            except ValueError:
+            # an optional '-' and ASCII digits only: int() would also take
+            # '1_0', ' 1', '+1' and non-ASCII digits
+            digits = str(key).removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValidationError(
-                    f"levels: expected integer degree keys, got {key!r}") from None
+                    f"levels: expected integer degree keys, got {key!r}")
+            k = int(key)
             if k in keys:
                 raise ValidationError(
                     f"levels: keys {keys[k]!r} and {key!r} both name degree {k}")

@@ -63,21 +63,26 @@ def _runs(codes):
             list(compress(codes, breaks)) + codes[-1:])
 
 
-def _coder(n, size):
-    """(radix, weights) of the integer code c(p) = sum_j p_j R^(n-1-j) of
-    the points of Z^n with |coordinates| <= size, R = 4 size + 1: linear,
-    lexicographically order-preserving, and injective on vectors with
-    |coordinates| <= 2 size, so on the points and their pairwise sums.  Two
-    points' codes differ by 1 iff the points differ by e_n, so a run of
-    consecutive codes is a run s, s + e_n, ..., s + j e_n of one column."""
+def _coder(n, size, axis):
+    """(radix, weights) of the integer code c(p) = sum_j p_j w_j of the
+    points of Z^n with |coordinates| <= size, R = 4 size + 1, w_axis = 1
+    and the other coordinates weighted R^(n-1), ..., R^1 in their order:
+    linear, order-preserving for the lexicographic order of the other
+    coordinates, then p_axis, and injective on vectors with |coordinates|
+    <= 2 size, so on the points and their pairwise sums.  Two points' codes
+    differ by 1 iff the points differ by e_axis, so a run of consecutive
+    codes is a run s, s + e_axis, ..., s + j e_axis of one line along the
+    axis.  With axis n - 1 the weights are R^(n-1-j)."""
     radix = 4 * size + 1
-    return radix, [radix ** (n - 1 - j) for j in range(n)]
+    return radix, [1 if j == axis else radix ** (n - 1 - j + (j > axis))
+                   for j in range(n)]
 
 
 def _decode(codes, radix, weights):
-    """The points of codes of `_coder(n, size)`, by balanced digits: with
-    M = size, coordinate j is the base-R digit of c + 2M sum(weights) at
-    weights[j], less 2M."""
+    """The points of codes of `_coder(n, size, axis)`, by balanced digits:
+    with M = size, coordinate j is the base-R digit of c + 2M sum(weights)
+    at weights[j], less 2M, so the points come back in their own
+    coordinate order whatever the axis."""
     if not weights:
         return [()] * len(codes)
     half = radix // 2
@@ -90,8 +95,9 @@ def _decode(codes, radix, weights):
 def _run_ends(codes, radix, weights):
     """(starts, tails): the points of sorted distinct codes of `_coder` at
     the starts of their runs of consecutive codes, and at the other ends of
-    the runs of two or more.  A run is a run s, s + e_n, ..., s + j e_n of
-    one column, so the run ends include the two ends of each column."""
+    the runs of two or more.  A run is a run s, s + e_axis, ..., s + j
+    e_axis of one line along the axis, so the run ends include the two ends
+    of each such line, hence every vertex of the level's hull."""
     starts, stops = _runs(codes)
     tails = list(compress(stops, map(ne, stops, starts)))
     points = _decode(starts + tails, radix, weights)
@@ -107,11 +113,14 @@ class GradedSemigroup:
     contained in A_{k+l} (stored levels are declared closed).
 
     Every level is kept once, as the sorted distinct codes of its points
-    (`codes[k]`, the code of `_coder(n, M)`, `radix` and `weights`), and
-    `spanning` holds the codes of the points (u, k) that span the semigroup,
-    by increasing level k.  A stored semigroup codes all its levels up
-    front, M the largest |coordinate| of any level; `spanning` is its
-    nonempty levels up to the degree bound.  A generated semigroup codes its
+    (`codes[k]`, the code of `_coder(n, M, axis)`, `radix`, `weights` and
+    `axis`), and `spanning` holds the codes of the points (u, k) that span
+    the semigroup, by increasing level k.  A stored semigroup codes all its
+    levels up front, M the largest |coordinate| of any level, with runs
+    along the coordinate j where its largest level has the fewest runs (the
+    most points p with p - e_j in the level; a tie keeps the last
+    coordinate); `spanning` is its nonempty levels up to the degree bound.
+    A generated semigroup runs along the last coordinate and codes its
     levels up to its reach, the degree bound (at least 1): M is the reach
     times the largest |generator coordinate|, which bounds the coordinates
     of every point up to that level.  `spanning` is its generators, and a
@@ -124,6 +133,8 @@ class GradedSemigroup:
     def __init__(self, ambient_rank, generators=None, levels=None,
                  degree_bound=None, check_closure=True):
         self.ambient_rank = n = as_int(ambient_rank, "ambient_rank")
+        if n < 0:
+            raise ValueError(f"ambient_rank must be nonnegative, got {n}")
         if (generators is None) == (levels is None):
             raise ValueError("exactly one of generators/levels must be given")
         if degree_bound is not None:
@@ -168,7 +179,14 @@ class GradedSemigroup:
                 if flat:
                     size = max(size, max(flat), -min(flat))
                 rows[k] = pts
-            self.radix, self.weights = _coder(n, size)
+            # the axis of the fewest runs of the largest level: the most codes
+            # c with c + w_j a code (points p with p + e_j in it), a tie
+            # keeping the last coordinate
+            _, weights = _coder(n, size, n - 1)
+            top = set(_dots(weights, max(rows.values(), key=len, default=[])))
+            self.axis = max(reversed(range(n)), default=n - 1, key=lambda j: len(
+                top.intersection(map(add, top, repeat(weights[j])))))
+            self.radix, self.weights = _coder(n, size, self.axis)
             self.codes = {k: sorted(set(_dots(self.weights, pts)))
                           for k, pts in rows.items()}
             if degree_bound is None:
@@ -183,9 +201,10 @@ class GradedSemigroup:
         generator codes by level, and the level-0 code; levels are built by
         `level_codes`."""
         heads = [g[:-1] for g in self.generators]
-        self.reach = reach
-        self.radix, self.weights = _coder(self.ambient_rank, reach * max(
-            map(abs, chain.from_iterable(heads)), default=0))
+        n = self.ambient_rank
+        self.reach, self.axis = reach, n - 1
+        self.radix, self.weights = _coder(n, reach * max(
+            map(abs, chain.from_iterable(heads)), default=0), n - 1)
         spanning = {}
         for g, c in zip(self.generators, _dots(self.weights, heads)):
             spanning.setdefault(g[-1], []).append(c)
@@ -293,11 +312,11 @@ def regularize(sg):
         raise EmptySemigroupError("empty semigroup")
     n = sg.ambient_rank
 
-    # G is generated by the run starts (s, k), and by (e_n, 0) once a run
-    # holds two points; (e_n, 0) is read first, so that `hnf_basis` can stop
-    # at the identity sooner
+    # G is generated by the run starts (s, k), and by (e_axis, 0) once a
+    # run holds two points; (e_axis, 0) is read first, so that `hnf_basis`
+    # can stop at the identity sooner
     ends = {k: _run_ends(codes, radix, weights) for k, codes in levels.items()}
-    unit = ([tuple([0] * (n - 1)) + (1, 0)]
+    unit = ([tuple(int(j == sg.axis) for j in range(n)) + (0,)]
             if any(tails for _, tails in ends.values()) else [])
     basis = hnf_basis(chain(unit, (u + (k,) for k, (starts, _) in ends.items()
                                    for u in starts)))
@@ -313,8 +332,8 @@ def regularize(sg):
     # cone over the generators equals the cone over the level-1 hull because
     # every graded point sits at a positive level.  conv(∪ A_k / k) needs
     # only the run ends of each level A_k, which include the two ends of
-    # each column; each level is scaled by den / k, den the lcm of the
-    # levels, so that one integer hull over den gets them all
+    # each line along the axis; each level is scaled by den / k, den the
+    # lcm of the levels, so that one integer hull over den gets them all
     den = math.lcm(*levels)
     hull = int_hull(sorted(set(chain.from_iterable(
         map(tuple, map(map, repeat(partial(mul, den // k)), chain(starts, tails)))

@@ -7,7 +7,8 @@ lattice helpers that only tests use (`in_row_lattice`, `solve_in_lattice`,
 `dilate`), the per-level regularized Hilbert function
 (`hilbert_reg_per_level`) that the library's slice scaling replaced, and the
 per-point closure check (`closure_check_per_point`) that the library's run
-check on integer codes replaced, and the per-point lattice insertions
+check on integer codes replaced, with `closure_outcome` to compare the two
+routes' messages, and the per-point lattice insertions
 (`diff_lattice_per_point`, `kappa1_per_point`, `iitaka_fibers_per_point`)
 that the library's Gram-matrix spans replaced.  The lattice they insert
 into (`IntLattice`, extended-gcd Hermite rows grown one vector at a time)
@@ -925,6 +926,15 @@ def closure_check_per_point(levels, degree_bound):
                 if tuple(x + y for x, y in zip(a, b)) not in target:
                     raise ValueError(
                         f"declared closure fails: A_{k}+A_{l} escapes A_{k + l}")
+
+
+def closure_outcome(check):
+    """The message of the ValueError a closure check raises, or None."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def period_by_ray_subsets(system, stride=1):

@@ -523,6 +523,25 @@ def test_closed_under_addition_must_be_a_boolean(tmp_path, capsys):
     assert "declared closure fails" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["1_0", " 1", "1 ", "+1", "\u0661"])
+def test_level_key_must_be_ascii_digits(tmp_path, capsys, key):
+    # int() reads '1_0' as 10 and the others as 1
+    doc = staircase_doc()
+    doc["body"] = {"ambient_rank": 1, "levels": {key: [[0]]}}
+    assert main(["semigroup", write_instance(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: levels: expected integer degree keys, got {key!r}\n")
+
+
+@pytest.mark.parametrize("body", [{"generators": [[]]}, {"levels": {"1": []}}])
+def test_negative_ambient_rank_is_input_error(tmp_path, capsys, body):
+    doc = staircase_doc()
+    doc["body"] = {"ambient_rank": -1, **body}
+    assert main(["semigroup", write_instance(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: ambient_rank must be nonnegative, got -1\n")
+
+
 def test_fractional_level_key_is_input_error(tmp_path, capsys):
     doc = staircase_doc()
     doc["body"] = {"ambient_rank": 1, "levels": {"1.5": [[0]], "2": [[0]]}}

@@ -1,36 +1,48 @@
 """Semigroup levels as sorted integer codes, against the tuple route.
 
 `GradedSemigroup` keeps each level once, as the sorted distinct codes
-c(p) = sum_j p_j R^(n-1-j) of its points (R = 4M + 1): M is the largest
+c(p) = sum_j p_j w_j of its points (R = 4M + 1, weight 1 on the run axis
+and R^(n-1), ..., R^1 on the other coordinates): M is the largest
 |coordinate| of a stored level, or the reach times the largest |generator
 coordinate| of a generated one, whose levels are sums of codes.
 `regularize` reads only the runs of consecutive codes: the group from the
-run starts plus e_n, the hull from the run ends.  The references in
+run starts plus e_axis, the hull from the run ends.  The references in
 `_oracles` are the tuple route the codes replaced: levels as sets of tuples
 (`tuple_levels`) or enumerated from the generators
 (`semigroup_level_points`), the group from every point and the hull of the
 column ends (`regularize_tuple_route`).
 """
 
-from itertools import chain
+import math
+from itertools import chain, product
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kodaira.lattice import _dots
+from kodaira import semigroup
+from kodaira.lattice import _dots, int_hull
 from kodaira.semigroup import (
     DegreeBoundError,
+    EmptySemigroupError,
     GradedSemigroup,
     _coder,
     _decode,
+    _runs,
+    growth_law_check,
     hilbert,
+    hilbert_reg,
     regularize,
 )
 
 from _oracles import (
+    closure_check_per_point,
+    closure_outcome,
+    hilbert_reg_per_level,
     level_points,
     rational_pairs,
+    regularize_lattice_reference,
     regularize_tuple_route,
     semigroup_level_points,
     spanning_points,
@@ -59,16 +71,20 @@ def point_lists(draw):
 @example((2, [(-5, 3), (-5, 4), (-5, 5), (-4, -5), (5, -5)]))
 def test_codes_round_trip(case):
     n, points = case
-    radix, weights = _coder(n, max(map(abs, chain.from_iterable(points)), default=0))
-    codes = _dots(weights, points)
-    assert len(set(codes)) == len(set(points))  # injective
-    ordered = sorted(set(points))
-    assert _decode(sorted(set(codes)), radix, weights) == ordered  # order kept
-    # consecutive codes are exactly the steps of e_n within one column
-    step = [a[:-1] == b[:-1] and b[-1] == a[-1] + 1
-            for a, b in zip(ordered, ordered[1:])] if n else []
-    sorted_codes = sorted(set(codes))
-    assert [b == a + 1 for a, b in zip(sorted_codes, sorted_codes[1:])] == step
+    size = max(map(abs, chain.from_iterable(points)), default=0)
+    for axis in range(max(n, 1)):
+        radix, weights = _coder(n, size, axis)
+        codes = _dots(weights, points)
+        assert len(set(codes)) == len(set(points))  # injective
+        # order kept: the other coordinates in their order, then the axis
+        ordered = sorted(set(points),
+                         key=lambda p: p[:axis] + p[axis + 1:] + p[axis:axis + 1])
+        sorted_codes = sorted(set(codes))
+        assert _decode(sorted_codes, radix, weights) == ordered
+        # consecutive codes are exactly the steps of e_axis
+        unit = tuple(int(j == axis) for j in range(n))
+        step = [tuple(map(sub, b, a)) == unit for a, b in zip(ordered, ordered[1:])]
+        assert [b == a + 1 for a, b in zip(sorted_codes, sorted_codes[1:])] == step
 
 
 def test_all_zero_level_has_radix_one():
@@ -154,7 +170,7 @@ def _spanning_tuples(n, levels, bound):
 @example((1, {2: {(0,), (2,), (4,)}, 4: {(0,), (2,), (4,), (6,), (8,)}}, None))
 @example((3, {1: {(0, 0, 0), (0, 0, 1), (0, 0, 4), (1, 1, 2)}}, None))
 def test_body_and_group_match_tuple_route(case):
-    """The group from the run starts plus e_n is the group of all points,
+    """The group from the run starts plus e_axis is the group of all points,
     and the hull of the run ends is the hull of the column ends."""
     spanning = _spanning_tuples(*case)
     sg = _stored(*case)
@@ -205,3 +221,128 @@ def test_generated_semigroups_match_tuple_route(case):
     assert list(reg.group_basis) == basis
     assert rational_pairs(reg.okounkov_body)[:-2] == [
         (v + (0,), c) for v, c in rational_pairs(hull)]
+
+
+# ---------------------------------------------------------------------------
+# the run axis
+# ---------------------------------------------------------------------------
+
+@st.composite
+def axis_levels(draw):
+    """(rank 1-3, levels {k: points} for k = 1..B, B <= 6, B, a permutation
+    sigma of the coordinates): k times a box, stretched along a drawn axis
+    or with tied extents, its low corner sometimes negative, gapped (only
+    even values of a drawn coordinate) or thinned at random, so that closure
+    can fail; some levels empty."""
+    n = draw(st.integers(1, 3))
+    bound = draw(st.integers(1, 6 if n < 3 else 4))
+    shape = draw(st.sampled_from(["stretched", "tied", "gapped", "thinned"]))
+    axis = draw(st.integers(0, n - 1))
+    long = 1 if shape == "tied" else draw(st.integers(2, 4))
+    lows = draw(st.lists(st.integers(-2, 0), min_size=n, max_size=n))
+    gap = draw(st.integers(0, n - 1)) if shape == "gapped" else None
+    sides = [long if j == axis else 1 for j in range(n)]
+    levels = {}
+    for k in range(1, bound + 1):
+        pts = [p for p in product(*[range(k * lo, k * (lo + side) + 1)
+                                    for lo, side in zip(lows, sides)])
+               if gap is None or p[gap] % 2 == 0]
+        if shape == "thinned":
+            pts = sorted(draw(st.sets(st.sampled_from(pts), max_size=12)))
+        levels[k] = [] if draw(st.integers(0, 4)) == 0 else pts
+    return n, levels, bound, draw(st.permutations(range(n)))
+
+
+def _permuted(levels, sigma):
+    return {k: [tuple(p[j] for j in sigma) for p in pts] for k, pts in levels.items()}
+
+
+@settings(max_examples=150)
+@given(axis_levels())
+# runs along the first coordinate: a regularize that adds (e_n, 0) to the
+# group generators instead of (e_axis, 0) gets the wrong group
+@example((2, {k: [(x, y) for x in range(3 * k + 1) for y in range(k + 1)]
+              for k in (1, 2)}, 2, [1, 0]))
+def test_run_axis_changes_no_result(case):
+    n, levels, bound, sigma = case
+    ref = tuple_levels(levels)
+    assert closure_outcome(lambda: GradedSemigroup(n, levels=levels)) == (
+        closure_outcome(lambda: closure_check_per_point(ref, bound)))
+    sg = GradedSemigroup(n, levels=levels, check_closure=False)
+    assert [hilbert(sg, k) for k in range(1, bound + 1)] == [len(ref[k]) for k in ref]
+    spanning = {k: sorted(pts) for k, pts in ref.items() if pts}
+    if not spanning:
+        with pytest.raises(EmptySemigroupError):
+            regularize(sg)
+        return
+    reg = regularize(sg)
+    basis, m, boundary, ind, _ = regularize_lattice_reference(
+        [u + (k,) for k, pts in spanning.items() for u in pts])
+    assert (reg.group_basis, reg.m, reg.boundary_lattice, reg.ind) == (
+        tuple(basis), m, tuple(boundary), ind)
+    _, hull = regularize_tuple_route(spanning)
+    assert [v[:-1] for v in reg.okounkov_body.vertices()] == list(hull.vertices())
+    assert rational_pairs(reg.okounkov_body)[:-2] == [
+        (v + (0,), c) for v, c in rational_pairs(hull)]
+    counts = [hilbert_reg(reg, k) for k in range(8)]
+    assert counts == [hilbert_reg_per_level(reg, k) for k in range(8)]
+    # the same levels with permuted coordinates, which may run along
+    # another axis, have the same invariants and the permuted body
+    sg2 = GradedSemigroup(n, levels=_permuted(levels, sigma), check_closure=False)
+    reg2 = regularize(sg2)
+    assert [hilbert(sg2, k) for k in range(bound + 1)] == [
+        hilbert(sg, k) for k in range(bound + 1)]
+    assert [hilbert_reg(reg2, k) for k in range(8)] == counts
+    assert (len(reg2.group_basis), reg2.m, reg2.ind, reg2.okounkov_dim) == (
+        len(reg.group_basis), reg.m, reg.ind, reg.okounkov_dim)
+    law, law2 = growth_law_check(reg, k_max=20), growth_law_check(reg2, k_max=20)
+    assert (law2.a_q_predicted, law2.a_q_empirical) == (
+        law.a_q_predicted, law.a_q_empirical)
+    assert sorted(reg2.okounkov_body.vertices()) == sorted(
+        tuple(v[j] for j in sigma) + v[n:] for v in reg.okounkov_body.vertices())
+
+
+def wide_triangle_levels(bound):
+    """{k: lattice points of k P} for P the triangle (0, 0), (2, 0), (0, 1),
+    twice as wide as it is tall, as the F_3 ample polygon."""
+    return {k: [(x, y) for y in range(k + 1) for x in range(2 * (k - y) + 1)]
+            for k in range(1, bound + 1)}
+
+
+def test_elongated_levels_run_along_their_long_side(monkeypatch):
+    levels = wide_triangle_levels(6)
+    seen = []
+    monkeypatch.setattr(semigroup, "int_hull",
+                        lambda pts: seen.append(pts) or int_hull(pts))
+    sg = GradedSemigroup(2, levels=levels)
+    top = levels[6]
+    assert sg.axis == 0
+    # one run per row: 7 runs, against 13 columns along the last coordinate
+    assert len(_runs(sg.codes[6])[0]) == len({y for _, y in top}) == 7
+    assert len({x for x, _ in top}) == 13
+    # the hull reads the two ends of each row of each level, scaled by den / k
+    regularize(sg)
+    den = math.lcm(*levels)
+    assert seen == [sorted({(den // k * x, den // k * y) for k in levels
+                            for y in range(k + 1) for x in (0, 2 * (k - y))})]
+
+
+def test_gapped_levels_run_along_the_axis_without_gaps():
+    # the last coordinate is four times as long, but its points are two
+    # apart, so each would be a run of its own
+    levels = {k: [(x, y) for x in range(k + 1) for y in range(0, 4 * k + 1, 2)]
+              for k in range(1, 5)}
+    sg = GradedSemigroup(2, levels=levels)
+    assert sg.axis == 0
+    assert len(_runs(sg.codes[4])[0]) == 9  # one run per even y
+
+
+@pytest.mark.parametrize("n, levels", [
+    (2, {k: list(product(range(k + 1), repeat=2)) for k in range(1, 5)}),
+    (3, {k: [p for p in product(range(k + 1), repeat=3) if sum(p) <= k]
+         for k in range(1, 5)}),
+], ids=["square", "simplex"])
+def test_tied_levels_keep_the_last_axis(n, levels):
+    sg = GradedSemigroup(n, levels=levels)
+    assert sg.axis == n - 1
+    assert sg.weights == [sg.radix ** (n - 1 - j) for j in range(n)]

@@ -74,7 +74,8 @@ def assert_same_body(sg):
 def run_ends(points):
     """The run ends of sorted distinct points, read off their codes."""
     n = len(points[0]) if points else 0
-    radix, weights = _coder(n, max(map(abs, chain.from_iterable(points)), default=0))
+    radix, weights = _coder(n, max(map(abs, chain.from_iterable(points)), default=0),
+                            n - 1)
     starts, tails = _run_ends(sorted(_dots(weights, points)), radix, weights)
     return starts + tails
 

@@ -23,6 +23,7 @@ from _oracles import (
     affine_dimension,
     basis_coords,
     closure_check_per_point,
+    closure_outcome,
     from_generators,
     hilbert_reg_per_level,
     in_row_lattice,
@@ -160,6 +161,14 @@ def test_negative_degree_bound_is_refused_for_both_kinds():
             GradedSemigroup(1, degree_bound=-4, **kind)
 
 
+def test_negative_ambient_rank_is_refused_for_both_kinds():
+    # a generator row of length n + 1 = 0 once raised IndexError, and an
+    # empty level passed as an empty semigroup
+    for kind in ({"generators": [[]]}, {"levels": {1: []}}):
+        with pytest.raises(ValueError, match="ambient_rank must be nonnegative, got -1"):
+            GradedSemigroup(-1, **kind)
+
+
 def test_closure_check_rejects_bad_declaration():
     with pytest.raises(ValueError, match="closure"):
         GradedSemigroup(
@@ -198,14 +207,6 @@ def test_non_integral_level_keys_are_rejected_not_truncated():
     sg = GradedSemigroup(1, levels={True: {(0,)}, 2: {(0,)}})
     assert [hilbert(sg, k) for k in range(3)] == [1, 1, 1]
     assert level_points(sg, 1) == level_points(sg, 2) == {(0,)}
-
-
-def closure_outcome(check):
-    try:
-        check()
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 @st.composite
